@@ -177,7 +177,6 @@ impl GasGather {
 
 struct RankOutput {
     steps: Vec<StepRecord>,
-    timers: Timers,
     spans: Vec<Span>,
     comm: CommCounters,
     ledger: ConservationLedger,
@@ -308,6 +307,17 @@ pub fn resume_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
     assemble_report(cfg, outputs, 1, 0, None)
 }
 
+/// The fault plan `cfg.chaos` asks for (empty without a spec), or the
+/// one-line reason the spec is malformed — callers that take the spec
+/// from a user check it here before starting a world.
+pub fn chaos_plan(cfg: &SimConfig, n_ranks: usize) -> Result<FaultPlan, String> {
+    match cfg.chaos.as_deref() {
+        Some(spec) => FaultPlan::parse(spec, cfg.seed, cfg.pm_steps as u64, n_ranks)
+            .map_err(|e| format!("invalid chaos spec: {e}")),
+        None => Ok(FaultPlan::empty()),
+    }
+}
+
 /// Run under the fault supervisor: parse `cfg.chaos` into a [`FaultPlan`]
 /// and execute the simulation with per-rank fault probes armed through
 /// the whole stack (comm transport, tiered writer, GPU launches, step
@@ -323,11 +333,7 @@ pub fn resume_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
 /// the unsupervised path.
 pub fn run_supervised(cfg: &SimConfig, n_ranks: usize) -> SimReport {
     cfg.validate();
-    let plan = match cfg.chaos.as_deref() {
-        Some(spec) => FaultPlan::parse(spec, cfg.seed, cfg.pm_steps as u64, n_ranks)
-            .unwrap_or_else(|e| panic!("invalid chaos spec: {e}")),
-        None => FaultPlan::empty(),
-    };
+    let plan = chaos_plan(cfg, n_ranks).unwrap_or_else(|e| panic!("{e}"));
     if plan.is_empty() {
         return run_simulation(cfg, n_ranks);
     }
@@ -403,7 +409,7 @@ fn assemble_report(
     let mut momentum = [0.0f64; 3];
     let mut momentum_scale = 0.0f64;
     for o in &outputs {
-        timers.merge(&o.timers);
+        timers.merge(&Timers::from_spans(&o.spans));
         counters.merge(&o.counters);
         profile.merge(&o.profile);
         utilizations.push(o.utilization);
@@ -579,7 +585,6 @@ fn rank_main(
         w.arm_faults(p.clone());
     }
 
-    let mut timers = Timers::new();
     let mut tracer = Tracer::new(comm.rank());
     let mut ledger = ConservationLedger::new();
     let mut counters = KernelCounters::default();
@@ -631,22 +636,19 @@ fn rank_main(
         let sp_step = tracer.begin("step", &format!("step-{step}"));
 
         // --- 1. migrate + overload refresh ---
-        let sp = tracer.begin("misc", "migrate+overload");
-        timers.begin(Phase::Misc);
+        let sp = tracer.begin(Phase::Misc.name(), "migrate+overload");
         migrate(comm, &decomp, &mut store, cfg.box_size);
         exchange_overload(comm, &decomp, &mut store, cfg.box_size, overload_width);
         if let Some(reg) = ghost_region {
             hacc_san::annotate_write(reg);
         }
-        timers.end();
         tracer.end(sp);
 
         let n_owned_global =
             comm.all_reduce_sum_u64(store.n_owned as u64);
 
         // --- 2. long-range solve + opening half-kick ---
-        let sp = tracer.begin("long-range", "pm-solve+half-kick");
-        timers.begin(Phase::LongRange);
+        let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+half-kick");
         lr_pos.clear();
         lr_pos.extend_from_slice(&store.pos[..store.n_owned]);
         lr_mass.clear();
@@ -658,7 +660,6 @@ fn rank_main(
                 store.vel[i][d] += lr_acc[i][d] / a0 * half_kick;
             }
         }
-        timers.end();
         tracer.end(sp);
 
         // --- 3. chaining mesh + trees (once per PM step) ---
@@ -682,14 +683,12 @@ fn rank_main(
             bin_width: cutoff.max(1e-3),
             max_leaf: 128,
         };
-        let sp = tracer.begin("tree-build", "chaining-mesh");
-        timers.begin(Phase::TreeBuild);
+        let sp = tracer.begin(Phase::TreeBuild.name(), "chaining-mesh");
         if let Some(reg) = ghost_region {
             // The node-local solve starts consuming the ghosts here.
             hacc_san::annotate_read(reg);
         }
         let mut cm_all = ChainingMesh::build(&store.pos, dom_lo, dom_hi, &cm_cfg);
-        timers.end();
         tracer.end(sp);
 
         // --- rung assignment (gas CFL; collisionless on rung 0) ---
@@ -723,8 +722,7 @@ fn rank_main(
         let da_s = da_pm / nsub as f64;
 
         // --- 4. short-range subcycle block (chained KDK) ---
-        let sp_sr = tracer.begin("short-range", "subcycle-block");
-        timers.begin(Phase::ShortRange);
+        let sp_sr = tracer.begin(Phase::ShortRange.name(), "subcycle-block");
         // Planned rank loss fires here — mid-step, after this step's
         // migrate/PM work but before its checkpoint, so the newest
         // checkpoint on disk predates the killed step (the node-loss
@@ -878,22 +876,18 @@ fn rank_main(
                 w,
             );
         }
-        timers.end();
         tracer.end(sp_sr);
 
         // --- 5. in-situ analysis (+ science output through the tiers) ---
         if cfg.analysis_every > 0 && (step + 1) % cfg.analysis_every == 0 {
-            let sp = tracer.begin("analysis", "in-situ-analysis");
-            timers.begin(Phase::Analysis);
+            let sp = tracer.begin(Phase::Analysis.name(), "in-situ-analysis");
             let halos =
                 run_analysis_step(cfg, comm, &store, &agn, &mut black_holes, &kd, a1);
-            timers.end();
             tracer.end(sp);
             // Halo catalogs are the paper's ~12 PB science side channel:
             // written through the same tiers, never pruned.
             if let Some(w) = writer.as_mut() {
-                let sp = tracer.begin("io", "halo-catalog");
-                timers.begin(Phase::Io);
+                let sp = tracer.begin(Phase::Io.name(), "halo-catalog");
                 let frac = step as f64 / cfg.pm_steps.max(1) as f64;
                 for c in halo_cols.iter_mut() {
                     c.clear();
@@ -915,14 +909,12 @@ fn rank_main(
                     frac * 0.8,
                     1.3,
                 );
-                timers.end();
                 tracer.end(sp);
             }
         }
 
         // --- 6. closing long-range half-kick ---
-        let sp = tracer.begin("long-range", "pm-solve+closing-half-kick");
-        timers.begin(Phase::LongRange);
+        let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+closing-half-kick");
         lr_pos.clear();
         lr_pos.extend_from_slice(&store.pos[..store.n_owned]);
         lr_mass.clear();
@@ -933,7 +925,6 @@ fn rank_main(
                 store.vel[i][d] += lr_acc[i][d] / a1 * half_kick;
             }
         }
-        timers.end();
         tracer.end(sp);
 
         // --- 7. tiered checkpoint of the completed step ---
@@ -941,8 +932,7 @@ fn rank_main(
         let mut io_blocking = 0.0;
         if let Some(w) = writer.as_mut() {
             if (step + 1) % cfg.checkpoint_every == 0 {
-                let sp = tracer.begin("io", "checkpoint");
-                timers.begin(Phase::Io);
+                let sp = tracer.begin(Phase::Io.name(), "checkpoint");
                 // Low-z clustering raises PFS contention and grows the
                 // node data imbalance toward ~2x (Section VI-B); analysis
                 // output steps dip the NVMe bandwidth by up to 30%.
@@ -967,7 +957,6 @@ fn rank_main(
                             cause: e.to_string(),
                         })
                     });
-                timers.end();
                 tracer.end(sp);
             }
         }
@@ -977,8 +966,7 @@ fn rank_main(
         // count reduced after migration is the end-of-step count too. The
         // f64 sums reduce elementwise in rank order — deterministic for a
         // fixed rank count.
-        let sp = tracer.begin("misc", "ledger-reduce");
-        timers.begin(Phase::Misc);
+        let sp = tracer.begin(Phase::Misc.name(), "ledger-reduce");
         let mut local = [0.0f64; 7];
         for i in 0..store.n_owned {
             let m = store.mass[i];
@@ -1011,7 +999,6 @@ fn rank_main(
             kinetic: tot[5],
             internal: tot[6],
         });
-        timers.end();
         tracer.end(sp);
 
         total_stars += comm.all_reduce_sum_u64(stars_this_step);
@@ -1038,11 +1025,9 @@ fn rank_main(
     }
 
     // --- final analysis: P(k), FOF, xi(r), HOD galaxies, SZ map ---
-    let sp = tracer.begin("analysis", "final-analysis");
-    timers.begin(Phase::Analysis);
+    let sp = tracer.begin(Phase::Analysis.name(), "final-analysis");
     let (power, n_halos, largest_halo, xi, n_galaxies, y_conc) =
         final_analysis(cfg, comm, &store, &mut rng);
-    timers.end();
     tracer.end(sp);
 
     let state_hash = global_state_hash(comm, &store, cfg.box_size);
@@ -1059,7 +1044,6 @@ fn rank_main(
     }
     RankOutput {
         steps,
-        timers,
         spans: tracer.into_spans(),
         comm: comm.telemetry(),
         ledger,

@@ -1,7 +1,9 @@
-//! Accumulating named timers — the source of the Fig. 2 / Fig. 5 timing
-//! breakdowns.
+//! Per-phase wall-time totals — the source of the Fig. 2 / Fig. 5 timing
+//! breakdowns. The driver measures nothing here: it opens spans on the
+//! `hacc_telem::Tracer`, and [`Timers::from_spans`] folds a rank's
+//! finished spans into the six phase buckets.
 
-use std::time::Instant;
+use hacc_telem::Span;
 
 /// The timed simulation phases, in the paper's Fig. 2 ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,25 +46,10 @@ impl Phase {
     }
 }
 
-/// One open (not yet closed) phase region on the nesting stack.
-#[derive(Debug, Clone)]
-struct OpenPhase {
-    slot: usize,
-    t0: Instant,
-    /// Seconds already attributed to phases nested inside this region.
-    child_seconds: f64,
-}
-
-/// Accumulating wall-clock timers per phase.
-///
-/// Phase regions may nest (`begin`/`end` pairs): each second of wall time
-/// is attributed to exactly one phase — the innermost open region — so the
-/// per-phase totals sum to the elapsed time of the outermost region instead
-/// of double-counting nested work.
+/// Accumulated wall-clock seconds per phase.
 #[derive(Debug, Clone, Default)]
 pub struct Timers {
     seconds: [f64; 6],
-    stack: Vec<OpenPhase>,
 }
 
 impl Timers {
@@ -75,39 +62,26 @@ impl Timers {
         PHASES.iter().position(|&p| p == phase).unwrap()
     }
 
-    /// Open a phase region. Must be closed with a matching [`Timers::end`].
-    pub fn begin(&mut self, phase: Phase) {
-        self.stack.push(OpenPhase {
-            slot: Self::slot(phase),
-            t0: Instant::now(),
-            child_seconds: 0.0,
-        });
-    }
-
-    /// Close the innermost open region, attributing its *self time*
-    /// (elapsed minus time spent in nested regions) to its phase.
-    /// Returns the full elapsed seconds of the region.
-    pub fn end(&mut self) -> f64 {
-        let open = self
-            .stack
-            .pop()
-            // e1: allow: begin/end pairing is static in the step loop; an unmatched end is a programming error, not a runtime fault
-            .expect("Timers::end without matching begin");
-        let elapsed = open.t0.elapsed().as_secs_f64();
-        let self_time = (elapsed - open.child_seconds).max(0.0);
-        self.seconds[open.slot] += self_time;
-        if let Some(parent) = self.stack.last_mut() {
-            parent.child_seconds += elapsed;
+    /// Phase totals of one rank's finished spans. Spans nest, and each
+    /// second of wall time is attributed to exactly one phase — the
+    /// innermost span covering it: a span contributes its *self time*
+    /// (`wall_s` minus its children's `wall_s`) to the phase it is
+    /// tagged with. Spans whose tag names no phase (the enclosing
+    /// `"step"` span) leave their self time unattributed.
+    pub fn from_spans(spans: &[Span]) -> Self {
+        let mut child_s = vec![0.0f64; spans.len()];
+        for s in spans {
+            if let Some(p) = s.parent {
+                child_s[p] += s.wall_s;
+            }
         }
-        elapsed
-    }
-
-    /// Time a closure under `phase` (nest-safe: uses `begin`/`end`).
-    pub fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        self.begin(phase);
-        let out = f();
-        self.end();
-        out
+        let mut t = Timers::new();
+        for (s, child_s) in spans.iter().zip(child_s) {
+            if let Some(slot) = PHASES.iter().position(|p| p.name() == s.phase) {
+                t.seconds[slot] += (s.wall_s - child_s).max(0.0);
+            }
+        }
+        t
     }
 
     /// Add externally measured seconds.
@@ -152,6 +126,7 @@ impl Timers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hacc_telem::Tracer;
 
     #[test]
     fn accumulates_and_fractions() {
@@ -165,33 +140,30 @@ mod tests {
         assert!((f[0] - 0.1).abs() < 1e-12);
     }
 
-    #[test]
-    fn time_closure_returns_value() {
-        let mut t = Timers::new();
-        let v = t.time(Phase::Analysis, || 42);
-        assert_eq!(v, 42);
-        assert!(t.get(Phase::Analysis) >= 0.0);
+    fn sleep_ms(ms: u64) {
+        std::thread::sleep(std::time::Duration::from_millis(ms));
     }
 
     #[test]
-    fn nested_phases_attribute_time_to_exactly_one_phase() {
-        // A Misc span opened inside a LongRange region must claim its own
-        // wall time exclusively: the per-phase totals sum to the elapsed
-        // time of the outer region, with no double-counting.
-        let mut t = Timers::new();
-        t.begin(Phase::LongRange);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        t.begin(Phase::Misc);
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        let inner = t.end();
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let outer = t.end();
+    fn nested_spans_attribute_time_to_exactly_one_phase() {
+        // A misc span opened inside a long-range span must claim its own
+        // wall time exclusively: the per-phase totals sum to the wall
+        // time of the outer span, with no double-counting.
+        let mut tr = Tracer::new(0);
+        let outer_id = tr.begin("long-range", "outer");
+        sleep_ms(5);
+        let inner_id = tr.begin("misc", "inner");
+        sleep_ms(10);
+        let inner = tr.end(inner_id);
+        sleep_ms(5);
+        let outer = tr.end(outer_id);
+        let t = Timers::from_spans(&tr.into_spans());
 
         assert!(inner >= 0.010);
         assert!(outer >= inner);
         assert!(t.get(Phase::Misc) >= 0.010);
         assert!(t.get(Phase::LongRange) > 0.0);
-        // Self-times partition the outer region exactly.
+        // Self-times partition the outer span exactly.
         assert!(
             (t.get(Phase::LongRange) + t.get(Phase::Misc) - outer).abs() < 1e-9,
             "phases {:.6}+{:.6} != outer {:.6}",
@@ -203,23 +175,31 @@ mod tests {
     }
 
     #[test]
-    fn deeply_nested_regions_sum_to_elapsed() {
-        let mut t = Timers::new();
-        t.begin(Phase::ShortRange);
-        t.begin(Phase::TreeBuild);
-        t.begin(Phase::Analysis);
-        std::thread::sleep(std::time::Duration::from_millis(3));
-        t.end();
-        t.end();
-        let outer = t.end();
+    fn deeply_nested_spans_sum_to_elapsed() {
+        let mut tr = Tracer::new(0);
+        let a = tr.begin("short-range", "a");
+        let b = tr.begin("tree-build", "b");
+        let c = tr.begin("analysis", "c");
+        sleep_ms(3);
+        tr.end(c);
+        tr.end(b);
+        let outer = tr.end(a);
+        let t = Timers::from_spans(&tr.into_spans());
         assert!((t.total() - outer).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "without matching begin")]
-    fn end_without_begin_panics() {
-        let mut t = Timers::new();
-        t.end();
+    fn untagged_step_span_keeps_its_self_time_unattributed() {
+        let mut tr = Tracer::new(0);
+        let step = tr.begin("step", "step-0");
+        sleep_ms(2);
+        let io = tr.begin("io", "checkpoint");
+        sleep_ms(2);
+        let io_wall = tr.end(io);
+        tr.end(step);
+        let t = Timers::from_spans(&tr.into_spans());
+        assert_eq!(t.total(), io_wall);
+        assert_eq!(t.get(Phase::Io), io_wall);
     }
 
     #[test]

@@ -154,7 +154,10 @@ pub enum Stmt {
         line: u32,
     },
     Expr(Expr),
-    /// A nested item or statement the parser skipped over.
+    /// A `fn` item nested in a block: its own call-graph node, not part
+    /// of the enclosing body.
+    Fn(FnDef),
+    /// Another nested item, or a statement the parser skipped over.
     Opaque,
 }
 
@@ -234,6 +237,8 @@ pub enum BinOp {
 pub struct Arm {
     /// Binder names the pattern introduces (best effort).
     pub names: Vec<String>,
+    /// The `if` guard between the pattern and `=>`.
+    pub guard: Option<Expr>,
     pub body: Expr,
 }
 
@@ -251,6 +256,40 @@ impl Expr {
 /// construct (recovery, not panic) — bounds stack depth on adversarial
 /// input from the property tests.
 const MAX_DEPTH: u32 = 120;
+
+/// Precedence of the comparison operators in [`BINOPS`].
+const CMP_PREC: u8 = 3;
+
+/// Every binary operator with its spelling and precedence (`||` = 1 ...
+/// `* / %` = 9); two-char spellings first, so the first match is the
+/// longest.
+const BINOPS: [(BinOp, &str, u8); 18] = [
+    (BinOp::Or, "||", 1),
+    (BinOp::And, "&&", 2),
+    (BinOp::Eq, "==", CMP_PREC),
+    (BinOp::Ne, "!=", CMP_PREC),
+    (BinOp::Le, "<=", CMP_PREC),
+    (BinOp::Ge, ">=", CMP_PREC),
+    (BinOp::Shl, "<<", 7),
+    (BinOp::Shr, ">>", 7),
+    (BinOp::Lt, "<", CMP_PREC),
+    (BinOp::Gt, ">", CMP_PREC),
+    (BinOp::BitOr, "|", 4),
+    (BinOp::BitXor, "^", 5),
+    (BinOp::BitAnd, "&", 6),
+    (BinOp::Add, "+", 8),
+    (BinOp::Sub, "-", 8),
+    (BinOp::Mul, "*", 9),
+    (BinOp::Div, "/", 9),
+    (BinOp::Rem, "%", 9),
+];
+
+impl BinOp {
+    /// Source spelling.
+    pub fn symbol(self) -> &'static str {
+        BINOPS.iter().find(|b| b.0 == self).map_or("?", |b| b.1)
+    }
+}
 
 pub fn parse(toks: &[Token]) -> File {
     let sig: Vec<usize> = (0..toks.len()).filter(|&i| toks[i].kind != Kind::Comment).collect();
@@ -440,6 +479,41 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Inside a group whose `open` is already consumed, advance to (not
+    /// past) the `close` that ends it, or to the end of the stream.
+    fn seek_close(&mut self, open: char, close: char) {
+        let mut depth = 1usize;
+        while let Some(t) = self.peek() {
+            if t.kind == Kind::Punct && t.text.starts_with(open) {
+                depth += 1;
+            } else if t.kind == Kind::Punct && t.text.starts_with(close) {
+                depth -= 1;
+                if depth == 0 {
+                    return;
+                }
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Skip any run of `#[...]` / `#![...]` attributes, remembering an
+    /// `inline` among them for the next `fn_def`.
+    fn skip_attrs(&mut self) {
+        while self.eat_punct('#') {
+            self.eat_punct('!');
+            if self.at_punct('[') {
+                self.attr_group();
+            }
+        }
+    }
+
+    /// Skip `pub` / `pub(...)`.
+    fn skip_vis(&mut self) {
+        if self.eat_ident("pub") && self.at_punct('(') {
+            self.skip_group();
+        }
+    }
+
     /// Skip to (and past) the next `;` at depth 0, or past a top-level
     /// brace group, whichever comes first. Used for `Other` items.
     fn skip_to_item_end(&mut self) {
@@ -466,6 +540,39 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advance past the next `,` at delimiter depth 0, or up to (not
+    /// past) the `}` that closes the enclosing list.
+    fn skip_past_comma(&mut self) {
+        while let Some(t) = self.peek() {
+            if t.kind == Kind::Punct {
+                match t.text.chars().next().unwrap_or(' ') {
+                    '(' | '[' | '{' => {
+                        self.skip_group();
+                        continue;
+                    }
+                    ',' => {
+                        self.pos += 1;
+                        return;
+                    }
+                    '}' => return,
+                    _ => {}
+                }
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Skip a `where` clause / supertrait list: advance to (not past)
+    /// the `{` or `;` that ends the header.
+    fn skip_to_body(&mut self) {
+        while let Some(t) = self.peek() {
+            if t.kind == Kind::Punct && (t.text.starts_with('{') || t.text.starts_with(';')) {
+                break;
+            }
+            self.pos += 1;
+        }
+    }
+
     // -- items --------------------------------------------------------------
 
     fn item(&mut self) -> Option<Item> {
@@ -476,23 +583,13 @@ impl<'a> Parser<'a> {
 
         // Attributes: #[...] and #![...]
         self.pending_inline = false;
-        while self.at_punct('#') {
-            self.pos += 1;
-            self.eat_punct('!');
-            if self.at_punct('[') {
-                self.attr_group();
-            }
-        }
+        self.skip_attrs();
         if self.pos >= self.sig.len() {
             return Some(Item { kind: ItemKind::Other, lo, hi: self.raw_idx(), line, in_test });
         }
 
         // Visibility / qualifiers.
-        if self.eat_ident("pub") {
-            if self.at_punct('(') {
-                self.skip_group();
-            }
-        }
+        self.skip_vis();
         for q in ["const", "unsafe", "extern", "async"] {
             // `const` only when followed by `fn` (else it is a const item).
             if q == "const" && self.ident_at(1) != Some("fn") {
@@ -647,12 +744,7 @@ impl<'a> Parser<'a> {
         };
         // Where clause.
         if self.at_ident("where") {
-            while let Some(t) = self.peek() {
-                if t.kind == Kind::Punct && (t.text.starts_with('{') || t.text.starts_with(';')) {
-                    break;
-                }
-                self.pos += 1;
-            }
+            self.skip_to_body();
         }
         let body = if self.at_punct('{') {
             Some(self.block().unwrap_or_default())
@@ -674,38 +766,25 @@ impl<'a> Parser<'a> {
             (None, first.base)
         };
         if self.at_ident("where") {
-            while let Some(t) = self.peek() {
-                if t.kind == Kind::Punct && t.text.starts_with('{') {
-                    break;
-                }
-                self.pos += 1;
-            }
+            self.skip_to_body();
         }
-        let mut assoc_types = Vec::new();
-        let mut fns = Vec::new();
         if !self.eat_punct('{') {
             return None;
         }
-        loop {
-            let Some(t) = self.peek() else { break };
-            if t.kind == Kind::Punct && t.text.starts_with('}') {
-                self.pos += 1;
-                break;
-            }
+        let (assoc_types, fns) = self.members();
+        Some(ImplDef { generics, trait_name, type_name, assoc_types, fns })
+    }
+
+    /// The members of an `impl` / `trait` body whose `{` is consumed, up
+    /// to and past its `}`: `type X = T;` bindings and fns.
+    fn members(&mut self) -> (Vec<(String, TypeRef)>, Vec<FnDef>) {
+        let mut assoc_types = Vec::new();
+        let mut fns = Vec::new();
+        while !self.eat_punct('}') && self.peek().is_some() {
             // Member attributes / visibility.
             self.pending_inline = false;
-            while self.at_punct('#') {
-                self.pos += 1;
-                self.eat_punct('!');
-                if self.at_punct('[') {
-                    self.attr_group();
-                }
-            }
-            if self.eat_ident("pub") {
-                if self.at_punct('(') {
-                    self.skip_group();
-                }
-            }
+            self.skip_attrs();
+            self.skip_vis();
             self.eat_ident("unsafe");
             if self.at_ident("const") && self.ident_at(1) == Some("fn") {
                 self.pos += 1;
@@ -738,7 +817,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Some(ImplDef { generics, trait_name, type_name, assoc_types, fns })
+        (assoc_types, fns)
     }
 
     fn struct_def(&mut self) -> Option<StructDef> {
@@ -748,23 +827,9 @@ impl<'a> Parser<'a> {
         let mut fields = Vec::new();
         if self.at_punct('{') {
             self.pos += 1;
-            loop {
-                let Some(t) = self.peek() else { break };
-                if t.kind == Kind::Punct && t.text.starts_with('}') {
-                    self.pos += 1;
-                    break;
-                }
-                while self.at_punct('#') {
-                    self.pos += 1;
-                    if self.at_punct('[') {
-                        self.skip_group();
-                    }
-                }
-                if self.eat_ident("pub") {
-                    if self.at_punct('(') {
-                        self.skip_group();
-                    }
-                }
+            while !self.eat_punct('}') && self.peek().is_some() {
+                self.skip_attrs();
+                self.skip_vis();
                 let fname = self.ident_at(0).map(str::to_string);
                 if fname.is_some() {
                     self.pos += 1;
@@ -775,25 +840,7 @@ impl<'a> Parser<'a> {
                         fields.push((n, ty));
                     }
                 }
-                // To next ',' or '}' at depth 0.
-                loop {
-                    let Some(t) = self.peek() else { break };
-                    if t.kind == Kind::Punct {
-                        match t.text.chars().next().unwrap_or(' ') {
-                            '(' | '[' | '{' => {
-                                self.skip_group();
-                                continue;
-                            }
-                            ',' => {
-                                self.pos += 1;
-                                break;
-                            }
-                            '}' => break,
-                            _ => {}
-                        }
-                    }
-                    self.pos += 1;
-                }
+                self.skip_past_comma();
             }
         } else {
             // Tuple struct or unit struct.
@@ -806,69 +853,26 @@ impl<'a> Parser<'a> {
         self.eat_ident("trait");
         let name = self.bump().filter(|t| t.kind == Kind::Ident)?.text.clone();
         self.generics_decl();
-        // Supertraits / where clause.
-        while let Some(t) = self.peek() {
-            if t.kind == Kind::Punct && t.text.starts_with('{') {
-                break;
-            }
-            if t.kind == Kind::Punct && t.text.starts_with(';') {
-                self.pos += 1;
-                return Some(TraitDef { name, fns: Vec::new() });
-            }
-            self.pos += 1;
-        }
-        let mut fns = Vec::new();
-        if !self.eat_punct('{') {
-            return Some(TraitDef { name, fns });
-        }
-        loop {
-            let Some(t) = self.peek() else { break };
-            if t.kind == Kind::Punct && t.text.starts_with('}') {
-                self.pos += 1;
-                break;
-            }
-            self.pending_inline = false;
-            while self.at_punct('#') {
-                self.pos += 1;
-                if self.at_punct('[') {
-                    self.attr_group();
-                }
-            }
-            self.eat_ident("unsafe");
-            if self.ident_at(0) == Some("fn") {
-                let start = self.pos;
-                if let Some(f) = self.fn_def() {
-                    fns.push(f);
-                } else if self.pos == start {
-                    self.pos += 1;
-                }
-            } else {
-                let start = self.pos;
-                self.skip_to_item_end();
-                if self.pos == start {
-                    self.pos += 1;
-                }
-            }
-        }
+        // Supertraits / where clause; `trait A = B;` has no body.
+        self.skip_to_body();
+        let fns = if self.eat_punct('{') {
+            self.members().1
+        } else {
+            self.eat_punct(';');
+            Vec::new()
+        };
         Some(TraitDef { name, fns })
     }
 
     fn mod_def(&mut self) -> Option<ItemKind> {
         self.eat_ident("mod");
         let name = self.bump().filter(|t| t.kind == Kind::Ident)?.text.clone();
-        if self.eat_punct(';') {
-            return Some(ItemKind::Other);
-        }
         if !self.eat_punct('{') {
+            self.eat_punct(';');
             return Some(ItemKind::Other);
         }
         let mut items = Vec::new();
-        loop {
-            let Some(t) = self.peek() else { break };
-            if t.kind == Kind::Punct && t.text.starts_with('}') {
-                self.pos += 1;
-                break;
-            }
+        while !self.eat_punct('}') && self.peek().is_some() {
             let start = self.pos;
             if let Some(it) = self.item() {
                 if self.pos == start {
@@ -939,23 +943,8 @@ impl<'a> Parser<'a> {
                         len = t.text.parse::<u64>().ok();
                     }
                 }
-                // Consume length expression tokens up to ']'.
-                let mut depth = 1i32;
-                while let Some(t) = self.peek() {
-                    if t.kind == Kind::Punct {
-                        match t.text.chars().next().unwrap_or(' ') {
-                            '[' => depth += 1,
-                            ']' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    self.pos += 1;
-                }
+                // Consume the length expression up to its ']'.
+                self.seek_close('[', ']');
             }
             self.eat_punct(']');
             return Some(TypeRef { base: "[array]".into(), args: vec![elem], array_len: len });
@@ -971,23 +960,8 @@ impl<'a> Parser<'a> {
                     Some(t) => args.push(t),
                     None => {
                         // Give up: balance out.
-                        let mut depth = 1i32;
-                        while let Some(t) = self.peek() {
-                            if t.kind == Kind::Punct {
-                                match t.text.chars().next().unwrap_or(' ') {
-                                    '(' => depth += 1,
-                                    ')' => {
-                                        depth -= 1;
-                                        if depth == 0 {
-                                            self.pos += 1;
-                                            return Some(TypeRef::simple("(tuple)"));
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
-                            self.pos += 1;
-                        }
+                        self.seek_close('(', ')');
+                        self.eat_punct(')');
                         return Some(TypeRef::simple("(tuple)"));
                     }
                 }
@@ -1055,12 +1029,7 @@ impl<'a> Parser<'a> {
         }
         self.depth += 1;
         let mut stmts = Vec::new();
-        loop {
-            let Some(t) = self.peek() else { break };
-            if t.kind == Kind::Punct && t.text.starts_with('}') {
-                self.pos += 1;
-                break;
-            }
+        while !self.eat_punct('}') && self.peek().is_some() {
             let start = self.pos;
             if let Some(s) = self.stmt() {
                 stmts.push(s);
@@ -1082,13 +1051,7 @@ impl<'a> Parser<'a> {
             return Some(Stmt::Opaque);
         }
         // Attributes on statements.
-        while self.at_punct('#') {
-            self.pos += 1;
-            self.eat_punct('!');
-            if self.at_punct('[') {
-                self.attr_group();
-            }
-        }
+        self.skip_attrs();
         match self.ident_at(0) {
             Some("let") => return self.let_stmt(),
             Some("use") | Some("mod") | Some("struct") | Some("enum") | Some("type")
@@ -1098,11 +1061,11 @@ impl<'a> Parser<'a> {
             }
             Some("fn") => {
                 let start = self.pos;
-                let _ = self.fn_def();
+                let def = self.fn_def();
                 if self.pos == start {
                     self.pos += 1;
                 }
-                return Some(Stmt::Opaque);
+                return Some(def.map_or(Stmt::Opaque, Stmt::Fn));
             }
             Some("const") if self.ident_at(1) != Some("fn") => {
                 self.skip_to_item_end();
@@ -1210,8 +1173,9 @@ impl<'a> Parser<'a> {
                 {
                     names.push(w.clone());
                 }
-                // `in` at depth 0 stops for-loop patterns.
-                if w == "in" && depth == 0 && stops.contains(&'i') {
+                // `in` at depth 0 stops for-loop patterns; `if` (an arm
+                // guard) ends any pattern.
+                if depth == 0 && (w == "if" || (w == "in" && stops.contains(&'i'))) {
                     break;
                 }
             }
@@ -1239,75 +1203,39 @@ impl<'a> Parser<'a> {
     fn assign_expr(&mut self, allow_struct: bool) -> Option<Expr> {
         let line = self.line();
         let lhs = self.range_expr(allow_struct)?;
-        // Compound assignment: `op =` pairs; plain `=` (but not `==`, `=>`).
-        let compound = [
-            ('+', BinOp::Add),
-            ('-', BinOp::Sub),
-            ('*', BinOp::Mul),
-            ('/', BinOp::Div),
-            ('%', BinOp::Rem),
-            ('&', BinOp::BitAnd),
-            ('|', BinOp::BitOr),
-            ('^', BinOp::BitXor),
-        ];
-        for (c, op) in compound {
-            if self.at_punct(c) && self.punct_at(1, '=') && !self.punct_at(2, '=') {
-                self.pos += 2;
-                let rhs = self.expr(allow_struct)?;
-                return Some(Expr::new(
-                    line,
-                    ExprKind::Assign { op: Some(op), lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                ));
-            }
-        }
-        // Shift-assign: `<<=` / `>>=`.
-        for c in ['<', '>'] {
-            if self.at_punct(c) && self.punct_at(1, c) && self.punct_at(2, '=') {
-                self.pos += 3;
-                let rhs = self.expr(allow_struct)?;
-                let op = if c == '<' { BinOp::Shl } else { BinOp::Shr };
-                return Some(Expr::new(
-                    line,
-                    ExprKind::Assign { op: Some(op), lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                ));
-            }
-        }
-        if self.at_punct('=') && !self.punct_at(1, '=') && !self.punct_at(1, '>') {
-            self.pos += 1;
-            let rhs = self.expr(allow_struct)?;
-            return Some(Expr::new(
-                line,
-                ExprKind::Assign { op: None, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-            ));
-        }
-        Some(lhs)
+        let at = |i, c| self.punct_at(i, c);
+        // `lhs op= rhs` — an arithmetic, bit or shift operator followed
+        // by `=` — or plain `=` (but not `==`, `=>`).
+        let compound = BINOPS.iter().find(|(_, sym, prec)| {
+            *prec > CMP_PREC && sym.chars().chain(['=']).enumerate().all(|(i, c)| at(i, c))
+        });
+        let (op, width) = match compound {
+            Some(&(op, sym, _)) => (Some(op), sym.len() + 1),
+            None if at(0, '=') && !at(1, '=') && !at(1, '>') => (None, 1),
+            None => return Some(lhs),
+        };
+        self.pos += width;
+        let rhs = self.expr(allow_struct)?;
+        Some(Expr::new(line, ExprKind::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }))
     }
 
     fn range_expr(&mut self, allow_struct: bool) -> Option<Expr> {
         let line = self.line();
-        // Prefix range: `..hi` / `..=hi` / bare `..`.
-        if self.at_punct('.') && self.punct_at(1, '.') {
-            self.pos += 2;
-            self.eat_punct('=');
-            let hi = if self.range_rhs_starts() {
-                self.or_expr(allow_struct).map(Box::new)
-            } else {
-                None
-            };
-            return Some(Expr::new(line, ExprKind::Range { lo: None, hi }));
+        // Prefix range (`..hi` / `..=hi` / bare `..`) has no `lo`.
+        let prefix = self.at_punct('.') && self.punct_at(1, '.');
+        let lo = if prefix { None } else { Some(self.binary_expr(allow_struct, 1)?) };
+        let dots = self.at_punct('.') && self.punct_at(1, '.');
+        if !dots || !(prefix || !self.punct_at(2, '.')) {
+            return lo;
         }
-        let lo = self.or_expr(allow_struct)?;
-        if self.at_punct('.') && self.punct_at(1, '.') && !self.punct_at(2, '.') {
-            self.pos += 2;
-            self.eat_punct('=');
-            let hi = if self.range_rhs_starts() {
-                self.or_expr(allow_struct).map(Box::new)
-            } else {
-                None
-            };
-            return Some(Expr::new(line, ExprKind::Range { lo: Some(Box::new(lo)), hi }));
-        }
-        Some(lo)
+        self.pos += 2;
+        self.eat_punct('=');
+        let hi = if self.range_rhs_starts() {
+            self.binary_expr(allow_struct, 1).map(Box::new)
+        } else {
+            None
+        };
+        Some(Expr::new(line, ExprKind::Range { lo: lo.map(Box::new), hi }))
     }
 
     fn range_rhs_starts(&self) -> bool {
@@ -1324,159 +1252,35 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn or_expr(&mut self, allow_struct: bool) -> Option<Expr> {
-        let mut lhs = self.and_expr(allow_struct)?;
-        while self.at_punct('|') && self.punct_at(1, '|') {
-            let line = self.line();
-            self.pos += 2;
-            let rhs = self.and_expr(allow_struct)?;
-            lhs = Expr::new(
-                line,
-                ExprKind::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-            );
-        }
-        Some(lhs)
+    /// The binary operator at the cursor as `(op, precedence, token
+    /// width)`, re-joining the lexer's single-char puncts. Compound
+    /// assignments (`+=`, `<<=`, ...), `->` and `=>` are not binary
+    /// operators and yield `None`.
+    fn peek_binop(&self) -> Option<(BinOp, u8, usize)> {
+        let at = |i, c| self.punct_at(i, c);
+        let &(op, sym, prec) =
+            BINOPS.iter().find(|(_, sym, _)| sym.chars().enumerate().all(|(i, c)| at(i, c)))?;
+        let not_an_operator = at(sym.len(), '=') || (op == BinOp::Sub && at(1, '>'));
+        (!not_an_operator).then_some((op, prec, sym.len()))
     }
 
-    fn and_expr(&mut self, allow_struct: bool) -> Option<Expr> {
-        let mut lhs = self.cmp_expr(allow_struct)?;
-        while self.at_punct('&') && self.punct_at(1, '&') {
-            let line = self.line();
-            self.pos += 2;
-            let rhs = self.cmp_expr(allow_struct)?;
-            lhs = Expr::new(
-                line,
-                ExprKind::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-            );
-        }
-        Some(lhs)
-    }
-
-    fn cmp_expr(&mut self, allow_struct: bool) -> Option<Expr> {
-        let lhs = self.bitor_expr(allow_struct)?;
-        let line = self.line();
-        let op = if self.at_punct('=') && self.punct_at(1, '=') {
-            self.pos += 2;
-            BinOp::Eq
-        } else if self.at_punct('!') && self.punct_at(1, '=') {
-            self.pos += 2;
-            BinOp::Ne
-        } else if self.at_punct('<') && self.punct_at(1, '=') {
-            self.pos += 2;
-            BinOp::Le
-        } else if self.at_punct('>') && self.punct_at(1, '=') {
-            self.pos += 2;
-            BinOp::Ge
-        } else if self.at_punct('<') && !self.punct_at(1, '<') {
-            self.pos += 1;
-            BinOp::Lt
-        } else if self.at_punct('>') && !self.punct_at(1, '>') {
-            self.pos += 1;
-            BinOp::Gt
-        } else {
-            return Some(lhs);
-        };
-        let rhs = self.bitor_expr(allow_struct)?;
-        Some(Expr::new(line, ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }))
-    }
-
-    fn bitor_expr(&mut self, allow_struct: bool) -> Option<Expr> {
-        let mut lhs = self.bitxor_expr(allow_struct)?;
-        while self.at_punct('|') && !self.punct_at(1, '|') && !self.punct_at(1, '=') {
-            let line = self.line();
-            self.pos += 1;
-            let rhs = self.bitxor_expr(allow_struct)?;
-            lhs = Expr::new(
-                line,
-                ExprKind::Binary { op: BinOp::BitOr, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-            );
-        }
-        Some(lhs)
-    }
-
-    fn bitxor_expr(&mut self, allow_struct: bool) -> Option<Expr> {
-        let mut lhs = self.bitand_expr(allow_struct)?;
-        while self.at_punct('^') && !self.punct_at(1, '=') {
-            let line = self.line();
-            self.pos += 1;
-            let rhs = self.bitand_expr(allow_struct)?;
-            lhs = Expr::new(
-                line,
-                ExprKind::Binary { op: BinOp::BitXor, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-            );
-        }
-        Some(lhs)
-    }
-
-    fn bitand_expr(&mut self, allow_struct: bool) -> Option<Expr> {
-        let mut lhs = self.shift_expr(allow_struct)?;
-        while self.at_punct('&') && !self.punct_at(1, '&') && !self.punct_at(1, '=') {
-            let line = self.line();
-            self.pos += 1;
-            let rhs = self.shift_expr(allow_struct)?;
-            lhs = Expr::new(
-                line,
-                ExprKind::Binary { op: BinOp::BitAnd, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-            );
-        }
-        Some(lhs)
-    }
-
-    fn shift_expr(&mut self, allow_struct: bool) -> Option<Expr> {
-        let mut lhs = self.add_expr(allow_struct)?;
-        loop {
-            let line = self.line();
-            let op = if self.at_punct('<') && self.punct_at(1, '<') && !self.punct_at(2, '=') {
-                self.pos += 2;
-                BinOp::Shl
-            } else if self.at_punct('>') && self.punct_at(1, '>') && !self.punct_at(2, '=') {
-                self.pos += 2;
-                BinOp::Shr
-            } else {
-                return Some(lhs);
-            };
-            let rhs = self.add_expr(allow_struct)?;
-            lhs = Expr::new(line, ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) });
-        }
-    }
-
-    fn add_expr(&mut self, allow_struct: bool) -> Option<Expr> {
-        let mut lhs = self.mul_expr(allow_struct)?;
-        loop {
-            let line = self.line();
-            let op = if self.at_punct('+') && !self.punct_at(1, '=') {
-                BinOp::Add
-            } else if self.at_punct('-')
-                && !self.punct_at(1, '=')
-                && !self.punct_at(1, '>')
-            {
-                BinOp::Sub
-            } else {
-                return Some(lhs);
-            };
-            self.pos += 1;
-            let rhs = self.mul_expr(allow_struct)?;
-            lhs = Expr::new(line, ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) });
-        }
-    }
-
-    fn mul_expr(&mut self, allow_struct: bool) -> Option<Expr> {
+    /// Precedence climbing over [`Parser::peek_binop`]: every level is
+    /// left-associative except comparison, which does not chain (a
+    /// second comparison is left for the caller, as in Rust).
+    fn binary_expr(&mut self, allow_struct: bool, min_prec: u8) -> Option<Expr> {
         let mut lhs = self.cast_expr(allow_struct)?;
-        loop {
+        let mut max_prec = u8::MAX;
+        while let Some((op, prec, width)) = self.peek_binop() {
+            if prec < min_prec || prec > max_prec {
+                break;
+            }
             let line = self.line();
-            let op = if self.at_punct('*') && !self.punct_at(1, '=') {
-                BinOp::Mul
-            } else if self.at_punct('/') && !self.punct_at(1, '=') {
-                BinOp::Div
-            } else if self.at_punct('%') && !self.punct_at(1, '=') {
-                BinOp::Rem
-            } else {
-                return Some(lhs);
-            };
-            self.pos += 1;
-            let rhs = self.cast_expr(allow_struct)?;
+            self.pos += width;
+            let rhs = self.binary_expr(allow_struct, prec + 1)?;
             lhs = Expr::new(line, ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) });
+            max_prec = if prec == CMP_PREC { CMP_PREC - 1 } else { prec };
         }
+        Some(lhs)
     }
 
     fn cast_expr(&mut self, allow_struct: bool) -> Option<Expr> {
@@ -1569,23 +1373,8 @@ impl<'a> Parser<'a> {
                 let idx = self.expr(true)?;
                 if !self.eat_punct(']') {
                     // Malformed index: balance out.
-                    let mut depth = 1i32;
-                    while let Some(t) = self.peek() {
-                        if t.kind == Kind::Punct {
-                            match t.text.chars().next().unwrap_or(' ') {
-                                '[' => depth += 1,
-                                ']' => {
-                                    depth -= 1;
-                                    if depth == 0 {
-                                        self.pos += 1;
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        self.pos += 1;
-                    }
+                    self.seek_close('[', ']');
+                    self.eat_punct(']');
                 }
                 e = Expr::new(line, ExprKind::Index { recv: Box::new(e), index: Box::new(idx) });
                 continue;
@@ -1600,28 +1389,27 @@ impl<'a> Parser<'a> {
     }
 
     fn call_args(&mut self) -> Option<Vec<Expr>> {
-        if !self.eat_punct('(') {
-            return None;
-        }
-        let mut args = Vec::new();
-        loop {
-            if self.eat_punct(')') {
-                break;
-            }
-            if self.peek().is_none() {
-                break;
-            }
+        self.eat_punct('(').then(|| self.expr_list(')').0)
+    }
+
+    /// The expressions of a call / tuple / array / macro argument list
+    /// whose opener is already consumed, up to and past `close`, plus
+    /// whether a `,` separated them. `;` separates too (`[x; n]`).
+    fn expr_list(&mut self, close: char) -> (Vec<Expr>, bool) {
+        let (mut items, mut comma) = (Vec::new(), false);
+        while !self.eat_punct(close) && self.peek().is_some() {
             let start = self.pos;
-            match self.expr(true) {
-                Some(e) => args.push(e),
-                None => {}
-            }
+            items.extend(self.expr(true));
             if self.pos == start {
                 self.pos += 1; // progress guarantee
             }
-            self.eat_punct(',');
+            if self.eat_punct(',') {
+                comma = true;
+            } else {
+                self.eat_punct(';');
+            }
         }
-        Some(args)
+        (items, comma)
     }
 
     fn skip_generic_args(&mut self) {
@@ -1685,53 +1473,16 @@ impl<'a> Parser<'a> {
                 match c {
                     '(' => {
                         self.pos += 1;
-                        let mut items = Vec::new();
-                        let mut tuple = false;
-                        loop {
-                            if self.eat_punct(')') {
-                                break;
-                            }
-                            if self.peek().is_none() {
-                                break;
-                            }
-                            let start = self.pos;
-                            if let Some(e) = self.expr(true) {
-                                items.push(e);
-                            }
-                            if self.pos == start {
-                                self.pos += 1;
-                            }
-                            if self.eat_punct(',') {
-                                tuple = true;
-                            }
-                        }
+                        let (mut items, tuple) = self.expr_list(')');
                         if items.len() == 1 && !tuple {
-                            Some(items.pop().unwrap())
+                            items.pop()
                         } else {
                             Some(Expr::new(line, ExprKind::Tuple(items)))
                         }
                     }
                     '[' => {
                         self.pos += 1;
-                        let mut items = Vec::new();
-                        loop {
-                            if self.eat_punct(']') {
-                                break;
-                            }
-                            if self.peek().is_none() {
-                                break;
-                            }
-                            let start = self.pos;
-                            if let Some(e) = self.expr(true) {
-                                items.push(e);
-                            }
-                            if self.pos == start {
-                                self.pos += 1;
-                            }
-                            // `[x; n]` repeat form: treat count as an item.
-                            let _ = self.eat_punct(',') || self.eat_punct(';');
-                        }
-                        Some(Expr::new(line, ExprKind::Array(items)))
+                        Some(Expr::new(line, ExprKind::Array(self.expr_list(']').0)))
                     }
                     '{' => {
                         let b = self.block()?;
@@ -1793,26 +1544,18 @@ impl<'a> Parser<'a> {
                         };
                         return Some(Expr::new(line, ExprKind::Return(val)));
                     }
-                    "break" => {
+                    "break" | "continue" => {
                         self.pos += 1;
-                        let mut label = None;
-                        if matches!(self.peek(), Some(t) if t.kind == Kind::Lifetime) {
-                            label = self.peek().map(|t| t.text.clone());
-                            self.pos += 1;
+                        let label = self.peek().filter(|l| l.kind == Kind::Lifetime);
+                        let label = label.map(|l| l.text.clone());
+                        self.pos += usize::from(label.is_some());
+                        if t.text == "continue" {
+                            return Some(Expr::new(line, ExprKind::Continue { label }));
                         }
                         if self.expr_starts() {
                             let _ = self.expr(true);
                         }
                         return Some(Expr::new(line, ExprKind::Break { label }));
-                    }
-                    "continue" => {
-                        self.pos += 1;
-                        let mut label = None;
-                        if matches!(self.peek(), Some(t) if t.kind == Kind::Lifetime) {
-                            label = self.peek().map(|t| t.text.clone());
-                            self.pos += 1;
-                        }
-                        return Some(Expr::new(line, ExprKind::Continue { label }));
                     }
                     "move" => {
                         self.pos += 1;
@@ -1849,29 +1592,11 @@ impl<'a> Parser<'a> {
                     if self.punct_at(1, '(') || self.punct_at(1, '[') || self.punct_at(1, '{') {
                         self.pos += 1;
                         let name = segs.last().cloned().unwrap_or_default();
-                        let args = if self.at_punct('(') || self.at_punct('[') {
-                            // Best-effort: parse comma-separated exprs.
-                            let open = if self.at_punct('(') { '(' } else { '[' };
-                            let close = if open == '(' { ')' } else { ']' };
-                            self.pos += 1;
-                            let mut args = Vec::new();
-                            loop {
-                                if self.eat_punct(close) {
-                                    break;
-                                }
-                                if self.peek().is_none() {
-                                    break;
-                                }
-                                let start = self.pos;
-                                if let Some(e) = self.expr(true) {
-                                    args.push(e);
-                                }
-                                if self.pos == start {
-                                    self.pos += 1;
-                                }
-                                let _ = self.eat_punct(',') || self.eat_punct(';');
-                            }
-                            args
+                        // Best-effort: parse comma-separated exprs.
+                        let args = if self.eat_punct('(') {
+                            self.expr_list(')').0
+                        } else if self.eat_punct('[') {
+                            self.expr_list(']').0
                         } else {
                             self.skip_group();
                             Vec::new()
@@ -1954,18 +1679,22 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The condition of an `if` / `while`: an expression, or a
+    /// `let PAT = scrutinee` test.
+    fn cond_expr(&mut self, line: u32) -> Option<Expr> {
+        if !self.eat_ident("let") {
+            return self.expr(false);
+        }
+        let names = self.pattern_names_until(&['=']);
+        self.eat_punct('=');
+        let scrutinee = self.expr(false)?;
+        Some(Expr::new(line, ExprKind::LetCond { names, scrutinee: Box::new(scrutinee) }))
+    }
+
     fn if_expr(&mut self) -> Option<Expr> {
         let line = self.line();
         self.eat_ident("if");
-        let cond = if self.at_ident("let") {
-            self.pos += 1;
-            let names = self.pattern_names_until(&['=']);
-            self.eat_punct('=');
-            let scrutinee = self.expr(false)?;
-            Expr::new(line, ExprKind::LetCond { names, scrutinee: Box::new(scrutinee) })
-        } else {
-            self.expr(false)?
-        };
+        let cond = self.cond_expr(line)?;
         let then = self.block()?;
         let els = if self.at_ident("else") {
             self.pos += 1;
@@ -1988,36 +1717,15 @@ impl<'a> Parser<'a> {
             return Some(Expr::new(line, ExprKind::Opaque));
         }
         let mut arms = Vec::new();
-        loop {
-            let Some(t) = self.peek() else { break };
-            if t.kind == Kind::Punct && t.text.starts_with('}') {
-                self.pos += 1;
-                break;
-            }
-            // Pattern up to `=>` at depth 0.
+        while !self.eat_punct('}') && self.peek().is_some() {
+            // Pattern up to `if` or `=>` at depth 0.
             let names = self.pattern_names_until(&['=']);
+            let guard = if self.eat_ident("if") { self.expr(false) } else { None };
             if !(self.at_punct('=') && self.punct_at(1, '>')) {
                 // Malformed arm: recover to next ',' or '}'.
                 self.recovered += 1;
                 let start = self.pos;
-                loop {
-                    let Some(t) = self.peek() else { break };
-                    if t.kind == Kind::Punct {
-                        match t.text.chars().next().unwrap_or(' ') {
-                            '(' | '[' | '{' => {
-                                self.skip_group();
-                                continue;
-                            }
-                            ',' => {
-                                self.pos += 1;
-                                break;
-                            }
-                            '}' => break,
-                            _ => {}
-                        }
-                    }
-                    self.pos += 1;
-                }
+                self.skip_past_comma();
                 if self.pos == start {
                     self.pos += 1;
                 }
@@ -2029,7 +1737,7 @@ impl<'a> Parser<'a> {
             if self.pos == start {
                 self.pos += 1;
             }
-            arms.push(Arm { names, body });
+            arms.push(Arm { names, guard, body });
             self.eat_punct(',');
         }
         Some(Expr::new(line, ExprKind::Match { scrutinee: Box::new(scrutinee), arms }))
@@ -2053,15 +1761,7 @@ impl<'a> Parser<'a> {
     fn while_expr(&mut self) -> Option<Expr> {
         let line = self.line();
         self.eat_ident("while");
-        let cond = if self.at_ident("let") {
-            self.pos += 1;
-            let names = self.pattern_names_until(&['=']);
-            self.eat_punct('=');
-            let scrutinee = self.expr(false)?;
-            Expr::new(line, ExprKind::LetCond { names, scrutinee: Box::new(scrutinee) })
-        } else {
-            self.expr(false)?
-        };
+        let cond = self.cond_expr(line)?;
         let body = self.block()?;
         Some(Expr::new(line, ExprKind::While { cond: Box::new(cond), body }))
     }
@@ -2071,99 +1771,122 @@ impl<'a> Parser<'a> {
 // Walk helpers shared by the rules
 // ---------------------------------------------------------------------------
 
-/// Visit every expression in a block, depth-first, including nested
-/// blocks, loop bodies, match arms, and closure bodies.
-pub fn walk_block<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Expr)) {
+/// Visit the expressions a block's statements hold directly: `let`
+/// initializers, expression statements, and the statements of a
+/// `let`-`else` block (which run in the enclosing block's scope).
+pub fn block_exprs<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Expr)) {
     for s in &b.stmts {
         match s {
             Stmt::Let { init, els, .. } => {
                 if let Some(e) = init {
-                    walk_expr(e, f);
+                    f(e);
                 }
                 if let Some(b) = els {
-                    walk_block(b, f);
+                    block_exprs(b, f);
                 }
             }
-            Stmt::Expr(e) => walk_expr(e, f),
-            _ => {}
+            Stmt::Expr(e) => f(e),
+            Stmt::Fn(_) | Stmt::Opaque => {}
         }
     }
 }
 
-pub fn walk_expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
-    f(e);
+/// Visit the direct sub-expressions of `e` in evaluation order, looking
+/// through nested blocks (loop bodies, `if`/`else` arms, closures).
+/// Rules that need per-node state on the way down (a guard flag, a
+/// held-lock stack) handle the kinds they care about and recurse
+/// through this for the rest.
+pub fn for_each_child<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
     match &e.kind {
-        ExprKind::Unary { expr, .. } => walk_expr(expr, f),
+        ExprKind::Unary { expr, .. }
+        | ExprKind::Cast { expr, .. }
+        | ExprKind::Try(expr)
+        | ExprKind::Return(Some(expr))
+        | ExprKind::Closure { body: expr }
+        | ExprKind::Labeled { body: expr, .. }
+        | ExprKind::LetCond { scrutinee: expr, .. }
+        | ExprKind::Field { recv: expr, .. } => f(expr),
         ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
+            f(lhs);
+            f(rhs);
         }
-        ExprKind::Call { callee, args } => {
-            walk_expr(callee, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::MethodCall { recv, args, .. } => {
-            walk_expr(recv, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::Field { recv, .. } => walk_expr(recv, f),
         ExprKind::Index { recv, index } => {
-            walk_expr(recv, f);
-            walk_expr(index, f);
+            f(recv);
+            f(index);
         }
-        ExprKind::Cast { expr, .. } => walk_expr(expr, f),
+        ExprKind::Call { callee: head, args } | ExprKind::MethodCall { recv: head, args, .. } => {
+            f(head);
+            args.iter().for_each(f);
+        }
         ExprKind::Array(xs) | ExprKind::Tuple(xs) | ExprKind::Macro { args: xs, .. } => {
-            for x in xs {
-                walk_expr(x, f);
-            }
+            xs.iter().for_each(f)
         }
-        ExprKind::StructLit { fields, .. } => {
-            for (_, x) in fields {
-                walk_expr(x, f);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            if let Some(x) = lo {
-                walk_expr(x, f);
-            }
-            if let Some(x) = hi {
-                walk_expr(x, f);
-            }
-        }
+        ExprKind::StructLit { fields, .. } => fields.iter().for_each(|(_, x)| f(x)),
+        ExprKind::Range { lo, hi } => [lo, hi].into_iter().flatten().for_each(|x| f(x)),
         ExprKind::If { cond, then, els } => {
-            walk_expr(cond, f);
-            walk_block(then, f);
+            f(cond);
+            block_exprs(then, f);
             if let Some(x) = els {
-                walk_expr(x, f);
+                f(x);
             }
         }
-        ExprKind::LetCond { scrutinee, .. } => walk_expr(scrutinee, f),
         ExprKind::Match { scrutinee, arms } => {
-            walk_expr(scrutinee, f);
-            for a in arms {
-                walk_expr(&a.body, f);
-            }
+            f(scrutinee);
+            arms.iter().for_each(|a| a.guard.iter().chain([&a.body]).for_each(&mut *f));
         }
-        ExprKind::For { iter, body, .. } => {
-            walk_expr(iter, f);
-            walk_block(body, f);
+        ExprKind::For { iter: head, body, .. } | ExprKind::While { cond: head, body } => {
+            f(head);
+            block_exprs(body, f);
         }
-        ExprKind::While { cond, body } => {
-            walk_expr(cond, f);
-            walk_block(body, f);
-        }
-        ExprKind::Loop { body } => walk_block(body, f),
-        ExprKind::Block(b) => walk_block(b, f),
-        ExprKind::Labeled { body, .. } => walk_expr(body, f),
-        ExprKind::Closure { body } => walk_expr(body, f),
-        ExprKind::Return(Some(x)) => walk_expr(x, f),
-        ExprKind::Try(x) => walk_expr(x, f),
+        ExprKind::Loop { body } | ExprKind::Block(body) => block_exprs(body, f),
         _ => {}
     }
+}
+
+/// Visit every expression in a block, depth-first, including nested
+/// blocks, loop bodies, match arms, and closure bodies.
+pub fn walk_block<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Expr)) {
+    block_exprs(b, &mut |e| walk_expr(e, f));
+}
+
+pub fn walk_expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
+    f(e);
+    for_each_child(e, &mut |c| walk_expr(c, f));
+}
+
+/// Visit every statement in `b` at any block depth (nested `fn` bodies
+/// excluded: they are functions of their own).
+pub fn walk_stmts<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Stmt)) {
+    fn own<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Stmt)) {
+        for s in &b.stmts {
+            f(s);
+            if let Stmt::Let { els: Some(b), .. } = s {
+                own(b, f);
+            }
+        }
+    }
+    own(b, f);
+    walk_block(b, &mut |e| match &e.kind {
+        ExprKind::For { body, .. }
+        | ExprKind::While { body, .. }
+        | ExprKind::Loop { body }
+        | ExprKind::Block(body)
+        | ExprKind::If { then: body, .. } => own(body, f),
+        _ => {}
+    });
+}
+
+/// Visit every `let` statement in `b` at any block depth as
+/// `(binder names, type annotation, initializer)`.
+pub fn walk_lets<'a>(
+    b: &'a Block,
+    f: &mut dyn FnMut(&'a [String], Option<&'a TypeRef>, Option<&'a Expr>),
+) {
+    walk_stmts(b, &mut |s| {
+        if let Stmt::Let { names, ty, init, .. } = s {
+            f(names, ty.as_ref(), init.as_ref());
+        }
+    });
 }
 
 #[cfg(test)]
@@ -2305,6 +2028,25 @@ mod tests {
             panic!()
         };
         assert!(matches!(e.kind, ExprKind::If { .. }));
+    }
+
+    #[test]
+    fn arm_guards_and_nested_fns_are_kept() {
+        let src = "fn f(x: u32, y: u32) { fn inner() {} \
+                   match x { n if n == y => one(), _ if x >= 3 => two(), _ => {} } }";
+        let f = parse_src(src);
+        let ItemKind::Fn(fd) = &f.items[0].kind else { panic!() };
+        let stmts = &fd.body.as_ref().unwrap().stmts;
+        assert!(matches!(&stmts[0], Stmt::Fn(inner) if inner.name == "inner"));
+        let Stmt::Expr(e) = &stmts[1] else { panic!() };
+        let ExprKind::Match { arms, .. } = &e.kind else { panic!("not a match") };
+        assert_eq!(arms.len(), 3);
+        assert_eq!(arms[0].names, ["n".to_string()]);
+        let guard_ops: Vec<_> = arms
+            .iter()
+            .map(|a| a.guard.as_ref().map(|g| matches!(g.kind, ExprKind::Binary { .. })))
+            .collect();
+        assert_eq!(guard_ops, [Some(true), Some(true), None]);
     }
 
     #[test]

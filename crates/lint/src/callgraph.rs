@@ -1,9 +1,11 @@
-//! Workspace call graph — the interprocedural backbone for E1/V1/C2.
+//! Workspace call graph — the one interprocedural backbone, shared by
+//! C1, C2, E1, L1 and V1 through [`crate::context::Context`].
 //!
 //! Nodes are every parsed `fn` with a body (free functions, impl
-//! methods, trait defaults), including test code (nodes carry an
-//! `in_test` flag so rules can filter). Edges come from a best-effort
-//! resolution pass over each body:
+//! methods, trait defaults, `fn` items nested in a body), including
+//! test code (nodes carry an `in_test` flag — `#[cfg(test)]` regions
+//! and `tests/`/`benches/` trees — so rules can filter). Edges come
+//! from a best-effort resolution pass over each body:
 //!
 //! * `free_fn(..)` resolves to same-file definitions first, then
 //!   same-crate, then a workspace-wide *unique* name — and not at all
@@ -19,7 +21,7 @@
 //!   edge**: untyped fan-out matches std methods (`load`, `push`,
 //!   `get`) onto unrelated workspace types and drowns the
 //!   panic-surface analysis in false paths. DESIGN.md
-//!   ("Interprocedural dataflow") records this precision/soundness
+//!   ("Static analysis") records this precision/soundness
 //!   tradeoff.
 //!
 //! On top of the edge lists: Tarjan SCC condensation in callees-first
@@ -31,6 +33,7 @@ use std::collections::BTreeMap;
 
 use crate::ast::{self, Expr, ExprKind, FnDef, Item, ItemKind, Stmt};
 use crate::cfg::{resolve_ty, Index, Ty};
+use crate::context::is_test_path;
 use crate::Workspace;
 
 pub type FnId = usize;
@@ -43,8 +46,11 @@ pub struct FnNode<'a> {
     /// Impl type name for methods, trait name for trait defaults,
     /// `None` for free functions.
     pub owner: Option<String>,
+    /// The trait of the enclosing `impl Trait for Type` block, if any.
+    pub impl_trait: Option<&'a str>,
     pub name: String,
     pub def: &'a FnDef,
+    /// `#[cfg(test)]` / `#[test]` code, or anything in a test tree.
     pub in_test: bool,
 }
 
@@ -76,7 +82,7 @@ impl<'a> CallGraph<'a> {
     pub fn build(ws: &'a Workspace, index: &Index<'a>) -> Self {
         let mut nodes = Vec::new();
         for f in &ws.files {
-            collect_nodes(&f.rel, &f.ast.items, false, &mut nodes);
+            collect_nodes(&f.rel, &f.ast.items, is_test_path(&f.rel), &mut nodes);
         }
         // (owner, name) and free name -> ids, for resolution.
         let mut by_qual: BTreeMap<(Option<&str>, &str), Vec<FnId>> = BTreeMap::new();
@@ -128,6 +134,19 @@ impl<'a> CallGraph<'a> {
             calls[id] = sites;
         }
         CallGraph { nodes, calls }
+    }
+
+    /// Resolved targets of the call to `name` on `line` of `fid`'s body.
+    pub fn callees_at<'s>(
+        &'s self,
+        fid: FnId,
+        line: u32,
+        name: &'s str,
+    ) -> impl Iterator<Item = FnId> + 's {
+        self.calls[fid]
+            .iter()
+            .filter(move |s| s.line == line && self.nodes[s.callee].name == name)
+            .map(|s| s.callee)
     }
 
     /// Ids of nodes matching `(owner, name)`.
@@ -257,42 +276,38 @@ fn collect_nodes<'a>(
 ) {
     for it in items {
         let in_test = in_test_mod || it.in_test;
+        let mut push = |owner: Option<&String>, impl_trait: Option<&'a str>, def: &'a FnDef| {
+            let (owner, name) = (owner.cloned(), def.name.clone());
+            push_fn(FnNode { file, owner, impl_trait, name, def, in_test }, out)
+        };
         match &it.kind {
-            ItemKind::Fn(fd) => out.push(FnNode {
-                file,
-                owner: None,
-                name: fd.name.clone(),
-                def: fd,
-                in_test,
-            }),
+            ItemKind::Fn(fd) => push(None, None, fd),
             ItemKind::Impl(im) => {
-                for fd in &im.fns {
-                    out.push(FnNode {
-                        file,
-                        owner: Some(im.type_name.clone()),
-                        name: fd.name.clone(),
-                        def: fd,
-                        in_test,
-                    });
-                }
+                im.fns.iter().for_each(|fd| push(Some(&im.type_name), im.trait_name.as_deref(), fd))
             }
-            ItemKind::Trait(td) => {
-                for fd in &td.fns {
-                    if fd.body.is_some() {
-                        out.push(FnNode {
-                            file,
-                            owner: Some(td.name.clone()),
-                            name: fd.name.clone(),
-                            def: fd,
-                            in_test,
-                        });
-                    }
-                }
-            }
+            ItemKind::Trait(td) => td
+                .fns
+                .iter()
+                .filter(|fd| fd.body.is_some())
+                .for_each(|fd| push(Some(&td.name), None, fd)),
             ItemKind::Mod(_, inner) => collect_nodes(file, inner, in_test, out),
             _ => {}
         }
     }
+}
+
+/// Add `n`, then the `fn` items nested in its body as free functions
+/// of the same file.
+fn push_fn<'a>(n: FnNode<'a>, out: &mut Vec<FnNode<'a>>) {
+    let (file, in_test, def) = (n.file, n.in_test, n.def);
+    out.push(n);
+    let Some(body) = &def.body else { return };
+    ast::walk_stmts(body, &mut |s| {
+        if let Stmt::Fn(def) = s {
+            let name = def.name.clone();
+            push_fn(FnNode { file, owner: None, impl_trait: None, name, def, in_test }, out);
+        }
+    });
 }
 
 /// `crates/foo/src/...` -> `crates/foo` (the crate key used for
@@ -349,27 +364,16 @@ fn resolve_path_call(
     }
     // Bare name: same file beats same crate beats workspace-unique.
     let Some(ids) = free_by_name.get(name.as_str()) else { return };
-    let same_file: Vec<FnId> =
-        ids.iter().copied().filter(|&t| nodes[t].file == caller_file).collect();
-    if !same_file.is_empty() {
-        for t in same_file {
-            sites.push(CallSite { callee: t, line });
+    let same_file = |t: &FnId| nodes[*t].file == caller_file;
+    let same_crate = |t: &FnId| crate_of(nodes[*t].file) == crate_of(caller_file);
+    let unique = |_: &FnId| ids.len() == 1;
+    let tiers: [&dyn Fn(&FnId) -> bool; 3] = [&same_file, &same_crate, &unique];
+    for tier in tiers {
+        let before = sites.len();
+        sites.extend(ids.iter().filter(|t| tier(t)).map(|&callee| CallSite { callee, line }));
+        if sites.len() > before {
+            return;
         }
-        return;
-    }
-    let same_crate: Vec<FnId> = ids
-        .iter()
-        .copied()
-        .filter(|&t| crate_of(nodes[t].file) == crate_of(caller_file))
-        .collect();
-    if !same_crate.is_empty() {
-        for t in same_crate {
-            sites.push(CallSite { callee: t, line });
-        }
-        return;
-    }
-    if ids.len() == 1 {
-        sites.push(CallSite { callee: ids[0], line });
     }
 }
 
@@ -377,26 +381,7 @@ fn resolve_path_call(
 /// closures shadowing free-fn names.
 fn let_bound_names(body: &ast::Block) -> std::collections::BTreeSet<String> {
     let mut out = std::collections::BTreeSet::new();
-    let grab = |b: &ast::Block, out: &mut std::collections::BTreeSet<String>| {
-        for s in &b.stmts {
-            if let Stmt::Let { names, .. } = s {
-                for n in names {
-                    out.insert(n.clone());
-                }
-            }
-        }
-    };
-    grab(body, &mut out);
-    ast::walk_block(body, &mut |e: &Expr| {
-        match &e.kind {
-            ExprKind::Block(b)
-            | ExprKind::For { body: b, .. }
-            | ExprKind::While { body: b, .. }
-            | ExprKind::Loop { body: b }
-            | ExprKind::If { then: b, .. } => grab(b, &mut out),
-            _ => {}
-        }
-    });
+    ast::walk_lets(body, &mut |names, _, _| out.extend(names.iter().cloned()));
     out
 }
 

@@ -24,8 +24,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{
-    Arm, BinOp, Block, Expr, ExprKind, FnDef, ImplDef, Item, ItemKind, Stmt, StructDef, TraitDef,
-    TypeRef,
+    Arm, BinOp, Block, Expr, ExprKind, FnDef, ImplDef, Item, ItemKind, StaticDef, Stmt, StructDef,
+    TraitDef, TypeRef,
 };
 use crate::Workspace;
 
@@ -35,6 +35,7 @@ use crate::Workspace;
 
 pub struct Index<'a> {
     pub structs: BTreeMap<String, &'a StructDef>,
+    pub statics: BTreeMap<String, &'a StaticDef>,
     pub traits: BTreeMap<String, &'a TraitDef>,
     /// (type base name, method name) -> definitions.
     pub methods: BTreeMap<(String, String), Vec<(&'a str, &'a FnDef)>>,
@@ -49,6 +50,7 @@ impl<'a> Index<'a> {
     pub fn build(ws: &'a Workspace) -> Self {
         let mut ix = Index {
             structs: BTreeMap::new(),
+            statics: BTreeMap::new(),
             traits: BTreeMap::new(),
             methods: BTreeMap::new(),
             free_fns: BTreeMap::new(),
@@ -69,6 +71,9 @@ impl<'a> Index<'a> {
             match &it.kind {
                 ItemKind::Struct(sd) => {
                     self.structs.entry(sd.name.clone()).or_insert(sd);
+                }
+                ItemKind::Static(st) => {
+                    self.statics.entry(st.name.clone()).or_insert(st);
                 }
                 ItemKind::Trait(td) => {
                     self.traits.entry(td.name.clone()).or_insert(td);
@@ -276,6 +281,18 @@ impl Out {
     }
 }
 
+/// Branch costing: charge the most expensive non-diverging arm. When
+/// the arms are `exhaustive` and every one diverges, the whole branch
+/// diverges and the max is charged anyway.
+fn pick_arm(arms: &[Out], exhaustive: bool) -> (Cost, Ty, bool) {
+    let all_diverge = exhaustive && arms.iter().all(|a| a.diverges);
+    let pick = arms.iter().filter(|a| all_diverge || !a.diverges).max_by_key(|a| a.cost.total());
+    match pick {
+        Some(a) => (a.cost, a.ty.clone(), all_diverge),
+        None => (Cost::default(), Ty::Unknown, all_diverge),
+    }
+}
+
 pub struct Evaluator<'a> {
     pub index: &'a Index<'a>,
     /// Generic-parameter and associated-type substitutions.
@@ -364,7 +381,7 @@ impl<'a> Evaluator<'a> {
                     ty = o.ty;
                     diverges = diverges || o.diverges;
                 }
-                Stmt::Opaque => {}
+                Stmt::Fn(_) | Stmt::Opaque => {}
             }
         }
         Ok(Out { cost, ty, diverges })
@@ -412,19 +429,17 @@ impl<'a> Evaluator<'a> {
                         rhs,
                         env,
                     ),
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge
-                    | BinOp::And | BinOp::Or => {
-                        let ro = self.expr(rhs, env)?;
-                        let mut cost = lo.cost;
-                        cost.add(&ro.cost);
-                        Ok(Out { cost, ty: Ty::Bool, diverges: false })
-                    }
-                    // Shifts and bit ops are integer-domain: free.
+                    // Comparisons and logic yield bools; shifts and bit
+                    // ops are integer-domain. Both are free.
                     _ => {
                         let ro = self.expr(rhs, env)?;
                         let mut cost = lo.cost;
                         cost.add(&ro.cost);
-                        Ok(Out { cost, ty: Ty::Int, diverges: false })
+                        let bits = matches!(
+                            op,
+                            BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor | BinOp::Shl | BinOp::Shr
+                        );
+                        Ok(Out { cost, ty: if bits { Ty::Int } else { Ty::Bool }, diverges: false })
                     }
                 }
             }
@@ -474,42 +489,21 @@ impl<'a> Evaluator<'a> {
                 Ok(Out { cost, ty, diverges: ro.diverges || io.diverges })
             }
             ExprKind::Array(items) => {
-                let mut cost = Cost::default();
-                let mut elem = Ty::Unknown;
-                for (i, it) in items.iter().enumerate() {
-                    let o = self.expr(it, env)?;
-                    cost.add(&o.cost);
-                    if i == 0 {
-                        elem = o.ty;
-                    }
-                }
+                let (cost, tys) = self.each(items, env)?;
+                let elem = tys.into_iter().next().unwrap_or(Ty::Unknown);
                 Ok(Out { cost, ty: Ty::Array(Box::new(elem)), diverges: false })
             }
             ExprKind::Tuple(items) => {
-                let mut cost = Cost::default();
-                let mut tys = Vec::new();
-                for it in items {
-                    let o = self.expr(it, env)?;
-                    cost.add(&o.cost);
-                    tys.push(o.ty);
-                }
+                let (cost, tys) = self.each(items, env)?;
                 Ok(Out { cost, ty: Ty::Tuple(tys), diverges: false })
             }
             ExprKind::StructLit { path, fields, .. } => {
-                let mut cost = Cost::default();
-                for (_, v) in fields {
-                    let o = self.expr(v, env)?;
-                    cost.add(&o.cost);
-                }
+                let (cost, _) = self.each(fields.iter().map(|(_, v)| v), env)?;
                 let name = path.last().cloned().unwrap_or_default();
                 Ok(Out { cost, ty: Ty::Struct(name), diverges: false })
             }
             ExprKind::Range { lo, hi } => {
-                let mut cost = Cost::default();
-                for x in [lo, hi].into_iter().flatten() {
-                    let o = self.expr(x, env)?;
-                    cost.add(&o.cost);
-                }
+                let (cost, _) = self.each([lo, hi].into_iter().flatten().map(|x| &**x), env)?;
                 Ok(Out { cost, ty: Ty::Unknown, diverges: false })
             }
             ExprKind::If { cond, then, els } => {
@@ -520,25 +514,12 @@ impl<'a> Evaluator<'a> {
                     Some(x) => Some(self.expr(x, &mut env.clone())?),
                     None => None,
                 };
-                // Charge the most expensive non-diverging arm; a
-                // missing else is a free arm. If every arm diverges the
-                // whole `if` diverges and we charge the max anyway.
-                let mut arms: Vec<&Out> = Vec::new();
-                arms.push(&to);
-                if let Some(o) = &eo {
-                    arms.push(o);
-                }
-                let all_diverge = els.is_some() && arms.iter().all(|a| a.diverges);
-                let pick = arms
-                    .iter()
-                    .filter(|a| all_diverge || !a.diverges)
-                    .max_by_key(|a| a.cost.total());
-                let (arm_cost, ty) = match pick {
-                    Some(a) => (a.cost, a.ty.clone()),
-                    None => (Cost::default(), Ty::Unknown),
-                };
+                // A missing else is a free arm.
+                let mut arms = vec![to];
+                arms.extend(eo);
+                let (arm_cost, ty, diverges) = pick_arm(&arms, els.is_some());
                 cost.add(&arm_cost);
-                Ok(Out { cost, ty, diverges: all_diverge })
+                Ok(Out { cost, ty, diverges })
             }
             ExprKind::LetCond { names, scrutinee } => {
                 let o = self.expr(scrutinee, env)?;
@@ -551,24 +532,16 @@ impl<'a> Evaluator<'a> {
                 let so = self.expr(scrutinee, env)?;
                 let mut cost = so.cost;
                 let mut outs = Vec::new();
-                for Arm { names, body } in arms {
+                for Arm { names, body, .. } in arms {
                     let mut aenv = env.clone();
                     for n in names {
                         aenv.insert(n.clone(), Ty::Unknown);
                     }
                     outs.push(self.expr(body, &mut aenv)?);
                 }
-                let all_diverge = !outs.is_empty() && outs.iter().all(|a| a.diverges);
-                let pick = outs
-                    .iter()
-                    .filter(|a| all_diverge || !a.diverges)
-                    .max_by_key(|a| a.cost.total());
-                let (arm_cost, ty) = match pick {
-                    Some(a) => (a.cost, a.ty.clone()),
-                    None => (Cost::default(), Ty::Unknown),
-                };
+                let (arm_cost, ty, diverges) = pick_arm(&outs, !outs.is_empty());
                 cost.add(&arm_cost);
-                Ok(Out { cost, ty, diverges: all_diverge })
+                Ok(Out { cost, ty, diverges })
             }
             ExprKind::For { var, iter, body } => {
                 let trips = const_trip_count(iter).ok_or(EvalErr {
@@ -611,11 +584,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
             ExprKind::Return(val) => {
-                let mut cost = Cost::default();
-                if let Some(v) = val {
-                    let o = self.expr(v, env)?;
-                    cost.add(&o.cost);
-                }
+                let (cost, _) = self.each(val.as_deref(), env)?;
                 Ok(Out { cost, ty: Ty::Unknown, diverges: true })
             }
             ExprKind::Break { .. } | ExprKind::Continue { .. } => Ok(Out {
@@ -639,6 +608,22 @@ impl<'a> Evaluator<'a> {
                 msg: "expression the parser could not model on a costed path".into(),
             }),
         }
+    }
+
+    /// Evaluate `items` in order: their summed cost and their types.
+    fn each<'e>(
+        &mut self,
+        items: impl IntoIterator<Item = &'e Expr>,
+        env: &mut BTreeMap<String, Ty>,
+    ) -> Result<(Cost, Vec<Ty>), EvalErr> {
+        let mut cost = Cost::default();
+        let mut tys = Vec::new();
+        for it in items {
+            let o = self.expr(it, env)?;
+            cost.add(&o.cost);
+            tys.push(o.ty);
+        }
+        Ok((cost, tys))
     }
 
     /// Cost of a float/int arithmetic node `lhs op rhs`. The caller has
@@ -704,11 +689,7 @@ impl<'a> Evaluator<'a> {
         args: &[Expr],
         env: &mut BTreeMap<String, Ty>,
     ) -> Result<Out, EvalErr> {
-        let mut cost = Cost::default();
-        for a in args {
-            let o = self.expr(a, env)?;
-            cost.add(&o.cost);
-        }
+        let (mut cost, _) = self.each(args, env)?;
         let segs = match &callee.kind {
             ExprKind::Path(s) => s.clone(),
             _ => {
@@ -728,11 +709,7 @@ impl<'a> Evaluator<'a> {
                 if let Some((_, fd)) = self.index.find_method(ty_name, &last) {
                     let body = self.eval_fn(Some(ty_name), fd)?;
                     cost.add(&body);
-                    let ty = fd
-                        .ret
-                        .as_ref()
-                        .map(|r| resolve_ty(r, &self.bindings))
-                        .unwrap_or(Ty::Tuple(Vec::new()));
+                    let ty = self.ret_ty(fd);
                     return Ok(Out { cost, ty, diverges: false });
                 }
             }
@@ -745,11 +722,7 @@ impl<'a> Evaluator<'a> {
                     continue;
                 }
                 let c = self.eval_fn(None, fd)?;
-                let ty = fd
-                    .ret
-                    .as_ref()
-                    .map(|r| resolve_ty(r, &self.bindings))
-                    .unwrap_or(Ty::Tuple(Vec::new()));
+                let ty = self.ret_ty(fd);
                 if best.as_ref().map(|(b, _)| c.total() > b.total()).unwrap_or(true) {
                     best = Some((c, ty));
                 }
@@ -772,12 +745,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Out, EvalErr> {
         let ro = self.expr(recv, env)?;
         let mut cost = ro.cost;
-        let mut arg_tys = Vec::new();
-        for a in args {
-            let o = self.expr(a, env)?;
-            cost.add(&o.cost);
-            arg_tys.push(o.ty);
-        }
+        cost.add(&self.each(args, env)?.0);
         // Builtin numeric methods.
         if ro.ty.is_floatish() || matches!(ro.ty, Ty::Int) {
             let is_float = ro.ty.is_floatish();
@@ -838,11 +806,7 @@ impl<'a> Evaluator<'a> {
             if let Some((_, fd)) = self.index.find_method(&name, method) {
                 let body = self.eval_fn(Some(&name), fd)?;
                 cost.add(&body);
-                let ty = fd
-                    .ret
-                    .as_ref()
-                    .map(|r| resolve_ty(r, &self.bindings))
-                    .unwrap_or(Ty::Tuple(Vec::new()));
+                let ty = self.ret_ty(fd);
                 return Ok(Out { cost, ty, diverges: false });
             }
         }
@@ -850,6 +814,11 @@ impl<'a> Evaluator<'a> {
             line,
             msg: format!("cannot resolve method `.{method}()` on a costed path"),
         })
+    }
+
+    /// Declared return type of a callee (unit when omitted).
+    fn ret_ty(&self, fd: &FnDef) -> Ty {
+        fd.ret.as_ref().map(|r| resolve_ty(r, &self.bindings)).unwrap_or(Ty::Tuple(Vec::new()))
     }
 
     fn field_ty(&self, recv: &Ty, name: &str) -> Ty {
@@ -966,10 +935,7 @@ pub enum EdgeKind {
 
 /// One branch condition (side table indexed by `EdgeKind::Cond`).
 #[derive(Debug)]
-pub struct CondInfo<'a> {
-    /// The condition / scrutinee / loop-iter expression. `None` for
-    /// synthesized conditions (`?`, `let`-`else` refutation).
-    pub expr: Option<&'a Expr>,
+pub struct CondInfo {
     pub line: u32,
     /// True when the classifier passed to `lower_fn` marked the
     /// condition (C2 passes rank-dependence; E1/V1 pass `|_| false`).
@@ -980,12 +946,9 @@ pub struct CondInfo<'a> {
     pub key: String,
 }
 
-/// One natural-loop record (head block plus nesting info).
+/// One natural-loop record (nesting info).
 #[derive(Debug)]
 pub struct LoopInfo {
-    pub head: BlockId,
-    pub line: u32,
-    pub depth: u32,
     pub parent: Option<usize>,
     /// True when no further loop nests inside (the "lane loop" of a
     /// tiled kernel driver, in V1's vocabulary). Filled by `lower_fn`.
@@ -1005,7 +968,7 @@ pub struct BasicBlock<'a> {
 #[derive(Debug, Default)]
 pub struct FnCfg<'a> {
     pub blocks: Vec<BasicBlock<'a>>,
-    pub conds: Vec<CondInfo<'a>>,
+    pub conds: Vec<CondInfo>,
     pub loops: Vec<LoopInfo>,
 }
 
@@ -1095,20 +1058,6 @@ impl<'a> FnCfg<'a> {
         idom[Self::ENTRY] = None;
         idom
     }
-
-    /// Does block `a` dominate block `b`? (`idom` from `dominators`.)
-    pub fn dominates(idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match idom[cur] {
-                Some(p) if p != cur => cur = p,
-                _ => return false,
-            }
-        }
-    }
 }
 
 /// Render an expression as a compact stable string — condition keys for
@@ -1134,7 +1083,7 @@ fn render_into(e: &Expr, s: &mut String, depth: u32) {
         }
         ExprKind::Binary { op, lhs, rhs } => {
             render_into(lhs, s, depth + 1);
-            s.push_str(op_str(*op));
+            s.push_str(op.symbol());
             render_into(rhs, s, depth + 1);
         }
         ExprKind::Assign { lhs, rhs, .. } => {
@@ -1142,21 +1091,12 @@ fn render_into(e: &Expr, s: &mut String, depth: u32) {
             s.push('=');
             render_into(rhs, s, depth + 1);
         }
-        ExprKind::Call { callee, args } => {
-            render_into(callee, s, depth + 1);
-            s.push('(');
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                render_into(a, s, depth + 1);
+        ExprKind::Call { callee: head, args } | ExprKind::MethodCall { recv: head, args, .. } => {
+            render_into(head, s, depth + 1);
+            if let ExprKind::MethodCall { method, .. } = &e.kind {
+                s.push('.');
+                s.push_str(method);
             }
-            s.push(')');
-        }
-        ExprKind::MethodCall { recv, method, args } => {
-            render_into(recv, s, depth + 1);
-            s.push('.');
-            s.push_str(method);
             s.push('(');
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {
@@ -1207,29 +1147,6 @@ fn render_into(e: &Expr, s: &mut String, depth: u32) {
     }
 }
 
-fn op_str(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Rem => "%",
-        BinOp::BitAnd => "&",
-        BinOp::BitOr => "|",
-        BinOp::BitXor => "^",
-        BinOp::Shl => "<<",
-        BinOp::Shr => ">>",
-        BinOp::Eq => "==",
-        BinOp::Ne => "!=",
-        BinOp::Lt => "<",
-        BinOp::Gt => ">",
-        BinOp::Le => "<=",
-        BinOp::Ge => ">=",
-        BinOp::And => "&&",
-        BinOp::Or => "||",
-    }
-}
-
 /// Does this subtree contain control flow the lowering must expand?
 /// Closure bodies are excluded: a closure is a value.
 fn has_flow(e: &Expr) -> bool {
@@ -1246,24 +1163,11 @@ fn has_flow(e: &Expr) -> bool {
         | ExprKind::Break { .. }
         | ExprKind::Continue { .. } => true,
         ExprKind::Closure { .. } => false,
-        ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => has_flow(expr),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            has_flow(lhs) || has_flow(rhs)
+        _ => {
+            let mut any = false;
+            crate::ast::for_each_child(e, &mut |c| any = any || has_flow(c));
+            any
         }
-        ExprKind::Call { callee, args } => has_flow(callee) || args.iter().any(has_flow),
-        ExprKind::MethodCall { recv, args, .. } => has_flow(recv) || args.iter().any(has_flow),
-        ExprKind::Field { recv, .. } => has_flow(recv),
-        ExprKind::Index { recv, index } => has_flow(recv) || has_flow(index),
-        ExprKind::Array(xs) | ExprKind::Tuple(xs) | ExprKind::Macro { args: xs, .. } => {
-            xs.iter().any(has_flow)
-        }
-        ExprKind::StructLit { fields, .. } => fields.iter().any(|(_, x)| has_flow(x)),
-        ExprKind::Range { lo, hi } => {
-            lo.as_deref().map(has_flow).unwrap_or(false)
-                || hi.as_deref().map(has_flow).unwrap_or(false)
-        }
-        ExprKind::LetCond { scrutinee, .. } => has_flow(scrutinee),
-        _ => false,
     }
 }
 
@@ -1326,7 +1230,7 @@ impl<'a> Lowerer<'a, '_> {
 
     fn cond(&mut self, expr: Option<&'a Expr>, line: u32, key: String) -> usize {
         let tagged = expr.map(|e| (self.classify)(e)).unwrap_or(false);
-        self.cfg.conds.push(CondInfo { expr, line, tagged, key });
+        self.cfg.conds.push(CondInfo { line, tagged, key });
         self.cfg.conds.len() - 1
     }
 
@@ -1340,12 +1244,18 @@ impl<'a> Lowerer<'a, '_> {
         let mut tries = 0u32;
         collect_tries(e, &mut tries);
         for _ in 0..tries {
-            let cid = self.cond(None, e.line, format!("?@{}", e.line));
-            let next = self.new_block();
-            self.edge(self.cur, FnCfg::EXIT, EdgeKind::Cond { cond: cid, outcome: Outcome::Err });
-            self.edge(self.cur, next, EdgeKind::Cond { cond: cid, outcome: Outcome::Ok });
-            self.cur = next;
+            self.try_split(e.line);
         }
+    }
+
+    /// One `?`: the error path jumps to the exit, the success path
+    /// continues in a fresh block.
+    fn try_split(&mut self, line: u32) {
+        let cid = self.cond(None, line, format!("?@{line}"));
+        let next = self.new_block();
+        self.edge(self.cur, FnCfg::EXIT, EdgeKind::Cond { cond: cid, outcome: Outcome::Err });
+        self.edge(self.cur, next, EdgeKind::Cond { cond: cid, outcome: Outcome::Ok });
+        self.cur = next;
     }
 
     fn lower_block(&mut self, b: &'a Block) {
@@ -1372,7 +1282,7 @@ impl<'a> Lowerer<'a, '_> {
                     }
                 }
                 Stmt::Expr(e) => self.lower_expr(e),
-                Stmt::Opaque => {}
+                Stmt::Fn(_) | Stmt::Opaque => {}
             }
         }
     }
@@ -1420,6 +1330,17 @@ impl<'a> Lowerer<'a, '_> {
                         EdgeKind::Cond { cond: cid, outcome: Outcome::Arm(k.min(u16::MAX as usize) as u16) },
                     );
                     self.cur = ab;
+                    if let Some(g) = &arm.guard {
+                        // A failed guard falls through to the later
+                        // arms; modelled as leaving the match.
+                        self.lower_expr(g);
+                        let gid = self.cond(Some(g), g.line, render_expr(g));
+                        let body = self.new_block();
+                        let on = |outcome| EdgeKind::Cond { cond: gid, outcome };
+                        self.edge(self.cur, body, on(Outcome::True));
+                        self.edge(self.cur, join, on(Outcome::False));
+                        self.cur = body;
+                    }
                     self.lower_expr(&arm.body);
                     self.edge(self.cur, join, EdgeKind::Seq);
                 }
@@ -1428,8 +1349,7 @@ impl<'a> Lowerer<'a, '_> {
             ExprKind::While { cond, body } => {
                 let head = self.new_block();
                 self.edge(self.cur, head, EdgeKind::Seq);
-                let lid = self.push_loop(label, head, e.line);
-                let exit = self.loop_stack.last().map(|&(_, _, x, _)| x).unwrap_or(FnCfg::EXIT);
+                let exit = self.push_loop(label, head);
                 self.cur = head;
                 self.lower_expr(cond);
                 let cid = self.cond(Some(cond), e.line, render_expr(cond));
@@ -1440,14 +1360,13 @@ impl<'a> Lowerer<'a, '_> {
                 self.cur = bb;
                 self.lower_block(body);
                 self.edge(self.cur, head, EdgeKind::Back);
-                self.pop_loop(lid, exit);
+                self.pop_loop(exit);
             }
             ExprKind::For { iter, body, .. } => {
                 self.lower_expr(iter);
                 let head = self.new_block();
                 self.edge(self.cur, head, EdgeKind::Seq);
-                let lid = self.push_loop(label, head, e.line);
-                let exit = self.loop_stack.last().map(|&(_, _, x, _)| x).unwrap_or(FnCfg::EXIT);
+                let exit = self.push_loop(label, head);
                 let cid = self.cond(Some(iter), e.line, format!("for@{}:{}", e.line, render_expr(iter)));
                 let bb = self.new_block();
                 self.edge(head, bb, EdgeKind::Cond { cond: cid, outcome: Outcome::True });
@@ -1455,19 +1374,18 @@ impl<'a> Lowerer<'a, '_> {
                 self.cur = bb;
                 self.lower_block(body);
                 self.edge(self.cur, head, EdgeKind::Back);
-                self.pop_loop(lid, exit);
+                self.pop_loop(exit);
             }
             ExprKind::Loop { body } => {
                 let head = self.new_block();
                 self.edge(self.cur, head, EdgeKind::Seq);
-                let lid = self.push_loop(label, head, e.line);
-                let exit = self.loop_stack.last().map(|&(_, _, x, _)| x).unwrap_or(FnCfg::EXIT);
+                let exit = self.push_loop(label, head);
                 let bb = self.new_block();
                 self.edge(head, bb, EdgeKind::Seq);
                 self.cur = bb;
                 self.lower_block(body);
                 self.edge(self.cur, head, EdgeKind::Back);
-                self.pop_loop(lid, exit);
+                self.pop_loop(exit);
             }
             ExprKind::Labeled { label: l, body } => {
                 match &body.kind {
@@ -1520,12 +1438,8 @@ impl<'a> Lowerer<'a, '_> {
                 // let `event` add the Ok/Err split for the whole node.
                 if has_flow(inner) {
                     self.lower_expr(inner);
-                    // Synthesize the split that `event` would have added.
-                    let cid = self.cond(None, e.line, format!("?@{}", e.line));
-                    let next = self.new_block();
-                    self.edge(self.cur, FnCfg::EXIT, EdgeKind::Cond { cond: cid, outcome: Outcome::Err });
-                    self.edge(self.cur, next, EdgeKind::Cond { cond: cid, outcome: Outcome::Ok });
-                    self.cur = next;
+                    // The split that `event` would have added.
+                    self.try_split(e.line);
                 } else {
                     self.event(e);
                 }
@@ -1541,71 +1455,30 @@ impl<'a> Lowerer<'a, '_> {
     }
 
     /// Composite expression with nested control flow: lower children in
-    /// evaluation order; the composite emits no event of its own.
+    /// evaluation order (an assignment evaluates its right side first);
+    /// the composite emits no event of its own.
     fn lower_children(&mut self, e: &'a Expr) {
-        match &e.kind {
-            ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => self.lower_expr(expr),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.lower_expr(lhs);
-                self.lower_expr(rhs);
-            }
-            ExprKind::Assign { lhs, rhs, .. } => {
-                self.lower_expr(rhs);
-                self.lower_expr(lhs);
-            }
-            ExprKind::Call { callee, args } => {
-                self.lower_expr(callee);
-                for a in args {
-                    self.lower_expr(a);
-                }
-            }
-            ExprKind::MethodCall { recv, args, .. } => {
-                self.lower_expr(recv);
-                for a in args {
-                    self.lower_expr(a);
-                }
-            }
-            ExprKind::Field { recv, .. } => self.lower_expr(recv),
-            ExprKind::Index { recv, index } => {
-                self.lower_expr(recv);
-                self.lower_expr(index);
-            }
-            ExprKind::Array(xs) | ExprKind::Tuple(xs) | ExprKind::Macro { args: xs, .. } => {
-                for x in xs {
-                    self.lower_expr(x);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for (_, x) in fields {
-                    self.lower_expr(x);
-                }
-            }
-            ExprKind::Range { lo, hi } => {
-                if let Some(x) = lo {
-                    self.lower_expr(x);
-                }
-                if let Some(x) = hi {
-                    self.lower_expr(x);
-                }
-            }
-            ExprKind::LetCond { scrutinee, .. } => self.lower_expr(scrutinee),
-            _ => self.event(e),
+        if let ExprKind::Assign { lhs, rhs, .. } = &e.kind {
+            self.lower_expr(rhs);
+            self.lower_expr(lhs);
+        } else {
+            crate::ast::for_each_child(e, &mut |c| self.lower_expr(c));
         }
     }
 
-    fn push_loop(&mut self, label: Option<String>, head: BlockId, line: u32) -> usize {
+    /// Open a loop headed at `head`; returns its exit block.
+    fn push_loop(&mut self, label: Option<String>, head: BlockId) -> BlockId {
         let parent = self.loop_stack.iter().rev().find_map(|(_, _, _, l)| *l);
-        let depth = parent.map(|p| self.cfg.loops[p].depth + 1).unwrap_or(0);
         let lid = self.cfg.loops.len();
-        self.cfg.loops.push(LoopInfo { head, line, depth, parent, innermost: true });
+        self.cfg.loops.push(LoopInfo { parent, innermost: true });
         let exit = self.new_block(); // allocated outside: loop_id set below
         self.cfg.blocks[exit].loop_id = parent;
         self.loop_stack.push((label, head, exit, Some(lid)));
         self.cfg.blocks[head].loop_id = Some(lid);
-        lid
+        exit
     }
 
-    fn pop_loop(&mut self, _lid: usize, exit: BlockId) {
+    fn pop_loop(&mut self, exit: BlockId) {
         self.loop_stack.pop();
         self.cur = exit;
     }
@@ -1625,55 +1498,15 @@ impl<'a> Lowerer<'a, '_> {
     }
 }
 
+/// Count the `?` operators an event evaluates (closure bodies are
+/// values, not flow).
 fn collect_tries(e: &Expr, n: &mut u32) {
     match &e.kind {
-        ExprKind::Try(inner) => {
-            *n += 1;
-            collect_tries(inner, n);
-        }
-        ExprKind::Closure { .. } => {}
-        ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => collect_tries(expr, n),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            collect_tries(lhs, n);
-            collect_tries(rhs, n);
-        }
-        ExprKind::Call { callee, args } => {
-            collect_tries(callee, n);
-            for a in args {
-                collect_tries(a, n);
-            }
-        }
-        ExprKind::MethodCall { recv, args, .. } => {
-            collect_tries(recv, n);
-            for a in args {
-                collect_tries(a, n);
-            }
-        }
-        ExprKind::Field { recv, .. } => collect_tries(recv, n),
-        ExprKind::Index { recv, index } => {
-            collect_tries(recv, n);
-            collect_tries(index, n);
-        }
-        ExprKind::Array(xs) | ExprKind::Tuple(xs) | ExprKind::Macro { args: xs, .. } => {
-            for x in xs {
-                collect_tries(x, n);
-            }
-        }
-        ExprKind::StructLit { fields, .. } => {
-            for (_, x) in fields {
-                collect_tries(x, n);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            if let Some(x) = lo {
-                collect_tries(x, n);
-            }
-            if let Some(x) = hi {
-                collect_tries(x, n);
-            }
-        }
+        ExprKind::Try(_) => *n += 1,
+        ExprKind::Closure { .. } => return,
         _ => {}
     }
+    crate::ast::for_each_child(e, &mut |c| collect_tries(c, n));
 }
 
 #[cfg(test)]

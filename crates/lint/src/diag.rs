@@ -8,8 +8,9 @@ pub enum Rule {
     /// Determinism: hash-ordered collections in golden/reduction paths;
     /// wall-clock reads outside the blessed timer modules.
     D1,
-    /// Collective consistency: a communicator collective lexically inside
-    /// a rank-dependent conditional (SPMD deadlock hazard).
+    /// Collective consistency: a communicator collective (or a call that
+    /// transitively executes one) lexically inside a rank-dependent
+    /// conditional (SPMD deadlock hazard).
     C1,
     /// Hermeticity: every manifest dependency must be a path/workspace
     /// reference; no `extern crate` / `use ::` escape hatches.
@@ -57,10 +58,10 @@ pub enum Rule {
     M1,
 }
 
-/// All rules, in report order. D1–F1 are static token-stream rules,
-/// K1/P1/L1 are static parsed-AST rules (see `ast`/`cfg`), E1/V1/C2
-/// are interprocedural dataflow rules (see `callgraph`/`dataflow`),
-/// and R1/Q1/W1/M1 are dynamic findings emitted by the `hacc-san`
+/// All rules, in report order. D1–C2 are the static rules (D1/H1/S1/F1
+/// scan tokens, K1/P1 walk the AST, C1/L1/E1/V1/C2 read the shared
+/// call graph — see `context`), and R1/Q1/W1/M1 are dynamic findings
+/// emitted by the `hacc-san`
 /// runtime sanitizer, which shares this catalog so `san.allow` and
 /// `lint.allow` speak one format.
 pub const RULES: [Rule; 15] = [

@@ -4,29 +4,31 @@
 //! The golden-run, chaos, and hermetic-build tiers assert this repo's
 //! headline properties (bitwise-reproducible checkpoints, deadlock-free
 //! collectives, offline builds) *at runtime*. This crate is the static
-//! side of the same contract, built in three layers: a std-only lexer
+//! side of the same contract, on one front end: a std-only lexer
 //! ([`lexer`]) tokenizes every Rust source in the workspace (a
-//! line-level manifest reader ([`manifest`]) scans every `Cargo.toml`);
-//! a recursive-descent parser ([`ast`]) turns the token stream into
-//! spanned items and expressions; and per-function CFGs ([`cfg`]), a
-//! workspace call graph ([`callgraph`]), and a fixpoint dataflow
-//! framework ([`dataflow`]) support the interprocedural rules. The
-//! rule registry ([`rules`]) pattern-matches the hazard classes before
-//! a test ever runs:
+//! line-level manifest reader ([`manifest`]) scans every `Cargo.toml`)
+//! and a recursive-descent parser ([`ast`]) turns each token stream
+//! into spanned items and expressions, once. One analysis context
+//! ([`context`]) per lint pass then holds the workspace index ([`cfg`])
+//! and the typed call graph ([`callgraph`]); the interprocedural rules
+//! solve their per-function summaries bottom-up over it
+//! ([`dataflow`]), and the path/dominance rules lower per-function
+//! CFGs ([`cfg`]) on demand. The rule registry ([`rules`]) hands that
+//! one context to every rule:
 //!
-//! | rule | layer | class |
+//! | rule | reads | class |
 //! |------|-------|-------|
-//! | D1   | token | hash-ordered iteration in golden paths; stray wall-clock reads |
-//! | C1   | token | collectives under rank-dependent guards (SPMD deadlock)        |
-//! | H1   | token | non-path dependencies, `extern crate`, `use ::` escapes        |
-//! | S1   | token | `unsafe` without a `// SAFETY:` comment                        |
-//! | F1   | token | `FaultKind` variants no production site can inject             |
-//! | K1   | AST   | `pair_flops()` tables that drift from the kernel's derived cost |
-//! | P1   | AST   | heap allocation in per-pair kernels, tile loops, hot loops     |
-//! | L1   | AST   | cycles in the static lock-acquisition graph                    |
-//! | E1   | CFG   | unregistered panics reachable from the supervised step loop    |
-//! | V1   | CFG   | lane-divergence blockers in the hot interaction tiles          |
-//! | C2   | CFG   | path pairs diverging on rank with different collective traces  |
+//! | D1   | tokens           | hash-ordered iteration in golden paths; stray wall-clock reads |
+//! | C1   | AST + call graph | collectives under rank-dependent guards (SPMD deadlock)        |
+//! | H1   | tokens + manifests | non-path dependencies, `extern crate`, `use ::` escapes      |
+//! | S1   | tokens           | `unsafe` without a `// SAFETY:` comment                        |
+//! | F1   | tokens           | `FaultKind` variants no production site can inject             |
+//! | K1   | AST + index      | `pair_flops()` tables that drift from the kernel's derived cost |
+//! | P1   | AST              | heap allocation in per-pair kernels, tile loops, hot loops     |
+//! | L1   | AST + call graph | cycles in the static lock-acquisition graph                    |
+//! | E1   | AST + call graph | unregistered panics reachable from the supervised step loop    |
+//! | V1   | CFG + call graph | lane-divergence blockers in the hot interaction tiles          |
+//! | C2   | CFG + call graph | path pairs diverging on rank with different collective traces  |
 //!
 //! Findings print as `file:line: [RULE] message` (plus an indented
 //! witness chain for interprocedural findings); `--json` emits the
@@ -44,6 +46,7 @@ pub mod allow;
 pub mod ast;
 pub mod callgraph;
 pub mod cfg;
+pub mod context;
 pub mod dataflow;
 pub mod diag;
 pub mod lexer;
@@ -84,20 +87,21 @@ impl Workspace {
     pub fn from_sources(entries: &[(&str, &str)]) -> Self {
         let mut ws = Workspace::default();
         for (rel, text) in entries {
-            if rel.ends_with("Cargo.toml") {
-                ws.manifests.push(manifest::scan(rel, text));
-            } else {
-                let toks = lexer::lex(text);
-                let ast = ast::parse(&toks);
-                ws.files.push(SourceFile {
-                    rel: rel.to_string(),
-                    toks,
-                    ast,
-                });
-            }
+            ws.add(rel.to_string(), text);
         }
         ws.sort();
         ws
+    }
+
+    /// Scan `text` as a manifest (`Cargo.toml`) or lex + parse it as Rust.
+    fn add(&mut self, rel: String, text: &str) {
+        if rel.ends_with("Cargo.toml") {
+            self.manifests.push(manifest::scan(&rel, text));
+        } else {
+            let toks = lexer::lex(text);
+            let ast = ast::parse(&toks);
+            self.files.push(SourceFile { rel, toks, ast });
+        }
     }
 
     /// Recursively load every `.rs` and `Cargo.toml` under `root`.
@@ -115,19 +119,10 @@ impl Workspace {
                     if !SKIP_DIRS.contains(&name.as_str()) && !name.starts_with('.') {
                         stack.push(path);
                     }
-                    continue;
-                }
-                let rel = relpath(root, &path);
-                if name == "Cargo.toml" {
+                } else if name == "Cargo.toml" || name.ends_with(".rs") {
                     let text = std::fs::read_to_string(&path)
                         .map_err(|e| format!("read {}: {e}", path.display()))?;
-                    ws.manifests.push(manifest::scan(&rel, &text));
-                } else if name.ends_with(".rs") {
-                    let text = std::fs::read_to_string(&path)
-                        .map_err(|e| format!("read {}: {e}", path.display()))?;
-                    let toks = lexer::lex(&text);
-                    let ast = ast::parse(&toks);
-                    ws.files.push(SourceFile { rel, toks, ast });
+                    ws.add(relpath(root, &path), &text);
                 }
             }
         }

@@ -11,34 +11,43 @@
 //! }
 //! ```
 //!
-//! This rule flags a `Communicator` collective call that is lexically
-//! inside an `if`/`while`/`match` whose guard mentions a rank identity
-//! (`rank`, `rank_id`, `my_rank`, `world_rank` as exact identifiers —
-//! which includes any `.rank()` method call). `else` branches of such a
-//! conditional are equally rank-dependent and inherit the taint.
+//! This rule walks every production function body and flags a
+//! `Communicator` collective call that is lexically inside an
+//! `if`/`while`/`match` whose guard mentions a rank identity (`rank`,
+//! `rank_id`, `my_rank`, `world_rank` as exact identifiers — which
+//! includes any `.rank()` method call). `else` branches and every
+//! `match` arm of such a conditional are equally rank-dependent and
+//! inherit the taint; a rank-dependent arm guard (`_ if rank == 0 =>`)
+//! taints its own arm.
 //!
-//! The check is *interprocedural*: a first pass extracts every `fn`
-//! definition with the names it calls, builds a name-keyed cross-file
-//! call graph, and computes the fixpoint of "transitively executes a
-//! collective". A rank-guarded call to such a helper is exactly as
-//! deadlock-prone as the inlined collective, so it fires the same rule:
+//! The check is *interprocedural*: a rank-guarded call whose resolved
+//! targets all transitively execute a collective (the shared
+//! [`spmd::reaches_collective`](super::spmd::reaches_collective)
+//! summary over the workspace call graph) is exactly as deadlock-prone
+//! as the inlined collective, so it fires the same rule:
 //!
 //! ```text
 //! fn sync_all(comm: &Comm) { comm.barrier(); }
 //! if comm.rank() == 0 { sync_all(comm); }      // C1 — wrapped deadlock
 //! ```
 //!
-//! Name-keyed matching cannot separate same-named methods on different
-//! types, so a name is tainted only when **every** definition of it in
-//! the workspace reaches a collective — common names (`merge`, `new`)
-//! with one collective-bearing overload among many stay quiet, while
-//! dedicated wrappers are caught wherever they are called from.
+//! Call resolution is the call graph's: a `merge` on a `Timers` stays
+//! quiet while a `merge` on a type whose method reduces across ranks is
+//! caught. A call the graph cannot resolve (an inferred-type local, a
+//! generic receiver) is judged by name instead: it fires when every
+//! production definition of that name in the workspace reaches a
+//! collective, so dedicated wrappers are caught wherever they are
+//! called from and common names with one collective-bearing overload
+//! among many stay quiet.
 //!
-//! Guard tracking is lexical: it follows brace scopes, not control
-//! flow, so a call whose *execution* is rank-uniform but whose *text*
-//! sits under a rank guard still fires. That is the right default for a
-//! deadlock class — suppress the rare intentional case in `lint.allow`
-//! with a justification explaining why every rank reaches the call.
+//! Guard tracking is lexical: it follows the expression tree, not
+//! control flow, so a call whose *execution* is rank-uniform but whose
+//! *text* sits under a rank guard still fires. That is the right
+//! default for a deadlock class — suppress the rare intentional case in
+//! `lint.allow` with a justification explaining why every rank reaches
+//! the call. C2 is the path-sensitive refinement, but it reports once
+//! per function and stops enumerating at 64 paths; C1 reports every
+//! site and has no cap, so it stays as the backstop.
 //!
 //! Test code is exempt: the seeded-violation fixtures for the hacc-san
 //! dynamic sanitizer *deliberately* place collectives under rank guards,
@@ -46,289 +55,101 @@
 //! sanitizer's ledger/deadlock checks (the tier-4 `HACC_SAN=1` gate)
 //! rather than lexically.
 
+use std::collections::BTreeSet;
+
+use super::spmd::{collective, mentions_rank};
+use crate::ast::{self, Expr, ExprKind};
+use crate::callgraph::FnId;
+use crate::context::Context;
 use crate::diag::{Diagnostic, Rule};
-use crate::lexer::{Kind, Token};
-use crate::{SourceFile, Workspace};
-use std::collections::{HashMap, HashSet};
 
-/// The `hacc_ranks::Comm` collective surface (method names).
-const COLLECTIVES: [&str; 9] = [
-    "barrier",
-    "broadcast",
-    "gather",
-    "all_gather",
-    "all_reduce",
-    "all_reduce_f64",
-    "all_reduce_sum_u64",
-    "exscan_u64",
-    "all_to_allv",
-];
-
-/// Identifiers that mark a guard as rank-dependent.
-const RANK_IDENTS: [&str; 4] = ["rank", "rank_id", "my_rank", "world_rank"];
-
-/// One `fn` definition: the names it calls and whether it invokes a
-/// collective method directly.
-struct FnDef {
-    name: String,
-    calls: HashSet<String>,
-    direct_collective: bool,
-}
-
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    // Pass A: extract every fn definition in the workspace.
-    let mut defs: Vec<FnDef> = Vec::new();
-    for f in &ws.files {
-        let toks: Vec<&Token> = f.toks.iter().filter(|t| t.kind != Kind::Comment).collect();
-        extract_defs(&toks, 0, toks.len(), &mut defs);
-    }
-    let reaches = collective_reachers(&defs);
-
-    // Pass B: flag rank-guarded calls to collectives or tainted helpers.
+pub fn run(cx: &Context<'_>, reaches: &[bool]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for f in &ws.files {
-        scan_file(f, &reaches, &mut out);
+    for (fid, n) in cx.cg.nodes.iter().enumerate() {
+        if let Some(body) = n.def.body.as_ref().filter(|_| !n.in_test) {
+            ast::block_exprs(body, &mut |e| scan(cx, reaches, fid, e, false, &mut out));
+        }
     }
     out
 }
 
-/// Scan `toks[lo..hi]` for `fn` definitions, recursing into bodies so
-/// nested fns are extracted separately (their calls are not attributed
-/// to the enclosing fn).
-fn extract_defs(toks: &[&Token], lo: usize, hi: usize, defs: &mut Vec<FnDef>) {
-    let mut i = lo;
-    while i < hi {
-        if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == Kind::Ident) {
-            i = extract_one(toks, i, hi, defs);
-            continue;
+/// Walk `e`; `guarded` is true inside the body of a rank-dependent
+/// conditional (or anything nested in one).
+fn scan(
+    cx: &Context<'_>,
+    reaches: &[bool],
+    fid: FnId,
+    e: &Expr,
+    guarded: bool,
+    out: &mut Vec<Diagnostic>,
+) {
+    if guarded {
+        check_call(cx, reaches, fid, e, out);
+    }
+    let rank = |h: &Expr| mentions_rank(h, &BTreeSet::new());
+    let mut go = |c: &Expr, g: bool| scan(cx, reaches, fid, c, g, out);
+    // A conditional's head is evaluated by every rank that reaches it;
+    // only what it controls inherits the taint.
+    match &e.kind {
+        ExprKind::Match { scrutinee, arms } => {
+            go(scrutinee, guarded);
+            let inner = guarded || rank(scrutinee);
+            for a in arms {
+                a.guard.iter().for_each(|g| go(g, inner));
+                go(&a.body, inner || a.guard.as_ref().is_some_and(rank));
+            }
         }
-        i += 1;
+        ExprKind::If { cond: head, .. } | ExprKind::While { cond: head, .. } => {
+            let inner = guarded || rank(head);
+            let taint = |c: &Expr| if std::ptr::eq(&**head, c) { guarded } else { inner };
+            ast::for_each_child(e, &mut |c| go(c, taint(c)));
+        }
+        _ => ast::for_each_child(e, &mut |c| go(c, guarded)),
     }
 }
 
-/// Extract the single `fn` definition starting at `i` (which points at
-/// the `fn` token), pushing it — and any fns nested in its body — onto
-/// `defs`. Returns the index just past the definition.
-fn extract_one(toks: &[&Token], i: usize, hi: usize, defs: &mut Vec<FnDef>) -> usize {
-    let in_test = toks[i].in_test;
-    let name = toks[i + 1].text.clone();
-    // Find the body `{` at paren/bracket depth 0; a `;` first means a
-    // bodiless trait declaration.
-    let mut depth = 0i32;
-    let mut j = i + 2;
-    let mut body_open = None;
-    while j < hi {
-        let t = toks[j];
-        if t.kind == Kind::Punct {
-            match t.text.as_bytes().first() {
-                Some(b'(') | Some(b'[') => depth += 1,
-                Some(b')') | Some(b']') => depth -= 1,
-                Some(b'{') if depth == 0 => {
-                    body_open = Some(j);
-                    break;
-                }
-                Some(b';') if depth == 0 => break,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    let Some(open) = body_open else {
-        return j + 1;
+fn check_call(cx: &Context<'_>, reaches: &[bool], fid: FnId, e: &Expr, out: &mut Vec<Diagnostic>) {
+    let name = match &e.kind {
+        ExprKind::MethodCall { method, .. } => method,
+        ExprKind::Call { callee, .. } => match &callee.kind {
+            ExprKind::Path(segs) if !segs.is_empty() => &segs[segs.len() - 1],
+            _ => return,
+        },
+        _ => return,
     };
-    let close = matching_brace(toks, open, hi);
-    let mut def = FnDef {
-        name,
-        calls: HashSet::new(),
-        direct_collective: false,
+    let message = if collective(e).is_some() {
+        format!(
+            "collective `{name}` inside a rank-dependent conditional: ranks \
+             that skip the branch never enter the collective (SPMD \
+             deadlock); hoist it out or make the guard rank-uniform"
+        )
+    } else {
+        // A helper that transitively performs a collective, called
+        // under the same rank guard — the wrapped form of the same
+        // deadlock. The candidates are the call's resolved targets, or
+        // every production definition of the name when the graph has no
+        // edge for it; the call is tainted only when *all* reach one.
+        let nodes = &cx.cg.nodes;
+        let mut targets: Vec<FnId> = cx.cg.callees_at(fid, e.line, name).collect();
+        if targets.is_empty() {
+            let by_name = |t: &FnId| nodes[*t].name == *name && !nodes[*t].in_test;
+            targets = (0..nodes.len()).filter(by_name).collect();
+        }
+        if targets.is_empty() || !targets.iter().all(|&t| reaches[t]) {
+            return;
+        }
+        format!(
+            "call to `{name}` inside a rank-dependent conditional: every \
+             definition `{name}` can resolve to transitively executes a \
+             collective, so ranks that skip the branch never enter it (SPMD \
+             deadlock); hoist the call out or make the guard rank-uniform"
+        )
     };
-    collect_calls(toks, open + 1, close, &mut def, defs);
-    // Test-only helpers stay out of the call graph: fixtures wrap
-    // collectives on purpose, and their taint must not leak onto
-    // same-named production fns through the all-defs-must-reach rule.
-    if !in_test {
-        defs.push(def);
-    }
-    close + 1
-}
-
-/// Index of the `}` closing the `{` at `open` (or `hi - 1` when the
-/// stream is truncated).
-fn matching_brace(toks: &[&Token], open: usize, hi: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().take(hi).skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return k;
-            }
-        }
-    }
-    hi.saturating_sub(1)
-}
-
-/// Record the call targets of one fn body into `def`, recursing for
-/// nested `fn` definitions (which become their own entries in `defs`).
-fn collect_calls(toks: &[&Token], lo: usize, hi: usize, def: &mut FnDef, defs: &mut Vec<FnDef>) {
-    let mut i = lo;
-    while i < hi {
-        let t = toks[i];
-        if t.is_ident("fn") && toks.get(i + 1).is_some_and(|n| n.kind == Kind::Ident) {
-            i = extract_one(toks, i, hi, defs);
-            continue;
-        }
-        // `name(` is a call; `name!(` is a macro and stays out of the
-        // graph.
-        if t.kind == Kind::Ident && toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            if COLLECTIVES.contains(&t.text.as_str()) {
-                def.direct_collective = true;
-            } else {
-                def.calls.insert(t.text.clone());
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Fixpoint of "this name transitively executes a collective". A name
-/// qualifies only when *every* definition of it reaches one — the
-/// conservative direction for a name-keyed graph with same-named
-/// methods on unrelated types.
-fn collective_reachers(defs: &[FnDef]) -> HashSet<String> {
-    let mut by_name: HashMap<&str, Vec<&FnDef>> = HashMap::new();
-    for d in defs {
-        by_name.entry(d.name.as_str()).or_default().push(d);
-    }
-    let mut reaches: HashSet<String> = HashSet::new();
-    loop {
-        let mut changed = false;
-        for (name, ds) in &by_name {
-            if reaches.contains(*name) {
-                continue;
-            }
-            let all_reach = ds.iter().all(|d| {
-                d.direct_collective || d.calls.iter().any(|c| reaches.contains(c))
-            });
-            if all_reach {
-                reaches.insert((*name).to_string());
-                changed = true;
-            }
-        }
-        if !changed {
-            return reaches;
-        }
-    }
-}
-
-fn guard_mentions_rank(guard: &[&Token]) -> bool {
-    guard
-        .iter()
-        .any(|t| t.kind == Kind::Ident && RANK_IDENTS.contains(&t.text.as_str()))
-}
-
-fn scan_file(f: &SourceFile, reaches: &HashSet<String>, out: &mut Vec<Diagnostic>) {
-    let toks: Vec<&Token> = f.toks.iter().filter(|t| t.kind != Kind::Comment).collect();
-    // Brace-scope stack: true = this scope (or an enclosing one) is the
-    // body of a rank-guarded conditional.
-    let mut scopes: Vec<bool> = Vec::new();
-    // Taint for the next `{` (set by a rank-mentioning guard).
-    let mut pending_guard = false;
-    // An `if`-scope that was rank-guarded just closed: its `else` branch
-    // is rank-dependent too.
-    let mut pending_else = false;
-    let mut i = 0;
-    while i < toks.len() {
-        let t = toks[i];
-        if t.kind == Kind::Ident && (t.text == "if" || t.text == "while" || t.text == "match") {
-            // Collect guard tokens up to the body `{` at bracket depth 0.
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            let mut guard: Vec<&Token> = Vec::new();
-            while j < toks.len() {
-                let g = toks[j];
-                if g.kind == Kind::Punct {
-                    match g.text.as_bytes().first() {
-                        Some(b'(') | Some(b'[') => depth += 1,
-                        Some(b')') | Some(b']') => depth -= 1,
-                        Some(b'{') if depth == 0 => break,
-                        Some(b';') if depth == 0 => break, // `while` in macro/odd context
-                        _ => {}
-                    }
-                }
-                guard.push(g);
-                j += 1;
-            }
-            if guard_mentions_rank(&guard) || pending_else {
-                pending_guard = true;
-            }
-            pending_else = false;
-            i += 1; // the guard tokens are re-scanned for nested ifs; harmless
-            continue;
-        }
-        if t.is_punct('{') {
-            let inherited = scopes.last().copied().unwrap_or(false);
-            scopes.push(inherited || pending_guard || pending_else);
-            pending_guard = false;
-            pending_else = false;
-            i += 1;
-            continue;
-        }
-        if t.is_punct('}') {
-            let was_guarded = scopes.pop().unwrap_or(false);
-            let enclosing = scopes.last().copied().unwrap_or(false);
-            // `} else ...` continues the same rank-dependent decision.
-            if was_guarded && !enclosing {
-                if let Some(next) = toks.get(i + 1) {
-                    if next.is_ident("else") {
-                        pending_else = true;
-                    }
-                }
-            }
-            i += 1;
-            continue;
-        }
-        let guarded = scopes.last().copied().unwrap_or(false);
-        let is_call = t.kind == Kind::Ident
-            && guarded
-            && !t.in_test
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && !(i > 0 && toks[i - 1].is_ident("fn"));
-        if !is_call {
-            i += 1;
-            continue;
-        }
-        // A collective method call inside a rank-guarded scope.
-        if COLLECTIVES.contains(&t.text.as_str()) && i > 0 && toks[i - 1].is_punct('.') {
-            out.push(Diagnostic { witness: Vec::new(),
-                file: f.rel.clone(),
-                line: t.line,
-                rule: Rule::C1,
-                message: format!(
-                    "collective `{}` inside a rank-dependent conditional: ranks \
-                     that skip the branch never enter the collective (SPMD \
-                     deadlock); hoist it out or make the guard rank-uniform",
-                    t.text
-                ),
-            });
-        } else if reaches.contains(&t.text) && !COLLECTIVES.contains(&t.text.as_str()) {
-            // A helper that transitively performs a collective, called
-            // under the same rank guard — the wrapped form of the same
-            // deadlock.
-            out.push(Diagnostic { witness: Vec::new(),
-                file: f.rel.clone(),
-                line: t.line,
-                rule: Rule::C1,
-                message: format!(
-                    "call to `{}` inside a rank-dependent conditional: every \
-                     definition of `{}` transitively executes a collective, so \
-                     ranks that skip the branch never enter it (SPMD deadlock); \
-                     hoist the call out or make the guard rank-uniform",
-                    t.text, t.text
-                ),
-            });
-        }
-        i += 1;
-    }
+    out.push(Diagnostic {
+        witness: Vec::new(),
+        file: cx.cg.nodes[fid].file.to_string(),
+        line: e.line,
+        rule: Rule::C1,
+        message,
+    });
 }

@@ -38,28 +38,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{self, Block, Expr, ExprKind, Stmt};
+use super::spmd::{collective, mentions_rank};
+use crate::ast::{self, Block, Expr, ExprKind};
 use crate::callgraph::{CallGraph, FnId};
-use crate::cfg::{lower_fn, EdgeKind, FnCfg, Index, Outcome};
+use crate::cfg::{lower_fn, EdgeKind, FnCfg, Outcome};
+use crate::context::{near, Context};
 use crate::dataflow::solve_summaries;
 use crate::diag::{Diagnostic, Rule, WitnessStep};
-use crate::lexer::Kind;
-use crate::Workspace;
-
-/// The `hacc_ranks::Comm` collective surface (kept in sync with C1).
-const COLLECTIVES: [&str; 9] = [
-    "barrier",
-    "broadcast",
-    "gather",
-    "all_gather",
-    "all_reduce",
-    "all_reduce_f64",
-    "all_reduce_sum_u64",
-    "exscan_u64",
-    "all_to_allv",
-];
-
-const RANK_IDENTS: [&str; 4] = ["rank", "rank_id", "my_rank", "world_rank"];
 
 /// Paths enumerated per function (hard cap — beyond this the function
 /// is too branchy for path-sensitive reporting and we keep the first
@@ -67,10 +52,6 @@ const RANK_IDENTS: [&str; 4] = ["rank", "rank_id", "my_rank", "world_rank"];
 const MAX_PATHS: usize = 64;
 /// Distinct traces kept in a function's summary.
 const MAX_TRACES: usize = 8;
-
-fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/benches/")
-}
 
 /// One collective execution in a trace.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -103,67 +84,23 @@ fn outcome_str(o: Outcome) -> String {
     }
 }
 
-/// Does this expression read a rank identity?
-fn mentions_rank(e: &Expr, rank_locals: &BTreeSet<String>) -> bool {
-    let mut hit = false;
-    ast::walk_expr(e, &mut |x: &Expr| match &x.kind {
-        ExprKind::Path(segs)
-            if segs
-                .iter()
-                .any(|s| RANK_IDENTS.contains(&s.as_str()) || rank_locals.contains(s)) =>
-        {
-            hit = true
-        }
-        ExprKind::MethodCall { method, .. } if method == "rank" => hit = true,
-        _ => {}
-    });
-    hit
-}
-
 /// Locals assigned from a rank expression anywhere in the body
 /// (one propagation round: `let me = comm.rank(); let lead = me == 0;`).
 fn rank_locals(body: &Block) -> BTreeSet<String> {
     let mut locals = BTreeSet::new();
     for _ in 0..2 {
         let mut next = locals.clone();
-        collect_rank_lets(body, &locals, &mut next);
+        ast::walk_lets(body, &mut |names, _, init| {
+            if init.is_some_and(|e| mentions_rank(e, &locals)) {
+                next.extend(names.iter().cloned());
+            }
+        });
         if next.len() == locals.len() {
             break;
         }
         locals = next;
     }
     locals
-}
-
-fn collect_rank_lets(b: &Block, cur: &BTreeSet<String>, out: &mut BTreeSet<String>) {
-    for s in &b.stmts {
-        if let Stmt::Let { names, init: Some(e), .. } = s {
-            if mentions_rank(e, cur) {
-                for n in names {
-                    out.insert(n.clone());
-                }
-            }
-        }
-    }
-    ast::walk_block(b, &mut |e: &Expr| {
-        let inner = match &e.kind {
-            ExprKind::For { body, .. }
-            | ExprKind::While { body, .. }
-            | ExprKind::Loop { body }
-            | ExprKind::Block(body) => body,
-            ExprKind::If { then, .. } => then,
-            _ => return,
-        };
-        for s in &inner.stmts {
-            if let Stmt::Let { names, init: Some(e), .. } = s {
-                if mentions_rank(e, cur) {
-                    for n in names {
-                        out.insert(n.clone());
-                    }
-                }
-            }
-        }
-    });
 }
 
 /// Enumerate feasible paths through `cfg`, splicing callee traces.
@@ -192,15 +129,13 @@ fn enumerate_paths(
         let mut t = Trace::new();
         for &ev in &cfg.blocks[b].events {
             ast::walk_expr(ev, &mut |e: &Expr| {
-                if let ExprKind::MethodCall { method, .. } = &e.kind {
-                    if COLLECTIVES.contains(&method.as_str()) {
-                        t.push(TraceStep {
-                            label: method.clone(),
-                            file: file.to_string(),
-                            line: e.line,
-                        });
-                        return;
-                    }
+                if let Some(method) = collective(e) {
+                    t.push(TraceStep {
+                        label: method.to_string(),
+                        file: file.to_string(),
+                        line: e.line,
+                    });
+                    return;
                 }
                 if matches!(e.kind, ExprKind::Call { .. } | ExprKind::MethodCall { .. }) {
                     for site in &cg.calls[fid] {
@@ -331,47 +266,27 @@ fn enumerate_paths(
     paths
 }
 
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    let index = Index::build(ws);
-    let cg = CallGraph::build(ws, &index);
+pub fn run(cx: &Context<'_>, reaches: &[bool]) -> Vec<Diagnostic> {
+    let cg = &cx.cg;
+    let allowed = cx.allowed("c2");
 
-    // Allow markers per file.
-    let mut allowed: BTreeMap<&str, BTreeSet<u32>> = BTreeMap::new();
-    for f in &ws.files {
-        let set = allowed.entry(f.rel.as_str()).or_default();
-        for t in &f.toks {
-            if t.kind != Kind::Comment {
-                continue;
-            }
-            let body = t.text.trim_start_matches('/').trim_start_matches('*').trim();
-            if let Some(rest) = body.strip_prefix("c2:") {
-                if let Some(reason) = rest.trim().strip_prefix("allow:") {
-                    if !reason.trim().is_empty() {
-                        set.insert(t.line);
-                    }
-                }
-            }
-        }
-    }
-
-    // Lower every non-test fn once, with rank-classification.
+    // Lower every production fn that can reach a collective, with
+    // rank-classification. The rest have only empty traces: nothing to
+    // splice, nothing to diverge.
     let mut cfgs: Vec<Option<FnCfg<'_>>> = Vec::with_capacity(cg.nodes.len());
-    for n in &cg.nodes {
-        if n.in_test || is_test_path(n.file) || n.def.body.is_none() {
-            cfgs.push(None);
-            continue;
-        }
-        let body = n.def.body.as_ref().unwrap();
-        let locals = rank_locals(body);
-        cfgs.push(Some(lower_fn(n.def, &|e: &Expr| mentions_rank(e, &locals))));
+    for (fid, n) in cg.nodes.iter().enumerate() {
+        cfgs.push(n.def.body.as_ref().filter(|_| !n.in_test && reaches[fid]).map(|body| {
+            let locals = rank_locals(body);
+            lower_fn(n.def, &|e: &Expr| mentions_rank(e, &locals))
+        }));
     }
 
     // Bottom-up trace summaries (distinct traces per fn, capped).
     let summaries: Vec<Vec<Trace>> =
-        solve_summaries(&cg, Vec::new(), &mut |fid, get| {
+        solve_summaries(cg, Vec::new(), &mut |fid, get| {
             let Some(cfg) = &cfgs[fid] else { return Vec::new() };
             let paths =
-                enumerate_paths(cfg, cg.nodes[fid].file, fid, &cg, &|id| get(id));
+                enumerate_paths(cfg, cg.nodes[fid].file, fid, cg, &|id| get(id));
             let mut traces: Vec<Trace> =
                 paths.into_iter().map(|p| p.trace).collect();
             traces.sort();
@@ -384,14 +299,10 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (fid, n) in cg.nodes.iter().enumerate() {
         let Some(cfg) = &cfgs[fid] else { continue };
-        if allowed
-            .get(n.file)
-            .map(|s| s.contains(&n.def.line) || (n.def.line > 1 && s.contains(&(n.def.line - 1))))
-            .unwrap_or(false)
-        {
+        if near(&allowed, n.file, n.def.line) {
             continue;
         }
-        let paths = enumerate_paths(cfg, n.file, fid, &cg, &|id| summaries[id].clone());
+        let paths = enumerate_paths(cfg, n.file, fid, cg, &|id| summaries[id].clone());
         let mut groups: BTreeMap<&[(String, Outcome)], Vec<&PathInfo>> = BTreeMap::new();
         for p in &paths {
             groups.entry(p.group.as_slice()).or_default().push(p);

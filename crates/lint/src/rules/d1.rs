@@ -14,9 +14,10 @@
 //!
 //! 2. **Wall-clock reads outside the blessed modules.** `Instant::now`
 //!    and `SystemTime` are how wall time leaks into what should be a
-//!    pure function of the seed. Only `core::timers` (the phase-timer
-//!    authority), `rt::bench`, and the `crates/bench` harness may read
-//!    clocks; anything else needs a reviewed `lint.allow` entry.
+//!    pure function of the seed. Only `rt::bench` and the
+//!    `crates/bench` harness may read clocks; anything else — the span
+//!    tracer, the one wall-duration authority of a run, included —
+//!    needs a reviewed `lint.allow` entry.
 //!
 //! 3. **Environment reads in golden paths.** `std::env::var` (and
 //!    `var_os` / `vars` / `option_env!`) is ambient configuration: two
@@ -28,9 +29,10 @@
 //! `#[cfg(test)]` regions and `tests/`/`benches/` trees are exempt —
 //! test scaffolding may time itself without touching golden artifacts.
 
+use crate::context::{is_test_path, Context};
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::Kind;
-use crate::{SourceFile, Workspace};
+use crate::SourceFile;
 
 /// Paths where hash-ordered collections are output-affecting.
 const GOLDEN_SCOPES: [&str; 3] = [
@@ -40,11 +42,7 @@ const GOLDEN_SCOPES: [&str; 3] = [
 ];
 
 /// Modules blessed to read wall clocks.
-const CLOCK_ALLOWED: [&str; 3] = [
-    "crates/core/src/timers.rs",
-    "crates/rt/src/bench.rs",
-    "crates/bench/",
-];
+const CLOCK_ALLOWED: [&str; 2] = ["crates/rt/src/bench.rs", "crates/bench/"];
 
 /// The one module blessed to read the process environment: all ambient
 /// configuration funnels through the parsed config it produces.
@@ -56,13 +54,9 @@ fn in_scope(rel: &str, scopes: &[&str]) -> bool {
         .any(|s| rel == s.trim_end_matches('/') || rel.starts_with(s))
 }
 
-fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/benches/")
-}
-
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for f in &ws.files {
+    for f in &cx.ws.files {
         if in_scope(&f.rel, &GOLDEN_SCOPES) {
             hash_collections(f, &mut out);
             if !in_scope(&f.rel, &ENV_ALLOWED) {
@@ -145,7 +139,7 @@ fn wall_clock(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 line: t.line,
                 rule: Rule::D1,
                 message: "`SystemTime` outside the blessed timer modules \
-                          (core::timers, rt::bench, crates/bench): wall time must \
+                          (rt::bench, crates/bench): wall time must \
                           not reach deterministic state"
                     .into(),
             });
@@ -161,8 +155,8 @@ fn wall_clock(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 line: t.line,
                 rule: Rule::D1,
                 message: "`Instant::now` outside the blessed timer modules \
-                          (core::timers, rt::bench, crates/bench): route timing \
-                          through the phase timers or the span tracer"
+                          (rt::bench, crates/bench): route timing \
+                          through the span tracer"
                     .into(),
             });
         }

@@ -34,15 +34,11 @@
 //!   (empty reason does not suppress);
 //! * `#[cfg(test)]` items and `tests/` / `benches/` trees.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use crate::ast::{self, Block, Expr, ExprKind, Stmt};
+use crate::ast::{self, Expr, ExprKind};
 use crate::callgraph::{CallGraph, FnId};
-use crate::cfg::Index;
+use crate::context::{near, Context};
 use crate::dataflow::solve_summaries;
 use crate::diag::{Diagnostic, Rule, WitnessStep};
-use crate::lexer::Kind;
-use crate::Workspace;
 
 /// Panic-surface bits, OR-combined through the call graph.
 pub const PANIC_EXPLICIT: u8 = 1;
@@ -61,50 +57,11 @@ const ASSERT_MACROS: [&str; 6] = [
     "debug_assert_ne",
 ];
 
-fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/benches/")
-}
-
 /// One explicit (class A) panic site in a function body.
 struct PanicSite {
     line: u32,
     /// `unwrap`, `panic!`, ...
     what: String,
-}
-
-/// Per-file E1 comment markers.
-#[derive(Default)]
-struct Markers {
-    allowed: BTreeSet<u32>,
-    roots: BTreeSet<u32>,
-}
-
-fn scan_markers(ws: &Workspace) -> BTreeMap<String, Markers> {
-    let mut out: BTreeMap<String, Markers> = BTreeMap::new();
-    for f in &ws.files {
-        let m = out.entry(f.rel.clone()).or_default();
-        for t in &f.toks {
-            if t.kind != Kind::Comment {
-                continue;
-            }
-            let body = t.text.trim_start_matches('/').trim_start_matches('*').trim();
-            if let Some(rest) = body.strip_prefix("e1:") {
-                let rest = rest.trim();
-                if let Some(reason) = rest.strip_prefix("allow:") {
-                    if !reason.trim().is_empty() {
-                        m.allowed.insert(t.line);
-                    }
-                } else if rest == "root" || rest.starts_with("root ") {
-                    m.roots.insert(t.line);
-                }
-            }
-        }
-    }
-    out
-}
-
-fn near(set: &BTreeSet<u32>, line: u32) -> bool {
-    set.contains(&line) || (line > 0 && set.contains(&(line - 1)))
 }
 
 /// Does this guard expression mark a registered fault-injection branch?
@@ -119,130 +76,42 @@ fn mentions_fault(e: &Expr) -> bool {
 }
 
 /// Collect class-A sites (skipping fault-guarded branches) and the
-/// full surface mask of a body.
-fn scan_body(body: &Block, sites: &mut Vec<PanicSite>, mask: &mut u8) {
-    scan_block(body, false, sites, mask);
-}
-
-fn scan_block(b: &Block, guarded: bool, sites: &mut Vec<PanicSite>, mask: &mut u8) {
-    for s in &b.stmts {
-        match s {
-            Stmt::Let { init, els, .. } => {
-                if let Some(e) = init {
-                    scan_expr(e, guarded, sites, mask);
-                }
-                if let Some(blk) = els {
-                    scan_block(blk, guarded, sites, mask);
-                }
-            }
-            Stmt::Expr(e) => scan_expr(e, guarded, sites, mask),
-            Stmt::Opaque => {}
-        }
-    }
-}
-
+/// full surface mask of an expression tree.
 fn scan_expr(e: &Expr, guarded: bool, sites: &mut Vec<PanicSite>, mask: &mut u8) {
+    let mut explicit = |what: String| {
+        *mask |= PANIC_EXPLICIT;
+        if !guarded {
+            sites.push(PanicSite { line: e.line, what });
+        }
+    };
     match &e.kind {
-        ExprKind::If { cond, then, els } => {
-            scan_expr(cond, guarded, sites, mask);
-            let body_guarded = guarded || mentions_fault(cond);
-            scan_block(then, body_guarded, sites, mask);
-            if let Some(els) = els {
-                scan_expr(els, body_guarded, sites, mask);
-            }
+        ExprKind::MethodCall { method, .. } if EXPLICIT_METHODS.contains(&method.as_str()) => {
+            explicit(format!("`.{method}()`"))
         }
-        ExprKind::MethodCall { recv, method, args } => {
-            if EXPLICIT_METHODS.contains(&method.as_str()) {
-                *mask |= PANIC_EXPLICIT;
-                if !guarded {
-                    sites.push(PanicSite { line: e.line, what: format!("`.{method}()`") });
-                }
-            }
-            scan_expr(recv, guarded, sites, mask);
-            for a in args {
-                scan_expr(a, guarded, sites, mask);
-            }
+        ExprKind::Macro { name, .. } if PANIC_MACROS.contains(&name.as_str()) => {
+            explicit(format!("`{name}!`"))
         }
-        ExprKind::Macro { name, args } => {
-            if PANIC_MACROS.contains(&name.as_str()) {
-                *mask |= PANIC_EXPLICIT;
-                if !guarded {
-                    sites.push(PanicSite { line: e.line, what: format!("`{name}!`") });
-                }
-            } else if ASSERT_MACROS.contains(&name.as_str()) {
-                *mask |= PANIC_ASSERT;
-            }
-            for a in args {
-                scan_expr(a, guarded, sites, mask);
-            }
+        ExprKind::Macro { name, .. } if ASSERT_MACROS.contains(&name.as_str()) => {
+            *mask |= PANIC_ASSERT
         }
-        ExprKind::Index { recv, index } => {
-            *mask |= PANIC_INDEX;
-            scan_expr(recv, guarded, sites, mask);
-            scan_expr(index, guarded, sites, mask);
-        }
-        ExprKind::Binary { op, lhs, rhs }
-            if matches!(op, ast::BinOp::Div | ast::BinOp::Rem)
-                && !crate::cfg::is_literal(rhs) =>
+        ExprKind::Index { .. } => *mask |= PANIC_INDEX,
+        ExprKind::Binary { op: ast::BinOp::Div | ast::BinOp::Rem, rhs, .. }
+            if !crate::cfg::is_literal(rhs) =>
         {
-            *mask |= PANIC_DIV;
-            scan_expr(lhs, guarded, sites, mask);
-            scan_expr(rhs, guarded, sites, mask);
+            *mask |= PANIC_DIV
         }
-        ExprKind::Block(b) => scan_block(b, guarded, sites, mask),
-        ExprKind::While { cond, body } => {
-            scan_expr(cond, guarded, sites, mask);
-            scan_block(body, guarded, sites, mask);
-        }
-        ExprKind::For { iter, body, .. } => {
-            scan_expr(iter, guarded, sites, mask);
-            scan_block(body, guarded, sites, mask);
-        }
-        ExprKind::Loop { body } => scan_block(body, guarded, sites, mask),
-        ExprKind::Match { scrutinee, arms } => {
-            scan_expr(scrutinee, guarded, sites, mask);
-            for a in arms {
-                scan_expr(&a.body, guarded, sites, mask);
-            }
-        }
-        ExprKind::Closure { body } | ExprKind::Labeled { body, .. } => {
-            scan_expr(body, guarded, sites, mask)
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } | ExprKind::Try(expr) => {
-            scan_expr(expr, guarded, sites, mask)
-        }
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            scan_expr(lhs, guarded, sites, mask);
-            scan_expr(rhs, guarded, sites, mask);
-        }
-        ExprKind::Call { callee, args } => {
-            scan_expr(callee, guarded, sites, mask);
-            for a in args {
-                scan_expr(a, guarded, sites, mask);
-            }
-        }
-        ExprKind::Field { recv, .. } => scan_expr(recv, guarded, sites, mask),
-        ExprKind::Array(xs) | ExprKind::Tuple(xs) => {
-            for x in xs {
-                scan_expr(x, guarded, sites, mask);
-            }
-        }
-        ExprKind::StructLit { fields, .. } => {
-            for (_, x) in fields {
-                scan_expr(x, guarded, sites, mask);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            if let Some(x) = lo {
-                scan_expr(x, guarded, sites, mask);
-            }
-            if let Some(x) = hi {
-                scan_expr(x, guarded, sites, mask);
-            }
-        }
-        ExprKind::Return(Some(x)) => scan_expr(x, guarded, sites, mask),
         _ => {}
     }
+    // Everything an `if` on a fault probe controls is a registered
+    // injection site; its condition is not.
+    let fault_cond = match &e.kind {
+        ExprKind::If { cond, .. } if mentions_fault(cond) => Some(&**cond),
+        _ => None,
+    };
+    ast::for_each_child(e, &mut |c| {
+        let inner = guarded || fault_cond.is_some_and(|fc| !std::ptr::eq(fc, c));
+        scan_expr(c, inner, sites, mask)
+    });
 }
 
 /// Whole-graph panic surface: per-fn OR of own bits and every
@@ -258,10 +127,9 @@ pub fn panic_surface(cg: &CallGraph<'_>, local: &[u8]) -> Vec<u8> {
     })
 }
 
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    let markers = scan_markers(ws);
-    let index = Index::build(ws);
-    let cg = CallGraph::build(ws, &index);
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
+    let cg = &cx.cg;
+    let allowed = cx.allowed("e1");
 
     // Local panic info per node.
     let mut local_mask = vec![0u8; cg.nodes.len()];
@@ -269,25 +137,23 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     for (fid, n) in cg.nodes.iter().enumerate() {
         let mut sites = Vec::new();
         if let Some(body) = &n.def.body {
-            scan_body(body, &mut sites, &mut local_mask[fid]);
+            let mask = &mut local_mask[fid];
+            ast::block_exprs(body, &mut |e| scan_expr(e, false, &mut sites, mask));
         }
         local_sites.push(sites);
     }
 
-    // Roots: the supervised per-rank entry point, plus opt-ins.
-    let mut roots: Vec<FnId> = Vec::new();
-    for (fid, n) in cg.nodes.iter().enumerate() {
-        if n.in_test || is_test_path(n.file) {
-            continue;
-        }
-        let marked_root = markers
-            .get(n.file)
-            .map(|m| near(&m.roots, n.def.line))
-            .unwrap_or(false);
-        if marked_root || (n.name == "rank_main" && n.file == "crates/core/src/driver.rs") {
-            roots.push(fid);
-        }
-    }
+    // Roots: the supervised per-rank entry point, plus `// e1: root`
+    // opt-ins.
+    let root_marks = cx.marked("e1", |rest| rest == "root" || rest.starts_with("root "));
+    let roots: Vec<FnId> = (0..cg.nodes.len())
+        .filter(|&fid| {
+            let n = &cg.nodes[fid];
+            !n.in_test
+                && (near(&root_marks, n.file, n.def.line)
+                    || (n.name == "rank_main" && n.file == "crates/core/src/driver.rs"))
+        })
+        .collect();
     if roots.is_empty() {
         return Vec::new();
     }
@@ -296,12 +162,11 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (&fid, _) in &parents {
         let n = &cg.nodes[fid];
-        if n.in_test || is_test_path(n.file) {
+        if n.in_test {
             continue;
         }
-        let allowed = markers.get(n.file).map(|m| &m.allowed);
         for site in &local_sites[fid] {
-            if allowed.map(|a| near(a, site.line)).unwrap_or(false) {
+            if near(&allowed, n.file, site.line) {
                 continue;
             }
             let chain = cg.witness_path(&parents, fid);

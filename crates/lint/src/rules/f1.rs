@@ -7,14 +7,15 @@
 //! from the token stream and requires every variant to be referenced by
 //! at least one `fire(...)` call outside test code.
 
+use crate::context::{is_test_path, Context};
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{Kind, Token};
-use crate::Workspace;
 
 /// The enum whose variants are the injection sites.
 const SITE_ENUM: &str = "FaultKind";
 
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
+    let ws = cx.ws;
     // (variant, defining file, line) — usually one enum, but fixture
     // workspaces may define their own.
     let mut variants: Vec<(String, String, u32)> = Vec::new();
@@ -36,8 +37,7 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     // test and bench trees do not count as injection coverage.
     let mut fired: Vec<String> = Vec::new();
     for f in &ws.files {
-        if f.rel.starts_with("tests/") || f.rel.contains("/tests/") || f.rel.contains("/benches/")
-        {
+        if is_test_path(&f.rel) {
             continue;
         }
         let toks: Vec<&Token> = f.toks.iter().filter(|t| t.kind != Kind::Comment).collect();

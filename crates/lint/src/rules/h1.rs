@@ -12,9 +12,9 @@
 //! This rule replaces the grep-based dependency lint `scripts/verify.sh`
 //! shipped through PR 3.
 
+use crate::context::Context;
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::Kind;
-use crate::Workspace;
 
 /// Crates `hacc-rt` vendored replacements for; banned in any form.
 const BANNED: [&str; 6] = [
@@ -29,7 +29,8 @@ const BANNED: [&str; 6] = [
 /// Compiler-provided crate roots that need no manifest entry.
 const BUILTIN_ROOTS: [&str; 5] = ["std", "core", "alloc", "test", "proc_macro"];
 
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
+    let ws = cx.ws;
     let mut out = Vec::new();
 
     // Workspace package names, underscored, for `use ::name` validation.

@@ -40,20 +40,19 @@
 
 use std::collections::BTreeMap;
 
-use crate::ast::{FnDef, ImplDef, Item, ItemKind, Stmt, ExprKind, TypeRef};
+use crate::ast::{Expr, ExprKind, FnDef, ImplDef, Item, ItemKind, Stmt, TypeRef};
 use crate::cfg::{Cost, Evaluator, Index};
+use crate::context::{markers, Context};
 use crate::diag::{Diagnostic, Rule};
-use crate::lexer::Kind;
-use crate::{SourceFile, Workspace};
+use crate::SourceFile;
 
 /// The four conformance fields, in declaration order.
 const FIELDS: [&str; 4] = ["adds", "muls", "fmas", "trans"];
 
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    let index = Index::build(ws);
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for f in &ws.files {
-        check_items(f, &f.ast.items, &index, &mut out);
+    for f in &cx.ws.files {
+        check_items(f, &f.ast.items, &cx.index, &mut out);
     }
     out
 }
@@ -84,15 +83,7 @@ struct Annotations {
 
 fn parse_annotations(f: &SourceFile, lo: usize, hi: usize) -> Annotations {
     let mut ann = Annotations::default();
-    for t in &f.toks[lo..hi.min(f.toks.len())] {
-        if t.kind != Kind::Comment {
-            continue;
-        }
-        let body = t.text.trim_start_matches('/').trim_start_matches('*').trim();
-        let Some(rest) = body.strip_prefix("k1:") else {
-            continue;
-        };
-        let rest = rest.trim();
+    for (_, rest) in markers(&f.toks[lo..hi.min(f.toks.len())], "k1") {
         if let Some(bind) = rest.strip_prefix("bind ") {
             if let Some((name, ty)) = bind.split_once('=') {
                 let name = name.trim();
@@ -115,16 +106,20 @@ fn parse_annotations(f: &SourceFile, lo: usize, hi: usize) -> Annotations {
     ann
 }
 
+/// The last expression statement of a body (its value, for the
+/// literal-returning shapes K1 reads).
+fn last_expr(fd: &FnDef) -> Option<&Expr> {
+    fd.body.as_ref()?.stmts.iter().rev().find_map(|s| match s {
+        Stmt::Expr(e) => Some(e),
+        _ => None,
+    })
+}
+
 /// Read the declared table out of a `pair_flops`-shaped body: a literal
 /// `PairFlops { adds: N, ... }` struct expression (missing fields and
 /// `..Default::default()` rests read as 0) or `PairFlops::default()`.
 fn declared_table(fd: &FnDef) -> Option<[u64; 4]> {
-    let body = fd.body.as_ref()?;
-    let last = body.stmts.iter().rev().find_map(|s| match s {
-        Stmt::Expr(e) => Some(e),
-        _ => None,
-    })?;
-    match &last.kind {
+    match &last_expr(fd)?.kind {
         ExprKind::StructLit { path, fields, .. }
             if path.last().map(String::as_str) == Some("PairFlops") =>
         {
@@ -156,12 +151,7 @@ fn declared_table(fd: &FnDef) -> Option<[u64; 4]> {
 
 /// Read a literal `u64` body (`state_words`-shaped).
 fn declared_literal(fd: &FnDef) -> Option<u64> {
-    let body = fd.body.as_ref()?;
-    let last = body.stmts.iter().rev().find_map(|s| match s {
-        Stmt::Expr(e) => Some(e),
-        _ => None,
-    })?;
-    match &last.kind {
+    match &last_expr(fd)?.kind {
         ExprKind::Num { text, is_float: false } => text.replace('_', "").parse().ok(),
         _ => None,
     }

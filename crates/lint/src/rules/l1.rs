@@ -24,10 +24,12 @@
 //! Wrappers: a function whose return type is a guard (`*Guard*`) and
 //! whose tail expression acquires exactly one lock (e.g. the
 //! `Inner::lock` poison-recovery wrappers in `rt::channel` and
-//! `rt::sched`) transfers that key to the *caller's* binding. Calls to
-//! resolvable workspace functions propagate their transitively-acquired
+//! `rt::sched`) transfers that key to the *caller's* binding. Calls the
+//! workspace call graph resolves propagate their transitively-acquired
 //! keys: holding `A` while calling a function that takes `B` records
-//! the edge `A -> B` (computed to a fixpoint over the call graph).
+//! the edge `A -> B`. The per-function summaries (acquired keys,
+//! returned guard) are solved bottom-up over the graph's SCCs, so the
+//! lock may sit any number of calls below the holder.
 //!
 //! Known blind spots (documented non-goals, conservative toward *not*
 //! reporting): locks reached through locals or trait objects, guards
@@ -36,9 +38,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Block, Expr, ExprKind, FnDef, Item, ItemKind, Stmt, TypeRef};
+use crate::ast::{self, Block, Expr, ExprKind, Stmt, TypeRef};
+use crate::callgraph::FnId;
+use crate::context::Context;
+use crate::dataflow::solve_summaries;
 use crate::diag::{Diagnostic, Rule};
-use crate::Workspace;
 
 /// Methods that acquire a primitive lock.
 const PRIM_METHODS: [&str; 4] = ["lock", "read", "write", "try_lock"];
@@ -47,22 +51,13 @@ fn is_lock_base(base: &str) -> bool {
     base == "Mutex" || base == "RwLock"
 }
 
-fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/benches/")
-}
-
 /// Strip smart-pointer and reference layers off a type.
 fn unwrap_ty(tr: &TypeRef) -> &TypeRef {
     let mut t = tr;
-    loop {
-        match t.base.as_str() {
-            "&" | "Arc" | "Rc" | "Box" => match t.args.first() {
-                Some(inner) => t = inner,
-                None => return t,
-            },
-            _ => return t,
-        }
+    while let ("&" | "Arc" | "Rc" | "Box", Some(inner)) = (t.base.as_str(), t.args.first()) {
+        t = inner;
     }
+    t
 }
 
 /// What a function does with locks, as seen by its callers.
@@ -74,126 +69,55 @@ struct Summary {
     returns_guard: Option<String>,
 }
 
-/// One function to analyze: `(self type or "", name, def, file)`.
-struct FnSite<'a> {
-    self_ty: String,
-    fd: &'a FnDef,
-    file: &'a str,
-}
+/// `held -> acquired` lock-order edges with the first site of each.
+type Edges = BTreeMap<(String, String), (String, u32)>;
 
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    // ---- collect structs, statics, and functions (non-test) -------------
-    let mut structs: BTreeMap<String, &crate::ast::StructDef> = BTreeMap::new();
-    let mut statics: BTreeMap<String, String> = BTreeMap::new(); // name -> key
-    let mut fns: Vec<FnSite> = Vec::new();
-    for f in &ws.files {
-        if is_test_path(&f.rel) {
-            continue;
-        }
-        collect(&f.ast.items, &f.rel, &mut structs, &mut statics, &mut fns);
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
+    // Acquisition summaries, callees first; the edges seen against
+    // not-yet-final summaries are scratch.
+    let mut scratch = Edges::new();
+    let summaries = solve_summaries(&cx.cg, Summary::default(), &mut |fid, get| {
+        analyze(cx, fid, get, &mut scratch)
+    });
+    let mut edges = Edges::new();
+    for fid in 0..cx.cg.nodes.len() {
+        analyze(cx, fid, &|id| summaries[id].clone(), &mut edges);
     }
-
-    // ---- fixpoint over fn summaries -------------------------------------
-    let mut summaries: BTreeMap<(String, String), Summary> = BTreeMap::new();
-    let mut edges: BTreeMap<(String, String), (String, u32)> = BTreeMap::new();
-    for _ in 0..6 {
-        let mut next = BTreeMap::new();
-        let mut pass_edges = BTreeMap::new();
-        for site in &fns {
-            let mut an = Analyzer {
-                structs: &structs,
-                statics: &statics,
-                summaries: &summaries,
-                self_ty: &site.self_ty,
-                file: site.file,
-                acquires: BTreeSet::new(),
-                edges: &mut pass_edges,
-            };
-            let mut held: Vec<(String, String)> = Vec::new();
-            let mut tail_keys = BTreeSet::new();
-            if let Some(body) = &site.fd.body {
-                tail_keys = an.block(body, &mut held);
-            }
-            let returns_guard = match &site.fd.ret {
-                Some(r) if r.base.contains("Guard") && an.acquires.len() == 1 => {
-                    tail_keys.iter().next().cloned()
-                }
-                _ => None,
-            };
-            let summary = Summary { acquires: an.acquires, returns_guard };
-            // Same-name free fns merge conservatively (union).
-            let entry: &mut Summary = next
-                .entry((site.self_ty.clone(), site.fd.name.clone()))
-                .or_insert_with(Summary::default);
-            entry.acquires.extend(summary.acquires);
-            if entry.returns_guard.is_none() {
-                entry.returns_guard = summary.returns_guard;
-            }
-        }
-        let stable = next == summaries;
-        summaries = next;
-        edges = pass_edges;
-        if stable {
-            break;
-        }
-    }
-
-    // ---- cycle detection -------------------------------------------------
     report_cycles(&edges)
 }
 
-fn collect<'a>(
-    items: &'a [Item],
-    file: &'a str,
-    structs: &mut BTreeMap<String, &'a crate::ast::StructDef>,
-    statics: &mut BTreeMap<String, String>,
-    fns: &mut Vec<FnSite<'a>>,
-) {
-    for it in items {
-        if it.in_test {
-            continue;
+/// Walk one production fn body: record its lock-order edges and return
+/// its summary.
+fn analyze(
+    cx: &Context<'_>,
+    fid: FnId,
+    summary_of: &dyn Fn(FnId) -> Summary,
+    edges: &mut Edges,
+) -> Summary {
+    let n = &cx.cg.nodes[fid];
+    let Some(body) = n.def.body.as_ref().filter(|_| !n.in_test) else {
+        return Summary::default();
+    };
+    let mut an = Analyzer { cx, fid, summary_of, acquires: BTreeSet::new(), edges };
+    let tail_keys = an.block(body, &mut Vec::new());
+    let returns_guard = match &n.def.ret {
+        Some(r) if r.base.contains("Guard") && an.acquires.len() == 1 => {
+            tail_keys.into_iter().next()
         }
-        match &it.kind {
-            ItemKind::Struct(sd) => {
-                structs.entry(sd.name.clone()).or_insert(sd);
-            }
-            ItemKind::Static(st) => {
-                if is_lock_base(&unwrap_ty(&st.ty).base) {
-                    statics.insert(st.name.clone(), format!("static {}", st.name));
-                }
-            }
-            ItemKind::Fn(fd) => fns.push(FnSite { self_ty: String::new(), fd, file }),
-            ItemKind::Impl(im) => {
-                for fd in &im.fns {
-                    fns.push(FnSite { self_ty: im.type_name.clone(), fd, file });
-                }
-            }
-            ItemKind::Mod(_, inner) => collect(inner, file, structs, statics, fns),
-            _ => {}
-        }
-    }
+        _ => None,
+    };
+    Summary { acquires: an.acquires, returns_guard }
 }
 
-/// Receiver classification for a method call.
-enum Target {
-    /// A primitive lock (`Mutex`/`RwLock`) reachable at `key`.
-    Prim(String),
-    /// A resolvable workspace type (user methods looked up by summary).
-    Type(String),
-    Unknown,
-}
-
-struct Analyzer<'a> {
-    structs: &'a BTreeMap<String, &'a crate::ast::StructDef>,
-    statics: &'a BTreeMap<String, String>,
-    summaries: &'a BTreeMap<(String, String), Summary>,
-    self_ty: &'a str,
-    file: &'a str,
+struct Analyzer<'a, 'c> {
+    cx: &'c Context<'a>,
+    fid: FnId,
+    summary_of: &'c dyn Fn(FnId) -> Summary,
     acquires: BTreeSet<String>,
-    edges: &'a mut BTreeMap<(String, String), (String, u32)>,
+    edges: &'c mut Edges,
 }
 
-impl<'a> Analyzer<'a> {
+impl Analyzer<'_, '_> {
     /// Walk a block; `held` is the stack of `(binder, key)` guard scopes.
     /// Returns the keys produced by the block's tail expression.
     fn block(&mut self, b: &Block, held: &mut Vec<(String, String)>) -> BTreeSet<String> {
@@ -232,24 +156,18 @@ impl<'a> Analyzer<'a> {
         let mut keys = BTreeSet::new();
         match &e.kind {
             ExprKind::Call { callee, args } => {
-                // `drop(g)` ends g's guard scope early.
                 if let ExprKind::Path(segs) = &callee.kind {
-                    if segs.len() == 1 && segs[0] == "drop" {
-                        if let Some(Expr { kind: ExprKind::Path(arg), .. }) = args.first() {
-                            if arg.len() == 1 {
-                                held.retain(|(b, _)| *b != arg[0]);
-                                return keys;
-                            }
+                    // `drop(g)` ends g's guard scope early.
+                    if let ([f], Some(ExprKind::Path(arg))) =
+                        (segs.as_slice(), args.first().map(|a| &a.kind))
+                    {
+                        if f == "drop" && arg.len() == 1 {
+                            held.retain(|(b, _)| *b != arg[0]);
+                            return keys;
                         }
                     }
-                    // Free fn or `Type::method` call.
-                    let summary = match segs.len() {
-                        1 => self.summaries.get(&(String::new(), segs[0].clone())),
-                        2 => self.summaries.get(&(segs[0].clone(), segs[1].clone())),
-                        _ => None,
-                    };
-                    if let Some(s) = summary.cloned() {
-                        self.apply_summary(&s, e.line, held, &mut keys);
+                    if let Some(name) = segs.last() {
+                        self.apply_callees(e.line, name, held, &mut keys);
                     }
                 }
                 for a in args {
@@ -261,37 +179,25 @@ impl<'a> Analyzer<'a> {
                 for a in args {
                     keys.extend(self.expr(a, held));
                 }
-                match self.recv_target(recv) {
-                    Target::Prim(key) if PRIM_METHODS.contains(&method.as_str()) => {
+                match self.lock_key(recv) {
+                    Some(key) if PRIM_METHODS.contains(&method.as_str()) => {
                         self.acquire(&key, e.line, held);
                         keys.insert(key);
                     }
-                    Target::Type(ty) => {
-                        if let Some(s) =
-                            self.summaries.get(&(ty, method.clone())).cloned()
-                        {
-                            self.apply_summary(&s, e.line, held, &mut keys);
-                        }
-                    }
-                    _ => {}
+                    Some(_) => {}
+                    None => self.apply_callees(e.line, method, held, &mut keys),
                 }
             }
-            ExprKind::Assign { op: None, lhs, rhs } => {
-                if let ExprKind::Path(segs) = &lhs.kind {
-                    if segs.len() == 1 {
-                        // Rebinding: the RHS acquires against the *old*
-                        // held set (x = x_lock() while still held is a
-                        // real self-deadlock), then replaces the binding.
-                        let new_keys = self.expr(rhs, held);
-                        held.retain(|(b, _)| *b != segs[0]);
-                        for k in new_keys {
-                            held.push((segs[0].clone(), k));
-                        }
-                        return keys;
-                    }
-                }
-                self.expr(lhs, held);
-                self.expr(rhs, held);
+            ExprKind::Assign { op: None, lhs, rhs }
+                if matches!(&lhs.kind, ExprKind::Path(segs) if segs.len() == 1) =>
+            {
+                // Rebinding: the RHS acquires against the *old* held set
+                // (x = x_lock() while still held is a real
+                // self-deadlock), then replaces the binding.
+                let ExprKind::Path(segs) = &lhs.kind else { return keys };
+                let new_keys = self.expr(rhs, held);
+                held.retain(|(b, _)| *b != segs[0]);
+                held.extend(new_keys.into_iter().map(|k| (segs[0].clone(), k)));
             }
             ExprKind::If { cond, then, els } => {
                 self.expr(cond, held);
@@ -307,130 +213,92 @@ impl<'a> Analyzer<'a> {
                 self.expr(scrutinee, held);
                 let snapshot = held.clone();
                 for arm in arms {
+                    if let Some(g) = &arm.guard {
+                        self.expr(g, held);
+                    }
                     keys.extend(self.expr(&arm.body, held));
                     *held = snapshot.clone();
                 }
             }
-            ExprKind::For { iter, body, .. } => {
-                self.expr(iter, held);
-                self.block(body, held);
-            }
-            ExprKind::While { cond, body } => {
-                self.expr(cond, held);
+            ExprKind::For { iter: head, body, .. } | ExprKind::While { cond: head, body } => {
+                self.expr(head, held);
                 self.block(body, held);
             }
             ExprKind::Loop { body } => {
                 self.block(body, held);
             }
-            ExprKind::Block(b) => {
-                keys.extend(self.block(b, held));
-            }
-            ExprKind::Closure { body } => {
-                // Conservative: treat the closure as invoked here.
-                keys.extend(self.expr(body, held));
-            }
-            ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => {
-                keys.extend(self.expr(expr, held));
-            }
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.expr(lhs, held);
-                self.expr(rhs, held);
-            }
-            ExprKind::Field { recv, .. } => {
-                keys.extend(self.expr(recv, held));
-            }
+            ExprKind::Block(b) => keys.extend(self.block(b, held)),
             ExprKind::Index { recv, index } => {
                 keys.extend(self.expr(recv, held));
                 self.expr(index, held);
             }
-            ExprKind::Array(xs) | ExprKind::Tuple(xs) | ExprKind::Macro { args: xs, .. } => {
-                for x in xs {
-                    keys.extend(self.expr(x, held));
-                }
+            // Operators produce fresh values: operand guards are
+            // statement temporaries.
+            ExprKind::Binary { .. } | ExprKind::Assign { .. } | ExprKind::Range { .. } => {
+                ast::for_each_child(e, &mut |c| {
+                    self.expr(c, held);
+                })
             }
-            ExprKind::StructLit { fields, .. } => {
-                for (_, x) in fields {
-                    keys.extend(self.expr(x, held));
-                }
-            }
-            ExprKind::Range { lo, hi } => {
-                if let Some(x) = lo {
-                    self.expr(x, held);
-                }
-                if let Some(x) = hi {
-                    self.expr(x, held);
-                }
-            }
-            ExprKind::LetCond { scrutinee, .. } => {
-                keys.extend(self.expr(scrutinee, held));
-            }
-            ExprKind::Return(Some(x)) => {
-                keys.extend(self.expr(x, held));
-            }
-            _ => {}
+            // Everything else (`&`/`*`, casts, fields, `?`, closures —
+            // treated as invoked here — tuples, macros, ...) passes its
+            // operands' guards through.
+            _ => ast::for_each_child(e, &mut |c| keys.extend(self.expr(c, held))),
         }
         keys
     }
 
     fn acquire(&mut self, key: &str, line: u32, held: &[(String, String)]) {
         self.acquires.insert(key.to_string());
-        let mut seen = BTreeSet::new();
+        let file = self.cx.cg.nodes[self.fid].file;
         for (_, h) in held {
-            if seen.insert(h.clone()) {
-                self.edges
-                    .entry((h.clone(), key.to_string()))
-                    .or_insert_with(|| (self.file.to_string(), line));
-            }
+            self.edges
+                .entry((h.clone(), key.to_string()))
+                .or_insert_with(|| (file.to_string(), line));
         }
     }
 
-    fn apply_summary(
+    /// Apply the summaries of the call to `name` on `line`: everything a
+    /// resolved callee acquires is acquired here, and a wrapper's
+    /// returned guard lands in the caller's value. Methods of the lock
+    /// types themselves are primitives, never callees: the graph keys
+    /// receivers by type *name*, so a `std::sync::Mutex` reached through
+    /// a local would otherwise resolve into `hacc_rt::sync::Mutex`'s
+    /// body and borrow its key.
+    fn apply_callees(
         &mut self,
-        s: &Summary,
         line: u32,
+        name: &str,
         held: &[(String, String)],
         keys: &mut BTreeSet<String>,
     ) {
-        for a in &s.acquires {
-            self.acquire(a, line, held);
-        }
-        if let Some(g) = &s.returns_guard {
-            keys.insert(g.clone());
+        let cg = &self.cx.cg;
+        for callee in cg.callees_at(self.fid, line, name) {
+            if cg.nodes[callee].owner.as_deref().is_some_and(is_lock_base) {
+                continue;
+            }
+            let s = (self.summary_of)(callee);
+            for a in &s.acquires {
+                self.acquire(a, line, held);
+            }
+            keys.extend(s.returns_guard);
         }
     }
 
-    /// Classify a method-call receiver.
-    fn recv_target(&self, e: &Expr) -> Target {
+    /// The lock a method-call receiver denotes: a lock-typed `static`,
+    /// or a lock-typed field at the end of a `self`-rooted chain.
+    fn lock_key(&self, e: &Expr) -> Option<String> {
         match &e.kind {
             ExprKind::Path(segs) if segs.len() == 1 => {
-                if segs[0] == "self" || segs[0] == "Self" {
-                    if self.self_ty.is_empty() {
-                        Target::Unknown
-                    } else {
-                        Target::Type(self.self_ty.to_string())
-                    }
-                } else if let Some(key) = self.statics.get(&segs[0]) {
-                    Target::Prim(key.clone())
-                } else {
-                    Target::Unknown
-                }
+                let st = self.cx.index.statics.get(&segs[0])?;
+                is_lock_base(&unwrap_ty(&st.ty).base).then(|| format!("static {}", st.name))
             }
-            ExprKind::Field { recv, name } => match self.owner_of(recv) {
-                Some(owner) => match self.field_ty(&owner, name) {
-                    Some(fty) => {
-                        let fty = unwrap_ty(fty);
-                        if is_lock_base(&fty.base) {
-                            Target::Prim(format!("{owner}.{name}"))
-                        } else {
-                            Target::Type(fty.base.clone())
-                        }
-                    }
-                    None => Target::Unknown,
-                },
-                None => Target::Unknown,
-            },
-            ExprKind::Unary { expr, .. } => self.recv_target(expr),
-            _ => Target::Unknown,
+            ExprKind::Field { recv, name } => {
+                let owner = self.owner_of(recv)?;
+                let fty = unwrap_ty(self.field_ty(&owner, name)?);
+                is_lock_base(&fty.base).then(|| format!("{owner}.{name}"))
+            }
+            ExprKind::Unary { expr, .. } => self.lock_key(expr),
+            _ => None,
         }
     }
 
@@ -440,24 +308,19 @@ impl<'a> Analyzer<'a> {
             ExprKind::Path(segs)
                 if segs.len() == 1 && (segs[0] == "self" || segs[0] == "Self") =>
             {
-                if self.self_ty.is_empty() {
-                    None
-                } else {
-                    Some(self.self_ty.to_string())
-                }
+                self.cx.cg.nodes[self.fid].owner.clone()
             }
             ExprKind::Field { recv, name } => {
                 let owner = self.owner_of(recv)?;
-                let fty = unwrap_ty(self.field_ty(&owner, name)?);
-                Some(fty.base.clone())
+                Some(unwrap_ty(self.field_ty(&owner, name)?).base.clone())
             }
             ExprKind::Unary { expr, .. } => self.owner_of(expr),
             _ => None,
         }
     }
 
-    fn field_ty(&self, owner: &str, field: &str) -> Option<&'a TypeRef> {
-        let sd = self.structs.get(owner)?;
+    fn field_ty(&self, owner: &str, field: &str) -> Option<&TypeRef> {
+        let sd = self.cx.index.structs.get(owner)?;
         sd.fields.iter().find(|(n, _)| n == field).map(|(_, t)| t)
     }
 }

@@ -1,7 +1,9 @@
-//! The rule registry. Each rule is a pure function of the
-//! [`Workspace`](crate::Workspace): token streams plus scanned
-//! manifests in, diagnostics out.
+//! The rule registry. [`run_all`] builds one [`Context`] — parsed
+//! sources, scanned manifests, workspace index, call graph — and hands
+//! it to every rule; each rule is a pure function of that context,
+//! diagnostics out.
 
+use crate::context::Context;
 use crate::diag::{normalize, Diagnostic};
 use crate::Workspace;
 
@@ -15,22 +17,25 @@ pub mod k1;
 pub mod l1;
 pub mod p1;
 pub mod s1;
+pub mod spmd;
 pub mod v1;
 
 /// Run every rule over the workspace; findings come back sorted and
 /// deduplicated (byte-stable output across runs and platforms).
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
+    let cx = Context::new(ws);
+    let reaches = spmd::reaches_collective(&cx);
     let mut out = Vec::new();
-    out.extend(d1::run(ws));
-    out.extend(c1::run(ws));
-    out.extend(h1::run(ws));
-    out.extend(s1::run(ws));
-    out.extend(f1::run(ws));
-    out.extend(k1::run(ws));
-    out.extend(p1::run(ws));
-    out.extend(l1::run(ws));
-    out.extend(e1::run(ws));
-    out.extend(v1::run(ws));
-    out.extend(c2::run(ws));
+    out.extend(d1::run(&cx));
+    out.extend(c1::run(&cx, &reaches));
+    out.extend(h1::run(&cx));
+    out.extend(s1::run(&cx));
+    out.extend(f1::run(&cx));
+    out.extend(k1::run(&cx));
+    out.extend(p1::run(&cx));
+    out.extend(l1::run(&cx));
+    out.extend(e1::run(&cx));
+    out.extend(v1::run(&cx));
+    out.extend(c2::run(&cx, &reaches));
     normalize(out)
 }

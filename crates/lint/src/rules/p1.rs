@@ -28,12 +28,9 @@
 //! branch inside a hot loop). An empty reason does not suppress.
 //! `#[cfg(test)]` items and `tests/` / `benches/` trees are exempt.
 
-use std::collections::BTreeSet;
-
-use crate::ast::{self, Block, Expr, ExprKind, Item, ItemKind};
+use crate::ast::{self, Block, Expr, ExprKind};
+use crate::context::{near, Context, MarkedLines};
 use crate::diag::{Diagnostic, Rule};
-use crate::lexer::Kind;
-use crate::{SourceFile, Workspace};
 
 /// Methods that allocate on (or grow) the heap.
 const ALLOC_METHODS: [&str; 8] = [
@@ -54,87 +51,42 @@ const ALLOC_TYPES: [&str; 8] = [
     "Vec", "VecDeque", "Box", "String", "BTreeMap", "BTreeSet", "HashMap", "HashSet",
 ];
 
-fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/benches/")
-}
-
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
+    let marks = Marks {
+        hot: cx.marked("p1", |rest| rest.starts_with("hot-loop")),
+        allowed: cx.allowed("p1"),
+    };
     let mut out = Vec::new();
-    for f in &ws.files {
-        if is_test_path(&f.rel) {
-            continue;
+    for n in cx.cg.nodes.iter().filter(|n| !n.in_test) {
+        let Some(body) = &n.def.body else { continue };
+        let kernel = n.impl_trait == Some("SplitKernel")
+            && matches!(n.name.as_str(), "interact" | "interact_pair" | "partial");
+        if kernel {
+            flag_block(n.file, body, "per-pair kernel body", &marks, &mut out);
+        } else {
+            scan_for_hot_loops(n.file, body, &n.name, &marks, &mut out);
         }
-        let mut marked = BTreeSet::new();
-        let mut allowed = BTreeSet::new();
-        for t in &f.toks {
-            if t.kind != Kind::Comment {
-                continue;
-            }
-            let body = t.text.trim_start_matches('/').trim_start_matches('*').trim();
-            if let Some(rest) = body.strip_prefix("p1:") {
-                let rest = rest.trim();
-                if rest.starts_with("hot-loop") {
-                    marked.insert(t.line);
-                } else if let Some(reason) = rest.strip_prefix("allow:") {
-                    if !reason.trim().is_empty() {
-                        allowed.insert(t.line);
-                    }
-                }
-            }
-        }
-        check_items(f, &f.ast.items, &marked, &allowed, &mut out);
     }
     out
 }
 
-fn check_items(
-    f: &SourceFile,
-    items: &[Item],
-    marked: &BTreeSet<u32>,
-    allowed: &BTreeSet<u32>,
-    out: &mut Vec<Diagnostic>,
-) {
-    for it in items {
-        if it.in_test {
-            continue;
-        }
-        match &it.kind {
-            ItemKind::Mod(_, inner) => check_items(f, inner, marked, allowed, out),
-            ItemKind::Impl(im) => {
-                let kernel = im.trait_name.as_deref() == Some("SplitKernel");
-                for fd in &im.fns {
-                    let Some(body) = &fd.body else { continue };
-                    if kernel
-                        && matches!(fd.name.as_str(), "interact" | "interact_pair" | "partial")
-                    {
-                        flag_block(f, body, "per-pair kernel body", allowed, out);
-                    } else {
-                        scan_for_hot_loops(f, body, fd, marked, allowed, out);
-                    }
-                }
-            }
-            ItemKind::Fn(fd) => {
-                if let Some(body) = &fd.body {
-                    scan_for_hot_loops(f, body, fd, marked, allowed, out);
-                }
-            }
-            _ => {}
-        }
-    }
+/// The file-keyed `// p1: hot-loop` and `// p1: allow:` marker lines.
+struct Marks<'a> {
+    hot: MarkedLines<'a>,
+    allowed: MarkedLines<'a>,
 }
 
 /// Non-kernel function: hot regions are its loops — all of them when
 /// the fn is a tile driver (`execute_leaf*`), otherwise just the ones
 /// carrying a `// p1: hot-loop` marker.
 fn scan_for_hot_loops(
-    f: &SourceFile,
+    file: &str,
     body: &Block,
-    fd: &ast::FnDef,
-    marked: &BTreeSet<u32>,
-    allowed: &BTreeSet<u32>,
+    fn_name: &str,
+    marks: &Marks<'_>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let tile_driver = fd.name.starts_with("execute_leaf");
+    let tile_driver = fn_name.starts_with("execute_leaf");
     ast::walk_block(body, &mut |e: &Expr| {
         let loop_body = match &e.kind {
             ExprKind::For { body, .. }
@@ -142,10 +94,7 @@ fn scan_for_hot_loops(
             | ExprKind::Loop { body } => body,
             _ => return,
         };
-        let hot = tile_driver
-            || marked.contains(&e.line)
-            || (e.line > 0 && marked.contains(&(e.line - 1)));
-        if hot {
+        if tile_driver || near(&marks.hot, file, e.line) {
             let ctx = if tile_driver {
                 "interaction-tile loop"
             } else {
@@ -153,16 +102,16 @@ fn scan_for_hot_loops(
             };
             // walk_block on the loop body also covers nested loops, so
             // a marked outer loop flags allocations at any depth.
-            flag_block(f, loop_body, ctx, allowed, out);
+            flag_block(file, loop_body, ctx, marks, out);
         }
     });
 }
 
 fn flag_block(
-    f: &SourceFile,
+    file: &str,
     b: &Block,
     ctx: &str,
-    allowed: &BTreeSet<u32>,
+    marks: &Marks<'_>,
     out: &mut Vec<Diagnostic>,
 ) {
     ast::walk_block(b, &mut |e: &Expr| {
@@ -191,11 +140,11 @@ fn flag_block(
             _ => None,
         };
         if let Some(what) = what {
-            if allowed.contains(&e.line) || (e.line > 0 && allowed.contains(&(e.line - 1))) {
+            if near(&marks.allowed, file, e.line) {
                 return;
             }
             out.push(Diagnostic { witness: Vec::new(),
-                file: f.rel.clone(),
+                file: file.to_string(),
                 line: e.line,
                 rule: Rule::P1,
                 message: format!(

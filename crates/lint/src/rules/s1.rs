@@ -6,16 +6,17 @@
 //! applies to test code too: an unexplained `unsafe` is exactly as
 //! unexplained in a test.
 
+use crate::context::Context;
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::Kind;
-use crate::{SourceFile, Workspace};
+use crate::SourceFile;
 
 /// How far above the `unsafe` token a SAFETY comment may sit.
 const SAFETY_WINDOW_LINES: u32 = 3;
 
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for f in &ws.files {
+    for f in &cx.ws.files {
         scan_file(f, &mut out);
     }
     out

@@ -34,40 +34,13 @@
 //! above. `#[cfg(test)]` items and `tests/` / `benches/` trees are
 //! exempt.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use crate::ast::{self, Block, Expr, ExprKind, FnDef, Item, ItemKind, Stmt};
+use crate::ast::{self, Block, Expr, ExprKind};
 use crate::callgraph::{CallGraph, FnId};
-use crate::cfg::{is_literal, lower_fn, render_expr, FnCfg, Index};
+use crate::cfg::{is_literal, lower_fn, render_expr, FnCfg};
+use crate::context::{near, Context, MarkedLines};
 use crate::diag::{Diagnostic, Rule, WitnessStep};
-use crate::lexer::Kind;
-use crate::{SourceFile, Workspace};
-
-fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/benches/")
-}
-
-fn near(set: &BTreeSet<u32>, line: u32) -> bool {
-    set.contains(&line) || (line > 0 && set.contains(&(line - 1)))
-}
-
-fn scan_allowed(f: &SourceFile) -> BTreeSet<u32> {
-    let mut allowed = BTreeSet::new();
-    for t in &f.toks {
-        if t.kind != Kind::Comment {
-            continue;
-        }
-        let body = t.text.trim_start_matches('/').trim_start_matches('*').trim();
-        if let Some(rest) = body.strip_prefix("v1:") {
-            if let Some(reason) = rest.trim().strip_prefix("allow:") {
-                if !reason.trim().is_empty() {
-                    allowed.insert(t.line);
-                }
-            }
-        }
-    }
-    allowed
-}
 
 /// The scope kind a function is checked under.
 #[derive(Clone, Copy, PartialEq)]
@@ -78,80 +51,39 @@ enum Scope {
     TileDriver,
 }
 
-pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    let index = Index::build(ws);
-    let cg = CallGraph::build(ws, &index);
-    // (file, name, def line) -> call-graph node, for call-target lookup.
-    let mut by_def: BTreeMap<(&str, &str, u32), FnId> = BTreeMap::new();
-    for (fid, n) in cg.nodes.iter().enumerate() {
-        by_def.insert((n.file, n.name.as_str(), n.def.line), fid);
-    }
-
+pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
+    let allowed = cx.allowed("v1");
     let mut out = Vec::new();
-    for f in &ws.files {
-        if is_test_path(&f.rel) {
+    for (fid, n) in cx.cg.nodes.iter().enumerate() {
+        let kernel = n.impl_trait == Some("SplitKernel")
+            && matches!(n.name.as_str(), "interact" | "interact_pair");
+        let scope = if kernel {
+            Scope::KernelBody
+        } else if n.name.starts_with("execute_leaf") {
+            Scope::TileDriver
+        } else {
             continue;
+        };
+        if !n.in_test {
+            check_fn(&cx.cg, fid, scope, &allowed, &mut out);
         }
-        let allowed = scan_allowed(f);
-        check_items(f, &f.ast.items, &allowed, &cg, &by_def, &mut out);
     }
     out
 }
 
-fn check_items(
-    f: &SourceFile,
-    items: &[Item],
-    allowed: &BTreeSet<u32>,
-    cg: &CallGraph<'_>,
-    by_def: &BTreeMap<(&str, &str, u32), FnId>,
-    out: &mut Vec<Diagnostic>,
-) {
-    for it in items {
-        if it.in_test {
-            continue;
-        }
-        match &it.kind {
-            ItemKind::Mod(_, inner) => check_items(f, inner, allowed, cg, by_def, out),
-            ItemKind::Impl(im) => {
-                let kernel = im.trait_name.as_deref() == Some("SplitKernel");
-                for fd in &im.fns {
-                    let scope = if kernel
-                        && matches!(fd.name.as_str(), "interact" | "interact_pair")
-                    {
-                        Some(Scope::KernelBody)
-                    } else if fd.name.starts_with("execute_leaf") {
-                        Some(Scope::TileDriver)
-                    } else {
-                        None
-                    };
-                    if let Some(scope) = scope {
-                        check_fn(f, fd, scope, allowed, cg, by_def, out);
-                    }
-                }
-            }
-            ItemKind::Fn(fd) if fd.name.starts_with("execute_leaf") => {
-                check_fn(f, fd, Scope::TileDriver, allowed, cg, by_def, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 fn check_fn(
-    f: &SourceFile,
-    fd: &FnDef,
-    scope: Scope,
-    allowed: &BTreeSet<u32>,
     cg: &CallGraph<'_>,
-    by_def: &BTreeMap<(&str, &str, u32), FnId>,
+    fid: FnId,
+    scope: Scope,
+    allowed: &MarkedLines<'_>,
     out: &mut Vec<Diagnostic>,
 ) {
+    let (file, fd) = (cg.nodes[fid].file, cg.nodes[fid].def);
     let Some(body) = &fd.body else { return };
     let cfg = lower_fn(fd, &|_| false);
     let idom = cfg.dominators();
     let bounded = range_bound_vars(body);
     let int_locals = int_typed_locals(body);
-    let fid = by_def.get(&(f.rel.as_str(), fd.name.as_str(), fd.line)).copied();
 
     // Lane region: every block (kernel body) or blocks inside an
     // innermost loop (tile driver).
@@ -183,7 +115,7 @@ fn check_fn(
             };
             if let Some(kw) = exit {
                 push_once(
-                    f, ev.line, &mut flagged, "exit", allowed, out,
+                    file, ev.line, &mut flagged, "exit", allowed, out,
                     format!(
                         "`{kw}` inside the {region_name} defeats vectorization — \
                          hoist the exit above the lane loop or mask the lane \
@@ -200,7 +132,7 @@ fn check_fn(
                             return;
                         }
                         push_once(
-                            f, e.line, &mut flagged, "index", allowed, out,
+                            file, e.line, &mut flagged, "index", allowed, out,
                             format!(
                                 "bounds-checked index `{}` in the {region_name} has no \
                                  dominating slice-length guard — assert the length \
@@ -217,7 +149,7 @@ fn check_fn(
                         if let ExprKind::Path(segs) = &lhs.kind {
                             if segs.len() == 1 && !int_locals.contains(&segs[0]) {
                                 push_once(
-                                    f, e.line, &mut flagged, "accum", allowed, out,
+                                    file, e.line, &mut flagged, "accum", allowed, out,
                                     format!(
                                         "order-dependent accumulation `{} {}= ...` into a \
                                          local in the {region_name} — scatter into the \
@@ -232,7 +164,6 @@ fn check_fn(
                     }
                     // 3. Opaque calls (resolved workspace targets only).
                     ExprKind::Call { .. } | ExprKind::MethodCall { .. } => {
-                        let Some(fid) = fid else { return };
                         for site in &cg.calls[fid] {
                             if site.line != e.line {
                                 continue;
@@ -243,7 +174,7 @@ fn check_fn(
                             }
                             let witness = vec![
                                 WitnessStep {
-                                    file: f.rel.clone(),
+                                    file: file.to_string(),
                                     line: e.line,
                                     label: format!("call in the {region_name}"),
                                 },
@@ -257,7 +188,7 @@ fn check_fn(
                                 },
                             ];
                             push_once(
-                                f, e.line, &mut flagged, "call", allowed, out,
+                                file, e.line, &mut flagged, "call", allowed, out,
                                 format!(
                                     "`{}` called in the {region_name} is neither \
                                      `#[inline]` nor leaf-trivial — the optimizer \
@@ -277,19 +208,19 @@ fn check_fn(
 
 #[allow(clippy::too_many_arguments)]
 fn push_once(
-    f: &SourceFile,
+    file: &str,
     line: u32,
     flagged: &mut BTreeSet<(u32, &'static str)>,
     kind: &'static str,
-    allowed: &BTreeSet<u32>,
+    allowed: &MarkedLines<'_>,
     out: &mut Vec<Diagnostic>,
     message: String,
     witness: Vec<WitnessStep>,
 ) {
-    if near(allowed, line) || !flagged.insert((line, kind)) {
+    if near(allowed, file, line) || !flagged.insert((line, kind)) {
         return;
     }
-    out.push(Diagnostic { file: f.rel.clone(), line, rule: Rule::V1, message, witness });
+    out.push(Diagnostic { file: file.to_string(), line, rule: Rule::V1, message, witness });
 }
 
 /// Index expressions the optimizer can discharge without a guard.
@@ -315,7 +246,7 @@ fn index_is_clean(
     let mut cur = block;
     let mut hops = 0;
     loop {
-        if cfg.blocks[cur].events.iter().any(|ev| guards_len_of(ev, base)) {
+        if cfg.blocks[cur].events.iter().any(|ev| has_len_call(ev, Some(base))) {
             return true;
         }
         match idom.get(cur).copied().flatten() {
@@ -339,16 +270,14 @@ fn base_ident(e: &Expr) -> Option<&str> {
     }
 }
 
-/// Does this expression contain a `<base>.len()` call (directly or on
-/// a projection of `base`)? Macro arguments are walked, so entry
+/// Does this expression contain a `.len()` call — on a projection of
+/// `base` when one is given? Macro arguments are walked, so entry
 /// asserts like `assert_eq!(xs.len(), ys.len())` count.
-fn guards_len_of(e: &Expr, base: &str) -> bool {
+fn has_len_call(e: &Expr, base: Option<&str>) -> bool {
     let mut hit = false;
     ast::walk_expr(e, &mut |x: &Expr| {
         if let ExprKind::MethodCall { recv, method, .. } = &x.kind {
-            if method == "len" && base_ident(recv) == Some(base) {
-                hit = true;
-            }
+            hit |= method == "len" && (base.is_none() || base_ident(recv) == base);
         }
     });
     hit
@@ -366,7 +295,7 @@ fn range_bound_vars(body: &Block) -> BTreeSet<String> {
                 it = recv;
             }
             if let ExprKind::Range { hi: Some(h), .. } = &it.kind {
-                if is_literal(h) || contains_len_call(h) {
+                if is_literal(h) || has_len_call(h, None) {
                     out.insert(v.clone());
                 }
             }
@@ -375,70 +304,26 @@ fn range_bound_vars(body: &Block) -> BTreeSet<String> {
     out
 }
 
-fn contains_len_call(e: &Expr) -> bool {
-    let mut hit = false;
-    ast::walk_expr(e, &mut |x: &Expr| {
-        if let ExprKind::MethodCall { method, .. } = &x.kind {
-            if method == "len" {
-                hit = true;
-            }
-        }
-    });
-    hit
-}
-
-/// Locals with an integer type annotation (loop/eval counters) — exempt
-/// from the accumulation check.
+/// Locals that are integers by annotation, literal, or cast (loop/eval
+/// counters) — exempt from the accumulation check.
 fn int_typed_locals(body: &Block) -> BTreeSet<String> {
     const INT_TYPES: [&str; 12] = [
         "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
     ];
     let mut out = BTreeSet::new();
-    collect_int_lets(body, &INT_TYPES, &mut out);
-    out
-}
-
-fn collect_int_lets(b: &Block, int_types: &[&str], out: &mut BTreeSet<String>) {
-    for s in &b.stmts {
-        if let Stmt::Let { names, ty, init, .. } = s {
-            let is_int = match (ty, init) {
-                (Some(t), _) => int_types.contains(&t.base.as_str()),
-                (None, Some(e)) => {
-                    matches!(&e.kind, ExprKind::Num { is_float, .. } if !is_float)
-                        || matches!(&e.kind, ExprKind::Cast { ty, .. }
-                            if int_types.contains(&ty.base.as_str()))
-                }
-                _ => false,
-            };
-            if is_int {
-                for n in names {
-                    out.insert(n.clone());
-                }
+    ast::walk_lets(body, &mut |names, ty, init| {
+        let is_int = match (ty, init.map(|e| &e.kind)) {
+            (Some(t), _) | (None, Some(ExprKind::Cast { ty: t, .. })) => {
+                INT_TYPES.contains(&t.base.as_str())
             }
-        }
-    }
-    // Nested blocks: walk loop/if bodies too.
-    ast::walk_block(b, &mut |e: &Expr| {
-        let inner = match &e.kind {
-            ExprKind::For { body, .. }
-            | ExprKind::While { body, .. }
-            | ExprKind::Loop { body }
-            | ExprKind::Block(body) => body,
-            ExprKind::If { then, .. } => then,
-            _ => return,
+            (None, Some(ExprKind::Num { is_float, .. })) => !is_float,
+            _ => false,
         };
-        for s in &inner.stmts {
-            if let Stmt::Let { names, ty, .. } = s {
-                if let Some(t) = ty {
-                    if int_types.contains(&t.base.as_str()) {
-                        for n in names {
-                            out.insert(n.clone());
-                        }
-                    }
-                }
-            }
+        if is_int {
+            out.extend(names.iter().cloned());
         }
     });
+    out
 }
 
 /// A callee the optimizer will fold into the loop even without

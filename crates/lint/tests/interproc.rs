@@ -1,14 +1,11 @@
 //! Unit tests for the interprocedural layer: call-graph shape
-//! (diamond, recursive SCC), witness paths, the fixpoint dataflow
-//! solver on an irreducible CFG, and the bounded call-string policy.
+//! (diamond, recursive SCC), witness paths, and the bottom-up summary
+//! solver across a recursive cycle.
 
 use std::collections::BTreeSet;
 
 use hacc_lint::callgraph::CallGraph;
-use hacc_lint::cfg::{BasicBlock, EdgeKind, FnCfg, Index};
-use hacc_lint::dataflow::{
-    solve, CallStrings, Direction, Lattice, MustSet, SetLattice,
-};
+use hacc_lint::cfg::Index;
 use hacc_lint::rules::e1::{panic_surface, PANIC_EXPLICIT};
 use hacc_lint::Workspace;
 
@@ -103,134 +100,4 @@ fn panic_surface_propagates_through_a_recursive_cycle() {
     assert_ne!(surf[fe] & PANIC_EXPLICIT, 0, "flows around the cycle");
     assert_ne!(surf[fdrv] & PANIC_EXPLICIT, 0, "flows to callers of the cycle");
     assert_eq!(surf[fclean], 0, "unrelated fns stay clean");
-}
-
-// ------------------------------------------------------------ dataflow --
-
-/// Hand-built irreducible CFG: the {2, 3} cycle has two distinct
-/// entries from ENTRY, so it is not a natural loop and RPO iteration
-/// alone cannot order it — the fixpoint has to iterate.
-fn irreducible_cfg() -> FnCfg<'static> {
-    let mut cfg = FnCfg::default();
-    for _ in 0..4 {
-        cfg.blocks.push(BasicBlock::default());
-    }
-    cfg.blocks[FnCfg::ENTRY].succs = vec![(2, EdgeKind::Seq), (3, EdgeKind::Seq)];
-    cfg.blocks[2].succs = vec![(3, EdgeKind::Seq), (FnCfg::EXIT, EdgeKind::Ret)];
-    cfg.blocks[3].succs = vec![(2, EdgeKind::Back)];
-    cfg
-}
-
-#[test]
-fn forward_may_solve_converges_on_an_irreducible_loop() {
-    let cfg = irreducible_cfg();
-    let mut boundary = SetLattice::bottom();
-    boundary.join(&SetLattice(["entry".to_string()].into_iter().collect()));
-    let sol = solve(&cfg, Direction::Forward, boundary, &mut |b, input| {
-        let mut out = input.clone();
-        out.0.insert(format!("b{b}"));
-        out
-    });
-    assert!(sol.converged, "must reach a fixpoint, not the sweep cap");
-    assert!(sol.sweeps <= 8, "small graph must stabilize fast, took {}", sol.sweeps);
-    // Facts flow around the irreducible cycle in both directions.
-    assert!(sol.inb[2].0.contains("b3"), "{:?}", sol.inb[2].0);
-    assert!(sol.inb[3].0.contains("b2"), "{:?}", sol.inb[3].0);
-    assert!(sol.inb[2].0.contains("entry"));
-    // And out of it: the exit sees everything.
-    assert!(sol.inb[FnCfg::EXIT].0.contains("b3"));
-}
-
-#[test]
-fn backward_must_solve_intersects_across_a_diamond() {
-    // ENTRY -> {2, 3} -> EXIT. Backward from the exit, each arm adds
-    // its own fact; only the shared boundary fact survives the
-    // intersection at the entry.
-    let mut cfg = FnCfg::default();
-    for _ in 0..4 {
-        cfg.blocks.push(BasicBlock::default());
-    }
-    cfg.blocks[FnCfg::ENTRY].succs = vec![(2, EdgeKind::Seq), (3, EdgeKind::Seq)];
-    cfg.blocks[2].succs = vec![(FnCfg::EXIT, EdgeKind::Ret)];
-    cfg.blocks[3].succs = vec![(FnCfg::EXIT, EdgeKind::Ret)];
-    let sol = solve(
-        &cfg,
-        Direction::Backward,
-        MustSet::Known(["exit".to_string()].into_iter().collect()),
-        &mut |b, input| {
-            let mut set = match input {
-                MustSet::Top => BTreeSet::new(),
-                MustSet::Known(k) => k.clone(),
-            };
-            if b == 2 || b == 3 {
-                set.insert(format!("b{b}"));
-            }
-            MustSet::Known(set)
-        },
-    );
-    assert!(sol.converged);
-    match &sol.inb[FnCfg::ENTRY] {
-        MustSet::Known(k) => {
-            assert!(k.contains("exit"), "shared fact must survive: {k:?}");
-            assert!(!k.contains("b2") && !k.contains("b3"), "arm-local facts must intersect away: {k:?}");
-        }
-        MustSet::Top => panic!("entry must have a computed state"),
-    }
-}
-
-#[test]
-fn backward_must_facts_die_when_a_path_avoids_the_exit_fact() {
-    // In the irreducible graph, block 2 can loop through 3 forever: the
-    // intersection over {3, EXIT} correctly kills the boundary fact.
-    let cfg = irreducible_cfg();
-    let sol = solve(
-        &cfg,
-        Direction::Backward,
-        MustSet::Known(["exit".to_string()].into_iter().collect()),
-        &mut |b, input| {
-            let mut set = match input {
-                MustSet::Top => BTreeSet::new(),
-                MustSet::Known(k) => k.clone(),
-            };
-            set.insert(format!("b{b}"));
-            MustSet::Known(set)
-        },
-    );
-    assert!(sol.converged);
-    match &sol.inb[3] {
-        MustSet::Known(k) => {
-            assert!(k.contains("b2"), "{k:?}");
-            assert!(!k.contains("exit"), "looping path must kill the exit fact: {k:?}");
-        }
-        MustSet::Top => panic!("block 3 must have a computed state"),
-    }
-}
-
-#[test]
-fn solver_reports_non_convergence_on_an_unbounded_lattice() {
-    // A transfer that grows without bound (fresh fact per application)
-    // can never stabilize: the solver must stop at the cap and say so.
-    let cfg = irreducible_cfg();
-    let mut tick = 0u64;
-    let sol = solve(&cfg, Direction::Forward, SetLattice::bottom(), &mut |b, input| {
-        tick += 1;
-        let mut out = input.clone();
-        out.0.insert(format!("b{b}@{tick}"));
-        out
-    });
-    assert!(!sol.converged, "unbounded growth must trip the sweep cap");
-}
-
-// -------------------------------------------------------- call strings --
-
-#[test]
-fn call_strings_truncate_to_k_and_detect_cycles() {
-    let cs = CallStrings { k: 2 };
-    let ctx = cs.extend(&[], 7);
-    let ctx = cs.extend(&ctx, 8);
-    assert_eq!(ctx, vec![7, 8]);
-    let ctx = cs.extend(&ctx, 9);
-    assert_eq!(ctx, vec![8, 9], "oldest frame dropped at k = 2");
-    assert!(cs.would_cycle(&ctx, 8));
-    assert!(!cs.would_cycle(&ctx, 7), "truncated frames are forgotten");
 }

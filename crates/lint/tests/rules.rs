@@ -75,10 +75,6 @@ fn d1_stray_wall_clock_in_telem_fires() {
 fn d1_wall_clock_is_allowed_in_blessed_modules_and_tests() {
     let ws = Workspace::from_sources(&[
         (
-            "crates/core/src/timers.rs",
-            "pub fn t() { let _ = std::time::Instant::now(); }",
-        ),
-        (
             "crates/rt/src/bench.rs",
             "pub fn t() { let _ = std::time::Instant::now(); }",
         ),
@@ -102,26 +98,36 @@ fn d1_wall_clock_is_allowed_in_blessed_modules_and_tests() {
 
 #[test]
 fn c1_collective_under_rank_guard_fires() {
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
+    let direct = r#"
             pub fn f(comm: &mut Comm, n: u64) {
                 if comm.rank() == 0 {
                     let _total = comm.all_reduce_sum_u64(n);
                 }
             }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::C1);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("all_reduce_sum_u64"));
+        "#;
+    // The same guard inside a block-level `fn`: nested fns are
+    // functions of their own, scanned like any other.
+    let nested = r#"
+            pub fn f(comm: &mut Comm, n: u64) {
+                fn inner(comm: &mut Comm, n: u64) {
+                    if comm.rank() == 0 {
+                        let _total = comm.all_reduce_sum_u64(n);
+                    }
+                }
+                inner(comm, n);
+            }
+        "#;
+    for src in [direct, nested] {
+        let ws = Workspace::from_sources(&[("crates/core/src/fixture.rs", src)]);
+        let hits = findings(&ws, Rule::C1);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].contains("all_reduce_sum_u64"));
+    }
 }
 
 #[test]
 fn c1_else_branch_and_match_arms_inherit_the_taint() {
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
+    let branches = r#"
             pub fn f(comm: &mut Comm) {
                 if comm.rank() == 0 {
                     log();
@@ -133,10 +139,23 @@ fn c1_else_branch_and_match_arms_inherit_the_taint() {
                     _ => Vec::new(),
                 };
             }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::C1);
-    assert_eq!(hits.len(), 2, "{hits:?}");
+        "#;
+    // A rank-dependent arm *guard* over a rank-uniform scrutinee is the
+    // head of its own arm.
+    let arm_guards = r#"
+            pub fn f(comm: &mut Comm, step: u32) {
+                match step {
+                    0 if comm.rank() == 0 => { comm.barrier(); }
+                    _ if step > 3 && comm.my_rank == 0 => { comm.all_gather(1u8); }
+                    _ => {}
+                }
+            }
+        "#;
+    for src in [branches, arm_guards] {
+        let ws = Workspace::from_sources(&[("crates/core/src/fixture.rs", src)]);
+        let hits = findings(&ws, Rule::C1);
+        assert_eq!(hits.len(), 2, "{hits:?}");
+    }
 }
 
 #[test]
@@ -169,30 +188,62 @@ fn c1_rank_uniform_code_is_clean() {
 fn c1_wrapper_collective_under_rank_guard_fires() {
     // The lexical rule's classic false negative: the collective hides
     // one call deep, in another file.
-    let ws = Workspace::from_sources(&[
-        (
-            "crates/core/src/helpers.rs",
-            r#"
+    let free_fn = (
+        r#"
                 pub fn sync_all(comm: &mut Comm) {
                     comm.barrier();
                 }
             "#,
-        ),
-        (
-            "crates/core/src/fixture.rs",
-            r#"
+        r#"
                 pub fn f(comm: &mut Comm) {
                     if comm.rank() == 0 {
                         sync_all(comm);
                     }
                 }
             "#,
-        ),
-    ]);
-    let hits = findings(&ws, Rule::C1);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("sync_all"), "{hits:?}");
-    assert!(hits[0].contains("fixture.rs"), "{hits:?}");
+    );
+    // Receivers the call graph cannot type — an inferred local, a
+    // generic parameter — are judged by name: every definition of
+    // `sync_all` reaches a collective.
+    let method = r#"
+                pub trait Syncer { fn sync_all(&self, comm: &mut Comm); }
+                pub struct Helper;
+                impl Syncer for Helper {
+                    fn sync_all(&self, comm: &mut Comm) { comm.barrier(); }
+                }
+                pub fn make() -> Helper { Helper }
+            "#;
+    let inferred_local = (
+        method,
+        r#"
+                pub fn f(comm: &mut Comm, rank: usize) {
+                    let h = make();
+                    if rank == 0 {
+                        h.sync_all(comm);
+                    }
+                }
+            "#,
+    );
+    let generic_receiver = (
+        method,
+        r#"
+                pub fn f<S: Syncer>(comm: &mut Comm, s: &S) {
+                    if comm.rank() == 0 {
+                        s.sync_all(comm);
+                    }
+                }
+            "#,
+    );
+    for (helpers, fixture) in [free_fn, inferred_local, generic_receiver] {
+        let ws = Workspace::from_sources(&[
+            ("crates/core/src/helpers.rs", helpers),
+            ("crates/core/src/fixture.rs", fixture),
+        ]);
+        let hits = findings(&ws, Rule::C1);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].contains("sync_all"), "{hits:?}");
+        assert!(hits[0].contains("fixture.rs"), "{hits:?}");
+    }
 }
 
 #[test]
@@ -223,9 +274,7 @@ fn c1_ambiguous_names_do_not_taint() {
     // Name-keyed matching taints only when EVERY definition of the name
     // reaches a collective; a second collective-free `merge` keeps the
     // guarded call quiet.
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
+    let impls = r#"
             impl Ledger {
                 fn merge(&mut self, comm: &mut Comm) {
                     self.total = comm.all_reduce_sum_u64(self.total);
@@ -236,14 +285,29 @@ fn c1_ambiguous_names_do_not_taint() {
                     self.wall += other.wall;
                 }
             }
+        "#;
+    let typed = r#"
             pub fn f(comm: &mut Comm, t: &mut Timers, o: &Timers) {
                 if comm.rank() == 0 {
                     t.merge(o);
                 }
             }
-        "#,
-    )]);
-    assert_eq!(findings(&ws, Rule::C1), Vec::<String>::new());
+        "#;
+    // An untyped receiver falls back to the name: one collective-free
+    // `merge` among the definitions is enough to stay quiet.
+    let untyped = r#"
+            pub fn f(comm: &mut Comm, o: &Timers) {
+                let mut t = fresh();
+                if comm.rank() == 0 {
+                    t.merge(o);
+                }
+            }
+        "#;
+    for caller in [typed, untyped] {
+        let src = format!("{impls}{caller}");
+        let ws = Workspace::from_sources(&[("crates/core/src/fixture.rs", &src)]);
+        assert_eq!(findings(&ws, Rule::C1), Vec::<String>::new());
+    }
 }
 
 #[test]
@@ -621,9 +685,7 @@ fn p1_unmarked_loops_and_scratch_reuse_are_clean() {
 
 #[test]
 fn l1_ab_ba_lock_pair_fires() {
-    let ws = Workspace::from_sources(&[(
-        "crates/rt/src/fixture.rs",
-        r#"
+    let direct = r#"
             use std::sync::Mutex;
             pub struct Pair { a: Mutex<u64>, b: Mutex<u64> }
             impl Pair {
@@ -638,12 +700,39 @@ fn l1_ab_ba_lock_pair_fires() {
                     *ga + *gb
                 }
             }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::L1);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("lock-order cycle"), "{hits:?}");
-    assert!(hits[0].contains("Pair.a") && hits[0].contains("Pair.b"), "{hits:?}");
+        "#
+    .to_string();
+    // The same pair with `b` taken nine calls below the holder of `a`:
+    // summaries are solved callees-first, so depth does not matter (a
+    // pass-capped fixpoint went silent from six calls down).
+    let chain: String =
+        (1..9).map(|i| format!("fn d{i}(&self) -> u64 {{ self.d{}() }}\n", i + 1)).collect();
+    let deep = format!(
+        r#"
+            use std::sync::Mutex;
+            pub struct Pair {{ a: Mutex<u64>, b: Mutex<u64> }}
+            impl Pair {{
+                pub fn ab(&self) -> u64 {{
+                    let ga = self.a.lock().unwrap();
+                    *ga + self.d1()
+                }}
+                {chain}
+                fn d9(&self) -> u64 {{ *self.b.lock().unwrap() }}
+                pub fn ba(&self) -> u64 {{
+                    let gb = self.b.lock().unwrap();
+                    let ga = self.a.lock().unwrap();
+                    *ga + *gb
+                }}
+            }}
+        "#
+    );
+    for src in [direct, deep] {
+        let ws = Workspace::from_sources(&[("crates/rt/src/fixture.rs", &src)]);
+        let hits = findings(&ws, Rule::L1);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].contains("lock-order cycle"), "{hits:?}");
+        assert!(hits[0].contains("Pair.a") && hits[0].contains("Pair.b"), "{hits:?}");
+    }
 }
 
 #[test]
@@ -1135,6 +1224,42 @@ fn c2_allow_comment_on_the_fn_suppresses() {
         "#,
     )]);
     assert_eq!(findings(&ws, Rule::C2), Vec::<String>::new());
+}
+
+// ----------------------------------------------------------- C1 + C2 --
+
+/// Why both codes exist. C2 compares paths, so it needs both sides of
+/// the rank decision among the at most 64 paths it enumerates per
+/// function; C1 is lexical, per call site, and uncapped. With the rank
+/// guard ahead of `n` independent data branches, the rank-true subtree
+/// alone holds 2^n paths.
+#[test]
+fn c1_fires_where_c2_path_cap_truncates() {
+    let fixture = |data_branches: usize| {
+        let branches: String =
+            (0..data_branches).map(|i| format!("if f[{i}] {{ n += 1; }}\n")).collect();
+        let src = format!(
+            "pub fn exchange(comm: &mut Comm, f: &[bool], mut n: u64) -> u64 {{
+                 if comm.rank() == 0 {{
+                     comm.barrier();
+                 }}
+                 {branches}
+                 n
+             }}"
+        );
+        Workspace::from_sources(&[("crates/core/src/fixture.rs", &src)])
+    };
+    // Few paths: both rules see the divergence.
+    let small = fixture(2);
+    assert_eq!(findings(&small, Rule::C1).len(), 1);
+    assert_eq!(findings(&small, Rule::C2).len(), 1);
+    // 128 paths under the rank-true edge: C2's enumeration stops before
+    // it reaches the rank-false side, C1 still reports the site.
+    let branchy = fixture(7);
+    let hits = findings(&branchy, Rule::C1);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].contains("collective `barrier`"), "{hits:?}");
+    assert_eq!(findings(&branchy, Rule::C2), Vec::<String>::new());
 }
 
 // ------------------------------------------------------- self-check --

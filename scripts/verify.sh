@@ -4,14 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-canary=crates/telem/src/__lint_canary.rs
-k1_canary=crates/gpusim/src/__k1_canary.rs
-p1_canary=crates/gpusim/src/__p1_canary.rs
-l1_canary=crates/rt/src/__l1_canary.rs
-e1_canary=crates/core/src/__e1_canary.rs
-v1_canary=crates/gpusim/src/__v1_canary.rs
-c2_canary=crates/ranks/src/__c2_canary.rs
-trap 'rm -f "$canary" "$k1_canary" "$p1_canary" "$l1_canary" "$e1_canary" "$v1_canary" "$c2_canary"' EXIT
+# Scratch the gates leave behind: the seeded lint canaries (tier 0) and
+# the run directory of the later tiers.
+tdir=""
+cleanup() {
+    rm -f crates/*/src/__*_canary.rs
+    [ -z "$tdir" ] || rm -rf "$tdir"
+}
+trap cleanup EXIT
 
 echo "== tier 0: hacc-lint static analysis =="
 # The lint gate runs before the workspace build: hacc-lint is std-only,
@@ -24,20 +24,48 @@ echo "== tier 0: hacc-lint static analysis =="
 cargo build -q --release --offline -p hacc-lint
 tier0_start=$SECONDS
 ./target/release/hacc-lint --root . --strict
-# Gate self-tests: each seeded violation must fail the lint. The canary
-# files sit outside the module tree (cargo never compiles them), but
-# the lint walks the filesystem and must flag every one.
-#
-# D1: a stray wall-clock read in a telemetry source.
-echo 'pub fn leak() -> f64 { std::time::Instant::now().elapsed().as_secs_f64() }' \
-    > "$canary"
-if ./target/release/hacc-lint --root . > /dev/null 2>&1; then
-    echo "error: lint gate missed a seeded Instant::now() in crates/telem" >&2
-    exit 1
-fi
-rm -f "$canary"
-# K1: a kernel whose declared pair_flops table undercounts its body.
-cat > "$k1_canary" <<'EOF'
+# Gate self-tests: one seeded violation per rule. Each row of the table
+# is `RULE|path|what`, then the canary source up to a `---` line. The
+# canary files sit outside the module tree (cargo never compiles them),
+# but the lint walks the filesystem: with the canary in place the gate
+# must fail *and* report the seeded rule's own code — a C1 canary has
+# to print [C1], not merely trip C2.
+while IFS='|' read -r rule path what; do
+    src=""
+    while IFS= read -r line && [ "$line" != "---" ]; do
+        src+="$line"$'\n'
+    done
+    printf '%s' "$src" > "$path"
+    if out=$(./target/release/hacc-lint --root . 2> /dev/null); then
+        echo "error: lint gate passed with $what seeded ($rule)" >&2
+        exit 1
+    fi
+    grep -q "\[$rule\]" <<< "$out" || {
+        echo "error: lint gate missed $what: no [$rule] finding" >&2
+        exit 1
+    }
+    rm -f "$path"
+done <<'CANARIES'
+D1|crates/telem/src/__d1_canary.rs|a stray wall-clock read in a telemetry source
+pub fn leak() -> f64 { std::time::Instant::now().elapsed().as_secs_f64() }
+---
+C1|crates/ranks/src/__c1_canary.rs|a collective under a rank guard
+pub fn canary_guarded(comm: &mut Comm) {
+    if comm.rank() == 0 {
+        comm.barrier();
+    }
+}
+---
+H1|crates/units/src/__h1_canary.rs|an extern crate outside the workspace
+extern crate libc;
+---
+S1|crates/units/src/__s1_canary.rs|an unsafe block without a SAFETY comment
+pub fn canary_read(p: *const u8) -> u8 { unsafe { *p } }
+---
+F1|crates/fault/src/__f1_canary.rs|a fault site no production code fires
+pub enum FaultKind { CanaryNeverFired }
+---
+K1|crates/gpusim/src/__k1_canary.rs|a pair_flops table that undercounts its kernel body
 pub struct CanaryState { pub x: f64 }
 pub struct CanaryKernel;
 impl SplitKernel for CanaryKernel {
@@ -52,14 +80,8 @@ impl SplitKernel for CanaryKernel {
         *out += si.x * sj.x;
     }
 }
-EOF
-if ./target/release/hacc-lint --root . > /dev/null 2>&1; then
-    echo "error: lint gate missed a seeded undercounted pair_flops table (K1)" >&2
-    exit 1
-fi
-rm -f "$k1_canary"
-# P1: a heap allocation inside an interaction-tile loop.
-cat > "$p1_canary" <<'EOF'
+---
+P1|crates/gpusim/src/__p1_canary.rs|a heap allocation inside an interaction-tile loop
 pub fn execute_leaf_canary(n: usize) -> Vec<f64> {
     let mut out = Vec::new();
     for i in 0..n {
@@ -67,14 +89,8 @@ pub fn execute_leaf_canary(n: usize) -> Vec<f64> {
     }
     out
 }
-EOF
-if ./target/release/hacc-lint --root . > /dev/null 2>&1; then
-    echo "error: lint gate missed a seeded tile-loop allocation (P1)" >&2
-    exit 1
-fi
-rm -f "$p1_canary"
-# L1: an AB/BA lock-order cycle.
-cat > "$l1_canary" <<'EOF'
+---
+L1|crates/rt/src/__l1_canary.rs|an AB/BA lock-order cycle
 use std::sync::Mutex;
 pub struct CanaryLocks { a: Mutex<u64>, b: Mutex<u64> }
 impl CanaryLocks {
@@ -89,16 +105,8 @@ impl CanaryLocks {
         *g + *h
     }
 }
-EOF
-if ./target/release/hacc-lint --root . > /dev/null 2>&1; then
-    echo "error: lint gate missed a seeded AB/BA lock pair (L1)" >&2
-    exit 1
-fi
-rm -f "$l1_canary"
-# E1: an unwrap reachable from a marked supervised root. The grep pins
-# the finding to the interprocedural rule (the call is one hop deep),
-# not just any nonzero exit.
-cat > "$e1_canary" <<'EOF'
+---
+E1|crates/core/src/__e1_canary.rs|an unwrap one call below a marked supervised root
 // e1: root
 pub fn canary_step_loop(v: &[f64]) -> f64 {
     canary_helper(v)
@@ -106,14 +114,8 @@ pub fn canary_step_loop(v: &[f64]) -> f64 {
 fn canary_helper(v: &[f64]) -> f64 {
     *v.first().unwrap()
 }
-EOF
-if ! { ./target/release/hacc-lint --root . 2> /dev/null || true; } | grep -q '\[E1\]'; then
-    echo "error: lint gate missed a seeded supervised-loop unwrap (E1)" >&2
-    exit 1
-fi
-rm -f "$e1_canary"
-# V1: a data-dependent early exit inside a tile lane loop.
-cat > "$v1_canary" <<'EOF'
+---
+V1|crates/gpusim/src/__v1_canary.rs|a data-dependent early exit inside a tile lane loop
 pub fn execute_leaf_canary2(xs: &[f64], out: &mut [f64; 4]) {
     for i in 0..xs.len() {
         if xs[i] < 0.0 {
@@ -122,14 +124,8 @@ pub fn execute_leaf_canary2(xs: &[f64], out: &mut [f64; 4]) {
         out[0] += xs[i];
     }
 }
-EOF
-if ! { ./target/release/hacc-lint --root . 2> /dev/null || true; } | grep -q '\[V1\]'; then
-    echo "error: lint gate missed a seeded lane-loop early exit (V1)" >&2
-    exit 1
-fi
-rm -f "$v1_canary"
-# C2: rank-dependent branching that reorders the collective sequence.
-cat > "$c2_canary" <<'EOF'
+---
+C2|crates/ranks/src/__c2_canary.rs|rank-dependent branching that reorders the collective sequence
 pub fn canary_exchange(comm: &mut Comm) {
     if comm.rank() == 0 {
         comm.barrier();
@@ -139,14 +135,10 @@ pub fn canary_exchange(comm: &mut Comm) {
         comm.barrier();
     }
 }
-EOF
-if ! { ./target/release/hacc-lint --root . 2> /dev/null || true; } | grep -q '\[C2\]'; then
-    echo "error: lint gate missed seeded path-divergent collectives (C2)" >&2
-    exit 1
-fi
-rm -f "$c2_canary"
+---
+CANARIES
 # The lint tier must stay cheap enough to run on every commit: the
-# clean pass plus all seven canary passes share a 5 s budget (compile
+# clean pass plus all eleven canary passes share a 5 s budget (compile
 # time excluded — that is cargo's cache, not the analyzer).
 tier0_elapsed=$(( SECONDS - tier0_start ))
 if [ "$tier0_elapsed" -ge 5 ]; then
@@ -172,7 +164,6 @@ echo "== tier 2: telemetry golden-section determinism =="
 # byte-identical golden regions of the text report; wall-clock content
 # is confined to the non-golden appendix.
 tdir=$(mktemp -d)
-trap 'rm -rf "$tdir"; rm -f "$canary" "$k1_canary" "$p1_canary" "$l1_canary" "$e1_canary" "$v1_canary" "$c2_canary"' EXIT
 for run in a b; do
     ./target/release/frontier-sim run \
         --np 8 --ranks 2 --steps 2 --physics gravity --seed 4242 \

@@ -11,7 +11,7 @@
 //! ```
 
 use frontier_sim::core::scaling::{strong_scaling, weak_scaling};
-use frontier_sim::core::timers::PHASES;
+use frontier_sim::core::driver::chaos_plan;
 use frontier_sim::core::{resume_simulation, run_supervised, Physics, SimConfig};
 use frontier_sim::ranks::{smoke, Backend, World};
 
@@ -81,13 +81,15 @@ fn parse_opt<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == name {
-            if let Some(v) = it.next() {
-                if let Ok(parsed) = v.parse() {
-                    return parsed;
-                }
-                eprintln!("bad value for {name}: {v}");
+            let Some(v) = it.next() else {
+                eprintln!("missing value for {name}");
                 std::process::exit(2);
+            };
+            if let Ok(parsed) = v.parse() {
+                return parsed;
             }
+            eprintln!("bad value for {name}: {v}");
+            std::process::exit(2);
         }
     }
     default
@@ -185,6 +187,11 @@ fn cmd_run(args: &[String]) {
     let chaos: String = parse_opt(args, "--chaos", String::new());
     if !chaos.is_empty() {
         cfg.chaos = Some(chaos);
+        // Reject a malformed spec here, before any world starts.
+        if let Err(e) = chaos_plan(&cfg, ranks) {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     }
     cfg.sanitize = parse_flag(args, "--sanitize");
     cfg.backend = parse_backend(args);
@@ -280,12 +287,7 @@ fn cmd_run(args: &[String]) {
     }
     println!("\nphase breakdown:");
     for (phase, frac) in report.timers.fractions() {
-        let name = PHASES
-            .iter()
-            .find(|p| **p == phase)
-            .map(|p| p.name())
-            .unwrap_or("?");
-        println!("  {name:<12} {:>5.1}%", frac * 100.0);
+        println!("  {:<12} {:>5.1}%", phase.name(), frac * 100.0);
     }
     println!("\nper-kernel profile (modeled on {}):", 
         frontier_sim::gpusim::DeviceSpec::mi250x_gcd().name);

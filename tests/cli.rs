@@ -1,0 +1,30 @@
+//! Hostile command lines: malformed input is a one-line error and exit
+//! code 2 before any rank world starts — never a panic, never a silent
+//! fallback to a default.
+
+use std::process::Command;
+
+/// Run `frontier-sim <args>`; returns (exit code, stderr).
+fn frontier_sim(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_frontier-sim"))
+        .args(args)
+        .output()
+        .expect("spawn frontier-sim");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn malformed_chaos_spec_is_a_one_line_error_and_exit_2() {
+    let (code, stderr) = frontier_sim(&["run", "--np", "8", "--steps", "1", "--chaos", "bogus@@"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("invalid chaos spec:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn flag_without_a_value_is_rejected_not_defaulted() {
+    let (code, stderr) = frontier_sim(&["run", "--np", "8", "--steps", "1", "--seed"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(stderr, "missing value for --seed\n");
+}

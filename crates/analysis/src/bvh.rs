@@ -8,7 +8,6 @@
 //! (ArborX/Karras) while staying simple enough to verify exhaustively.
 
 use hacc_tree::Aabb;
-use hacc_rt::par::prelude::*;
 
 /// Expand a 10-bit integer to every third bit position.
 #[inline]
@@ -87,7 +86,7 @@ impl Lbvh {
             .enumerate()
             .map(|(i, p)| (morton3(p, &bounds.lo, &inv), i as u32))
             .collect();
-        keyed.par_sort_unstable_by_key(|&(k, _)| k);
+        keyed.sort_unstable_by_key(|&(k, _)| k);
         let order: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
 
         let mut nodes = Vec::with_capacity(2 * n / LEAF_SIZE + 2);

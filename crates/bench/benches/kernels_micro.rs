@@ -1,130 +1,36 @@
-//! Criterion microbenchmarks of the hot kernels: serial/distributed FFT,
-//! CIC deposit, tree build, the CRKSPH pipeline, FOF, and CRC32 — the
-//! per-component performance baseline behind every figure.
+//! The short-range symmetric-tile microbenchmark behind the tier-5
+//! kernel ratchet (`BENCH_kernels.json`).
 //!
-//! The `short_range_symmetric` group times the tiled symmetric leaf
-//! executors against the pre-fix one-sided reference over identical
-//! interaction lists, emits `*_pairs_per_s` / `*_speedup` metrics
-//! through [`hacc_bench::baseline`], and (under the tier-5 ratchet)
-//! asserts the headline >= 2x win the symmetric-tile fix claims.
+//! Times the tiled symmetric leaf executors against the pre-fix one-sided
+//! reference over identical interaction lists, emits `*_pairs_per_s` /
+//! `*_speedup` metrics through [`hacc_bench::baseline`], and (under the
+//! ratchet) asserts the headline >= 2x win the symmetric-tile fix claims.
+//! The other hot kernels (1-D FFT, tree build, CRKSPH stack, FOF, LBVH,
+//! block encode) are timed by the repo benchmark's `--trace 1` census.
 
-use hacc_rt::bench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hacc_bench::{baseline, sph_workload, uniform_cloud, workloads};
-use hacc_gpusim::{DeviceSpec, ExecMode, SplitKernel};
-use hacc_swfft::{Complex64, FftPlan};
-use hacc_tree::{ChainingMesh, CmConfig};
+use hacc_bench::{baseline, workloads};
+use hacc_gpusim::{LeafExec, SplitKernel};
+use std::hint::black_box;
 use std::time::Instant;
 
-fn bench_fft(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fft_1d");
-    for &n in &[256usize, 1024, 4096] {
-        let plan = FftPlan::new(n);
-        let data: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::new((i as f64 * 0.1).sin(), 0.0))
-            .collect();
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut d = data.clone();
-                plan.forward(black_box(&mut d));
-                d
-            })
-        });
-    }
-    // The paper's grid dimension is not a power of two: Bluestein path.
-    let n = 126;
-    let plan = FftPlan::new(n);
-    let data: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.0)).collect();
-    g.bench_function("bluestein_126", |b| {
-        b.iter(|| {
-            let mut d = data.clone();
-            plan.forward(black_box(&mut d));
-            d
-        })
-    });
-    g.finish();
-}
-
-fn bench_tree_build(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tree_build");
-    for &n in &[10_000usize, 40_000] {
-        let pos = uniform_cloud(n, 32.0, 5);
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                ChainingMesh::build(
-                    black_box(&pos),
-                    [0.0; 3],
-                    [32.0; 3],
-                    &CmConfig {
-                        bin_width: 4.0,
-                        max_leaf: 128,
-                    },
-                )
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_sph_pipeline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("crksph_stack");
-    g.sample_size(10);
-    for &n in &[2_000usize, 8_000] {
-        let ext = (n as f64).cbrt();
-        let pos = uniform_cloud(n, ext, 6);
-        for mode in [ExecMode::WarpSplit, ExecMode::Naive] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("{mode:?}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        sph_workload(
-                            black_box(&pos),
-                            ext,
-                            DeviceSpec::mi250x_gcd(),
-                            mode,
-                        )
-                    })
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
-fn bench_fof(c: &mut Criterion) {
-    let mut g = c.benchmark_group("analysis");
-    g.sample_size(10);
-    let pos = hacc_bench::clustered_cloud(20_000, 30.0, 8);
-    let vel = vec![[0.0; 3]; pos.len()];
-    let mass = vec![1.0; pos.len()];
-    g.bench_function("fof_20k", |b| {
-        b.iter(|| hacc_analysis::fof_halos(black_box(&pos), &vel, &mass, 0.4, 10))
-    });
-    g.bench_function("lbvh_build_20k", |b| {
-        b.iter(|| hacc_analysis::Lbvh::build(black_box(&pos)))
-    });
-    g.finish();
-}
-
-/// Time repeated sweeps of one workload arm until `min_time` has been
-/// spent measuring, returning pairs/second. Self-timed (not through
-/// `Bencher`) so the pair count from the counters and the wall time come
-/// from the same sweeps.
+/// Time repeated sweeps of one workload arm until `min_time_s` has been
+/// spent measuring, returning pairs/second and the per-sweep pair count
+/// (so the count and the wall time come from the same sweeps).
 fn pairs_per_s<K: SplitKernel>(
     w: &workloads::ShortRangeWorkload<K>,
-    reference: bool,
+    exec: LeafExec,
     min_time_s: f64,
 ) -> (f64, u64)
 where
     K::Accum: Default + Clone,
 {
     // Warmup sweep (also the pair count — identical every sweep).
-    let pairs = black_box(w.run(reference)).pairs;
+    let pairs = black_box(w.run(exec)).pairs;
     let mut sweeps = 0u32;
     let t = Instant::now();
     let mut elapsed;
     loop {
-        black_box(w.run(reference));
+        black_box(w.run(exec));
         sweeps += 1;
         elapsed = t.elapsed().as_secs_f64();
         if elapsed >= min_time_s {
@@ -134,20 +40,19 @@ where
     (pairs as f64 * sweeps as f64 / elapsed, pairs)
 }
 
-fn bench_short_range_symmetric(_c: &mut Criterion) {
+fn main() {
     // Fixed measurement budget per arm: long enough for stable pairs/sec
-    // (the ratchet tolerance is 15%), short enough for the verify gate.
-    // Deliberately ignores HACC_RT_BENCH_FAST so blessed baselines and
-    // ratchet runs always measure at the same budget.
+    // (the ratchet tolerance is 15%), short enough for the verify gate,
+    // and the same for blessed baselines and ratchet runs.
     let min_t = 0.3;
     let n = 20_000;
     let grav = workloads::grav_workload(n, 11);
     let force = workloads::crk_force_workload(n, 11);
 
-    let (grav_tiled, gp) = pairs_per_s(&grav, false, min_t);
-    let (grav_ref, _) = pairs_per_s(&grav, true, min_t);
-    let (force_tiled, fp) = pairs_per_s(&force, false, min_t);
-    let (force_ref, _) = pairs_per_s(&force, true, min_t);
+    let (grav_tiled, gp) = pairs_per_s(&grav, LeafExec::Tiled, min_t);
+    let (grav_ref, _) = pairs_per_s(&grav, LeafExec::Reference, min_t);
+    let (force_tiled, fp) = pairs_per_s(&force, LeafExec::Tiled, min_t);
+    let (force_ref, _) = pairs_per_s(&force, LeafExec::Reference, min_t);
     let grav_speedup = grav_tiled / grav_ref;
     let force_speedup = force_tiled / force_ref;
 
@@ -178,21 +83,3 @@ fn bench_short_range_symmetric(_c: &mut Criterion) {
         );
     }
 }
-
-fn bench_crc32(c: &mut Criterion) {
-    let data = vec![0xABu8; 1 << 20];
-    c.bench_function("crc32_1MiB", |b| {
-        b.iter(|| hacc_iosim::format::crc32(black_box(&data)))
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_fft,
-    bench_tree_build,
-    bench_sph_pipeline,
-    bench_short_range_symmetric,
-    bench_fof,
-    bench_crc32
-);
-criterion_main!(benches);

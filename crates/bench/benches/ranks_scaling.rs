@@ -81,9 +81,8 @@ fn measure(n: usize, rounds: usize, reps: usize) -> f64 {
 }
 
 fn main() {
-    let fast = std::env::var_os("HACC_RT_BENCH_FAST").is_some();
-    let rounds = if fast { 8 } else { 48 };
-    let reps = if fast { 1 } else { 3 };
+    let rounds = 48;
+    let reps = 3;
 
     // Warm the allocator and the scheduler's lane pool once.
     measure(SIZES[0], 2, 1);

@@ -1,78 +1,19 @@
 //! Prepared short-range leaf-pair workloads for the symmetric-kernel
 //! microbenchmarks.
 //!
-//! These drive the `hacc-gpusim` leaf executors directly — the same call
-//! pattern as `grav_step` / `sph_step`, minus the surrounding pipeline —
-//! so the tiled symmetric path and the one-sided reference path can be
-//! timed head to head over identical interaction lists. The tiled and
+//! These drive `hacc_gpusim::sweep` directly — the same call `grav_step` /
+//! `sph_step` make, minus the surrounding pipeline — so the tiled
+//! symmetric path and the one-sided reference path can be timed head to
+//! head over identical interaction lists. The tiled and
 //! reference paths produce bitwise identical accumulators (asserted in
 //! the `gpusim`, `grav`, and `sph` unit tests); here only the throughput
 //! differs.
 
-use hacc_gpusim::{
-    execute_leaf_pair, execute_leaf_pair_reference, execute_leaf_self,
-    execute_leaf_self_reference, DeviceSpec, ExecMode, KernelCounters, SplitKernel,
-};
+use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec, SplitKernel};
 use hacc_grav::{ForceSplitTable, GravState, GravityKernel};
 use hacc_sph::hydro::{ForceKernel, ForceState, HydroOptions};
 use hacc_sph::{CrkCorrections, CubicSpline};
 use hacc_tree::{ChainingMesh, CmConfig, LeafId};
-
-/// One interaction sweep over every leaf pair of `cm`. `reference`
-/// selects the pre-fix one-sided executors (each unordered pair
-/// evaluated twice) instead of the tiled symmetric ones.
-pub fn sweep<K: SplitKernel>(
-    kernel: &K,
-    device: &DeviceSpec,
-    mode: ExecMode,
-    cm: &ChainingMesh,
-    pairs: &[(LeafId, LeafId)],
-    states: &[K::State],
-    accums: &mut [K::Accum],
-    reference: bool,
-) -> KernelCounters {
-    let mut counters = KernelCounters::default();
-    for &(a, b) in pairs {
-        let ra = cm.leaves[a as usize].range();
-        if a == b {
-            let (_, tail) = accums.split_at_mut(ra.start);
-            let acc = &mut tail[..ra.len()];
-            if reference {
-                execute_leaf_self_reference(kernel, device, mode, &states[ra], acc, &mut counters);
-            } else {
-                execute_leaf_self(kernel, device, mode, &states[ra], acc, &mut counters);
-            }
-        } else {
-            let rb = cm.leaves[b as usize].range();
-            let (left, right) = accums.split_at_mut(rb.start);
-            let (ai, aj) = (&mut left[ra.clone()], &mut right[..rb.len()]);
-            if reference {
-                execute_leaf_pair_reference(
-                    kernel,
-                    device,
-                    mode,
-                    &states[ra],
-                    &states[rb.clone()],
-                    ai,
-                    aj,
-                    &mut counters,
-                );
-            } else {
-                execute_leaf_pair(
-                    kernel,
-                    device,
-                    mode,
-                    &states[ra],
-                    &states[rb.clone()],
-                    ai,
-                    aj,
-                    &mut counters,
-                );
-            }
-        }
-    }
-    counters
-}
 
 /// A short-range workload frozen at construction: particle states in
 /// tree order plus the interaction list, ready for repeated sweeps.
@@ -91,22 +32,27 @@ pub struct ShortRangeWorkload<K: SplitKernel> {
 
 impl<K: SplitKernel> ShortRangeWorkload<K> {
     /// Run one sweep, returning the counters (`counters.pairs` is the
-    /// pair-evaluation count the throughput metric divides by).
-    pub fn run(&self, reference: bool) -> KernelCounters
+    /// pair-evaluation count the throughput metric divides by). `exec`
+    /// selects the tiled symmetric executors or the pre-fix one-sided
+    /// reference ones (each unordered pair evaluated twice).
+    pub fn run(&self, exec: LeafExec) -> KernelCounters
     where
         K::Accum: Default + Clone,
     {
         let mut accums = vec![K::Accum::default(); self.states.len()];
+        let mut counters = KernelCounters::default();
         sweep(
             &self.kernel,
             &self.device,
             ExecMode::WarpSplit,
-            &self.cm,
+            exec,
+            |leaf| self.cm.leaves[leaf as usize].range(),
             &self.pairs,
             &self.states,
             &mut accums,
-            reference,
-        )
+            &mut counters,
+        );
+        counters
     }
 }
 
@@ -224,13 +170,12 @@ mod tests {
         w.cm = cm;
         w.pairs = pairs;
         w.states = states;
-        for reference in [false, true] {
+        for exec in [LeafExec::Tiled, LeafExec::Reference] {
             let t = std::time::Instant::now();
-            let c = w.run(reference);
+            let c = w.run(exec);
             let el = t.elapsed().as_secs_f64();
             println!(
-                "dense {} pairs={} {:.1} ns/pair",
-                if reference { "reference" } else { "tiled" },
+                "dense {exec:?} pairs={} {:.1} ns/pair",
                 c.pairs,
                 el / c.pairs as f64 * 1e9
             );
@@ -243,8 +188,8 @@ mod tests {
         // pre-fix bug was doing 2x the *work* per credited pair, so the
         // throughput ratio of the two arms is exactly the speedup.
         let w = grav_workload(2_000, 7);
-        let tiled = w.run(false);
-        let refr = w.run(true);
+        let tiled = w.run(LeafExec::Tiled);
+        let refr = w.run(LeafExec::Reference);
         assert!(tiled.pairs > 0);
         assert_eq!(refr.pairs, tiled.pairs);
     }
@@ -252,8 +197,8 @@ mod tests {
     #[test]
     fn crk_force_workload_credits_identical_pairs_both_paths() {
         let w = crk_force_workload(2_000, 7);
-        let tiled = w.run(false);
-        let refr = w.run(true);
+        let tiled = w.run(LeafExec::Tiled);
+        let refr = w.run(LeafExec::Reference);
         assert!(tiled.pairs > 0);
         assert_eq!(refr.pairs, tiled.pairs);
     }

@@ -609,11 +609,8 @@ fn rank_main(
     // gather buffers handed to the hydro solver each kick.
     let mut gas_idx: Vec<usize> = Vec::new();
     let mut gas_gather = GasGather::default();
-    // More per-step scratch: contiguous owned-only slices for the PM
-    // solve (it must not see overload ghosts) and the halo-catalog
-    // staging columns. Refilled in place each step (lint rule P1).
-    let mut lr_pos: Vec<[f64; 3]> = Vec::new();
-    let mut lr_mass: Vec<f64> = Vec::new();
+    // More per-step scratch: the halo-catalog staging columns, refilled
+    // in place each step (lint rule P1).
     let mut halo_cols: [Vec<f64>; 4] = Default::default();
 
     // Sanitizer region for this rank's overload (ghost) buffer: the
@@ -649,17 +646,8 @@ fn rank_main(
 
         // --- 2. long-range solve + opening half-kick ---
         let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+half-kick");
-        lr_pos.clear();
-        lr_pos.extend_from_slice(&store.pos[..store.n_owned]);
-        lr_mass.clear();
-        lr_mass.extend_from_slice(&store.mass[..store.n_owned]);
-        let lr_acc = pm.accelerations(comm, &lr_pos, &lr_mass);
         let half_kick = kd.kick_factor(a0, a1) / 2.0;
-        for i in 0..store.n_owned {
-            for d in 0..3 {
-                store.vel[i][d] += lr_acc[i][d] / a0 * half_kick;
-            }
-        }
+        long_range_half_kick(comm, &pm, &mut store, a0, half_kick);
         tracer.end(sp);
 
         // --- 3. chaining mesh + trees (once per PM step) ---
@@ -915,16 +903,7 @@ fn rank_main(
 
         // --- 6. closing long-range half-kick ---
         let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+closing-half-kick");
-        lr_pos.clear();
-        lr_pos.extend_from_slice(&store.pos[..store.n_owned]);
-        lr_mass.clear();
-        lr_mass.extend_from_slice(&store.mass[..store.n_owned]);
-        let lr_acc = pm.accelerations(comm, &lr_pos, &lr_mass);
-        for i in 0..store.n_owned {
-            for d in 0..3 {
-                store.vel[i][d] += lr_acc[i][d] / a1 * half_kick;
-            }
-        }
+        long_range_half_kick(comm, &pm, &mut store, a1, half_kick);
         tracer.end(sp);
 
         // --- 7. tiered checkpoint of the completed step ---
@@ -1063,6 +1042,25 @@ fn rank_main(
         momentum_scale,
         faults,
         state_hash,
+    }
+}
+
+/// One long-range half-kick at scale factor `a`: PM accelerations of the
+/// owned particles, which are the store's contiguous prefix (the solve
+/// must not see overload ghosts).
+fn long_range_half_kick(
+    comm: &mut Comm,
+    pm: &PmSolver,
+    store: &mut ParticleStore,
+    a: f64,
+    half_kick: f64,
+) {
+    let n = store.n_owned;
+    let acc = pm.accelerations(comm, &store.pos[..n], &store.mass[..n]);
+    for (vel, acc) in store.vel[..n].iter_mut().zip(&acc) {
+        for d in 0..3 {
+            vel[d] += acc[d] / a * half_kick;
+        }
     }
 }
 

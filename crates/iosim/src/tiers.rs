@@ -122,6 +122,8 @@ enum BleedJob {
         pfs_path: PathBuf,
         window: usize,
     },
+    /// Acknowledged once every job queued before it has been processed.
+    Sync(std::sync::mpsc::Sender<()>),
     Shutdown,
 }
 
@@ -152,6 +154,9 @@ impl TieredWriter {
             while let Ok(job) = rx.recv() {
                 match job {
                     BleedJob::Shutdown => break,
+                    BleedJob::Sync(ack) => {
+                        let _ = ack.send(());
+                    }
                     BleedJob::File {
                         step,
                         local_path,
@@ -373,27 +378,31 @@ impl TieredWriter {
 
     /// Wait for all queued bleeds to land on the real file system.
     pub fn drain(&self) {
-        // The channel is FIFO and the worker single-threaded: enqueue a
-        // no-op marker file job and wait for its effect instead of adding
-        // a second protocol; simplest reliable option is polling the
-        // queue length via stats — here we just yield until the queue is
-        // consumed.
-        while !self.tx.is_empty() {
-            std::thread::yield_now();
-        }
-        // One more beat for the in-flight job.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // The job channel is FIFO and the bleeder single-threaded: its
+        // acknowledgement of a `Sync` job orders after every bleed queued
+        // before this call. The acknowledgement rides a std channel so the
+        // wait is a plain OS block: the bleeder is not a scheduler task,
+        // and a cooperative park on it would read as world quiescence.
+        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+        self.tx.send(BleedJob::Sync(ack_tx)).expect("bleeder alive");
+        ack_rx
+            .recv()
+            .expect("bleeder acknowledges a sync before exiting");
     }
 
-    /// Shut down the bleeder and return the statistics.
+    /// Shut down the bleeder (after it has processed every queued bleed)
+    /// and return the statistics.
     pub fn finish(mut self) -> IoStats {
-        self.drain();
+        self.shutdown();
+        let stats = self.stats.lock().clone();
+        stats
+    }
+
+    fn shutdown(&mut self) {
         let _ = self.tx.send(BleedJob::Shutdown);
         if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
-        let stats = self.stats.lock().clone();
-        stats
     }
 
     /// Locate the newest checkpoint on the PFS.
@@ -457,10 +466,7 @@ impl TieredWriter {
 
 impl Drop for TieredWriter {
     fn drop(&mut self) {
-        let _ = self.tx.send(BleedJob::Shutdown);
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -528,6 +534,54 @@ mod tests {
         kept.sort_unstable();
         assert_eq!(kept, vec![3, 4]);
         // Local staging is clean.
+        assert_eq!(std::fs::read_dir(&local_dir).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn drain_returns_only_after_every_queued_bleed_landed() {
+        let base = unique_base("drain");
+        let mut cfg = TieredConfig::frontier(&base);
+        cfg.window = 64;
+        let pfs_dir = cfg.pfs_dir.clone();
+        let local_dir = cfg.local_dir.clone();
+        let mut w = TieredWriter::new(cfg).unwrap();
+        for step in 0..64 {
+            w.write_checkpoint(step, &payload(16), 0.2, 1.0).unwrap();
+        }
+        w.drain();
+        // No sleep: the acknowledgement alone orders after the last copy.
+        assert_eq!(w.stats.lock().files_bled, 64);
+        assert_eq!(std::fs::read_dir(&local_dir).unwrap().count(), 0);
+        let (step, _) = TieredWriter::load_latest_valid(&pfs_dir).unwrap();
+        assert_eq!(step, 63);
+        // finish() with bleeds still queued and no drain() processes them.
+        for step in 64..72 {
+            w.write_checkpoint(step, &payload(16), 0.2, 1.0).unwrap();
+        }
+        let stats = w.finish();
+        assert_eq!(stats.files_bled, 72);
+        assert_eq!(std::fs::read_dir(&local_dir).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn drain_inside_a_scheduler_task_waits_for_the_bleeder() {
+        // The bleeder is outside the scheduler's world: a cooperative
+        // park on it from the world's only task would be diagnosed as a
+        // deadlock. drain() must block the thread instead.
+        let base = unique_base("drain-task");
+        let cfg = TieredConfig::frontier(&base);
+        let local_dir = cfg.local_dir.clone();
+        let mut w = TieredWriter::new(cfg).unwrap();
+        let task = hacc_rt::sched::Scheduler::new(1).register();
+        task.run(|| {
+            for step in 0..8 {
+                w.write_checkpoint(step, &payload(16), 0.2, 1.0).unwrap();
+            }
+            w.drain();
+        });
+        assert_eq!(w.stats.lock().files_bled, 8);
         assert_eq!(std::fs::read_dir(&local_dir).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&base);
     }

@@ -1,6 +1,6 @@
 //! D1 — determinism.
 //!
-//! Two lexical checks back the golden-run contract:
+//! Four lexical checks back the golden-run contract:
 //!
 //! 1. **Hash-ordered collections in golden paths.** Iterating a
 //!    `HashMap`/`HashSet` visits entries in hasher order, which varies
@@ -14,10 +14,10 @@
 //!
 //! 2. **Wall-clock reads outside the blessed modules.** `Instant::now`
 //!    and `SystemTime` are how wall time leaks into what should be a
-//!    pure function of the seed. Only `rt::bench` and the
-//!    `crates/bench` harness may read clocks; anything else — the span
-//!    tracer, the one wall-duration authority of a run, included —
-//!    needs a reviewed `lint.allow` entry.
+//!    pure function of the seed. Only the `crates/bench` harness may
+//!    read clocks; anything else — the span tracer, the one
+//!    wall-duration authority of a run, included — needs a reviewed
+//!    `lint.allow` entry.
 //!
 //! 3. **Environment reads in golden paths.** `std::env::var` (and
 //!    `var_os` / `vars` / `option_env!`) is ambient configuration: two
@@ -26,12 +26,20 @@
 //!    config; only `core::config` (the blessed ingestion point) may
 //!    read the environment.
 //!
+//! 4. **Thread creation outside the two thread owners.** Ranks on
+//!    `hacc_rt::sched` lanes are the host's only parallelism: the
+//!    scheduler's "only `lanes` run permits exist" holds for the whole
+//!    process only if nothing else starts OS threads. `thread::spawn`,
+//!    `thread::scope` and `thread::Builder` paths are flagged outside
+//!    `ranks::comm` (hosting ranks), `iosim::tiers` (hosting the
+//!    bleeder) and `crates/bench`.
+//!
 //! `#[cfg(test)]` regions and `tests/`/`benches/` trees are exempt —
 //! test scaffolding may time itself without touching golden artifacts.
 
 use crate::context::{is_test_path, Context};
 use crate::diag::{Diagnostic, Rule};
-use crate::lexer::Kind;
+use crate::lexer::{Kind, Token};
 use crate::SourceFile;
 
 /// Paths where hash-ordered collections are output-affecting.
@@ -42,7 +50,15 @@ const GOLDEN_SCOPES: [&str; 3] = [
 ];
 
 /// Modules blessed to read wall clocks.
-const CLOCK_ALLOWED: [&str; 2] = ["crates/rt/src/bench.rs", "crates/bench/"];
+const CLOCK_ALLOWED: [&str; 1] = ["crates/bench/"];
+
+/// Modules that may create OS threads: the rank host, the bleeder host,
+/// and the bench harness.
+const THREAD_ALLOWED: [&str; 3] = [
+    "crates/ranks/src/comm.rs",
+    "crates/iosim/src/tiers.rs",
+    "crates/bench/",
+];
 
 /// The one module blessed to read the process environment: all ambient
 /// configuration funnels through the parsed config it produces.
@@ -52,6 +68,23 @@ fn in_scope(rel: &str, scopes: &[&str]) -> bool {
     scopes
         .iter()
         .any(|s| rel == s.trim_end_matches('/') || rel.starts_with(s))
+}
+
+/// The file's tokens without comments, so `a :: b` paths are adjacent.
+fn code_tokens(f: &SourceFile) -> Vec<&Token> {
+    f.toks.iter().filter(|t| t.kind != Kind::Comment).collect()
+}
+
+/// For a non-test `head::tail` path starting at token `i`, the `tail`
+/// identifier's text.
+fn path_tail<'a>(toks: &[&'a Token], i: usize, head: &str) -> Option<&'a str> {
+    let path = toks.get(i..i + 4)?;
+    (path[0].is_ident(head)
+        && !path[0].in_test
+        && path[1].is_punct(':')
+        && path[2].is_punct(':')
+        && path[3].kind == Kind::Ident)
+        .then_some(path[3].text.as_str())
 }
 
 pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
@@ -65,6 +98,9 @@ pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
         }
         if !in_scope(&f.rel, &CLOCK_ALLOWED) && !is_test_path(&f.rel) {
             wall_clock(f, &mut out);
+        }
+        if !in_scope(&f.rel, &THREAD_ALLOWED) && !is_test_path(&f.rel) {
+            thread_creation(f, &mut out);
         }
     }
     out
@@ -91,22 +127,14 @@ fn hash_collections(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 fn env_reads(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let toks: Vec<_> = f.toks.iter().filter(|t| t.kind != Kind::Comment).collect();
+    let toks = code_tokens(f);
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != Kind::Ident || t.in_test {
-            continue;
-        }
-        let what = if t.text == "option_env"
-            && i + 1 < toks.len()
-            && toks[i + 1].is_punct('!')
+        let what = if t.is_ident("option_env")
+            && !t.in_test
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
         {
             "option_env!"
-        } else if t.text == "env"
-            && i + 3 < toks.len()
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && matches!(toks[i + 3].text.as_str(), "var" | "var_os" | "vars")
-        {
+        } else if matches!(path_tail(&toks, i, "env"), Some("var" | "var_os" | "vars")) {
             "std::env::var"
         } else {
             continue;
@@ -124,41 +152,41 @@ fn env_reads(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 fn wall_clock(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let toks: Vec<_> = f
-        .toks
-        .iter()
-        .filter(|t| t.kind != Kind::Comment)
-        .collect();
+    let toks = code_tokens(f);
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != Kind::Ident || t.in_test {
+        let message = if t.is_ident("SystemTime") && !t.in_test {
+            "`SystemTime` outside the blessed timer module (crates/bench): wall \
+             time must not reach deterministic state"
+        } else if path_tail(&toks, i, "Instant") == Some("now") {
+            "`Instant::now` outside the blessed timer module (crates/bench): \
+             route timing through the span tracer"
+        } else {
             continue;
-        }
-        if t.text == "SystemTime" {
-            out.push(Diagnostic { witness: Vec::new(),
-                file: f.rel.clone(),
-                line: t.line,
-                rule: Rule::D1,
-                message: "`SystemTime` outside the blessed timer modules \
-                          (rt::bench, crates/bench): wall time must \
-                          not reach deterministic state"
-                    .into(),
-            });
-        }
-        if t.text == "Instant"
-            && i + 3 < toks.len()
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].is_ident("now")
-        {
-            out.push(Diagnostic { witness: Vec::new(),
-                file: f.rel.clone(),
-                line: t.line,
-                rule: Rule::D1,
-                message: "`Instant::now` outside the blessed timer modules \
-                          (rt::bench, crates/bench): route timing \
-                          through the span tracer"
-                    .into(),
-            });
-        }
+        };
+        out.push(Diagnostic { witness: Vec::new(),
+            file: f.rel.clone(),
+            line: t.line,
+            rule: Rule::D1,
+            message: message.into(),
+        });
+    }
+}
+
+fn thread_creation(f: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let toks = code_tokens(f);
+    for (i, t) in toks.iter().enumerate() {
+        let Some(what @ ("spawn" | "scope" | "Builder")) = path_tail(&toks, i, "thread") else {
+            continue;
+        };
+        out.push(Diagnostic { witness: Vec::new(),
+            file: f.rel.clone(),
+            line: t.line,
+            rule: Rule::D1,
+            message: format!(
+                "`thread::{what}` outside the two thread owners (ranks::comm hosting \
+                 ranks, iosim::tiers hosting the bleeder): ranks on sched lanes \
+                 are the host's only parallelism — use more ranks, not more threads"
+            ),
+        });
     }
 }

@@ -75,10 +75,6 @@ fn d1_stray_wall_clock_in_telem_fires() {
 fn d1_wall_clock_is_allowed_in_blessed_modules_and_tests() {
     let ws = Workspace::from_sources(&[
         (
-            "crates/rt/src/bench.rs",
-            "pub fn t() { let _ = std::time::Instant::now(); }",
-        ),
-        (
             "crates/bench/benches/b.rs",
             "pub fn t() { let _ = std::time::SystemTime::now(); }",
         ),
@@ -89,6 +85,49 @@ fn d1_wall_clock_is_allowed_in_blessed_modules_and_tests() {
         (
             "tests/integration.rs",
             "fn t() { let _ = std::time::Instant::now(); }",
+        ),
+    ]);
+    assert_eq!(findings(&ws, Rule::D1), Vec::<String>::new());
+}
+
+#[test]
+fn d1_thread_creation_outside_the_thread_owners_fires() {
+    // The shape of the deleted parallel-for: scoped workers beside the
+    // lane-gated ranks, plus the detached and Builder forms.
+    let ws = Workspace::from_sources(&[(
+        "crates/rt/src/par.rs",
+        r#"
+            pub fn fan_out(n: usize) {
+                std::thread::scope(|s| {
+                    for _ in 0..n {
+                        s.spawn(|| {});
+                    }
+                });
+                let _ = std::thread::spawn(|| {});
+                let _ = std::thread::Builder::new().spawn(|| {});
+            }
+        "#,
+    )]);
+    let hits = findings(&ws, Rule::D1);
+    assert_eq!(hits.len(), 3, "{hits:?}");
+    assert!(hits[0].contains("thread::scope"), "{hits:?}");
+    assert!(hits[1].contains("thread::spawn"), "{hits:?}");
+    assert!(hits[2].contains("thread::Builder"), "{hits:?}");
+}
+
+#[test]
+fn d1_thread_creation_is_allowed_in_the_owners_bench_and_tests() {
+    let spawn = "pub fn t() { let _ = std::thread::spawn(|| {}); }";
+    let ws = Workspace::from_sources(&[
+        ("crates/ranks/src/comm.rs", spawn),
+        ("crates/iosim/src/tiers.rs", spawn),
+        ("crates/bench/benches/b.rs", spawn),
+        ("tests/integration.rs", spawn),
+        (
+            "crates/rt/src/sched.rs",
+            "pub fn lanes() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n\
+             pub fn nap() { std::thread::yield_now(); }\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { std::thread::scope(|_| {}); }\n}",
         ),
     ]);
     assert_eq!(findings(&ws, Rule::D1), Vec::<String>::new());

@@ -18,8 +18,8 @@
 //! When the calling thread hosts a [`crate::sched`] task, blocking
 //! receives park the *task* (releasing its run lane for another rank)
 //! instead of blocking the thread on the condvar; senders wake the
-//! registered waiters. Plain threads — `rt::par` workers, background
-//! drainers, test threads — keep the condvar path. See the park/wake
+//! registered waiters. Plain threads — the iosim bleeder, test threads —
+//! keep the condvar path. See the park/wake
 //! protocol notes in [`crate::sched`].
 
 use crate::sched::{self, ParkOutcome, Waiter};

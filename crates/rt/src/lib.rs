@@ -10,12 +10,11 @@
 //!   `rand`-shaped [`rng::Rng`]/[`rng::SeedableRng`] traits;
 //! * [`rand`] — a path-compatibility facade so call sites keep writing
 //!   `rand::rngs::StdRng::seed_from_u64(..)` after switching their `use`;
-//! * [`par`] — scoped-thread data parallelism with `rayon`-shaped
-//!   `par_iter`/`par_chunks_mut`/`par_sort_unstable_by_key` helpers;
 //! * [`channel`] — an unbounded mpmc channel with crossbeam's
 //!   send/recv/disconnect semantics;
 //! * [`sync`] — `Mutex`/`RwLock` with parking_lot's no-poisoning API;
-//! * [`bench`] — a tiny Criterion-compatible harness;
+//! * [`sched`] — the rank scheduler: `lanes` run permits multiplexing
+//!   any number of ranks, the host's one parallelism mechanism;
 //! * [`prop`] — a bounded-shrinking property-test macro covering the
 //!   `proptest!` call sites.
 //!
@@ -24,9 +23,7 @@
 //! change their `use` lines), and add a determinism or semantics test in
 //! the same file. See DESIGN.md § "Hermetic build policy".
 
-pub mod bench;
 pub mod channel;
-pub mod par;
 pub mod prop;
 pub mod rng;
 pub mod sched;

@@ -325,8 +325,8 @@ thread_local! {
 
 /// The scheduler task hosted by the calling thread, if any. Blocking
 /// primitives use this to decide between the cooperative park path and
-/// the plain condvar path (worker threads from `rt::par`, the iosim
-/// drainer, and raw test threads are not tasks and keep the latter).
+/// the plain condvar path (the iosim bleeder and raw test threads are
+/// not tasks and keep the latter).
 pub fn current() -> Option<CurrentTask> {
     CURRENT.with(|c| c.borrow().clone())
 }

@@ -4,9 +4,9 @@
 //! Because the repo's "ranks" are threads of one process, the dynamic
 //! checks that are heuristic at MPI scale (MUST-style collective
 //! matching, ThreadSanitizer-style race detection) are **exact** here:
-//! every synchronization edge passes through `hacc_rt`'s own sync,
-//! channel, and fork/join primitives, and this crate is the clock
-//! algebra they call into.
+//! every synchronization edge passes through `hacc_rt`'s own sync and
+//! channel primitives, and this crate is the clock algebra they call
+//! into.
 //!
 //! The instrumentation contract is *zero-cost when off*: every hook
 //! first checks a thread-local session handle and returns immediately
@@ -18,10 +18,9 @@
 //!
 //! * [`SanSession`] — one world's checker state (race table, collective
 //!   ledger, wait graph); created by `World::run_sanitized`.
-//! * [`register_thread`] / [`ThreadToken`] — rank/worker registration.
-//! * [`LockClock`], [`send_stamp`]/[`recv_join`], [`fork`]/
-//!   [`join_workers`] — the happens-before edges, called from
-//!   `hacc_rt::{sync, channel, par}`.
+//! * [`register_thread`] / [`ThreadToken`] — rank-thread registration.
+//! * [`LockClock`], [`send_stamp`]/[`recv_join`] — the happens-before
+//!   edges, called from `hacc_rt::{sync, channel}`.
 //! * [`region`] / [`annotate_access`] — the shared-state annotation API
 //!   for ranks::comm, the driver's ghost buffers, and gpusim's tables.
 //! * [`SanReport`] — byte-stable findings report in the shared
@@ -108,7 +107,7 @@ pub fn register_thread(session: &Arc<SanSession>) -> ThreadToken {
 }
 
 impl ThreadToken {
-    /// Deregister, returning the thread's final clock (for fork/join).
+    /// Deregister, returning the thread's final clock.
     pub fn finish(self) -> VectorClock {
         let ctx = TLS
             .with(|c| c.borrow_mut().take())
@@ -197,49 +196,6 @@ pub fn recv_join(stamp: Option<&VectorClock>) {
     if let Some(s) = stamp {
         with_ctx(|ctx| ctx.clock.join(s));
     }
-}
-
-// --------------------------------------------------------- fork/join --
-
-/// Capability handed to scoped workers by a forking (parent) thread.
-#[derive(Clone)]
-pub struct ForkHandle {
-    session: Arc<SanSession>,
-    stamp: VectorClock,
-}
-
-/// Parent-side fork hook: snapshot the parent clock for workers to
-/// inherit, and advance the parent epoch. `None` when off.
-pub fn fork() -> Option<ForkHandle> {
-    with_ctx(|ctx| {
-        let stamp = ctx.clock.clone();
-        ctx.clock.tick(ctx.slot);
-        ForkHandle {
-            session: Arc::clone(&ctx.session),
-            stamp,
-        }
-    })
-}
-
-impl ForkHandle {
-    /// Worker-side entry: register the worker thread and order it after
-    /// the fork point.
-    pub fn enter(&self) -> ThreadToken {
-        let tok = register_thread(&self.session);
-        with_ctx(|ctx| ctx.clock.join(&self.stamp));
-        tok
-    }
-}
-
-/// Parent-side join hook: the parent happens-after every worker's exit
-/// clock (as returned by [`ThreadToken::finish`]).
-pub fn join_workers<I: IntoIterator<Item = VectorClock>>(clocks: I) {
-    with_ctx(|ctx| {
-        for c in clocks {
-            ctx.clock.join(&c);
-        }
-        ctx.clock.tick(ctx.slot);
-    });
 }
 
 // -------------------------------------------------------- annotation --
@@ -348,14 +304,12 @@ mod tests {
         assert!(!armed());
         assert!(send_stamp().is_none());
         recv_join(None);
-        assert!(fork().is_none());
         let lc = LockClock::new();
         lc.acquire();
         lc.release();
         let r = region("noop");
         annotate_write(r);
         annotate_read(r);
-        join_workers(Vec::new());
         assert!(current_session().is_none());
     }
 
@@ -454,33 +408,5 @@ mod tests {
             s.finish().findings.is_empty(),
             "lock-ordered writes must not race"
         );
-    }
-
-    #[test]
-    fn fork_join_orders_workers_with_parent() {
-        let s = SanSession::new(1);
-        let reg = region("forked");
-        let tok = register_thread(&s);
-        annotate_write(reg);
-        let fh = fork().expect("armed");
-        let clocks: Vec<VectorClock> = std::thread::scope(|scope| {
-            (0..3)
-                .map(|_| {
-                    let fh = fh.clone();
-                    scope.spawn(move || {
-                        let t = fh.enter();
-                        annotate_read(reg);
-                        t.finish()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        join_workers(clocks);
-        annotate_write(reg); // after join: ordered after every worker read
-        tok.finish();
-        assert!(s.finish().findings.is_empty());
     }
 }

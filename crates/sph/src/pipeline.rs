@@ -9,9 +9,7 @@ use crate::hydro::{
     VelGradAccum, VelGradKernel, VelGradState,
 };
 use crate::kernel::SphKernel;
-use hacc_gpusim::{
-    execute_leaf_pair, execute_leaf_self, DeviceSpec, ExecMode, KernelCounters, SplitKernel,
-};
+use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec};
 use hacc_tree::{ChainingMesh, LeafId};
 
 /// SoA views of the gas particles on this rank (original ordering).
@@ -145,44 +143,6 @@ pub struct SphResult {
 /// FLOPs charged for one 3×3 symmetric solve in the correction stage.
 const CORRECTION_SOLVE_FLOPS: u64 = 82;
 
-/// Execute one kernel over every leaf pair. `states`/`accums` are in tree
-/// (slot) order, so each leaf is a contiguous slice.
-fn run_pairs<Kn: SplitKernel>(
-    kernel: &Kn,
-    device: &DeviceSpec,
-    mode: ExecMode,
-    cm: &ChainingMesh,
-    pairs: &[(LeafId, LeafId)],
-    states: &[Kn::State],
-    accums: &mut [Kn::Accum],
-    counters: &mut KernelCounters,
-) {
-    for &(a, b) in pairs {
-        let ra = cm.leaves[a as usize].range();
-        if a == b {
-            // Split off the leaf slice for aliasing-free self interaction.
-            let (head, tail) = accums.split_at_mut(ra.start);
-            let _ = head;
-            let acc = &mut tail[..ra.len()];
-            execute_leaf_self(kernel, device, mode, &states[ra], acc, counters);
-        } else {
-            let rb = cm.leaves[b as usize].range();
-            debug_assert!(ra.end <= rb.start, "leaf ranges must be ordered");
-            let (left, right) = accums.split_at_mut(rb.start);
-            execute_leaf_pair(
-                kernel,
-                device,
-                mode,
-                &states[ra.clone()],
-                &states[rb.clone()],
-                &mut left[ra],
-                &mut right[..rb.len()],
-                counters,
-            );
-        }
-    }
-}
-
 /// One full CRKSPH evaluation: density → corrections → forces.
 ///
 /// The chaining mesh must have been built from `input.pos`, and its bin
@@ -218,6 +178,9 @@ pub fn sph_step<K: SphKernel>(
         "chaining-mesh bins ({widths:?}, {nbins:?} bins) narrower than kernel support {cutoff}"
     );
     let pairs = cm.interaction_pairs(cutoff, None);
+    // States and accumulators below are in tree (slot) order, so each
+    // leaf is a contiguous slice.
+    let leaf_range = |leaf: LeafId| cm.leaves[leaf as usize].range();
 
     // ---- Stage 1: raw density -> volumes ----
     let geom: Vec<GeomState> = cm
@@ -234,11 +197,12 @@ pub fn sph_step<K: SphKernel>(
         .collect();
     let dk = DensityKernel { kernel: cfg.kernel };
     let mut rho_slots = vec![0.0f64; n];
-    run_pairs(
+    sweep(
         &dk,
         &cfg.device,
         cfg.mode,
-        cm,
+        LeafExec::Tiled,
+        leaf_range,
         &pairs,
         &geom,
         &mut rho_slots,
@@ -266,37 +230,35 @@ pub fn sph_step<K: SphKernel>(
         .collect();
     let mk = MomentsKernel { kernel: cfg.kernel };
     let mut moments = vec![Moments::default(); n];
-    run_pairs(
+    sweep(
         &mk,
         &cfg.device,
         cfg.mode,
-        cm,
+        LeafExec::Tiled,
+        leaf_range,
         &pairs,
         &geom_v,
         &mut moments,
         &mut counters.moments,
     );
-    for (slot, &i) in cm.order.iter().enumerate() {
-        let i = i as usize;
-        let w0 = cfg.kernel.w(0.0, input.h[i]);
-        moments[slot].accumulate(geom_v[slot].m_or_v, w0, &[0.0; 3]);
-        let _ = i;
+    for (m, g) in moments.iter_mut().zip(&geom_v) {
+        m.accumulate(g.m_or_v, cfg.kernel.w(0.0, g.h), &[0.0; 3]);
     }
     let corr_slots: Vec<CrkCorrections> = moments.iter().map(solve_corrections).collect();
     counters.moments.flops += CORRECTION_SOLVE_FLOPS * n as u64;
 
     // Corrected density: rho_i = sum_j m_j W^R_ij over the same pairs.
     // With the partition-of-unity property this equals m_i / V_i for
-    // smooth fields; we use the volume-consistent estimate directly.
-    let rho_corr: Vec<f64> = rho_slots.clone();
+    // smooth fields; the volume-consistent estimate `rho_slots` is used
+    // directly.
 
     // ---- EOS ----
     let mut p_slots = vec![0.0f64; n];
     let mut cs_slots = vec![0.0f64; n];
     for (slot, &i) in cm.order.iter().enumerate() {
         let u = input.u[i as usize];
-        p_slots[slot] = cfg.eos.pressure(rho_corr[slot], u);
-        cs_slots[slot] = cfg.eos.sound_speed(rho_corr[slot], u);
+        p_slots[slot] = cfg.eos.pressure(rho_slots[slot], u);
+        cs_slots[slot] = cfg.eos.sound_speed(rho_slots[slot], u);
     }
 
     // ---- Stage 2.5: velocity gradients for the Balsara limiter ----
@@ -317,11 +279,12 @@ pub fn sph_step<K: SphKernel>(
             .collect();
         let vgk = VelGradKernel { kernel: cfg.kernel };
         let mut grads = vec![VelGradAccum::default(); n];
-        run_pairs(
+        sweep(
             &vgk,
             &cfg.device,
             cfg.mode,
-            cm,
+            LeafExec::Tiled,
+            leaf_range,
             &pairs,
             &vg_states,
             &mut grads,
@@ -348,7 +311,7 @@ pub fn sph_step<K: SphKernel>(
                 vel: input.vel[i],
                 h: input.h[i],
                 p: p_slots[slot],
-                rho: rho_corr[slot],
+                rho: rho_slots[slot],
                 cs: cs_slots[slot],
                 vol: geom_v[slot].m_or_v,
                 balsara: balsara_slots[slot],
@@ -361,11 +324,12 @@ pub fn sph_step<K: SphKernel>(
         opts: cfg.opts,
     };
     let mut force_slots = vec![ForceAccum::default(); n];
-    run_pairs(
+    sweep(
         &fk,
         &cfg.device,
         cfg.mode,
-        cm,
+        LeafExec::Tiled,
+        leaf_range,
         &pairs,
         &force_states,
         &mut force_slots,
@@ -395,7 +359,7 @@ pub fn sph_step<K: SphKernel>(
     for (slot, &i) in cm.order.iter().enumerate() {
         let i = i as usize;
         let m = input.mass[i];
-        out.rho[i] = rho_corr[slot];
+        out.rho[i] = rho_slots[slot];
         out.vol[i] = geom_v[slot].m_or_v;
         out.pressure[i] = p_slots[slot];
         out.cs[i] = cs_slots[slot];
@@ -754,5 +718,82 @@ mod tests {
         for d in 0..3 {
             assert!(ptot[d].abs() < 1e-9, "momentum {ptot:?}");
         }
+    }
+
+    #[test]
+    fn force_sweep_tiled_matches_reference_bitwise_on_ragged_leaves() {
+        // The shared sweep through the tiled symmetric executors must
+        // reproduce the one-sided reference executors bit for bit for the
+        // headline kernel, with leaf sizes on both sides of the half-warp
+        // and not multiples of it.
+        let s = lattice(9, 0.3, 17);
+        let cm = ChainingMesh::build(
+            &s.pos,
+            [-0.5; 3],
+            [9.5; 3],
+            &CmConfig {
+                bin_width: 5.0,
+                max_leaf: 50,
+            },
+        );
+        let device = DeviceSpec::mi250x_gcd();
+        let hw = device.half_warp() as u32;
+        let sizes: Vec<u32> = cm.leaves.iter().map(|l| l.count).collect();
+        assert!(sizes.iter().any(|&c| c < hw) && sizes.iter().any(|&c| c > hw));
+        assert!(sizes.iter().any(|&c| c % hw != 0), "leaf sizes {sizes:?}");
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let states: Vec<ForceState> = cm
+            .order
+            .iter()
+            .map(|&i| ForceState {
+                pos: s.pos[i as usize],
+                vel: [
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                ],
+                h: rng.gen_range(1.0..1.4),
+                p: rng.gen_range(0.5..4.0),
+                rho: rng.gen_range(0.5..2.0),
+                cs: rng.gen_range(0.5..2.0),
+                vol: rng.gen_range(0.5..1.5),
+                balsara: rng.gen_range(0.0..1.0),
+                corr: CrkCorrections {
+                    a: rng.gen_range(0.9..1.1),
+                    b: [0.05, -0.02, 0.01],
+                },
+            })
+            .collect();
+        let fk = ForceKernel {
+            kernel: CubicSpline,
+            opts: HydroOptions::default(),
+        };
+        let pairs = cm.interaction_pairs(2.0 * 1.4, None);
+        let run = |exec| {
+            let mut accums = vec![ForceAccum::default(); states.len()];
+            let mut counters = KernelCounters::default();
+            sweep(
+                &fk,
+                &device,
+                ExecMode::WarpSplit,
+                exec,
+                |leaf| cm.leaves[leaf as usize].range(),
+                &pairs,
+                &states,
+                &mut accums,
+                &mut counters,
+            );
+            (accums, counters)
+        };
+        let (tiled, tiled_counters) = run(LeafExec::Tiled);
+        let (reference, reference_counters) = run(LeafExec::Reference);
+        assert!(tiled.iter().any(|a| a.mom != [0.0; 3]));
+        for (slot, (t, r)) in tiled.iter().zip(&reference).enumerate() {
+            assert_eq!(t.mom, r.mom, "slot {slot} mom");
+            assert_eq!(t.eng, r.eng, "slot {slot} eng");
+            assert_eq!(t.vsig, r.vsig, "slot {slot} vsig");
+        }
+        assert_eq!(tiled_counters.pairs, reference_counters.pairs);
     }
 }

@@ -244,54 +244,9 @@ impl DistFft3d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial::fft3;
     use hacc_ranks::World;
     use hacc_rt::rand::{self, Rng, SeedableRng};
-
-    /// Serial reference 3-D FFT on a full grid.
-    fn serial_fft3(n: usize, grid: &[Complex64], inverse: bool) -> Vec<Complex64> {
-        let plan = FftPlan::new(n);
-        let mut data = grid.to_vec();
-        let mut scratch = vec![Complex64::zero(); n];
-        let run = |p: &FftPlan, s: &mut [Complex64]| {
-            if inverse {
-                p.inverse(s)
-            } else {
-                p.forward(s)
-            }
-        };
-        // z
-        for x in 0..n {
-            for y in 0..n {
-                let row = (x * n + y) * n;
-                run(&plan, &mut data[row..row + n]);
-            }
-        }
-        // y
-        for x in 0..n {
-            for z in 0..n {
-                for y in 0..n {
-                    scratch[y] = data[(x * n + y) * n + z];
-                }
-                run(&plan, &mut scratch);
-                for y in 0..n {
-                    data[(x * n + y) * n + z] = scratch[y];
-                }
-            }
-        }
-        // x
-        for y in 0..n {
-            for z in 0..n {
-                for x in 0..n {
-                    scratch[x] = data[(x * n + y) * n + z];
-                }
-                run(&plan, &mut scratch);
-                for x in 0..n {
-                    data[(x * n + y) * n + z] = scratch[x];
-                }
-            }
-        }
-        data
-    }
 
     fn rand_grid(n: usize, seed: u64) -> Vec<Complex64> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -319,7 +274,8 @@ mod tests {
 
     fn check_matches_serial(n: usize, ranks: usize) {
         let grid = rand_grid(n, 99);
-        let reference = serial_fft3(n, &grid, false);
+        let mut reference = grid.clone();
+        fft3(&FftPlan::new(n), &mut reference, false);
         let results = World::run(ranks, |comm| {
             let fft = DistFft3d::new(comm, n);
             let mut local =

@@ -340,6 +340,7 @@ impl PencilFft3d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial::fft3;
     use hacc_ranks::World;
     use hacc_rt::rand::{self, Rng, SeedableRng};
 
@@ -348,42 +349,6 @@ mod tests {
         (0..n * n * n)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-0.5..0.5)))
             .collect()
-    }
-
-    /// Serial reference (same as the slab tests).
-    fn serial_fft3(n: usize, grid: &[Complex64]) -> Vec<Complex64> {
-        let plan = FftPlan::new(n);
-        let mut data = grid.to_vec();
-        let mut scratch = vec![Complex64::zero(); n];
-        for x in 0..n {
-            for y in 0..n {
-                let row = (x * n + y) * n;
-                plan.forward(&mut data[row..row + n]);
-            }
-        }
-        for x in 0..n {
-            for z in 0..n {
-                for y in 0..n {
-                    scratch[y] = data[(x * n + y) * n + z];
-                }
-                plan.forward(&mut scratch);
-                for y in 0..n {
-                    data[(x * n + y) * n + z] = scratch[y];
-                }
-            }
-        }
-        for y in 0..n {
-            for z in 0..n {
-                for x in 0..n {
-                    scratch[x] = data[(x * n + y) * n + z];
-                }
-                plan.forward(&mut scratch);
-                for x in 0..n {
-                    data[(x * n + y) * n + z] = scratch[x];
-                }
-            }
-        }
-        data
     }
 
     #[test]
@@ -397,7 +362,8 @@ mod tests {
 
     fn check(n: usize, ranks: usize) {
         let grid = rand_grid(n, 7 + ranks as u64);
-        let reference = serial_fft3(n, &grid);
+        let mut reference = grid.clone();
+        fft3(&FftPlan::new(n), &mut reference, false);
         let results = World::run(ranks, |comm| {
             let fft = PencilFft3d::new(comm, n);
             // Load this rank's Z-layout pencil from the global grid.

@@ -178,6 +178,47 @@ fn radix2(data: &mut [Complex64], twiddles: &[Complex64], inverse: bool) {
     }
 }
 
+/// In-place serial 3-D FFT of a full `n^3` cube (`n = plan.len()`,
+/// layout `[(x*n + y)*n + z]`), axis order z, y, x. The IC generator's
+/// transform and the reference the distributed FFTs are tested against.
+pub fn fft3(plan: &FftPlan, data: &mut [Complex64], inverse: bool) {
+    let n = plan.len();
+    assert_eq!(data.len(), n * n * n, "data is not an n^3 cube");
+    let run = |s: &mut [Complex64]| {
+        if inverse {
+            plan.inverse(s)
+        } else {
+            plan.forward(s)
+        }
+    };
+    let mut scratch = vec![Complex64::zero(); n];
+    for row in data.chunks_exact_mut(n) {
+        run(row);
+    }
+    for x in 0..n {
+        for z in 0..n {
+            for y in 0..n {
+                scratch[y] = data[(x * n + y) * n + z];
+            }
+            run(&mut scratch);
+            for y in 0..n {
+                data[(x * n + y) * n + z] = scratch[y];
+            }
+        }
+    }
+    for y in 0..n {
+        for z in 0..n {
+            for x in 0..n {
+                scratch[x] = data[(x * n + y) * n + z];
+            }
+            run(&mut scratch);
+            for x in 0..n {
+                data[(x * n + y) * n + z] = scratch[x];
+            }
+        }
+    }
+}
+
 /// Reference O(n^2) DFT used for validation.
 pub fn naive_dft(data: &[Complex64], inverse: bool) -> Vec<Complex64> {
     let n = data.len();

@@ -2,7 +2,6 @@
 //! k-d tree, with leaf-pair interaction list generation.
 
 use crate::kdtree::{build_leaves, Leaf};
-use hacc_rt::par::prelude::*;
 
 /// Identifier of a leaf within a [`ChainingMesh`].
 pub type LeafId = u32;
@@ -89,37 +88,24 @@ impl ChainingMesh {
             cursor[b] += 1;
         }
 
-        // Build the per-bin coarse k-d leaves. Bins own disjoint slices of
-        // the ordering array, so the builds run in parallel (rayon) —
-        // this is the GPU tree-build stage of the paper, which is
-        // embarrassingly parallel over chaining-mesh bins.
-        let mut bin_slices: Vec<(usize, &mut [u32])> = Vec::with_capacity(total_bins);
-        {
-            let mut rest: &mut [u32] = &mut order;
-            for b in 0..total_bins {
-                let len = (offsets[b + 1] - offsets[b]) as usize;
-                let (head, tail) = rest.split_at_mut(len);
-                bin_slices.push((offsets[b] as usize, head));
-                rest = tail;
-            }
-        }
-        let per_bin: Vec<Vec<Leaf>> = bin_slices
-            .into_par_iter()
-            .map(|(base, slice)| {
-                let mut out = Vec::new();
-                build_leaves(positions, slice, base as u32, cfg.max_leaf, &mut out);
-                out
-            })
-            .collect();
+        // Build the per-bin coarse k-d leaves; each bin owns a disjoint
+        // slice of the ordering array.
         let mut leaves = Vec::new();
         let mut bin_leaves = Vec::with_capacity(total_bins);
         let mut leaf_bin = Vec::new();
-        for (b, bin) in per_bin.into_iter().enumerate() {
-            let first = leaves.len() as u32;
-            let count = bin.len() as u32;
-            leaves.extend(bin);
-            bin_leaves.push((first, count));
-            leaf_bin.extend(std::iter::repeat(b as u32).take(count as usize));
+        for b in 0..total_bins {
+            let (start, end) = (offsets[b] as usize, offsets[b + 1] as usize);
+            let first = leaves.len();
+            build_leaves(
+                positions,
+                &mut order[start..end],
+                start as u32,
+                cfg.max_leaf,
+                &mut leaves,
+            );
+            let count = leaves.len() - first;
+            bin_leaves.push((first as u32, count as u32));
+            leaf_bin.extend(std::iter::repeat(b as u32).take(count));
         }
 
         Self {

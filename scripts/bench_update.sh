@@ -3,12 +3,9 @@
 # deliberate performance change. Runs the two ratcheted bench targets
 # with HACC_BENCH_JSON pointed at the baseline file, which merges the
 # fresh metrics in place. Commit the updated BENCH_kernels.json together
-# with the change that moved the numbers.
-#
-# HACC_RT_BENCH_FAST=1 shortens only the criterion-style bench groups;
-# the ratcheted short_range_symmetric group always measures at the same
-# fixed budget the tier-5 gate uses, so blessed numbers and gate numbers
-# are comparable.
+# with the change that moved the numbers. kernels_micro measures at the
+# same fixed budget here and under the tier-5 gate, so blessed numbers and
+# gate numbers are comparable.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,7 +13,7 @@ export HACC_BENCH_JSON="$PWD/BENCH_kernels.json"
 unset HACC_BENCH_BASELINE || true
 
 echo "== blessing short-range symmetric kernel baselines =="
-HACC_RT_BENCH_FAST=1 cargo bench -q --offline -p hacc-bench --bench kernels_micro \
+cargo bench -q --offline -p hacc-bench --bench kernels_micro \
     | grep -E "short_range_symmetric|metric|wrote"
 
 echo "== blessing headline hydro-vs-gravity baselines =="

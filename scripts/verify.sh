@@ -49,6 +49,15 @@ done <<'CANARIES'
 D1|crates/telem/src/__d1_canary.rs|a stray wall-clock read in a telemetry source
 pub fn leak() -> f64 { std::time::Instant::now().elapsed().as_secs_f64() }
 ---
+D1|crates/rt/src/__d1_canary.rs|worker threads spawned beside the lane-gated ranks
+pub fn fan_out(n: usize) {
+    std::thread::scope(|s| {
+        for _ in 0..n {
+            s.spawn(|| {});
+        }
+    });
+}
+---
 C1|crates/ranks/src/__c1_canary.rs|a collective under a rank guard
 pub fn canary_guarded(comm: &mut Comm) {
     if comm.rank() == 0 {
@@ -292,10 +301,7 @@ echo "== tier 5: perf ratchet — short-range symmetric kernels =="
 # regresses more than 15% fails the gate with a delta table, and the
 # kernels_micro run additionally asserts the headline crk_force symmetric
 # speedup stays >= 2x. Re-bless deliberate performance changes with
-# scripts/bench_update.sh. HACC_RT_BENCH_FAST only shortens the
-# criterion-style groups; the ratcheted symmetric group always measures
-# at its full fixed budget.
-HACC_RT_BENCH_FAST=1 \
+# scripts/bench_update.sh.
 HACC_BENCH_BASELINE="$PWD/BENCH_kernels.json" \
 HACC_BENCH_JSON="$tdir/bench_fresh.json" \
     cargo bench -q --offline -p hacc-bench --bench kernels_micro \

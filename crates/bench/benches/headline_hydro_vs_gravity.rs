@@ -5,7 +5,7 @@
 //! expensive. We run the same miniature box in all three physics modes
 //! and compare solver cost.
 
-use hacc_bench::{baseline, bench_config, compare, mini_run, print_table};
+use hacc_bench::{baseline, compare, mini_run, print_table};
 use hacc_core::timers::Phase;
 use hacc_core::Physics;
 
@@ -76,8 +76,6 @@ fn main() {
     );
     // CPU-vs-GPU contrast (Section VI-B "roughly a year" remark): from
     // the modeled GPU seconds and a 100x CPU slowdown assumption.
-    let cfg = bench_config(np, steps, Physics::Hydro);
-    let _ = cfg;
     let gpu_s: f64 = full.steps.iter().map(|s| s.gpu_seconds_modeled).sum();
     println!(
         "\n  modeled GPU seconds (this run): {gpu_s:.3e}; paper scale: 196 h GPU-resident vs ~1 year CPU-only"

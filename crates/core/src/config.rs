@@ -68,9 +68,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// Scratch directory for I/O; `None` uses a temp dir.
     pub io_dir: Option<std::path::PathBuf>,
-    /// Fault-injection spec for the supervised chaos path (the `--chaos`
-    /// flag; see `hacc_fault::FaultPlan::parse` for the grammar). `None`
-    /// or an empty plan runs the plain unsupervised path.
+    /// Fault-injection spec (the `--chaos` flag; see
+    /// `hacc_fault::FaultPlan::parse` for the grammar). `None` or an
+    /// empty plan is one attempt with no fault probes armed.
     pub chaos: Option<String>,
     /// Run the world under the hacc-san dynamic sanitizer (the
     /// `--sanitize` flag): happens-before race detection over annotated
@@ -80,8 +80,8 @@ pub struct SimConfig {
     ///
     /// [`SimReport`]: crate::driver::SimReport
     pub sanitize: bool,
-    /// Rank execution backend (the `--backend` flag). `None` defers to
-    /// `HACC_RANK_BACKEND` (default: cooperative multiplexing). Pin
+    /// Rank execution backend (the `--backend` flag), the one selector.
+    /// `None` is cooperative multiplexing. Pin
     /// [`Backend::Threads`] for wall-clock phase timings: under the
     /// cooperative scheduler, time a rank spends parked on communication
     /// is charged to the blocking phase, which inflates comm-heavy
@@ -161,10 +161,9 @@ impl SimConfig {
         }
     }
 
-    /// Resolved rank backend: the explicit [`Self::backend`] override,
-    /// else `HACC_RANK_BACKEND`, else cooperative.
+    /// Resolved rank backend: [`Self::backend`], else cooperative.
     pub fn rank_backend(&self) -> hacc_ranks::Backend {
-        self.backend.unwrap_or_else(hacc_ranks::Backend::from_env)
+        self.backend.unwrap_or(hacc_ranks::Backend::Cooperative)
     }
 
     /// PM cell size, Mpc/h.
@@ -196,16 +195,38 @@ impl SimConfig {
         (self.a_final - self.a_init) / self.pm_steps as f64
     }
 
-    /// Validate internal consistency (panics with a description).
+    /// Check internal consistency; the error is a one-line description.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.np >= 2 && self.ngrid >= 4, "problem too small"),
+            (
+                self.a_init > 0.0 && self.a_final > self.a_init,
+                "need 0 < a_init < a_final",
+            ),
+            (self.pm_steps >= 1, "need at least one PM step"),
+            (self.max_rung <= 10, "rung hierarchy too deep"),
+            (
+                self.overload_cells * self.cell_size() >= 7.0 * self.split_scale() * 0.99,
+                "overload must cover the short-range cutoff",
+            ),
+            // A sanitizer report describes one world; a chaos plan's
+            // rollbacks would span several.
+            (
+                !(self.sanitize && self.chaos.is_some()),
+                "sanitize does not combine with chaos (use HACC_SAN=1)",
+            ),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some((_, why)) => Err(format!("invalid configuration: {why}")),
+            None => Ok(()),
+        }
+    }
+
+    /// [`check`](Self::check), panicking with the description.
     pub fn validate(&self) {
-        assert!(self.np >= 2 && self.ngrid >= 4, "problem too small");
-        assert!(self.a_init > 0.0 && self.a_final > self.a_init);
-        assert!(self.pm_steps >= 1);
-        assert!(self.max_rung <= 10, "rung hierarchy too deep");
-        assert!(
-            self.overload_cells * self.cell_size() >= 7.0 * self.split_scale() * 0.99,
-            "overload must cover the short-range cutoff"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -247,6 +268,15 @@ mod tests {
     fn validation_catches_thin_overload() {
         let mut c = SimConfig::small(16);
         c.overload_cells = 1.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "sanitize does not combine with chaos")]
+    fn validation_rejects_sanitize_with_chaos() {
+        let mut c = SimConfig::small(16);
+        c.sanitize = true;
+        c.chaos = Some("panic@1:0".into());
         c.validate();
     }
 }

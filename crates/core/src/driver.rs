@@ -215,8 +215,8 @@ enum ResumeMode {
 
 /// A failure in the step loop's checkpoint/IO path, carried to the
 /// fault supervisor as a typed panic payload instead of an anonymous
-/// `.expect` string. [`run_supervised`] downcasts the payload on catch
-/// to log which path failed before rolling back.
+/// `.expect` string. [`supervise`] downcasts the payload on catch to log
+/// which path failed before rolling back.
 #[derive(Debug, Clone)]
 enum StepError {
     /// `--resume` found no CRC-valid checkpoint on this rank's PFS.
@@ -255,16 +255,27 @@ impl std::fmt::Display for StepError {
 
 /// Abort the current attempt with a typed payload the supervisor can
 /// identify. Unwinding is the only exit from `rank_main` that reaches
-/// the `catch_unwind` in [`run_supervised`], so the escalation is a
-/// panic by design — but one carrying a [`StepError`] the supervisor
-/// downcasts, not a bare string. The message is mirrored to stderr for
-/// the unsupervised paths (`resume_simulation`) where nothing catches.
+/// the `catch_unwind` in [`supervise`], so the escalation is a panic by
+/// design — but one carrying a [`StepError`] the supervisor downcasts,
+/// not a bare string. The message is mirrored to stderr for the final
+/// attempt, which the supervisor rethrows unlogged.
 fn escalate(e: StepError) -> ! {
     eprintln!("step-loop escalation: {e}");
     std::panic::panic_any(e)
 }
 
-/// Run the configured simulation on `n_ranks` simulated ranks.
+/// Run the configured simulation on `n_ranks` simulated ranks, under the
+/// fault supervisor.
+///
+/// `cfg.chaos` is parsed into a [`FaultPlan`] and per-rank fault probes
+/// are armed through the whole stack (comm transport, tiered writer, GPU
+/// launches, step loop). Transient faults recover in place; a fatal
+/// fault (rank panic) tears the world down, and the supervisor rolls
+/// back to the newest globally consistent checkpoint and re-runs —
+/// planned events fire exactly once per run, so the replay converges and
+/// the recovered run reports the same `final_state_hash` as an
+/// uninterrupted same-seed run. With no chaos spec (or an empty plan)
+/// the run is one attempt with no probes armed.
 ///
 /// With `cfg.sanitize` set the world runs under the hacc-san dynamic
 /// sanitizer; the findings report is attached to the returned
@@ -272,22 +283,7 @@ fn escalate(e: StepError) -> ! {
 /// sanitizer abort (confirmed deadlock or payload mismatch) panics with
 /// the rendered report, since there are no rank results to assemble.
 pub fn run_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
-    cfg.validate();
-    let io_base = resolve_io_base(cfg);
-    if cfg.sanitize {
-        let (outputs, report) =
-            World::run_sanitized_with(cfg.rank_backend(), n_ranks, |comm| {
-                rank_main(cfg, comm, &io_base, ResumeMode::Fresh, None)
-            });
-        let outputs = outputs.unwrap_or_else(|| {
-            panic!("sanitizer aborted the run:\n{}", report.render_text())
-        });
-        return assemble_report(cfg, outputs, 1, 0, Some(report));
-    }
-    let outputs = World::run_with(cfg.rank_backend(), n_ranks, |comm| {
-        rank_main(cfg, comm, &io_base, ResumeMode::Fresh, None)
-    });
-    assemble_report(cfg, outputs, 1, 0, None)
+    supervise(cfg, n_ranks, ResumeMode::Fresh)
 }
 
 /// Resume an interrupted run from the newest CRC-valid checkpoint on the
@@ -295,16 +291,12 @@ pub fn run_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
 /// its own checkpoint; the run continues from the following PM step
 /// through `cfg.pm_steps`. Panics if no valid checkpoint exists.
 pub fn resume_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
-    cfg.validate();
     assert!(
         cfg.io_dir.is_some(),
         "resume requires cfg.io_dir pointing at the interrupted run"
     );
-    let io_base = resolve_io_base(cfg);
-    let outputs = World::run_with(cfg.rank_backend(), n_ranks, |comm| {
-        rank_main(cfg, comm, &io_base, ResumeMode::Latest, None)
-    });
-    assemble_report(cfg, outputs, 1, 0, None)
+    assert!(!cfg.sanitize, "resume does not combine with cfg.sanitize");
+    supervise(cfg, n_ranks, ResumeMode::Latest)
 }
 
 /// The fault plan `cfg.chaos` asks for (empty without a spec), or the
@@ -318,52 +310,51 @@ pub fn chaos_plan(cfg: &SimConfig, n_ranks: usize) -> Result<FaultPlan, String> 
     }
 }
 
-/// Run under the fault supervisor: parse `cfg.chaos` into a [`FaultPlan`]
-/// and execute the simulation with per-rank fault probes armed through
-/// the whole stack (comm transport, tiered writer, GPU launches, step
-/// loop). Transient faults recover in place; a fatal fault (rank panic)
-/// tears the world down, and the supervisor rolls back to the newest
-/// globally consistent checkpoint and re-runs — planned events fire
-/// exactly once per supervised run, so the replay converges and the
-/// recovered run reports the same `final_state_hash` as an uninterrupted
-/// same-seed run.
-///
-/// With no chaos spec (or an empty plan) this delegates to
-/// [`run_simulation`]: no probes are armed and behavior is identical to
-/// the unsupervised path.
-pub fn run_supervised(cfg: &SimConfig, n_ranks: usize) -> SimReport {
+/// The one path from a configuration to a world: every attempt of every
+/// run — fresh, resumed, sanitized, or replayed after a rollback — is
+/// started here.
+fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> SimReport {
     cfg.validate();
     let plan = chaos_plan(cfg, n_ranks).unwrap_or_else(|e| panic!("{e}"));
-    if plan.is_empty() {
-        return run_simulation(cfg, n_ranks);
-    }
     let io_base = resolve_io_base(cfg);
+    let armed = !plan.is_empty();
     // Each fatal event can kill at most one attempt (consumed flags
     // survive rollbacks), so the event count bounds the retries; +1 for
     // the final clean attempt.
     let max_attempts = plan.events.len() as u64 + 1;
     let state = std::sync::Arc::new(FaultState::new(plan, n_ranks));
-    let mut resume_mode = ResumeMode::Fresh;
     loop {
         state.begin_attempt();
-        let st = std::sync::Arc::clone(&state);
+        let body = |comm: &mut Comm| {
+            let probe =
+                armed.then(|| FaultProbe::new(std::sync::Arc::clone(&state), comm.rank()));
+            rank_main(cfg, comm, &io_base, resume_mode, probe)
+        };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            World::run_with(cfg.rank_backend(), n_ranks, |comm| {
-                let probe = FaultProbe::new(std::sync::Arc::clone(&st), comm.rank());
-                rank_main(cfg, comm, &io_base, resume_mode, Some(probe))
-            })
+            if !cfg.sanitize {
+                return (World::run_with(cfg.rank_backend(), n_ranks, body), None);
+            }
+            let (outputs, report) =
+                World::run_sanitized_with(cfg.rank_backend(), n_ranks, body);
+            let outputs = outputs.unwrap_or_else(|| {
+                panic!("sanitizer aborted the run:\n{}", report.render_text())
+            });
+            (outputs, Some(report))
         }));
         match result {
-            Ok(outputs) => {
+            Ok((outputs, sanitizer)) => {
                 return assemble_report(
                     cfg,
                     outputs,
                     state.attempts(),
                     state.rollbacks(),
-                    None,
+                    sanitizer,
                 );
             }
             Err(cause) => {
+                if state.attempts() >= max_attempts {
+                    std::panic::resume_unwind(cause);
+                }
                 // Typed escalations from the checkpoint/IO path carry a
                 // StepError payload; log the decoded cause so rollback
                 // triage doesn't start from an anonymous panic string.
@@ -372,9 +363,6 @@ pub fn run_supervised(cfg: &SimConfig, n_ranks: usize) -> SimReport {
                         "supervisor: attempt {} failed in the checkpoint/IO path: {e}",
                         state.attempts()
                     );
-                }
-                if state.attempts() >= max_attempts {
-                    std::panic::resume_unwind(cause);
                 }
                 state.record_rollback();
                 resume_mode = ResumeMode::Consistent;
@@ -836,7 +824,6 @@ fn rank_main(
                 stars_this_step += apply_subgrid(
                     &mut store,
                     &gas_idx,
-                    &vsig_prev,
                     &cooling,
                     &sf,
                     &sn,
@@ -870,7 +857,7 @@ fn rank_main(
         if cfg.analysis_every > 0 && (step + 1) % cfg.analysis_every == 0 {
             let sp = tracer.begin(Phase::Analysis.name(), "in-situ-analysis");
             let halos =
-                run_analysis_step(cfg, comm, &store, &agn, &mut black_holes, &kd, a1);
+                run_analysis_step(cfg, &store, &agn, &mut black_holes, &kd, a1);
             tracer.end(sp);
             // Halo catalogs are the paper's ~12 PB science side channel:
             // written through the same tiers, never pruned.
@@ -980,8 +967,8 @@ fn rank_main(
         });
         tracer.end(sp);
 
-        total_stars += comm.all_reduce_sum_u64(stars_this_step);
         let stars_formed = comm.all_reduce_sum_u64(stars_this_step);
+        total_stars += stars_formed;
         let gpu_max = comm.all_reduce_f64(gpu_s, f64::max);
         // The step span is the wall-clock authority here: the tracer is
         // the blessed measurement point (lint rule D1 bans raw
@@ -1124,7 +1111,6 @@ fn global_state_hash(comm: &mut Comm, store: &ParticleStore, box_size: f64) -> u
 fn apply_subgrid(
     store: &mut ParticleStore,
     gas_idx: &[usize],
-    _vsig: &[f64],
     cooling: &CoolingModel,
     sf: &StarFormationModel,
     sn: &SupernovaModel,
@@ -1194,7 +1180,6 @@ fn apply_subgrid(
 /// catalog for the science-output channel.
 fn run_analysis_step(
     cfg: &SimConfig,
-    _comm: &mut Comm,
     store: &ParticleStore,
     agn: &AgnModel,
     black_holes: &mut Vec<BlackHole>,
@@ -1205,11 +1190,9 @@ fn run_analysis_step(
     if n == 0 {
         return vec![];
     }
-    let pos: Vec<[f64; 3]> = store.pos[..n].to_vec();
-    let vel: Vec<[f64; 3]> = store.vel[..n].to_vec();
-    let mass: Vec<f64> = store.mass[..n].to_vec();
+    let (pos, vel, mass) = (&store.pos[..n], &store.vel[..n], &store.mass[..n]);
     let b_link = 0.2 * cfg.particle_spacing();
-    let halos = fof_halos(&pos, &vel, &mass, b_link, 10);
+    let halos = fof_halos(pos, vel, mass, b_link, 10);
     // AGN: seed in massive halos lacking a nearby black hole; accrete.
     let dt_gyr = kd.dt_gyr((a - cfg.da_pm()).max(1e-3), a);
     for h in &halos {
@@ -1243,9 +1226,7 @@ fn final_analysis(
     rng: &mut rand::rngs::StdRng,
 ) -> (Vec<PowerBin>, usize, f64, Vec<XiBin>, u64, f64) {
     let n = store.n_owned;
-    let pos: Vec<[f64; 3]> = store.pos[..n].to_vec();
-    let vel: Vec<[f64; 3]> = store.vel[..n].to_vec();
-    let mass: Vec<f64> = store.mass[..n].to_vec();
+    let (pos, vel, mass) = (&store.pos[..n], &store.vel[..n], &store.mass[..n]);
     // P(k) over all ranks through the PM deposit path.
     let pm = PmSolver::new(
         comm,
@@ -1257,11 +1238,11 @@ fn final_analysis(
             deconvolve_cic: false,
         },
     );
-    let (delta_k, y0, ny) = pm.density_k(comm, &pos, &mass);
+    let (delta_k, y0, ny) = pm.density_k(comm, pos, mass);
     let power = measure_power(comm, &delta_k, cfg.ngrid, y0, ny, cfg.box_size);
     // Local FOF (per-rank; the global count is the reduced sum).
     let b_link = 0.2 * cfg.particle_spacing();
-    let halos = fof_halos(&pos, &vel, &mass, b_link, 10);
+    let halos = fof_halos(pos, vel, mass, b_link, 10);
     let local_max = halos.first().map(|h| h.mass).unwrap_or(0.0);
     let n_halos = comm.all_reduce_sum_u64(halos.len() as u64) as usize;
     let largest = comm.all_reduce_f64(local_max, f64::max);

@@ -14,8 +14,8 @@
 //! checkpoints every step, and in-situ analysis at a configurable cadence.
 //!
 //! Entry points:
-//! * [`driver::run_simulation`] / [`driver::resume_simulation`] /
-//!   [`driver::run_supervised`] — the full run (plus chaos supervision);
+//! * [`driver::run_simulation`] / [`driver::resume_simulation`] — the
+//!   full run, fresh or resumed, under the chaos supervisor;
 //! * [`scaling`] — the weak/strong scaling harness (Fig. 4) and the
 //!   machine-scale extrapolation model.
 
@@ -30,6 +30,6 @@ pub mod timers;
 pub mod timestep;
 
 pub use config::{Physics, SimConfig};
-pub use driver::{resume_simulation, run_simulation, run_supervised, SimReport, StepRecord};
+pub use driver::{resume_simulation, run_simulation, SimReport, StepRecord};
 pub use particles::{ParticleStore, Species};
 pub use timers::Timers;

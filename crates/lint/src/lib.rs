@@ -18,7 +18,7 @@
 //!
 //! | rule | reads | class |
 //! |------|-------|-------|
-//! | D1   | tokens           | hash-ordered iteration in golden paths; stray wall-clock reads and thread creation |
+//! | D1   | tokens           | hash-ordered iteration in golden paths; stray wall-clock/env reads and thread creation |
 //! | C1   | AST + call graph | collectives under rank-dependent guards (SPMD deadlock)        |
 //! | H1   | tokens + manifests | non-path dependencies, `extern crate`, `use ::` escapes      |
 //! | S1   | tokens           | `unsafe` without a `// SAFETY:` comment                        |

@@ -3,7 +3,7 @@
 //! Worlds run on one of two backends (see [`Backend`]):
 //!
 //! * **Cooperative** (default): every rank is a task on the bounded
-//!   work-stealing executor in `hacc_rt::sched`. A rank blocked in
+//!   executor in `hacc_rt::sched`. A rank blocked in
 //!   `recv` parks its task and releases its run lane to another rank,
 //!   so 256–4096-rank worlds multiplex onto a handful of cores. The
 //!   scheduler's exact quiescence detection turns "every live rank is
@@ -87,7 +87,7 @@ struct Envelope {
 /// Execution backend for a [`World`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Ranks as cooperative tasks on the bounded work-stealing executor
+    /// Ranks as cooperative tasks on the bounded executor
     /// (`hacc_rt::sched`): blocked ranks park and release their run
     /// lane, so world size is decoupled from core count. The default.
     Cooperative,
@@ -97,31 +97,13 @@ pub enum Backend {
     Threads,
 }
 
-impl Backend {
-    /// Backend selected by `HACC_RANK_BACKEND` (`coop`/`threads`),
-    /// defaulting to [`Backend::Cooperative`].
-    pub fn from_env() -> Backend {
-        match std::env::var("HACC_RANK_BACKEND") {
-            Ok(v) => match v.trim() {
-                "threads" | "thread" => Backend::Threads,
-                "coop" | "cooperative" | "" => Backend::Cooperative,
-                other => panic!(
-                    "HACC_RANK_BACKEND must be 'coop' or 'threads', got {other:?}"
-                ),
-            },
-            Err(_) => Backend::Cooperative,
-        }
-    }
-}
-
 /// The SPMD entry point: runs the same closure on every rank of a
 /// simulated world (see [`Backend`] for the two execution models).
 pub struct World;
 
 impl World {
-    /// Run `f` on `n` ranks and return the per-rank results in rank
-    /// order, on the backend selected by `HACC_RANK_BACKEND` (default:
-    /// cooperative).
+    /// Run `f` on `n` cooperative ranks and return the per-rank results
+    /// in rank order.
     ///
     /// Panics in any rank propagate (the join unwinds), mirroring an MPI
     /// abort. With `HACC_SAN=1` in the environment the world runs
@@ -132,7 +114,7 @@ impl World {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        Self::run_with(Backend::from_env(), n, f)
+        Self::run_with(Backend::Cooperative, n, f)
     }
 
     /// [`run`](Self::run) on an explicit backend — the hook the
@@ -171,7 +153,7 @@ impl World {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        Self::run_sanitized_with(Backend::from_env(), n, f)
+        Self::run_sanitized_with(Backend::Cooperative, n, f)
     }
 
     /// [`run_sanitized`](Self::run_sanitized) on an explicit backend.
@@ -280,51 +262,35 @@ impl World {
         }
         let txs = Arc::new(txs);
 
-        match backend {
-            Backend::Threads => std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (rank, rx) in rxs.into_iter().enumerate() {
+        // Cooperative ranks are scheduler tasks, all registered before
+        // any thread starts so the quiescence accounting always sees the
+        // whole world; thread-backed ranks run their body bare.
+        let sched = (backend == Backend::Cooperative)
+            .then(|| sched::Scheduler::new(sched::default_lanes()));
+        let tasks: Vec<_> = (0..n)
+            .map(|_| sched.as_ref().map(sched::Scheduler::register))
+            .collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rxs
+                .into_iter()
+                .zip(tasks)
+                .enumerate()
+                .map(|(rank, (rx, task))| {
                     let txs = Arc::clone(&txs);
-                    handles.push(
-                        scope.spawn(move || Self::rank_body(rank, n, rx, txs, f, san)),
-                    );
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rank panicked"))
-                    .collect()
-            }),
-            Backend::Cooperative => {
-                let sched = sched::Scheduler::from_env();
-                // Register every task before any thread starts so the
-                // scheduler's quiescence accounting always sees the
-                // whole world.
-                let tasks: Vec<_> = (0..n).map(|_| sched.register()).collect();
-                let stack = sched::stack_size_bytes();
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(n);
-                    for ((rank, rx), task) in
-                        rxs.into_iter().enumerate().zip(tasks)
-                    {
-                        let txs = Arc::clone(&txs);
-                        let mut builder = std::thread::Builder::new();
-                        if let Some(bytes) = stack {
-                            builder = builder.stack_size(bytes);
+                    scope.spawn(move || {
+                        let body = || Self::rank_body(rank, n, rx, txs, f, san);
+                        match task {
+                            Some(task) => task.run(body),
+                            None => body(),
                         }
-                        let handle = builder
-                            .spawn_scoped(scope, move || {
-                                task.run(|| Self::rank_body(rank, n, rx, txs, f, san))
-                            })
-                            .expect("spawn rank task");
-                        handles.push(handle);
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("rank panicked"))
-                        .collect()
+                    })
                 })
-            }
-        }
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank panicked"))
+                .collect()
+        })
     }
 }
 

@@ -9,14 +9,14 @@
 //! is no hand-rolled stackful coroutine), but only `lanes` of them may
 //! run at once. Every other task is either
 //!
-//! * **queued** — holding no lane, sitting in a per-lane FIFO run
-//!   queue waiting to be granted one, or
+//! * **queued** — holding no lane, sitting in the one FIFO run queue
+//!   waiting to be granted one, or
 //! * **parked** — blocked at a runtime blocking point (`rt::channel`
 //!   recv on an empty queue), holding no lane until a wake arrives.
 //!
-//! A lane that frees up pops its own queue first and then *steals* the
-//! oldest entry from a sibling queue, scanning round-robin, so no lane
-//! idles while any task is runnable.
+//! Lanes are plain run permits, not pinned to cores: a freed permit goes
+//! to the oldest queued task, and a permit is only ever banked while the
+//! queue is empty, so no lane idles while any task is runnable.
 //!
 //! # Park/wake protocol
 //!
@@ -51,13 +51,12 @@
 //!
 //! # Determinism contract
 //!
-//! With one lane, scheduling is a pure FIFO over the run queues and
+//! With one lane, scheduling is a pure FIFO over the run queue and
 //! every world execution is a deterministic interleaving. With more
 //! lanes the interleaving varies, but all `hacc-ranks` communication is
 //! `(src, tag)`-matched with per-pair FIFO order, so rank-visible
-//! results are scheduling-independent either way; the lane count is a
-//! throughput knob, not a semantics knob (`HACC_SCHED_WORKERS`
-//! overrides the default of `available_parallelism`).
+//! results are scheduling-independent either way; the lane count
+//! ([`default_lanes`]) changes throughput, never semantics.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -76,7 +75,7 @@ pub enum ParkOutcome {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
-    /// In a lane run queue, waiting to be granted a lane.
+    /// In the run queue, waiting to be granted a lane.
     Queued,
     /// Holds a lane; its thread runs (or is about to observe the grant).
     Running,
@@ -96,27 +95,50 @@ struct TaskSlot {
     /// `park` must return [`ParkOutcome::Quiescent`], not `Woken`. Set
     /// only by the finish path (see [`FinishGuard`]).
     quiescent_signal: bool,
-    /// Preferred lane queue (round-robin by task id); wakes re-queue
-    /// here and idle siblings steal from it.
-    home: usize,
-    /// Lane currently held (meaningful while `Running`/`Parking`).
-    lane: usize,
     /// Unpark handle; `None` until the task's thread enters `run`.
     thread: Option<Thread>,
 }
 
 struct SchedState {
     tasks: Vec<TaskSlot>,
-    /// Per-lane FIFO run queues of task ids.
-    queues: Vec<VecDeque<usize>>,
-    /// Lanes with no current task.
-    idle: Vec<bool>,
-    /// Tasks holding a lane (`Running` + `Parking`).
-    running: usize,
-    /// Tasks waiting in some run queue.
-    queued: usize,
+    /// FIFO run queue of task ids waiting for a lane.
+    queue: VecDeque<usize>,
+    /// Lanes no task holds. Non-zero only while `queue` is empty, so
+    /// `free == lanes` means nothing runs and nothing can run.
+    free: usize,
     /// Tasks not yet `Done`.
     live: usize,
+}
+
+impl SchedState {
+    /// Give task `id` a lane and let its thread go.
+    fn grant(&mut self, id: usize) {
+        let t = &mut self.tasks[id];
+        t.status = Status::Running;
+        if let Some(th) = &t.thread {
+            th.unpark();
+        }
+    }
+
+    /// Make task `id` runnable: grant it a free lane, else queue it.
+    fn enqueue(&mut self, id: usize) {
+        if self.free > 0 {
+            self.free -= 1;
+            self.grant(id);
+        } else {
+            self.tasks[id].status = Status::Queued;
+            self.queue.push_back(id);
+        }
+    }
+
+    /// A task gave up its lane: hand it to the oldest queued task, or
+    /// bank it when none is runnable.
+    fn release_lane(&mut self) {
+        match self.queue.pop_front() {
+            Some(id) => self.grant(id),
+            None => self.free += 1,
+        }
+    }
 }
 
 struct SchedInner {
@@ -130,33 +152,6 @@ impl SchedInner {
         // sections with no user code, so a poisoned lock only means
         // some other task panicked mid-teardown.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Grant the freed lane `l` to the next runnable task: pop `l`'s own
-/// queue first, then steal the oldest entry from siblings round-robin.
-/// Marks the lane idle when no task is runnable.
-fn grant_lane(st: &mut SchedState, lanes: usize, l: usize) {
-    let mut pick = None;
-    for k in 0..lanes {
-        if let Some(id) = st.queues[(l + k) % lanes].pop_front() {
-            pick = Some(id);
-            break;
-        }
-    }
-    match pick {
-        Some(id) => {
-            st.queued -= 1;
-            st.running += 1;
-            let t = &mut st.tasks[id];
-            debug_assert_eq!(t.status, Status::Queued);
-            t.status = Status::Running;
-            t.lane = l;
-            if let Some(th) = &t.thread {
-                th.unpark();
-            }
-        }
-        None => st.idle[l] = true,
     }
 }
 
@@ -176,20 +171,12 @@ impl Scheduler {
                 lanes,
                 state: Mutex::new(SchedState {
                     tasks: Vec::new(),
-                    queues: (0..lanes).map(|_| VecDeque::new()).collect(),
-                    idle: vec![true; lanes],
-                    running: 0,
-                    queued: 0,
+                    queue: VecDeque::new(),
+                    free: lanes,
                     live: 0,
                 }),
             }),
         }
-    }
-
-    /// Executor sized from the environment: `HACC_SCHED_WORKERS` when
-    /// set, else `available_parallelism`.
-    pub fn from_env() -> Self {
-        Scheduler::new(default_lanes())
     }
 
     /// Lane count this executor was built with.
@@ -197,42 +184,26 @@ impl Scheduler {
         self.inner.lanes
     }
 
-    /// Register one task and queue it on its home lane. Must be called
+    /// Register one task and make it runnable. Must be called
     /// for *every* task before any of their threads starts running, so
     /// that a fast first task cannot observe a spuriously quiescent
     /// half-registered world.
     pub fn register(&self) -> TaskHandle {
         let mut st = self.inner.lock();
         let id = st.tasks.len();
-        let home = id % self.inner.lanes;
         st.tasks.push(TaskSlot {
             status: Status::Queued,
             wake_pending: false,
             quiescent_signal: false,
-            home,
-            lane: home,
             thread: None,
         });
         st.live += 1;
-        st.queued += 1;
-        st.queues[home].push_back(id);
-        if let Some(l) = pick_idle_lane(&st, home) {
-            st.idle[l] = false;
-            grant_lane(&mut st, self.inner.lanes, l);
-        }
+        st.enqueue(id);
         TaskHandle {
             inner: Arc::clone(&self.inner),
             id,
         }
     }
-}
-
-/// Prefer the task's home lane, else any idle lane.
-fn pick_idle_lane(st: &SchedState, home: usize) -> Option<usize> {
-    if st.idle[home] {
-        return Some(home);
-    }
-    (0..st.idle.len()).find(|&l| st.idle[l])
 }
 
 /// One registered task; consumed by [`TaskHandle::run`] on the thread
@@ -290,30 +261,20 @@ impl Drop for FinishGuard {
         let t = &mut st.tasks[self.id];
         debug_assert!(matches!(t.status, Status::Running | Status::Parking));
         t.status = Status::Done;
-        let lane = t.lane;
-        st.running -= 1;
         st.live -= 1;
-        grant_lane(&mut st, self.inner.lanes, lane);
+        st.release_lane();
         // A finishing task can be the event that strands the survivors:
         // if everything still live is parked and nothing is queued, no
         // park will ever observe the stall (quiescence is otherwise
         // detected by the last *parker*). Elect the lowest-id parked
         // task — deterministic — to carry the proof: hand it the lane
         // and flag its park to return `Quiescent` instead of `Woken`.
-        if st.running == 0 && st.queued == 0 && st.live > 0 {
+        if st.free == self.inner.lanes && st.live > 0 {
             let elect = (0..st.tasks.len())
                 .find(|&i| st.tasks[i].status == Status::Parked)
                 .expect("live > 0 with none running/queued implies a parked task");
-            debug_assert!(st.idle[lane]);
-            st.idle[lane] = false;
-            st.running += 1;
-            let t = &mut st.tasks[elect];
-            t.status = Status::Running;
-            t.lane = lane;
-            t.quiescent_signal = true;
-            if let Some(th) = &t.thread {
-                th.unpark();
-            }
+            st.tasks[elect].quiescent_signal = true;
+            st.enqueue(elect);
         }
     }
 }
@@ -365,21 +326,15 @@ impl CurrentTask {
             t.status = Status::Running;
             return ParkOutcome::Woken;
         }
-        let lane = t.lane;
         t.status = Status::Parked;
-        st.running -= 1;
-        grant_lane(&mut st, self.inner.lanes, lane);
-        if st.running == 0 && st.queued == 0 && st.live > 0 {
+        st.release_lane();
+        if st.free == self.inner.lanes {
             // Exact global stall: nothing runs and nothing can run (all
-            // remaining live tasks are parked, this one included).
-            // grant_lane found no candidate, so `lane` is idle — take
-            // it straight back and report instead of sleeping forever.
-            debug_assert!(st.idle[lane]);
-            st.idle[lane] = false;
-            st.running += 1;
-            let t = &mut st.tasks[self.id];
-            t.status = Status::Running;
-            t.lane = lane;
+            // remaining live tasks are parked, this one included). Take
+            // the lane straight back and report instead of sleeping
+            // forever.
+            st.free -= 1;
+            st.tasks[self.id].status = Status::Running;
             return ParkOutcome::Quiescent;
         }
         drop(st);
@@ -408,51 +363,26 @@ pub struct Waiter {
 }
 
 impl Waiter {
-    /// Make the task runnable again. A parked task re-queues on its
-    /// home lane (and is granted immediately when a lane idles); a
-    /// parking/running task absorbs the wake at its next park.
+    /// Make the task runnable again. A parked task is granted a free
+    /// lane or joins the back of the run queue; a parking/running task
+    /// absorbs the wake at its next park.
     pub fn wake(&self) {
         let mut st = self.inner.lock();
         let t = &mut st.tasks[self.id];
         match t.status {
             Status::Running | Status::Parking => t.wake_pending = true,
-            Status::Parked => {
-                t.status = Status::Queued;
-                let home = t.home;
-                st.queued += 1;
-                st.queues[home].push_back(self.id);
-                if let Some(l) = pick_idle_lane(&st, home) {
-                    st.idle[l] = false;
-                    grant_lane(&mut st, self.inner.lanes, l);
-                }
-            }
+            Status::Parked => st.enqueue(self.id),
             Status::Queued | Status::Done => {}
         }
     }
 }
 
-/// Default lane count: `HACC_SCHED_WORKERS` when set and positive,
-/// else `available_parallelism`.
+/// Default lane count: `available_parallelism`, which already honours
+/// cgroup quotas and the process affinity mask.
 pub fn default_lanes() -> usize {
-    if let Ok(v) = std::env::var("HACC_SCHED_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Per-task stack size override in KiB (`HACC_SCHED_STACK_KB`), for
-/// worlds so large that the platform default per-thread stack reserve
-/// matters. `None` keeps the platform default.
-pub fn stack_size_bytes() -> Option<usize> {
-    let v = std::env::var("HACC_SCHED_STACK_KB").ok()?;
-    let kb = v.trim().parse::<usize>().ok()?;
-    (kb > 0).then_some(kb * 1024)
 }
 
 #[cfg(test)]
@@ -638,11 +568,28 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_drains_sibling_queues() {
+    fn bodies_running_at_once_never_exceed_the_lane_count() {
+        // 2 lanes, 16 tasks, each yielding the CPU mid-body so a third
+        // body would get its chance to overlap if a permit leaked.
+        let active = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        run_world(2, 16, |_| {
+            let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            for _ in 0..50 {
+                std::thread::yield_now();
+            }
+            active.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert!(peak.load(Ordering::SeqCst) <= 2);
+    }
+
+    #[test]
+    fn four_lanes_finish_while_one_task_stays_parked() {
         // 4 lanes, 32 tasks: task 0 parks immediately and is woken only
-        // by the last task. Every other task must still complete even
-        // though their home queues empty at different times — lanes
-        // must steal to finish.
+        // by the last task. Every other task must still complete: the
+        // lane task 0 released, and every lane a finished task frees,
+        // goes on to the next queued task.
         let w0: Mutex<Option<Waiter>> = Mutex::new(None);
         let done = AtomicUsize::new(0);
         let out = run_world(4, 32, |i| {

@@ -136,12 +136,12 @@ impl PencilFft3d {
             self.plan.forward(row);
         }
         // Transpose within the P2 row: z-pencils -> y-pencils.
-        let mut ybuf = self.z_to_y(comm, data, false);
+        let mut ybuf = self.z_to_y(comm, data);
         for row in ybuf.chunks_mut(n) {
             self.plan.forward(row);
         }
         // Transpose within the P1 column: y-pencils -> x-pencils.
-        let mut xbuf = self.y_to_x(comm, &ybuf, false);
+        let mut xbuf = self.y_to_x(comm, &ybuf);
         for row in xbuf.chunks_mut(n) {
             self.plan.forward(row);
         }
@@ -174,7 +174,7 @@ impl PencilFft3d {
 
     /// Z→Y transpose: redistribute z among the P2 row so each rank gets
     /// its z block with full y extent.
-    fn z_to_y(&self, comm: &mut Comm, data: &[Complex64], _inv: bool) -> Vec<Complex64> {
+    fn z_to_y(&self, comm: &mut Comm, data: &[Complex64]) -> Vec<Complex64> {
         let n = self.n;
         let mut sends: Vec<Vec<Complex64>> = vec![Vec::new(); comm.size()];
         for d2 in 0..self.p2 {
@@ -257,7 +257,7 @@ impl PencilFft3d {
 
     /// Y→X transpose: redistribute x among the P1 column so each rank
     /// gets full x extent for its (ky, z) block.
-    fn y_to_x(&self, comm: &mut Comm, data: &[Complex64], _inv: bool) -> Vec<Complex64> {
+    fn y_to_x(&self, comm: &mut Comm, data: &[Complex64]) -> Vec<Complex64> {
         let n = self.n;
         let mut sends: Vec<Vec<Complex64>> = vec![Vec::new(); comm.size()];
         for d1 in 0..self.p1 {

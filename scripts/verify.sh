@@ -58,6 +58,11 @@ pub fn fan_out(n: usize) {
     });
 }
 ---
+D1|crates/rt/src/__d1_canary.rs|an environment knob steering the scheduler
+pub fn lanes() -> usize {
+    std::env::var("HACC_CANARY_LANES").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
+}
+---
 C1|crates/ranks/src/__c1_canary.rs|a collective under a rank guard
 pub fn canary_guarded(comm: &mut Comm) {
     if comm.rank() == 0 {

@@ -12,7 +12,7 @@
 
 use frontier_sim::core::scaling::{strong_scaling, weak_scaling};
 use frontier_sim::core::driver::chaos_plan;
-use frontier_sim::core::{resume_simulation, run_supervised, Physics, SimConfig};
+use frontier_sim::core::{resume_simulation, run_simulation, Physics, SimConfig};
 use frontier_sim::ranks::{smoke, Backend, World};
 
 fn main() {
@@ -46,9 +46,9 @@ fn main() {
                  \x20 --sanitize      run under the hacc-san dynamic sanitizer\n\
                  \x20                 (races, collective matching, deadlock); findings\n\
                  \x20                 honor <root>/san.allow and exit 1 when unsuppressed\n\
-                 \x20 --backend B     rank backend: coop (default) multiplexes ranks\n\
-                 \x20                 onto a bounded worker pool; threads runs one OS\n\
-                 \x20                 thread per rank (reference model)\n\
+                 \x20 --backend B     the one rank-backend selector: coop (default)\n\
+                 \x20                 multiplexes ranks onto one run permit per core;\n\
+                 \x20                 threads runs one free OS thread per rank (oracle)\n\
                  \n\
                  ranks options (self-checking communication smoke world):\n\
                  \x20 --ranks R       world size (default 256; 4096 works on a laptop\n\
@@ -117,7 +117,7 @@ fn cmd_ranks(args: &[String]) {
     let ranks: usize = parse_opt(args, "--ranks", 256);
     let rounds: usize = parse_opt(args, "--rounds", 2);
     let seed: u64 = parse_opt(args, "--seed", 2026);
-    let backend = parse_backend(args).unwrap_or_else(Backend::from_env);
+    let backend = parse_backend(args).unwrap_or(Backend::Cooperative);
     let backend_name = match backend {
         Backend::Cooperative => "coop",
         Backend::Threads => "threads",
@@ -185,20 +185,22 @@ fn cmd_run(args: &[String]) {
         cfg.io_dir = Some(out.clone().into());
     }
     let chaos: String = parse_opt(args, "--chaos", String::new());
-    if !chaos.is_empty() {
-        cfg.chaos = Some(chaos);
-        // Reject a malformed spec here, before any world starts.
-        if let Err(e) = chaos_plan(&cfg, ranks) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
+    cfg.chaos = (!chaos.is_empty()).then_some(chaos);
     cfg.sanitize = parse_flag(args, "--sanitize");
     cfg.backend = parse_backend(args);
-    if cfg.sanitize && (cfg.chaos.is_some() || parse_flag(args, "--resume")) {
-        // The supervised-rollback and resume paths run plain worlds; arm
-        // them with HACC_SAN=1 instead of the flag.
-        eprintln!("--sanitize combines with neither --chaos nor --resume (use HACC_SAN=1)");
+    let resume = parse_flag(args, "--resume");
+    // Reject here, as one line, what the library would refuse by panic,
+    // before any world starts.
+    let refusal = match cfg.check().and_then(|()| chaos_plan(&cfg, ranks)) {
+        Err(e) => Some(e),
+        Ok(_) if resume && cfg.io_dir.is_none() => Some("--resume requires --out DIR".into()),
+        Ok(_) if resume && cfg.sanitize => {
+            Some("--resume does not combine with --sanitize (use HACC_SAN=1)".into())
+        }
+        Ok(_) => None,
+    };
+    if let Some(e) = refusal {
+        eprintln!("{e}");
         std::process::exit(2);
     }
 
@@ -212,16 +214,10 @@ fn cmd_run(args: &[String]) {
         ranks
     );
     let t0 = std::time::Instant::now();
-    let mut report = if parse_flag(args, "--resume") {
-        if cfg.io_dir.is_none() {
-            eprintln!("--resume requires --out DIR");
-            std::process::exit(2);
-        }
+    let mut report = if resume {
         resume_simulation(&cfg, ranks)
     } else {
-        // Supervised path; with no --chaos spec this is exactly
-        // run_simulation.
-        run_supervised(&cfg, ranks)
+        run_simulation(&cfg, ranks)
     };
     let wall = t0.elapsed().as_secs_f64();
 

@@ -7,7 +7,7 @@
 //! seed, and the whole fault history must be deterministic enough that
 //! two identical chaos runs emit byte-identical telemetry goldens.
 
-use frontier_sim::core::{run_simulation, run_supervised, Physics, SimConfig};
+use frontier_sim::core::{run_simulation, Physics, SimConfig};
 use frontier_sim::telem::FaultKind;
 
 /// Scratch directory that cleans itself up on success but survives a
@@ -77,12 +77,25 @@ fn golden(report: &frontier_sim::core::SimReport) -> String {
     text[begin..end].to_string()
 }
 
+/// `run_simulation` is the supervisor: the library entry point honours
+/// `cfg.chaos` itself, with no separate supervised launcher to forget.
+#[test]
+fn run_simulation_honours_the_chaos_spec() {
+    quiet_injected_panics();
+    let (cfg_ref, _ref_dir) = cfg("entry-ref", None);
+    let (cfg_chaos, _chaos_dir) = cfg("entry-panic", Some("panic@1:0"));
+    let reference = run_simulation(&cfg_ref, 2);
+    let recovered = run_simulation(&cfg_chaos, 2);
+    assert_eq!(recovered.rollbacks, 1);
+    assert_eq!(recovered.final_state_hash, reference.final_state_hash);
+}
+
 #[test]
 fn rank_panic_with_corrupt_checkpoint_recovers_bitwise() {
     quiet_injected_panics();
     let ranks = 2;
     let (cfg_ref, _ref_dir) = cfg("ref", None);
-    let reference = run_supervised(&cfg_ref, ranks);
+    let reference = run_simulation(&cfg_ref, ranks);
     assert_eq!(reference.attempts, 1);
     assert_eq!(reference.rollbacks, 0);
 
@@ -90,7 +103,7 @@ fn rank_panic_with_corrupt_checkpoint_recovers_bitwise() {
     // written, then rank 1 dies at step 2: the supervisor must roll the
     // whole world back past the poisoned checkpoint and still converge.
     let (cfg_chaos, _chaos_dir) = cfg("panic-crc", Some("panic@2:1,ckpt-crc@1:0"));
-    let recovered = run_supervised(&cfg_chaos, ranks);
+    let recovered = run_simulation(&cfg_chaos, ranks);
 
     assert_eq!(recovered.attempts, 2, "one retry after the fatal fault");
     assert_eq!(recovered.rollbacks, 1);
@@ -112,8 +125,8 @@ fn chaos_telemetry_is_deterministic() {
     let spec = "panic@2:1,ckpt-crc@1:0,comm-dup@1:0";
     let (cfg_a, _dir_a) = cfg("det-a", Some(spec));
     let (cfg_b, _dir_b) = cfg("det-b", Some(spec));
-    let a = run_supervised(&cfg_a, ranks);
-    let b = run_supervised(&cfg_b, ranks);
+    let a = run_simulation(&cfg_a, ranks);
+    let b = run_simulation(&cfg_b, ranks);
     assert_eq!(a.final_state_hash, b.final_state_hash);
     assert_eq!(a.attempts, b.attempts);
     assert_eq!(
@@ -126,17 +139,17 @@ fn chaos_telemetry_is_deterministic() {
 #[test]
 fn zero_fault_supervision_is_transparent() {
     let ranks = 2;
-    // Plain unsupervised run = the pre-supervisor behavior.
+    // No chaos spec: one attempt, no probes armed — twice, in separate
+    // run directories.
     let (cfg_plain, _d0) = cfg("plain", None);
     let plain = run_simulation(&cfg_plain, ranks);
-    // Supervised with no chaos spec.
     let (cfg_none, _d1) = cfg("none", None);
-    let none = run_supervised(&cfg_none, ranks);
-    // Supervised with an armed plan whose events never fire (step 999
+    let none = run_simulation(&cfg_none, ranks);
+    // An armed plan whose events never fire (step 999
     // is past the end of the run): the probe hooks are live on every
     // send/recv/checkpoint but must not perturb anything.
     let (cfg_idle, _d2) = cfg("idle", Some("panic@999:0,comm-delay@999:1"));
-    let idle = run_supervised(&cfg_idle, ranks);
+    let idle = run_simulation(&cfg_idle, ranks);
 
     assert_eq!(none.final_state_hash, plain.final_state_hash);
     assert_eq!(idle.final_state_hash, plain.final_state_hash);
@@ -149,14 +162,14 @@ fn zero_fault_supervision_is_transparent() {
 fn transient_faults_recover_in_place_without_rollback() {
     let ranks = 2;
     let (cfg_ref, _ref_dir) = cfg("transient-ref", None);
-    let reference = run_supervised(&cfg_ref, ranks);
+    let reference = run_simulation(&cfg_ref, ranks);
 
     // One of every transient kind: delayed/duplicated/truncated
     // messages, an NVMe write error, a GPU launch failure. All are
     // absorbed inside the step loop — no rollback, same final state.
     let spec = "comm-delay@1:0,comm-dup@1:1,comm-trunc@2:0,nvme-err@1:0,gpu-launch@2:1";
     let (cfg_chaos, _chaos_dir) = cfg("transient", Some(spec));
-    let recovered = run_supervised(&cfg_chaos, ranks);
+    let recovered = run_simulation(&cfg_chaos, ranks);
 
     assert_eq!(recovered.attempts, 1, "transients must not trigger retries");
     assert_eq!(recovered.rollbacks, 0);

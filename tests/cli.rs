@@ -28,3 +28,15 @@ fn flag_without_a_value_is_rejected_not_defaulted() {
     assert_eq!(code, Some(2), "{stderr}");
     assert_eq!(stderr, "missing value for --seed\n");
 }
+
+#[test]
+fn sanitize_with_chaos_is_refused_by_the_library_check() {
+    let (code, stderr) = frontier_sim(&[
+        "run", "--np", "8", "--steps", "1", "--sanitize", "--chaos", "panic@1:0",
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "invalid configuration: sanitize does not combine with chaos (use HACC_SAN=1)\n"
+    );
+}

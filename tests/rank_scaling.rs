@@ -8,7 +8,7 @@
 //! holding at rank counts that oversubscribe the FFT slab decomposition
 //! (zero-plane ranks) and the host cores alike.
 
-use frontier_sim::core::{run_simulation, run_supervised, Physics, SimConfig};
+use frontier_sim::core::{run_simulation, Physics, SimConfig};
 use frontier_sim::iosim::TieredWriter;
 use frontier_sim::ranks::{smoke, World};
 
@@ -191,13 +191,13 @@ fn chaos_recovery_at_256_ranks() {
     // checkpoint exists and the rollback is a real one.
     let (mut cfg_ref, dir_ref) = cfg_io(np, "chaos-ref");
     cfg_ref.pm_steps = 2;
-    let reference = run_supervised(&cfg_ref, ranks);
+    let reference = run_simulation(&cfg_ref, ranks);
     assert_eq!(reference.attempts, 1);
 
     let (mut cfg_chaos, dir_chaos) = cfg_io(np, "chaos-hit");
     cfg_chaos.pm_steps = 2;
     cfg_chaos.chaos = Some("panic@1:171".into());
-    let recovered = run_supervised(&cfg_chaos, ranks);
+    let recovered = run_simulation(&cfg_chaos, ranks);
     assert!(recovered.attempts > 1, "fault did not fire");
     assert_eq!(
         recovered.final_state_hash, reference.final_state_hash,

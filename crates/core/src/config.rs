@@ -222,6 +222,26 @@ impl SimConfig {
         }
     }
 
+    /// Check that a world of `n_ranks` can run this configuration; the
+    /// error is a one-line description.
+    pub fn check_ranks(&self, n_ranks: usize) -> Result<(), String> {
+        if n_ranks == 0 {
+            return Err("invalid configuration: need at least one rank".into());
+        }
+        // The overload exchange reaches nearest neighbours only, so the
+        // overload cannot be wider than the thinnest subdomain.
+        let dims = hacc_ranks::CartDecomp::new(n_ranks).dims;
+        let extent = self.box_size / dims.into_iter().max().unwrap_or(1) as f64;
+        let width = self.overload_cells * self.cell_size();
+        if width > extent + 1e-12 {
+            return Err(format!(
+                "invalid configuration: overload width {width} exceeds the subdomain \
+                 extent {extent:.2} of {n_ranks} ranks"
+            ));
+        }
+        Ok(())
+    }
+
     /// [`check`](Self::check), panicking with the description.
     pub fn validate(&self) {
         if let Err(e) = self.check() {
@@ -269,6 +289,21 @@ mod tests {
         let mut c = SimConfig::small(16);
         c.overload_cells = 1.0;
         c.validate();
+    }
+
+    #[test]
+    fn rank_check_bounds_the_overload_by_the_subdomain() {
+        // 16 cells of 1 Mpc/h, overload 4 cells.
+        let c = SimConfig::small(16);
+        assert!(c.check_ranks(0).unwrap_err().contains("at least one rank"));
+        for n in [1, 2, 4, 8, 64] {
+            assert_eq!(c.check_ranks(n), Ok(()), "{n} ranks");
+        }
+        // 5x1x1 leaves 3.2 cells per subdomain; 5x5x5 likewise.
+        for n in [5, 125] {
+            let e = c.check_ranks(n).unwrap_err();
+            assert!(e.contains("exceeds the subdomain extent"), "{e}");
+        }
     }
 
     #[test]

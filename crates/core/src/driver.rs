@@ -203,14 +203,12 @@ struct RankOutput {
 enum ResumeMode {
     /// Fresh start from initial conditions.
     Fresh,
-    /// Resume from this rank's newest CRC-valid checkpoint (the CLI
-    /// `--resume` path; panics when none exists).
-    Latest,
-    /// Supervisor rollback: resume from the newest checkpoint that is
-    /// CRC-valid on *every* rank (a torn or corrupted file on one rank
-    /// invalidates that step globally). Falls back to a cold start from
-    /// the initial conditions when no common step survives.
-    Consistent,
+    /// Resume from the newest checkpoint that is CRC-valid on *every*
+    /// rank (a torn or corrupted file on one rank invalidates that step
+    /// globally). When no common step survives, a supervisor rollback
+    /// cold-starts from the initial conditions; the CLI `--resume` path
+    /// (`or_cold_start: false`) escalates instead.
+    Consistent { or_cold_start: bool },
 }
 
 /// A failure in the step loop's checkpoint/IO path, carried to the
@@ -219,7 +217,8 @@ enum ResumeMode {
 /// which path failed before rolling back.
 #[derive(Debug, Clone)]
 enum StepError {
-    /// `--resume` found no CRC-valid checkpoint on this rank's PFS.
+    /// `--resume` found no checkpoint step that is CRC-valid on every
+    /// rank's PFS.
     NoValidCheckpoint,
     /// A checkpoint step validated in the cross-rank intersection could
     /// not be decoded when actually loaded.
@@ -286,17 +285,17 @@ pub fn run_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
     supervise(cfg, n_ranks, ResumeMode::Fresh)
 }
 
-/// Resume an interrupted run from the newest CRC-valid checkpoint on the
-/// (simulated) PFS — the paper's fault-tolerance path. Every rank loads
-/// its own checkpoint; the run continues from the following PM step
-/// through `cfg.pm_steps`. Panics if no valid checkpoint exists.
+/// Resume an interrupted run from the newest checkpoint step that is
+/// CRC-valid on every rank's (simulated) PFS — the paper's
+/// fault-tolerance path. The run continues from the following PM step
+/// through `cfg.pm_steps`. Panics if no such step exists.
 pub fn resume_simulation(cfg: &SimConfig, n_ranks: usize) -> SimReport {
     assert!(
         cfg.io_dir.is_some(),
         "resume requires cfg.io_dir pointing at the interrupted run"
     );
     assert!(!cfg.sanitize, "resume does not combine with cfg.sanitize");
-    supervise(cfg, n_ranks, ResumeMode::Latest)
+    supervise(cfg, n_ranks, ResumeMode::Consistent { or_cold_start: false })
 }
 
 /// The fault plan `cfg.chaos` asks for (empty without a spec), or the
@@ -315,6 +314,9 @@ pub fn chaos_plan(cfg: &SimConfig, n_ranks: usize) -> Result<FaultPlan, String> 
 /// started here.
 fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> SimReport {
     cfg.validate();
+    if let Err(e) = cfg.check_ranks(n_ranks) {
+        panic!("{e}");
+    }
     let plan = chaos_plan(cfg, n_ranks).unwrap_or_else(|e| panic!("{e}"));
     let io_base = resolve_io_base(cfg);
     let armed = !plan.is_empty();
@@ -365,7 +367,7 @@ fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> Si
                     );
                 }
                 state.record_rollback();
-                resume_mode = ResumeMode::Consistent;
+                resume_mode = ResumeMode::Consistent { or_cold_start: true };
             }
         }
     }
@@ -495,12 +497,7 @@ fn rank_main(
     let pfs = io_base.join("pfs").join(format!("rank-{}", comm.rank()));
     let (mut store, start_step) = match resume_mode {
         ResumeMode::Fresh => (generate_ics(cfg, &bg, &decomp, comm.rank()), 0),
-        ResumeMode::Latest => {
-            let (step, blocks) = TieredWriter::load_latest_valid(&pfs)
-                .unwrap_or_else(|| escalate(StepError::NoValidCheckpoint));
-            (store_from_blocks(&blocks), step as usize + 1)
-        }
-        ResumeMode::Consistent => {
+        ResumeMode::Consistent { or_cold_start } => {
             // A checkpoint step only counts if every rank can read it:
             // intersect the per-rank valid sets (deterministic — pure
             // function of the on-disk files).
@@ -521,7 +518,8 @@ fn rank_main(
                 // No surviving common checkpoint: cold-start from the
                 // ICs. Convergent because consumed fault events never
                 // re-fire on the replay.
-                None => (generate_ics(cfg, &bg, &decomp, comm.rank()), 0),
+                None if or_cold_start => (generate_ics(cfg, &bg, &decomp, comm.rank()), 0),
+                None => escalate(StepError::NoValidCheckpoint),
             }
         }
     };

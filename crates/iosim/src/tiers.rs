@@ -3,10 +3,10 @@
 //! clocks.
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
 use hacc_fault::FaultProbe;
-use hacc_rt::channel::{unbounded, Sender};
 use hacc_rt::sync::Mutex;
 use hacc_telem::FaultKind;
 
@@ -123,7 +123,7 @@ enum BleedJob {
         window: usize,
     },
     /// Acknowledged once every job queued before it has been processed.
-    Sync(std::sync::mpsc::Sender<()>),
+    Sync(Sender<()>),
     Shutdown,
 }
 
@@ -148,7 +148,7 @@ impl TieredWriter {
         std::fs::create_dir_all(&cfg.local_dir)?;
         std::fs::create_dir_all(&cfg.pfs_dir)?;
         let stats = Arc::new(Mutex::new(IoStats::default()));
-        let (tx, rx) = unbounded::<BleedJob>();
+        let (tx, rx) = channel::<BleedJob>();
         let stats_bg = Arc::clone(&stats);
         let worker = std::thread::spawn(move || {
             while let Ok(job) = rx.recv() {
@@ -380,10 +380,10 @@ impl TieredWriter {
     pub fn drain(&self) {
         // The job channel is FIFO and the bleeder single-threaded: its
         // acknowledgement of a `Sync` job orders after every bleed queued
-        // before this call. The acknowledgement rides a std channel so the
-        // wait is a plain OS block: the bleeder is not a scheduler task,
-        // and a cooperative park on it would read as world quiescence.
-        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+        // before this call. The wait is a plain OS block: the bleeder is
+        // not a scheduler task, and a cooperative park on it would read as
+        // world quiescence.
+        let (ack_tx, ack_rx) = channel();
         self.tx.send(BleedJob::Sync(ack_tx)).expect("bleeder alive");
         ack_rx
             .recv()

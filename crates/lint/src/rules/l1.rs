@@ -23,7 +23,7 @@
 //!
 //! Wrappers: a function whose return type is a guard (`*Guard*`) and
 //! whose tail expression acquires exactly one lock (e.g. the
-//! `Inner::lock` poison-recovery wrappers in `rt::channel` and
+//! `lock` poison-recovery wrappers of the `hacc-ranks` mailbox and
 //! `rt::sched`) transfers that key to the *caller's* binding. Calls the
 //! workspace call graph resolves propagate their transitively-acquired
 //! keys: holding `A` while calling a function that takes `B` records

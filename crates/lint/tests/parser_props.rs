@@ -20,7 +20,7 @@ const CORPUS: [&str; 10] = [
     include_str!("../src/ast.rs"),
     include_str!("../src/cfg.rs"),
     include_str!("../../sph/src/hydro.rs"),
-    include_str!("../../rt/src/channel.rs"),
+    include_str!("../../ranks/src/mailbox.rs"),
     include_str!("../../core/src/driver.rs"),
     include_str!("../../gpusim/src/exec.rs"),
     include_str!("../src/callgraph.rs"),

@@ -797,7 +797,7 @@ fn l1_reacquire_while_held_fires() {
 
 #[test]
 fn l1_wrapper_guard_carries_key_through_caller() {
-    // The rt::channel / rt::sched shape: a poison-recovery wrapper
+    // The ranks mailbox / rt::sched shape: a poison-recovery wrapper
     // returns the guard; callers holding it must still order correctly.
     let ws = Workspace::from_sources(&[(
         "crates/rt/src/fixture.rs",
@@ -829,7 +829,7 @@ fn l1_wrapper_guard_carries_key_through_caller() {
 #[test]
 fn l1_drop_before_reacquire_is_clean() {
     // Same locks, but the first guard is dropped (or scope-ended)
-    // before the second acquisition — the rt::channel discipline.
+    // before the second acquisition — the ranks mailbox discipline.
     let ws = Workspace::from_sources(&[(
         "crates/rt/src/fixture.rs",
         r#"

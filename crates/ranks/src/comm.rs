@@ -3,9 +3,9 @@
 //! Worlds run on one of two backends (see [`Backend`]):
 //!
 //! * **Cooperative** (default): every rank is a task on the bounded
-//!   executor in `hacc_rt::sched`. A rank blocked in
-//!   `recv` parks its task and releases its run lane to another rank,
-//!   so 256–4096-rank worlds multiplex onto a handful of cores. The
+//!   executor in `hacc_rt::sched`. A rank whose mailbox holds nothing
+//!   for its `recv` parks its task and releases its run lane to another
+//!   rank, so 256–4096-rank worlds multiplex onto a handful of cores. The
 //!   scheduler's exact quiescence detection turns "every live rank is
 //!   parked" into a deterministic deadlock diagnosis with zero
 //!   wall-clock heuristics.
@@ -13,10 +13,10 @@
 //!   original execution model, kept as the semantic oracle the
 //!   cooperative backend is bitwise-compared against.
 //!
-//! Rank-visible results are backend-independent: all matching is
-//! `(src, tag)`-keyed with per-pair FIFO order and every collective
-//! reduces in rank order, so the interleaving freedom the scheduler
-//! introduces never reaches user code.
+//! Rank-visible results are backend-independent: a message is matched on
+//! `(src, tag)` in the receiver's mailbox (`mailbox.rs`) in per-pair FIFO
+//! order and every collective reduces in rank order, so the interleaving
+//! freedom the scheduler introduces never reaches user code.
 //!
 //! When a world runs under [`World::run_sanitized`] (or `HACC_SAN=1`),
 //! every transport operation also feeds `hacc-san`'s dynamic checkers:
@@ -27,16 +27,16 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
 use std::panic::Location;
 use std::sync::Arc;
 use std::time::Duration;
 
 use hacc_fault::FaultProbe;
-use hacc_rt::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hacc_rt::sched;
 use hacc_san::{Rule, SanAbort, SanReport, SanSession};
 use hacc_telem::{CollectiveKind, CommCounters, FaultKind};
+
+use crate::mailbox::{Envelope, Mailbox, Marker, Taken};
 
 /// Message tag, mirroring MPI tags. User tags must leave the high bit clear;
 /// tags with the high bit set are reserved for internal collectives.
@@ -44,45 +44,11 @@ pub type Tag = u64;
 
 const COLLECTIVE_BIT: Tag = 1 << 63;
 
-/// Internal tag carried by the abort envelope a panicking rank broadcasts
-/// before unwinding (bit 62 is never produced by the collective epoch
-/// counter in any realistic run). This is what makes teardown
-/// deterministic: a peer blocked in `recv` observes the abort and panics
-/// with a clear message instead of waiting forever on a world that can
-/// never make progress — the MPI_Abort analogue.
-const ABORT_TAG: Tag = COLLECTIVE_BIT | (1 << 62);
-
-/// Transport-level condition of an envelope, set by the fault harness.
-/// Marked envelopes are detected and discarded by the receiver before
-/// they can match a receive — mirroring sequence-number dedup and CRC
-/// drops in a real interconnect.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Marker {
-    /// A healthy message.
-    Normal,
-    /// The surplus copy of a duplicated message.
-    Dup,
-    /// A truncated message (its payload is garbage; a retransmission
-    /// follows).
-    Trunc,
-}
-
-/// Interval between deadlock-detector scans while a sanitized blocking
-/// receive is parked. Three consecutive frozen scans confirm a finding,
-/// so a true deadlock resolves in well under a second instead of
-/// hanging the suite.
+/// Interval between deadlock-detector scans while a sanitized
+/// thread-backed receive is blocked. Three consecutive frozen scans
+/// confirm a finding, so a true deadlock resolves in well under a second
+/// instead of hanging the suite.
 const SAN_TICK: Duration = Duration::from_millis(100);
-
-struct Envelope {
-    src: usize,
-    tag: Tag,
-    payload: Box<dyn Any + Send>,
-    /// Element type and size the sender declared; the receiver checks
-    /// them against its own expectation at match time (M1).
-    type_name: &'static str,
-    bytes: usize,
-    marker: Marker,
-}
 
 /// Execution backend for a [`World`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,15 +138,13 @@ impl World {
     }
 
     /// One rank's whole life: build its communicator, run the user
-    /// closure under `catch_unwind`, and on panic broadcast the abort
-    /// envelope so blocked peers tear down instead of hanging. Shared
-    /// verbatim by both backends — the backend only decides *how* the
-    /// body is hosted, never what it does.
+    /// closure under `catch_unwind`, and on panic flag the abort on every
+    /// peer's mailbox so blocked peers tear down instead of hanging.
+    /// Shared verbatim by both backends — the backend only decides *how*
+    /// the body is hosted, never what it does.
     fn rank_body<T, F>(
         rank: usize,
-        n: usize,
-        rx: Receiver<Envelope>,
-        txs: Arc<Vec<Sender<Envelope>>>,
+        mailboxes: Arc<Vec<Mailbox>>,
         f: &F,
         san: Option<&Arc<SanSession>>,
     ) -> Option<T>
@@ -191,16 +155,13 @@ impl World {
         let tok = san.map(hacc_san::register_thread);
         let mut comm = Comm {
             rank,
-            size: n,
-            rx,
-            txs,
-            stash: BTreeMap::new(),
+            size: mailboxes.len(),
+            mailboxes,
             epoch: 0,
             counters: RefCell::new(CommCounters::default()),
             probe: None,
             delayed: RefCell::new(Vec::new()),
             san: san.map(Arc::clone),
-            coop: sched::current().is_some(),
         };
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
@@ -217,18 +178,9 @@ impl World {
             Err(cause) => {
                 // Tell every peer before unwinding so ranks
                 // blocked in recv fail fast instead of
-                // deadlocking the scoped join below. Peers may
-                // already be gone; ignore those send failures.
-                for dst in (0..n).filter(|&d| d != comm.rank) {
-                    let _ = comm.txs[dst].send(Envelope {
-                        src: comm.rank,
-                        tag: ABORT_TAG,
-                        payload: Box::new(()),
-                        type_name: "()",
-                        bytes: 0,
-                        marker: Marker::Normal,
-                    });
-                }
+                // deadlocking the scoped join below (this rank's own
+                // mailbox is never read again).
+                comm.mailboxes.iter().for_each(|m| m.abort(rank));
                 if san.is_some_and(|s| s.is_aborted()) {
                     // Sanitizer-initiated teardown: the W1/M1
                     // finding carries the diagnosis; swallow
@@ -253,14 +205,7 @@ impl World {
         F: Fn(&mut Comm) -> T + Sync,
     {
         assert!(n > 0, "world size must be positive");
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let txs = Arc::new(txs);
+        let mailboxes: Arc<Vec<Mailbox>> = Arc::new((0..n).map(|_| Mailbox::new()).collect());
 
         // Cooperative ranks are scheduler tasks, all registered before
         // any thread starts so the quiescence accounting always sees the
@@ -271,14 +216,13 @@ impl World {
             .map(|_| sched.as_ref().map(sched::Scheduler::register))
             .collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = rxs
+            let handles: Vec<_> = tasks
                 .into_iter()
-                .zip(tasks)
                 .enumerate()
-                .map(|(rank, (rx, task))| {
-                    let txs = Arc::clone(&txs);
+                .map(|(rank, task)| {
+                    let mailboxes = Arc::clone(&mailboxes);
                     scope.spawn(move || {
-                        let body = || Self::rank_body(rank, n, rx, txs, f, san);
+                        let body = || Self::rank_body(rank, mailboxes, f, san);
                         match task {
                             Some(task) => task.run(body),
                             None => body(),
@@ -307,22 +251,13 @@ impl World {
 pub struct Comm {
     rank: usize,
     size: usize,
-    rx: Receiver<Envelope>,
-    txs: std::sync::Arc<Vec<Sender<Envelope>>>,
-    /// Out-of-order arrivals, indexed by `(src, tag)` with per-pair
-    /// FIFO queues. The index keeps matching O(log stash) at 4096-rank
-    /// all-to-all fan-in, where a flat scan would be quadratic; a
-    /// `BTreeMap` (not a hash map) keeps iteration order — and thus any
-    /// future diagnostics — deterministic.
-    stash: BTreeMap<(usize, Tag), VecDeque<Envelope>>,
+    /// Every rank's mailbox, this rank's own at index `rank`.
+    mailboxes: Arc<Vec<Mailbox>>,
     epoch: u64,
     counters: RefCell<CommCounters>,
     probe: Option<FaultProbe>,
     delayed: RefCell<Vec<(usize, Envelope)>>,
     san: Option<Arc<SanSession>>,
-    /// Whether this rank is hosted as a cooperative scheduler task
-    /// (decides the blocking strategy in `recv_raw`).
-    coop: bool,
 }
 
 impl Comm {
@@ -362,16 +297,16 @@ impl Comm {
         if let Some(s) = &self.san {
             s.note_progress(self.rank);
         }
-        let type_name = std::any::type_name::<T>();
-        let bytes = std::mem::size_of::<T>();
-        let env = Envelope {
+        let frame = |payload: Box<dyn Any + Send>, marker| Envelope {
             src: self.rank,
             tag,
-            payload: Box::new(value),
-            type_name,
-            bytes,
-            marker: Marker::Normal,
+            payload,
+            type_name: std::any::type_name::<T>(),
+            bytes: std::mem::size_of::<T>(),
+            marker,
+            stamp: hacc_san::send_stamp(),
         };
+        let env = frame(Box::new(value), Marker::Normal);
         if let Some(probe) = &self.probe {
             if probe.fire(FaultKind::CommDelay) {
                 // Hold the message; it is released — in original order —
@@ -386,37 +321,18 @@ impl Comm {
                 // header but garbage payload — and is dropped by the
                 // receiver's match-time integrity check; the
                 // retransmission below carries the real payload.
-                self.deliver(dst, Envelope {
-                    src: self.rank,
-                    tag,
-                    payload: Box::new(()),
-                    type_name,
-                    bytes,
-                    marker: Marker::Trunc,
-                });
+                self.mailboxes[dst].deliver(frame(Box::new(()), Marker::Trunc));
             }
-            let dup = probe.fire(FaultKind::CommDup);
-            self.deliver(dst, env);
-            if dup {
-                // The surplus copy trails the real message and is dropped
-                // by the receiver's duplicate detection.
-                self.deliver(dst, Envelope {
-                    src: self.rank,
-                    tag,
-                    payload: Box::new(()),
-                    type_name,
-                    bytes,
-                    marker: Marker::Dup,
-                });
+            if probe.fire(FaultKind::CommDup) {
+                // The surplus copy is dropped by the receiver's duplicate
+                // detection as it lands. It lands ahead of the message
+                // so the receive that matches the message also ledgers
+                // the drop: a copy that trailed could land after its
+                // receiver's last receive and never be ledgered.
+                self.mailboxes[dst].deliver(frame(Box::new(()), Marker::Dup));
             }
-            return;
         }
-        self.deliver(dst, env);
-    }
-
-    fn deliver(&self, dst: usize, env: Envelope) {
-        // e1: allow: a closed channel means a peer rank already panicked; escalating tears this rank down too
-        self.txs[dst].send(env).expect("receiver hung up");
+        self.mailboxes[dst].deliver(env);
     }
 
     /// Release any held (delayed) messages, oldest first. Called on every
@@ -424,13 +340,8 @@ impl Comm {
     /// rank's next send or receive — the step loop's per-step collectives
     /// guarantee prompt release.
     fn flush_delayed(&self) {
-        if self.delayed.borrow().is_empty() {
-            return;
-        }
-        let held: Vec<(usize, Envelope)> =
-            self.delayed.borrow_mut().drain(..).collect();
-        for (dst, env) in held {
-            self.deliver(dst, env);
+        for (dst, env) in self.delayed.take() {
+            self.mailboxes[dst].deliver(env);
             if let Some(probe) = &self.probe {
                 probe.recovered(FaultKind::CommDelay);
             }
@@ -439,9 +350,9 @@ impl Comm {
 
     /// Blocking receive of a message with the given source and tag.
     ///
-    /// Messages arriving with a different `(src, tag)` are stashed and
-    /// returned by later matching receives, so receive order across
-    /// distinct sources need not match send order.
+    /// Messages are matched on `(src, tag)` where they land, oldest first
+    /// within a pair, so receive order across distinct sources or tags
+    /// need not match send order.
     #[track_caller]
     pub fn recv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> T {
         assert!(tag & COLLECTIVE_BIT == 0, "tag high bit is reserved");
@@ -456,17 +367,6 @@ impl Comm {
     ) -> T {
         self.flush_delayed();
         self.counters.borrow_mut().record_recv();
-        // Drain the stash first. Validation happens at match time, so a
-        // stashed truncated frame is dropped here and the loop retries:
-        // its retransmission may already be stashed right behind it.
-        while let Some(env) = self.pop_stashed(src, tag) {
-            if let Some(env) = self.integrity_check::<T>(env, src, tag, site) {
-                if let Some(s) = &self.san {
-                    s.note_progress(self.rank);
-                }
-                return Self::downcast(env, src, tag);
-            }
-        }
         if let Some(s) = &self.san {
             let detail = if tag & COLLECTIVE_BIT != 0 {
                 format!("collective message from rank {src}")
@@ -475,101 +375,64 @@ impl Comm {
             };
             s.begin_wait(self.rank, src, detail, site);
         }
+        let tick = self.san.is_some().then_some(SAN_TICK);
         loop {
-            let env = match &self.san {
-                // Sanitized: block in slices; every Timeout is one
-                // deadlock-detector tick. On the cooperative backend a
-                // Timeout is the scheduler's quiescence *proof* (never
-                // wall clock — see `rt::channel::recv_timeout`), so the
-                // tick may treat non-transport parks as stalls; on the
-                // thread backend it is a wall-clock guess and the tick
-                // must assume undeclared peers are runnable.
-                Some(s) => match self.rx.recv_timeout(SAN_TICK) {
-                    Ok(env) => env,
-                    Err(RecvTimeoutError::Timeout) => {
-                        let confirmed = if self.coop {
-                            s.deadlock_tick_quiescent(self.rank)
-                        } else {
-                            s.deadlock_tick(self.rank)
-                        };
-                        if confirmed {
-                            std::panic::panic_any(SanAbort(format!(
-                                "rank {}: deadlock confirmed while waiting \
-                                 on recv(src={src}, tag={tag})",
-                                self.rank
-                            )));
+            match self.mailboxes[self.rank].take((src, tag), tick) {
+                Taken::Matched { env, surplus_dups } => {
+                    if let Some(probe) = &self.probe {
+                        for _ in 0..surplus_dups {
+                            probe.recovered(FaultKind::CommDup);
                         }
-                        continue;
                     }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.teardown_panic(src, tag)
+                    hacc_san::recv_join(env.stamp.as_deref());
+                    // Validation happens at match time: a truncated frame
+                    // is dropped here and the loop retries — its
+                    // retransmission is filed right behind it.
+                    if let Some(env) = self.integrity_check::<T>(env, src, tag, site) {
+                        if let Some(s) = &self.san {
+                            s.end_wait(self.rank);
+                        }
+                        return Self::downcast(env, src, tag);
                     }
-                },
-                // Unsanitized cooperative: a Timeout is a quiescence
-                // proof, so instead of hanging the world forever (the
-                // thread backend's behavior) the blocked rank panics
-                // deterministically and the abort broadcast tears the
-                // world down.
-                None if self.coop => match self.rx.recv_timeout(SAN_TICK) {
-                    Ok(env) => env,
+                }
+                // e1: allow: propagates a peer rank's abort; the fault supervisor catches this and rolls back
+                Taken::Aborted(by) => panic!(
+                    "rank {}: rank {by} aborted while this rank waited on \
+                     recv(src={src}, tag={tag})",
+                    self.rank
+                ),
+                // A quiescence proof (never wall clock), so the W1 tick
+                // may treat non-transport parks as stalls; unsanitized,
+                // the blocked rank panics deterministically instead of
+                // hanging and the abort flags tear the world down.
+                Taken::Quiescent => match &self.san {
+                    Some(s) => self.abort_if(s.deadlock_tick_quiescent(self.rank), src, tag),
                     // e1: allow: deterministic deadlock abort when the cooperative world is quiescent — failing loud is the point
-                    Err(RecvTimeoutError::Timeout) => panic!(
+                    None => panic!(
                         "rank {}: deadlock — world quiescent (every rank \
                          parked) while waiting on recv(src={src}, tag={tag})",
                         self.rank
                     ),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.teardown_panic(src, tag)
-                    }
                 },
-                None => self
-                    .rx
-                    .recv()
-                    .unwrap_or_else(|_| self.teardown_panic(src, tag)),
-            };
-            if env.tag == ABORT_TAG {
-                // e1: allow: propagates a peer rank's abort; the fault supervisor catches this and rolls back
-                panic!(
-                    "rank {}: rank {} aborted while this rank waited on \
-                     recv(src={src}, tag={tag})",
-                    self.rank, env.src
-                );
-            }
-            // The surplus copy of a duplicated message is dropped before
-            // it can match or stash — sequence-number dedup.
-            if env.marker == Marker::Dup {
-                if let Some(probe) = &self.probe {
-                    probe.recovered(FaultKind::CommDup);
-                }
-                continue;
-            }
-            if env.src == src && env.tag == tag {
-                if let Some(env) = self.integrity_check::<T>(env, src, tag, site) {
+                // A wall-clock guess (thread backend, sanitized only):
+                // the W1 tick must assume undeclared peers are runnable.
+                Taken::Tick => {
                     if let Some(s) = &self.san {
-                        s.end_wait(self.rank);
+                        self.abort_if(s.deadlock_tick(self.rank), src, tag);
                     }
-                    return Self::downcast(env, src, tag);
                 }
-                // Truncated frame dropped at match; await retransmission.
-                continue;
             }
-            self.stash
-                .entry((env.src, env.tag))
-                .or_default()
-                .push_back(env);
         }
     }
 
-    /// Pop the oldest stashed envelope for `(src, tag)`, dropping the
-    /// index entry when its queue empties (collective tags are unique
-    /// per epoch, so empty entries would otherwise accumulate forever).
-    fn pop_stashed(&mut self, src: usize, tag: Tag) -> Option<Envelope> {
-        let q = self.stash.get_mut(&(src, tag))?;
-        let env = q.pop_front();
-        if q.is_empty() {
-            self.stash.remove(&(src, tag));
+    fn abort_if(&self, deadlock_confirmed: bool, src: usize, tag: Tag) {
+        if deadlock_confirmed {
+            std::panic::panic_any(SanAbort(format!(
+                "rank {}: deadlock confirmed while waiting on \
+                 recv(src={src}, tag={tag})",
+                self.rank
+            )));
         }
-        env
     }
 
     /// Match-time validation of an envelope addressed to this receive:
@@ -613,14 +476,6 @@ impl Comm {
             panic!("rank {}: {msg}", self.rank);
         }
         Some(env)
-    }
-
-    fn teardown_panic(&self, src: usize, tag: Tag) -> ! {
-        // e1: allow: sanctioned teardown propagation once a peer rank has died; supervisor catches and rolls back
-        panic!(
-            "rank {}: world torn down while waiting on recv(src={src}, tag={tag})",
-            self.rank
-        )
     }
 
     fn downcast<T: 'static>(env: Envelope, src: usize, tag: Tag) -> T {
@@ -826,9 +681,9 @@ impl Comm {
             .sum();
         self.counters.borrow_mut().bytes_sent += elem_bytes;
         let tag = self.next_collective_tag();
-        // Self-exchange without going through a channel.
+        // Self-exchange without going through the mailbox.
         let mut mine = Some(std::mem::take(&mut sends[self.rank]));
-        // Post all sends first (buffered channels: cannot deadlock).
+        // Post all sends first (mailboxes are unbounded: cannot deadlock).
         for (dst, buf) in sends.into_iter().enumerate() {
             if dst != self.rank {
                 self.send_raw(dst, tag, buf);
@@ -1070,6 +925,24 @@ mod tests {
     }
 
     #[test]
+    fn panic_tears_down_a_rank_waiting_on_a_live_peer() {
+        // Ranks 1 and 2 wait on each other — both alive, neither key
+        // ever sent. Rank 0's panic must still reach them: the abort
+        // rouses a blocked owner whatever key it waits on.
+        for backend in [Backend::Cooperative, Backend::Threads] {
+            let result = quietly(|| {
+                std::panic::catch_unwind(|| {
+                    World::run_with(backend, 3, |c| match c.rank() {
+                        0 => panic!("simulated rank failure"),
+                        r => c.recv::<u64>(3 - r, 9),
+                    })
+                })
+            });
+            assert!(result.is_err(), "{backend:?}: world must propagate the failure");
+        }
+    }
+
+    #[test]
     fn telemetry_counters_track_traffic_deterministically() {
         let traffic = |c: &mut Comm| {
             c.barrier();
@@ -1133,6 +1006,24 @@ mod tests {
             }
         });
         assert_eq!(out[1], 78, "payloads arrive once, in order");
+        assert_eq!(state.counters_for(0).injected(FaultKind::CommDup), 1);
+        assert_eq!(state.counters_for(1).recovered(FaultKind::CommDup), 1);
+    }
+
+    #[test]
+    fn surplus_copy_on_a_collective_tag_is_ledgered() {
+        // Collective tags are unique per epoch: after the broadcast
+        // matched, nothing is ever received on its tag again, and rank 1
+        // never receives anything else either.
+        use std::sync::Arc;
+        let plan = hacc_fault::FaultPlan::parse("comm-dup@0:0", 0, 1, 2).unwrap();
+        let state = Arc::new(hacc_fault::FaultState::new(plan, 2));
+        let st = Arc::clone(&state);
+        let out = World::run(2, move |c| {
+            c.arm_faults(hacc_fault::FaultProbe::new(Arc::clone(&st), c.rank()));
+            c.broadcast(0, 5u64)
+        });
+        assert_eq!(out, vec![5, 5]);
         assert_eq!(state.counters_for(0).injected(FaultKind::CommDup), 1);
         assert_eq!(state.counters_for(1).recovered(FaultKind::CommDup), 1);
     }
@@ -1340,7 +1231,7 @@ mod tests {
 
     #[test]
     fn large_payload_transfer() {
-        // Vec payloads move by ownership through the channel: a
+        // Vec payloads move by ownership through the mailbox: a
         // multi-megabyte exchange must arrive intact.
         let out = World::run(2, |c| {
             if c.rank() == 0 {

@@ -4,8 +4,8 @@
 //! This crate reproduces the communication *semantics* CRK-HACC relies on —
 //! point-to-point sends with tags, barriers, reductions, gathers, and the
 //! all-to-all-v exchange used for particle overloading and FFT pencil
-//! transposes — with messages carried over crossbeam-style channels and
-//! ranks executed by a selectable [`Backend`]: cooperative tasks
+//! transposes — with messages filed in one `(src, tag)`-matched mailbox
+//! per rank and ranks executed by a selectable [`Backend`]: cooperative tasks
 //! multiplexed onto a bounded worker pool (the default, scaling to
 //! thousands of ranks per host) or one OS thread per rank (the reference
 //! model the cooperative backend is bitwise-compared against).
@@ -27,6 +27,7 @@
 //! ```
 
 pub mod comm;
+mod mailbox;
 pub mod smoke;
 pub mod topology;
 

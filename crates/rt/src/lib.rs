@@ -3,27 +3,22 @@
 //! This simulated machine must build and test with **zero network access
 //! and zero crates.io dependencies** — the same constraint CRK-HACC faces
 //! on air-gapped HPC systems where vendor toolchains and batch nodes see
-//! no package registry. Everything the workspace previously pulled from
-//! crates.io is vendored here as a minimal, well-tested replacement:
+//! no package registry. What the workspace still needs of what it once
+//! pulled from crates.io is vendored here as a minimal, well-tested
+//! replacement, beside the rank scheduler:
 //!
 //! * [`rng`] — a seedable, splittable xoshiro256++ generator behind
 //!   `rand`-shaped [`rng::Rng`]/[`rng::SeedableRng`] traits;
 //! * [`rand`] — a path-compatibility facade so call sites keep writing
 //!   `rand::rngs::StdRng::seed_from_u64(..)` after switching their `use`;
-//! * [`channel`] — an unbounded mpmc channel with crossbeam's
-//!   send/recv/disconnect semantics;
-//! * [`sync`] — `Mutex`/`RwLock` with parking_lot's no-poisoning API;
+//! * [`sync`] — `Mutex` with parking_lot's no-poisoning API;
 //! * [`sched`] — the rank scheduler: `lanes` run permits multiplexing
 //!   any number of ranks, the host's one parallelism mechanism;
 //! * [`prop`] — a bounded-shrinking property-test macro covering the
 //!   `proptest!` call sites.
 //!
-//! Adding a primitive: put it in the narrowest module above, mirror the
-//! external crate's method names exactly (call sites should only ever
-//! change their `use` lines), and add a determinism or semantics test in
-//! the same file. See DESIGN.md § "Hermetic build policy".
+//! See DESIGN.md § "Dependency policy: hermetic builds via `hacc-rt`".
 
-pub mod channel;
 pub mod prop;
 pub mod rng;
 pub mod sched;

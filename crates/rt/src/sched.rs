@@ -11,8 +11,8 @@
 //!
 //! * **queued** — holding no lane, sitting in the one FIFO run queue
 //!   waiting to be granted one, or
-//! * **parked** — blocked at a runtime blocking point (`rt::channel`
-//!   recv on an empty queue), holding no lane until a wake arrives.
+//! * **parked** — blocked at a blocking point (a `hacc-ranks` receive
+//!   whose mailbox holds no match), holding no lane until a wake arrives.
 //!
 //! Lanes are plain run permits, not pinned to cores: a freed permit goes
 //! to the oldest queued task, and a permit is only ever banked while the
@@ -284,10 +284,9 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// The scheduler task hosted by the calling thread, if any. Blocking
-/// primitives use this to decide between the cooperative park path and
-/// the plain condvar path (the iosim bleeder and raw test threads are
-/// not tasks and keep the latter).
+/// The scheduler task hosted by the calling thread, if any. A blocking
+/// point uses this to decide between the cooperative park path and a
+/// plain condvar wait (thread-backed ranks are not tasks).
 pub fn current() -> Option<CurrentTask> {
     CURRENT.with(|c| c.borrow().clone())
 }

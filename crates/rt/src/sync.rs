@@ -1,9 +1,9 @@
-//! `Mutex`/`RwLock` with parking_lot's no-poisoning API shape.
+//! `Mutex` with parking_lot's no-poisoning API shape.
 //!
-//! Thin wrappers over `std::sync`: `lock()`/`read()`/`write()` return
-//! guards directly instead of `Result`s. A panic while holding the lock
-//! does not poison it — the next locker recovers the inner state, which
-//! matches how the I/O and rank layers used parking_lot.
+//! A thin wrapper over `std::sync::Mutex`: `lock()` returns the guard
+//! directly instead of a `Result`. A panic while holding the lock does
+//! not poison it — the next locker recovers the inner state, which
+//! matches how the I/O and fault layers used parking_lot.
 //!
 //! Sanitizer instrumentation: every lock embeds a `hacc_san::LockClock`
 //! and the guards drive its acquire/release hooks, so critical sections
@@ -12,14 +12,12 @@
 //! thread-local check and the clock cell never allocates — the
 //! zero-cost-when-off contract.
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
 
 use hacc_san::LockClock;
 
 /// A mutual-exclusion lock whose `lock` never returns a `Result`.
-#[derive(Default)]
 pub struct Mutex<T: ?Sized> {
     clock: LockClock,
     inner: std::sync::Mutex<T>,
@@ -51,12 +49,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
 impl<T> Mutex<T> {
     /// Wrap `value`.
     pub const fn new(value: T) -> Self {
@@ -66,15 +58,6 @@ impl<T> Mutex<T> {
         }
     }
 
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -83,137 +66,6 @@ impl<T: ?Sized> Mutex<T> {
             inner: g,
             clock: &self.clock,
         }
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let g = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return None,
-        };
-        self.clock.acquire();
-        Some(MutexGuard {
-            inner: g,
-            clock: &self.clock,
-        })
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Mutex").field(&&*self.lock()).finish()
-    }
-}
-
-/// A reader-writer lock whose `read`/`write` never return `Result`s.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    clock: LockClock,
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared guard returned by [`RwLock::read`].
-///
-/// Readers drive the same acquire/release clock hooks as writers: that
-/// over-synchronizes concurrent readers (the detector sees them as
-/// ordered), which can hide read-read concurrency but never invents a
-/// race — the conservative direction for a gate.
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-    clock: &'a LockClock,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.clock.release();
-    }
-}
-
-/// Exclusive guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-    clock: &'a LockClock,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.clock.release();
-    }
-}
-
-impl<T> RwLock<T> {
-    /// Wrap `value`.
-    pub const fn new(value: T) -> Self {
-        Self {
-            clock: LockClock::new(),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        self.clock.acquire();
-        RwLockReadGuard {
-            inner: g,
-            clock: &self.clock,
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        self.clock.acquire();
-        RwLockWriteGuard {
-            inner: g,
-            clock: &self.clock,
-        }
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("RwLock").field(&&*self.read()).finish()
     }
 }
 
@@ -249,27 +101,6 @@ mod tests {
         .join();
         // No poisoning: the value is still reachable.
         assert_eq!(*m.lock(), 5);
-    }
-
-    #[test]
-    fn rwlock_many_readers_one_writer() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(r1.len() + r2.len(), 6);
-        }
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
-    }
-
-    #[test]
-    fn try_lock_reports_contention() {
-        let m = Mutex::new(1);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

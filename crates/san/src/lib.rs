@@ -4,9 +4,9 @@
 //! Because the repo's "ranks" are threads of one process, the dynamic
 //! checks that are heuristic at MPI scale (MUST-style collective
 //! matching, ThreadSanitizer-style race detection) are **exact** here:
-//! every synchronization edge passes through `hacc_rt`'s own sync and
-//! channel primitives, and this crate is the clock algebra they call
-//! into.
+//! every synchronization edge passes through `hacc_rt::sync` locks or a
+//! `hacc-ranks` matched receive, and this crate is the clock algebra
+//! they call into.
 //!
 //! The instrumentation contract is *zero-cost when off*: every hook
 //! first checks a thread-local session handle and returns immediately
@@ -20,7 +20,7 @@
 //!   ledger, wait graph); created by `World::run_sanitized`.
 //! * [`register_thread`] / [`ThreadToken`] — rank-thread registration.
 //! * [`LockClock`], [`send_stamp`]/[`recv_join`] — the happens-before
-//!   edges, called from `hacc_rt::{sync, channel}`.
+//!   edges, called from `hacc_rt::sync` and the `hacc-ranks` transport.
 //! * [`region`] / [`annotate_access`] — the shared-state annotation API
 //!   for ranks::comm, the driver's ghost buffers, and gpusim's tables.
 //! * [`SanReport`] — byte-stable findings report in the shared
@@ -120,7 +120,7 @@ impl ThreadToken {
 
 // ------------------------------------------------------------- locks --
 
-/// Per-lock vector clock, embedded in `hacc_rt::sync::{Mutex, RwLock}`.
+/// Per-lock vector clock, embedded in `hacc_rt::sync::Mutex`.
 ///
 /// `const`-constructible and lazy: the inner clock allocates on first
 /// armed acquire, so unsanitized programs pay only a `OnceLock` check
@@ -174,9 +174,9 @@ impl std::fmt::Debug for LockClock {
     }
 }
 
-// ---------------------------------------------------------- channels --
+// ---------------------------------------------------------- messages --
 
-/// Clock stamp attached to an in-flight channel message.
+/// Clock stamp attached to an in-flight message.
 pub type Stamp = Box<VectorClock>;
 
 /// Sender-side hook: snapshot the sender's clock onto the message and

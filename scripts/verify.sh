@@ -13,6 +13,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
+echo "== line census (informational, no threshold) =="
+scripts/loc.sh
+
 echo "== tier 0: hacc-lint static analysis =="
 # The lint gate runs before the workspace build: hacc-lint is std-only,
 # so this compiles in seconds and fails fast on determinism (D1),

@@ -73,6 +73,21 @@ fn main() {
     }
 }
 
+/// Exit 2 on an argument that is neither one of the subcommand's
+/// `valued` options, the value following one, nor one of its `flags`
+/// (both space-separated).
+fn reject_unknown(args: &[String], valued: &str, flags: &str) {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if valued.split_whitespace().any(|o| o == a) {
+            it.next();
+        } else if !flags.split_whitespace().any(|o| o == a) {
+            eprintln!("unknown option {a}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn parse_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -114,7 +129,12 @@ fn parse_backend(args: &[String]) -> Option<Backend> {
 /// across repeated runs and across backends; the verify scaling tier
 /// compares exactly that.
 fn cmd_ranks(args: &[String]) {
+    reject_unknown(args, "--ranks --rounds --seed --backend", "--sanitize");
     let ranks: usize = parse_opt(args, "--ranks", 256);
+    if ranks == 0 {
+        eprintln!("invalid configuration: need at least one rank");
+        std::process::exit(2);
+    }
     let rounds: usize = parse_opt(args, "--rounds", 2);
     let seed: u64 = parse_opt(args, "--seed", 2026);
     let backend = parse_backend(args).unwrap_or(Backend::Cooperative);
@@ -158,6 +178,11 @@ fn cmd_ranks(args: &[String]) {
 }
 
 fn cmd_run(args: &[String]) {
+    reject_unknown(
+        args,
+        "--np --ranks --steps --physics --zi --zf --seed --out --telemetry --chaos --backend",
+        "--flat --resume --sanitize",
+    );
     let np: usize = parse_opt(args, "--np", 12);
     let ranks: usize = parse_opt(args, "--ranks", 2);
     let steps: usize = parse_opt(args, "--steps", 4);
@@ -191,7 +216,11 @@ fn cmd_run(args: &[String]) {
     let resume = parse_flag(args, "--resume");
     // Reject here, as one line, what the library would refuse by panic,
     // before any world starts.
-    let refusal = match cfg.check().and_then(|()| chaos_plan(&cfg, ranks)) {
+    let checked = cfg
+        .check()
+        .and_then(|()| cfg.check_ranks(ranks))
+        .and_then(|()| chaos_plan(&cfg, ranks));
+    let refusal = match checked {
         Err(e) => Some(e),
         Ok(_) if resume && cfg.io_dir.is_none() => Some("--resume requires --out DIR".into()),
         Ok(_) if resume && cfg.sanitize => {
@@ -347,6 +376,7 @@ fn cmd_run(args: &[String]) {
 }
 
 fn cmd_scaling(args: &[String]) {
+    reject_unknown(args, "--ranks-max", "");
     let rmax: usize = parse_opt(args, "--ranks-max", 4);
     let mut ranks = vec![1usize];
     while *ranks.last().unwrap() * 2 <= rmax {

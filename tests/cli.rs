@@ -40,3 +40,28 @@ fn sanitize_with_chaos_is_refused_by_the_library_check() {
         "invalid configuration: sanitize does not combine with chaos (use HACC_SAN=1)\n"
     );
 }
+
+#[test]
+fn rank_counts_the_box_cannot_hold_are_refused_before_any_world_starts() {
+    for sub in ["run", "ranks"] {
+        let (code, stderr) = frontier_sim(&[sub, "--ranks", "0"]);
+        assert_eq!(code, Some(2), "{stderr}");
+        assert_eq!(stderr, "invalid configuration: need at least one rank\n");
+    }
+    // 3 ranks split the 8-cell box 3x1x1: 2.67 cells, under the 4-cell overload.
+    let (code, stderr) = frontier_sim(&["run", "--np", "8", "--ranks", "3"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "invalid configuration: overload width 4 exceeds the subdomain extent 2.67 of 3 ranks\n"
+    );
+}
+
+#[test]
+fn misspelt_option_is_rejected_not_ignored() {
+    for sub in ["run", "ranks", "scaling"] {
+        let (code, stderr) = frontier_sim(&[sub, "--bogus", "3"]);
+        assert_eq!(code, Some(2), "{sub}: {stderr}");
+        assert_eq!(stderr, "unknown option --bogus\n", "{sub}");
+    }
+}

@@ -166,6 +166,30 @@ fn resume_skips_crc_flipped_checkpoint_and_matches_reference() {
 }
 
 #[test]
+fn resume_restores_every_rank_from_the_common_step() {
+    // Only rank 1 loses its newest checkpoint. Every rank must restart
+    // from the newest step that is valid on *all* of them — rank 0
+    // restarting from its own newest would leave the world split across
+    // two steps.
+    let ranks = 2;
+    let (c, dir) = cfg("common", 4);
+    let reference = run_simulation(&c, ranks);
+    let pfs = dir.path().join("pfs").join("rank-1");
+    let (latest, path) = frontier_sim::iosim::TieredWriter::latest_checkpoint(&pfs).unwrap();
+    assert_eq!(latest, 3);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&path, bytes).unwrap();
+
+    let resumed = resume_simulation(&c, ranks);
+    // Common step is 2 -> both ranks redo step 3.
+    assert_eq!(resumed.steps.len(), 1);
+    assert_eq!(resumed.steps[0].step, 3);
+    assert_eq!(resumed.final_state_hash, reference.final_state_hash);
+}
+
+#[test]
 fn hydro_state_survives_resume() {
     // Full-physics state (u, metals, h, species) must roundtrip through
     // the checkpoint: resumed runs keep the thermal history.

@@ -48,11 +48,15 @@ fn main() {
     let n = 20_000;
     let grav = workloads::grav_workload(n, 11);
     let force = workloads::crk_force_workload(n, 11);
+    let density = workloads::sph_density_workload(n, 11);
+    let moments = workloads::crk_moments_workload(n, 11);
 
     let (grav_tiled, gp) = pairs_per_s(&grav, LeafExec::Tiled, min_t);
     let (grav_ref, _) = pairs_per_s(&grav, LeafExec::Reference, min_t);
     let (force_tiled, fp) = pairs_per_s(&force, LeafExec::Tiled, min_t);
     let (force_ref, _) = pairs_per_s(&force, LeafExec::Reference, min_t);
+    let (density_tiled, dp) = pairs_per_s(&density, LeafExec::Tiled, min_t);
+    let (moments_tiled, mp) = pairs_per_s(&moments, LeafExec::Tiled, min_t);
     let grav_speedup = grav_tiled / grav_ref;
     let force_speedup = force_tiled / force_ref;
 
@@ -64,6 +68,12 @@ fn main() {
         "bench  short_range_symmetric/crk_force ({fp} pairs): tiled {:.3e} pairs/s, reference {:.3e} pairs/s, speedup {force_speedup:.2}x",
         force_tiled, force_ref
     );
+    println!(
+        "bench  short_range_symmetric/sph_density ({dp} pairs): tiled {density_tiled:.3e} pairs/s"
+    );
+    println!(
+        "bench  short_range_symmetric/crk_moments ({mp} pairs): tiled {moments_tiled:.3e} pairs/s"
+    );
 
     baseline::record(&[
         ("short_range_grav_tiled_pairs_per_s", grav_tiled),
@@ -72,6 +82,8 @@ fn main() {
         ("short_range_crk_force_tiled_pairs_per_s", force_tiled),
         ("short_range_crk_force_reference_pairs_per_s", force_ref),
         ("short_range_crk_force_symmetric_speedup", force_speedup),
+        ("short_range_sph_density_tiled_pairs_per_s", density_tiled),
+        ("short_range_crk_moments_tiled_pairs_per_s", moments_tiled),
     ]);
 
     // Acceptance: the headline short-range kernel must hold its measured

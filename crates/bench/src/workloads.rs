@@ -11,7 +11,9 @@
 
 use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec, SplitKernel};
 use hacc_grav::{ForceSplitTable, GravState, GravityKernel};
-use hacc_sph::hydro::{ForceKernel, ForceState, HydroOptions};
+use hacc_sph::hydro::{
+    DensityKernel, ForceKernel, ForceState, GeomState, HydroOptions, MomentsKernel,
+};
 use hacc_sph::{CrkCorrections, CubicSpline};
 use hacc_tree::{ChainingMesh, CmConfig, LeafId};
 
@@ -97,10 +99,10 @@ pub fn grav_workload(n: usize, seed: u64) -> ShortRangeWorkload<GravityKernel> {
     }
 }
 
-/// The CRKSPH force kernel over a uniform gas cloud with mixed
-/// velocities (so both viscosity branches execute) and uniform `h`.
-pub fn crk_force_workload(n: usize, seed: u64) -> ShortRangeWorkload<ForceKernel<CubicSpline>> {
-    use hacc_rt::rand::{self, Rng, SeedableRng};
+/// The uniform gas cloud every SPH workload sweeps: positions, the
+/// uniform smoothing length, the mesh at the kernel support and its
+/// leaf interaction list.
+fn gas_cloud(n: usize, seed: u64) -> (Vec<[f64; 3]>, f64, ChainingMesh, Vec<(LeafId, LeafId)>) {
     let extent = (n as f64).cbrt();
     let pos = crate::uniform_cloud(n, extent, seed);
     let spacing = extent / (n as f64).cbrt();
@@ -108,6 +110,64 @@ pub fn crk_force_workload(n: usize, seed: u64) -> ShortRangeWorkload<ForceKernel
     let cutoff = 2.0 * h;
     let cm = build_mesh(&pos, extent, cutoff);
     let pairs = cm.interaction_pairs(cutoff, None);
+    (pos, h, cm, pairs)
+}
+
+/// A geometry-only SPH kernel (density, moments) over [`gas_cloud`] with
+/// unit masses / volumes.
+fn geom_workload<K: SplitKernel<State = GeomState>>(
+    kernel: K,
+    n: usize,
+    seed: u64,
+) -> ShortRangeWorkload<K> {
+    let (pos, h, cm, pairs) = gas_cloud(n, seed);
+    let states = cm
+        .order
+        .iter()
+        .map(|&i| GeomState {
+            pos: pos[i as usize],
+            h,
+            m_or_v: 1.0,
+        })
+        .collect();
+    ShortRangeWorkload {
+        kernel,
+        device: DeviceSpec::mi250x_gcd(),
+        cm,
+        pairs,
+        states,
+    }
+}
+
+/// The SPH density kernel over the same cloud, mesh and list as
+/// [`crk_force_workload`].
+pub fn sph_density_workload(n: usize, seed: u64) -> ShortRangeWorkload<DensityKernel<CubicSpline>> {
+    geom_workload(
+        DensityKernel {
+            kernel: CubicSpline,
+        },
+        n,
+        seed,
+    )
+}
+
+/// The CRK moments kernel over the same cloud, mesh and list as
+/// [`crk_force_workload`].
+pub fn crk_moments_workload(n: usize, seed: u64) -> ShortRangeWorkload<MomentsKernel<CubicSpline>> {
+    geom_workload(
+        MomentsKernel {
+            kernel: CubicSpline,
+        },
+        n,
+        seed,
+    )
+}
+
+/// The CRKSPH force kernel over a uniform gas cloud with mixed
+/// velocities (so both viscosity branches execute) and uniform `h`.
+pub fn crk_force_workload(n: usize, seed: u64) -> ShortRangeWorkload<ForceKernel<CubicSpline>> {
+    use hacc_rt::rand::{self, Rng, SeedableRng};
+    let (pos, h, cm, pairs) = gas_cloud(n, seed);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0FFEE);
     let states = cm
         .order
@@ -201,5 +261,15 @@ mod tests {
         let refr = w.run(LeafExec::Reference);
         assert!(tiled.pairs > 0);
         assert_eq!(refr.pairs, tiled.pairs);
+    }
+
+    #[test]
+    fn sph_workloads_sweep_one_list() {
+        let force = crk_force_workload(2_000, 7).run(LeafExec::Tiled);
+        let density = sph_density_workload(2_000, 7).run(LeafExec::Tiled);
+        let moments = crk_moments_workload(2_000, 7).run(LeafExec::Tiled);
+        assert!(force.pairs > 0);
+        assert_eq!(density.pairs, force.pairs);
+        assert_eq!(moments.pairs, force.pairs);
     }
 }

@@ -6,7 +6,9 @@
 //! 2. long-range spectral solve and half-kick (`LongRange`);
 //! 3. one chaining-mesh/tree build (`TreeBuild`);
 //! 4. the short-range subcycle block — gravity + CRKSPH + subgrid,
-//!    chained-KDK at the deepest occupied rung (`ShortRange`);
+//!    chained-KDK at the deepest rung any rank's owned particles occupy
+//!    (one all-reduced depth per step; `ShortRange`). Forces are computed
+//!    for the owned particles only — the overload ghosts are sources;
 //! 5. in-situ analysis at its cadence (`Analysis`);
 //! 6. a full tiered checkpoint every step (`Io`);
 //! 7. closing long-range half-kick.
@@ -32,7 +34,7 @@ use hacc_analysis::{
 };
 use hacc_fault::{FaultPlan, FaultProbe, FaultState};
 use hacc_gpusim::{execute_with_relaunch, ExecutionModel, KernelCounters, ProfileTable};
-use hacc_grav::{grav_step, GravConfig};
+use hacc_grav::{grav_step_sinks, GravConfig};
 use hacc_iosim::format::Block;
 use hacc_iosim::{IoStats, TieredConfig, TieredWriter};
 use hacc_mesh::{PmConfig, PmSolver};
@@ -41,7 +43,7 @@ use hacc_telem::{
     CommCounters, ConservationLedger, FaultCounters, FaultKind, GpuKernelRow, LedgerRecord,
     RankTelemetry, Span, TelemetryReport, Tracer,
 };
-use hacc_sph::pipeline::{cfl_timestep, sph_step, SphConfig, SphInput};
+use hacc_sph::pipeline::{cfl_timestep, sph_step_sinks, SphConfig, SphInput};
 use hacc_sph::CubicSpline;
 use hacc_subgrid::{AgnModel, BlackHole, CoolingModel, StarFormationModel, SupernovaModel};
 use hacc_tree::{ChainingMesh, CmConfig};
@@ -111,6 +113,10 @@ pub struct SimReport {
     pub y_map_concentration: f64,
     /// Stars formed over the whole run (global).
     pub total_stars: u64,
+    /// Particle updates over the run, summed over ranks: one update is one
+    /// owned particle receiving one short-range kick, so this equals
+    /// `Σ_steps particles × (substeps + 1)`.
+    pub particle_updates: u64,
     /// Particle updates per second of solver wall time (aggregate).
     pub particles_per_second: f64,
     /// Total momentum at the end (conservation diagnostic).
@@ -468,6 +474,7 @@ fn assemble_report(
         n_galaxies: outputs.iter().map(|o| o.n_galaxies).sum(),
         y_map_concentration: first.y_map_concentration,
         total_stars: first.total_stars,
+        particle_updates: updates,
         particles_per_second: updates as f64 / solver_wall.max(1e-12),
         total_momentum: momentum,
         momentum_scale,
@@ -665,13 +672,16 @@ fn rank_main(
         let mut cm_all = ChainingMesh::build(&store.pos, dom_lo, dom_hi, &cm_cfg);
         tracer.end(sp);
 
-        // --- rung assignment (gas CFL; collisionless on rung 0) ---
+        // --- rung assignment (owned gas by CFL; everyone else on rung 0) ---
         store.indices_of_all_into(Species::Gas, &mut gas_idx);
+        // The store keeps owned particles first and `gas_idx` ascends, so
+        // the owned gas is a prefix of it: the sinks of the hydro solve.
+        let n_owned_gas = gas_idx.partition_point(|&i| i < store.n_owned);
         for i in 0..store.len() {
             store.rung[i] = 0;
         }
-        if hydro && !gas_idx.is_empty() {
-            for (gi, &i) in gas_idx.iter().enumerate() {
+        if hydro {
+            for (gi, &i) in gas_idx[..n_owned_gas].iter().enumerate() {
                 let vsig = vsig_prev.get(gi).copied().unwrap_or(0.0);
                 let cs_proxy = (sph_cfg.eos.gamma * (sph_cfg.eos.gamma - 1.0)
                     * store.u[i].max(1e-10))
@@ -689,8 +699,12 @@ fn rank_main(
         let deepest = if cfg.flat_stepping {
             cfg.max_rung
         } else {
-            store.rung[..store.len()].iter().copied().max().unwrap_or(0)
+            store.rung[..store.n_owned].iter().copied().max().unwrap_or(0)
         };
+        // One subcycle depth per PM step: every rank takes the deepest
+        // rung any rank holds, so the substep count the report publishes
+        // is the one every rank ran.
+        let deepest = comm.all_reduce(deepest, u32::max);
         let rung_stats = RungStats::from_rungs(&store.rung[..store.n_owned], deepest.max(1));
         let nsub = n_substeps(deepest);
         let da_s = da_pm / nsub as f64;
@@ -717,9 +731,10 @@ fn rank_main(
                                     profile: &mut ProfileTable,
                                     vsig_out: &mut Vec<f64>,
                                     a: f64,
-                                    width: f64|
-         -> u64 {
-            // Short-range gravity for everyone. Launches go through the
+                                    width: f64| {
+            // Short-range gravity on the owned particles, sourced by
+            // everyone (the ghosts' own accelerations have no reader, so
+            // ghost-only leaf pairs are never swept). Launches go through the
             // relaunch harness: an injected launch failure discards the
             // attempt and recomputes — deterministic inputs make the
             // retry bit-identical, so physics is unaffected.
@@ -734,7 +749,8 @@ fn rank_main(
                         .unwrap_or(false)
                 },
                 || {
-                    let g = grav_step(&store.pos, &store.mass, cm, &grav_cfg);
+                    let g =
+                        grav_step_sinks(&store.pos, &store.mass, cm, &grav_cfg, store.n_owned);
                     let c = g.counters.clone();
                     (g, c)
                 },
@@ -746,13 +762,13 @@ fn rank_main(
             }
             counters.merge(&launch_counters);
             profile.record("grav_short_range", &launch_counters);
-            let mut upd = store.n_owned as u64;
             for i in 0..store.n_owned {
                 for d in 0..3 {
                     store.vel[i][d] += g.accel[i][d] / a * width;
                 }
             }
-            // CRKSPH for the gas.
+            // CRKSPH for the gas: forces on the owned gas, density and
+            // corrections for the ghosts that source them too.
             if hydro && !gas_idx.is_empty() {
                 gas_gather.gather(store, &gas_idx, a);
                 let gas_cm = ChainingMesh::build(&gas_gather.pos, dom_lo, dom_hi, &cm_cfg);
@@ -763,15 +779,13 @@ fn rank_main(
                     h: &gas_gather.h,
                     u: &gas_gather.u,
                 };
-                let r = sph_step(&input, &gas_cm, &sph_cfg);
+                let r = sph_step_sinks(&input, &gas_cm, &sph_cfg, n_owned_gas);
                 counters.merge(&r.counters.merged());
                 r.counters.record_into(profile);
+                // Only the owned gas has a signal velocity (and a rung).
                 vsig_out.clear();
-                vsig_out.extend_from_slice(&r.vsig);
-                for (gi, &i) in gas_idx.iter().enumerate() {
-                    if i >= store.n_owned {
-                        continue;
-                    }
+                vsig_out.extend_from_slice(&r.vsig[..n_owned_gas]);
+                for (gi, &i) in gas_idx[..n_owned_gas].iter().enumerate() {
                     for d in 0..3 {
                         store.vel[i][d] += r.accel[gi][d] * width;
                     }
@@ -782,13 +796,11 @@ fn rank_main(
                     let spacing = cfg.particle_spacing();
                     store.h[i] = target.clamp(0.5 * spacing, H_CAP_SPACING * spacing);
                 }
-                upd += gas_idx.iter().filter(|&&i| i < store.n_owned).count() as u64;
             }
-            upd
         };
 
         // Opening half-kick with fresh forces.
-        updates += kick_with_forces(
+        kick_with_forces(
             &mut store,
             &cm_all,
             &mut counters,
@@ -839,7 +851,7 @@ fn rank_main(
             } else {
                 kd.kick_factor(as0, as1)
             };
-            updates += kick_with_forces(
+            kick_with_forces(
                 &mut store,
                 &cm_all,
                 &mut counters,
@@ -849,6 +861,9 @@ fn rank_main(
                 w,
             );
         }
+        // One update is one owned particle receiving one kick (gravity
+        // and, for gas, hydro forces together).
+        updates += store.n_owned as u64 * (u64::from(nsub) + 1);
         tracer.end(sp_sr);
 
         // --- 5. in-situ analysis (+ science output through the tiers) ---

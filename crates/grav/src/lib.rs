@@ -21,5 +21,5 @@ pub mod pipeline;
 pub mod split;
 
 pub use kernel::{GravAccum, GravState, GravityKernel};
-pub use pipeline::{grav_step, GravConfig, GravResult};
+pub use pipeline::{grav_step, grav_step_sinks, GravConfig, GravResult};
 pub use split::ForceSplitTable;

@@ -1,4 +1,11 @@
 //! Per-rank short-range gravity evaluation over the chaining mesh.
+//!
+//! Accelerations are computed for the *sinks* only — the particle prefix
+//! `[0, n_sinks)` whose result the caller reads (a rank's owned particles;
+//! the overload ghosts behind them are sources and nothing else). Leaf
+//! pairs with no sink on either side are dropped from the interaction
+//! list before the launch, so they cost nothing and `counters.pairs`
+//! counts the pairs actually swept. [`grav_step`] is the all-sinks form.
 
 use crate::kernel::{GravAccum, GravState, GravityKernel};
 use crate::split::ForceSplitTable;
@@ -60,36 +67,58 @@ impl GravConfig {
 /// Result of a short-range gravity evaluation.
 #[derive(Debug, Clone)]
 pub struct GravResult {
-    /// Accelerations in original particle order.
+    /// Accelerations in original particle order; exactly zero for
+    /// non-sinks.
     pub accel: Vec<[f64; 3]>,
     /// Launch counters.
     pub counters: KernelCounters,
 }
 
-/// Evaluate short-range gravitational accelerations for all particles.
-///
-/// The chaining mesh must have been built from `pos`; its bins must be at
-/// least `r_cut = 7 r_s` wide (asserted), so all interactions stay within
-/// one bin neighborhood.
+/// Evaluate short-range gravitational accelerations for all particles:
+/// [`grav_step_sinks`] with every particle a sink.
 pub fn grav_step(
     pos: &[[f64; 3]],
     mass: &[f64],
     cm: &ChainingMesh,
     cfg: &GravConfig,
 ) -> GravResult {
-    grav_step_with(pos, mass, cm, cfg, LeafExec::Tiled)
+    grav_step_sinks(pos, mass, cm, cfg, pos.len())
 }
 
-/// [`grav_step`] through either executor family (the tests compare them).
+/// Evaluate short-range gravitational accelerations of the sinks
+/// `[0, n_sinks)`, sourced by all particles.
+///
+/// A sink's acceleration is bit-equal to what [`grav_step`] gives it: the
+/// swept list is a subsequence of the full one that keeps every pair of a
+/// sink-holding leaf, so each sink meets the same partners in the same
+/// order. Non-sinks read exactly zero, never a partial sum.
+///
+/// The chaining mesh must have been built from `pos`; its bins must be at
+/// least `r_cut = 7 r_s` wide (asserted), so all interactions stay within
+/// one bin neighborhood.
+pub fn grav_step_sinks(
+    pos: &[[f64; 3]],
+    mass: &[f64],
+    cm: &ChainingMesh,
+    cfg: &GravConfig,
+    n_sinks: usize,
+) -> GravResult {
+    grav_step_with(pos, mass, cm, cfg, n_sinks, LeafExec::Tiled)
+}
+
+/// [`grav_step_sinks`] through either executor family (the tests compare
+/// them).
 fn grav_step_with(
     pos: &[[f64; 3]],
     mass: &[f64],
     cm: &ChainingMesh,
     cfg: &GravConfig,
+    n_sinks: usize,
     exec: LeafExec,
 ) -> GravResult {
     assert_eq!(pos.len(), mass.len());
     let n = pos.len();
+    assert!(n_sinks <= n, "{n_sinks} sinks among {n} particles");
     let mut counters = KernelCounters::default();
     if n == 0 {
         return GravResult {
@@ -104,7 +133,7 @@ fn grav_step_with(
         (0..3).all(|d| widths[d] + 1e-12 >= r_cut || nbins[d] <= 2),
         "chaining-mesh bins {widths:?} ({nbins:?} bins) narrower than gravity cutoff {r_cut}"
     );
-    let pairs = cm.interaction_pairs(r_cut, None);
+    let pairs = cm.interaction_pairs(r_cut, Some(&cm.sink_leaves(n_sinks)));
 
     let states: Vec<GravState> = cm
         .order
@@ -130,12 +159,15 @@ fn grav_step_with(
     counters.launches = 1;
     let mut accel = vec![[0.0f64; 3]; n];
     for (slot, &i) in cm.order.iter().enumerate() {
-        let a = &accums[slot].acc;
-        accel[i as usize] = [
-            cfg.g_newton * a[0],
-            cfg.g_newton * a[1],
-            cfg.g_newton * a[2],
-        ];
+        // A non-sink in a sink-holding leaf has a partial sum: not output.
+        if (i as usize) < n_sinks {
+            let a = &accums[slot].acc;
+            accel[i as usize] = [
+                cfg.g_newton * a[0],
+                cfg.g_newton * a[1],
+                cfg.g_newton * a[2],
+            ];
+        }
     }
     GravResult { accel, counters }
 }
@@ -230,10 +262,56 @@ mod tests {
 
         // Reference: the identical sweep through the pre-fix executors
         // (both-sides one-sided interact calls).
-        let reference = grav_step_with(&pos, &mass, &cm, &cfg, LeafExec::Reference);
+        let reference = grav_step_with(&pos, &mass, &cm, &cfg, n, LeafExec::Reference);
         assert_eq!(r.accel, reference.accel);
         // Same cost-model pair count, half the actual evaluations.
         assert_eq!(r.counters.pairs, reference.counters.pairs);
+    }
+
+    #[test]
+    fn sinks_get_the_all_sinks_bits_and_non_sinks_get_zero() {
+        // Owned-first layout: the sinks are a spatial slab (as a rank's
+        // owned particles are), listed before the rest.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        let n = 600;
+        let mut pos: Vec<[f64; 3]> = (0..n)
+            .map(|_| {
+                [
+                    rng.gen_range(0.0..24.0),
+                    rng.gen_range(0.0..12.0),
+                    rng.gen_range(0.0..12.0),
+                ]
+            })
+            .collect();
+        pos.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        let mass: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..2.0)).collect();
+        let cfg = GravConfig::new(2.0, 0.5, 0.05);
+        let cm = ChainingMesh::build(
+            &pos,
+            [0.0; 3],
+            [24.0, 12.0, 12.0],
+            &CmConfig {
+                bin_width: 4.0,
+                max_leaf: 16,
+            },
+        );
+        let full = grav_step(&pos, &mass, &cm, &cfg);
+        let k = rng.gen_range(100..200);
+        let part = grav_step_sinks(&pos, &mass, &cm, &cfg, k);
+        assert_eq!(part.accel.len(), n);
+        assert_eq!(part.accel[..k], full.accel[..k]);
+        assert!(part.accel[..k].iter().any(|a| a != &[0.0; 3]));
+        assert!(part.accel[k..].iter().all(|a| a == &[0.0; 3]));
+        // The far end of the slab holds leaves without any sink.
+        assert!(cm.sink_leaves(k).iter().any(|&m| !m));
+        assert!(part.counters.pairs < full.counters.pairs);
+
+        let all = grav_step_sinks(&pos, &mass, &cm, &cfg, n);
+        assert_eq!(all.accel, full.accel);
+        assert_eq!(all.counters.pairs, full.counters.pairs);
+        let none = grav_step_sinks(&pos, &mass, &cm, &cfg, 0);
+        assert!(none.accel.iter().all(|a| a == &[0.0; 3]));
+        assert_eq!(none.counters.pairs, 0);
     }
 
     #[test]

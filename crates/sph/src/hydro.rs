@@ -17,10 +17,33 @@
 //! runtime additionally shares kernel evaluations when the smoothing
 //! lengths are bit-equal), with sqrt and divide each one transcendental
 //! and the interior branch (in-support, viscosity active) taken.
+//!
+//! Every `interact_pair` body opens with the same exact support
+//! pre-filter, `may_interact`: most candidate pairs of a leaf-pair tile
+//! lie outside both supports, and the squared-radius test rejects them
+//! before the sqrt, the divides and the spline branch. The one-sided
+//! `interact` bodies stay unfiltered — they are the bitwise reference.
 
 use crate::crk::{corrected_grad_w, CrkCorrections, Moments};
 use crate::kernel::SphKernel;
 use hacc_gpusim::{PairFlops, SplitKernel};
+
+/// The support pre-filter of the symmetric pair bodies: false only when
+/// the pair is certainly outside the larger of the two supports, `cut =
+/// support * max(h_i, h_j)`.
+///
+/// Conservative by a margin well above the rounding error of `cut*cut`:
+/// `r2` at or past the bound guarantees `sqrt(r2) >= cut` (sqrt is
+/// correctly rounded and monotone), hence `r/h >= support` for both
+/// smoothing lengths and a kernel value and slope of exactly zero on both
+/// sides. Such a pair adds `+0.0` or nothing to accumulators that start at
+/// `+0.0`, so skipping it leaves every accumulator's bits unchanged;
+/// pairs in the boundary band fall through to the body's own exact
+/// checks.
+#[inline]
+fn may_interact(r2: f64, cut: f64) -> bool {
+    r2 < cut * cut * (1.0 + 1e-12)
+}
 
 /// Per-particle state consumed by the density and moments kernels.
 #[derive(Debug, Clone, Copy)]
@@ -62,11 +85,14 @@ impl<K: SphKernel> SplitKernel for DensityKernel<K> {
     fn partial_flops(&self) -> PairFlops {
         PairFlops::default()
     }
+    // k1: tolerance(muls = 3)
     fn pair_flops(&self) -> PairFlops {
         // Audited vs `interact_pair` (general h_i != h_j):
         //   dr (3 add); r2 (1 mul + 2 fma); sqrt (1);
         //   W x2 (each: q div 1, sigma 3 mul + 1 div, poly 5 mul 2 add,
         //     scale 1 mul); scatter both sides (2 fma).
+        // The table bills the interacting path only; the support
+        // pre-filter's 3 muls on every candidate are the tolerance.
         PairFlops {
             adds: 7,
             muls: 19,
@@ -99,15 +125,18 @@ impl<K: SphKernel> SplitKernel for DensityKernel<K> {
         let dx = si.pos[0] - sj.pos[0];
         let dy = si.pos[1] - sj.pos[1];
         let dz = si.pos[2] - sj.pos[2];
-        let r = (dx * dx + dy * dy + dz * dz).sqrt();
-        let wi = self.kernel.w(r, si.h);
-        let wj = if sj.h.to_bits() == si.h.to_bits() {
-            wi
-        } else {
-            self.kernel.w(r, sj.h)
-        };
-        *out_i += sj.m_or_v * wi;
-        *out_j += si.m_or_v * wj;
+        let r2 = dx * dx + dy * dy + dz * dz;
+        if may_interact(r2, self.kernel.support() * si.h.max(sj.h)) {
+            let r = r2.sqrt();
+            let wi = self.kernel.w(r, si.h);
+            let wj = if sj.h.to_bits() == si.h.to_bits() {
+                wi
+            } else {
+                self.kernel.w(r, sj.h)
+            };
+            *out_i += sj.m_or_v * wi;
+            *out_j += si.m_or_v * wj;
+        }
     }
 }
 
@@ -140,12 +169,15 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
     fn partial_flops(&self) -> PairFlops {
         PairFlops::default()
     }
+    // k1: tolerance(muls = 3)
     fn pair_flops(&self) -> PairFlops {
         // Audited vs `interact_pair` (general h_i != h_j):
         //   dr + reversed dr (6 add); r2 (1 mul + 2 fma); sqrt (1);
         //   W x2 (2 add + 9 mul + 2 trans each);
         //   accumulate x2 (each: vw 1 mul, m0 1 add, m1 3 fma,
         //     m2 6 mul + 6 fma).
+        // The support pre-filter's 3 muls per candidate are the
+        // tolerance, as in the density kernel.
         PairFlops {
             adds: 12,
             muls: 33,
@@ -185,23 +217,26 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
             si.pos[1] - sj.pos[1],
             si.pos[2] - sj.pos[2],
         ];
-        let r = (dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2]).sqrt();
-        let wi = self.kernel.w(r, si.h);
-        let wj = if sj.h.to_bits() == si.h.to_bits() {
-            wi
-        } else {
-            self.kernel.w(r, sj.h)
-        };
-        if wi > 0.0 {
-            out_i.accumulate(sj.m_or_v, wi, &dr);
-        }
-        if wj > 0.0 {
-            let drj = [
-                sj.pos[0] - si.pos[0],
-                sj.pos[1] - si.pos[1],
-                sj.pos[2] - si.pos[2],
-            ];
-            out_j.accumulate(si.m_or_v, wj, &drj);
+        let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
+        if may_interact(r2, self.kernel.support() * si.h.max(sj.h)) {
+            let r = r2.sqrt();
+            let wi = self.kernel.w(r, si.h);
+            let wj = if sj.h.to_bits() == si.h.to_bits() {
+                wi
+            } else {
+                self.kernel.w(r, sj.h)
+            };
+            if wi > 0.0 {
+                out_i.accumulate(sj.m_or_v, wi, &dr);
+            }
+            if wj > 0.0 {
+                let drj = [
+                    sj.pos[0] - si.pos[0],
+                    sj.pos[1] - si.pos[1],
+                    sj.pos[2] - si.pos[2],
+                ];
+                out_j.accumulate(si.m_or_v, wj, &drj);
+            }
         }
     }
 }
@@ -274,9 +309,11 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
     fn partial_flops(&self) -> PairFlops {
         PairFlops::default()
     }
+    // k1: tolerance(muls = 3)
     fn pair_flops(&self) -> PairFlops {
         // Statically audited by hacc-lint K1 against `interact_pair`
-        // (general h_i != h_j, both sides in support). The old hand
+        // (general h_i != h_j, both sides in support; the support
+        // pre-filter's 3 muls per candidate are the tolerance). The old hand
         // audit billed the div/curl accumulations as mul+add; the
         // compiler fuses every `acc += a * b` spine to an FMA, which
         // is what the derived count (and the hardware) sees.
@@ -337,51 +374,53 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
             si.pos[2] - sj.pos[2],
         ];
         let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-        let r = r2.sqrt();
-        // Self-pair lanes mask to zero slopes instead of an early exit
-        // (V1); the two predicated scatter blocks below then skip them
-        // exactly as the old `return` did.
-        let (dwi, dwj) = if r == 0.0 {
-            (0.0, 0.0)
-        } else {
-            let dwi = self.kernel.dw_dr(r, si.h);
-            let dwj = if sj.h.to_bits() == si.h.to_bits() {
-                dwi
+        if may_interact(r2, self.kernel.support() * si.h.max(sj.h)) {
+            let r = r2.sqrt();
+            // Self-pair lanes mask to zero slopes instead of an early exit
+            // (V1); the two predicated scatter blocks below then skip them
+            // exactly as the old `return` did.
+            let (dwi, dwj) = if r == 0.0 {
+                (0.0, 0.0)
             } else {
-                self.kernel.dw_dr(r, sj.h)
+                let dwi = self.kernel.dw_dr(r, si.h);
+                let dwj = if sj.h.to_bits() == si.h.to_bits() {
+                    dwi
+                } else {
+                    self.kernel.dw_dr(r, sj.h)
+                };
+                (dwi, dwj)
             };
-            (dwi, dwj)
-        };
-        if dwi != 0.0 {
-            let g = [dwi * dr[0] / r, dwi * dr[1] / r, dwi * dr[2] / r];
-            let dv = [
-                sj.vel[0] - si.vel[0],
-                sj.vel[1] - si.vel[1],
-                sj.vel[2] - si.vel[2],
-            ];
-            let v = sj.vol;
-            out_i.div += v * (dv[0] * g[0] + dv[1] * g[1] + dv[2] * g[2]);
-            out_i.curl[0] += v * (dv[1] * g[2] - dv[2] * g[1]);
-            out_i.curl[1] += v * (dv[2] * g[0] - dv[0] * g[2]);
-            out_i.curl[2] += v * (dv[0] * g[1] - dv[1] * g[0]);
-        }
-        if dwj != 0.0 {
-            let drj = [
-                sj.pos[0] - si.pos[0],
-                sj.pos[1] - si.pos[1],
-                sj.pos[2] - si.pos[2],
-            ];
-            let g = [dwj * drj[0] / r, dwj * drj[1] / r, dwj * drj[2] / r];
-            let dv = [
-                si.vel[0] - sj.vel[0],
-                si.vel[1] - sj.vel[1],
-                si.vel[2] - sj.vel[2],
-            ];
-            let v = si.vol;
-            out_j.div += v * (dv[0] * g[0] + dv[1] * g[1] + dv[2] * g[2]);
-            out_j.curl[0] += v * (dv[1] * g[2] - dv[2] * g[1]);
-            out_j.curl[1] += v * (dv[2] * g[0] - dv[0] * g[2]);
-            out_j.curl[2] += v * (dv[0] * g[1] - dv[1] * g[0]);
+            if dwi != 0.0 {
+                let g = [dwi * dr[0] / r, dwi * dr[1] / r, dwi * dr[2] / r];
+                let dv = [
+                    sj.vel[0] - si.vel[0],
+                    sj.vel[1] - si.vel[1],
+                    sj.vel[2] - si.vel[2],
+                ];
+                let v = sj.vol;
+                out_i.div += v * (dv[0] * g[0] + dv[1] * g[1] + dv[2] * g[2]);
+                out_i.curl[0] += v * (dv[1] * g[2] - dv[2] * g[1]);
+                out_i.curl[1] += v * (dv[2] * g[0] - dv[0] * g[2]);
+                out_i.curl[2] += v * (dv[0] * g[1] - dv[1] * g[0]);
+            }
+            if dwj != 0.0 {
+                let drj = [
+                    sj.pos[0] - si.pos[0],
+                    sj.pos[1] - si.pos[1],
+                    sj.pos[2] - si.pos[2],
+                ];
+                let g = [dwj * drj[0] / r, dwj * drj[1] / r, dwj * drj[2] / r];
+                let dv = [
+                    si.vel[0] - sj.vel[0],
+                    si.vel[1] - sj.vel[1],
+                    si.vel[2] - sj.vel[2],
+                ];
+                let v = si.vol;
+                out_j.div += v * (dv[0] * g[0] + dv[1] * g[1] + dv[2] * g[2]);
+                out_j.curl[0] += v * (dv[1] * g[2] - dv[2] * g[1]);
+                out_j.curl[1] += v * (dv[2] * g[0] - dv[0] * g[2]);
+                out_j.curl[2] += v * (dv[0] * g[1] - dv[1] * g[0]);
+            }
         }
     }
 }
@@ -593,16 +632,13 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
         ];
         let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
         let cut = self.kernel.support() * si.h.max(sj.h);
-        // Conservative squared-radius pre-filter: with a margin well above
-        // the rounding error of `cut*cut`, `r2` past it guarantees
-        // `sqrt(r2) >= cut` (sqrt is correctly rounded and monotone), so
-        // clearly-out-of-support pairs skip the sqrt entirely. Pairs in
+        // Clearly-out-of-support pairs skip the sqrt entirely; pairs in
         // the boundary band fall through to the exact one-sided check,
         // keeping the symmetric path bitwise identical to `interact`.
-        // Both rejection tests become nested masks (V1): the inner
+        // Both rejection tests are nested masks (V1): the inner
         // predicate is the exact complement of the old early exit, so
         // accepted lanes compute bit-identically to `interact`.
-        if r2 < cut * cut * (1.0 + 1e-12) {
+        if may_interact(r2, cut) {
             let r = r2.sqrt();
             if !(r >= cut || r == 0.0) {
                 let (wi, dwi) = self.kernel.w_dw(r, si.h);
@@ -825,6 +861,57 @@ mod tests {
             .collect()
     }
 
+    /// Each side of `interact_pair` against the corresponding one-sided
+    /// `interact` call, bitwise, for all four CRKSPH kernels.
+    fn assert_pair_matches_one_sided(si: &ForceState, sj: &ForceState, what: &str) {
+        let fkn = fk();
+        let dk = DensityKernel { kernel: CubicSpline };
+        let mk = MomentsKernel { kernel: CubicSpline };
+        let vk = VelGradKernel { kernel: CubicSpline };
+        // Force.
+        let (mut ri, mut rj) = (ForceAccum::default(), ForceAccum::default());
+        fkn.interact(si, &(), sj, &(), &mut ri);
+        fkn.interact(sj, &(), si, &(), &mut rj);
+        let (mut pi, mut pj) = (ForceAccum::default(), ForceAccum::default());
+        fkn.interact_pair(si, &(), sj, &(), &mut pi, &mut pj);
+        assert_eq!(pi.mom, ri.mom, "force i mom {what}");
+        assert_eq!(pj.mom, rj.mom, "force j mom {what}");
+        assert_eq!(pi.eng, ri.eng, "force i eng {what}");
+        assert_eq!(pj.eng, rj.eng, "force j eng {what}");
+        assert_eq!(pi.vsig, ri.vsig, "force i vsig {what}");
+        assert_eq!(pj.vsig, rj.vsig, "force j vsig {what}");
+        // Density (compared as bits: a skipped pair must leave +0.0).
+        let gi = GeomState { pos: si.pos, h: si.h, m_or_v: si.vol };
+        let gj = GeomState { pos: sj.pos, h: sj.h, m_or_v: sj.vol };
+        let (mut di, mut dj) = (0.0f64, 0.0f64);
+        dk.interact(&gi, &(), &gj, &(), &mut di);
+        dk.interact(&gj, &(), &gi, &(), &mut dj);
+        let (mut qi, mut qj) = (0.0f64, 0.0f64);
+        dk.interact_pair(&gi, &(), &gj, &(), &mut qi, &mut qj);
+        assert_eq!(qi.to_bits(), di.to_bits(), "density i {what}");
+        assert_eq!(qj.to_bits(), dj.to_bits(), "density j {what}");
+        // Moments.
+        let (mut mi, mut mj) = (Moments::default(), Moments::default());
+        mk.interact(&gi, &(), &gj, &(), &mut mi);
+        mk.interact(&gj, &(), &gi, &(), &mut mj);
+        let (mut ni, mut nj) = (Moments::default(), Moments::default());
+        mk.interact_pair(&gi, &(), &gj, &(), &mut ni, &mut nj);
+        assert_eq!(ni, mi, "moments i {what}");
+        assert_eq!(nj, mj, "moments j {what}");
+        // Velocity gradients.
+        let vi = VelGradState { pos: si.pos, vel: si.vel, h: si.h, vol: si.vol };
+        let vj = VelGradState { pos: sj.pos, vel: sj.vel, h: sj.h, vol: sj.vol };
+        let (mut wi, mut wj) = (VelGradAccum::default(), VelGradAccum::default());
+        vk.interact(&vi, &(), &vj, &(), &mut wi);
+        vk.interact(&vj, &(), &vi, &(), &mut wj);
+        let (mut xi, mut xj) = (VelGradAccum::default(), VelGradAccum::default());
+        vk.interact_pair(&vi, &(), &vj, &(), &mut xi, &mut xj);
+        assert_eq!(xi.div, wi.div, "velgrad i div {what}");
+        assert_eq!(xj.div, wj.div, "velgrad j div {what}");
+        assert_eq!(xi.curl, wi.curl, "velgrad i curl {what}");
+        assert_eq!(xj.curl, wj.curl, "velgrad j curl {what}");
+    }
+
     /// The executor contract: each side of `interact_pair` must be
     /// bitwise identical to the corresponding one-sided `interact` call —
     /// for every CRKSPH kernel, with both shared (equal-h) and general
@@ -833,58 +920,69 @@ mod tests {
     fn symmetric_pair_matches_one_sided_bitwise() {
         for vary_h in [false, true] {
             let fs = rand_force_states(24, vary_h);
-            let fkn = fk();
-            let dk = DensityKernel { kernel: CubicSpline };
-            let mk = MomentsKernel { kernel: CubicSpline };
-            let vk = VelGradKernel { kernel: CubicSpline };
             for a in 0..fs.len() {
                 for b in (a + 1)..fs.len() {
-                    let (si, sj) = (&fs[a], &fs[b]);
-                    // Force.
-                    let (mut ri, mut rj) = (ForceAccum::default(), ForceAccum::default());
-                    fkn.interact(si, &(), sj, &(), &mut ri);
-                    fkn.interact(sj, &(), si, &(), &mut rj);
-                    let (mut pi, mut pj) = (ForceAccum::default(), ForceAccum::default());
-                    fkn.interact_pair(si, &(), sj, &(), &mut pi, &mut pj);
-                    assert_eq!(pi.mom, ri.mom, "force i mom [{a},{b}] vary_h={vary_h}");
-                    assert_eq!(pj.mom, rj.mom, "force j mom [{a},{b}] vary_h={vary_h}");
-                    assert_eq!(pi.eng, ri.eng, "force i eng [{a},{b}] vary_h={vary_h}");
-                    assert_eq!(pj.eng, rj.eng, "force j eng [{a},{b}] vary_h={vary_h}");
-                    assert_eq!(pi.vsig, ri.vsig, "force i vsig [{a},{b}]");
-                    assert_eq!(pj.vsig, rj.vsig, "force j vsig [{a},{b}]");
-                    // Density.
-                    let gi = GeomState { pos: si.pos, h: si.h, m_or_v: si.vol };
-                    let gj = GeomState { pos: sj.pos, h: sj.h, m_or_v: sj.vol };
-                    let (mut di, mut dj) = (0.0, 0.0);
-                    dk.interact(&gi, &(), &gj, &(), &mut di);
-                    dk.interact(&gj, &(), &gi, &(), &mut dj);
-                    let (mut qi, mut qj) = (0.0, 0.0);
-                    dk.interact_pair(&gi, &(), &gj, &(), &mut qi, &mut qj);
-                    assert_eq!(qi, di, "density i [{a},{b}]");
-                    assert_eq!(qj, dj, "density j [{a},{b}]");
-                    // Moments.
-                    let (mut mi, mut mj) = (Moments::default(), Moments::default());
-                    mk.interact(&gi, &(), &gj, &(), &mut mi);
-                    mk.interact(&gj, &(), &gi, &(), &mut mj);
-                    let (mut ni, mut nj) = (Moments::default(), Moments::default());
-                    mk.interact_pair(&gi, &(), &gj, &(), &mut ni, &mut nj);
-                    assert_eq!(ni, mi, "moments i [{a},{b}]");
-                    assert_eq!(nj, mj, "moments j [{a},{b}]");
-                    // Velocity gradients.
-                    let vi = VelGradState { pos: si.pos, vel: si.vel, h: si.h, vol: si.vol };
-                    let vj = VelGradState { pos: sj.pos, vel: sj.vel, h: sj.h, vol: sj.vol };
-                    let (mut wi, mut wj) = (VelGradAccum::default(), VelGradAccum::default());
-                    vk.interact(&vi, &(), &vj, &(), &mut wi);
-                    vk.interact(&vj, &(), &vi, &(), &mut wj);
-                    let (mut xi, mut xj) = (VelGradAccum::default(), VelGradAccum::default());
-                    vk.interact_pair(&vi, &(), &vj, &(), &mut xi, &mut xj);
-                    assert_eq!(xi.div, wi.div, "velgrad i div [{a},{b}]");
-                    assert_eq!(xj.div, wj.div, "velgrad j div [{a},{b}]");
-                    assert_eq!(xi.curl, wi.curl, "velgrad i curl [{a},{b}]");
-                    assert_eq!(xj.curl, wj.curl, "velgrad j curl [{a},{b}]");
+                    assert_pair_matches_one_sided(
+                        &fs[a],
+                        &fs[b],
+                        &format!("[{a},{b}] vary_h={vary_h}"),
+                    );
                 }
             }
         }
+    }
+
+    /// The same contract where the support pre-filter decides: separations
+    /// on, just inside and just outside the support edge `2h` (closer than
+    /// the filter's 1e-12 margin and further), coincident particles, and
+    /// unequal smoothing lengths with the pair inside one support only.
+    #[test]
+    fn symmetric_pair_matches_one_sided_bitwise_at_the_support_edge() {
+        let fs = rand_force_states(8, false);
+        let dirs = [[1.0, 0.0, 0.0], [0.6, -0.48, 0.64], [-0.36, 0.8, 0.48]];
+        let mut outside_band = 0;
+        for (h_i, h_j) in [(1.0, 1.0), (0.83, 0.83), (1.3, 0.7), (0.7, 1.3)] {
+            let edge = 2.0 * f64::max(h_i, h_j);
+            let seps = [
+                0.0,
+                edge,
+                edge * (1.0 - 1e-13),
+                edge * (1.0 + 1e-13),
+                edge * (1.0 - 1e-9),
+                edge * (1.0 + 1e-9),
+                // Inside the larger support, outside the smaller (when
+                // the two differ): 2 min(h) < r < 2 max(h).
+                f64::min(h_i, h_j) + f64::max(h_i, h_j),
+            ];
+            for (k, &sep) in seps.iter().enumerate() {
+                for (d, dir) in dirs.iter().enumerate() {
+                    let mut si = fs[(k + d) % fs.len()];
+                    let mut sj = fs[(k + d + 3) % fs.len()];
+                    si.h = h_i;
+                    sj.h = h_j;
+                    sj.pos = [
+                        si.pos[0] + sep * dir[0],
+                        si.pos[1] + sep * dir[1],
+                        si.pos[2] + sep * dir[2],
+                    ];
+                    let what = format!("h=({h_i},{h_j}) sep={sep:e} dir {d}");
+                    assert_pair_matches_one_sided(&si, &sj, &what);
+                    assert_pair_matches_one_sided(&sj, &si, &what);
+                    let dr = [
+                        si.pos[0] - sj.pos[0],
+                        si.pos[1] - sj.pos[1],
+                        si.pos[2] - sj.pos[2],
+                    ];
+                    let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
+                    if !may_interact(r2, edge) {
+                        outside_band += 1;
+                        assert!(r2.sqrt() >= edge, "filter rejected an in-support pair: {what}");
+                    }
+                }
+            }
+        }
+        // The 1e-9 case (and only it) lies past the filter's margin.
+        assert_eq!(outside_band, 4 * dirs.len());
     }
 
     /// Newton's third law is exact by construction on the symmetric path:

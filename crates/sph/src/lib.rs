@@ -19,7 +19,8 @@
 //!    updates with Monaghan artificial viscosity, in the antisymmetrized
 //!    pair form that conserves momentum to machine precision.
 //!
-//! The public driver is [`pipeline::sph_step`].
+//! The public driver is [`pipeline::sph_step_sinks`] ([`pipeline::sph_step`]
+//! when every particle's forces are wanted).
 //!
 //! An optional fourth stage ([`hydro::VelGradKernel`]) computes velocity
 //! divergence and curl for the Balsara (1995) shear limiter
@@ -42,4 +43,4 @@ pub use crk::{invert_sym3, CrkCorrections, Moments};
 pub use eos::IdealGas;
 pub use hydro::{ForceKernel, HydroOptions, VelGradKernel};
 pub use kernel::{CubicSpline, SphKernel, WendlandC4};
-pub use pipeline::{sph_step, SphInput, SphResult};
+pub use pipeline::{sph_step, sph_step_sinks, SphInput, SphResult};

@@ -1,6 +1,14 @@
 //! The per-rank CRKSPH evaluation pipeline: three kernel launches over the
 //! chaining-mesh interaction list, plus the per-particle correction solve
 //! and equation of state.
+//!
+//! Forces are computed for the *sinks* only — the particle prefix
+//! `[0, n_sinks)` whose result the caller reads (a rank's owned gas; the
+//! overload ghosts behind it are sources). The force launch sweeps the
+//! sub-list of leaf pairs that hold a sink; density, moments and velocity
+//! gradients sweep the full list, because a sink's force reads those
+//! fields of every neighbour, ghost or not. [`sph_step`] is the all-sinks
+//! form.
 
 use crate::crk::{solve_corrections, CrkCorrections, Moments};
 use crate::eos::IdealGas;
@@ -130,7 +138,8 @@ pub struct SphResult {
     pub cs: Vec<f64>,
     /// CRK correction coefficients.
     pub corr: Vec<CrkCorrections>,
-    /// Hydrodynamic accelerations.
+    /// Hydrodynamic accelerations (exactly zero for non-sinks, as are
+    /// `du_dt` and `vsig`).
     pub accel: Vec<[f64; 3]>,
     /// Specific internal energy rates.
     pub du_dt: Vec<f64>,
@@ -143,17 +152,37 @@ pub struct SphResult {
 /// FLOPs charged for one 3×3 symmetric solve in the correction stage.
 const CORRECTION_SOLVE_FLOPS: u64 = 82;
 
-/// One full CRKSPH evaluation: density → corrections → forces.
-///
-/// The chaining mesh must have been built from `input.pos`, and its bin
-/// widths must be at least the kernel support `support * max(h)` (the
-/// chaining-mesh locality guarantee); this is asserted.
+/// One full CRKSPH evaluation for all particles: [`sph_step_sinks`] with
+/// every particle a sink.
 pub fn sph_step<K: SphKernel>(
     input: &SphInput,
     cm: &ChainingMesh,
     cfg: &SphConfig<K>,
 ) -> SphResult {
+    sph_step_sinks(input, cm, cfg, input.len())
+}
+
+/// One full CRKSPH evaluation: density → corrections → forces, the forces
+/// for the sinks `[0, n_sinks)` only.
+///
+/// `rho`, `vol`, `pressure`, `cs` and `corr` are computed for every
+/// particle. `accel`, `du_dt` and `vsig` of a sink are bit-equal to what
+/// [`sph_step`] gives it — the force launch sweeps a subsequence of the
+/// full list that keeps every pair of a sink-holding leaf, so each sink
+/// meets the same partners in the same order — and exactly zero for a
+/// non-sink, never a partial sum.
+///
+/// The chaining mesh must have been built from `input.pos`, and its bin
+/// widths must be at least the kernel support `support * max(h)` (the
+/// chaining-mesh locality guarantee); this is asserted.
+pub fn sph_step_sinks<K: SphKernel>(
+    input: &SphInput,
+    cm: &ChainingMesh,
+    cfg: &SphConfig<K>,
+    n_sinks: usize,
+) -> SphResult {
     let n = input.len();
+    assert!(n_sinks <= n, "{n_sinks} sinks among {n} particles");
     let mut counters = SphCounters::default();
     if n == 0 {
         return SphResult {
@@ -178,6 +207,12 @@ pub fn sph_step<K: SphKernel>(
         "chaining-mesh bins ({widths:?}, {nbins:?} bins) narrower than kernel support {cutoff}"
     );
     let pairs = cm.interaction_pairs(cutoff, None);
+    let holds_sink = cm.sink_leaves(n_sinks);
+    let force_pairs: Vec<(LeafId, LeafId)> = pairs
+        .iter()
+        .copied()
+        .filter(|&(a, b)| holds_sink[a as usize] || holds_sink[b as usize])
+        .collect();
     // States and accumulators below are in tree (slot) order, so each
     // leaf is a contiguous slice.
     let leaf_range = |leaf: LeafId| cm.leaves[leaf as usize].range();
@@ -330,7 +365,7 @@ pub fn sph_step<K: SphKernel>(
         cfg.mode,
         LeafExec::Tiled,
         leaf_range,
-        &pairs,
+        &force_pairs,
         &force_states,
         &mut force_slots,
         &mut counters.force,
@@ -358,16 +393,19 @@ pub fn sph_step<K: SphKernel>(
     };
     for (slot, &i) in cm.order.iter().enumerate() {
         let i = i as usize;
-        let m = input.mass[i];
         out.rho[i] = rho_slots[slot];
         out.vol[i] = geom_v[slot].m_or_v;
         out.pressure[i] = p_slots[slot];
         out.cs[i] = cs_slots[slot];
         out.corr[i] = corr_slots[slot];
-        let f = &force_slots[slot];
-        out.accel[i] = [f.mom[0] / m, f.mom[1] / m, f.mom[2] / m];
-        out.du_dt[i] = f.eng / m;
-        out.vsig[i] = f.vsig;
+        // A non-sink in a sink-holding leaf has a partial sum: not output.
+        if i < n_sinks {
+            let m = input.mass[i];
+            let f = &force_slots[slot];
+            out.accel[i] = [f.mom[0] / m, f.mom[1] / m, f.mom[2] / m];
+            out.du_dt[i] = f.eng / m;
+            out.vsig[i] = f.vsig;
+        }
     }
     out
 }
@@ -598,6 +636,56 @@ mod tests {
             assert_eq!(r1.rho[i], r2.rho[i]);
             assert_eq!(r1.accel[i], r2.accel[i]);
         }
+    }
+
+    #[test]
+    fn sinks_get_the_all_sinks_bits_and_non_sinks_get_zero() {
+        // The lattice is listed x-major, so a prefix is a slab — the shape
+        // of a rank's owned gas ahead of its ghosts.
+        let mut s = lattice(10, 0.3, 23);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        for i in 0..s.pos.len() {
+            s.h[i] = rng.gen_range(0.8..1.6);
+            s.u[i] = rng.gen_range(5.0..15.0);
+            s.vel[i] = [
+                rng.gen_range(-2.0..2.0),
+                rng.gen_range(-2.0..2.0),
+                rng.gen_range(-2.0..2.0),
+            ];
+        }
+        let n = s.pos.len();
+        let mut c = cfg();
+        c.opts.use_balsara = true;
+        let full = sph_step(&s.input(), &s.cm, &c);
+        let k = rng.gen_range(150..250);
+        let part = sph_step_sinks(&s.input(), &s.cm, &c, k);
+
+        assert_eq!(part.accel[..k], full.accel[..k]);
+        assert_eq!(part.du_dt[..k], full.du_dt[..k]);
+        assert_eq!(part.vsig[..k], full.vsig[..k]);
+        assert!(part.accel[..k].iter().all(|a| a != &[0.0; 3]));
+        assert!(part.accel[k..].iter().all(|a| a == &[0.0; 3]));
+        assert!(part.du_dt[k..].iter().all(|&x| x == 0.0));
+        assert!(part.vsig[k..].iter().all(|&x| x == 0.0));
+        // The geometry and thermodynamics are everyone's.
+        assert_eq!(part.rho, full.rho);
+        assert_eq!(part.vol, full.vol);
+        assert_eq!(part.pressure, full.pressure);
+        assert_eq!(part.cs, full.cs);
+        for i in 0..n {
+            assert_eq!(part.corr[i].a, full.corr[i].a, "corr a {i}");
+            assert_eq!(part.corr[i].b, full.corr[i].b, "corr b {i}");
+        }
+        // Only the force launch shrinks.
+        assert!(s.cm.sink_leaves(k).iter().any(|&m| !m));
+        assert!(part.counters.force.pairs < full.counters.force.pairs);
+        assert_eq!(part.counters.density.pairs, full.counters.density.pairs);
+        assert_eq!(part.counters.moments.pairs, full.counters.moments.pairs);
+        assert_eq!(part.counters.velgrad.pairs, full.counters.velgrad.pairs);
+
+        let all = sph_step_sinks(&s.input(), &s.cm, &c, n);
+        assert_eq!(all.accel, full.accel);
+        assert_eq!(all.counters.force.pairs, full.counters.force.pairs);
     }
 
     #[test]

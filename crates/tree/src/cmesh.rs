@@ -152,6 +152,21 @@ impl ChainingMesh {
         }
     }
 
+    /// Per-leaf mask of the leaves holding at least one *sink* — a particle
+    /// whose original index lies in the prefix `[0, n_sinks)`. Handed to
+    /// [`Self::interaction_pairs`] as the `active` mask, it drops every
+    /// leaf pair whose result no sink would read.
+    pub fn sink_leaves(&self, n_sinks: usize) -> Vec<bool> {
+        self.leaves
+            .iter()
+            .map(|leaf| {
+                self.order[leaf.range()]
+                    .iter()
+                    .any(|&i| (i as usize) < n_sinks)
+            })
+            .collect()
+    }
+
     /// Leaf-pair interaction list: all pairs `(i, j)` with `i <= j` whose
     /// padded bounding boxes lie within `cutoff` of each other, restricted
     /// to neighboring chaining-mesh bins (the CM guarantee: no interaction
@@ -342,6 +357,36 @@ mod tests {
         assert!(pairs.iter().all(|&(i, j)| i == 0 || j == 0));
         let all_pairs = cm.interaction_pairs(2.0, None);
         assert!(pairs.len() < all_pairs.len());
+    }
+
+    #[test]
+    fn sink_leaves_match_brute_force_scan() {
+        let (pos, cm) = build(400, 11);
+        // A prefix that leaves some leaf with exactly one sink: the
+        // smallest particle index of leaf 0, plus one.
+        let one_sink = *cm.leaf_particles(0).iter().min().unwrap() as usize + 1;
+        for n_sinks in [0, 1, one_sink, 137, pos.len() - 1, pos.len()] {
+            let mask = cm.sink_leaves(n_sinks);
+            assert_eq!(mask.len(), cm.n_leaves());
+            for id in 0..cm.n_leaves() {
+                let sinks = cm
+                    .leaf_particles(id as u32)
+                    .iter()
+                    .filter(|&&p| (p as usize) < n_sinks)
+                    .count();
+                assert_eq!(mask[id], sinks > 0, "leaf {id}, n_sinks {n_sinks}");
+            }
+        }
+        assert!(cm.sink_leaves(0).iter().all(|&m| !m));
+        assert!(cm.sink_leaves(pos.len()).iter().all(|&m| m));
+        let sinks_in_leaf_0 =
+            cm.leaf_particles(0).iter().filter(|&&p| (p as usize) < one_sink).count();
+        assert_eq!(sinks_in_leaf_0, 1);
+        assert!(cm.sink_leaves(one_sink)[0]);
+        // All sinks: the masked list is the full list; no sinks: empty.
+        let full = cm.interaction_pairs(1.5, None);
+        assert_eq!(cm.interaction_pairs(1.5, Some(&cm.sink_leaves(pos.len()))), full);
+        assert!(cm.interaction_pairs(1.5, Some(&cm.sink_leaves(0))).is_empty());
     }
 
     #[test]

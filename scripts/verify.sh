@@ -173,6 +173,11 @@ cargo test -q --offline
 echo "== tier 2: warnings-as-errors build =="
 RUSTFLAGS="-D warnings" cargo build --release --offline
 
+echo "== state-hash table (informational, no threshold) =="
+# The fixed command lines every issue quotes, through the binary just
+# built; diff against another binary's output to see what a change moved.
+scripts/state_hashes.sh
+
 echo "== tier 2: release test suite =="
 cargo test --release -q --offline
 

@@ -1,8 +1,25 @@
 //! Integration: thermodynamic behaviour of the gas through the full
 //! driver — Hubble cooling, shock heating, subgrid activity.
 
-use frontier_sim::core::{run_simulation, Physics, SimConfig};
+use frontier_sim::core::{run_simulation, Physics, SimConfig, SimReport};
 use frontier_sim::iosim::TieredWriter;
+
+/// The report matches the work: every rank ran the substep count the
+/// step records publish, so the updates summed over ranks are
+/// `Σ_steps particles × (substeps + 1)` (one kick opens the block, one
+/// closes each substep).
+fn assert_updates_match_substeps(r: &SimReport) {
+    let expected: u64 = r
+        .steps
+        .iter()
+        .map(|s| s.particles * (u64::from(s.substeps) + 1))
+        .sum();
+    assert_eq!(
+        r.particle_updates, expected,
+        "ranks subcycled at different depths: substeps {:?}",
+        r.steps.iter().map(|s| s.substeps).collect::<Vec<_>>()
+    );
+}
 
 fn cfg(tag: &str, physics: Physics) -> (SimConfig, std::path::PathBuf) {
     let mut c = SimConfig::small(8);
@@ -33,7 +50,7 @@ fn final_u(dir: &std::path::Path, ranks: usize) -> Vec<f64> {
 #[test]
 fn internal_energies_stay_finite_and_positive() {
     let (c, dir) = cfg("finite", Physics::Hydro);
-    run_simulation(&c, 2);
+    assert_updates_match_substeps(&run_simulation(&c, 2));
     let u = final_u(&dir, 2);
     // Gas entries carry positive u; collisionless entries are zero.
     let gas: Vec<f64> = u.iter().copied().filter(|&v| v > 0.0).collect();
@@ -106,6 +123,7 @@ fn ledger_cfg(physics: Physics) -> SimConfig {
 fn ledger_particle_count_exactly_conserved() {
     for physics in [Physics::GravityOnly, Physics::Hydro] {
         let r = run_simulation(&ledger_cfg(physics), 2);
+        assert_updates_match_substeps(&r);
         assert_eq!(r.ledger.len(), 3);
         assert!(r.ledger.count_conserved(), "{physics:?} lost particles");
         for rec in r.ledger.records() {
@@ -118,6 +136,7 @@ fn ledger_particle_count_exactly_conserved() {
 fn ledger_mass_conserved_to_roundoff() {
     for physics in [Physics::GravityOnly, Physics::HydroAdiabatic, Physics::Hydro] {
         let r = run_simulation(&ledger_cfg(physics), 2);
+        assert_updates_match_substeps(&r);
         assert!(
             r.ledger.mass_drift() < 1e-12,
             "{physics:?}: mass drift {:.3e}",
@@ -131,6 +150,7 @@ fn ledger_mass_conserved_to_roundoff() {
 fn ledger_momentum_fraction_bounded_every_step() {
     for physics in [Physics::GravityOnly, Physics::Hydro] {
         let r = run_simulation(&ledger_cfg(physics), 2);
+        assert_updates_match_substeps(&r);
         let frac = r.ledger.max_momentum_fraction();
         assert!(
             frac < 0.05,
@@ -143,6 +163,7 @@ fn ledger_momentum_fraction_bounded_every_step() {
 fn ledger_energy_drift_within_documented_bound() {
     for physics in [Physics::GravityOnly, Physics::HydroAdiabatic, Physics::Hydro] {
         let r = run_simulation(&ledger_cfg(physics), 2);
+        assert_updates_match_substeps(&r);
         for rec in r.ledger.records() {
             assert!(rec.kinetic.is_finite() && rec.kinetic >= 0.0);
             assert!(rec.internal.is_finite() && rec.internal >= 0.0);
@@ -165,11 +186,31 @@ fn ledger_is_identical_on_report_and_telemetry() {
     // exports — a single source of truth for the oracle and the golden
     // artifacts.
     let r = run_simulation(&ledger_cfg(Physics::HydroAdiabatic), 2);
+    assert_updates_match_substeps(&r);
     assert_eq!(r.ledger, r.telemetry.ledger);
     let txt = r.telemetry.text_report();
     for rec in r.ledger.records() {
         assert!(txt.contains(&format!("{} {}", rec.step, rec.count)));
     }
+}
+
+#[test]
+fn ranks_share_one_subcycle_depth() {
+    // The smallest box found on which the ranks' own CFL rungs disagree:
+    // in step 1, rank 0's deepest owned rung is 1 and rank 1's is 0. Left
+    // rank-local, rank 0 ran 2 substeps and rank 1 ran 1 while the report
+    // said 2 for both.
+    let mut c = SimConfig::small(10);
+    c.pm_steps = 2;
+    c.seed = 4;
+    c.analysis_every = 0;
+    c.checkpoint_every = 0;
+    let r = run_simulation(&c, 2);
+    assert_eq!(
+        r.steps.iter().map(|s| s.substeps).collect::<Vec<_>>(),
+        [1, 2]
+    );
+    assert_updates_match_substeps(&r);
 }
 
 #[test]

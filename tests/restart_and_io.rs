@@ -26,6 +26,13 @@ fn checkpoints_land_on_pfs_and_reload() {
     let ranks = 2;
     let report = run_simulation(&cfg, ranks);
     assert_eq!(report.io.checkpoints, cfg.pm_steps as u64);
+    // Both ranks ran the substep counts the step records publish.
+    let kicks: u64 = report
+        .steps
+        .iter()
+        .map(|s| s.particles * (u64::from(s.substeps) + 1))
+        .sum();
+    assert_eq!(report.particle_updates, kicks);
 
     let mut total_particles = 0;
     for r in 0..ranks {

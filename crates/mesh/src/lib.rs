@@ -11,7 +11,8 @@
 //! * [`poisson`] — the k-space Green's function with Gaussian long-range
 //!   filtering and CIC deconvolution, plus spectral force gradients,
 //! * [`pm`] — the [`pm::PmSolver`] orchestrating
-//!   deposit → FFT → Green × ik → inverse FFT → interpolation.
+//!   deposit → FFT → Green × ik → two inverse FFTs (two real force fields
+//!   per complex transform) → interpolation.
 //!
 //! The split is the Ewald-style Gaussian pair: the PM force is filtered by
 //! `exp(-k² r_s²)`, and `hacc-grav` supplies the complementary real-space

@@ -1,8 +1,14 @@
 //! The end-to-end PM solver: deposit → forward FFT → Green's function ×
 //! spectral gradient → inverse FFTs → interpolation at particle positions.
+//!
+//! One solve is three complex-to-complex transforms, not four: the force
+//! components are real fields, so `F_x + i F_y` goes through one inverse
+//! (`f_x = Re`, `f_y = Im`) and `F_z` through another. That needs every
+//! force grid Hermitian, which the zeroed Nyquist gradient wavenumber of
+//! [`crate::poisson`] guarantees.
 
 use crate::cic;
-use crate::poisson::{apply_greens_gradient, GreensOptions};
+use crate::poisson::{apply_greens_gradient_packed, GreensOptions};
 use hacc_ranks::Comm;
 use hacc_swfft::{Complex64, DistFft3d};
 
@@ -91,29 +97,42 @@ impl PmSolver {
         // 2. Forward FFT into the transposed slab layout.
         self.fft.forward(comm, &mut rho);
 
-        // 3. Green's function + spectral gradient per component.
+        // 3. Green's function + spectral gradient: `rho` becomes F_z(k),
+        //    F_x and F_y share one grid.
         let opts = GreensOptions {
             prefactor: self.cfg.prefactor,
             split_scale: self.cfg.split_scale,
             deconvolve_cic: self.cfg.deconvolve_cic,
         };
-        let force_k =
-            apply_greens_gradient(&rho, n, self.fft.y0, self.fft.ny, self.cfg.box_size, &opts);
-        drop(rho);
+        let mut fz = rho;
+        let mut fxy = apply_greens_gradient_packed(
+            &mut fz,
+            n,
+            self.fft.y0,
+            self.fft.ny,
+            self.cfg.box_size,
+            &opts,
+        );
 
-        // 4. Inverse FFT each component and interpolate at particles.
+        // 4. Two inverse FFTs for three real fields (f_x = Re, f_y = Im of
+        //    the packed grid); gather and interpolate one component at a
+        //    time, so a rank holds one component's planes at once.
         let needed = cic::needed_planes(n, self.cfg.box_size, positions);
         let mut accel = vec![[0.0f64; 3]; positions.len()];
-        for (d, mut comp) in force_k.into_iter().enumerate() {
-            self.fft.inverse(comm, &mut comp);
-            let real: Vec<f64> = comp.iter().map(|c| c.re).collect();
-            drop(comp);
+        let mut interpolate_into = |comm: &mut Comm, d: usize, real: Vec<f64>| {
             let planes = cic::gather_planes(comm, n, &real, &needed);
+            drop(real);
             let vals = cic::interpolate(n, self.cfg.box_size, positions, &planes);
             for (a, v) in accel.iter_mut().zip(vals) {
                 a[d] = v;
             }
-        }
+        };
+        self.fft.inverse(comm, &mut fxy);
+        interpolate_into(comm, 0, fxy.iter().map(|c| c.re).collect());
+        interpolate_into(comm, 1, fxy.iter().map(|c| c.im).collect());
+        drop(fxy);
+        self.fft.inverse(comm, &mut fz);
+        interpolate_into(comm, 2, fz.iter().map(|c| c.re).collect());
         accel
     }
 
@@ -143,8 +162,9 @@ impl PmSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poisson::short_range_fraction;
+    use crate::poisson::{apply_greens_gradient, short_range_fraction};
     use hacc_ranks::World;
+    use hacc_rt::rand::{self, Rng, SeedableRng};
 
     /// Point-mass force test: PM long-range + analytic short-range residual
     /// should reconstruct Newton's 1/r² at separations of a few grid cells
@@ -195,6 +215,87 @@ mod tests {
                 // Transverse components stay small.
                 assert!(acc[i][1].abs() < 0.15 * newton);
                 assert!(acc[i][2].abs() < 0.15 * newton);
+            }
+        }
+    }
+
+    /// The solve assembled from the public pieces, one inverse transform
+    /// per force component: what `accelerations` must agree with.
+    fn three_inverse_accelerations(
+        comm: &mut Comm,
+        solver: &PmSolver,
+        positions: &[[f64; 3]],
+        masses: &[f64],
+    ) -> Vec<[f64; 3]> {
+        let cfg = solver.config();
+        let n = cfg.n;
+        let cell_vol = (cfg.box_size / n as f64).powi(3);
+        let fft = DistFft3d::new(comm, n);
+        let mut rho: Vec<Complex64> = solver
+            .mass_slab(comm, positions, masses)
+            .iter()
+            .map(|&m| Complex64::new(m / cell_vol, 0.0))
+            .collect();
+        fft.forward(comm, &mut rho);
+        let opts = GreensOptions {
+            prefactor: cfg.prefactor,
+            split_scale: cfg.split_scale,
+            deconvolve_cic: cfg.deconvolve_cic,
+        };
+        let force_k = apply_greens_gradient(&rho, n, fft.y0, fft.ny, cfg.box_size, &opts);
+        let needed = cic::needed_planes(n, cfg.box_size, positions);
+        let mut accel = vec![[0.0f64; 3]; positions.len()];
+        for (d, mut comp) in force_k.into_iter().enumerate() {
+            fft.inverse(comm, &mut comp);
+            let real: Vec<f64> = comp.iter().map(|c| c.re).collect();
+            let planes = cic::gather_planes(comm, n, &real, &needed);
+            let vals = cic::interpolate(n, cfg.box_size, positions, &planes);
+            for (a, v) in accel.iter_mut().zip(vals) {
+                a[d] = v;
+            }
+        }
+        accel
+    }
+
+    #[test]
+    fn packed_inverse_matches_three_inverses() {
+        // Radix-2, even Bluestein and odd grids; even, uneven and (for
+        // the 12- and 17-grids on 3 ranks) unequal slabs; plain PM, where
+        // the Nyquist planes carry as much force as any other, and the
+        // default split.
+        let box_size = 20.0;
+        for n in [16usize, 12, 17] {
+            for ranks in [1usize, 2, 3] {
+                for cells in [0.0, 1.5] {
+                    let errs = World::run(ranks, |comm| {
+                        let mut cfg = PmConfig::new(n, box_size, 4.0 * std::f64::consts::PI);
+                        cfg.split_scale = cells * box_size / n as f64;
+                        let solver = PmSolver::new(comm, cfg);
+                        let mut rng = rand::rngs::StdRng::seed_from_u64(7 + comm.rank() as u64);
+                        let pos: Vec<[f64; 3]> = (0..200)
+                            .map(|_| [0; 3].map(|_| rng.gen_range(0.0..box_size)))
+                            .collect();
+                        let mass: Vec<f64> = pos.iter().map(|_| rng.gen_range(0.5..1.5)).collect();
+                        let got = solver.accelerations(comm, &pos, &mass);
+                        let want = three_inverse_accelerations(comm, &solver, &pos, &mass);
+                        let max_abs = |v: &[[f64; 3]]| {
+                            v.iter().flatten().map(|a| a.abs()).fold(0.0, f64::max)
+                        };
+                        let diff: Vec<[f64; 3]> = got
+                            .iter()
+                            .zip(&want)
+                            .map(|(g, w)| [g[0] - w[0], g[1] - w[1], g[2] - w[2]])
+                            .collect();
+                        (max_abs(&diff), max_abs(&want))
+                    });
+                    let err = errs.iter().map(|e| e.0).fold(0.0, f64::max);
+                    let scale = errs.iter().map(|e| e.1).fold(0.0, f64::max);
+                    assert!(scale > 0.0);
+                    assert!(
+                        err <= 1e-12 * scale,
+                        "n={n} ranks={ranks} split={cells} cells: {err:e} of {scale:e}"
+                    );
+                }
             }
         }
     }

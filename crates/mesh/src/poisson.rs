@@ -10,7 +10,16 @@
 //! where `S(k) = exp(-k^2 r_s^2)` is the Gaussian long-range filter (the
 //! complementary short-range kernel lives in `hacc-grav`) and `W_cic` is
 //! the CIC assignment window, deconvolved twice (deposit + interpolation).
-//! Force components come from the spectral gradient `F = -i k phi(k)`.
+//! Force components come from the spectral gradient `F_d = -i g_d phi(k)`,
+//! where the gradient wavenumber `g_d` is `k_d` except on the Nyquist
+//! plane of an even grid (`m_d = n/2`), where it is zero: `+n/2` and
+//! `-n/2` are the same bin, so an odd factor there is anti-Hermitian and
+//! would give the real force field an imaginary part. `k^2` in the
+//! Green's function keeps the Nyquist wavenumber.
+//!
+//! Both `S` and `W_cic^2` are products over the axes, so the whole factor
+//! is `c_x c_y c_z / k^2` with `c_i = exp(-k_i^2 r_s^2) / w_i^2` read from
+//! one table of `n` entries ([`AxisTable`]): no transcendental per cell.
 
 use hacc_swfft::Complex64;
 
@@ -51,9 +60,98 @@ pub struct GreensOptions {
     pub deconvolve_cic: bool,
 }
 
+/// The per-axis factors of the Green's function and gradient (the grid is
+/// a cube, so one table serves all three axes), built once per solve.
+struct AxisTable {
+    /// `k_i = 2 pi m_i / L`.
+    k: Vec<f64>,
+    /// The gradient wavenumber: `k_i`, but zero at `i = n/2` for even `n`.
+    k_grad: Vec<f64>,
+    /// `exp(-k_i^2 r_s^2) / w_i^2`, each factor only if its option is on.
+    c: Vec<f64>,
+    prefactor: f64,
+}
+
+/// What one z-row of layout B shares: its offset into the slab and the
+/// x/y parts of the per-mode factors.
+struct Row {
+    offset: usize,
+    gx: f64,
+    gy: f64,
+    kxy2: f64,
+    /// `-prefactor * c_x * c_y`.
+    cxy: f64,
+}
+
+impl AxisTable {
+    fn new(n: usize, box_size: f64, opts: &GreensOptions) -> Self {
+        let two_pi_l = 2.0 * std::f64::consts::PI / box_size;
+        let k: Vec<f64> = (0..n)
+            .map(|i| two_pi_l * signed_index(n, i) as f64)
+            .collect();
+        let mut k_grad = k.clone();
+        if n % 2 == 0 {
+            k_grad[n / 2] = 0.0;
+        }
+        let c = (0..n)
+            .map(|i| {
+                let mut c = 1.0;
+                if opts.split_scale > 0.0 {
+                    c *= (-k[i] * k[i] * opts.split_scale * opts.split_scale).exp();
+                }
+                if opts.deconvolve_cic {
+                    let w = cic_window_1d(n, i);
+                    c /= w * w;
+                }
+                c
+            })
+            .collect();
+        Self {
+            k,
+            k_grad,
+            c,
+            prefactor: opts.prefactor,
+        }
+    }
+
+    /// The z-rows of the y-planes `[y0, y0 + ny)` in layout B order.
+    fn rows(&self, y0: usize, ny: usize) -> impl Iterator<Item = Row> + '_ {
+        let n = self.k.len();
+        (0..ny * n).map(move |r| {
+            let (y, x) = (y0 + r / n, r % n);
+            Row {
+                offset: r * n,
+                gx: self.k_grad[x],
+                gy: self.k_grad[y],
+                kxy2: self.k[x] * self.k[x] + self.k[y] * self.k[y],
+                cxy: -self.prefactor * self.c[x] * self.c[y],
+            }
+        })
+    }
+
+    /// The physics of one mode: the three force components
+    /// `F_d = -i g_d phi(k)` of bin `z` of `row`. The zero mode sources no
+    /// force (Jeans swindle / periodic background subtraction).
+    #[inline]
+    fn force(&self, rho: Complex64, row: &Row, z: usize) -> [Complex64; 3] {
+        let k2 = row.kxy2 + self.k[z] * self.k[z];
+        if k2 == 0.0 {
+            return [Complex64::zero(); 3];
+        }
+        let phi = rho.scale(row.cxy * self.c[z] / k2);
+        let m_i_phi = Complex64::new(phi.im, -phi.re); // -i * phi
+        [
+            m_i_phi.scale(row.gx),
+            m_i_phi.scale(row.gy),
+            m_i_phi.scale(self.k_grad[z]),
+        ]
+    }
+}
+
 /// Apply the Green's function and spectral gradient to the k-space mass
 /// grid (slab layout B of [`hacc_swfft::DistFft3d`]): produces the three
-/// force-component grids `F_d(k) = -i k_d phi(k)`.
+/// force-component grids `F_d(k) = -i g_d phi(k)`, each Hermitian (the
+/// inverse transform of each is a real field).
 ///
 /// `rho_k` is indexed `[(ly * n + x) * n + z]` with `ly` spanning this
 /// rank's `ny` y-planes starting at `y0`. `box_size` sets the physical
@@ -67,46 +165,42 @@ pub fn apply_greens_gradient(
     opts: &GreensOptions,
 ) -> [Vec<Complex64>; 3] {
     assert_eq!(rho_k.len(), ny * n * n);
-    let two_pi_l = 2.0 * std::f64::consts::PI / box_size;
-    let mut fx = vec![Complex64::zero(); rho_k.len()];
-    let mut fy = vec![Complex64::zero(); rho_k.len()];
-    let mut fz = vec![Complex64::zero(); rho_k.len()];
-
-    for ly in 0..ny {
-        let y = y0 + ly;
-        let ky = two_pi_l * signed_index(n, y) as f64;
-        let wy = cic_window_1d(n, y);
-        for x in 0..n {
-            let kx = two_pi_l * signed_index(n, x) as f64;
-            let wx = cic_window_1d(n, x);
-            let row = (ly * n + x) * n;
-            for z in 0..n {
-                let kz = two_pi_l * signed_index(n, z) as f64;
-                let k2 = kx * kx + ky * ky + kz * kz;
-                let idx = row + z;
-                if k2 == 0.0 {
-                    // Zero mode: mean density sources no force (Jeans
-                    // swindle / periodic background subtraction).
-                    continue;
-                }
-                let mut g = -opts.prefactor / k2;
-                if opts.split_scale > 0.0 {
-                    g *= (-k2 * opts.split_scale * opts.split_scale).exp();
-                }
-                if opts.deconvolve_cic {
-                    let w = wx * wy * cic_window_1d(n, z);
-                    g /= w * w;
-                }
-                let phi = rho_k[idx].scale(g);
-                // F = -i k phi  =>  multiply by (-i k_d).
-                let m_i_phi = Complex64::new(phi.im, -phi.re); // -i * phi
-                fx[idx] = m_i_phi.scale(kx);
-                fy[idx] = m_i_phi.scale(ky);
-                fz[idx] = m_i_phi.scale(kz);
+    let table = AxisTable::new(n, box_size, opts);
+    let mut grids = [(); 3].map(|()| Vec::with_capacity(rho_k.len()));
+    for row in table.rows(y0, ny) {
+        for (z, &rho) in rho_k[row.offset..][..n].iter().enumerate() {
+            let force = table.force(rho, &row, z);
+            for (grid, f) in grids.iter_mut().zip(force) {
+                grid.push(f);
             }
         }
     }
-    [fx, fy, fz]
+    grids
+}
+
+/// [`apply_greens_gradient`] in the form the solver transforms: `rho_k`
+/// becomes `F_z(k)` in place and the returned grid is `F_x + i F_y`. The
+/// components are Hermitian, so one complex inverse transform of the
+/// packed grid yields both real fields: `f_x = Re`, `f_y = Im`.
+pub(crate) fn apply_greens_gradient_packed(
+    rho_k: &mut [Complex64],
+    n: usize,
+    y0: usize,
+    ny: usize,
+    box_size: f64,
+    opts: &GreensOptions,
+) -> Vec<Complex64> {
+    assert_eq!(rho_k.len(), ny * n * n);
+    let table = AxisTable::new(n, box_size, opts);
+    let mut fxy = Vec::with_capacity(rho_k.len());
+    for row in table.rows(y0, ny) {
+        for (z, cell) in rho_k[row.offset..][..n].iter_mut().enumerate() {
+            let [fx, fy, fz] = table.force(*cell, &row, z);
+            fxy.push(Complex64::new(fx.re - fy.im, fx.im + fy.re));
+            *cell = fz;
+        }
+    }
+    fxy
 }
 
 /// The isotropic long-range filter in k-space, `S(k) = exp(-k² r_s²)`.
@@ -145,6 +239,10 @@ pub fn erfc(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cic;
+    use hacc_ranks::World;
+    use hacc_rt::rand::{self, Rng, SeedableRng};
+    use hacc_swfft::DistFft3d;
 
     #[test]
     fn signed_index_symmetry() {
@@ -190,6 +288,103 @@ mod tests {
             let f = short_range_fraction(i as f64 * 0.2, rs);
             assert!(f <= prev + 1e-12);
             prev = f;
+        }
+    }
+
+    /// Every (grid size, split scale) the contract tests sweep: a radix-2
+    /// and a Bluestein even grid, plain PM and the default 1.5-cell split.
+    const GRIDS: [usize; 2] = [16, 12];
+    const SPLIT_CELLS: [f64; 2] = [0.0, 1.5];
+
+    fn opts(split_scale: f64) -> GreensOptions {
+        GreensOptions {
+            prefactor: 4.0 * std::f64::consts::PI,
+            split_scale,
+            deconvolve_cic: true,
+        }
+    }
+
+    #[test]
+    fn force_grids_are_hermitian() {
+        // Each force component is a real field, so the inverse transform
+        // of its grid must come back with no imaginary part. An odd
+        // gradient factor on the Nyquist planes breaks exactly this.
+        let box_size = 10.0;
+        for n in GRIDS {
+            for cells in SPLIT_CELLS {
+                World::run(1, |comm| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+                    let pos: Vec<[f64; 3]> = (0..300)
+                        .map(|_| [0; 3].map(|_| rng.gen_range(0.0..box_size)))
+                        .collect();
+                    let mass: Vec<f64> = pos.iter().map(|_| rng.gen_range(0.5..1.5)).collect();
+                    let fft = DistFft3d::new(comm, n);
+                    let mut rho_k: Vec<Complex64> = cic::deposit(comm, n, box_size, &pos, &mass)
+                        .into_iter()
+                        .map(|m| Complex64::new(m, 0.0))
+                        .collect();
+                    fft.forward(comm, &mut rho_k);
+                    let split = cells * box_size / n as f64;
+                    let grids = apply_greens_gradient(&rho_k, n, 0, n, box_size, &opts(split));
+                    for (d, mut grid) in grids.into_iter().enumerate() {
+                        fft.inverse(comm, &mut grid);
+                        let max_re = grid.iter().map(|c| c.re.abs()).fold(0.0, f64::max);
+                        let max_im = grid.iter().map(|c| c.im.abs()).fold(0.0, f64::max);
+                        assert!(max_re > 0.0);
+                        assert!(
+                            max_im <= 1e-12 * max_re,
+                            "n={n} split={cells} cells, component {d}: |Im| {max_im:e} vs |Re| {max_re:e}"
+                        );
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn tables_match_the_per_cell_formula() {
+        // The module-doc formula evaluated cell by cell with `exp` and
+        // `sin`, on a slab that starts mid-grid; 17 has no Nyquist plane.
+        let box_size = 10.0;
+        for n in [16usize, 12, 17] {
+            let (y0, ny) = (3, 5);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let rho_k: Vec<Complex64> = (0..ny * n * n)
+                .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            for cells in SPLIT_CELLS {
+                let o = opts(cells * box_size / n as f64);
+                let got = apply_greens_gradient(&rho_k, n, y0, ny, box_size, &o);
+                let k =
+                    |i: usize| 2.0 * std::f64::consts::PI / box_size * signed_index(n, i) as f64;
+                let grad = |i: usize| if 2 * i == n { 0.0 } else { k(i) };
+                for ly in 0..ny {
+                    for x in 0..n {
+                        for z in 0..n {
+                            let idx = (ly * n + x) * n + z;
+                            let y = y0 + ly;
+                            let k2 = k(x) * k(x) + k(y) * k(y) + k(z) * k(z);
+                            let mut g = -o.prefactor / k2;
+                            if o.split_scale > 0.0 {
+                                g *= long_range_filter(k2.sqrt(), o.split_scale);
+                            }
+                            let w = cic_window_1d(n, x) * cic_window_1d(n, y) * cic_window_1d(n, z);
+                            g /= w * w;
+                            let phi = rho_k[idx].scale(g);
+                            let m_i_phi = Complex64::new(phi.im, -phi.re);
+                            for (d, i) in [x, y, z].into_iter().enumerate() {
+                                let want = m_i_phi.scale(grad(i));
+                                let err = (got[d][idx] - want).abs();
+                                assert!(
+                                    err <= 1e-13 * want.abs(),
+                                    "n={n} mode ({x},{y},{z}) component {d}: {:?} vs {want:?}",
+                                    got[d][idx]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

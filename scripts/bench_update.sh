@@ -12,9 +12,9 @@ cd "$(dirname "$0")/.."
 export HACC_BENCH_JSON="$PWD/BENCH_kernels.json"
 unset HACC_BENCH_BASELINE || true
 
-echo "== blessing short-range symmetric kernel baselines =="
+echo "== blessing short-range symmetric kernel and long-range PM solve baselines =="
 cargo bench -q --offline -p hacc-bench --bench kernels_micro \
-    | grep -E "short_range_symmetric|metric|wrote"
+    | grep -E "short_range_symmetric|long_range|metric|wrote"
 
 echo "== blessing headline hydro-vs-gravity baselines =="
 cargo bench -q --offline -p hacc-bench --bench headline_hydro_vs_gravity \

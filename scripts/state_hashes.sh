@@ -1,21 +1,33 @@
 #!/usr/bin/env bash
 # The state-hash table every issue quotes: runs the fixed command lines
 # below through BIN (default target/release/frontier-sim) and prints
-# `args -> state hash`, one line each. Diff the output of two binaries to
-# see which configurations a change moved; a hash is the FNV-1a of the
+# `args -> state hash`, one line each; a hash is the FNV-1a of the
 # id-sorted final particle state, so "same line" means "same bits".
+# With a second binary, `state_hashes.sh BIN BIN2` runs both and prints
+# `args -> hash hash2 same|moved`: which configurations a change moved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=${1:-target/release/frontier-sim}
+bin2=${2:-}
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-while IFS= read -r args; do
+state_hash() {
     # shellcheck disable=SC2086  # the table rows are option lists
-    hash=$("$bin" run $args --out "$out/io" | sed -n 's/.*state hash: \([0-9a-f]*\).*/\1/p')
+    "$1" run $2 --out "$out/io" | sed -n 's/.*state hash: \([0-9a-f]*\).*/\1/p'
     rm -rf "$out/io"
-    printf '%s -> %s\n' "$args" "${hash:-<none>}"
+}
+
+while IFS= read -r args; do
+    hash=$(state_hash "$bin" "$args")
+    if [ -z "$bin2" ]; then
+        printf '%s -> %s\n' "$args" "${hash:-<none>}"
+        continue
+    fi
+    hash2=$(state_hash "$bin2" "$args")
+    [ "$hash" = "$hash2" ] && verdict=same || verdict=moved
+    printf '%s -> %s %s %s\n' "$args" "${hash:-<none>}" "${hash2:-<none>}" "$verdict"
 done <<'TABLE'
 --np 16 --steps 3 --seed 7 --ranks 1
 --np 16 --steps 3 --seed 7 --ranks 2

@@ -308,12 +308,13 @@ for ranks in 1 2 4 8; do
 done
 echo "ok: armed suite clean, canary caught, 1/2/4/8-rank reports byte-stable"
 
-echo "== tier 5: perf ratchet — short-range symmetric kernels =="
-# The tiled symmetric executors must hold their blessed throughput: any
-# higher-is-better metric (*_per_s, *_speedup) in BENCH_kernels.json that
-# regresses more than 15% fails the gate with a delta table, and the
-# kernels_micro run additionally asserts the headline crk_force symmetric
-# speedup stays >= 2x. Re-bless deliberate performance changes with
+echo "== tier 5: perf ratchet — short-range symmetric kernels, long-range PM solve =="
+# The tiled symmetric executors and the PM solve must hold their blessed
+# throughput: any higher-is-better metric (*_per_s, *_speedup) in
+# BENCH_kernels.json that regresses more than 15% fails the gate with a
+# delta table, and the kernels_micro run additionally asserts the headline
+# crk_force symmetric speedup stays >= 2x and the packed-inverse speedup
+# of the PM solve >= 1.15x. Re-bless deliberate performance changes with
 # scripts/bench_update.sh.
 HACC_BENCH_BASELINE="$PWD/BENCH_kernels.json" \
 HACC_BENCH_JSON="$tdir/bench_fresh.json" \
@@ -323,7 +324,7 @@ HACC_BENCH_JSON="$tdir/bench_fresh.json" \
     tail -n 25 "$tdir/ratchet-micro.log" >&2
     exit 1
 }
-grep -E "short_range_symmetric|ratchet" "$tdir/ratchet-micro.log" | sed 's/^/  /'
+grep -E "short_range_symmetric|long_range|ratchet" "$tdir/ratchet-micro.log" | sed 's/^/  /'
 HACC_BENCH_BASELINE="$PWD/BENCH_kernels.json" \
 HACC_BENCH_JSON="$tdir/bench_fresh.json" \
     cargo bench -q --offline -p hacc-bench --bench headline_hydro_vs_gravity \

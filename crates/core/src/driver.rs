@@ -1,24 +1,32 @@
 //! The full simulation driver: the per-PM-step loop of Fig. 2.
 //!
+//! A PM step inherits the particle store and nothing else, so a step
+//! restarted from its checkpoint is the step the uninterrupted run took,
+//! bit for bit, in every physics mode.
+//!
 //! Per global PM step:
 //!
 //! 1. migrate + overload refresh (all-to-all; phase `Misc`);
 //! 2. long-range spectral solve and half-kick (`LongRange`);
 //! 3. one chaining-mesh/tree build (`TreeBuild`);
-//! 4. the short-range subcycle block — gravity + CRKSPH + subgrid,
-//!    chained-KDK at the deepest rung any rank's owned particles occupy
-//!    (one all-reduced depth per step; `ShortRange`). Forces are computed
-//!    for the owned particles only — the overload ghosts are sources;
+//! 4. the short-range block — gravity + CRKSPH + subgrid (`ShortRange`):
+//!    opening forces → CFL rungs of the owned gas from *their* signal
+//!    velocities → the deepest rung any rank holds, all-reduced into the
+//!    step's one subcycle depth → opening half-kick → chained KDK at that
+//!    depth. Forces are computed for the owned particles only — the
+//!    overload ghosts are sources; each star-formation draw comes from a
+//!    stream keyed by `(seed, particle id, PM step, substep)`;
 //! 5. in-situ analysis at its cadence (`Analysis`);
-//! 6. a full tiered checkpoint every step (`Io`);
-//! 7. closing long-range half-kick.
+//! 6. closing long-range half-kick;
+//! 7. a full tiered checkpoint every step (`Io`).
 //!
 //! Integration note (documented reproduction simplification): the rung
 //! machinery assigns per-particle rungs and drives all workload and
 //! utilization accounting, but the *executed* integration advances every
 //! particle at the deepest occupied rung — the paper's own "low-z Flat"
 //! mode. Block-selective kicks change integration error, not the
-//! architecture under study.
+//! architecture under study. The rungs are scratch of the step that
+//! assigns them, neither shipped with a particle nor checkpointed.
 
 use crate::config::{Physics, SimConfig};
 use crate::ic::generate_ics;
@@ -43,13 +51,13 @@ use hacc_telem::{
     CommCounters, ConservationLedger, FaultCounters, FaultKind, GpuKernelRow, LedgerRecord,
     RankTelemetry, Span, TelemetryReport, Tracer,
 };
-use hacc_sph::pipeline::{cfl_timestep, sph_step_sinks, SphConfig, SphInput};
+use hacc_sph::pipeline::{cfl_timestep, sph_step_sinks, SphConfig, SphInput, SphResult};
 use hacc_sph::CubicSpline;
-use hacc_subgrid::{AgnModel, BlackHole, CoolingModel, StarFormationModel, SupernovaModel};
+use hacc_subgrid::{CoolingModel, StarFormationModel, SupernovaModel};
 use hacc_tree::{ChainingMesh, CmConfig};
 use hacc_units::constants::G_NEWTON;
 use hacc_units::Background;
-use hacc_rt::rand::{self, SeedableRng};
+use hacc_rt::rand::rngs::StdRng;
 
 /// Per-PM-step record.
 #[derive(Debug, Clone)]
@@ -179,6 +187,17 @@ impl GasGather {
             self.u.push(store.u[i]);
         }
     }
+}
+
+/// The short-range forces on the owned particles at one instant: what a
+/// kick applies. Evaluated before the kick's width is known — the
+/// opening forces also decide the step's subcycle depth.
+struct ShortRangeForces {
+    /// Short-range gravity of the owned particles (store order).
+    grav: Vec<[f64; 3]>,
+    /// CRKSPH over the step's gas list; the forces and signal velocities
+    /// are the owned gas's. `None` without hydro or without gas.
+    sph: Option<SphResult>,
 }
 
 struct RankOutput {
@@ -324,7 +343,7 @@ fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> Si
         panic!("{e}");
     }
     let plan = chaos_plan(cfg, n_ranks).unwrap_or_else(|e| panic!("{e}"));
-    let io_base = resolve_io_base(cfg);
+    let io_base = IoBase::resolve(cfg);
     let armed = !plan.is_empty();
     // Each fatal event can kill at most one attempt (consumed flags
     // survive rollbacks), so the event count bounds the retries; +1 for
@@ -336,7 +355,7 @@ fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> Si
         let body = |comm: &mut Comm| {
             let probe =
                 armed.then(|| FaultProbe::new(std::sync::Arc::clone(&state), comm.rank()));
-            rank_main(cfg, comm, &io_base, resume_mode, probe)
+            rank_main(cfg, comm, &io_base.path, resume_mode, probe)
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if !cfg.sanitize {
@@ -379,14 +398,36 @@ fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> Si
     }
 }
 
-fn resolve_io_base(cfg: &SimConfig) -> std::path::PathBuf {
-    cfg.io_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "frontier-sim-{}-{}",
-            std::process::id(),
-            cfg.seed
-        ))
-    })
+/// A run's I/O root: the directory the caller named, never removed, or —
+/// for a run handed none — one of its own under the temp dir, removed
+/// when the supervisor returns or unwinds.
+struct IoBase {
+    path: std::path::PathBuf,
+    owned: bool,
+}
+
+impl IoBase {
+    fn resolve(cfg: &SimConfig) -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // Process id + a process-wide counter: concurrent runs in one
+        // process (same seed or not) never share a checkpoint tree.
+        static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
+        if let Some(dir) = &cfg.io_dir {
+            return Self { path: dir.clone(), owned: false };
+        }
+        // Relaxed: the counter publishes nothing but its own value.
+        let run = NEXT_RUN.fetch_add(1, Ordering::Relaxed);
+        let name = format!("frontier-sim-{}-{run}", std::process::id());
+        Self { path: std::env::temp_dir().join(name), owned: true }
+    }
+}
+
+impl Drop for IoBase {
+    fn drop(&mut self) {
+        if self.owned {
+            let _ = std::fs::remove_dir_all(&self.path);
+        }
+    }
 }
 
 fn assemble_report(
@@ -530,9 +571,6 @@ fn rank_main(
             }
         }
     };
-    let mut rng =
-        rand::rngs::StdRng::seed_from_u64(cfg.seed ^ (comm.rank() as u64) << 32 | 1);
-
     // Long-range PM solver: prefactor 4 pi G; the 1/a of the comoving
     // Poisson equation is applied per step.
     let pm = PmSolver::new(
@@ -559,8 +597,6 @@ fn rank_main(
     let mut sf = StarFormationModel::new(cfg.cosmology.h);
     sf.nh_threshold = cfg.sf_nh_threshold;
     let sn = SupernovaModel::new();
-    let agn = AgnModel::new();
-    let mut black_holes: Vec<BlackHole> = Vec::new();
 
     // I/O: every rank stages to its own local dir; rank 0's writer keeps
     // the machine-scale statistics.
@@ -587,7 +623,6 @@ fn rank_main(
     let mut total_stars = 0u64;
     let mut updates = 0u64;
     let overload_width = cfg.overload_cells * cfg.cell_size();
-    let mut vsig_prev: Vec<f64> = Vec::new();
 
     // Short-range gravity configuration. Loop-invariant, and its embedded
     // force-split table (8192 erf/exp evaluations) is built exactly once
@@ -672,66 +707,14 @@ fn rank_main(
         let mut cm_all = ChainingMesh::build(&store.pos, dom_lo, dom_hi, &cm_cfg);
         tracer.end(sp);
 
-        // --- rung assignment (owned gas by CFL; everyone else on rung 0) ---
         store.indices_of_all_into(Species::Gas, &mut gas_idx);
         // The store keeps owned particles first and `gas_idx` ascends, so
         // the owned gas is a prefix of it: the sinks of the hydro solve.
         let n_owned_gas = gas_idx.partition_point(|&i| i < store.n_owned);
-        for i in 0..store.len() {
-            store.rung[i] = 0;
-        }
-        if hydro {
-            for (gi, &i) in gas_idx[..n_owned_gas].iter().enumerate() {
-                let vsig = vsig_prev.get(gi).copied().unwrap_or(0.0);
-                let cs_proxy = (sph_cfg.eos.gamma * (sph_cfg.eos.gamma - 1.0)
-                    * store.u[i].max(1e-10))
-                .sqrt();
-                let dt_code = cfl_timestep(
-                    &[store.h[i]],
-                    &[vsig],
-                    &[cs_proxy],
-                    cfg.cfl,
-                );
-                let da_desired = dt_code * a0 * kd.hubble(a0);
-                store.rung[i] = rung_for(da_desired, da_pm, cfg.max_rung);
-            }
-        }
-        let deepest = if cfg.flat_stepping {
-            cfg.max_rung
-        } else {
-            store.rung[..store.n_owned].iter().copied().max().unwrap_or(0)
-        };
-        // One subcycle depth per PM step: every rank takes the deepest
-        // rung any rank holds, so the substep count the report publishes
-        // is the one every rank ran.
-        let deepest = comm.all_reduce(deepest, u32::max);
-        let rung_stats = RungStats::from_rungs(&store.rung[..store.n_owned], deepest.max(1));
-        let nsub = n_substeps(deepest);
-        let da_s = da_pm / nsub as f64;
 
-        // --- 4. short-range subcycle block (chained KDK) ---
-        let sp_sr = tracer.begin(Phase::ShortRange.name(), "subcycle-block");
-        // Planned rank loss fires here — mid-step, after this step's
-        // migrate/PM work but before its checkpoint, so the newest
-        // checkpoint on disk predates the killed step (the node-loss
-        // shape the Frontier-E campaign actually survived).
-        if let Some(p) = &probe {
-            if p.fire(FaultKind::RankPanic) {
-                panic!(
-                    "injected fault: rank {} lost at step {step}",
-                    comm.rank()
-                );
-            }
-        }
-        let mut stars_this_step = 0u64;
+        // --- 4. short-range block: forces, rungs, depth, chained KDK ---
         let gas_gather = &mut gas_gather;
-        let mut kick_with_forces = |store: &mut ParticleStore,
-                                    cm: &ChainingMesh,
-                                    counters: &mut KernelCounters,
-                                    profile: &mut ProfileTable,
-                                    vsig_out: &mut Vec<f64>,
-                                    a: f64,
-                                    width: f64| {
+        let mut forces = |store: &ParticleStore, cm: &ChainingMesh, a: f64| {
             // Short-range gravity on the owned particles, sourced by
             // everyone (the ghosts' own accelerations have no reader, so
             // ghost-only leaf pairs are never swept). Launches go through the
@@ -762,14 +745,9 @@ fn rank_main(
             }
             counters.merge(&launch_counters);
             profile.record("grav_short_range", &launch_counters);
-            for i in 0..store.n_owned {
-                for d in 0..3 {
-                    store.vel[i][d] += g.accel[i][d] / a * width;
-                }
-            }
             // CRKSPH for the gas: forces on the owned gas, density and
             // corrections for the ghosts that source them too.
-            if hydro && !gas_idx.is_empty() {
+            let sph = (hydro && !gas_idx.is_empty()).then(|| {
                 gas_gather.gather(store, &gas_idx, a);
                 let gas_cm = ChainingMesh::build(&gas_gather.pos, dom_lo, dom_hi, &cm_cfg);
                 let input = SphInput {
@@ -781,34 +759,76 @@ fn rank_main(
                 };
                 let r = sph_step_sinks(&input, &gas_cm, &sph_cfg, n_owned_gas);
                 counters.merge(&r.counters.merged());
-                r.counters.record_into(profile);
-                // Only the owned gas has a signal velocity (and a rung).
-                vsig_out.clear();
-                vsig_out.extend_from_slice(&r.vsig[..n_owned_gas]);
-                for (gi, &i) in gas_idx[..n_owned_gas].iter().enumerate() {
-                    for d in 0..3 {
-                        store.vel[i][d] += r.accel[gi][d] * width;
-                    }
-                    store.u[i] = (store.u[i] + r.du_dt[gi] * width).max(1e-10);
-                    // Update smoothing length from the fresh density.
-                    let target = cfg.sph_eta
-                        * (store.mass[i] / r.rho[gi].max(1e-30)).cbrt();
-                    let spacing = cfg.particle_spacing();
-                    store.h[i] = target.clamp(0.5 * spacing, H_CAP_SPACING * spacing);
+                r.counters.record_into(&mut profile);
+                r
+            });
+            ShortRangeForces { grav: g.accel, sph }
+        };
+        let kick = |store: &mut ParticleStore, f: &ShortRangeForces, a: f64, width: f64| {
+            for i in 0..store.n_owned {
+                for d in 0..3 {
+                    store.vel[i][d] += f.grav[i][d] / a * width;
                 }
+            }
+            let Some(r) = &f.sph else { return };
+            let spacing = cfg.particle_spacing();
+            for (gi, &i) in gas_idx[..n_owned_gas].iter().enumerate() {
+                for d in 0..3 {
+                    store.vel[i][d] += r.accel[gi][d] * width;
+                }
+                store.u[i] = (store.u[i] + r.du_dt[gi] * width).max(1e-10);
+                // Update smoothing length from the fresh density.
+                let target = cfg.sph_eta * (store.mass[i] / r.rho[gi].max(1e-30)).cbrt();
+                store.h[i] = target.clamp(0.5 * spacing, H_CAP_SPACING * spacing);
             }
         };
 
-        // Opening half-kick with fresh forces.
-        kick_with_forces(
-            &mut store,
-            &cm_all,
-            &mut counters,
-            &mut profile,
-            &mut vsig_prev,
-            a0,
-            kd.kick_factor(a0, a0 + da_s) / 2.0,
-        );
+        // Opening forces first: they do not depend on the kick width, and
+        // their signal velocities set it. The depth all-reduce below stays
+        // outside the short-range spans, so a rank's wait for its peers'
+        // forces is not booked as solver time.
+        let sp = tracer.begin(Phase::ShortRange.name(), "opening-forces");
+        let opening = forces(&store, &cm_all, a0);
+        tracer.end(sp);
+
+        // --- rung assignment (owned gas by CFL; everyone else on rung 0) ---
+        store.rung.fill(0);
+        if let Some(r) = &opening.sph {
+            for (gi, &i) in gas_idx[..n_owned_gas].iter().enumerate() {
+                let dt_code = cfl_timestep(&[store.h[i]], &[r.vsig[gi]], &[r.cs[gi]], cfg.cfl);
+                let da_desired = dt_code * a0 * kd.hubble(a0);
+                store.rung[i] = rung_for(da_desired, da_pm, cfg.max_rung);
+            }
+        }
+        let deepest = if cfg.flat_stepping {
+            cfg.max_rung
+        } else {
+            store.rung[..store.n_owned].iter().copied().max().unwrap_or(0)
+        };
+        // One subcycle depth per PM step: every rank takes the deepest
+        // rung any rank holds, so the substep count the report publishes
+        // is the one every rank ran.
+        let deepest = comm.all_reduce(deepest, u32::max);
+        let rung_stats = RungStats::from_rungs(&store.rung[..store.n_owned], deepest.max(1));
+        let nsub = n_substeps(deepest);
+        let da_s = da_pm / nsub as f64;
+
+        let sp_sr = tracer.begin(Phase::ShortRange.name(), "subcycle-block");
+        // Planned rank loss fires here — mid-step, after this step's
+        // migrate/PM work but before its checkpoint, so the newest
+        // checkpoint on disk predates the killed step (the node-loss
+        // shape the Frontier-E campaign actually survived).
+        if let Some(p) = &probe {
+            if p.fire(FaultKind::RankPanic) {
+                panic!(
+                    "injected fault: rank {} lost at step {step}",
+                    comm.rank()
+                );
+            }
+        }
+        let mut stars_this_step = 0u64;
+        kick(&mut store, &opening, a0, kd.kick_factor(a0, a0 + da_s) / 2.0);
+        drop(opening); // one force set live at a time through the subcycle
         for s in 0..nsub {
             let as0 = a0 + s as f64 * da_s;
             let as1 = as0 + da_s;
@@ -838,7 +858,7 @@ fn rank_main(
                     &sf,
                     &sn,
                     &kd,
-                    &mut rng,
+                    |id| draw_stream(cfg.seed, id, step, s),
                     as0,
                     as1,
                 );
@@ -851,15 +871,9 @@ fn rank_main(
             } else {
                 kd.kick_factor(as0, as1)
             };
-            kick_with_forces(
-                &mut store,
-                &cm_all,
-                &mut counters,
-                &mut profile,
-                &mut vsig_prev,
-                as1.min(a1),
-                w,
-            );
+            let a = as1.min(a1);
+            let closing = forces(&store, &cm_all, a);
+            kick(&mut store, &closing, a, w);
         }
         // One update is one owned particle receiving one kick (gravity
         // and, for gas, hydro forces together).
@@ -869,8 +883,10 @@ fn rank_main(
         // --- 5. in-situ analysis (+ science output through the tiers) ---
         if cfg.analysis_every > 0 && (step + 1) % cfg.analysis_every == 0 {
             let sp = tracer.begin(Phase::Analysis.name(), "in-situ-analysis");
-            let halos =
-                run_analysis_step(cfg, &store, &agn, &mut black_holes, &kd, a1);
+            // The FOF halo catalog of the owned particles.
+            let n = store.n_owned;
+            let b_link = 0.2 * cfg.particle_spacing();
+            let halos = fof_halos(&store.pos[..n], &store.vel[..n], &store.mass[..n], b_link, 10);
             tracer.end(sp);
             // Halo catalogs are the paper's ~12 PB science side channel:
             // written through the same tiers, never pruned.
@@ -1006,7 +1022,7 @@ fn rank_main(
     // --- final analysis: P(k), FOF, xi(r), HOD galaxies, SZ map ---
     let sp = tracer.begin(Phase::Analysis.name(), "final-analysis");
     let (power, n_halos, largest_halo, xi, n_galaxies, y_conc) =
-        final_analysis(cfg, comm, &store, &mut rng);
+        final_analysis(cfg, comm, &store);
     tracer.end(sp);
 
     let state_hash = global_state_hash(comm, &store, cfg.box_size);
@@ -1119,7 +1135,18 @@ fn global_state_hash(comm: &mut Comm, store: &ParticleStore, box_size: f64) -> u
     comm.broadcast(0, hash)
 }
 
-/// Cooling, star formation, and SN feedback over one substep.
+/// The generator a random draw comes from: a stream of the run's seed
+/// keyed by who draws (`id` below 2^40), the PM step (below 2^13) and the
+/// substep (below 2^11). Built where the draw is made from what is in
+/// hand, so a draw is a function of its subject — not of which rank holds
+/// it or how many draws that rank made before — and there is no generator
+/// position to checkpoint.
+fn draw_stream(seed: u64, id: u64, step: usize, substep: u32) -> StdRng {
+    StdRng::stream(seed, ((step as u64) << 11 | u64::from(substep)) << 40 | id)
+}
+
+/// Cooling, star formation, and SN feedback over one substep;
+/// `stream_of(id)` is the generator of that particle's draw.
 #[allow(clippy::too_many_arguments)]
 fn apply_subgrid(
     store: &mut ParticleStore,
@@ -1128,7 +1155,7 @@ fn apply_subgrid(
     sf: &StarFormationModel,
     sn: &SupernovaModel,
     kd: &KickDrift,
-    rng: &mut rand::rngs::StdRng,
+    stream_of: impl Fn(u64) -> StdRng,
     a0: f64,
     a1: f64,
 ) -> u64 {
@@ -1149,7 +1176,7 @@ fn apply_subgrid(
         let rho = rho_of(store, i, eta);
         let z_metal = store.metals[i];
         store.u[i] = cooling.cool_particle(rho, store.u[i], z_metal, a, dt_gyr);
-        if sf.try_form_star(rng, rho, store.u[i], a, dt_gyr) {
+        if sf.try_form_star(&mut stream_of(store.id[i]), rho, store.u[i], a, dt_gyr) {
             new_stars.push(i);
         }
     }
@@ -1189,54 +1216,11 @@ fn apply_subgrid(
     stars
 }
 
-/// Periodic in-situ analysis: FOF + AGN bookkeeping. Returns the halo
-/// catalog for the science-output channel.
-fn run_analysis_step(
-    cfg: &SimConfig,
-    store: &ParticleStore,
-    agn: &AgnModel,
-    black_holes: &mut Vec<BlackHole>,
-    kd: &KickDrift,
-    a: f64,
-) -> Vec<hacc_analysis::Halo> {
-    let n = store.n_owned;
-    if n == 0 {
-        return vec![];
-    }
-    let (pos, vel, mass) = (&store.pos[..n], &store.vel[..n], &store.mass[..n]);
-    let b_link = 0.2 * cfg.particle_spacing();
-    let halos = fof_halos(pos, vel, mass, b_link, 10);
-    // AGN: seed in massive halos lacking a nearby black hole; accrete.
-    let dt_gyr = kd.dt_gyr((a - cfg.da_pm()).max(1e-3), a);
-    for h in &halos {
-        if !agn.should_seed(h.mass) {
-            continue;
-        }
-        let near = black_holes.iter().any(|bh| {
-            let d2: f64 = (0..3).map(|d| (bh.pos[d] - h.center[d]).powi(2)).sum();
-            d2 < (2.0 * b_link).powi(2)
-        });
-        if !near {
-            black_holes.push(agn.seed(h.center));
-        }
-    }
-    for bh in black_holes.iter_mut() {
-        // Crude local gas state: cosmic mean density boosted by halo
-        // overdensity ~200, cold-phase sound speed.
-        let rho = 200.0 * cfg.cosmology.omega_b * hacc_units::constants::RHO_CRIT0
-            / a.powi(3);
-        agn.accrete(bh, rho, 30.0, 50.0, dt_gyr);
-        let _ = agn.try_dump(bh, mass.first().copied().unwrap_or(1.0));
-    }
-    halos
-}
-
 /// Final-state analysis.
 fn final_analysis(
     cfg: &SimConfig,
     comm: &mut Comm,
     store: &ParticleStore,
-    rng: &mut rand::rngs::StdRng,
 ) -> (Vec<PowerBin>, usize, f64, Vec<XiBin>, u64, f64) {
     let n = store.n_owned;
     let (pos, vel, mass) = (&store.pos[..n], &store.vel[..n], &store.mass[..n]);
@@ -1270,7 +1254,10 @@ fn final_analysis(
         hod.log_m1 = hod.log_m_min + 1.0;
     }
     let spacing = cfg.particle_spacing();
-    let galaxies = populate(rng, &halos, &hod, |_| spacing);
+    // Each rank populates its own halos from its own stream: the final
+    // analysis draws as "step `pm_steps`", which no particle draws in.
+    let mut rng = draw_stream(cfg.seed, comm.rank() as u64, cfg.pm_steps, 0);
+    let galaxies = populate(&mut rng, &halos, &hod, |_| spacing);
     let n_galaxies = comm.all_reduce_sum_u64(galaxies.len() as u64);
 
     // Two-point correlation function on a rank-0 subsample (the
@@ -1332,7 +1319,6 @@ fn checkpoint_blocks(store: &ParticleStore, box_size: f64) -> Vec<Block> {
                 .map(|&sp| sp as u64)
                 .collect::<Vec<_>>(),
         ),
-        Block::from_u64("rung", &store.rung[..n].iter().map(|&r| r as u64).collect::<Vec<_>>()),
     ]
 }
 
@@ -1348,7 +1334,7 @@ fn store_from_blocks(blocks: &[Block]) -> ParticleStore {
     let (x, y, z) = (get("x"), get("y"), get("z"));
     let (vx, vy, vz) = (get("vx"), get("vy"), get("vz"));
     let (mass, u, metals, h) = (get("mass"), get("u"), get("metals"), get("h"));
-    let (id, species, rung) = (get_u("id"), get_u("species"), get_u("rung"));
+    let (id, species) = (get_u("id"), get_u("species"));
     let n = x.len();
     let mut store = ParticleStore::new();
     for i in 0..n {
@@ -1359,7 +1345,6 @@ fn store_from_blocks(blocks: &[Block]) -> ParticleStore {
         };
         store.push([x[i], y[i], z[i]], [vx[i], vy[i], vz[i]], mass[i], sp, u[i], h[i], id[i]);
         store.metals[i] = metals[i];
-        store.rung[i] = rung[i] as u32;
     }
     store.seal_owned();
     store
@@ -1369,6 +1354,7 @@ fn store_from_blocks(blocks: &[Block]) -> ParticleStore {
 mod tests {
     use super::*;
     use crate::timers::PHASES;
+    use hacc_units::constants::{temperature_to_u, MU_IONIZED};
 
     fn quick_cfg(np: usize, physics: Physics) -> SimConfig {
         let mut c = SimConfig::small(np);
@@ -1455,6 +1441,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn star_formation_draws_do_not_depend_on_who_drew_before() {
+        // Dense cold gas, far enough apart that feedback finds no
+        // neighbour, visited in store order and in reverse: the same
+        // particles convert, because each draw is keyed by (seed, id,
+        // step, substep) and not by how many draws came before it.
+        let cfg = SimConfig::small(8);
+        let kd = KickDrift::new(cfg.cosmology);
+        let cooling = CoolingModel::new(cfg.cosmology.h);
+        let mut sf = StarFormationModel::new(cfg.cosmology.h);
+        sf.nh_threshold = cfg.sf_nh_threshold;
+        let sn = SupernovaModel::new();
+        let mut gas = ParticleStore::new();
+        for id in 0..64u64 {
+            let u_cold = temperature_to_u(5.0e3, MU_IONIZED);
+            gas.push([id as f64; 3], [0.0; 3], 1.0e10, Species::Gas, u_cold, 0.05, id);
+        }
+        gas.seal_owned();
+        let stars_visiting = |gas_idx: Vec<usize>| {
+            let mut store = gas.clone();
+            let stream_of = |id| draw_stream(cfg.seed, id, 3, 1);
+            let n = apply_subgrid(&mut store, &gas_idx, &cooling, &sf, &sn, &kd, stream_of, 0.5, 0.6);
+            let stars: Vec<u64> = (0..64)
+                .filter(|&i| store.species[i] == Species::Star)
+                .map(|i| store.id[i])
+                .collect();
+            assert_eq!(stars.len() as u64, n);
+            stars
+        };
+        let stars = stars_visiting((0..64).collect());
+        assert!(!stars.is_empty() && stars.len() < 64, "{} of 64 converted", stars.len());
+        assert_eq!(stars, stars_visiting((0..64).rev().collect()));
     }
 
     #[test]

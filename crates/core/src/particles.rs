@@ -37,7 +37,8 @@ pub struct ParticleStore {
     pub h: Vec<f64>,
     /// Unique particle ids.
     pub id: Vec<u64>,
-    /// Subcycle rung assignment.
+    /// Subcycle rung assignment: scratch of the PM step that assigns it,
+    /// neither shipped with a [`ParticleRecord`] nor checkpointed.
     pub rung: Vec<u32>,
     /// Number of *owned* particles; entries beyond this are overload
     /// ghosts.
@@ -150,8 +151,7 @@ impl ParticleStore {
             .count()
     }
 
-    /// One particle's full record (for migration), as a plain tuple
-    /// struct.
+    /// One particle's full record (for migration).
     pub fn extract(&self, i: usize) -> ParticleRecord {
         ParticleRecord {
             pos: self.pos[i],
@@ -162,7 +162,6 @@ impl ParticleStore {
             metals: self.metals[i],
             h: self.h[i],
             id: self.id[i],
-            rung: self.rung[i],
         }
     }
 
@@ -176,7 +175,7 @@ impl ParticleStore {
         self.metals.push(r.metals);
         self.h.push(r.h);
         self.id.push(r.id);
-        self.rung.push(r.rung);
+        self.rung.push(0);
     }
 }
 
@@ -199,8 +198,6 @@ pub struct ParticleRecord {
     pub h: f64,
     /// Id.
     pub id: u64,
-    /// Rung.
-    pub rung: u32,
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 # id-sorted final particle state, so "same line" means "same bits".
 # With a second binary, `state_hashes.sh BIN BIN2` runs both and prints
 # `args -> hash hash2 same|moved`: which configurations a change moved.
+# The two `--chaos` rows repeat the row above them with a rank lost at
+# step 1: recovery is bitwise, so each prints the hash of the row above.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=${1:-target/release/frontier-sim}
@@ -15,7 +17,7 @@ trap 'rm -rf "$out"' EXIT
 
 state_hash() {
     # shellcheck disable=SC2086  # the table rows are option lists
-    "$1" run $2 --out "$out/io" | sed -n 's/.*state hash: \([0-9a-f]*\).*/\1/p'
+    "$1" run $2 --out "$out/io" 2> /dev/null | sed -n 's/.*state hash: \([0-9a-f]*\).*/\1/p'
     rm -rf "$out/io"
 }
 
@@ -31,8 +33,10 @@ while IFS= read -r args; do
 done <<'TABLE'
 --np 16 --steps 3 --seed 7 --ranks 1
 --np 16 --steps 3 --seed 7 --ranks 2
+--np 16 --steps 3 --seed 7 --ranks 2 --chaos panic@1:0
 --np 16 --steps 3 --seed 7 --ranks 4
 --np 16 --steps 3 --seed 7 --ranks 2 --physics gravity
+--np 16 --steps 3 --seed 7 --ranks 2 --physics gravity --chaos panic@1:0
 --np 32 --steps 2 --seed 7 --ranks 8 --physics gravity
 --np 16 --steps 2 --seed 3 --ranks 2 --zi 1.5 --zf 1.0
 --np 16 --steps 2 --seed 3 --ranks 4 --zi 1.5 --zf 1.0

@@ -186,29 +186,30 @@ echo "== tier 2: telemetry golden-section determinism =="
 # byte-identical golden regions of the text report; wall-clock content
 # is confined to the non-golden appendix.
 tdir=$(mktemp -d)
-for run in a b; do
-    ./target/release/frontier-sim run \
-        --np 8 --ranks 2 --steps 2 --physics gravity --seed 4242 \
-        --out "$tdir/io-$run" --telemetry "$tdir/telem-$run" \
-        > "$tdir/stdout-$run.log"
-done
-cmp "$tdir/telem-a/trace.json" "$tdir/telem-b/trace.json" || {
-    echo "error: chrome traces differ between identical runs" >&2
-    exit 1
-}
 golden() {
     sed -n '/# === GOLDEN BEGIN ===/,/# === GOLDEN END ===/p' "$1"
 }
-golden "$tdir/telem-a/report.txt" > "$tdir/golden-a.txt"
-golden "$tdir/telem-b/report.txt" > "$tdir/golden-b.txt"
-[ -s "$tdir/golden-a.txt" ] || {
-    echo "error: report.txt has no golden region" >&2
-    exit 1
-}
-cmp "$tdir/golden-a.txt" "$tdir/golden-b.txt" || {
-    echo "error: golden report regions differ between identical runs" >&2
-    exit 1
-}
+for physics in gravity hydro; do
+    for run in a b; do
+        ./target/release/frontier-sim run \
+            --np 8 --ranks 2 --steps 2 --physics "$physics" --seed 4242 \
+            --out "$tdir/io-$physics-$run" --telemetry "$tdir/telem-$physics-$run" \
+            > "$tdir/stdout-$physics-$run.log"
+        golden "$tdir/telem-$physics-$run/report.txt" > "$tdir/golden-$physics-$run.txt"
+    done
+    cmp "$tdir/telem-$physics-a/trace.json" "$tdir/telem-$physics-b/trace.json" || {
+        echo "error: chrome traces differ between identical $physics runs" >&2
+        exit 1
+    }
+    [ -s "$tdir/golden-$physics-a.txt" ] || {
+        echo "error: report.txt has no golden region" >&2
+        exit 1
+    }
+    cmp "$tdir/golden-$physics-a.txt" "$tdir/golden-$physics-b.txt" || {
+        echo "error: golden report regions differ between identical $physics runs" >&2
+        exit 1
+    }
+done
 # (The grep-based wall-clock-leak lint that lived here moved into
 # hacc-lint rule D1, which polices the *sources* of wall time instead
 # of its artifacts; the byte-diff above still catches any leak that
@@ -219,44 +220,54 @@ echo "== tier 3: chaos gate — supervised recovery is bitwise-exact =="
 # For each rank count, run an uninterrupted reference, then the same
 # seed under several fault plans. Every recovered run must report the
 # reference's exact final state hash, and chaos telemetry itself must
-# be deterministic (same seed + same spec -> same golden region).
+# be deterministic (same seed + same spec -> same golden region). A PM
+# step inherits nothing but the particle store, so the rows run the
+# default physics (full hydro); one gravity-only row stays beside them.
 chaos_specs=(
     "panic@2:1,ckpt-crc@1:0"
     "panic@1:0,ckpt-torn@0:1"
     "comm-delay@1:0,comm-dup@1:1,comm-trunc@2:0,nvme-err@1:0,gpu-launch@2:1"
 )
-for ranks in 1 2; do
-    ref_dir="$tdir/chaos-ref-r$ranks"
+# chaos_rows RANKS TAG [PHYSICS-OPTION...]
+chaos_rows() {
+    local ranks=$1 tag=$2
+    shift 2
+    local ref_dir="$tdir/chaos-ref-$tag"
     ./target/release/frontier-sim run \
-        --np 8 --ranks "$ranks" --steps 3 --physics gravity --seed 4242 \
+        --np 8 --ranks "$ranks" --steps 3 --seed 4242 "$@" \
         --out "$ref_dir" > "$ref_dir.log"
+    local ref_hash
     ref_hash=$(grep -o 'state hash: [0-9a-f]*' "$ref_dir.log")
     [ -n "$ref_hash" ] || {
         echo "error: reference run printed no state hash" >&2
         exit 1
     }
     for i in "${!chaos_specs[@]}"; do
-        spec="${chaos_specs[$i]}"
+        local spec="${chaos_specs[$i]}"
         # Rank-count-specific specs: clamp rank indices for --ranks 1.
         [ "$ranks" -eq 1 ] && spec="${spec//:1/:0}"
-        run_dir="$tdir/chaos-r$ranks-$i"
+        local run_dir="$tdir/chaos-$tag-$i"
         ./target/release/frontier-sim run \
-            --np 8 --ranks "$ranks" --steps 3 --physics gravity --seed 4242 \
+            --np 8 --ranks "$ranks" --steps 3 --seed 4242 "$@" \
             --out "$run_dir" --chaos "$spec" \
             > "$run_dir.log" 2> /dev/null
+        local hash
         hash=$(grep -o 'state hash: [0-9a-f]*' "$run_dir.log")
         if [ "$hash" != "$ref_hash" ]; then
-            echo "error: chaos spec '$spec' on $ranks rank(s) diverged:" >&2
+            echo "error: chaos spec '$spec' on $ranks rank(s) ($tag) diverged:" >&2
             echo "  reference: $ref_hash" >&2
             echo "  recovered: ${hash:-<missing>}" >&2
             exit 1
         fi
     done
-done
+}
+chaos_rows 1 hydro-r1
+chaos_rows 2 hydro-r2
+chaos_rows 2 gravity-r2 --physics gravity
 # Chaos golden determinism: two identical faulted runs, identical goldens.
 for run in a b; do
     ./target/release/frontier-sim run \
-        --np 8 --ranks 2 --steps 3 --physics gravity --seed 4242 \
+        --np 8 --ranks 2 --steps 3 --seed 4242 \
         --out "$tdir/chaos-det-$run" --telemetry "$tdir/chaos-telem-$run" \
         --chaos "panic@2:1,ckpt-crc@1:0" \
         > /dev/null 2>&1
@@ -310,12 +321,16 @@ echo "ok: armed suite clean, canary caught, 1/2/4/8-rank reports byte-stable"
 
 echo "== tier 5: perf ratchet — short-range symmetric kernels, long-range PM solve =="
 # The tiled symmetric executors and the PM solve must hold their blessed
-# throughput: any higher-is-better metric (*_per_s, *_speedup) in
-# BENCH_kernels.json that regresses more than 15% fails the gate with a
-# delta table, and the kernels_micro run additionally asserts the headline
-# crk_force symmetric speedup stays >= 2x and the packed-inverse speedup
-# of the PM solve >= 1.15x. Re-bless deliberate performance changes with
-# scripts/bench_update.sh.
+# advantage: any dimensionless *_speedup in BENCH_kernels.json — each the
+# median of per-sample ratios of adjacent, interleaved sweeps, so the
+# host's own speed cancels — that regresses more than 15% fails the gate
+# with a delta table, and the kernels_micro run additionally asserts the
+# headline crk_force symmetric speedup stays >= 2x and the packed-inverse
+# speedup of the PM solve >= 1.15x. The absolute rates (*_per_s) and the
+# headline cost multiples are measured and printed as information: the
+# host moves them by itself, and the repository benchmark gates them
+# against its host-speed probe. Re-bless deliberate performance changes
+# with scripts/bench_update.sh.
 HACC_BENCH_BASELINE="$PWD/BENCH_kernels.json" \
 HACC_BENCH_JSON="$tdir/bench_fresh.json" \
     cargo bench -q --offline -p hacc-bench --bench kernels_micro \

@@ -310,6 +310,14 @@ fn cmd_run(args: &[String]) {
             .sum();
         println!("supervisor: recovered from {injected} injected fault(s)");
     }
+    // One line per PM step: the subcycle depth decides a hydro step's cost.
+    println!("\nsteps:");
+    for s in &report.steps {
+        println!(
+            "  step {:>3}  z {:>7.3}  substeps {:>3}  particles {:>9}  stars {:>5}  wall {:>7.3} s",
+            s.step, s.z, s.substeps, s.particles, s.stars_formed, s.wall_seconds
+        );
+    }
     println!("\nphase breakdown:");
     for (phase, frac) in report.timers.fractions() {
         println!("  {:<12} {:>5.1}%", phase.name(), frac * 100.0);

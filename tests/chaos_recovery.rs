@@ -5,7 +5,9 @@
 //! launch failures — must recover automatically and land on a final
 //! state hash *bitwise identical* to an uninterrupted run of the same
 //! seed, and the whole fault history must be deterministic enough that
-//! two identical chaos runs emit byte-identical telemetry goldens.
+//! two identical chaos runs emit byte-identical telemetry goldens. The
+//! contract holds in every physics mode: a PM step inherits the particle
+//! store and nothing else, so the gates here run full hydro.
 
 use frontier_sim::core::{run_simulation, Physics, SimConfig};
 use frontier_sim::telem::FaultKind;
@@ -35,11 +37,15 @@ impl Drop for TempRunDir {
     }
 }
 
+/// Full hydro at low redshift: the CFL rule asks for the deepest rung
+/// allowed and the subgrid models draw every substep, so a replayed step
+/// that inherited anything but the store would diverge.
 fn cfg(tag: &str, chaos: Option<&str>) -> (SimConfig, TempRunDir) {
     let mut c = SimConfig::small(8);
-    c.physics = Physics::GravityOnly; // bitwise recovery contract
-    c.pm_steps = 4;
-    c.max_rung = 0;
+    c.a_init = 1.0 / 1.5;
+    c.a_final = 1.0;
+    c.max_rung = 1; // two substeps: deep enough to tell, cheap enough for debug builds
+    c.pm_steps = 3;
     c.analysis_every = 0;
     c.checkpoint_every = 1;
     c.checkpoint_window = 16;
@@ -88,6 +94,28 @@ fn run_simulation_honours_the_chaos_spec() {
     let recovered = run_simulation(&cfg_chaos, 2);
     assert_eq!(recovered.rollbacks, 1);
     assert_eq!(recovered.final_state_hash, reference.final_state_hash);
+}
+
+#[test]
+fn rank_loss_recovers_bitwise_in_every_physics_mode() {
+    quiet_injected_panics();
+    for physics in [Physics::GravityOnly, Physics::HydroAdiabatic, Physics::Hydro] {
+        for ranks in [1, 2, 4] {
+            let tag = format!("{physics:?}-r{ranks}");
+            let (mut cfg_ref, _ref_dir) = cfg(&format!("modes-ref-{tag}"), None);
+            let (mut cfg_chaos, _chaos_dir) =
+                cfg(&format!("modes-{tag}"), Some("panic@2:0,ckpt-crc@1:0"));
+            cfg_ref.physics = physics;
+            cfg_chaos.physics = physics;
+            let reference = run_simulation(&cfg_ref, ranks);
+            let recovered = run_simulation(&cfg_chaos, ranks);
+            assert_eq!(recovered.rollbacks, 1, "{tag}");
+            assert_eq!(
+                recovered.final_state_hash, reference.final_state_hash,
+                "{tag}: recovered run diverged from the uninterrupted reference"
+            );
+        }
+    }
 }
 
 #[test]

@@ -4,13 +4,27 @@
 
 use std::process::Command;
 
-/// Run `frontier-sim <args>`; returns (exit code, stderr).
-fn frontier_sim(args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_frontier-sim"))
+fn spawn(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_frontier-sim"))
         .args(args)
         .output()
-        .expect("spawn frontier-sim");
+        .expect("spawn frontier-sim")
+}
+
+/// Run `frontier-sim <args>`; returns (exit code, stderr).
+fn frontier_sim(args: &[&str]) -> (Option<i32>, String) {
+    let out = spawn(args);
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn run_prints_one_line_per_pm_step() {
+    let out = spawn(&["run", "--np", "8", "--steps", "3", "--ranks", "2"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let steps: Vec<&str> = stdout.lines().filter(|l| l.starts_with("  step ")).collect();
+    assert_eq!(steps.len(), 3, "{stdout}");
+    assert!(steps.iter().all(|l| l.contains("substeps")), "{stdout}");
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! campaign survives Frontier's few-hour MTTI. Here we run a campaign,
 //! "crash" it partway, resume from the newest CRC-valid checkpoint, and
 //! verify the resumed run reaches the same final state as an
-//! uninterrupted one.
+//! uninterrupted one — bit for bit, in every physics mode: a PM step
+//! inherits the particle store and nothing else.
 
 use frontier_sim::core::{resume_simulation, run_simulation, Physics, SimConfig};
 
@@ -38,11 +39,23 @@ impl Drop for TempRunDir {
     }
 }
 
+/// Tear a checkpoint: flip one byte in the middle of its payload.
+fn flip_middle_byte(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Full hydro at low redshift: the CFL rule asks for the deepest rung
+/// allowed and the subgrid models draw every substep, so a resumed step
+/// that inherited anything but the checkpointed store would diverge.
 fn cfg(tag: &str, steps: usize) -> (SimConfig, TempRunDir) {
     let mut c = SimConfig::small(8);
-    c.physics = Physics::GravityOnly; // no stochastic subgrid: exact compare
+    c.a_init = 1.0 / 1.5;
+    c.a_final = 1.0;
+    c.max_rung = 1; // two substeps: deep enough to tell, cheap enough for debug builds
     c.pm_steps = steps;
-    c.max_rung = 0;
     c.analysis_every = 0;
     c.checkpoint_every = 1;
     c.checkpoint_window = 16; // keep everything: the test prunes by hand
@@ -81,10 +94,9 @@ fn resumed_run_matches_uninterrupted() {
     assert_eq!(resumed.steps.len(), 2, "resume should run steps 2 and 3");
     assert_eq!(resumed.steps[0].step, 2);
 
-    // ...and lands on the same physical state: same P(k) to roundoff
-    // (gravity-only dynamics is deterministic given the checkpointed
-    // state; the only differences are FP reassociation across the
-    // restart boundary).
+    // ...and lands on the same state, bit for bit...
+    assert_eq!(resumed.final_state_hash, reference.final_state_hash);
+    // ...so the science products agree too: same P(k), same momentum.
     assert_eq!(reference.power.len(), resumed.power.len());
     for (a, b) in reference.power.iter().zip(&resumed.power) {
         assert_eq!(a.modes, b.modes);
@@ -116,10 +128,7 @@ fn resume_skips_torn_checkpoint() {
     let (latest, path) =
         frontier_sim::iosim::TieredWriter::latest_checkpoint(&pfs).unwrap();
     assert_eq!(latest, 2);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&path, bytes).unwrap();
+    flip_middle_byte(&path);
 
     c.pm_steps = 4;
     let resumed = resume_simulation(&c, ranks);
@@ -158,7 +167,7 @@ fn resume_skips_crc_flipped_checkpoint_and_matches_reference() {
     // Fell back to checkpoint 2 -> redoes step 3.
     assert_eq!(resumed.steps.len(), 1);
     assert_eq!(resumed.steps[0].step, 3);
-    // Gravity-only recovery is bit-exact, not just roundoff-close.
+    // Recovery is bit-exact, not just roundoff-close.
     assert_eq!(
         resumed.final_state_hash, reference.final_state_hash,
         "resume from older valid checkpoint diverged from reference"
@@ -177,10 +186,7 @@ fn resume_restores_every_rank_from_the_common_step() {
     let pfs = dir.path().join("pfs").join("rank-1");
     let (latest, path) = frontier_sim::iosim::TieredWriter::latest_checkpoint(&pfs).unwrap();
     assert_eq!(latest, 3);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&path, bytes).unwrap();
+    flip_middle_byte(&path);
 
     let resumed = resume_simulation(&c, ranks);
     // Common step is 2 -> both ranks redo step 3.
@@ -191,32 +197,30 @@ fn resume_restores_every_rank_from_the_common_step() {
 
 #[test]
 fn hydro_state_survives_resume() {
-    // Full-physics state (u, metals, h, species) must roundtrip through
-    // the checkpoint: resumed runs keep the thermal history.
-    let ranks = 1;
-    let (mut c, dir) = cfg("hydro", 2);
-    c.physics = Physics::Hydro;
-    c.max_rung = 1;
-    run_simulation(&c, ranks);
-    c.pm_steps = 3;
-    let resumed = resume_simulation(&c, ranks);
-    assert_eq!(resumed.steps.len(), 1);
-    assert_eq!(resumed.steps[0].step, 2);
-    // Final checkpoint has gas with positive u and the right species mix.
-    let pfs = dir.path().join("pfs").join("rank-0");
-    let (_, blocks) =
-        frontier_sim::iosim::TieredWriter::load_latest_valid(&pfs).unwrap();
-    let species = blocks
-        .iter()
-        .find(|b| b.name == "species")
-        .unwrap()
-        .as_u64();
-    let u = blocks.iter().find(|b| b.name == "u").unwrap().as_f64();
-    let n_gas = species.iter().filter(|&&s| s == 1).count();
-    assert!(n_gas > 0, "gas lost through resume");
-    for (sp, uu) in species.iter().zip(&u) {
-        if *sp == 1 {
-            assert!(*uu > 0.0, "gas with zero internal energy after resume");
+    // Everything a step reads (u, metals, h, species beside the
+    // collisionless columns) roundtrips through the checkpoint, and
+    // nothing else is read. The last rank loses its newest checkpoint
+    // and rank 0 the one before, so the newest step valid on all is 1:
+    // every mode on every rank count redoes two steps onto the
+    // uninterrupted run's exact state.
+    use frontier_sim::iosim::TieredWriter;
+    for physics in [Physics::GravityOnly, Physics::HydroAdiabatic, Physics::Hydro] {
+        for ranks in [1, 2, 4] {
+            let tag = format!("{physics:?}-r{ranks}");
+            let (mut c, dir) = cfg(&format!("modes-{tag}"), 4);
+            c.physics = physics;
+            let reference = run_simulation(&c, ranks);
+            for (rank, step) in [(ranks - 1, 3), (0, 2)] {
+                let path = dir
+                    .path()
+                    .join(format!("pfs/rank-{rank}"))
+                    .join(TieredWriter::checkpoint_name(step));
+                flip_middle_byte(&path);
+            }
+            let resumed = resume_simulation(&c, ranks);
+            assert_eq!(resumed.steps.len(), 2, "{tag}");
+            assert_eq!(resumed.steps[0].step, 2, "{tag}");
+            assert_eq!(resumed.final_state_hash, reference.final_state_hash, "{tag}");
         }
     }
 }

@@ -214,6 +214,23 @@ fn ranks_share_one_subcycle_depth() {
 }
 
 #[test]
+fn first_step_subcycles_like_the_rest() {
+    // The CFL rungs come from the step's own opening forces, so the
+    // first step after a start (or a resume) is as deep as its gas asks —
+    // not one substep for want of a signal velocity from a step before.
+    let mut c = SimConfig::small(16);
+    c.seed = 5;
+    c.a_init = 1.0 / 1.5;
+    c.a_final = 1.0;
+    c.pm_steps = 3;
+    c.analysis_every = 0;
+    c.checkpoint_every = 0;
+    let r = run_simulation(&c, 2);
+    assert_eq!(r.steps[0].substeps, r.steps[1].substeps);
+    assert_updates_match_substeps(&r);
+}
+
+#[test]
 fn deeper_rungs_cost_more_substeps() {
     let (mut c, dir) = cfg("rungs", Physics::HydroAdiabatic);
     c.flat_stepping = true;

@@ -45,6 +45,10 @@ fn checkpoints_land_on_pfs_and_reload() {
         for f in ["x", "y", "z", "vx", "vy", "vz", "mass", "u", "id"] {
             assert!(names.contains(&f), "missing field {f}");
         }
+        // The restart state is the store's 12 persistent columns; the
+        // rungs are per-step scratch and are not among them.
+        assert_eq!(names.len(), 12, "{names:?}");
+        assert!(!names.contains(&"rung"), "{names:?}");
         let x = blocks.iter().find(|b| b.name == "x").unwrap().as_f64();
         // Positions are inside the periodic box.
         assert!(x.iter().all(|&v| v >= 0.0 && v < cfg.box_size));
@@ -105,4 +109,33 @@ fn ids_conserved_through_the_full_run() {
     assert_eq!(ids.len(), before, "duplicate particle ids after migration");
     assert_eq!(ids.len() as u64, cfg.total_particles());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn runs_handed_no_directory_get_their_own_and_remove_it() {
+    // Two same-seed runs at once in one process, neither given an
+    // `io_dir`: each checkpoints into a tree of its own (every other test
+    // of this binary names its directory, so any `frontier-sim-<pid>-*`
+    // entry would be theirs), and none is left behind.
+    let run = |np: usize| {
+        let mut cfg = SimConfig::small(np);
+        cfg.physics = Physics::GravityOnly;
+        cfg.pm_steps = 2;
+        cfg.analysis_every = 0;
+        let report = run_simulation(&cfg, 2);
+        assert_eq!(report.io.checkpoints, 2);
+        assert_eq!(report.ledger.records()[1].count, cfg.total_particles());
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| run(8));
+        s.spawn(|| run(10));
+    });
+    let mine = format!("frontier-sim-{}-", std::process::id());
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(&mine))
+        .collect();
+    assert!(left.is_empty(), "default I/O directories left behind: {left:?}");
 }

@@ -2,20 +2,23 @@
 //! (`BENCH_kernels.json`): the short-range symmetric tiles and the
 //! long-range PM solve.
 //!
-//! Times the tiled symmetric leaf executors against the pre-fix one-sided
-//! reference over identical interaction lists, and `PmSolver::accelerations`
-//! against the one-inverse-per-component assembly of the same solve; emits
-//! `*_pairs_per_s` / `*_cells_per_s` / `*_speedup` metrics through
-//! [`hacc_bench::baseline`], and (under the ratchet) asserts the >= 2x win
-//! the symmetric-tile fix claims and the >= 1.15x win of the packed inverse.
+//! Times three sweeps of identical interaction lists against each other —
+//! the production one (symmetric tiles over lane-compacted leaf pairs), the
+//! same tiles swept dense, and the pre-fix one-sided reference — and
+//! `PmSolver::accelerations` against the one-inverse-per-component assembly
+//! of the same solve; emits `*_pairs_per_s` (list-sized pairs) /
+//! `*_cells_per_s` / `*_speedup` metrics through [`hacc_bench::baseline`],
+//! and (under the ratchet) asserts the >= 2x win the symmetric-tile fix
+//! claims and the >= 1.15x win of the packed inverse.
 //! Every `*_speedup` is the median over samples of the ratio of two
 //! adjacent, interleaved sweeps — one the host's state cancels out of; the
 //! absolute rates are printed and recorded as information only.
 //! The other hot kernels (1-D FFT, tree build, CRKSPH stack, FOF, LBVH,
 //! block encode) are timed by the repo benchmark's `--trace 1` census.
 
-use hacc_bench::{baseline, workloads};
-use hacc_gpusim::{LeafExec, SplitKernel};
+use hacc_bench::baseline;
+use hacc_bench::workloads::{self, Arm};
+use hacc_gpusim::SplitKernel;
 use hacc_mesh::poisson::{apply_greens_gradient, GreensOptions};
 use hacc_mesh::{cic, PmConfig, PmSolver};
 use hacc_ranks::{Comm, World};
@@ -24,24 +27,20 @@ use hacc_swfft::{Complex64, DistFft3d};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Time repeated sweeps of one workload arm until `min_time_s` has been
-/// spent measuring, returning pairs/second and the per-sweep pair count
-/// (so the count and the wall time come from the same sweeps).
-fn pairs_per_s<K: SplitKernel>(
-    w: &workloads::ShortRangeWorkload<K>,
-    exec: LeafExec,
-    min_time_s: f64,
-) -> (f64, u64)
-where
-    K::Accum: Default + Clone,
-{
+/// Time repeated production sweeps of one workload until `min_time_s` has
+/// been spent measuring, returning list-sized pairs/second
+/// (`KernelCounters::list_pairs`: rows of every arm, and of baselines
+/// blessed before compaction existed, count the same pairs) and the
+/// per-sweep count (so the count and the wall time come from the same
+/// sweeps).
+fn pairs_per_s<K: SplitKernel>(w: &workloads::ShortRangeWorkload<K>, min_time_s: f64) -> (f64, u64) {
     // Warmup sweep (also the pair count — identical every sweep).
-    let pairs = black_box(w.run(exec)).pairs;
+    let pairs = black_box(w.run(Arm::Tiled)).list_pairs();
     let mut sweeps = 0u32;
     let t = Instant::now();
     let mut elapsed;
     loop {
-        black_box(w.run(exec));
+        black_box(w.run(Arm::Tiled));
         sweeps += 1;
         elapsed = t.elapsed().as_secs_f64();
         if elapsed >= min_time_s {
@@ -57,35 +56,53 @@ fn median(mut ratios: Vec<f64>) -> f64 {
     ratios[ratios.len() / 2]
 }
 
-/// Alternate one tiled and one reference sweep of a workload until the
-/// tiled arm has measured for `min_time_s` and the median has at least
-/// five samples under it. Returns the two arms' pairs/second, the median
-/// per-sample reference time ÷ tiled time, and the per-sweep pair count.
-fn symmetric_arms<K: SplitKernel>(
-    w: &workloads::ShortRangeWorkload<K>,
-    min_time_s: f64,
-) -> (f64, f64, f64, u64)
-where
-    K::Accum: Default + Clone,
-{
+/// What [`short_range_arms`] measured of one workload.
+struct Arms {
+    /// List-sized pairs per sweep.
+    pairs: u64,
+    /// Production sweep, list-sized pairs per second.
+    tiled_per_s: f64,
+    /// Reference sweep, pairs per second.
+    reference_per_s: f64,
+    /// Median per-sample reference time ÷ dense-tiled time: the symmetric
+    /// tiles alone, both arms evaluating every pair of the list.
+    symmetric_speedup: f64,
+    /// Median per-sample dense-tiled time ÷ production time: lane
+    /// compaction alone, both arms through the same tile executor.
+    compaction_speedup: f64,
+}
+
+/// Alternate one production, one dense and one reference sweep of a
+/// workload until the production arm has measured for `min_time_s` and the
+/// medians have at least five samples under them.
+fn short_range_arms<K: SplitKernel>(w: &workloads::ShortRangeWorkload<K>, min_time_s: f64) -> Arms {
     // Warm-up sweeps (also the pair count — identical every sweep).
-    let pairs = black_box(w.run(LeafExec::Tiled)).pairs;
-    black_box(w.run(LeafExec::Reference));
-    let timed = |exec| {
+    let pairs = black_box(w.run(Arm::Tiled)).list_pairs();
+    black_box(w.run(Arm::Dense));
+    black_box(w.run(Arm::Reference));
+    let timed = |arm| {
         let t = Instant::now();
-        black_box(w.run(exec));
+        black_box(w.run(arm));
         t.elapsed().as_secs_f64()
     };
     let (mut tiled_s, mut reference_s) = (0.0, 0.0);
-    let mut ratios = Vec::new();
-    while tiled_s < min_time_s || ratios.len() < 5 {
-        let (tiled, reference) = (timed(LeafExec::Tiled), timed(LeafExec::Reference));
+    let (mut symmetric, mut compaction) = (Vec::new(), Vec::new());
+    while tiled_s < min_time_s || symmetric.len() < 5 {
+        let (tiled, dense, reference) =
+            (timed(Arm::Tiled), timed(Arm::Dense), timed(Arm::Reference));
         tiled_s += tiled;
         reference_s += reference;
-        ratios.push(reference / tiled);
+        symmetric.push(reference / dense);
+        compaction.push(dense / tiled);
     }
-    let swept = pairs as f64 * ratios.len() as f64;
-    (swept / tiled_s, swept / reference_s, median(ratios), pairs)
+    let swept = pairs as f64 * symmetric.len() as f64;
+    Arms {
+        pairs,
+        tiled_per_s: swept / tiled_s,
+        reference_per_s: swept / reference_s,
+        symmetric_speedup: median(symmetric),
+        compaction_speedup: median(compaction),
+    }
 }
 
 /// The PM solve assembled from its public pieces with one inverse
@@ -191,24 +208,22 @@ fn main() {
     let density = workloads::sph_density_workload(n, 11);
     let moments = workloads::crk_moments_workload(n, 11);
 
-    let (grav_tiled, grav_ref, grav_speedup, gp) = symmetric_arms(&grav, min_t);
-    let (force_tiled, force_ref, force_speedup, fp) = symmetric_arms(&force, min_t);
-    let (density_tiled, dp) = pairs_per_s(&density, LeafExec::Tiled, min_t);
-    let (moments_tiled, mp) = pairs_per_s(&moments, LeafExec::Tiled, min_t);
+    let g = short_range_arms(&grav, min_t);
+    let f = short_range_arms(&force, min_t);
+    let (density_tiled, dp) = pairs_per_s(&density, min_t);
+    let (moments_tiled, mp) = pairs_per_s(&moments, min_t);
 
+    for (name, a) in [("grav", &g), ("crk_force", &f)] {
+        println!(
+            "bench  short_range_symmetric/{name} ({} list pairs): tiled {:.3e} pairs/s, reference {:.3e} pairs/s, symmetric {:.2}x, compaction {:.2}x",
+            a.pairs, a.tiled_per_s, a.reference_per_s, a.symmetric_speedup, a.compaction_speedup
+        );
+    }
     println!(
-        "bench  short_range_symmetric/grav ({gp} pairs): tiled {:.3e} pairs/s, reference {:.3e} pairs/s, speedup {grav_speedup:.2}x",
-        grav_tiled, grav_ref
+        "bench  short_range_symmetric/sph_density ({dp} list pairs): tiled {density_tiled:.3e} pairs/s"
     );
     println!(
-        "bench  short_range_symmetric/crk_force ({fp} pairs): tiled {:.3e} pairs/s, reference {:.3e} pairs/s, speedup {force_speedup:.2}x",
-        force_tiled, force_ref
-    );
-    println!(
-        "bench  short_range_symmetric/sph_density ({dp} pairs): tiled {density_tiled:.3e} pairs/s"
-    );
-    println!(
-        "bench  short_range_symmetric/crk_moments ({mp} pairs): tiled {moments_tiled:.3e} pairs/s"
+        "bench  short_range_symmetric/crk_moments ({mp} list pairs): tiled {moments_tiled:.3e} pairs/s"
     );
 
     let (pm_cells_per_s, packed_speedup) = long_range(11);
@@ -219,12 +234,14 @@ fn main() {
     baseline::record(&[
         ("long_range_pm_solve_cells_per_s", pm_cells_per_s),
         ("long_range_packed_inverse_speedup", packed_speedup),
-        ("short_range_grav_tiled_pairs_per_s", grav_tiled),
-        ("short_range_grav_reference_pairs_per_s", grav_ref),
-        ("short_range_grav_symmetric_speedup", grav_speedup),
-        ("short_range_crk_force_tiled_pairs_per_s", force_tiled),
-        ("short_range_crk_force_reference_pairs_per_s", force_ref),
-        ("short_range_crk_force_symmetric_speedup", force_speedup),
+        ("short_range_grav_tiled_pairs_per_s", g.tiled_per_s),
+        ("short_range_grav_reference_pairs_per_s", g.reference_per_s),
+        ("short_range_grav_symmetric_speedup", g.symmetric_speedup),
+        ("short_range_grav_compaction_speedup", g.compaction_speedup),
+        ("short_range_crk_force_tiled_pairs_per_s", f.tiled_per_s),
+        ("short_range_crk_force_reference_pairs_per_s", f.reference_per_s),
+        ("short_range_crk_force_symmetric_speedup", f.symmetric_speedup),
+        ("short_range_crk_force_compaction_speedup", f.compaction_speedup),
         ("short_range_sph_density_tiled_pairs_per_s", density_tiled),
         ("short_range_crk_moments_tiled_pairs_per_s", moments_tiled),
     ]);
@@ -234,8 +251,9 @@ fn main() {
     // whenever the ratchet gate is armed.
     if baseline::ratchet_mode() {
         assert!(
-            force_speedup >= 2.0,
-            "crk_force symmetric speedup {force_speedup:.2}x fell below the 2x acceptance line"
+            f.symmetric_speedup >= 2.0,
+            "crk_force symmetric speedup {:.2}x fell below the 2x acceptance line",
+            f.symmetric_speedup
         );
         assert!(
             packed_speedup >= 1.15,

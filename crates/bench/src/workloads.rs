@@ -2,20 +2,23 @@
 //! microbenchmarks.
 //!
 //! These drive `hacc_gpusim::sweep` directly — the same call `grav_step` /
-//! `sph_step` make, minus the surrounding pipeline — so the tiled
-//! symmetric path and the one-sided reference path can be timed head to
-//! head over identical interaction lists. The tiled and
-//! reference paths produce bitwise identical accumulators (asserted in
-//! the `gpusim`, `grav`, and `sph` unit tests); here only the throughput
-//! differs.
+//! `sph_step` make, minus the surrounding pipeline — so the production
+//! sweep (symmetric tiles over lane-compacted leaf pairs), the same tiles
+//! swept dense and the one-sided reference path can be timed head to head
+//! over identical interaction lists. All three produce bitwise identical
+//! accumulators (asserted in the `gpusim`, `grav`, and `sph` unit tests);
+//! here only the throughput differs.
 
-use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec, SplitKernel};
+use hacc_gpusim::{
+    execute_leaf_pair, execute_leaf_self, sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec,
+    SplitKernel,
+};
 use hacc_grav::{ForceSplitTable, GravState, GravityKernel};
 use hacc_sph::hydro::{
     DensityKernel, ForceKernel, ForceState, GeomState, HydroOptions, MomentsKernel,
 };
 use hacc_sph::{CrkCorrections, CubicSpline};
-use hacc_tree::{ChainingMesh, CmConfig, LeafId};
+use hacc_tree::{ChainingMesh, CmConfig, LeafId, MAX_LEAF};
 
 /// A short-range workload frozen at construction: particle states in
 /// tree order plus the interaction list, ready for repeated sweeps.
@@ -32,23 +35,57 @@ pub struct ShortRangeWorkload<K: SplitKernel> {
     pub states: Vec<K::State>,
 }
 
+/// Which sweep of a [`ShortRangeWorkload`] to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arm {
+    /// The production sweep: symmetric tiles over lane-compacted leaf
+    /// pairs.
+    Tiled,
+    /// The same tile executors over the full leaves of every listed pair:
+    /// the sweep of a kernel that states no reach.
+    Dense,
+    /// The one-sided reference executors (each unordered pair evaluated
+    /// twice, never compacted).
+    Reference,
+}
+
 impl<K: SplitKernel> ShortRangeWorkload<K> {
-    /// Run one sweep, returning the counters (`counters.pairs` is the
-    /// pair-evaluation count the throughput metric divides by). `exec`
-    /// selects the tiled symmetric executors or the pre-fix one-sided
-    /// reference ones (each unordered pair evaluated twice).
-    pub fn run(&self, exec: LeafExec) -> KernelCounters
-    where
-        K::Accum: Default + Clone,
-    {
+    /// Run one sweep of `arm`, returning the counters.
+    /// `counters.list_pairs()` — the same for every arm — is what the
+    /// throughput metrics divide by.
+    pub fn run(&self, arm: Arm) -> KernelCounters {
         let mut accums = vec![K::Accum::default(); self.states.len()];
         let mut counters = KernelCounters::default();
+        let leaf_range = |leaf: LeafId| self.cm.leaves[leaf as usize].range();
+        let (dev, mode) = (&self.device, ExecMode::WarpSplit);
+        let exec = match arm {
+            Arm::Tiled => LeafExec::Tiled,
+            Arm::Reference => LeafExec::Reference,
+            Arm::Dense => {
+                // What `sweep` does with a kernel that states no reach:
+                // every leaf pair of the list straight to the tile
+                // executors, on the full slices.
+                for &(a, b) in &self.pairs {
+                    let (ra, rb) = (leaf_range(a), leaf_range(b));
+                    if a == b {
+                        let (s, acc) = (&self.states[ra.clone()], &mut accums[ra]);
+                        execute_leaf_self(&self.kernel, dev, mode, s, acc, &mut counters);
+                    } else {
+                        let (left, right) = accums.split_at_mut(rb.start);
+                        let (si, sj) = (&self.states[ra.clone()], &self.states[rb.clone()]);
+                        let (ai, aj) = (&mut left[ra], &mut right[..rb.len()]);
+                        execute_leaf_pair(&self.kernel, dev, mode, si, sj, ai, aj, &mut counters);
+                    }
+                }
+                return counters;
+            }
+        };
         sweep(
             &self.kernel,
-            &self.device,
-            ExecMode::WarpSplit,
+            dev,
+            mode,
             exec,
-            |leaf| self.cm.leaves[leaf as usize].range(),
+            leaf_range,
             &self.pairs,
             &self.states,
             &mut accums,
@@ -58,16 +95,14 @@ impl<K: SplitKernel> ShortRangeWorkload<K> {
     }
 }
 
-fn build_mesh(pos: &[[f64; 3]], extent: f64, cutoff: f64) -> ChainingMesh {
-    // Bins exactly at the cutoff: the production geometry, and the
-    // tightest leaf AABB pruning the locality guarantee allows.
+fn build_mesh(pos: &[[f64; 3]], extent: f64, bin_width: f64) -> ChainingMesh {
     ChainingMesh::build(
         pos,
         [0.0; 3],
         [extent; 3],
         &CmConfig {
-            bin_width: cutoff.max(1e-3),
-            max_leaf: 128,
+            bin_width: bin_width.max(1e-3),
+            max_leaf: MAX_LEAF,
         },
     )
 }
@@ -80,6 +115,8 @@ pub fn grav_workload(n: usize, seed: u64) -> ShortRangeWorkload<GravityKernel> {
     let split_scale = extent / 16.0;
     let table = ForceSplitTable::new(split_scale, 0.1 * split_scale, 8192);
     let cutoff = table.r_cut();
+    // Bins exactly at the cutoff: the tightest leaf AABB pruning the
+    // locality guarantee allows.
     let cm = build_mesh(&pos, extent, cutoff);
     let pairs = cm.interaction_pairs(cutoff, None);
     let states = cm
@@ -100,16 +137,21 @@ pub fn grav_workload(n: usize, seed: u64) -> ShortRangeWorkload<GravityKernel> {
 }
 
 /// The uniform gas cloud every SPH workload sweeps: positions, the
-/// uniform smoothing length, the mesh at the kernel support and its
-/// leaf interaction list.
+/// uniform smoothing length, the mesh and its leaf interaction list, in
+/// the driver's geometry (`SimConfig::small`): `h` at 1.6 particle
+/// spacings (`sph_eta`), bins at twice the driver's cap on `h` (1.75
+/// spacings) — 3.5 spacings, its gravity cutoff too — so a leaf holds
+/// 50–60 particles in a box ~1.2 supports wide, as the gas leaves of the
+/// repository benchmark's hydro workloads do. (Bins *at* the support
+/// would give ~20-particle leaves that fit one half-warp tile, which the
+/// sweep does not compact.)
 fn gas_cloud(n: usize, seed: u64) -> (Vec<[f64; 3]>, f64, ChainingMesh, Vec<(LeafId, LeafId)>) {
     let extent = (n as f64).cbrt();
     let pos = crate::uniform_cloud(n, extent, seed);
     let spacing = extent / (n as f64).cbrt();
-    let h = 1.3 * spacing;
-    let cutoff = 2.0 * h;
-    let cm = build_mesh(&pos, extent, cutoff);
-    let pairs = cm.interaction_pairs(cutoff, None);
+    let h = 1.6 * spacing;
+    let cm = build_mesh(&pos, extent, 2.0 * 1.75 * spacing);
+    let pairs = cm.interaction_pairs(2.0 * h, None);
     (pos, h, cm, pairs)
 }
 
@@ -230,46 +272,51 @@ mod tests {
         w.cm = cm;
         w.pairs = pairs;
         w.states = states;
-        for exec in [LeafExec::Tiled, LeafExec::Reference] {
+        for arm in [Arm::Tiled, Arm::Dense, Arm::Reference] {
             let t = std::time::Instant::now();
-            let c = w.run(exec);
+            let c = w.run(arm);
             let el = t.elapsed().as_secs_f64();
             println!(
-                "dense {exec:?} pairs={} {:.1} ns/pair",
+                "dense {arm:?} pairs={} {:.1} ns/pair",
                 c.pairs,
                 el / c.pairs as f64 * 1e9
             );
         }
     }
 
+    /// The three arms of one workload sweep one list: the dense and the
+    /// reference arm evaluate all of it (the pre-fix bug was doing 2x the
+    /// *work* per credited pair, so their throughput ratio is exactly the
+    /// symmetric speedup), the production arm evaluates what compaction
+    /// leaves and accounts for the rest.
+    fn assert_arms_credit_one_list<K: SplitKernel>(w: &ShortRangeWorkload<K>) {
+        let tiled = w.run(Arm::Tiled);
+        let dense = w.run(Arm::Dense);
+        let refr = w.run(Arm::Reference);
+        assert!(tiled.pairs > 0 && tiled.culled_pairs > 0);
+        assert_eq!(tiled.list_pairs(), refr.pairs);
+        assert_eq!((dense.pairs, dense.culled_pairs), (refr.pairs, 0));
+        assert_eq!(refr.culled_pairs, 0);
+    }
+
     #[test]
     fn grav_workload_credits_identical_pairs_both_paths() {
-        // Both paths are credited the same unordered-pair count — the
-        // pre-fix bug was doing 2x the *work* per credited pair, so the
-        // throughput ratio of the two arms is exactly the speedup.
-        let w = grav_workload(2_000, 7);
-        let tiled = w.run(LeafExec::Tiled);
-        let refr = w.run(LeafExec::Reference);
-        assert!(tiled.pairs > 0);
-        assert_eq!(refr.pairs, tiled.pairs);
+        assert_arms_credit_one_list(&grav_workload(2_000, 7));
     }
 
     #[test]
     fn crk_force_workload_credits_identical_pairs_both_paths() {
-        let w = crk_force_workload(2_000, 7);
-        let tiled = w.run(LeafExec::Tiled);
-        let refr = w.run(LeafExec::Reference);
-        assert!(tiled.pairs > 0);
-        assert_eq!(refr.pairs, tiled.pairs);
+        assert_arms_credit_one_list(&crk_force_workload(2_000, 7));
     }
 
     #[test]
     fn sph_workloads_sweep_one_list() {
-        let force = crk_force_workload(2_000, 7).run(LeafExec::Tiled);
-        let density = sph_density_workload(2_000, 7).run(LeafExec::Tiled);
-        let moments = crk_moments_workload(2_000, 7).run(LeafExec::Tiled);
+        let force = crk_force_workload(2_000, 7).run(Arm::Tiled);
+        let density = sph_density_workload(2_000, 7).run(Arm::Tiled);
+        let moments = crk_moments_workload(2_000, 7).run(Arm::Tiled);
         assert!(force.pairs > 0);
         assert_eq!(density.pairs, force.pairs);
         assert_eq!(moments.pairs, force.pairs);
+        assert_eq!(density.culled_pairs, force.culled_pairs);
     }
 }

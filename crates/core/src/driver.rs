@@ -54,7 +54,7 @@ use hacc_telem::{
 use hacc_sph::pipeline::{cfl_timestep, sph_step_sinks, SphConfig, SphInput, SphResult};
 use hacc_sph::CubicSpline;
 use hacc_subgrid::{CoolingModel, StarFormationModel, SupernovaModel};
-use hacc_tree::{ChainingMesh, CmConfig};
+use hacc_tree::{ChainingMesh, CmConfig, MAX_LEAF};
 use hacc_units::constants::G_NEWTON;
 use hacc_units::Background;
 use hacc_rt::rand::rngs::StdRng;
@@ -471,6 +471,7 @@ fn assemble_report(
             flops: r.flops,
             bytes: r.bytes,
             pairs: r.pairs,
+            culled_pairs: r.culled_pairs,
         })
         .collect();
     gpu.sort_by(|a, b| a.name.cmp(&b.name));
@@ -697,7 +698,7 @@ fn rank_main(
         ];
         let cm_cfg = CmConfig {
             bin_width: cutoff.max(1e-3),
-            max_leaf: 128,
+            max_leaf: MAX_LEAF,
         };
         let sp = tracer.begin(Phase::TreeBuild.name(), "chaining-mesh");
         if let Some(reg) = ghost_region {

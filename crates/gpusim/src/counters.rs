@@ -67,6 +67,9 @@ pub struct KernelCounters {
     pub warps: u64,
     /// Pair interactions evaluated.
     pub pairs: u64,
+    /// Pair interactions a [`crate::sweep`] removed from its leaf pairs
+    /// before the tile loop (lane compaction); see [`Self::list_pairs`].
+    pub culled_pairs: u64,
     /// Failed launches that were retried (fault injection); the failed
     /// attempts' work is discarded and not otherwise counted here.
     pub relaunches: u64,
@@ -85,7 +88,15 @@ impl KernelCounters {
         self.max_registers = self.max_registers.max(o.max_registers);
         self.warps += o.warps;
         self.pairs += o.pairs;
+        self.culled_pairs += o.culled_pairs;
         self.relaunches += o.relaunches;
+    }
+
+    /// The list-sized pair count: what the tiles evaluated plus what lane
+    /// compaction removed before them — the sum of `ni * nj` over the
+    /// swept interaction list, whatever the sweep culled.
+    pub fn list_pairs(&self) -> u64 {
+        self.pairs + self.culled_pairs
     }
 
     /// Total global-memory traffic in bytes (f32 words).

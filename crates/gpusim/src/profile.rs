@@ -35,8 +35,10 @@ pub struct ProfileRow {
     pub launches: u64,
     /// Useful FLOPs.
     pub flops: u64,
-    /// Pair interactions.
+    /// Pair interactions evaluated.
     pub pairs: u64,
+    /// Pair interactions removed by lane compaction before the tiles.
+    pub culled_pairs: u64,
     /// Global-memory bytes.
     pub bytes: u64,
     /// Modeled kernel seconds on the profiled device.
@@ -109,6 +111,7 @@ impl ProfileTable {
                     launches: c.launches,
                     flops: c.flops,
                     pairs: c.pairs,
+                    culled_pairs: c.culled_pairs,
                     bytes: c.global_bytes(),
                     time_s: t,
                     utilization: model.utilization(c),

@@ -66,6 +66,12 @@ impl SplitKernel for GravityKernel {
     }
     fn partial(&self, _s: &GravState) {}
 
+    /// `eval_r2` is zero from `r_cut²` on, and a zero `g` scatters nothing.
+    #[inline]
+    fn reach(&self, s: &GravState) -> Option<([f64; 3], f64)> {
+        Some((s.pos, self.table.r_cut()))
+    }
+
     #[inline]
     fn interact(&self, si: &GravState, _: &(), sj: &GravState, _: &(), out: &mut GravAccum) {
         let dx = si.pos[0] - sj.pos[0];

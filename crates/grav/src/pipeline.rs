@@ -239,33 +239,137 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tiled_symmetric_matches_reference_executor_bitwise() {
-        // The production grav_step (symmetric tiles, one evaluation per
-        // unordered pair) must reproduce the pre-fix double-evaluation
-        // executor bit for bit, with leaf sizes straddling tile widths.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let n = 400;
-        let pos: Vec<[f64; 3]> = (0..n)
+    /// The production sweep (symmetric tiles over lane-compacted leaf
+    /// pairs) against the dense one-sided oracle over the same list: the
+    /// same bits in every acceleration, and pairs evaluated + pairs culled
+    /// equal to the oracle's list-sized count. Returns (evaluated, culled).
+    fn assert_matches_dense_reference(
+        pos: &[[f64; 3]],
+        mass: &[f64],
+        cm: &ChainingMesh,
+        cfg: &GravConfig,
+        n_sinks: usize,
+    ) -> (u64, u64) {
+        let tiled = grav_step_sinks(pos, mass, cm, cfg, n_sinks);
+        let reference = grav_step_with(pos, mass, cm, cfg, n_sinks, LeafExec::Reference);
+        assert_eq!(tiled.accel, reference.accel);
+        assert_eq!(reference.counters.culled_pairs, 0);
+        assert_eq!(tiled.counters.list_pairs(), reference.counters.pairs);
+        (tiled.counters.pairs, tiled.counters.culled_pairs)
+    }
+
+    fn cloud(rng: &mut rand::rngs::StdRng, n: usize, extent: f64) -> (Vec<[f64; 3]>, Vec<f64>) {
+        let pos = (0..n)
             .map(|_| {
                 [
-                    rng.gen_range(0.0..12.0),
-                    rng.gen_range(0.0..12.0),
-                    rng.gen_range(0.0..12.0),
+                    rng.gen_range(0.0..extent),
+                    rng.gen_range(0.0..extent),
+                    rng.gen_range(0.0..extent),
                 ]
             })
             .collect();
-        let mass: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..2.0)).collect();
+        let mass = (0..n).map(|_| rng.gen_range(0.5..2.0)).collect();
+        (pos, mass)
+    }
+
+    #[test]
+    fn tiled_symmetric_matches_reference_executor_bitwise() {
+        // Leaf sizes straddle the tile width; most of every 64-lane leaf
+        // is out of reach of its partner's box and never reaches a tile.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let (pos, mass) = cloud(&mut rng, 400, 12.0);
         let cfg = GravConfig::new(2.0, 0.8, 0.05);
         let cm = mesh_for(&pos, 12.0, 6.0);
-        let r = grav_step(&pos, &mass, &cm, &cfg);
+        let (evaluated, culled) = assert_matches_dense_reference(&pos, &mass, &cm, &cfg, 400);
+        assert!(evaluated > 0 && culled > 0, "{evaluated} evaluated, {culled} culled");
+    }
 
-        // Reference: the identical sweep through the pre-fix executors
-        // (both-sides one-sided interact calls).
-        let reference = grav_step_with(&pos, &mass, &cm, &cfg, n, LeafExec::Reference);
-        assert_eq!(r.accel, reference.accel);
-        // Same cost-model pair count, half the actual evaluations.
-        assert_eq!(r.counters.pairs, reference.counters.pairs);
+    use hacc_rt::prop::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Clouds of every density and leaf size, cutoffs from a fraction
+        // of a bin to a whole one, any sink prefix.
+        #[test]
+        fn culled_sweep_matches_dense_reference_on_random_clouds(
+            seed in 0u64..u64::MAX,
+            n in 1usize..500,
+            max_leaf in 1usize..80,
+            split_scale in 0.1f64..0.57,
+            sink_frac in 0.0f64..1.0,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (pos, mass) = cloud(&mut rng, n, 12.0);
+            let cfg = GravConfig::new(1.0, split_scale, 0.02);
+            let cm = ChainingMesh::build(
+                &pos,
+                [0.0; 3],
+                [12.0; 3],
+                &CmConfig { bin_width: 4.0, max_leaf },
+            );
+            let n_sinks = (sink_frac * n as f64) as usize;
+            assert_matches_dense_reference(&pos, &mass, &cm, &cfg, n_sinks);
+        }
+    }
+
+    #[test]
+    fn particles_planted_at_the_cutoff_of_the_partner_box_match_reference_bitwise() {
+        // A cluster whose box starts at x = 7.5, its corner particle first;
+        // lanes planted on the same y, z at exactly r_cut from it, one ulp
+        // either side, past the cull margin and well inside — a leaf of
+        // their own, one bin below the cluster's.
+        let cfg = GravConfig::new(1.0, 0.5, 0.05);
+        let r_cut = cfg.table().r_cut();
+        assert_eq!(r_cut, 3.5);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut pos = vec![[7.5, 5.0, 5.0]];
+        for _ in 0..60 {
+            pos.push([
+                rng.gen_range(7.5..10.0),
+                rng.gen_range(4.0..6.0),
+                rng.gen_range(4.0..6.0),
+            ]);
+        }
+        let n_cluster = pos.len();
+        let on = 7.5 - r_cut;
+        for x in [on.next_up(), on, on.next_down(), on * (1.0 - 1e-9), on + 0.5] {
+            pos.push([x, 5.0, 5.0]);
+        }
+        let mass: Vec<f64> = (0..pos.len()).map(|_| rng.gen_range(0.5..2.0)).collect();
+        let cm = mesh_for(&pos, 14.0, 3.5);
+        let (_, culled) = assert_matches_dense_reference(&pos, &mass, &cm, &cfg, pos.len());
+        assert!(culled > 0);
+        // On the cutoff the force is exactly zero, one ulp inside it is not
+        // (the corner particle is the only one in range of that lane).
+        // Only the planted lanes' pull on each other is left of the ones
+        // on or past the cutoff; one ulp inside it the corner particle
+        // still pulls (+x).
+        let r = grav_step(&pos, &mass, &cm, &cfg);
+        let alone = grav_step(&pos[n_cluster..], &mass[n_cluster..], &mesh_for(&pos[n_cluster..], 14.0, 3.5), &cfg);
+        assert!(r.accel[n_cluster][0] > alone.accel[0][0]);
+        assert_eq!(r.accel[n_cluster + 1..n_cluster + 4], alone.accel[1..4]);
+    }
+
+    #[test]
+    fn culls_against_the_particles_not_the_grown_mesh_boxes() {
+        // The driver builds one mesh per PM step and grows its leaf boxes
+        // as particles drift (`cm_all`): the interaction list comes from
+        // the grown boxes, the cull from where the particles are now.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let (mut pos, mass) = cloud(&mut rng, 3000, 12.0);
+        let cfg = GravConfig::new(1.0, 0.2, 0.02);
+        let mut cm = mesh_for(&pos, 12.0, 4.0);
+        let built = cm.interaction_pairs(cfg.table().r_cut(), None).len();
+        for p in &mut pos {
+            for x in p.iter_mut() {
+                *x = (*x + rng.gen_range(-0.4..0.4)).clamp(0.0, 12.0);
+            }
+        }
+        cm.grow_aabbs(&pos, None);
+        assert!(cm.interaction_pairs(cfg.table().r_cut(), None).len() > built);
+        let (_, culled) = assert_matches_dense_reference(&pos, &mass, &cm, &cfg, 2000);
+        assert!(culled > 0);
     }
 
     #[test]

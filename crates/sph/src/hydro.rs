@@ -101,6 +101,12 @@ impl<K: SphKernel> SplitKernel for DensityKernel<K> {
         }
     }
     fn partial(&self, _s: &GeomState) {}
+    /// The support radius: `may_interact` rejects a pair beyond the
+    /// larger of the two.
+    #[inline]
+    fn reach(&self, s: &GeomState) -> Option<([f64; 3], f64)> {
+        Some((s.pos, self.kernel.support() * s.h))
+    }
     #[inline]
     fn interact(&self, si: &GeomState, _: &(), sj: &GeomState, _: &(), out: &mut f64) {
         let dx = si.pos[0] - sj.pos[0];
@@ -186,6 +192,12 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
         }
     }
     fn partial(&self, _s: &GeomState) {}
+    /// The support radius: `may_interact` rejects a pair beyond the
+    /// larger of the two.
+    #[inline]
+    fn reach(&self, s: &GeomState) -> Option<([f64; 3], f64)> {
+        Some((s.pos, self.kernel.support() * s.h))
+    }
     #[inline]
     fn interact(&self, si: &GeomState, _: &(), sj: &GeomState, _: &(), out: &mut Moments) {
         let dr = [
@@ -325,6 +337,12 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
         }
     }
     fn partial(&self, _s: &VelGradState) {}
+    /// The support radius: `may_interact` rejects a pair beyond the
+    /// larger of the two.
+    #[inline]
+    fn reach(&self, s: &VelGradState) -> Option<([f64; 3], f64)> {
+        Some((s.pos, self.kernel.support() * s.h))
+    }
 
     #[inline]
     fn interact(&self, si: &VelGradState, _: &(), sj: &VelGradState, _: &(), out: &mut VelGradAccum) {
@@ -541,6 +559,12 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
         }
     }
     fn partial(&self, _s: &ForceState) {}
+    /// The support radius: `may_interact` rejects a pair beyond the
+    /// larger of the two.
+    #[inline]
+    fn reach(&self, s: &ForceState) -> Option<([f64; 3], f64)> {
+        Some((s.pos, self.kernel.support() * s.h))
+    }
 
     #[inline]
     fn interact(&self, si: &ForceState, _: &(), sj: &ForceState, _: &(), out: &mut ForceAccum) {

@@ -808,40 +808,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn force_sweep_tiled_matches_reference_bitwise_on_ragged_leaves() {
-        // The shared sweep through the tiled symmetric executors must
-        // reproduce the one-sided reference executors bit for bit for the
-        // headline kernel, with leaf sizes on both sides of the half-warp
-        // and not multiples of it.
-        let s = lattice(9, 0.3, 17);
-        let cm = ChainingMesh::build(
-            &s.pos,
-            [-0.5; 3],
-            [9.5; 3],
-            &CmConfig {
-                bin_width: 5.0,
-                max_leaf: 50,
-            },
-        );
-        let device = DeviceSpec::mi250x_gcd();
-        let hw = device.half_warp() as u32;
-        let sizes: Vec<u32> = cm.leaves.iter().map(|l| l.count).collect();
-        assert!(sizes.iter().any(|&c| c < hw) && sizes.iter().any(|&c| c > hw));
-        assert!(sizes.iter().any(|&c| c % hw != 0), "leaf sizes {sizes:?}");
+    /// Random per-particle fields over `pos`, in the mesh's slot order:
+    /// the states of all four CRKSPH kernels ([`kernel_states`]; `h_of`
+    /// gives particle `i` its smoothing length).
+    struct KernelStates {
+        geom: Vec<GeomState>,
+        velgrad: Vec<VelGradState>,
+        force: Vec<ForceState>,
+    }
 
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let states: Vec<ForceState> = cm
+    fn kernel_states(
+        pos: &[[f64; 3]],
+        cm: &ChainingMesh,
+        rng: &mut rand::rngs::StdRng,
+        h_of: impl Fn(usize, &mut rand::rngs::StdRng) -> f64,
+    ) -> KernelStates {
+        let force: Vec<ForceState> = cm
             .order
             .iter()
             .map(|&i| ForceState {
-                pos: s.pos[i as usize],
+                pos: pos[i as usize],
                 vel: [
                     rng.gen_range(-1.0..1.0),
                     rng.gen_range(-1.0..1.0),
                     rng.gen_range(-1.0..1.0),
                 ],
-                h: rng.gen_range(1.0..1.4),
+                h: h_of(i as usize, rng),
                 p: rng.gen_range(0.5..4.0),
                 rho: rng.gen_range(0.5..2.0),
                 cs: rng.gen_range(0.5..2.0),
@@ -853,35 +845,194 @@ mod tests {
                 },
             })
             .collect();
-        let fk = ForceKernel {
-            kernel: CubicSpline,
-            opts: HydroOptions::default(),
-        };
-        let pairs = cm.interaction_pairs(2.0 * 1.4, None);
+        KernelStates {
+            geom: force
+                .iter()
+                .map(|f| GeomState { pos: f.pos, h: f.h, m_or_v: f.vol })
+                .collect(),
+            velgrad: force
+                .iter()
+                .map(|f| VelGradState { pos: f.pos, vel: f.vel, h: f.h, vol: f.vol })
+                .collect(),
+            force,
+        }
+    }
+
+    /// One kernel's lane-compacted tiled sweep against its dense one-sided
+    /// oracle over the same list: the same bits in every accumulator
+    /// (`bits` flattens one), pairs evaluated + pairs culled equal to the
+    /// oracle's list-sized count. Returns (evaluated, culled).
+    fn assert_sweep_matches_dense_reference<K: hacc_gpusim::SplitKernel, const N: usize>(
+        kernel: &K,
+        cm: &ChainingMesh,
+        pairs: &[(LeafId, LeafId)],
+        states: &[K::State],
+        bits: impl Fn(&K::Accum) -> [f64; N],
+    ) -> (u64, u64) {
         let run = |exec| {
-            let mut accums = vec![ForceAccum::default(); states.len()];
+            let mut accums = vec![K::Accum::default(); states.len()];
             let mut counters = KernelCounters::default();
             sweep(
-                &fk,
-                &device,
+                kernel,
+                &DeviceSpec::mi250x_gcd(),
                 ExecMode::WarpSplit,
                 exec,
                 |leaf| cm.leaves[leaf as usize].range(),
-                &pairs,
-                &states,
+                pairs,
+                states,
                 &mut accums,
                 &mut counters,
             );
             (accums, counters)
         };
-        let (tiled, tiled_counters) = run(LeafExec::Tiled);
-        let (reference, reference_counters) = run(LeafExec::Reference);
-        assert!(tiled.iter().any(|a| a.mom != [0.0; 3]));
+        let (tiled, tc) = run(LeafExec::Tiled);
+        let (reference, rc) = run(LeafExec::Reference);
         for (slot, (t, r)) in tiled.iter().zip(&reference).enumerate() {
-            assert_eq!(t.mom, r.mom, "slot {slot} mom");
-            assert_eq!(t.eng, r.eng, "slot {slot} eng");
-            assert_eq!(t.vsig, r.vsig, "slot {slot} vsig");
+            assert_eq!(
+                bits(t).map(f64::to_bits),
+                bits(r).map(f64::to_bits),
+                "{} slot {slot}: {:?} vs {:?}",
+                kernel.name(),
+                bits(t),
+                bits(r)
+            );
         }
-        assert_eq!(tiled_counters.pairs, reference_counters.pairs);
+        assert_eq!(rc.culled_pairs, 0);
+        assert_eq!(tc.list_pairs(), rc.pairs, "{}", kernel.name());
+        (tc.pairs, tc.culled_pairs)
+    }
+
+    /// [`assert_sweep_matches_dense_reference`] for density, moments,
+    /// velocity gradients and force over one list; the force kernel's
+    /// (evaluated, culled).
+    fn assert_all_kernels_match_dense_reference(
+        cm: &ChainingMesh,
+        pairs: &[(LeafId, LeafId)],
+        st: &KernelStates,
+    ) -> (u64, u64) {
+        let k = CubicSpline;
+        assert_sweep_matches_dense_reference(&DensityKernel { kernel: k }, cm, pairs, &st.geom, |a| [*a]);
+        assert_sweep_matches_dense_reference(&MomentsKernel { kernel: k }, cm, pairs, &st.geom, |m| {
+            [m.m0, m.m1[0], m.m1[1], m.m1[2], m.m2[0], m.m2[1], m.m2[2], m.m2[3], m.m2[4], m.m2[5]]
+        });
+        assert_sweep_matches_dense_reference(&VelGradKernel { kernel: k }, cm, pairs, &st.velgrad, |g| {
+            [g.div, g.curl[0], g.curl[1], g.curl[2]]
+        });
+        let fk = ForceKernel { kernel: k, opts: HydroOptions::default() };
+        assert_sweep_matches_dense_reference(&fk, cm, pairs, &st.force, |f| {
+            [f.mom[0], f.mom[1], f.mom[2], f.eng, f.vsig]
+        })
+    }
+
+    #[test]
+    fn force_sweep_tiled_matches_reference_bitwise_on_ragged_leaves() {
+        // The shared sweep through the tiled symmetric executors must
+        // reproduce the one-sided reference executors bit for bit, with
+        // leaf sizes on both sides of the half-warp and not multiples of
+        // it — before compaction and, more raggedly still, after it.
+        let s = lattice(9, 0.3, 17);
+        let cm = ChainingMesh::build(
+            &s.pos,
+            [-0.5; 3],
+            [9.5; 3],
+            &CmConfig {
+                bin_width: 5.0,
+                max_leaf: 50,
+            },
+        );
+        let hw = DeviceSpec::mi250x_gcd().half_warp() as u32;
+        let sizes: Vec<u32> = cm.leaves.iter().map(|l| l.count).collect();
+        assert!(sizes.iter().any(|&c| c < hw) && sizes.iter().any(|&c| c > hw));
+        assert!(sizes.iter().any(|&c| c % hw != 0), "leaf sizes {sizes:?}");
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let st = kernel_states(&s.pos, &cm, &mut rng, |_, rng| rng.gen_range(1.0..1.4));
+        let pairs = cm.interaction_pairs(2.0 * 1.4, None);
+        let (evaluated, culled) = assert_all_kernels_match_dense_reference(&cm, &pairs, &st);
+        assert!(evaluated > 0 && culled > 0, "{evaluated} evaluated, {culled} culled");
+    }
+
+    use hacc_rt::prop::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        // Clustered and uniform clouds, smoothing lengths spread by a
+        // factor of 2 to 5 inside one cloud (so a leaf of small-h
+        // particles meets a partner whose largest h decides), any leaf
+        // size: all four kernels, culled vs dense, bitwise.
+        #[test]
+        fn culled_sweeps_match_dense_reference_on_clouds_with_spread_h(
+            seed in 0u64..u64::MAX,
+            n in 2usize..400,
+            max_leaf in 1usize..70,
+            spread in 2.0f64..5.0,
+            clump in 0.0f64..1.0,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let extent = 12.0;
+            let pos: Vec<[f64; 3]> = (0..n)
+                .map(|_| {
+                    // A fraction `clump` of the cloud sits in one corner bin.
+                    let side = if rng.gen_range(0.0..1.0) < clump { 3.0 } else { extent };
+                    [0; 3].map(|_| rng.gen_range(0.0..side))
+                })
+                .collect();
+            let h_min = 0.4;
+            let h_max = h_min * spread;
+            let cm = ChainingMesh::build(
+                &pos,
+                [0.0; 3],
+                [extent; 3],
+                &CmConfig { bin_width: 4.0, max_leaf },
+            );
+            // The first two particles pin the spread.
+            let st = kernel_states(&pos, &cm, &mut rng, |i, rng| match i {
+                0 => h_min,
+                1 => h_max,
+                _ => rng.gen_range(h_min..h_max),
+            });
+            let pairs = cm.interaction_pairs(2.0 * h_max, None);
+            assert_all_kernels_match_dense_reference(&cm, &pairs, &st);
+        }
+    }
+
+    #[test]
+    fn particles_planted_at_the_support_of_the_partner_box_match_reference_bitwise() {
+        // A cluster whose box starts at x = 6.5 with its corner particle
+        // first; lanes planted on the corner's y, z exactly one support
+        // (2h) from it, one ulp either side, past the cull margin and well
+        // inside, in a leaf of their own one bin below. Once the planted
+        // lanes hold the larger h (their reach decides), once the cluster
+        // does (the partner box's largest reach decides).
+        for (h_lane, h_cluster) in [(1.25, 0.6), (0.6, 1.25)] {
+            let support = 2.0 * f64::max(h_lane, h_cluster);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+            let mut pos = vec![[6.5, 5.0, 5.0]];
+            for _ in 0..50 {
+                pos.push([
+                    rng.gen_range(6.5..9.0),
+                    rng.gen_range(4.0..6.0),
+                    rng.gen_range(4.0..6.0),
+                ]);
+            }
+            let n_cluster = pos.len();
+            let on = 6.5 - support;
+            for x in [on.next_up(), on, on.next_down(), on * (1.0 - 1e-9), on + 0.5, on - 1.0] {
+                pos.push([x, 5.0, 5.0]);
+            }
+            let cm = ChainingMesh::build(
+                &pos,
+                [0.0; 3],
+                [12.0; 3],
+                &CmConfig { bin_width: 3.0, max_leaf: 64 },
+            );
+            let st = kernel_states(&pos, &cm, &mut rng, |i, _| {
+                if i < n_cluster { h_cluster } else { h_lane }
+            });
+            let pairs = cm.interaction_pairs(support, None);
+            let (evaluated, culled) = assert_all_kernels_match_dense_reference(&cm, &pairs, &st);
+            assert!(evaluated > 0 && culled > 0, "{evaluated} evaluated, {culled} culled");
+        }
     }
 }

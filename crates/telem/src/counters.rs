@@ -265,6 +265,9 @@ pub struct GpuKernelRow {
     pub bytes: u64,
     /// Pair interactions evaluated.
     pub pairs: u64,
+    /// Pair interactions removed by lane compaction before the tiles
+    /// (`pairs + culled_pairs` is the list-sized count).
+    pub culled_pairs: u64,
 }
 
 #[cfg(test)]

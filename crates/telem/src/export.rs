@@ -188,12 +188,12 @@ impl TelemetryReport {
             let _ = writeln!(w);
         }
 
-        let _ = writeln!(w, "[gpu kernels] name launches flops bytes pairs");
+        let _ = writeln!(w, "[gpu kernels] name launches flops bytes pairs culled_pairs");
         for g in &self.gpu {
             let _ = writeln!(
                 w,
-                "{} {} {} {} {}",
-                g.name, g.launches, g.flops, g.bytes, g.pairs
+                "{} {} {} {} {} {}",
+                g.name, g.launches, g.flops, g.bytes, g.pairs, g.culled_pairs
             );
         }
         let _ = writeln!(w);
@@ -287,6 +287,7 @@ mod tests {
                 flops: 1000,
                 bytes: 512,
                 pairs: 99,
+                culled_pairs: 33,
             }],
             ledger,
             wall_phases: vec![("misc".into(), if sleep { 0.5 } else { 0.25 })],

@@ -17,7 +17,7 @@
 //! * [`counters`] — the counter taxonomy: per-rank communication counters
 //!   ([`CommCounters`]: messages, bytes, collective calls per kind),
 //!   per-tier I/O counters ([`IoCounters`]), and per-kernel GPU rows
-//!   ([`GpuKernelRow`]: launches, FLOPs, bytes, pairs);
+//!   ([`GpuKernelRow`]: launches, FLOPs, bytes, pairs swept and culled);
 //! * [`ledger`] — the per-step conservation ledger (particle count, mass,
 //!   momentum, kinetic + internal energy), reduced across ranks;
 //! * [`export`] — the Chrome-trace JSON exporter and the plain-text

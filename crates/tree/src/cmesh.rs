@@ -6,6 +6,17 @@ use crate::kdtree::{build_leaves, Leaf};
 /// Identifier of a leaf within a [`ChainingMesh`].
 pub type LeafId = u32;
 
+/// Particles per base leaf: the one leaf size the driver, the default
+/// [`CmConfig`] and the bench workloads build with.
+///
+/// Sized by measurement on the `hydro-highz` benchmark workload
+/// (`step_wall_s`, 2 ranks, seeds 1–3, two interleaved runs each): with
+/// the lane compaction of `hacc_gpusim::sweep` in front of the tiles, 64
+/// reads −1…+6% against 128 and 32 reads 0…+12% (more leaf pairs to list,
+/// box and scan than the smaller tiles save). 32 was only ever ahead, by
+/// about a tenth, while 128-wide leaves were swept dense.
+pub const MAX_LEAF: usize = 128;
+
 /// Chaining-mesh build parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CmConfig {
@@ -20,7 +31,7 @@ impl Default for CmConfig {
     fn default() -> Self {
         Self {
             bin_width: 4.0,
-            max_leaf: 128,
+            max_leaf: MAX_LEAF,
         }
     }
 }

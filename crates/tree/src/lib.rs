@@ -17,5 +17,5 @@ pub mod cmesh;
 pub mod kdtree;
 
 pub use aabb::Aabb;
-pub use cmesh::{ChainingMesh, CmConfig, LeafId};
+pub use cmesh::{ChainingMesh, CmConfig, LeafId, MAX_LEAF};
 pub use kdtree::Leaf;

@@ -320,10 +320,11 @@ done
 echo "ok: armed suite clean, canary caught, 1/2/4/8-rank reports byte-stable"
 
 echo "== tier 5: perf ratchet — short-range symmetric kernels, long-range PM solve =="
-# The tiled symmetric executors and the PM solve must hold their blessed
-# advantage: any dimensionless *_speedup in BENCH_kernels.json — each the
-# median of per-sample ratios of adjacent, interleaved sweeps, so the
-# host's own speed cancels — that regresses more than 15% fails the gate
+# The tiled symmetric executors, the lane compaction in front of them and
+# the PM solve must hold their blessed ratios: any dimensionless *_speedup
+# in BENCH_kernels.json — each the median of per-sample ratios of adjacent,
+# interleaved sweeps, so the host's own speed cancels — that regresses
+# more than 15% fails the gate
 # with a delta table, and the kernels_micro run additionally asserts the
 # headline crk_force symmetric speedup stays >= 2x and the packed-inverse
 # speedup of the PM solve >= 1.15x. The absolute rates (*_per_s) and the

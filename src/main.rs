@@ -327,11 +327,14 @@ fn cmd_run(args: &[String]) {
     let model = frontier_sim::gpusim::ExecutionModel::new(
         frontier_sim::gpusim::DeviceSpec::mi250x_gcd(),
     );
+    // Pairs: offered by the leaf interaction list -> swept by the tiles
+    // after lane compaction.
     for r in report.profile.rows(&model) {
         println!(
-            "  {:<18} {:>10.2e} FLOPs  {:>9.2e} pairs  {:>5.1}% util  {:>5.1}% of time",
+            "  {:<18} {:>10.2e} FLOPs  {:>9.2e} -> {:>8.2e} pairs  {:>5.1}% util  {:>5.1}% of time",
             r.name,
             r.flops as f64,
+            (r.pairs + r.culled_pairs) as f64,
             r.pairs as f64,
             r.utilization * 100.0,
             r.time_share * 100.0

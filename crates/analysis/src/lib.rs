@@ -16,6 +16,8 @@
 //! * [`massfunc`] — halo mass functions;
 //! * [`slices`] — density/temperature slice extraction (Fig. 3).
 
+#![forbid(unsafe_code)]
+
 pub mod bvh;
 pub mod dbscan;
 pub mod fof;
@@ -24,7 +26,6 @@ pub mod maps;
 pub mod massfunc;
 pub mod power;
 pub mod slices;
-pub mod so_masses;
 pub mod twopoint;
 
 pub use bvh::Lbvh;
@@ -35,5 +36,4 @@ pub use maps::{compton_y_map, xray_map, SkyMap};
 pub use massfunc::mass_function;
 pub use power::measure_power;
 pub use slices::{slice_grid, SliceSpec};
-pub use so_masses::{density_profile, so_mass, so_masses_for_catalog, SoMass};
 pub use twopoint::{correlation_function, XiBin};

@@ -5,8 +5,10 @@
 //! rank counts, print efficiencies, and extrapolate to the 72,000-rank
 //! partition with the measured weak efficiency.
 
+use hacc_bench::scaling::{
+    extrapolate_rate, frontier_per_rank_rate, strong_scaling, weak_scaling, ScalePoint,
+};
 use hacc_bench::{bench_config, compare, print_table};
-use hacc_core::scaling::{extrapolate_rate, strong_scaling, weak_scaling};
 use hacc_core::Physics;
 
 fn main() {
@@ -16,6 +18,12 @@ fn main() {
     base.checkpoint_every = 0;
 
     let ranks = [1usize, 2, 4, 8];
+    // The paper's machine grows its cores with its ranks; this host does
+    // not, so an efficiency is comparable only while ranks <= cores.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let on_cores = |points: &[ScalePoint]| {
+        *points.iter().rev().find(|p| p.ranks <= cores).expect("the 1-rank point")
+    };
 
     let weak = weak_scaling(&base, 8, &ranks);
     let rows: Vec<Vec<String>> = weak
@@ -27,19 +35,17 @@ fn main() {
                 format!("{:.3}", p.solver_seconds),
                 format!("{:.2e}", p.particles_per_second),
                 format!("{:.0}%", p.efficiency * 100.0),
-                format!("{:.0}%", p.adjusted_efficiency * 100.0),
             ]
         })
         .collect();
     print_table(
         "Fig. 4 — weak scaling (fixed per-rank load)",
-        &["ranks", "particles", "solver [s]", "particles/s", "raw eff", "core-adj eff"],
+        &["ranks", "particles", "solver [s]", "particles/s", "eff"],
         &rows,
     );
     println!(
-        "  (simulated ranks share {} physical core(s); the core-adjusted column
-   removes the forced serialization and isolates algorithmic overheads)",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        "  (simulated ranks share {cores} physical core(s): past that count they
+   serialize, so the verdicts below read the largest point that fits)"
     );
 
     let strong = strong_scaling(&base, 12, &ranks);
@@ -51,28 +57,29 @@ fn main() {
                 format!("{:.2e}", p.particles),
                 format!("{:.3}", p.solver_seconds),
                 format!("{:.0}%", p.efficiency * 100.0),
-                format!("{:.0}%", p.adjusted_efficiency * 100.0),
             ]
         })
         .collect();
     print_table(
         "Fig. 4 — strong scaling (fixed total problem, 12^3 sites)",
-        &["ranks", "particles", "solver [s]", "raw eff", "core-adj eff"],
+        &["ranks", "particles", "solver [s]", "eff"],
         &rows,
     );
 
-    let weak_eff = weak.last().unwrap().adjusted_efficiency.min(1.0);
-    let strong_eff = strong.last().unwrap().adjusted_efficiency.min(1.0);
+    let (weak_at, strong_at) = (on_cores(&weak), on_cores(&strong));
+    let at = weak_at.ranks;
+    let weak_eff = weak_at.efficiency.min(1.0);
+    let strong_eff = strong_at.efficiency.min(1.0);
     compare(
-        "weak-scaling efficiency at max ranks",
+        "weak-scaling efficiency on the host's cores",
         "95% (128 -> 9,000 nodes)",
-        &format!("{:.0}% core-adj (1 -> {} ranks)", weak_eff * 100.0, ranks.last().unwrap()),
+        &format!("{:.0}% (1 -> {at} ranks)", weak_eff * 100.0),
         weak_eff > 0.5,
     );
     compare(
-        "strong-scaling efficiency at max ranks",
+        "strong-scaling efficiency on the host's cores",
         "92%",
-        &format!("{:.0}%", strong_eff * 100.0),
+        &format!("{:.0}% (1 -> {at} ranks)", strong_eff * 100.0),
         strong_eff > 0.3,
     );
     compare(
@@ -101,12 +108,8 @@ fn main() {
         "46.6e9 particles/s",
         &format!(
             "{:.1e}",
-            extrapolate_rate(hacc_core::scaling::frontier_per_rank_rate(), 72_000, 0.95)
+            extrapolate_rate(frontier_per_rank_rate(), 72_000, 0.95)
         ),
-        (extrapolate_rate(hacc_core::scaling::frontier_per_rank_rate(), 72_000, 0.95)
-            / 46.6e9
-            - 1.0)
-            .abs()
-            < 1e-9,
+        (extrapolate_rate(frontier_per_rank_rate(), 72_000, 0.95) / 46.6e9 - 1.0).abs() < 1e-9,
     );
 }

@@ -6,10 +6,13 @@
 //! claims under test are *shapes* — who wins, what dominates, where the
 //! crossovers fall — not absolute exascale numbers.
 
+#![forbid(unsafe_code)]
+
 use hacc_core::{run_simulation, Physics, SimConfig, SimReport};
 use hacc_gpusim::{DeviceSpec, ExecMode, KernelCounters};
 
 pub mod baseline;
+pub mod scaling;
 pub mod workloads;
 
 /// Print a formatted table with a title.

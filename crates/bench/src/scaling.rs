@@ -1,15 +1,14 @@
-//! Scaling harness (Fig. 4) and the machine-scale extrapolation model.
+//! Scaling harness (Fig. 4) and the machine-scale extrapolation.
 //!
 //! Weak scaling holds the per-rank load fixed while ranks grow; strong
 //! scaling fixes the total problem. We measure the solver phases only
 //! (short-range + spectral), exactly like the paper's Fig. 4, and report
-//! particles processed per second. An analytic efficiency model —
-//! calibrated to the measured multi-rank efficiencies — extrapolates to
-//! the 9,000-node Frontier partition for the headline comparisons.
+//! particles processed per second. Every efficiency here is a measured
+//! wall-clock ratio on this host; the paper-scale number comes from
+//! [`extrapolate_rate`] alone and is never mixed into one.
 
-use crate::config::SimConfig;
-use crate::driver::run_simulation;
-use crate::timers::Phase;
+use hacc_core::timers::Phase;
+use hacc_core::{run_simulation, SimConfig};
 
 /// One scaling measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -23,23 +22,8 @@ pub struct ScalePoint {
     pub solver_seconds: f64,
     /// Particle updates per solver second, aggregated.
     pub particles_per_second: f64,
-    /// Raw wall-clock efficiency relative to the smallest point.
+    /// Wall-clock efficiency relative to the smallest point.
     pub efficiency: f64,
-    /// Core-oversubscription-adjusted efficiency: simulated ranks share
-    /// this machine's physical cores, so `R` ranks on `C < R` cores
-    /// serialize by construction. Multiplying the raw efficiency by the
-    /// oversubscription factor isolates the *algorithmic* overhead
-    /// (communication, ghost duplication, imbalance) — the quantity the
-    /// paper's Fig. 4 measures on a machine whose cores grow with ranks.
-    pub adjusted_efficiency: f64,
-}
-
-/// Oversubscription factor: ranks per available core (>= 1).
-pub fn oversubscription(ranks: usize) -> f64 {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    (ranks as f64 / cores as f64).max(1.0)
 }
 
 /// Run a weak-scaling sweep: per-rank load fixed at `np_per_rank³` sites,
@@ -88,7 +72,6 @@ fn measure(cfg: &SimConfig, ranks: usize) -> ScalePoint {
         solver_seconds: solver,
         particles_per_second: report.particles_per_second,
         efficiency: 1.0,
-        adjusted_efficiency: 1.0,
     }
 }
 
@@ -98,12 +81,9 @@ fn normalize_weak(points: &mut [ScalePoint]) {
         return;
     }
     let per_rank0 = points[0].particles_per_second / points[0].ranks as f64;
-    let o0 = oversubscription(points[0].ranks);
     for p in points.iter_mut() {
         let per_rank = p.particles_per_second / p.ranks as f64;
         p.efficiency = per_rank / per_rank0.max(1e-300);
-        p.adjusted_efficiency =
-            per_rank * oversubscription(p.ranks) / (per_rank0 * o0).max(1e-300);
     }
 }
 
@@ -113,12 +93,9 @@ fn normalize_strong(points: &mut [ScalePoint]) {
         return;
     }
     let (r0, t0) = (points[0].ranks as f64, points[0].solver_seconds);
-    let o0 = oversubscription(points[0].ranks);
     for p in points.iter_mut() {
         let ideal = t0 * r0 / p.ranks as f64;
         p.efficiency = ideal / p.solver_seconds.max(1e-12);
-        let ideal_adj = ideal * oversubscription(p.ranks) / o0;
-        p.adjusted_efficiency = ideal_adj / p.solver_seconds.max(1e-12);
     }
 }
 
@@ -141,7 +118,7 @@ pub fn frontier_per_rank_rate() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Physics;
+    use hacc_core::Physics;
 
     fn base() -> SimConfig {
         let mut c = SimConfig::small(8);

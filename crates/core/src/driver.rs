@@ -1177,7 +1177,11 @@ fn apply_subgrid(
         let rho = rho_of(store, i, eta);
         let z_metal = store.metals[i];
         store.u[i] = cooling.cool_particle(rho, store.u[i], z_metal, a, dt_gyr);
-        if sf.try_form_star(&mut stream_of(store.id[i]), rho, store.u[i], a, dt_gyr) {
+        // `gas_idx` is frozen for the PM step: a particle converted at an
+        // earlier substep is still listed, and must not be drawn again.
+        if store.species[i] == Species::Gas
+            && sf.try_form_star(&mut stream_of(store.id[i]), rho, store.u[i], a, dt_gyr)
+        {
             new_stars.push(i);
         }
     }
@@ -1444,12 +1448,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn star_formation_draws_do_not_depend_on_who_drew_before() {
-        // Dense cold gas, far enough apart that feedback finds no
-        // neighbour, visited in store order and in reverse: the same
-        // particles convert, because each draw is keyed by (seed, id,
-        // step, substep) and not by how many draws came before it.
+    /// 64 dense cold gas particles, far enough apart that feedback finds
+    /// no neighbour, with the subgrid models of `SimConfig::small(8)`.
+    /// The closure runs `apply_subgrid` at PM step 3, substep `s`.
+    fn dense_cold_gas() -> (ParticleStore, impl Fn(&mut ParticleStore, &[usize], u32) -> u64) {
         let cfg = SimConfig::small(8);
         let kd = KickDrift::new(cfg.cosmology);
         let cooling = CoolingModel::new(cfg.cosmology.h);
@@ -1462,20 +1464,46 @@ mod tests {
             gas.push([id as f64; 3], [0.0; 3], 1.0e10, Species::Gas, u_cold, 0.05, id);
         }
         gas.seal_owned();
+        let substep = move |store: &mut ParticleStore, gas_idx: &[usize], s: u32| {
+            let stream_of = |id| draw_stream(cfg.seed, id, 3, s);
+            apply_subgrid(store, gas_idx, &cooling, &sf, &sn, &kd, stream_of, 0.5, 0.6)
+        };
+        (gas, substep)
+    }
+
+    fn star_ids(store: &ParticleStore) -> Vec<u64> {
+        (0..store.n_owned)
+            .filter(|&i| store.species[i] == Species::Star)
+            .map(|i| store.id[i])
+            .collect()
+    }
+
+    #[test]
+    fn star_formation_draws_do_not_depend_on_who_drew_before() {
+        // Visited in store order and in reverse, the same particles
+        // convert, because each draw is keyed by (seed, id, step,
+        // substep) and not by how many draws came before it.
+        let (gas, substep) = dense_cold_gas();
         let stars_visiting = |gas_idx: Vec<usize>| {
             let mut store = gas.clone();
-            let stream_of = |id| draw_stream(cfg.seed, id, 3, 1);
-            let n = apply_subgrid(&mut store, &gas_idx, &cooling, &sf, &sn, &kd, stream_of, 0.5, 0.6);
-            let stars: Vec<u64> = (0..64)
-                .filter(|&i| store.species[i] == Species::Star)
-                .map(|i| store.id[i])
-                .collect();
+            let n = substep(&mut store, &gas_idx, 1);
+            let stars = star_ids(&store);
             assert_eq!(stars.len() as u64, n);
             stars
         };
         let stars = stars_visiting((0..64).collect());
         assert!(!stars.is_empty() && stars.len() < 64, "{} of 64 converted", stars.len());
         assert_eq!(stars, stars_visiting((0..64).rev().collect()));
+    }
+
+    #[test]
+    fn a_converted_particle_is_not_drawn_again() {
+        // Four substeps over the step-frozen index list: a particle
+        // converts once, so the returned counts sum to the star particles.
+        let (mut store, substep) = dense_cold_gas();
+        let gas_idx: Vec<usize> = (0..64).collect();
+        let formed: u64 = (0..4).map(|s| substep(&mut store, &gas_idx, s)).sum();
+        assert_eq!(formed, star_ids(&store).len() as u64);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! — with overload refresh and a single tree build per PM step, full
 //! checkpoints every step, and in-situ analysis at a configurable cadence.
 //!
-//! Entry points:
-//! * [`driver::run_simulation`] / [`driver::resume_simulation`] — the
-//!   full run, fresh or resumed, under the chaos supervisor;
-//! * [`scaling`] — the weak/strong scaling harness (Fig. 4) and the
-//!   machine-scale extrapolation model.
+//! Entry points: [`driver::run_simulation`] / [`driver::resume_simulation`]
+//! — the full run, fresh or resumed, under the chaos supervisor.
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod driver;
@@ -25,7 +24,6 @@ pub mod ic;
 pub mod kicks;
 pub mod overload;
 pub mod particles;
-pub mod scaling;
 pub mod timers;
 pub mod timestep;
 

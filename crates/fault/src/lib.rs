@@ -39,6 +39,8 @@
 //! expands to `N` seed-derived events across all sites, steps, and
 //! ranks.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 

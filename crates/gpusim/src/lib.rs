@@ -24,6 +24,8 @@
 //! ablation (register pressure down, shuffles up, global traffic down)
 //! meaningful.
 
+#![forbid(unsafe_code)]
+
 pub mod counters;
 pub mod device;
 pub mod exec;

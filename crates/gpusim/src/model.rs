@@ -82,11 +82,6 @@ impl ExecutionModel {
         }
         c.flops as f64 / (t * self.device.peak_flops())
     }
-
-    /// Achieved throughput in TFLOPs.
-    pub fn achieved_tflops(&self, c: &KernelCounters) -> f64 {
-        self.utilization(&c.clone()) * self.device.peak_tflops_fp32
-    }
 }
 
 #[cfg(test)]

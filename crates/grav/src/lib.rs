@@ -16,6 +16,8 @@
 //! The pair force runs as a `hacc-gpusim` kernel so it shares the
 //! warp-splitting executor and counters with the SPH operators.
 
+#![forbid(unsafe_code)]
+
 pub mod kernel;
 pub mod pipeline;
 pub mod split;

@@ -24,6 +24,8 @@
 //! * [`inject`] — deterministic storage-fault primitives (torn writes,
 //!   CRC flips, NVMe retries) driven by planned `hacc_fault` probes.
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod faults;
 pub mod format;

@@ -21,7 +21,6 @@
 //! | D1   | tokens           | hash-ordered iteration in golden paths; stray wall-clock/env reads and thread creation |
 //! | C1   | AST + call graph | collectives under rank-dependent guards (SPMD deadlock)        |
 //! | H1   | tokens + manifests | non-path dependencies, `extern crate`, `use ::` escapes      |
-//! | S1   | tokens           | `unsafe` without a `// SAFETY:` comment                        |
 //! | F1   | tokens           | `FaultKind` variants no production site can inject             |
 //! | K1   | AST + index      | `pair_flops()` tables that drift from the kernel's derived cost |
 //! | P1   | AST              | heap allocation in per-pair kernels, tile loops, hot loops     |
@@ -33,28 +32,29 @@
 //! Findings print as `file:line: [RULE] message` (plus an indented
 //! witness chain for interprocedural findings); `--json` emits the
 //! stable `hacc-lint/1` schema (`docs/LINT.md`). Suppressions live in
-//! a checked-in `lint.allow` ([`allow`]) whose every entry requires a
+//! a checked-in `lint.allow` ([`AllowList`]) whose every entry requires a
 //! justification, or on-site as `// e1: allow: <reason>`-style marker
 //! comments. Exit codes: 0 clean, 1 unsuppressed findings, 2 bad
-//! invocation/IO. The same driver backs both the standalone `hacc-lint`
-//! binary (the tier-0 gate in `scripts/verify.sh`, buildable without
-//! compiling the simulation) and the `frontier-sim lint` subcommand.
+//! invocation/IO. The `hacc-lint` binary is the one way to run it (the
+//! tier-0 gate in `scripts/verify.sh`); nothing that simulates depends
+//! on this crate — the finding format both it and `hacc-san` speak
+//! lives in `hacc-telem`.
+
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 
-pub mod allow;
 pub mod ast;
 pub mod callgraph;
 pub mod cfg;
 pub mod context;
 pub mod dataflow;
-pub mod diag;
 pub mod lexer;
 pub mod manifest;
 pub mod rules;
 
-pub use allow::AllowList;
-pub use diag::{Diagnostic, Rule};
+use hacc_telem::{diag, find_workspace_root};
+pub use hacc_telem::{AllowList, Diagnostic, Rule};
 
 /// One lexed + parsed source file.
 #[derive(Debug)]
@@ -145,20 +145,6 @@ fn relpath(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Walk upward from `start` to the manifest declaring `[workspace]`.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = start.canonicalize().ok()?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        dir = dir.parent()?.to_path_buf();
-    }
-}
-
 /// Result of one lint run, before rendering.
 #[derive(Debug)]
 pub struct LintReport {
@@ -195,10 +181,10 @@ pub fn lint(ws: &Workspace, allow: &mut AllowList) -> LintReport {
     }
 }
 
-/// The shared CLI driver behind `hacc-lint` and `frontier-sim lint`.
+/// The CLI driver behind the `hacc-lint` binary.
 ///
 /// ```text
-/// lint [--root DIR] [--allow FILE] [--json] [--strict]
+/// hacc-lint [--root DIR] [--allow FILE] [--json] [--strict]
 /// ```
 ///
 /// Returns the process exit code: 0 clean, 1 unsuppressed findings (or,
@@ -330,17 +316,14 @@ mod tests {
 
     #[test]
     fn lint_partitions_through_allowlist() {
-        let ws = Workspace::from_sources(&[(
-            "crates/x/src/lib.rs",
-            "fn f() { unsafe { g() } }",
-        )]);
+        let ws = Workspace::from_sources(&[("crates/x/src/lib.rs", "extern crate libc;\n")]);
         let mut allow = AllowList::empty();
         let r = lint(&ws, &mut allow);
         assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, Rule::S1);
+        assert_eq!(r.findings[0].rule, Rule::H1);
 
         let mut allow = AllowList::parse(
-            "crates/x/src/lib.rs: S1: fixture justification for the test\n",
+            "crates/x/src/lib.rs: H1: fixture justification for the test\n",
             "t",
         )
         .unwrap();

@@ -61,7 +61,7 @@ use super::spmd::{collective, mentions_rank};
 use crate::ast::{self, Expr, ExprKind};
 use crate::callgraph::FnId;
 use crate::context::Context;
-use crate::diag::{Diagnostic, Rule};
+use hacc_telem::diag::{Diagnostic, Rule};
 
 pub fn run(cx: &Context<'_>, reaches: &[bool]) -> Vec<Diagnostic> {
     let mut out = Vec::new();

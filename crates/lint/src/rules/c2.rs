@@ -44,7 +44,7 @@ use crate::callgraph::{CallGraph, FnId};
 use crate::cfg::{lower_fn, EdgeKind, FnCfg, Outcome};
 use crate::context::{near, Context};
 use crate::dataflow::solve_summaries;
-use crate::diag::{Diagnostic, Rule, WitnessStep};
+use hacc_telem::diag::{Diagnostic, Rule, WitnessStep};
 
 /// Paths enumerated per function (hard cap — beyond this the function
 /// is too branchy for path-sensitive reporting and we keep the first

@@ -39,7 +39,7 @@
 //! test scaffolding may time itself without touching golden artifacts.
 
 use crate::context::{is_test_path, Context};
-use crate::diag::{Diagnostic, Rule};
+use hacc_telem::diag::{Diagnostic, Rule};
 use crate::lexer::{Kind, Token};
 use crate::SourceFile;
 

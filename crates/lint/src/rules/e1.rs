@@ -38,7 +38,7 @@ use crate::ast::{self, Expr, ExprKind};
 use crate::callgraph::{CallGraph, FnId};
 use crate::context::{near, Context};
 use crate::dataflow::solve_summaries;
-use crate::diag::{Diagnostic, Rule, WitnessStep};
+use hacc_telem::diag::{Diagnostic, Rule, WitnessStep};
 
 /// Panic-surface bits, OR-combined through the call graph.
 pub const PANIC_EXPLICIT: u8 = 1;

@@ -8,7 +8,7 @@
 //! at least one `fire(...)` call outside test code.
 
 use crate::context::{is_test_path, Context};
-use crate::diag::{Diagnostic, Rule};
+use hacc_telem::diag::{Diagnostic, Rule};
 use crate::lexer::{Kind, Token};
 
 /// The enum whose variants are the injection sites.

@@ -13,7 +13,7 @@
 //! shipped through PR 3.
 
 use crate::context::Context;
-use crate::diag::{Diagnostic, Rule};
+use hacc_telem::diag::{Diagnostic, Rule};
 use crate::lexer::Kind;
 
 /// Crates `hacc-rt` vendored replacements for; banned in any form.

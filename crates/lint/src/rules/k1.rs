@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use crate::ast::{Expr, ExprKind, FnDef, ImplDef, Item, ItemKind, Stmt, TypeRef};
 use crate::cfg::{Cost, Evaluator, Index};
 use crate::context::{markers, Context};
-use crate::diag::{Diagnostic, Rule};
+use hacc_telem::diag::{Diagnostic, Rule};
 use crate::SourceFile;
 
 /// The four conformance fields, in declaration order.

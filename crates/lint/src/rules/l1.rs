@@ -42,7 +42,7 @@ use crate::ast::{self, Block, Expr, ExprKind, Stmt, TypeRef};
 use crate::callgraph::FnId;
 use crate::context::Context;
 use crate::dataflow::solve_summaries;
-use crate::diag::{Diagnostic, Rule};
+use hacc_telem::diag::{Diagnostic, Rule};
 
 /// Methods that acquire a primitive lock.
 const PRIM_METHODS: [&str; 4] = ["lock", "read", "write", "try_lock"];

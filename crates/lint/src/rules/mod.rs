@@ -4,7 +4,7 @@
 //! diagnostics out.
 
 use crate::context::Context;
-use crate::diag::{normalize, Diagnostic};
+use hacc_telem::diag::{normalize, Diagnostic};
 use crate::Workspace;
 
 pub mod c1;
@@ -16,7 +16,6 @@ pub mod h1;
 pub mod k1;
 pub mod l1;
 pub mod p1;
-pub mod s1;
 pub mod spmd;
 pub mod v1;
 
@@ -29,7 +28,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     out.extend(d1::run(&cx));
     out.extend(c1::run(&cx, &reaches));
     out.extend(h1::run(&cx));
-    out.extend(s1::run(&cx));
     out.extend(f1::run(&cx));
     out.extend(k1::run(&cx));
     out.extend(p1::run(&cx));

@@ -30,7 +30,7 @@
 
 use crate::ast::{self, Block, Expr, ExprKind};
 use crate::context::{near, Context, MarkedLines};
-use crate::diag::{Diagnostic, Rule};
+use hacc_telem::diag::{Diagnostic, Rule};
 
 /// Methods that allocate on (or grow) the heap.
 const ALLOC_METHODS: [&str; 8] = [

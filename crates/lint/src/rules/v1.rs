@@ -40,7 +40,7 @@ use crate::ast::{self, Block, Expr, ExprKind};
 use crate::callgraph::{CallGraph, FnId};
 use crate::cfg::{is_literal, lower_fn, render_expr, FnCfg};
 use crate::context::{near, Context, MarkedLines};
-use crate::diag::{Diagnostic, Rule, WitnessStep};
+use hacc_telem::diag::{Diagnostic, Rule, WitnessStep};
 
 /// The scope kind a function is checked under.
 #[derive(Clone, Copy, PartialEq)]

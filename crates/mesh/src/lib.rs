@@ -19,6 +19,8 @@
 //! kernel `erfc(r/2r_s) + (r/(r_s √π)) exp(-r²/4r_s²)` so that
 //! PM + short-range ≈ Newton on all resolved scales.
 
+#![forbid(unsafe_code)]
+
 pub mod cic;
 pub mod pm;
 pub mod poisson;

@@ -26,6 +26,8 @@
 //! assert!(sums.iter().all(|&s| s == 10.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod comm;
 mod mailbox;
 pub mod smoke;

@@ -19,6 +19,8 @@
 //!
 //! See DESIGN.md § "Dependency policy: hermetic builds via `hacc-rt`".
 
+#![forbid(unsafe_code)]
+
 pub mod prop;
 pub mod rng;
 pub mod sched;

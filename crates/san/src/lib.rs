@@ -23,12 +23,15 @@
 //!   edges, called from `hacc_rt::sync` and the `hacc-ranks` transport.
 //! * [`region`] / [`annotate_access`] — the shared-state annotation API
 //!   for ranks::comm, the driver's ghost buffers, and gpusim's tables.
-//! * [`SanReport`] — byte-stable findings report in the shared
-//!   `hacc-lint` diagnostic format (`file:line: [RULE] msg`), with
-//!   `san.allow` suppression via the same [`AllowList`] grammar.
+//! * [`SanReport`] — byte-stable findings report in the finding format
+//!   `hacc-telem` defines and `hacc-lint` shares (`file:line: [RULE]
+//!   msg`), with `san.allow` suppression via the same [`AllowList`]
+//!   grammar.
 //!
 //! Findings use rules R1 (race), Q1 (collective divergence), W1
 //! (deadlock/stall), M1 (p2p payload mismatch) from the shared catalog.
+
+#![forbid(unsafe_code)]
 
 use std::cell::RefCell;
 use std::panic::Location;
@@ -40,7 +43,8 @@ pub mod report;
 pub mod session;
 
 pub use clock::VectorClock;
-pub use hacc_lint::{AllowList, Diagnostic, Rule};
+pub use hacc_telem::diag::render_json;
+pub use hacc_telem::{find_workspace_root, AllowList, Diagnostic, Rule};
 pub use registry::{region, RegionId};
 pub use report::SanReport;
 pub use session::{Access, SanSession};

@@ -9,8 +9,8 @@
 
 use std::fmt::Write as _;
 
-use hacc_lint::diag::normalize;
-use hacc_lint::{AllowList, Diagnostic};
+use hacc_telem::diag::normalize;
+use hacc_telem::{AllowList, Diagnostic};
 
 /// Outcome of one sanitized world.
 #[derive(Debug, Clone)]
@@ -82,7 +82,7 @@ impl SanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hacc_lint::Rule;
+    use hacc_telem::Rule;
 
     fn report_with(findings: Vec<Diagnostic>) -> SanReport {
         SanReport {

@@ -29,8 +29,8 @@ use std::panic::Location;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hacc_lint::diag::normalize;
-use hacc_lint::{Diagnostic, Rule};
+use hacc_telem::diag::normalize;
+use hacc_telem::{Diagnostic, Rule};
 
 use crate::clock::VectorClock;
 use crate::registry::{region_name, RegionId};
@@ -175,11 +175,6 @@ impl SanSession {
                 message,
             });
         }
-    }
-
-    /// Whether any findings have been recorded so far.
-    pub fn has_findings(&self) -> bool {
-        !self.lock().findings.is_empty()
     }
 
     // ------------------------------------------------------------ race --

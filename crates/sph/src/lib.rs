@@ -33,6 +33,8 @@
 //!   the force gradient (they are subdominant and do not affect the
 //!   conservation proofs, which rely only on pair antisymmetry).
 
+#![forbid(unsafe_code)]
+
 pub mod crk;
 pub mod eos;
 pub mod hydro;

@@ -6,7 +6,7 @@
 //! 10⁵¹ erg per ~100 M_sun of stars formed, metal yield ~2% of the
 //! stellar mass, and ~10% mass return.
 
-use hacc_units::constants::{GYR_S, M_SUN_G};
+use hacc_units::constants::M_SUN_G;
 
 /// Supernova feedback parameters.
 #[derive(Debug, Clone, Copy)]
@@ -18,8 +18,6 @@ pub struct SupernovaModel {
     pub metal_yield: f64,
     /// Gas mass returned per stellar mass formed.
     pub mass_return: f64,
-    /// Delay between star formation and the energy dump, in Gyr.
-    pub delay_gyr: f64,
 }
 
 impl SupernovaModel {
@@ -32,7 +30,6 @@ impl SupernovaModel {
             energy_per_mass: e,
             metal_yield: 0.02,
             mass_return: 0.10,
-            delay_gyr: 0.01,
         }
     }
 
@@ -73,11 +70,6 @@ impl SupernovaModel {
     /// a diagnostic for the expected temperature of heated gas.
     pub fn wind_velocity(&self) -> f64 {
         (2.0 * self.energy_per_mass).sqrt()
-    }
-
-    /// Converts the delay to seconds (diagnostics).
-    pub fn delay_seconds(&self) -> f64 {
-        self.delay_gyr * GYR_S
     }
 }
 

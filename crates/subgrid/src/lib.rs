@@ -23,6 +23,8 @@
 //! Units follow the simulation conventions: specific energies in
 //! `(km/s)²`, densities in comoving `(M_sun/h)/(Mpc/h)³`, rates per Gyr.
 
+#![forbid(unsafe_code)]
+
 pub mod cooling;
 pub mod feedback;
 pub mod starform;

@@ -34,6 +34,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod complex;
 pub mod dist;
 pub mod pencil;

@@ -14,7 +14,24 @@
 //! Entries that match no finding are reported after a run — a stale
 //! suppression is a smell worth surfacing.
 
+use std::path::{Path, PathBuf};
+
 use crate::diag::{Diagnostic, Rule};
+
+/// Walk upward from `start` to the manifest declaring `[workspace]` —
+/// the directory `lint.allow` and `san.allow` live in.
+pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
+    let mut dir = start.canonicalize().ok()?;
+    loop {
+        let manifest = dir.join("Cargo.toml");
+        if let Ok(text) = std::fs::read_to_string(&manifest) {
+            if text.contains("[workspace]") {
+                return Some(dir);
+            }
+        }
+        dir = dir.parent()?.to_path_buf();
+    }
+}
 
 /// One parsed suppression.
 #[derive(Debug, Clone)]
@@ -130,7 +147,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.len(), 1);
         assert!(a.suppresses(&diag("crates/x/src/a.rs", Rule::D1)));
-        assert!(!a.suppresses(&diag("crates/x/src/a.rs", Rule::S1)));
+        assert!(!a.suppresses(&diag("crates/x/src/a.rs", Rule::H1)));
         assert!(!a.suppresses(&diag("crates/x/src/b.rs", Rule::D1)));
         assert!(a.unused().is_empty());
     }

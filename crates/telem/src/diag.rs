@@ -1,5 +1,6 @@
 //! Diagnostics: the rule catalog, the finding record, and the text /
-//! JSON renderers behind `frontier-sim lint [--json]`.
+//! JSON renderers behind `hacc-lint [--json]` and a sanitized run's
+//! `sanitizer.txt` / `sanitizer.json`.
 
 /// The rule catalog. Codes are stable API: they appear in diagnostics,
 /// in `lint.allow` entries, and in CI logs.
@@ -15,8 +16,6 @@ pub enum Rule {
     /// Hermeticity: every manifest dependency must be a path/workspace
     /// reference; no `extern crate` / `use ::` escape hatches.
     H1,
-    /// Unsafe audit: every `unsafe` token needs a `// SAFETY:` comment.
-    S1,
     /// Fault-site coverage: every `FaultKind` variant must be injected by
     /// at least one production `fire(...)` call site.
     F1,
@@ -58,17 +57,15 @@ pub enum Rule {
     M1,
 }
 
-/// All rules, in report order. D1–C2 are the static rules (D1/H1/S1/F1
-/// scan tokens, K1/P1 walk the AST, C1/L1/E1/V1/C2 read the shared
-/// call graph — see `context`), and R1/Q1/W1/M1 are dynamic findings
-/// emitted by the `hacc-san`
-/// runtime sanitizer, which shares this catalog so `san.allow` and
-/// `lint.allow` speak one format.
-pub const RULES: [Rule; 15] = [
+/// All rules, in report order. D1–C2 are `hacc-lint`'s static rules
+/// (D1/H1/F1 scan tokens, K1/P1 walk the AST, C1/L1/E1/V1/C2 read the
+/// shared call graph of its `context`), and R1/Q1/W1/M1 are dynamic
+/// findings emitted by the `hacc-san` runtime sanitizer; one catalog, so
+/// `san.allow` and `lint.allow` speak one format.
+pub const RULES: [Rule; 14] = [
     Rule::D1,
     Rule::C1,
     Rule::H1,
-    Rule::S1,
     Rule::F1,
     Rule::K1,
     Rule::P1,
@@ -89,7 +86,6 @@ impl Rule {
             Rule::D1 => "D1",
             Rule::C1 => "C1",
             Rule::H1 => "H1",
-            Rule::S1 => "S1",
             Rule::F1 => "F1",
             Rule::K1 => "K1",
             Rule::P1 => "P1",
@@ -266,7 +262,7 @@ mod tests {
 
     #[test]
     fn normalize_sorts_and_dedups() {
-        let d = |f: &str, l: u32| Diagnostic::new(f, l, Rule::S1, "m");
+        let d = |f: &str, l: u32| Diagnostic::new(f, l, Rule::D1, "m");
         let out = normalize(vec![d("b.rs", 2), d("a.rs", 9), d("b.rs", 2)]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].file, "a.rs");
@@ -280,6 +276,7 @@ mod tests {
         assert!(j.contains("\\\"no\\\"\\n"));
         assert!(j.contains("\"suppressed\": 3"));
         assert!(!j.contains("codeFlow"), "no witness => no codeFlow key");
+        assert_eq!(json_escape("a\"b\\c\u{1}"), "a\\\"b\\\\c\\u0001");
     }
 
     #[test]

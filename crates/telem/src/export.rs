@@ -10,6 +10,7 @@
 use crate::counters::{
     CommCounters, FaultCounters, GpuKernelRow, IoCounters, COLLECTIVE_KINDS, FAULT_KINDS,
 };
+use crate::diag::json_escape;
 use crate::ledger::ConservationLedger;
 use crate::span::Span;
 use std::fmt::Write as _;
@@ -56,23 +57,6 @@ pub struct TelemetryReport {
     /// Golden: hacc-san's checks are deterministic for a fixed seed, so
     /// the summary is byte-identical run to run.
     pub sanitizer: Vec<String>,
-}
-
-/// Escape a string for a JSON literal (names are ASCII identifiers, but
-/// be safe).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl TelemetryReport {
@@ -345,11 +329,5 @@ mod tests {
         let txt = sample_report(false).text_report();
         assert!(txt.contains("1.500000000000e12"));
         assert!(txt.contains("512"));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\tend"), "tab\\u0009end");
     }
 }

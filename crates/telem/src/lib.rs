@@ -21,7 +21,13 @@
 //! * [`ledger`] — the per-step conservation ledger (particle count, mass,
 //!   momentum, kinetic + internal energy), reduced across ranks;
 //! * [`export`] — the Chrome-trace JSON exporter and the plain-text
-//!   per-rank/per-phase report with explicitly delimited golden sections.
+//!   per-rank/per-phase report with explicitly delimited golden sections;
+//! * [`diag`] / [`allow`] — the finding format the static analyser
+//!   (`hacc-lint`) and the runtime sanitizer (`hacc-san`) both speak:
+//!   the rule catalog, the `file:line: [RULE] message` record with its
+//!   text / JSON renderers, and the `lint.allow` / `san.allow`
+//!   suppression grammar. It lives here, in the dependency-free taxonomy
+//!   crate, so neither side has to depend on the other.
 //!
 //! # Determinism contract
 //!
@@ -34,15 +40,21 @@
 //! [`export::GOLDEN_END`], from a trailing non-golden wall-clock section.
 //! `scripts/verify.sh` lints both properties.
 
+#![forbid(unsafe_code)]
+
+pub mod allow;
 pub mod counters;
+pub mod diag;
 pub mod export;
 pub mod ledger;
 pub mod span;
 
+pub use allow::{find_workspace_root, AllowList};
 pub use counters::{
     CollectiveKind, CommCounters, FaultCounters, FaultKind, GpuKernelRow, IoCounters,
     COLLECTIVE_KINDS, FAULT_KINDS,
 };
+pub use diag::{Diagnostic, Rule};
 pub use export::{golden_section, RankTelemetry, TelemetryReport, GOLDEN_BEGIN, GOLDEN_END};
 pub use ledger::{ConservationLedger, LedgerRecord};
 pub use span::{Span, SpanId, Tracer};

@@ -246,15 +246,6 @@ impl ChainingMesh {
         total / domain
     }
 
-    /// Bin coordinates of a bin index (for diagnostics).
-    pub fn bin_coords(&self, bin: usize) -> [usize; 3] {
-        [
-            bin / (self.nbins[1] * self.nbins[2]),
-            (bin / self.nbins[2]) % self.nbins[1],
-            bin % self.nbins[2],
-        ]
-    }
-
     /// Origin of the binned domain.
     pub fn origin(&self) -> [f64; 3] {
         self.origin

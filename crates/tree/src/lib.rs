@@ -12,6 +12,8 @@
 //! This crate is purely geometric: it knows nothing about forces. The SPH
 //! and gravity crates consume [`ChainingMesh::interaction_pairs`].
 
+#![forbid(unsafe_code)]
+
 pub mod aabb;
 pub mod cmesh;
 pub mod kdtree;

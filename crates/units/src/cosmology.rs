@@ -45,23 +45,6 @@ impl CosmologyParams {
         }
     }
 
-    /// WMAP-7-like parameters used by several HACC heritage runs.
-    pub fn wmap7() -> Self {
-        let omega_m = 0.2648;
-        let omega_r = 8.6e-5;
-        Self {
-            omega_m,
-            omega_b: 0.0448,
-            omega_de: 1.0 - omega_m - omega_r,
-            omega_r,
-            h: 0.71,
-            n_s: 0.963,
-            sigma8: 0.8,
-            w0: -1.0,
-            wa: 0.0,
-        }
-    }
-
     /// An Einstein–de Sitter universe (useful for analytic tests:
     /// `D(a) = a` exactly).
     pub fn einstein_de_sitter() -> Self {

@@ -26,6 +26,8 @@
 //! assert!(d_half > 0.4 && d_half < 0.8);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod constants;
 pub mod cosmology;
 pub mod interp;

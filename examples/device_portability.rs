@@ -1,58 +1,14 @@
-//! Weak/strong scaling study (Fig. 4) plus the warp-splitting and
-//! device-portability measurements, as a runnable program.
+//! The warp-split short-range kernel across device vendors (Fig. 6
+//! left, via the execution model), as a runnable program.
 //!
 //! ```sh
-//! cargo run --release --example scaling_study
+//! cargo run --release --example device_portability
 //! ```
 
-use frontier_sim::core::scaling::{
-    extrapolate_rate, frontier_per_rank_rate, oversubscription, strong_scaling, weak_scaling,
-};
-use frontier_sim::core::{Physics, SimConfig};
 use frontier_sim::gpusim::{DeviceSpec, ExecMode, ExecutionModel};
 
 fn main() {
-    let mut base = SimConfig::small(8);
-    base.physics = Physics::GravityOnly;
-    base.pm_steps = 1;
-    base.max_rung = 0;
-    base.analysis_every = 0;
-    base.checkpoint_every = 0;
-
-    let ranks = [1usize, 2, 4];
-    println!("== weak scaling (per-rank load fixed) ==");
-    println!("   core oversubscription at {} ranks: {:.0}x", ranks[2], oversubscription(ranks[2]));
-    for p in weak_scaling(&base, 8, &ranks) {
-        println!(
-            "  ranks {:>2}: {:>8} particles, {:>8.3} s solver, {:.2e} p/s, raw {:>4.0}%, core-adj {:>4.0}%",
-            p.ranks,
-            p.particles,
-            p.solver_seconds,
-            p.particles_per_second,
-            p.efficiency * 100.0,
-            p.adjusted_efficiency * 100.0
-        );
-    }
-
-    println!("\n== strong scaling (total problem fixed) ==");
-    for p in strong_scaling(&base, 12, &ranks) {
-        println!(
-            "  ranks {:>2}: {:>8.3} s solver, raw {:>4.0}%, core-adj {:>4.0}%",
-            p.ranks,
-            p.solver_seconds,
-            p.efficiency * 100.0,
-            p.adjusted_efficiency * 100.0
-        );
-    }
-
-    println!("\n== machine extrapolation ==");
-    println!(
-        "  paper inputs -> {:.3e} particles/s (headline: 4.66e10)",
-        extrapolate_rate(frontier_per_rank_rate(), 72_000, 0.95)
-    );
-
-    // Device portability snapshot (Fig. 6 left, via the execution model).
-    println!("\n== warp-split kernel across vendors ==");
+    println!("== warp-split kernel across vendors ==");
     let cloud = hacc_bench_cloud(12_000, 23.0);
     for dev in DeviceSpec::catalog() {
         let counters = sph_counters(&cloud, 23.0, dev, ExecMode::WarpSplit);

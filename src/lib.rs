@@ -7,10 +7,11 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every table and figure.
 
+#![forbid(unsafe_code)]
+
 pub use hacc_analysis as analysis;
 pub use hacc_core as core;
 pub use hacc_fault as fault;
-pub use hacc_lint as lint;
 pub use hacc_gpusim as gpusim;
 pub use hacc_grav as grav;
 pub use hacc_iosim as iosim;

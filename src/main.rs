@@ -5,12 +5,11 @@
 //!                    [--zi Z] [--zf Z] [--seed S] [--out DIR] [--flat] [--resume]
 //!                    [--telemetry DIR] [--chaos SPEC] [--sanitize] [--backend B]
 //! frontier-sim ranks [--ranks R] [--rounds K] [--seed S] [--backend B] [--sanitize]
-//! frontier-sim scaling [--ranks-max R]
-//! frontier-sim lint  [--root DIR] [--allow FILE] [--json]
 //! frontier-sim info
 //! ```
 
-use frontier_sim::core::scaling::{strong_scaling, weak_scaling};
+#![forbid(unsafe_code)]
+
 use frontier_sim::core::driver::chaos_plan;
 use frontier_sim::core::{resume_simulation, run_simulation, Physics, SimConfig};
 use frontier_sim::ranks::{smoke, Backend, World};
@@ -20,12 +19,10 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("ranks") => cmd_ranks(&args[1..]),
-        Some("scaling") => cmd_scaling(&args[1..]),
-        Some("lint") => std::process::exit(frontier_sim::lint::cli_main(&args[1..])),
         Some("info") => cmd_info(),
         _ => {
             eprintln!(
-                "usage: frontier-sim <run|ranks|scaling|lint|info> [options]\n\
+                "usage: frontier-sim <run|ranks|info> [options]\n\
                  \n\
                  run options:\n\
                  \x20 --np N          particles per dimension per species (default 12)\n\
@@ -57,16 +54,7 @@ fn main() {
                  \x20 --seed S        workload seed (default 2026)\n\
                  \x20 --backend B     coop (default) | threads\n\
                  \x20 --sanitize      run under hacc-san; output is deterministic and\n\
-                 \x20                 byte-comparable across repeated invocations\n\
-                 \n\
-                 scaling options:\n\
-                 \x20 --ranks-max R   largest rank count in the sweep (default 4)\n\
-                 \n\
-                 lint options:\n\
-                 \x20 --root DIR      workspace to lint (default: walk up from cwd)\n\
-                 \x20 --allow FILE    suppression file (default: <root>/lint.allow)\n\
-                 \x20 --json          machine-readable findings on stdout\n\
-                 \x20 --strict        also fail on stale lint.allow entries"
+                 \x20                 byte-comparable across repeated invocations"
             );
             std::process::exit(2);
         }
@@ -254,11 +242,11 @@ fn cmd_run(args: &[String]) {
     // anything renders, so the console summary, the telemetry golden
     // lines, and sanitizer.txt all agree on the suppressed count.
     if let Some(san) = &mut report.sanitizer {
-        let root = frontier_sim::lint::find_workspace_root(std::path::Path::new("."));
+        let root = frontier_sim::san::find_workspace_root(std::path::Path::new("."));
         let allow_path = root.map(|r| r.join("san.allow"));
         if let Some(path) = allow_path.filter(|p| p.is_file()) {
             let text = std::fs::read_to_string(&path).expect("read san.allow");
-            let mut allow = frontier_sim::lint::AllowList::parse(&text, &path.to_string_lossy())
+            let mut allow = frontier_sim::san::AllowList::parse(&text, &path.to_string_lossy())
                 .unwrap_or_else(|e| {
                     eprintln!("san.allow: {e}");
                     std::process::exit(2);
@@ -286,7 +274,7 @@ fn cmd_run(args: &[String]) {
                 .expect("write sanitizer.txt");
             std::fs::write(
                 dir.join("sanitizer.json"),
-                frontier_sim::lint::diag::render_json(&san.findings, san.suppressed),
+                frontier_sim::san::render_json(&san.findings, san.suppressed),
             )
             .expect("write sanitizer.json");
             println!(
@@ -383,42 +371,6 @@ fn cmd_run(args: &[String]) {
         if !san.is_clean() {
             std::process::exit(1);
         }
-    }
-}
-
-fn cmd_scaling(args: &[String]) {
-    reject_unknown(args, "--ranks-max", "");
-    let rmax: usize = parse_opt(args, "--ranks-max", 4);
-    let mut ranks = vec![1usize];
-    while *ranks.last().unwrap() * 2 <= rmax {
-        ranks.push(ranks.last().unwrap() * 2);
-    }
-    let mut base = SimConfig::small(8);
-    base.physics = Physics::GravityOnly;
-    base.pm_steps = 1;
-    base.max_rung = 0;
-    base.analysis_every = 0;
-    base.checkpoint_every = 0;
-
-    println!("weak scaling:");
-    for p in weak_scaling(&base, 8, &ranks) {
-        println!(
-            "  ranks {:>3}: {:.2e} p/s, raw {:>4.0}%, core-adjusted {:>4.0}%",
-            p.ranks,
-            p.particles_per_second,
-            p.efficiency * 100.0,
-            p.adjusted_efficiency * 100.0
-        );
-    }
-    println!("strong scaling:");
-    for p in strong_scaling(&base, 12, &ranks) {
-        println!(
-            "  ranks {:>3}: {:.3} s solver, raw {:>4.0}%, core-adjusted {:>4.0}%",
-            p.ranks,
-            p.solver_seconds,
-            p.efficiency * 100.0,
-            p.adjusted_efficiency * 100.0
-        );
     }
 }
 

@@ -73,9 +73,20 @@ fn rank_counts_the_box_cannot_hold_are_refused_before_any_world_starts() {
 
 #[test]
 fn misspelt_option_is_rejected_not_ignored() {
-    for sub in ["run", "ranks", "scaling"] {
+    for sub in ["run", "ranks"] {
         let (code, stderr) = frontier_sim(&[sub, "--bogus", "3"]);
         assert_eq!(code, Some(2), "{sub}: {stderr}");
         assert_eq!(stderr, "unknown option --bogus\n", "{sub}");
+    }
+}
+
+#[test]
+fn lint_and_scaling_are_not_subcommands() {
+    // The linter is the `hacc-lint` binary; the scaling sweep is the
+    // `fig4_scaling` bench.
+    for sub in ["lint", "scaling"] {
+        let (code, stderr) = frontier_sim(&[sub]);
+        assert_eq!(code, Some(2), "{sub}: {stderr}");
+        assert!(stderr.starts_with("usage: frontier-sim <run|ranks|info>"), "{sub}: {stderr}");
     }
 }

@@ -45,7 +45,7 @@ fn seeded_unordered_writes_are_caught_as_r1() {
     let races: Vec<_> = report
         .findings
         .iter()
-        .filter(|d| d.rule == frontier_sim::lint::Rule::R1)
+        .filter(|d| d.rule == san::Rule::R1)
         .collect();
     assert_eq!(races.len(), 1, "{}", report.render_text());
     assert!(
@@ -73,7 +73,7 @@ fn seeded_skipped_barrier_is_caught_as_w1_cycle() {
     let cycles: Vec<_> = report
         .findings
         .iter()
-        .filter(|d| d.rule == frontier_sim::lint::Rule::W1)
+        .filter(|d| d.rule == san::Rule::W1)
         .collect();
     assert_eq!(cycles.len(), 1, "{}", report.render_text());
     assert!(cycles[0].message.contains("rank 0 waits on rank 1"));
@@ -96,7 +96,7 @@ fn seeded_payload_mismatch_is_caught_as_m1() {
         report
             .findings
             .iter()
-            .any(|d| d.rule == frontier_sim::lint::Rule::M1),
+            .any(|d| d.rule == san::Rule::M1),
         "{}",
         report.render_text()
     );
@@ -126,7 +126,7 @@ fn seeded_r1_caught_on_both_backends() {
             report
                 .findings
                 .iter()
-                .filter(|d| d.rule == frontier_sim::lint::Rule::R1)
+                .filter(|d| d.rule == san::Rule::R1)
                 .count(),
             1,
             "{:?}:\n{}",
@@ -153,7 +153,7 @@ fn seeded_w1_deadlock_caught_on_both_backends() {
             report
                 .findings
                 .iter()
-                .any(|d| d.rule == frontier_sim::lint::Rule::W1),
+                .any(|d| d.rule == san::Rule::W1),
             "{:?}:\n{}",
             backend,
             report.render_text()
@@ -178,7 +178,7 @@ fn seeded_m1_mismatch_caught_on_both_backends() {
             report
                 .findings
                 .iter()
-                .any(|d| d.rule == frontier_sim::lint::Rule::M1),
+                .any(|d| d.rule == san::Rule::M1),
             "{:?}:\n{}",
             backend,
             report.render_text()
@@ -210,7 +210,7 @@ fn multiplexed_deadlock_is_diagnosed_not_hung() {
     let w1: Vec<_> = report
         .findings
         .iter()
-        .filter(|d| d.rule == frontier_sim::lint::Rule::W1)
+        .filter(|d| d.rule == san::Rule::W1)
         .collect();
     assert_eq!(w1.len(), 1, "{}", report.render_text());
     assert!(

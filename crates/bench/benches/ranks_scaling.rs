@@ -1,7 +1,7 @@
 //! Fig. 4 companion — *measured* weak scaling of the cooperative rank
 //! scheduler at 64/256/1024 multiplexed ranks.
 //!
-//! `fig4_scaling` sweeps the full driver at 1–8 thread-backed ranks and
+//! `fig4_scaling` sweeps the full driver at 1–8 ranks and
 //! extrapolates; this target measures the communication runtime itself
 //! at world sizes that oversubscribe the host by orders of magnitude,
 //! which the cooperative executor in `hacc_rt::sched` makes possible.
@@ -29,7 +29,7 @@
 //! efficiency on a shared CI box is informational, not ratcheted.
 
 use hacc_bench::{baseline, compare, print_table};
-use hacc_ranks::{smoke::mix, Backend, Comm, World};
+use hacc_ranks::{smoke::mix, Comm, World};
 
 /// World sizes for the weak-scaling sweep; 64 is the base point.
 const SIZES: [usize; 3] = [64, 256, 1024];
@@ -70,7 +70,7 @@ fn measure(n: usize, rounds: usize, reps: usize) -> f64 {
     for rep in 0..reps {
         let seed = 0xF1_64u64 ^ (n as u64) ^ ((rep as u64) << 32);
         let t0 = std::time::Instant::now();
-        World::run_with(Backend::Cooperative, n, move |c| {
+        World::run(n, move |c| {
             for round in 0..rounds as u64 {
                 weak_round(c, seed, round);
             }

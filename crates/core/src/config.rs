@@ -80,14 +80,8 @@ pub struct SimConfig {
     ///
     /// [`SimReport`]: crate::driver::SimReport
     pub sanitize: bool,
-    /// Rank execution backend (the `--backend` flag), the one selector.
-    /// `None` is cooperative multiplexing. Pin
-    /// [`Backend::Threads`] for wall-clock phase timings: under the
-    /// cooperative scheduler, time a rank spends parked on communication
-    /// is charged to the blocking phase, which inflates comm-heavy
-    /// phases when ranks oversubscribe the host cores.
-    ///
-    /// [`Backend::Threads`]: hacc_ranks::Backend::Threads
+    /// Read by nothing; kept for the pinned benchmark (see
+    /// [`hacc_ranks::Backend`]).
     pub backend: Option<hacc_ranks::Backend>,
 }
 
@@ -161,9 +155,9 @@ impl SimConfig {
         }
     }
 
-    /// Resolved rank backend: [`Self::backend`], else cooperative.
+    /// Kept for the pinned benchmark (see [`hacc_ranks::Backend`]).
     pub fn rank_backend(&self) -> hacc_ranks::Backend {
-        self.backend.unwrap_or(hacc_ranks::Backend::Cooperative)
+        hacc_ranks::Backend::Cooperative
     }
 
     /// PM cell size, Mpc/h.

@@ -359,10 +359,9 @@ fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> Si
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if !cfg.sanitize {
-                return (World::run_with(cfg.rank_backend(), n_ranks, body), None);
+                return (World::run(n_ranks, body), None);
             }
-            let (outputs, report) =
-                World::run_sanitized_with(cfg.rank_backend(), n_ranks, body);
+            let (outputs, report) = World::run_sanitized(n_ranks, body);
             let outputs = outputs.unwrap_or_else(|| {
                 panic!("sanitizer aborted the run:\n{}", report.render_text())
             });
@@ -1427,13 +1426,8 @@ mod tests {
     #[test]
     fn short_range_dominates_runtime() {
         // The Fig. 2 structural claim at miniature scale: the short-range
-        // solver is the largest phase. Wall-clock phase timers need the
-        // un-multiplexed reference backend: under cooperative scheduling
-        // a rank's comm-wait time is charged to the blocking phase,
-        // which inflates the comm-heavy long-range solve when ranks
-        // oversubscribe the host cores.
-        let mut cfg = quick_cfg(10, Physics::Hydro);
-        cfg.backend = Some(hacc_ranks::Backend::Threads);
+        // solver is the largest phase.
+        let cfg = quick_cfg(10, Physics::Hydro);
         let report = run_simulation(&cfg, 2);
         let sr = report.timers.get(Phase::ShortRange);
         for p in PHASES {

@@ -575,7 +575,7 @@ mod tests {
         let local_dir = cfg.local_dir.clone();
         let mut w = TieredWriter::new(cfg).unwrap();
         let task = hacc_rt::sched::Scheduler::new(1).register();
-        task.run(|| {
+        task.run(|_| {
             for step in 0..8 {
                 w.write_checkpoint(step, &payload(16), 0.2, 1.0).unwrap();
             }

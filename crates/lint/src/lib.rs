@@ -18,7 +18,7 @@
 //!
 //! | rule | reads | class |
 //! |------|-------|-------|
-//! | D1   | tokens           | hash-ordered iteration in golden paths; stray wall-clock/env reads and thread creation |
+//! | D1   | tokens           | hash-ordered iteration in golden paths; stray wall-clock reads (timed waits included), env reads and thread creation |
 //! | C1   | AST + call graph | collectives under rank-dependent guards (SPMD deadlock)        |
 //! | H1   | tokens + manifests | non-path dependencies, `extern crate`, `use ::` escapes      |
 //! | F1   | tokens           | `FaultKind` variants no production site can inject             |

@@ -17,7 +17,11 @@
 //!    pure function of the seed. Only the `crates/bench` harness may
 //!    read clocks; anything else — the span tracer, the one
 //!    wall-duration authority of a run, included — needs a reviewed
-//!    `lint.allow` entry.
+//!    `lint.allow` entry. A timed wait (`wait_timeout`, `park_timeout`,
+//!    `recv_timeout`, `thread::sleep`) is a clock read in disguise —
+//!    what the code does next depends on how long something took — and
+//!    is flagged the same way: a blocking point parks on the scheduler
+//!    and is woken by an event or a quiescence proof.
 //!
 //! 3. **Environment reads outside the two env owners.** `std::env::var`
 //!    (and `var_os` / `vars` / `option_env!`) is ambient configuration:
@@ -52,6 +56,9 @@ const GOLDEN_SCOPES: [&str; 3] = [
 
 /// Modules blessed to read wall clocks.
 const CLOCK_ALLOWED: [&str; 1] = ["crates/bench/"];
+
+/// Calls that wait on the wall clock.
+const TIMED_WAITS: [&str; 3] = ["wait_timeout", "park_timeout", "recv_timeout"];
 
 /// Modules that may create OS threads: the rank host, the bleeder host,
 /// and the bench harness.
@@ -157,13 +164,20 @@ fn env_reads(f: &SourceFile, toks: &[&Token], out: &mut Vec<Diagnostic>) {
 }
 
 fn wall_clock(f: &SourceFile, toks: &[&Token], out: &mut Vec<Diagnostic>) {
+    const TIMED: &str = "a timed wait is a clock read in disguise — park on the \
+                         scheduler and be woken by an event";
     for (i, t) in toks.iter().enumerate() {
-        let message = if t.is_ident("SystemTime") && !t.in_test {
-            "`SystemTime` outside the blessed timer module (crates/bench): wall \
-             time must not reach deterministic state"
+        let (what, advice) = if t.is_ident("SystemTime") && !t.in_test {
+            ("SystemTime", "wall time must not reach deterministic state")
         } else if path_tail(toks, i, "Instant") == Some("now") {
-            "`Instant::now` outside the blessed timer module (crates/bench): \
-             route timing through the span tracer"
+            ("Instant::now", "route timing through the span tracer")
+        } else if path_tail(toks, i, "thread") == Some("sleep") {
+            ("thread::sleep", TIMED)
+        } else if TIMED_WAITS.iter().any(|w| t.is_ident(w))
+            && !t.in_test
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+        {
+            (t.text.as_str(), TIMED)
         } else {
             continue;
         };
@@ -171,7 +185,9 @@ fn wall_clock(f: &SourceFile, toks: &[&Token], out: &mut Vec<Diagnostic>) {
             file: f.rel.clone(),
             line: t.line,
             rule: Rule::D1,
-            message: message.into(),
+            message: format!(
+                "`{what}` outside the blessed timer module (crates/bench): {advice}"
+            ),
         });
     }
 }

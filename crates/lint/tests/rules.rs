@@ -91,6 +91,31 @@ fn d1_wall_clock_is_allowed_in_blessed_modules_and_tests() {
 }
 
 #[test]
+fn d1_timed_wait_is_a_clock_read_in_disguise() {
+    // The shape of the deleted wall-clock deadlock scan, and its kin.
+    let ws = Workspace::from_sources(&[
+        (
+            "crates/ranks/src/mailbox.rs",
+            "pub fn nap(cv: &Cv, g: Guard, rx: &Rx) {\n\
+                 let _ = cv.wait_timeout(g, TICK);\n\
+                 std::thread::park_timeout(TICK);\n\
+                 let _ = rx.recv_timeout(TICK);\n\
+                 std::thread::sleep(TICK);\n\
+                 let wait_timeout = 3; // a name, not a call\n\
+             }\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { std::thread::sleep(TICK); }\n}",
+        ),
+        ("crates/bench/benches/b.rs", "pub fn t() { std::thread::sleep(TICK); }"),
+    ]);
+    let hits = findings(&ws, Rule::D1);
+    let calls = ["wait_timeout", "park_timeout", "recv_timeout", "thread::sleep"];
+    assert_eq!(hits.len(), calls.len(), "{hits:?}");
+    for (hit, what) in hits.iter().zip(calls) {
+        assert!(hit.contains(what) && hit.contains("clock read in disguise"), "{hits:?}");
+    }
+}
+
+#[test]
 fn d1_thread_creation_outside_the_thread_owners_fires() {
     // The shape of the deleted parallel-for: scoped workers beside the
     // lane-gated ranks, plus the detached and Builder forms.

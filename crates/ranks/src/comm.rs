@@ -1,38 +1,32 @@
 //! Point-to-point messaging and collectives over scheduled rank tasks.
 //!
-//! Worlds run on one of two backends (see [`Backend`]):
+//! Every rank is a task on the bounded executor in `hacc_rt::sched`. A
+//! rank whose mailbox holds nothing for its `recv` parks its task and
+//! releases its run lane to another rank, so 256–4096-rank worlds
+//! multiplex onto a handful of cores. The scheduler's exact quiescence
+//! detection turns "every live rank is parked" into a deterministic
+//! deadlock diagnosis with zero wall-clock heuristics.
 //!
-//! * **Cooperative** (default): every rank is a task on the bounded
-//!   executor in `hacc_rt::sched`. A rank whose mailbox holds nothing
-//!   for its `recv` parks its task and releases its run lane to another
-//!   rank, so 256–4096-rank worlds multiplex onto a handful of cores. The
-//!   scheduler's exact quiescence detection turns "every live rank is
-//!   parked" into a deterministic deadlock diagnosis with zero
-//!   wall-clock heuristics.
-//! * **Threads** (reference): one free-running OS thread per rank, the
-//!   original execution model, kept as the semantic oracle the
-//!   cooperative backend is bitwise-compared against.
-//!
-//! Rank-visible results are backend-independent: a message is matched on
-//! `(src, tag)` in the receiver's mailbox (`mailbox.rs`) in per-pair FIFO
-//! order and every collective reduces in rank order, so the interleaving
-//! freedom the scheduler introduces never reaches user code.
+//! Rank-visible results are scheduling-independent: a message is matched
+//! on `(src, tag)` in the receiver's mailbox (`mailbox.rs`) in per-pair
+//! FIFO order and every collective reduces in rank order, so the
+//! interleaving freedom the scheduler introduces never reaches user code.
 //!
 //! When a world runs under [`World::run_sanitized`] (or `HACC_SAN=1`),
 //! every transport operation also feeds `hacc-san`'s dynamic checkers:
 //! collectives are ledger-matched across ranks (Q1), blocking receives
-//! register in the wait-for graph so deadlocks are reported instead of
-//! hanging (W1), and point-to-point matches validate the sender's
-//! declared payload type and size eagerly at match time (M1).
+//! register in the wait-for graph so a quiescent world is reported as
+//! the wait chain that stalled it (W1), and point-to-point matches
+//! validate the sender's declared payload type and size eagerly at match
+//! time (M1).
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::panic::Location;
 use std::sync::Arc;
-use std::time::Duration;
 
 use hacc_fault::FaultProbe;
-use hacc_rt::sched;
+use hacc_rt::sched::{default_lanes, CurrentTask, Scheduler};
 use hacc_san::{Rule, SanAbort, SanReport, SanSession};
 use hacc_telem::{CollectiveKind, CommCounters, FaultKind};
 
@@ -44,32 +38,24 @@ pub type Tag = u64;
 
 const COLLECTIVE_BIT: Tag = 1 << 63;
 
-/// Interval between deadlock-detector scans while a sanitized
-/// thread-backed receive is blocked. Three consecutive frozen scans
-/// confirm a finding, so a true deadlock resolves in well under a second
-/// instead of hanging the suite.
-const SAN_TICK: Duration = Duration::from_millis(100);
-
-/// Execution backend for a [`World`].
+/// Names the pinned repository benchmark compiles against
+/// (`crates/bench/src/bin/benchmark/`, frozen by `BENCHMARK.json`), kept
+/// for it alone: this enum, [`World::run_with`], and `hacc-core`'s
+/// `SimConfig::backend` / `rank_backend()`. They select nothing — there
+/// is one rank host — and go with the `benchmark` PR of ROADMAP item 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Ranks as cooperative tasks on the bounded executor
-    /// (`hacc_rt::sched`): blocked ranks park and release their run
-    /// lane, so world size is decoupled from core count. The default.
+    /// Ranks as tasks on `hacc_rt::sched` lanes.
     Cooperative,
-    /// One free-running OS thread per rank: the original execution
-    /// model, retained as the reference the cooperative backend is
-    /// bitwise-compared against.
-    Threads,
 }
 
 /// The SPMD entry point: runs the same closure on every rank of a
-/// simulated world (see [`Backend`] for the two execution models).
+/// simulated world, each rank a task on `hacc_rt::sched` lanes.
 pub struct World;
 
 impl World {
-    /// Run `f` on `n` cooperative ranks and return the per-rank results
-    /// in rank order.
+    /// Run `f` on `n` ranks and return the per-rank results in rank
+    /// order.
     ///
     /// Panics in any rank propagate (the join unwinds), mirroring an MPI
     /// abort. With `HACC_SAN=1` in the environment the world runs
@@ -80,19 +66,8 @@ impl World {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        Self::run_with(Backend::Cooperative, n, f)
-    }
-
-    /// [`run`](Self::run) on an explicit backend — the hook the
-    /// cross-backend agreement tests use to compare the cooperative
-    /// executor against the thread-per-rank reference in-process.
-    pub fn run_with<T, F>(backend: Backend, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
         if hacc_san::env_armed() {
-            let (results, mut report) = Self::run_sanitized_with(backend, n, f);
+            let (results, mut report) = Self::run_sanitized(n, f);
             let mut allow = hacc_san::env_allowlist();
             report.apply_allow(&mut allow);
             if !report.is_clean() {
@@ -104,47 +79,42 @@ impl World {
             return results
                 .expect("sanitizer aborted the world without an unsuppressed finding");
         }
-        Self::run_inner(backend, n, &f, None)
+        Self::run_inner(n, &f, None)
             .expect("unsanitized rank results are never swallowed")
+    }
+
+    /// [`run`](Self::run), for the pinned benchmark (see [`Backend`]).
+    pub fn run_with<T, F>(_: Backend, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&mut Comm) -> T + Sync,
+    {
+        Self::run(n, f)
     }
 
     /// Run `f` on `n` ranks with the full dynamic sanitizer armed.
     ///
     /// Returns the per-rank results — `None` when the sanitizer aborted
-    /// the world (confirmed deadlock or payload mismatch) — plus the
-    /// findings report. Unlike [`run`](Self::run), a sanitizer abort
-    /// does not unwind: the diagnosis lives in the report.
+    /// the world (deadlock or payload mismatch) — plus the findings
+    /// report. Unlike [`run`](Self::run), a sanitizer abort does not
+    /// unwind: the diagnosis lives in the report.
     pub fn run_sanitized<T, F>(n: usize, f: F) -> (Option<Vec<T>>, SanReport)
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        Self::run_sanitized_with(Backend::Cooperative, n, f)
-    }
-
-    /// [`run_sanitized`](Self::run_sanitized) on an explicit backend.
-    pub fn run_sanitized_with<T, F>(
-        backend: Backend,
-        n: usize,
-        f: F,
-    ) -> (Option<Vec<T>>, SanReport)
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
         let session = SanSession::new(n);
-        let results = Self::run_inner(backend, n, &f, Some(&session));
+        let results = Self::run_inner(n, &f, Some(&session));
         (results, session.finish())
     }
 
     /// One rank's whole life: build its communicator, run the user
     /// closure under `catch_unwind`, and on panic flag the abort on every
     /// peer's mailbox so blocked peers tear down instead of hanging.
-    /// Shared verbatim by both backends — the backend only decides *how*
-    /// the body is hosted, never what it does.
     fn rank_body<T, F>(
         rank: usize,
         mailboxes: Arc<Vec<Mailbox>>,
+        task: CurrentTask,
         f: &F,
         san: Option<&Arc<SanSession>>,
     ) -> Option<T>
@@ -157,14 +127,20 @@ impl World {
             rank,
             size: mailboxes.len(),
             mailboxes,
+            task,
             epoch: 0,
             counters: RefCell::new(CommCounters::default()),
             probe: None,
             delayed: RefCell::new(Vec::new()),
             san: san.map(Arc::clone),
         };
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let v = f(&mut comm);
+            // A message held by a `comm-delay` fault on the rank's last
+            // transport operation has no later operation to release it.
+            comm.flush_delayed();
+            v
+        }));
         if let Some(t) = tok {
             t.finish();
         }
@@ -194,12 +170,7 @@ impl World {
         }
     }
 
-    fn run_inner<T, F>(
-        backend: Backend,
-        n: usize,
-        f: &F,
-        san: Option<&Arc<SanSession>>,
-    ) -> Option<Vec<T>>
+    fn run_inner<T, F>(n: usize, f: &F, san: Option<&Arc<SanSession>>) -> Option<Vec<T>>
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
@@ -207,14 +178,10 @@ impl World {
         assert!(n > 0, "world size must be positive");
         let mailboxes: Arc<Vec<Mailbox>> = Arc::new((0..n).map(|_| Mailbox::new()).collect());
 
-        // Cooperative ranks are scheduler tasks, all registered before
-        // any thread starts so the quiescence accounting always sees the
-        // whole world; thread-backed ranks run their body bare.
-        let sched = (backend == Backend::Cooperative)
-            .then(|| sched::Scheduler::new(sched::default_lanes()));
-        let tasks: Vec<_> = (0..n)
-            .map(|_| sched.as_ref().map(sched::Scheduler::register))
-            .collect();
+        // Every rank is registered before any thread starts, so the
+        // quiescence accounting always sees the whole world.
+        let sched = Scheduler::new(default_lanes());
+        let tasks: Vec<_> = (0..n).map(|_| sched.register()).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = tasks
                 .into_iter()
@@ -222,11 +189,7 @@ impl World {
                 .map(|(rank, task)| {
                     let mailboxes = Arc::clone(&mailboxes);
                     scope.spawn(move || {
-                        let body = || Self::rank_body(rank, mailboxes, f, san);
-                        match task {
-                            Some(task) => task.run(body),
-                            None => body(),
-                        }
+                        task.run(|me| Self::rank_body(rank, mailboxes, me, f, san))
                     })
                 })
                 .collect();
@@ -253,6 +216,8 @@ pub struct Comm {
     size: usize,
     /// Every rank's mailbox, this rank's own at index `rank`.
     mailboxes: Arc<Vec<Mailbox>>,
+    /// The scheduler task this rank is; what a blocked receive parks.
+    task: CurrentTask,
     epoch: u64,
     counters: RefCell<CommCounters>,
     probe: Option<FaultProbe>,
@@ -294,9 +259,6 @@ impl Comm {
         self.counters
             .borrow_mut()
             .record_send(std::mem::size_of::<T>() as u64);
-        if let Some(s) = &self.san {
-            s.note_progress(self.rank);
-        }
         let frame = |payload: Box<dyn Any + Send>, marker| Envelope {
             src: self.rank,
             tag,
@@ -336,9 +298,9 @@ impl Comm {
     }
 
     /// Release any held (delayed) messages, oldest first. Called on every
-    /// transport touch so a delayed message is never outstanding past the
-    /// rank's next send or receive — the step loop's per-step collectives
-    /// guarantee prompt release.
+    /// transport touch and when the rank's closure returns, so a delayed
+    /// message is never outstanding past the rank's next send or receive
+    /// — the step loop's per-step collectives guarantee prompt release.
     fn flush_delayed(&self) {
         for (dst, env) in self.delayed.take() {
             self.mailboxes[dst].deliver(env);
@@ -375,9 +337,8 @@ impl Comm {
             };
             s.begin_wait(self.rank, src, detail, site);
         }
-        let tick = self.san.is_some().then_some(SAN_TICK);
         loop {
-            match self.mailboxes[self.rank].take((src, tag), tick) {
+            match self.mailboxes[self.rank].take((src, tag), &self.task) {
                 Taken::Matched { env, surplus_dups } => {
                     if let Some(probe) = &self.probe {
                         for _ in 0..surplus_dups {
@@ -401,37 +362,27 @@ impl Comm {
                      recv(src={src}, tag={tag})",
                     self.rank
                 ),
-                // A quiescence proof (never wall clock), so the W1 tick
-                // may treat non-transport parks as stalls; unsanitized,
+                // A quiescence proof, never wall clock: sanitized, the
+                // wait graph names the chain that stalled; unsanitized,
                 // the blocked rank panics deterministically instead of
-                // hanging and the abort flags tear the world down.
-                Taken::Quiescent => match &self.san {
-                    Some(s) => self.abort_if(s.deadlock_tick_quiescent(self.rank), src, tag),
+                // hanging. Either way the abort flags tear the world down.
+                Taken::Quiescent => {
+                    if let Some(s) = &self.san {
+                        s.report_deadlock(self.rank);
+                        std::panic::panic_any(SanAbort(format!(
+                            "rank {}: deadlock reported while waiting on \
+                             recv(src={src}, tag={tag})",
+                            self.rank
+                        )));
+                    }
                     // e1: allow: deterministic deadlock abort when the cooperative world is quiescent — failing loud is the point
-                    None => panic!(
+                    panic!(
                         "rank {}: deadlock — world quiescent (every rank \
                          parked) while waiting on recv(src={src}, tag={tag})",
                         self.rank
-                    ),
-                },
-                // A wall-clock guess (thread backend, sanitized only):
-                // the W1 tick must assume undeclared peers are runnable.
-                Taken::Tick => {
-                    if let Some(s) = &self.san {
-                        self.abort_if(s.deadlock_tick(self.rank), src, tag);
-                    }
+                    )
                 }
             }
-        }
-    }
-
-    fn abort_if(&self, deadlock_confirmed: bool, src: usize, tag: Tag) {
-        if deadlock_confirmed {
-            std::panic::panic_any(SanAbort(format!(
-                "rank {}: deadlock confirmed while waiting on \
-                 recv(src={src}, tag={tag})",
-                self.rank
-            )));
         }
     }
 
@@ -929,17 +880,15 @@ mod tests {
         // Ranks 1 and 2 wait on each other — both alive, neither key
         // ever sent. Rank 0's panic must still reach them: the abort
         // rouses a blocked owner whatever key it waits on.
-        for backend in [Backend::Cooperative, Backend::Threads] {
-            let result = quietly(|| {
-                std::panic::catch_unwind(|| {
-                    World::run_with(backend, 3, |c| match c.rank() {
-                        0 => panic!("simulated rank failure"),
-                        r => c.recv::<u64>(3 - r, 9),
-                    })
+        let result = quietly(|| {
+            std::panic::catch_unwind(|| {
+                World::run(3, |c| match c.rank() {
+                    0 => panic!("simulated rank failure"),
+                    r => c.recv::<u64>(3 - r, 9),
                 })
-            });
-            assert!(result.is_err(), "{backend:?}: world must propagate the failure");
-        }
+            })
+        });
+        assert!(result.is_err(), "world must propagate the failure");
     }
 
     #[test]
@@ -971,28 +920,30 @@ mod tests {
         assert_eq!(out, again);
     }
 
-    fn armed_world<T, F>(n: usize, spec: &str, steps: u64, f: F) -> Vec<T>
+    /// Per-rank results of `f` under the fault plan `spec`, and the
+    /// plan's ledger.
+    fn armed_world<T, F>(
+        n: usize,
+        spec: &str,
+        steps: u64,
+        f: F,
+    ) -> (Vec<T>, Arc<hacc_fault::FaultState>)
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        use std::sync::Arc;
         let plan = hacc_fault::FaultPlan::parse(spec, 0, steps, n).unwrap();
         let state = Arc::new(hacc_fault::FaultState::new(plan, n));
-        World::run(n, move |c| {
+        let out = World::run(n, |c| {
             c.arm_faults(hacc_fault::FaultProbe::new(Arc::clone(&state), c.rank()));
             f(c)
-        })
+        });
+        (out, state)
     }
 
     #[test]
     fn duplicated_message_is_delivered_exactly_once() {
-        use std::sync::Arc;
-        let plan = hacc_fault::FaultPlan::parse("comm-dup@0:0", 0, 1, 2).unwrap();
-        let state = Arc::new(hacc_fault::FaultState::new(plan, 2));
-        let st = Arc::clone(&state);
-        let out = World::run(2, move |c| {
-            c.arm_faults(hacc_fault::FaultProbe::new(Arc::clone(&st), c.rank()));
+        let (out, state) = armed_world(2, "comm-dup@0:0", 1, |c| {
             if c.rank() == 0 {
                 c.send(1, 4, 7u64); // duplicated on the wire
                 c.send(1, 4, 8u64);
@@ -1015,12 +966,7 @@ mod tests {
         // Collective tags are unique per epoch: after the broadcast
         // matched, nothing is ever received on its tag again, and rank 1
         // never receives anything else either.
-        use std::sync::Arc;
-        let plan = hacc_fault::FaultPlan::parse("comm-dup@0:0", 0, 1, 2).unwrap();
-        let state = Arc::new(hacc_fault::FaultState::new(plan, 2));
-        let st = Arc::clone(&state);
-        let out = World::run(2, move |c| {
-            c.arm_faults(hacc_fault::FaultProbe::new(Arc::clone(&st), c.rank()));
+        let (out, state) = armed_world(2, "comm-dup@0:0", 1, |c| {
             c.broadcast(0, 5u64)
         });
         assert_eq!(out, vec![5, 5]);
@@ -1030,12 +976,7 @@ mod tests {
 
     #[test]
     fn truncated_message_is_retransmitted() {
-        use std::sync::Arc;
-        let plan = hacc_fault::FaultPlan::parse("comm-trunc@0:1", 0, 1, 2).unwrap();
-        let state = Arc::new(hacc_fault::FaultState::new(plan, 2));
-        let st = Arc::clone(&state);
-        let out = World::run(2, move |c| {
-            c.arm_faults(hacc_fault::FaultProbe::new(Arc::clone(&st), c.rank()));
+        let (out, state) = armed_world(2, "comm-trunc@0:1", 1, |c| {
             if c.rank() == 1 {
                 c.send(0, 9, vec![1.5f64, 2.5]);
                 Vec::new()
@@ -1050,12 +991,7 @@ mod tests {
 
     #[test]
     fn delayed_message_is_released_in_order() {
-        use std::sync::Arc;
-        let plan = hacc_fault::FaultPlan::parse("comm-delay@0:0", 0, 1, 2).unwrap();
-        let state = Arc::new(hacc_fault::FaultState::new(plan, 2));
-        let st = Arc::clone(&state);
-        let out = World::run(2, move |c| {
-            c.arm_faults(hacc_fault::FaultProbe::new(Arc::clone(&st), c.rank()));
+        let (out, state) = armed_world(2, "comm-delay@0:0", 1, |c| {
             if c.rank() == 0 {
                 c.send(1, 2, 10u64); // held by the delay fault
                 c.send(1, 2, 20u64); // flushes the held message first
@@ -1072,11 +1008,28 @@ mod tests {
     }
 
     #[test]
+    fn delayed_last_send_is_released_when_the_rank_returns() {
+        // The held message is rank 0's last transport operation: nothing
+        // later flushes it, so the rank's return must.
+        let (out, state) = armed_world(2, "comm-delay@0:0", 1, |c| {
+            if c.rank() == 0 {
+                c.send(1, 2, 10u64); // held by the delay fault
+                0
+            } else {
+                c.recv::<u64>(0, 2)
+            }
+        });
+        assert_eq!(out[1], 10, "the held message arrives");
+        assert_eq!(state.counters_for(0).injected(FaultKind::CommDelay), 1);
+        assert_eq!(state.counters_for(0).recovered(FaultKind::CommDelay), 1);
+    }
+
+    #[test]
     fn faults_inside_collectives_are_transparent() {
         // The fault hooks live in send_raw/recv_raw, so collective-internal
         // traffic (all_to_allv is the production hot path) is subject to
         // them too — and must still produce correct results.
-        let out = armed_world(3, "comm-dup@0:1,comm-trunc@0:2,comm-delay@0:0", 1, |c| {
+        let (out, _) = armed_world(3, "comm-dup@0:1,comm-trunc@0:2,comm-delay@0:0", 1, |c| {
             let sends: Vec<Vec<usize>> =
                 (0..3).map(|d| vec![c.rank() * 100 + d]).collect();
             let recvd = c.all_to_allv(sends);

@@ -1,14 +1,13 @@
-//! Simulated MPI: thread-backed SPMD communicators.
+//! Simulated MPI: SPMD communicators over scheduled rank tasks.
 //!
 //! The Frontier-E run used ~72,000 MPI ranks (8 per node on 9,000 nodes).
 //! This crate reproduces the communication *semantics* CRK-HACC relies on —
 //! point-to-point sends with tags, barriers, reductions, gathers, and the
 //! all-to-all-v exchange used for particle overloading and FFT pencil
 //! transposes — with messages filed in one `(src, tag)`-matched mailbox
-//! per rank and ranks executed by a selectable [`Backend`]: cooperative tasks
-//! multiplexed onto a bounded worker pool (the default, scaling to
-//! thousands of ranks per host) or one OS thread per rank (the reference
-//! model the cooperative backend is bitwise-compared against).
+//! per rank and every rank a cooperative task multiplexed onto the run
+//! lanes of `hacc_rt::sched`, which scales to thousands of ranks per
+//! host.
 //!
 //! The programming model is SPMD, exactly like MPI: every rank executes the
 //! same function, and collectives must be entered by all ranks of the

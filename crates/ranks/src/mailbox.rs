@@ -5,16 +5,14 @@
 //! key it asks for, or waits. A delivery rouses the owner only when it
 //! lands on the key the owner is blocked on, so a rank waiting in one
 //! exchange is not woken by traffic of the next. The wait is the one
-//! place a rank blocks: a cooperative task parks (releasing its run
-//! lane, see `hacc_rt::sched`), a thread-backed rank sleeps on the
-//! condvar.
+//! place a rank blocks: its task parks, releasing its run lane (see
+//! `hacc_rt::sched`).
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use hacc_rt::sched::{self, ParkOutcome, Waiter};
+use hacc_rt::sched::{CurrentTask, ParkOutcome, Waiter};
 
 use crate::comm::Tag;
 
@@ -59,10 +57,9 @@ struct State {
     filed: BTreeMap<(usize, Tag, u64), Envelope>,
     /// Envelopes filed so far; the last arrival number handed out.
     arrivals: u64,
-    /// The key the owner is blocked on, with its task's waiter when the
-    /// owner is a cooperative task (`None`: a thread asleep on
-    /// `arrived`). Whoever rouses the owner takes it.
-    blocked: Option<(Key, Option<Waiter>)>,
+    /// The key the owner is parked on, with its task's waiter. Whoever
+    /// rouses the owner takes it.
+    blocked: Option<(Key, Waiter)>,
     /// The first peer that panicked; the world is being torn down.
     aborted_by: Option<usize>,
     /// Surplus duplicates dropped at landing, not yet ledgered by the
@@ -85,18 +82,13 @@ pub(crate) enum Taken {
     Matched { env: Envelope, surplus_dups: u64 },
     /// A peer panicked: the world is being torn down.
     Aborted(usize),
-    /// Cooperative owner: the scheduler proved every live task parked,
-    /// so nothing can ever satisfy this wait.
+    /// The scheduler proved every live task parked, so nothing can ever
+    /// satisfy this wait.
     Quiescent,
-    /// Thread-backed owner: `tick` of wall clock passed with nothing to
-    /// match — a guess, not a proof.
-    Tick,
 }
 
 pub(crate) struct Mailbox {
     state: Mutex<State>,
-    /// Where a thread-backed owner sleeps.
-    arrived: Condvar,
 }
 
 impl Mailbox {
@@ -109,7 +101,6 @@ impl Mailbox {
                 aborted_by: None,
                 surplus_dups: 0,
             }),
-            arrived: Condvar::new(),
         }
     }
 
@@ -138,7 +129,7 @@ impl Mailbox {
             _ => None,
         };
         drop(st);
-        self.rouse(owner);
+        Self::rouse(owner);
     }
 
     /// Rank `by` panicked: flag it and rouse the owner whatever key it
@@ -148,25 +139,22 @@ impl Mailbox {
         st.aborted_by.get_or_insert(by);
         let owner = st.blocked.take();
         drop(st);
-        self.rouse(owner);
+        Self::rouse(owner);
     }
 
     /// Called with the mailbox lock released, which keeps the lock order
     /// flat: the scheduler lock is never taken under a mailbox lock.
-    fn rouse(&self, owner: Option<(Key, Option<Waiter>)>) {
-        match owner {
-            Some((_, Some(task))) => task.wake(),
-            Some((_, None)) => self.arrived.notify_one(),
-            None => {}
+    fn rouse(owner: Option<(Key, Waiter)>) {
+        if let Some((_, task)) = owner {
+            task.wake();
         }
     }
 
     /// Pop the oldest envelope filed under `key`, waiting for one when
-    /// there is none. Only the owning rank calls this. `tick` bounds the
-    /// wait of a thread-backed owner; a cooperative owner parks until it
-    /// is roused or the scheduler proves the world quiescent, never on
-    /// wall clock.
-    pub(crate) fn take(&self, key: Key, tick: Option<Duration>) -> Taken {
+    /// there is none. Only the owning rank calls this, as `task`: it
+    /// parks until it is roused or the scheduler proves the world
+    /// quiescent, never on wall clock.
+    pub(crate) fn take(&self, key: Key, task: &CurrentTask) -> Taken {
         let mut st = self.lock();
         loop {
             if let Some(env) = st.oldest(key).and_then(|at| st.filed.remove(&at)) {
@@ -176,38 +164,14 @@ impl Mailbox {
             if let Some(by) = st.aborted_by {
                 return Taken::Aborted(by);
             }
-            match (sched::current(), tick) {
-                (Some(task), _) => {
-                    // Two-phase park: the waiter is registered under the
-                    // lock a sender needs, so its wake cannot be lost.
-                    st.blocked = Some((key, Some(task.prepare_park())));
-                    drop(st);
-                    if task.park() == ParkOutcome::Quiescent {
-                        return Taken::Quiescent;
-                    }
-                    st = self.lock();
-                }
-                (None, None) => {
-                    st.blocked = Some((key, None));
-                    st = self
-                        .arrived
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                (None, Some(tick)) => {
-                    st.blocked = Some((key, None));
-                    let (guard, wait) = self
-                        .arrived
-                        .wait_timeout(st, tick)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    st = guard;
-                    // Only a genuine timeout with nothing to act on is a
-                    // tick; a spurious wakeup re-enters the wait.
-                    if wait.timed_out() && st.oldest(key).is_none() && st.aborted_by.is_none() {
-                        return Taken::Tick;
-                    }
-                }
+            // Two-phase park: the waiter is registered under the lock a
+            // sender needs, so its wake cannot be lost.
+            st.blocked = Some((key, task.prepare_park()));
+            drop(st);
+            if task.park() == ParkOutcome::Quiescent {
+                return Taken::Quiescent;
             }
+            st = self.lock();
         }
     }
 }
@@ -251,10 +215,17 @@ mod tests {
         let sched = Scheduler::new(1);
         let mb = Mailbox::new();
         let (owner, sender) = (sched.register(), sched.register());
-        let got = std::thread::scope(|s| {
-            let owner = s.spawn(|| owner.run(|| matched(mb.take(A, None))));
+        std::thread::scope(|s| {
+            let owner = s.spawn(|| {
+                owner.run(|me| {
+                    assert_eq!(matched(mb.take(A, &me)), 1);
+                    // The other two stay filed under their keys.
+                    assert_eq!(matched(mb.take(A, &me)), 2);
+                    assert_eq!(matched(mb.take(B, &me)), 7);
+                })
+            });
             s.spawn(|| {
-                sender.run(|| {
+                sender.run(|_| {
                     assert!(owner_is_blocked(&mb));
                     mb.deliver(env(B, 7));
                     assert!(owner_is_blocked(&mb), "a foreign key woke the owner");
@@ -263,12 +234,8 @@ mod tests {
                     mb.deliver(env(A, 2)); // nobody left to rouse
                 })
             });
-            owner.join().unwrap()
+            owner.join().unwrap();
         });
-        assert_eq!(got, 1);
-        // The other two stay filed under their keys.
-        assert_eq!(matched(mb.take(A, None)), 2);
-        assert_eq!(matched(mb.take(B, None)), 7);
     }
 
     #[test]
@@ -280,19 +247,19 @@ mod tests {
         let (ha, hb) = (sched.register(), sched.register());
         std::thread::scope(|s| {
             let a = s.spawn(|| {
-                ha.run(|| {
+                ha.run(|me| {
                     let mut v = 0;
                     for _ in 0..50 {
                         boxes[1].deliver(env(A, v));
-                        v = matched(boxes[0].take(A, None));
+                        v = matched(boxes[0].take(A, &me));
                     }
                     v
                 })
             });
             let b = s.spawn(|| {
-                hb.run(|| {
+                hb.run(|me| {
                     for _ in 0..50 {
-                        let v = matched(boxes[1].take(A, None));
+                        let v = matched(boxes[1].take(A, &me));
                         boxes[0].deliver(env(A, v + 1));
                     }
                 })
@@ -304,40 +271,59 @@ mod tests {
 
     #[test]
     fn fifo_holds_per_key_under_interleaved_producers() {
+        // Producers are tasks too: an owner parked on an empty key is
+        // only provably stuck once every producer has finished.
+        let sched = Scheduler::new(4);
         let mb = Mailbox::new();
+        let owner = sched.register();
+        let producers: Vec<_> = (0..3).map(|_| sched.register()).collect();
         std::thread::scope(|s| {
-            for p in 0..3 {
+            for (p, task) in producers.into_iter().enumerate() {
                 let mb = &mb;
                 s.spawn(move || {
-                    for i in 0..1000 {
-                        mb.deliver(env((p, 5), i));
-                    }
+                    task.run(|_| {
+                        for i in 0..1000 {
+                            mb.deliver(env((p, 5), i));
+                        }
+                    })
                 });
             }
             // Round-robin over the keys while the producers still run.
-            for i in 0..1000 {
-                for p in 0..3 {
-                    assert_eq!(matched(mb.take((p, 5), None)), i, "producer {p}");
+            owner.run(|me| {
+                for i in 0..1000 {
+                    for p in 0..3 {
+                        assert_eq!(matched(mb.take((p, 5), &me)), i, "producer {p}");
+                    }
                 }
-            }
+            });
         });
         assert!(mb.lock().filed.is_empty());
     }
 
     #[test]
-    fn abort_releases_a_thread_blocked_on_the_condvar() {
+    fn abort_releases_a_parked_owner() {
+        // One lane, so the aborting task runs exactly while the owner
+        // is parked.
+        let sched = Scheduler::new(1);
         let mb = Mailbox::new();
+        let (owner, peer) = (sched.register(), sched.register());
         std::thread::scope(|s| {
-            let owner = s.spawn(|| mb.take(A, None));
-            while !owner_is_blocked(&mb) {
-                std::thread::yield_now();
-            }
-            mb.abort(3);
-            assert!(matches!(owner.join().unwrap(), Taken::Aborted(3)));
+            let owner = s.spawn(|| {
+                owner.run(|me| {
+                    assert!(matches!(mb.take(A, &me), Taken::Aborted(3)));
+                    // A message already filed still wins over the flag.
+                    mb.deliver(env(A, 9));
+                    assert_eq!(matched(mb.take(A, &me)), 9);
+                    assert!(matches!(mb.take(A, &me), Taken::Aborted(3)));
+                })
+            });
+            s.spawn(|| {
+                peer.run(|_| {
+                    assert!(owner_is_blocked(&mb));
+                    mb.abort(3);
+                })
+            });
+            owner.join().unwrap();
         });
-        // A message already filed still wins over the flag.
-        mb.deliver(env(A, 9));
-        assert_eq!(matched(mb.take(A, None)), 9);
-        assert!(matches!(mb.take(A, None), Taken::Aborted(3)));
     }
 }

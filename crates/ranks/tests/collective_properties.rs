@@ -1,12 +1,9 @@
 //! Property tests for the `Comm` collectives: every collective must match
 //! a single-threaded reference computed from the same per-rank inputs,
 //! across world sizes 1, 2, 4, and 8 (satellite of the telemetry PR's
-//! collective-semantics test tier). The property tests run on the
-//! default (cooperative) backend; the `backends_agree_*` tests below
-//! additionally pin bitwise agreement between the cooperative scheduler
-//! and the thread-per-rank reference model at multiplexed world sizes.
+//! collective-semantics test tier).
 
-use hacc_ranks::{Backend, Comm, World};
+use hacc_ranks::{Comm, World};
 use hacc_rt::prop::prelude::*;
 
 const SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -137,37 +134,4 @@ proptest! {
             prop_assert!(out.iter().all(|&v| v == sent));
         }
     }
-}
-
-/// Fixed-seed composite workload: every collective kind plus a p2p
-/// ring, with all payloads closed-form in `(seed, size, rank)`. Any
-/// scheduling-order dependence in a collective would show up as a
-/// digest difference between the two backends.
-fn assert_backends_agree(n: usize, rounds: usize) {
-    let seed = 0xC0_5C_EDu64 ^ n as u64;
-    let coop = World::run_with(Backend::Cooperative, n, |c: &mut Comm| {
-        hacc_ranks::smoke::smoke(c, seed, rounds)
-    });
-    let threads = World::run_with(Backend::Threads, n, |c: &mut Comm| {
-        hacc_ranks::smoke::smoke(c, seed, rounds)
-    });
-    assert_eq!(coop, threads, "backend digest divergence at n={n}");
-}
-
-#[test]
-fn backends_agree_at_64_ranks() {
-    assert_backends_agree(64, 2);
-}
-
-#[test]
-fn backends_agree_at_256_ranks() {
-    assert_backends_agree(256, 1);
-}
-
-/// 1024 thread-backed ranks are heavy in a debug build; the release
-/// scaling tier runs this with `-- --ignored`.
-#[test]
-#[ignore = "release-tier scale test (verify.sh tier 6)"]
-fn backends_agree_at_1024_ranks() {
-    assert_backends_agree(1024, 1);
 }

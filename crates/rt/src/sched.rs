@@ -1,13 +1,12 @@
 //! Cooperative rank scheduler: multiplex many SPMD rank tasks onto a
 //! bounded pool of run "lanes".
 //!
-//! The simulated-MPI worlds in `hacc-ranks` historically backed every
-//! rank with a free-running OS thread, which caps credible world sizes
-//! near the core count. This module bounds the *kernel-visible*
-//! concurrency instead: each task still owns a thread (its stack holds
-//! the rank's continuation — the workspace is `unsafe`-free, so there
-//! is no hand-rolled stackful coroutine), but only `lanes` of them may
-//! run at once. Every other task is either
+//! Every rank of a simulated-MPI world in `hacc-ranks` is one task
+//! here. The module bounds the *kernel-visible* concurrency: each task
+//! owns a thread (its stack holds the rank's continuation — the
+//! workspace is `unsafe`-free, so there is no hand-rolled stackful
+//! coroutine), but only `lanes` of them may run at once. Every other
+//! task is either
 //!
 //! * **queued** — holding no lane, sitting in the one FIFO run queue
 //!   waiting to be granted one, or
@@ -45,9 +44,9 @@
 //! a proven global stall. That task's `park` returns
 //! [`ParkOutcome::Quiescent`] (re-granting it the lane it just
 //! released) so the blocking primitive can surface a deterministic
-//! deadlock instead of hanging. This is what lets the sanitizer's W1
-//! detector key on logical progress of tasks rather than on elapsed
-//! time.
+//! deadlock instead of hanging. That proof is the whole of the
+//! sanitizer's W1 protocol: it walks its wait graph once, on this
+//! return, and never reads a clock.
 //!
 //! # Determinism contract
 //!
@@ -214,11 +213,12 @@ pub struct TaskHandle {
 }
 
 impl TaskHandle {
-    /// Host `f` as this task: wait for a lane grant, expose the task to
-    /// [`current`] for the duration, and release the lane on the way
-    /// out — including by unwind, so a panicking rank still frees its
-    /// lane for the survivors' teardown collectives.
-    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
+    /// Host `f` as this task: wait for a lane grant, hand `f` the
+    /// task's own [`CurrentTask`] (what its blocking points park on),
+    /// and release the lane on the way out — including by unwind, so a
+    /// panicking rank still frees its lane for the survivors' teardown
+    /// collectives.
+    pub fn run<R>(self, f: impl FnOnce(CurrentTask) -> R) -> R {
         {
             let mut st = self.inner.lock();
             st.tasks[self.id].thread = Some(std::thread::current());
@@ -238,12 +238,11 @@ impl TaskHandle {
             inner: Arc::clone(&self.inner),
             id: self.id,
         };
-        CURRENT.with(|c| *c.borrow_mut() = Some(current));
         let _guard = FinishGuard {
             inner: self.inner,
             id: self.id,
         };
-        f()
+        f(current)
     }
 }
 
@@ -256,7 +255,6 @@ struct FinishGuard {
 
 impl Drop for FinishGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = None);
         let mut st = self.inner.lock();
         let t = &mut st.tasks[self.id];
         debug_assert!(matches!(t.status, Status::Running | Status::Parking));
@@ -279,20 +277,8 @@ impl Drop for FinishGuard {
     }
 }
 
-thread_local! {
-    static CURRENT: std::cell::RefCell<Option<CurrentTask>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// The scheduler task hosted by the calling thread, if any. A blocking
-/// point uses this to decide between the cooperative park path and a
-/// plain condvar wait (thread-backed ranks are not tasks).
-pub fn current() -> Option<CurrentTask> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Handle to the calling thread's own task; see [`current`].
-#[derive(Clone)]
+/// A running task's handle to itself, handed to its body by
+/// [`TaskHandle::run`]: what a blocking point parks.
 pub struct CurrentTask {
     inner: Arc<SchedInner>,
     id: usize,
@@ -394,7 +380,7 @@ mod tests {
     fn run_world<R: Send>(
         lanes: usize,
         n: usize,
-        f: impl Fn(usize) -> R + Sync,
+        f: impl Fn(usize, &CurrentTask) -> R + Sync,
     ) -> Vec<R> {
         let sched = Scheduler::new(lanes);
         let handles: Vec<_> = (0..n).map(|_| sched.register()).collect();
@@ -404,7 +390,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, h)| {
                     let f = &f;
-                    s.spawn(move || h.run(|| f(i)))
+                    s.spawn(move || h.run(|cur| f(i, &cur)))
                 })
                 .collect();
             joins.into_iter().map(|j| j.join().unwrap()).collect()
@@ -414,7 +400,7 @@ mod tests {
     #[test]
     fn more_tasks_than_lanes_all_complete() {
         let hits = AtomicUsize::new(0);
-        run_world(2, 64, |_| {
+        run_world(2, 64, |_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 64);
@@ -423,7 +409,7 @@ mod tests {
     #[test]
     fn single_lane_runs_tasks_in_fifo_order() {
         let order = Mutex::new(Vec::new());
-        run_world(1, 16, |i| {
+        run_world(1, 16, |i, _| {
             order.lock().unwrap().push(i);
         });
         assert_eq!(*order.lock().unwrap(), (0..16).collect::<Vec<_>>());
@@ -431,8 +417,7 @@ mod tests {
 
     #[test]
     fn solo_park_with_no_waker_is_quiescent() {
-        let out = run_world(1, 1, |_| {
-            let cur = current().expect("inside a task");
+        let out = run_world(1, 1, |_, cur| {
             let _w = cur.prepare_park();
             cur.park()
         });
@@ -441,8 +426,7 @@ mod tests {
 
     #[test]
     fn wake_before_park_is_not_lost() {
-        let out = run_world(1, 1, |_| {
-            let cur = current().expect("inside a task");
+        let out = run_world(1, 1, |_, cur| {
             let w = cur.prepare_park();
             w.wake(); // lands in the prepare/park window
             cur.park()
@@ -456,8 +440,7 @@ mod tests {
         // one lane this only completes if parking really releases the
         // lane and waking really re-queues the parked task.
         let slot: Mutex<Option<Waiter>> = Mutex::new(None);
-        let out = run_world(1, 2, |i| {
-            let cur = current().unwrap();
+        let out = run_world(1, 2, |i, cur| {
             if i == 0 {
                 let w = cur.prepare_park();
                 *slot.lock().unwrap() = Some(w);
@@ -478,8 +461,7 @@ mod tests {
         // park proves the stall and returns Quiescent; it then wakes
         // its peer so the world tears down.
         let slots: Mutex<Vec<Waiter>> = Mutex::new(Vec::new());
-        let out = run_world(2, 2, |_| {
-            let cur = current().unwrap();
+        let out = run_world(2, 2, |_, cur| {
             let w = cur.prepare_park();
             slots.lock().unwrap().push(w);
             let got = cur.park();
@@ -504,8 +486,7 @@ mod tests {
         // a parked task (the lowest id — task 0) to observe Quiescent;
         // it then wakes task 1 so the world unwinds.
         let slots: Mutex<Vec<(usize, Waiter)>> = Mutex::new(Vec::new());
-        let out = run_world(1, 3, |i| {
-            let cur = current().unwrap();
+        let out = run_world(1, 3, |i, cur| {
             if i == 2 {
                 return ParkOutcome::Woken; // bystander: exits cleanly
             }
@@ -531,10 +512,7 @@ mod tests {
         let h = sched.register();
         let w = std::thread::scope(|s| {
             s.spawn(|| {
-                h.run(|| {
-                    let cur = current().unwrap();
-                    cur.prepare_park()
-                })
+                h.run(|cur| cur.prepare_park())
             })
             .join()
             .unwrap()
@@ -543,7 +521,7 @@ mod tests {
         // A fresh task on the same scheduler still runs normally.
         let h2 = sched.register();
         let ran = std::thread::scope(|s| {
-            s.spawn(|| h2.run(|| true)).join().unwrap()
+            s.spawn(|| h2.run(|_| true)).join().unwrap()
         });
         assert!(ran);
     }
@@ -555,11 +533,11 @@ mod tests {
         let h1 = sched.register();
         let survived = std::thread::scope(|s| {
             let a = s.spawn(|| {
-                h0.run(|| {
+                h0.run(|_| {
                     std::panic::panic_any("boom");
                 })
             });
-            let b = s.spawn(|| h1.run(|| 7u32));
+            let b = s.spawn(|| h1.run(|_| 7u32));
             assert!(a.join().is_err());
             b.join().unwrap()
         });
@@ -572,7 +550,7 @@ mod tests {
         // body would get its chance to overlap if a permit leaked.
         let active = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        run_world(2, 16, |_| {
+        run_world(2, 16, |_, _| {
             let now = active.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             for _ in 0..50 {
@@ -591,8 +569,7 @@ mod tests {
         // goes on to the next queued task.
         let w0: Mutex<Option<Waiter>> = Mutex::new(None);
         let done = AtomicUsize::new(0);
-        let out = run_world(4, 32, |i| {
-            let cur = current().unwrap();
+        let out = run_world(4, 32, |i, cur| {
             if i == 0 {
                 let w = cur.prepare_park();
                 *w0.lock().unwrap() = Some(w);

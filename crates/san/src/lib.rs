@@ -1,9 +1,10 @@
 //! `hacc-san` — happens-before race detection and SPMD collective
-//! sanitizing for the thread-backed runtime.
+//! sanitizing for the rank runtime.
 //!
-//! Because the repo's "ranks" are threads of one process, the dynamic
-//! checks that are heuristic at MPI scale (MUST-style collective
-//! matching, ThreadSanitizer-style race detection) are **exact** here:
+//! Because the repo's "ranks" are scheduler tasks of one process, each
+//! on its own thread, the dynamic checks that are heuristic at MPI scale
+//! (MUST-style collective matching, ThreadSanitizer-style race
+//! detection) are **exact** here:
 //! every synchronization edge passes through `hacc_rt::sync` locks or a
 //! `hacc-ranks` matched receive, and this crate is the clock algebra
 //! they call into.
@@ -30,6 +31,9 @@
 //!
 //! Findings use rules R1 (race), Q1 (collective divergence), W1
 //! (deadlock/stall), M1 (p2p payload mismatch) from the shared catalog.
+//! W1 reads no clock: the one rank host parks a blocked rank on the
+//! scheduler, whose quiescence proof triggers the single wait-graph walk
+//! ([`SanSession::report_deadlock`]).
 
 #![forbid(unsafe_code)]
 

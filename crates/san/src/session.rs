@@ -11,13 +11,14 @@
 //!   of every rank must carry the same (call site, kind, element type,
 //!   element size, root) signature. The first arriver at position i
 //!   records the signature; later ranks compare (Q1).
-//! * **Wait graph** — every blocking receive declares what it waits on;
-//!   a rank whose receive times out walks the graph, and a cycle (or a
-//!   chain ending at an exited rank) whose members' logical progress
-//!   counters are frozen across three consecutive ticks is reported as
-//!   a deadlock (W1) instead of hanging the suite. Progress is logical,
-//!   not wall-clock, so `--chaos` comm-delay faults — which hold
-//!   messages until the sender's next transport op, never across a
+//! * **Wait graph** — every blocking receive declares what it waits on.
+//!   A rank's only blocking point is a scheduler park, so when the
+//!   scheduler proves the world quiescent (every live rank parked) the
+//!   rank holding the proof walks the graph once and the chain it finds
+//!   — a cycle, or one ending at a rank that exited or is parked outside
+//!   the transport — is the deadlock (W1), reported instead of hanging
+//!   the suite. No clock is read, so `--chaos` comm-delay faults — which
+//!   hold messages until the sender's next transport op, never across a
 //!   blocked sender — cannot false-positive.
 //!
 //! Internals use `std::sync` directly, never the instrumented
@@ -44,11 +45,6 @@ pub enum Access {
     /// Exclusive write.
     Write,
 }
-
-/// Consecutive frozen deadlock-scan ticks required before reporting.
-/// Each tick is one receive timeout (~100 ms), so a false positive
-/// needs a runnable thread starved for the whole confirmation window.
-const DEADLOCK_CONFIRMS: u32 = 3;
 
 #[derive(Clone)]
 struct SiteStamp {
@@ -94,16 +90,7 @@ struct WaitOn {
 #[derive(Default)]
 struct RankWait {
     waiting: Option<WaitOn>,
-    progress: u64,
     exited: bool,
-    /// Last deadlock-scan snapshot: (chain members, their progress,
-    /// world-wide progress epoch). The epoch term makes confirmation
-    /// conservative: *any* rank progressing anywhere — even outside
-    /// the chain, even one that is runnable but descheduled and slow —
-    /// resets the count, so a confirmation means the whole world's
-    /// logical clock was frozen across every tick.
-    candidate: Option<(Vec<usize>, Vec<u64>, u64)>,
-    confirms: u32,
 }
 
 struct SessionState {
@@ -321,31 +308,17 @@ impl SanSession {
         detail: String,
         loc: &'static Location<'static>,
     ) {
-        let mut st = self.lock();
-        let w = &mut st.waits[rank];
-        w.waiting = Some(WaitOn {
+        self.lock().waits[rank].waiting = Some(WaitOn {
             src,
             detail,
             file: loc.file(),
             line: loc.line(),
         });
-        w.candidate = None;
-        w.confirms = 0;
     }
 
-    /// The wait was satisfied: clear it and advance logical progress.
+    /// The wait was satisfied.
     pub fn end_wait(&self, rank: usize) {
-        let mut st = self.lock();
-        let w = &mut st.waits[rank];
-        w.waiting = None;
-        w.candidate = None;
-        w.confirms = 0;
-        w.progress += 1;
-    }
-
-    /// A non-blocking transport op completed on `rank` (logical time).
-    pub fn note_progress(&self, rank: usize) {
-        self.lock().waits[rank].progress += 1;
+        self.lock().waits[rank].waiting = None;
     }
 
     /// The rank's closure returned; it will never send again.
@@ -355,130 +328,59 @@ impl SanSession {
         st.waits[rank].waiting = None;
     }
 
-    /// One deadlock-scan tick, run by a rank whose blocking receive
-    /// timed out. Returns `true` when a deadlock was confirmed and
-    /// recorded and this rank should abort the world.
+    /// `rank`'s park proved the world quiescent — every live rank is
+    /// parked, none runnable — so the wait chain starting at `rank` can
+    /// never resolve: record it as one W1 finding and mark the session
+    /// aborted, so the caller's teardown is told apart from a user panic.
     ///
-    /// A chain member with no declared transport wait is treated as
-    /// runnable and defeats the scan: on the thread-per-rank backend a
-    /// timeout is wall-clock and proves nothing about peers that are
-    /// merely descheduled.
-    pub fn deadlock_tick(&self, rank: usize) -> bool {
-        self.tick_impl(rank, false)
-    }
-
-    /// Like [`deadlock_tick`](Self::deadlock_tick), for ticks backed by
-    /// a cooperative-scheduler *quiescence proof* (every live task is
-    /// parked, none runnable). Under that proof a chain member with no
-    /// declared transport wait cannot be runnable — it is parked at
-    /// some non-transport blocking point — so the walk treats it as a
-    /// stall endpoint instead of bailing out.
-    pub fn deadlock_tick_quiescent(&self, rank: usize) -> bool {
-        self.tick_impl(rank, true)
-    }
-
-    /// World-wide logical-progress epoch: advances whenever any rank
-    /// completes a transport op or exits.
-    fn global_epoch(st: &SessionState) -> u64 {
-        st.waits
-            .iter()
-            .map(|w| w.progress + u64::from(w.exited))
-            .sum()
-    }
-
-    fn tick_impl(&self, rank: usize, quiescent: bool) -> bool {
-        if self.is_aborted() {
-            return false;
-        }
-        let mut st = self.lock();
-        // Walk the wait-for edges starting from this rank.
+    /// The chain ends in a cycle, at a rank that exited, or at a rank
+    /// with no declared wait, which under the proof is parked outside
+    /// the transport.
+    pub fn report_deadlock(&self, rank: usize) {
+        let st = self.lock();
         let mut chain = vec![rank];
-        let mut stalled = false;
-        loop {
-            let cur = *chain.last().unwrap();
-            let Some(w) = &st.waits[cur].waiting else {
-                if st.waits[cur].exited || quiescent {
-                    // Chain dead-ends at a rank that can never send:
-                    // it exited, or (under a quiescence proof) it is
-                    // parked outside the transport.
-                    stalled = true;
-                    break;
-                }
-                // Someone in the chain is runnable: no deadlock now.
-                st.waits[rank].candidate = None;
-                st.waits[rank].confirms = 0;
-                return false;
-            };
-            let next = w.src;
-            if chain.contains(&next) {
-                break; // cycle
+        while let Some(w) = &st.waits[chain[chain.len() - 1]].waiting {
+            if chain.contains(&w.src) {
+                break;
             }
-            chain.push(next);
+            chain.push(w.src);
         }
-        let progress: Vec<u64> = chain.iter().map(|&r| st.waits[r].progress).collect();
-        let snapshot = (chain.clone(), progress, Self::global_epoch(&st));
-        let w = &mut st.waits[rank];
-        if w.candidate.as_ref() == Some(&snapshot) {
-            w.confirms += 1;
-        } else {
-            w.candidate = Some(snapshot);
-            w.confirms = 1;
-        }
-        if w.confirms < DEADLOCK_CONFIRMS {
-            return false;
-        }
-        // Confirmed: render one finding describing the whole chain, with
-        // per-rank call sites, anchored at the lowest-ranked waiter so
-        // the text is independent of which rank detected it.
-        let start = chain
+        let end = &st.waits[chain[chain.len() - 1]];
+        let what = match (&end.waiting, end.exited) {
+            (Some(_), _) => "deadlock cycle",
+            (None, true) => "wait on an exited rank",
+            (None, false) => "wait-chain stall",
+        };
+        // One finding describing the whole chain, with per-rank call
+        // sites, anchored at the lowest-ranked member so the text is
+        // independent of which rank held the proof.
+        let start = (0..chain.len()).min_by_key(|&i| chain[i]).unwrap_or(0);
+        chain.rotate_left(start);
+        let parts: Vec<String> = chain
             .iter()
-            .position(|&r| r == *chain.iter().min().unwrap())
-            .unwrap();
-        let order: Vec<usize> = (0..chain.len())
-            .map(|i| chain[(start + i) % chain.len()])
-            .collect();
-        let mut parts: Vec<String> = Vec::new();
-        for &r in &order {
-            match &st.waits[r].waiting {
-                Some(w) => parts.push(format!(
+            .map(|&r| match &st.waits[r].waiting {
+                Some(w) => format!(
                     "rank {r} waits on rank {} ({}) at {}:{}",
                     w.src, w.detail, w.file, w.line
-                )),
-                None if st.waits[r].exited => {
-                    parts.push(format!("rank {r} exited"))
-                }
-                None => parts.push(format!(
-                    "rank {r} is parked outside the transport"
-                )),
-            }
-        }
-        let what = if !stalled {
-            "deadlock cycle"
-        } else if st.waits[*chain.last().unwrap()].exited {
-            "wait on an exited rank"
-        } else {
-            "wait-chain stall"
+                ),
+                None if st.waits[r].exited => format!("rank {r} exited"),
+                None => format!("rank {r} is parked outside the transport"),
+            })
+            .collect();
+        let (file, line) = match &st.waits[chain[0]].waiting {
+            Some(w) => (w.file, w.line),
+            None => ("crates/ranks/src/comm.rs", 0),
         };
-        let anchor = st.waits[order[0]].waiting.as_ref();
-        let (file, line) = anchor
-            .map(|w| (w.file.to_string(), w.line))
-            .unwrap_or_else(|| ("crates/ranks/src/comm.rs".to_string(), 0));
-        let mut key_members = chain.clone();
-        key_members.sort_unstable();
+        chain.sort_unstable();
         drop(st);
         self.report(
             Rule::W1,
-            &file,
+            file,
             line,
-            format!(
-                "{what} confirmed (logical progress frozen over \
-                 {DEADLOCK_CONFIRMS} ticks): {}",
-                parts.join("; ")
-            ),
-            format!("W1:{key_members:?}"),
+            format!("{what} in a quiescent world: {}", parts.join("; ")),
+            format!("W1:{chain:?}"),
         );
         self.set_aborted();
-        true
     }
 
     // ----------------------------------------------------------- finish --
@@ -614,100 +516,70 @@ mod tests {
         assert!(s.finish().findings.is_empty());
     }
 
-    #[test]
-    fn deadlock_cycle_confirms_after_frozen_ticks() {
-        let s = SanSession::new(2);
-        s.begin_wait(0, 1, "recv(src=1, tag=9)".into(), loc());
-        s.begin_wait(1, 0, "recv(src=0, tag=7)".into(), loc());
-        assert!(!s.deadlock_tick(0));
-        assert!(!s.deadlock_tick(0));
-        assert!(s.deadlock_tick(0));
-        let r = s.finish();
-        assert_eq!(r.findings.len(), 1);
+    /// The one W1 finding of a session whose `rank` held the proof.
+    fn deadlock_seen_by(s: &SanSession, rank: usize) -> Diagnostic {
+        s.report_deadlock(rank);
+        assert!(s.is_aborted());
+        let mut r = s.finish();
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].rule, Rule::W1);
-        assert!(r.findings[0].message.contains("rank 0 waits on rank 1"));
-        assert!(r.findings[0].message.contains("rank 1 waits on rank 0"));
+        r.findings.remove(0)
     }
 
     #[test]
-    fn progress_resets_deadlock_confirmation() {
-        let s = SanSession::new(2);
-        s.begin_wait(0, 1, "recv".into(), loc());
-        s.begin_wait(1, 0, "recv".into(), loc());
-        assert!(!s.deadlock_tick(0));
-        assert!(!s.deadlock_tick(0));
-        // Rank 1's wait is satisfied and it re-blocks: logical progress
-        // moved, so the scan starts over.
-        s.end_wait(1);
-        s.begin_wait(1, 0, "recv".into(), loc());
-        assert!(!s.deadlock_tick(0));
-        assert!(!s.deadlock_tick(0));
-        assert!(s.deadlock_tick(0));
-    }
-
-    #[test]
-    fn runnable_rank_blocks_no_deadlock() {
-        let s = SanSession::new(2);
-        s.begin_wait(0, 1, "recv".into(), loc());
-        // Rank 1 is computing (no wait declared): never a deadlock.
-        for _ in 0..10 {
-            assert!(!s.deadlock_tick(0));
-        }
-        assert!(s.finish().findings.is_empty());
+    fn deadlock_cycle_is_reported_by_the_first_call() {
+        // The text is anchored at the lowest rank of the chain whichever
+        // rank held the proof.
+        let at = loc();
+        let messages: Vec<String> = [0, 1]
+            .map(|holder| {
+                let s = SanSession::new(2);
+                s.begin_wait(0, 1, "recv(src=1, tag=9)".into(), at);
+                s.begin_wait(1, 0, "recv(src=0, tag=7)".into(), at);
+                deadlock_seen_by(&s, holder).message
+            })
+            .into();
+        assert!(messages[0].starts_with(
+            "deadlock cycle in a quiescent world: rank 0 waits on rank 1 \
+             (recv(src=1, tag=9))"
+        ));
+        assert!(messages[0].contains("; rank 1 waits on rank 0 (recv(src=0, tag=7))"));
+        assert_eq!(messages[0], messages[1]);
     }
 
     #[test]
     fn wait_on_exited_rank_is_a_stall() {
         let s = SanSession::new(2);
-        s.rank_exited(1);
-        s.begin_wait(0, 1, "recv(src=1, tag=3)".into(), loc());
-        assert!(!s.deadlock_tick(0));
-        assert!(!s.deadlock_tick(0));
-        assert!(s.deadlock_tick(0));
-        let r = s.finish();
-        assert_eq!(r.findings[0].rule, Rule::W1);
-        assert!(r.findings[0].message.contains("exited"));
-    }
-
-    #[test]
-    fn outside_chain_progress_resets_confirmation() {
-        // Ranks 0 and 1 form a frozen cycle, but rank 2 — outside the
-        // chain, runnable-but-slow — keeps making transport progress.
-        // The world-wide epoch term must keep resetting confirmation:
-        // a wall-clock tick proves nothing while anyone advances.
-        let s = SanSession::new(3);
-        s.begin_wait(0, 1, "recv".into(), loc());
-        s.begin_wait(1, 0, "recv".into(), loc());
-        for _ in 0..8 {
-            assert!(!s.deadlock_tick(0));
-            s.note_progress(2);
-        }
-        // Rank 2 goes quiet: only now may the cycle confirm.
-        assert!(!s.deadlock_tick(0));
-        assert!(!s.deadlock_tick(0));
-        assert!(s.deadlock_tick(0));
-    }
-
-    #[test]
-    fn quiescent_tick_confirms_through_non_transport_block() {
-        // Rank 0 waits on rank 1, which is parked at a non-transport
-        // blocking point (no declared wait). A wall-clock tick must
-        // keep treating rank 1 as runnable; a quiescence-backed tick
-        // may treat it as a stall endpoint and confirm.
-        let s = SanSession::new(2);
-        s.begin_wait(0, 1, "recv(src=1, tag=4)".into(), loc());
-        for _ in 0..5 {
-            assert!(!s.deadlock_tick(0));
-        }
-        assert!(!s.deadlock_tick_quiescent(0));
-        assert!(!s.deadlock_tick_quiescent(0));
-        assert!(s.deadlock_tick_quiescent(0));
-        let r = s.finish();
-        assert_eq!(r.findings[0].rule, Rule::W1);
+        s.rank_exited(0);
+        s.begin_wait(1, 0, "recv(src=0, tag=3)".into(), loc());
+        let d = deadlock_seen_by(&s, 1);
         assert!(
-            r.findings[0].message.contains("parked outside the transport"),
+            d.message.starts_with(
+                "wait on an exited rank in a quiescent world: rank 0 exited; \
+                 rank 1 waits on rank 0 (recv(src=0, tag=3))"
+            ),
             "{}",
-            r.findings[0].message
+            d.message
         );
+    }
+
+    #[test]
+    fn chain_ending_outside_the_transport_is_a_stall() {
+        // Rank 2 waits on rank 1, which waits on rank 0; rank 0 declared
+        // no wait and has not exited, so under the quiescence proof it is
+        // parked at a non-transport blocking point.
+        let s = SanSession::new(3);
+        s.begin_wait(2, 1, "recv(src=1, tag=4)".into(), loc());
+        s.begin_wait(1, 0, "recv(src=0, tag=4)".into(), loc());
+        let d = deadlock_seen_by(&s, 2);
+        assert!(
+            d.message.starts_with(
+                "wait-chain stall in a quiescent world: rank 0 is parked outside \
+                 the transport; rank 2 waits on rank 1"
+            ),
+            "{}",
+            d.message
+        );
+        assert_eq!(d.line, 0, "rank 0 has no wait site to anchor at");
     }
 }

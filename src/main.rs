@@ -3,8 +3,8 @@
 //! ```text
 //! frontier-sim run   [--np N] [--ranks R] [--steps S] [--physics hydro|adiabatic|gravity]
 //!                    [--zi Z] [--zf Z] [--seed S] [--out DIR] [--flat] [--resume]
-//!                    [--telemetry DIR] [--chaos SPEC] [--sanitize] [--backend B]
-//! frontier-sim ranks [--ranks R] [--rounds K] [--seed S] [--backend B] [--sanitize]
+//!                    [--telemetry DIR] [--chaos SPEC] [--sanitize]
+//! frontier-sim ranks [--ranks R] [--rounds K] [--seed S] [--sanitize]
 //! frontier-sim info
 //! ```
 
@@ -12,7 +12,8 @@
 
 use frontier_sim::core::driver::chaos_plan;
 use frontier_sim::core::{resume_simulation, run_simulation, Physics, SimConfig};
-use frontier_sim::ranks::{smoke, Backend, World};
+use frontier_sim::ranks::{smoke, World};
+use frontier_sim::san::AllowList;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,16 +44,11 @@ fn main() {
                  \x20 --sanitize      run under the hacc-san dynamic sanitizer\n\
                  \x20                 (races, collective matching, deadlock); findings\n\
                  \x20                 honor <root>/san.allow and exit 1 when unsuppressed\n\
-                 \x20 --backend B     the one rank-backend selector: coop (default)\n\
-                 \x20                 multiplexes ranks onto one run permit per core;\n\
-                 \x20                 threads runs one free OS thread per rank (oracle)\n\
                  \n\
                  ranks options (self-checking communication smoke world):\n\
-                 \x20 --ranks R       world size (default 256; 4096 works on a laptop\n\
-                 \x20                 under the coop backend)\n\
+                 \x20 --ranks R       world size (default 256; 4096 works on a laptop)\n\
                  \x20 --rounds K      rounds of the full collective suite (default 2)\n\
                  \x20 --seed S        workload seed (default 2026)\n\
-                 \x20 --backend B     coop (default) | threads\n\
                  \x20 --sanitize      run under hacc-san; output is deterministic and\n\
                  \x20                 byte-comparable across repeated invocations"
             );
@@ -98,26 +94,13 @@ fn parse_opt<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T
     default
 }
 
-fn parse_backend(args: &[String]) -> Option<Backend> {
-    match parse_opt(args, "--backend", String::new()).as_str() {
-        "" => None,
-        "coop" | "cooperative" => Some(Backend::Cooperative),
-        "threads" | "thread" => Some(Backend::Threads),
-        other => {
-            eprintln!("unknown backend {other:?} (coop|threads)");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// `frontier-sim ranks`: stand up an R-rank SPMD world running the
 /// self-checking collective smoke workload and print a deterministic
 /// summary. Every payload is closed-form in `(seed, size, rank)`, so the
 /// digest — and with `--sanitize` the whole report — is byte-identical
-/// across repeated runs and across backends; the verify scaling tier
-/// compares exactly that.
+/// across repeated runs; the verify scaling tier compares exactly that.
 fn cmd_ranks(args: &[String]) {
-    reject_unknown(args, "--ranks --rounds --seed --backend", "--sanitize");
+    reject_unknown(args, "--ranks --rounds --seed", "--sanitize");
     let ranks: usize = parse_opt(args, "--ranks", 256);
     if ranks == 0 {
         eprintln!("invalid configuration: need at least one rank");
@@ -125,14 +108,8 @@ fn cmd_ranks(args: &[String]) {
     }
     let rounds: usize = parse_opt(args, "--rounds", 2);
     let seed: u64 = parse_opt(args, "--seed", 2026);
-    let backend = parse_backend(args).unwrap_or(Backend::Cooperative);
-    let backend_name = match backend {
-        Backend::Cooperative => "coop",
-        Backend::Threads => "threads",
-    };
     println!("# frontier-sim ranks");
     println!("ranks               : {ranks}");
-    println!("backend             : {backend_name}");
     println!("rounds              : {rounds}");
     println!("seed                : {seed}");
     let digest_of = |digests: &[u64]| {
@@ -147,9 +124,8 @@ fn cmd_ranks(args: &[String]) {
         d
     };
     if parse_flag(args, "--sanitize") {
-        let (digests, report) = World::run_sanitized_with(backend, ranks, |comm| {
-            smoke::smoke(comm, seed, rounds)
-        });
+        let (digests, report) =
+            World::run_sanitized(ranks, |comm| smoke::smoke(comm, seed, rounds));
         let digests = digests.unwrap_or_else(|| {
             panic!("sanitizer aborted the run:\n{}", report.render_text())
         });
@@ -159,16 +135,43 @@ fn cmd_ranks(args: &[String]) {
             std::process::exit(1);
         }
     } else {
-        let digests =
-            World::run_with(backend, ranks, |comm| smoke::smoke(comm, seed, rounds));
+        let digests = World::run(ranks, |comm| smoke::smoke(comm, seed, rounds));
         println!("digest              : {:016x}", digest_of(&digests));
     }
+}
+
+/// Create the `--telemetry` directory (none asked for: nothing to do)
+/// and prove a file can be written into it, or say why not.
+fn writable_dir(dir: &str) -> Result<(), String> {
+    if dir.is_empty() {
+        return Ok(());
+    }
+    let probe = std::path::Path::new(dir).join("trace.json");
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::File::create(&probe))
+        .map(drop)
+        .map_err(|e| format!("cannot write telemetry to {dir}: {e}"))
+}
+
+/// The workspace's `san.allow` for a `--sanitize` run, when there is one.
+fn san_allowlist(sanitize: bool) -> Result<Option<AllowList>, String> {
+    let root = sanitize
+        .then(|| frontier_sim::san::find_workspace_root(std::path::Path::new(".")))
+        .flatten();
+    let Some(path) = root.map(|r| r.join("san.allow")).filter(|p| p.is_file()) else {
+        return Ok(None);
+    };
+    std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| AllowList::parse(&text, &path.to_string_lossy()))
+        .map(Some)
+        .map_err(|e| format!("san.allow: {e}"))
 }
 
 fn cmd_run(args: &[String]) {
     reject_unknown(
         args,
-        "--np --ranks --steps --physics --zi --zf --seed --out --telemetry --chaos --backend",
+        "--np --ranks --steps --physics --zi --zf --seed --out --telemetry --chaos",
         "--flat --resume --sanitize",
     );
     let np: usize = parse_opt(args, "--np", 12);
@@ -200,26 +203,30 @@ fn cmd_run(args: &[String]) {
     let chaos: String = parse_opt(args, "--chaos", String::new());
     cfg.chaos = (!chaos.is_empty()).then_some(chaos);
     cfg.sanitize = parse_flag(args, "--sanitize");
-    cfg.backend = parse_backend(args);
     let resume = parse_flag(args, "--resume");
-    // Reject here, as one line, what the library would refuse by panic,
+    let telemetry_dir: String = parse_opt(args, "--telemetry", String::new());
+    // Reject here, as one line, what the library would refuse by panic
+    // and what the run could only discover once its results exist,
     // before any world starts.
     let checked = cfg
         .check()
         .and_then(|()| cfg.check_ranks(ranks))
-        .and_then(|()| chaos_plan(&cfg, ranks));
-    let refusal = match checked {
-        Err(e) => Some(e),
-        Ok(_) if resume && cfg.io_dir.is_none() => Some("--resume requires --out DIR".into()),
-        Ok(_) if resume && cfg.sanitize => {
-            Some("--resume does not combine with --sanitize (use HACC_SAN=1)".into())
-        }
-        Ok(_) => None,
-    };
-    if let Some(e) = refusal {
+        .and_then(|()| chaos_plan(&cfg, ranks))
+        .and_then(|_| {
+            if resume && cfg.io_dir.is_none() {
+                Err("--resume requires --out DIR".into())
+            } else if resume && cfg.sanitize {
+                Err("--resume does not combine with --sanitize (use HACC_SAN=1)".into())
+            } else {
+                Ok(())
+            }
+        })
+        .and_then(|()| writable_dir(&telemetry_dir))
+        .and_then(|()| san_allowlist(cfg.sanitize));
+    let mut allow = checked.unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
-    }
+    });
 
     println!(
         "frontier-sim: {} particles, {:.0} Mpc/h box, {} PM steps, z = {:.1} -> {:.1}, {} ranks",
@@ -242,24 +249,14 @@ fn cmd_run(args: &[String]) {
     // anything renders, so the console summary, the telemetry golden
     // lines, and sanitizer.txt all agree on the suppressed count.
     if let Some(san) = &mut report.sanitizer {
-        let root = frontier_sim::san::find_workspace_root(std::path::Path::new("."));
-        let allow_path = root.map(|r| r.join("san.allow"));
-        if let Some(path) = allow_path.filter(|p| p.is_file()) {
-            let text = std::fs::read_to_string(&path).expect("read san.allow");
-            let mut allow = frontier_sim::san::AllowList::parse(&text, &path.to_string_lossy())
-                .unwrap_or_else(|e| {
-                    eprintln!("san.allow: {e}");
-                    std::process::exit(2);
-                });
-            san.apply_allow(&mut allow);
+        if let Some(allow) = &mut allow {
+            san.apply_allow(allow);
         }
         report.telemetry.sanitizer = san.golden_lines();
     }
 
-    let telemetry_dir: String = parse_opt(args, "--telemetry", String::new());
     if !telemetry_dir.is_empty() {
         let dir = std::path::Path::new(&telemetry_dir);
-        std::fs::create_dir_all(dir).expect("create telemetry dir");
         std::fs::write(dir.join("trace.json"), report.telemetry.chrome_trace())
             .expect("write trace.json");
         std::fs::write(dir.join("report.txt"), report.telemetry.text_report())

@@ -90,3 +90,48 @@ fn lint_and_scaling_are_not_subcommands() {
         assert!(stderr.starts_with("usage: frontier-sim <run|ranks|info>"), "{sub}: {stderr}");
     }
 }
+
+#[test]
+fn backend_is_not_an_option() {
+    // There is one rank host; nothing selects it.
+    for sub in ["run", "ranks"] {
+        let (code, stderr) = frontier_sim(&[sub, "--backend", "coop"]);
+        assert_eq!(code, Some(2), "{sub}: {stderr}");
+        assert_eq!(stderr, "unknown option --backend\n", "{sub}");
+    }
+}
+
+#[test]
+fn unwritable_telemetry_dir_is_refused_before_any_world_starts() {
+    // One that cannot be created, one that exists and takes no files.
+    for dir in ["/proc/nope/x", "/proc/self"] {
+        let out = spawn(&["run", "--np", "8", "--steps", "1", "--telemetry", dir]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{dir}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{dir}: {stderr}");
+        assert!(stderr.starts_with("cannot write telemetry to "), "{dir}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{dir}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("completed"), "{dir}: {stdout}");
+    }
+}
+
+#[test]
+fn unreadable_san_allow_is_refused_before_any_world_starts() {
+    // A workspace root whose san.allow is not text.
+    let root = std::env::temp_dir().join(format!("frontier-cli-allow-{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+    std::fs::write(root.join("san.allow"), [0xffu8, 0xfe]).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_frontier-sim"))
+        .args(["run", "--np", "8", "--steps", "1", "--sanitize"])
+        .current_dir(&root)
+        .output()
+        .expect("spawn frontier-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("san.allow: "), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("completed"));
+    std::fs::remove_dir_all(&root).unwrap();
+}

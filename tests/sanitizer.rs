@@ -8,7 +8,7 @@
 //! seeded race rather than silently passing everything.
 
 use frontier_sim::core::{run_simulation, SimConfig};
-use frontier_sim::ranks::{Backend, World};
+use frontier_sim::ranks::World;
 use frontier_sim::san;
 
 fn quietly<R>(f: impl FnOnce() -> R) -> R {
@@ -69,7 +69,7 @@ fn seeded_skipped_barrier_is_caught_as_w1_cycle() {
             }
         })
     });
-    assert!(results.is_none(), "a confirmed deadlock aborts the world");
+    assert!(results.is_none(), "a deadlock aborts the world");
     let cycles: Vec<_> = report
         .findings
         .iter()
@@ -102,98 +102,84 @@ fn seeded_payload_mismatch_is_caught_as_m1() {
     );
 }
 
-// -------------------------------- seeded violations, both backends --
+// ------------------------------------ seeded violations, second set --
 //
-// The detector contracts above must hold identically whether ranks are
-// free-running OS threads or cooperative tasks multiplexed onto a
-// bounded worker pool. Under multiplexing, W1 additionally switches
-// from wall-clock confirmation ticks to scheduler quiescence proofs
-// (see `SanSession::deadlock_tick_quiescent`), so the deadlock fixture
-// is the load-bearing one.
+// The same three contracts on their own fixtures, under the names the
+// tier-1 test floor records; there is one rank host, so each runs once.
 
 #[test]
 fn seeded_r1_caught_on_both_backends() {
-    for backend in [Backend::Cooperative, Backend::Threads] {
-        let region = san::region("seeded-backend-race");
-        let (results, report) =
-            World::run_sanitized_with(backend, 2, move |comm| {
-                comm.barrier();
-                san::annotate_write(region);
-                comm.barrier();
-            });
-        assert!(results.is_some());
-        assert_eq!(
-            report
-                .findings
-                .iter()
-                .filter(|d| d.rule == san::Rule::R1)
-                .count(),
-            1,
-            "{:?}:\n{}",
-            backend,
-            report.render_text()
-        );
-    }
+    let region = san::region("seeded-backend-race");
+    let (results, report) = World::run_sanitized(2, move |comm| {
+        comm.barrier();
+        san::annotate_write(region);
+        comm.barrier();
+    });
+    assert!(results.is_some());
+    assert_eq!(
+        report
+            .findings
+            .iter()
+            .filter(|d| d.rule == san::Rule::R1)
+            .count(),
+        1,
+        "{}",
+        report.render_text()
+    );
 }
 
 #[test]
 fn seeded_w1_deadlock_caught_on_both_backends() {
-    for backend in [Backend::Cooperative, Backend::Threads] {
-        let (results, report) = quietly(|| {
-            World::run_sanitized_with(backend, 2, |comm| {
-                if comm.rank() == 0 {
-                    comm.barrier();
-                } else {
-                    let _ = comm.recv::<u64>(0, 77);
-                }
-            })
-        });
-        assert!(results.is_none(), "{backend:?}: confirmed deadlock aborts");
-        assert!(
-            report
-                .findings
-                .iter()
-                .any(|d| d.rule == san::Rule::W1),
-            "{:?}:\n{}",
-            backend,
-            report.render_text()
-        );
-    }
+    let (results, report) = quietly(|| {
+        World::run_sanitized(2, |comm| {
+            if comm.rank() == 0 {
+                comm.barrier();
+            } else {
+                let _ = comm.recv::<u64>(0, 77);
+            }
+        })
+    });
+    assert!(results.is_none(), "a deadlock aborts");
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|d| d.rule == san::Rule::W1),
+        "{}",
+        report.render_text()
+    );
 }
 
 #[test]
 fn seeded_m1_mismatch_caught_on_both_backends() {
-    for backend in [Backend::Cooperative, Backend::Threads] {
-        let (results, report) = quietly(|| {
-            World::run_sanitized_with(backend, 2, |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 5, 7u32);
-                } else {
-                    let _ = comm.recv::<u64>(0, 5);
-                }
-            })
-        });
-        assert!(results.is_none(), "{backend:?}: payload mismatch aborts");
-        assert!(
-            report
-                .findings
-                .iter()
-                .any(|d| d.rule == san::Rule::M1),
-            "{:?}:\n{}",
-            backend,
-            report.render_text()
-        );
-    }
+    let (results, report) = quietly(|| {
+        World::run_sanitized(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 5, 7u32);
+            } else {
+                let _ = comm.recv::<u64>(0, 5);
+            }
+        })
+    });
+    assert!(results.is_none(), "payload mismatch aborts");
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|d| d.rule == san::Rule::M1),
+        "{}",
+        report.render_text()
+    );
 }
 
 #[test]
 fn multiplexed_deadlock_is_diagnosed_not_hung() {
     // A wait cycle in a world far wider than the host's lane count: the
     // scheduler must prove quiescence (every live task parked) and the
-    // sanitizer must confirm and abort, instead of the suite hanging.
-    // Ranks outside the cycle finish cleanly first.
+    // sanitizer must name the cycle and abort, instead of the suite
+    // hanging. Ranks outside the cycle finish cleanly first.
     let (results, report) = quietly(|| {
-        World::run_sanitized_with(Backend::Cooperative, 64, |comm| {
+        World::run_sanitized(64, |comm| {
             match comm.rank() {
                 // Ranks 0 and 1 wait on each other; everyone else exits.
                 0 => {
@@ -206,7 +192,7 @@ fn multiplexed_deadlock_is_diagnosed_not_hung() {
             }
         })
     });
-    assert!(results.is_none(), "confirmed deadlock aborts the world");
+    assert!(results.is_none(), "a deadlock aborts the world");
     let w1: Vec<_> = report
         .findings
         .iter()
@@ -276,12 +262,12 @@ fn canary_seeded_race_must_fail() {
 /// a wait cycle buried in a 256-rank multiplexed world must fail the
 /// run — as a sanitizer W1 abort under `HACC_SAN=1`, or as the
 /// scheduler's deterministic quiescence panic without it — never as a
-/// hang. If this test ever passes, deadlock detection under the
-/// cooperative scheduler has lost its teeth.
+/// hang. If this test ever passes, deadlock detection has lost its
+/// teeth.
 #[test]
 #[ignore = "verify.sh tier-6 canary: must FAIL (deadlock diagnosed, not hung)"]
 fn canary_multiplexed_deadlock_must_fail() {
-    World::run_with(Backend::Cooperative, 256, |comm| match comm.rank() {
+    World::run(256, |comm| match comm.rank() {
         100 => {
             let _ = comm.recv::<u64>(200, 90);
         }

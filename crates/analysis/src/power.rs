@@ -2,9 +2,14 @@
 //!
 //! `P(k) = V <|delta_k|^2>` with the unnormalized-forward-FFT convention
 //! `delta_k = sum_cells delta(x) e^{-ikx}` divided by the cell count, i.e.
-//! `P(k) = V |delta_k / N^3|^2`, binned in shells of `|k|`.
+//! `P(k) = V |delta_k / N^3|^2`, binned in shells of `|k|`. The overdensity
+//! is real, so its spectrum is Hermitian and only the half with `z <= n/2`
+//! is transformed and read: a stored mode whose conjugate is not stored
+//! (`0 < z < n/2`) counts for both, so bins, mean wavenumbers and mode
+//! counts are those of all `n³` modes.
 
 use hacc_ranks::Comm;
+use hacc_swfft::dist::half_width;
 use hacc_swfft::Complex64;
 
 /// One P(k) bin.
@@ -18,10 +23,10 @@ pub struct PowerBin {
     pub modes: u64,
 }
 
-/// Measure P(k) from this rank's k-space overdensity slab (layout B of
-/// `hacc_swfft::DistFft3d`: `delta_k[(ly*n + x)*n + z]`, y-planes
-/// `[y0, y0+ny)`), reducing across all ranks. Every rank returns the full
-/// binned spectrum.
+/// Measure P(k) from this rank's half-spectrum overdensity slab (layout B
+/// of `hacc_swfft::DistFft3d::forward_real`: `delta_k[(ly*n + x)*w + z]`
+/// with `w = n/2 + 1`, y-planes `[y0, y0+ny)`), reducing across all ranks.
+/// Every rank returns the full binned spectrum.
 ///
 /// Bins are linear in k with width `2 pi / box_size` (the fundamental
 /// mode), up to the Nyquist frequency.
@@ -33,7 +38,8 @@ pub fn measure_power(
     ny: usize,
     box_size: f64,
 ) -> Vec<PowerBin> {
-    assert_eq!(delta_k.len(), ny * n * n);
+    let w = half_width(n);
+    assert_eq!(delta_k.len(), ny * n * w);
     let kf = 2.0 * std::f64::consts::PI / box_size;
     let n_bins = n / 2;
     let norm = 1.0 / (n as f64).powi(3);
@@ -54,9 +60,9 @@ pub fn measure_power(
         let my = signed(y0 + ly);
         for x in 0..n {
             let mx = signed(x);
-            let row = (ly * n + x) * n;
-            for z in 0..n {
-                let mz = signed(z);
+            let row = (ly * n + x) * w;
+            for z in 0..w {
+                let mz = z as f64;
                 let m2 = mx * mx + my * my + mz * mz;
                 if m2 == 0.0 {
                     continue;
@@ -66,10 +72,12 @@ pub fn measure_power(
                 if bin >= n_bins {
                     continue;
                 }
+                // Bins z = 0 and z = n/2 hold their own conjugates.
+                let modes = if z == 0 || 2 * z == n { 1 } else { 2 };
                 let dk = delta_k[row + z].scale(norm);
-                psum[bin] += volume * dk.norm_sqr();
-                ksum[bin] += m * kf;
-                count[bin] += 1;
+                psum[bin] += modes as f64 * volume * dk.norm_sqr();
+                ksum[bin] += modes as f64 * m * kf;
+                count[bin] += modes;
             }
         }
     }
@@ -98,8 +106,9 @@ pub fn measure_power(
 mod tests {
     use super::*;
     use hacc_ranks::World;
-    use hacc_swfft::DistFft3d;
     use hacc_rt::rand::{self, Rng, SeedableRng};
+    use hacc_swfft::serial::fft3;
+    use hacc_swfft::{DistFft3d, FftPlan};
 
     /// Build delta(x) on the full grid, run the distributed FFT, measure.
     fn measure_field<F: Fn(usize, usize, usize) -> f64 + Sync>(
@@ -110,20 +119,85 @@ mod tests {
     ) -> Vec<PowerBin> {
         World::run(ranks, |comm| {
             let fft = DistFft3d::new(comm, n);
-            let mut local = vec![Complex64::zero(); fft.nx * n * n];
-            for lx in 0..fft.nx {
-                for y in 0..n {
-                    for z in 0..n {
-                        local[(lx * n + y) * n + z] =
-                            Complex64::new(f(fft.x0 + lx, y, z), 0.0);
-                    }
-                }
-            }
-            fft.forward(comm, &mut local);
-            measure_power(comm, &local, n, fft.y0, fft.ny, box_size)
+            let local: Vec<f64> = (0..fft.local_len())
+                .map(|i| f(fft.x0 + i / (n * n), i / n % n, i % n))
+                .collect();
+            let delta_k = fft.forward_real(comm, local);
+            measure_power(comm, &delta_k, n, fft.y0, fft.ny, box_size)
         })
         .pop()
         .unwrap()
+    }
+
+    /// P(k) of the same field from all `n³` modes of the serial complex
+    /// transform, each counted once: what the half spectrum must equal.
+    fn full_spectrum_power<F: Fn(usize, usize, usize) -> f64>(
+        n: usize,
+        box_size: f64,
+        f: F,
+    ) -> Vec<PowerBin> {
+        let mut cube: Vec<Complex64> = (0..n * n * n)
+            .map(|i| Complex64::new(f(i / (n * n), i / n % n, i % n), 0.0))
+            .collect();
+        fft3(&FftPlan::new(n), &mut cube, false);
+        let kf = 2.0 * std::f64::consts::PI / box_size;
+        let signed = |i: usize| {
+            if i <= n / 2 {
+                i as f64
+            } else {
+                i as f64 - n as f64
+            }
+        };
+        let mut bins = vec![(0.0, 0.0, 0u64); n / 2];
+        for (i, v) in cube.iter().enumerate() {
+            let m = [i / (n * n), i / n % n, i % n].map(signed);
+            let m = (m[0] * m[0] + m[1] * m[1] + m[2] * m[2]).sqrt();
+            let bin = (m - 0.5).round() as usize;
+            if m > 0.0 && bin < bins.len() {
+                let p = box_size.powi(3) * v.scale(1.0 / (n * n * n) as f64).norm_sqr();
+                bins[bin].0 += m * kf;
+                bins[bin].1 += p;
+                bins[bin].2 += 1;
+            }
+        }
+        bins.into_iter()
+            .filter(|b| b.2 > 0)
+            .map(|(k, p, modes)| PowerBin {
+                k: k / modes as f64,
+                power: p / modes as f64,
+                modes,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn half_spectrum_equals_full_spectrum() {
+        // Even grids (a self-conjugate z = n/2 plane) and an odd one
+        // (none); one rank, uneven slabs, and zero-plane ranks (6 on 4).
+        let field = |x: usize, y: usize, z: usize| {
+            ((x * 31 + y * 17 + z * 7) % 13) as f64 / 13.0 - 0.5 + (x as f64 * 0.9).sin() * 0.2
+        };
+        for (n, ranks) in [(16usize, 1usize), (12, 3), (17, 2), (4, 6)] {
+            let l = 40.0;
+            let want = full_spectrum_power(n, l, field);
+            let got = measure_field(n, ranks, l, field);
+            assert_eq!(got.len(), want.len(), "n={n} ranks={ranks}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.modes, w.modes, "n={n} ranks={ranks}");
+                assert!(
+                    (g.k - w.k).abs() <= 1e-12 * w.k,
+                    "n={n}: k {} vs {}",
+                    g.k,
+                    w.k
+                );
+                assert!(
+                    (g.power - w.power).abs() <= 1e-12 * w.power,
+                    "n={n} ranks={ranks}: power {} vs {}",
+                    g.power,
+                    w.power
+                );
+            }
+        }
     }
 
     #[test]

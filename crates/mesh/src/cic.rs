@@ -5,7 +5,8 @@
 //! the FFT mesh is x-slab decomposed. Deposit therefore buckets per-cell
 //! mass contributions by destination slab owner and exchanges them with an
 //! all-to-all; interpolation gathers the (few) x-planes a rank's particles
-//! touch from their owners.
+//! touch from their owners — the request list once per solve, the planes
+//! once per force component.
 
 use hacc_ranks::Comm;
 use hacc_swfft::dist::slab;
@@ -87,48 +88,75 @@ pub fn deposit(
     grid
 }
 
+/// One solve's plane requests, exchanged once and answered once per field
+/// gathered: the x-planes this rank asked of each owner, and the ones each
+/// peer asked of this rank.
+#[derive(Debug)]
+pub struct PlaneRequests {
+    n: usize,
+    /// `asked[owner]`: the global planes asked of `owner`, in request order.
+    asked: Vec<Vec<usize>>,
+    /// `incoming[peer]`: the global planes `peer` asked of this rank.
+    incoming: Vec<Vec<usize>>,
+}
+
+impl PlaneRequests {
+    /// Send the x-planes listed in `needed` (global plane indices) to
+    /// their owning ranks: one all-to-all.
+    pub fn exchange(comm: &mut Comm, n: usize, needed: &[usize]) -> Self {
+        let size = comm.size();
+        let mut asked: Vec<Vec<usize>> = vec![Vec::new(); size];
+        for &ix in needed {
+            assert!(ix < n, "plane index out of range");
+            asked[plane_owner(n, size, ix)].push(ix);
+        }
+        let incoming = comm.all_to_allv(asked.clone());
+        Self { n, asked, incoming }
+    }
+
+    /// Answer the requests from this rank's x-slab of one field and
+    /// collect the answers to its own: one all-to-all. Returns
+    /// `(plane_index, plane_data)` pairs; each plane is `n²` values.
+    pub fn gather(&self, comm: &mut Comm, local_slab: &[f64]) -> Vec<(usize, Vec<f64>)> {
+        let n = self.n;
+        let (x0, _nx) = slab(n, comm.size(), comm.rank());
+        // The plane data, concatenated in request order.
+        let responses: Vec<Vec<f64>> = self
+            .incoming
+            .iter()
+            .map(|reqs| {
+                let mut buf = Vec::with_capacity(reqs.len() * n * n);
+                for &ix in reqs {
+                    let lx = ix - x0;
+                    buf.extend_from_slice(&local_slab[lx * n * n..(lx + 1) * n * n]);
+                }
+                buf
+            })
+            .collect();
+        let answers = comm.all_to_allv(responses);
+
+        // Reassemble in the order we asked each owner.
+        let mut out = Vec::with_capacity(self.asked.iter().map(Vec::len).sum());
+        for (reqs, buf) in self.asked.iter().zip(&answers) {
+            for (i, &ix) in reqs.iter().enumerate() {
+                out.push((ix, buf[i * n * n..(i + 1) * n * n].to_vec()));
+            }
+        }
+        out
+    }
+}
+
 /// Gather the x-planes listed in `needed` (global plane indices) from their
-/// owning ranks. Returns `(plane_index, plane_data)` pairs; each plane is
-/// `n²` values.
+/// owning ranks: [`PlaneRequests::exchange`] then one
+/// [`PlaneRequests::gather`]. Returns `(plane_index, plane_data)` pairs;
+/// each plane is `n²` values.
 pub fn gather_planes(
     comm: &mut Comm,
     n: usize,
     local_slab: &[f64],
     needed: &[usize],
 ) -> Vec<(usize, Vec<f64>)> {
-    let size = comm.size();
-    let rank = comm.rank();
-    let (x0, _nx) = slab(n, size, rank);
-
-    // Round 1: send plane requests to owners.
-    let mut requests: Vec<Vec<usize>> = vec![Vec::new(); size];
-    for &ix in needed {
-        assert!(ix < n, "plane index out of range");
-        requests[plane_owner(n, size, ix)].push(ix);
-    }
-    let incoming = comm.all_to_allv(requests.clone());
-
-    // Round 2: answer with the plane data, concatenated in request order.
-    let mut responses: Vec<Vec<f64>> = Vec::with_capacity(size);
-    for reqs in &incoming {
-        let mut buf = Vec::with_capacity(reqs.len() * n * n);
-        for &ix in reqs {
-            let lx = ix - x0;
-            buf.extend_from_slice(&local_slab[lx * n * n..(lx + 1) * n * n]);
-        }
-        responses.push(buf);
-    }
-    let answers = comm.all_to_allv(responses);
-
-    // Reassemble in the order we asked each owner.
-    let mut out = Vec::with_capacity(needed.len());
-    for (owner, reqs) in requests.iter().enumerate() {
-        let buf = &answers[owner];
-        for (i, &ix) in reqs.iter().enumerate() {
-            out.push((ix, buf[i * n * n..(i + 1) * n * n].to_vec()));
-        }
-    }
-    out
+    PlaneRequests::exchange(comm, n, needed).gather(comm, local_slab)
 }
 
 /// The set of global x-planes the CIC stencils of `positions` touch.
@@ -148,7 +176,7 @@ pub fn needed_planes(n: usize, box_size: f64, positions: &[[f64; 3]]) -> Vec<usi
 }
 
 /// Interpolate a grid quantity at particle positions using planes gathered
-/// by [`gather_planes`]. `planes` maps global plane index → `n²` data.
+/// by [`PlaneRequests::gather`]. `planes` maps global plane index → `n²` data.
 pub fn interpolate(
     n: usize,
     box_size: f64,
@@ -307,11 +335,21 @@ mod tests {
                     local[lx * n * n + i] = (x0 + lx) as f64;
                 }
             }
-            // Every rank asks for the wrap pair {n-1, 0}.
+            // Every rank asks for the wrap pair {n-1, 0}, and one exchange
+            // of that request answers for a second field too.
             let planes = gather_planes(comm, n, &local, &[n - 1, 0]);
             assert_eq!(planes.len(), 2);
             for (ix, data) in planes {
                 assert!(data.iter().all(|&v| v == ix as f64));
+            }
+            let requests = PlaneRequests::exchange(comm, n, &[n - 1, 0]);
+            for sign in [1.0, -1.0] {
+                let field: Vec<f64> = local.iter().map(|v| sign * v).collect();
+                let planes = requests.gather(comm, &field);
+                assert_eq!(planes.len(), 2);
+                for (ix, data) in planes {
+                    assert!(data.iter().all(|&v| v == sign * ix as f64));
+                }
             }
         });
     }

@@ -11,8 +11,8 @@
 //! * [`poisson`] — the k-space Green's function with Gaussian long-range
 //!   filtering and CIC deconvolution, plus spectral force gradients,
 //! * [`pm`] — the [`pm::PmSolver`] orchestrating
-//!   deposit → FFT → Green × ik → two inverse FFTs (two real force fields
-//!   per complex transform) → interpolation.
+//!   deposit → real FFT → Green × ik on the half spectrum → two real
+//!   inverse FFTs for the three force fields → interpolation.
 //!
 //! The split is the Ewald-style Gaussian pair: the PM force is filtered by
 //! `exp(-k² r_s²)`, and `hacc-grav` supplies the complementary real-space

@@ -1,14 +1,16 @@
 //! The end-to-end PM solver: deposit → forward FFT → Green's function ×
 //! spectral gradient → inverse FFTs → interpolation at particle positions.
 //!
-//! One solve is three complex-to-complex transforms, not four: the force
-//! components are real fields, so `F_x + i F_y` goes through one inverse
-//! (`f_x = Re`, `f_y = Im`) and `F_z` through another. That needs every
+//! Density and forces are real fields, so one solve runs on half spectra
+//! (the bins `z <= n/2` of every z-row): a real forward transform of the
+//! density, then two real inverses for the three force components —
+//! `[F_x | F_y]` side by side in each z-row, one complex FFT per line
+//! yielding both, and `F_z` with two rows per complex FFT. That needs every
 //! force grid Hermitian, which the zeroed Nyquist gradient wavenumber of
 //! [`crate::poisson`] guarantees.
 
 use crate::cic;
-use crate::poisson::{apply_greens_gradient_packed, GreensOptions};
+use crate::poisson::{apply_greens_gradient_half, GreensOptions};
 use hacc_ranks::Comm;
 use hacc_swfft::{Complex64, DistFft3d};
 
@@ -88,24 +90,22 @@ impl PmSolver {
         let cell_vol = (self.cfg.box_size / n as f64).powi(3);
 
         // 1. Deposit, converting mass -> density.
-        let mass_grid = self.mass_slab(comm, positions, masses);
-        let mut rho: Vec<Complex64> = mass_grid
-            .iter()
-            .map(|&m| Complex64::new(m / cell_vol, 0.0))
-            .collect();
+        let mut rho = self.mass_slab(comm, positions, masses);
+        for m in &mut rho {
+            *m /= cell_vol;
+        }
 
-        // 2. Forward FFT into the transposed slab layout.
-        self.fft.forward(comm, &mut rho);
+        // 2. Real forward FFT into the transposed half-spectrum layout.
+        let mut fz = self.fft.forward_real(comm, rho);
 
-        // 3. Green's function + spectral gradient: `rho` becomes F_z(k),
-        //    F_x and F_y share one grid.
+        // 3. Green's function + spectral gradient: `fz` becomes F_z(k),
+        //    F_x and F_y share the rows of a second grid.
         let opts = GreensOptions {
             prefactor: self.cfg.prefactor,
             split_scale: self.cfg.split_scale,
             deconvolve_cic: self.cfg.deconvolve_cic,
         };
-        let mut fz = rho;
-        let mut fxy = apply_greens_gradient_packed(
+        let fxy = apply_greens_gradient_half(
             &mut fz,
             n,
             self.fft.y0,
@@ -114,31 +114,33 @@ impl PmSolver {
             &opts,
         );
 
-        // 4. Two inverse FFTs for three real fields (f_x = Re, f_y = Im of
-        //    the packed grid); gather and interpolate one component at a
-        //    time, so a rank holds one component's planes at once.
+        // 4. Two real inverse FFTs for three fields; the plane requests are
+        //    exchanged once, and each component is gathered and
+        //    interpolated in turn, so a rank holds one component's planes
+        //    at once.
         let needed = cic::needed_planes(n, self.cfg.box_size, positions);
+        let requests = cic::PlaneRequests::exchange(comm, n, &needed);
         let mut accel = vec![[0.0f64; 3]; positions.len()];
         let mut interpolate_into = |comm: &mut Comm, d: usize, real: Vec<f64>| {
-            let planes = cic::gather_planes(comm, n, &real, &needed);
+            let planes = requests.gather(comm, &real);
             drop(real);
             let vals = cic::interpolate(n, self.cfg.box_size, positions, &planes);
             for (a, v) in accel.iter_mut().zip(vals) {
                 a[d] = v;
             }
         };
-        self.fft.inverse(comm, &mut fxy);
-        interpolate_into(comm, 0, fxy.iter().map(|c| c.re).collect());
-        interpolate_into(comm, 1, fxy.iter().map(|c| c.im).collect());
-        drop(fxy);
-        self.fft.inverse(comm, &mut fz);
-        interpolate_into(comm, 2, fz.iter().map(|c| c.re).collect());
+        let [fx, fy] = self.fft.inverse_real(comm, fxy);
+        interpolate_into(comm, 0, fx);
+        interpolate_into(comm, 1, fy);
+        let [fz] = self.fft.inverse_real(comm, fz);
+        interpolate_into(comm, 2, fz);
         accel
     }
 
     /// The local k-space density grid (used by the P(k) analysis). Returns
-    /// `(delta_k, y0, ny)` where `delta_k` is the FFT of the *overdensity*
-    /// `delta = rho/rho_mean - 1`.
+    /// `(delta_k, y0, ny)` where `delta_k` is the half spectrum of the
+    /// *overdensity* `delta = rho/rho_mean - 1`: layout B of
+    /// [`DistFft3d::forward_real`], rows of the `n/2 + 1` bins `z <= n/2`.
     pub fn density_k(
         &self,
         comm: &mut Comm,
@@ -146,16 +148,14 @@ impl PmSolver {
         masses: &[f64],
     ) -> (Vec<Complex64>, usize, usize) {
         let n = self.cfg.n;
-        let mass_grid = self.mass_slab(comm, positions, masses);
-        let local_mass: f64 = mass_grid.iter().sum();
+        let mut delta = self.mass_slab(comm, positions, masses);
+        let local_mass: f64 = delta.iter().sum();
         let total_mass = comm.all_reduce_f64(local_mass, |a, b| a + b);
         let mean_per_cell = total_mass / (n * n * n) as f64;
-        let mut delta: Vec<Complex64> = mass_grid
-            .iter()
-            .map(|&m| Complex64::new(m / mean_per_cell - 1.0, 0.0))
-            .collect();
-        self.fft.forward(comm, &mut delta);
-        (delta, self.fft.y0, self.fft.ny)
+        for m in &mut delta {
+            *m = *m / mean_per_cell - 1.0;
+        }
+        (self.fft.forward_real(comm, delta), self.fft.y0, self.fft.ny)
     }
 }
 
@@ -258,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_inverse_matches_three_inverses() {
+    fn half_spectrum_solve_matches_three_inverses() {
         // Radix-2, even Bluestein and odd grids; even, uneven and (for
         // the 12- and 17-grids on 3 ranks) unequal slabs; plain PM, where
         // the Nyquist planes carry as much force as any other, and the

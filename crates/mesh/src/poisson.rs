@@ -20,7 +20,13 @@
 //! Both `S` and `W_cic^2` are products over the axes, so the whole factor
 //! is `c_x c_y c_z / k^2` with `c_i = exp(-k_i^2 r_s^2) / w_i^2` read from
 //! one table of `n` entries ([`AxisTable`]): no transcendental per cell.
+//!
+//! The per-mode physics has two output forms: the solver's, over the half
+//! spectrum of the real transforms (bins `z <= n/2` of each z-row), and the
+//! full-spectrum [`apply_greens_gradient`] with one grid per component,
+//! the reference the tests and the benchmark census call.
 
+use hacc_swfft::dist::half_width;
 use hacc_swfft::Complex64;
 
 /// Signed wavenumber index for FFT bin `i` of an `n`-grid.
@@ -72,10 +78,9 @@ struct AxisTable {
     prefactor: f64,
 }
 
-/// What one z-row of layout B shares: its offset into the slab and the
-/// x/y parts of the per-mode factors.
+/// What one z-row of layout B shares: the x/y parts of the per-mode
+/// factors.
 struct Row {
-    offset: usize,
     gx: f64,
     gy: f64,
     kxy2: f64,
@@ -120,7 +125,6 @@ impl AxisTable {
         (0..ny * n).map(move |r| {
             let (y, x) = (y0 + r / n, r % n);
             Row {
-                offset: r * n,
                 gx: self.k_grad[x],
                 gy: self.k_grad[y],
                 kxy2: self.k[x] * self.k[x] + self.k[y] * self.k[y],
@@ -167,8 +171,8 @@ pub fn apply_greens_gradient(
     assert_eq!(rho_k.len(), ny * n * n);
     let table = AxisTable::new(n, box_size, opts);
     let mut grids = [(); 3].map(|()| Vec::with_capacity(rho_k.len()));
-    for row in table.rows(y0, ny) {
-        for (z, &rho) in rho_k[row.offset..][..n].iter().enumerate() {
+    for (row, cells) in table.rows(y0, ny).zip(rho_k.chunks_exact(n)) {
+        for (z, &rho) in cells.iter().enumerate() {
             let force = table.force(rho, &row, z);
             for (grid, f) in grids.iter_mut().zip(force) {
                 grid.push(f);
@@ -178,11 +182,12 @@ pub fn apply_greens_gradient(
     grids
 }
 
-/// [`apply_greens_gradient`] in the form the solver transforms: `rho_k`
-/// becomes `F_z(k)` in place and the returned grid is `F_x + i F_y`. The
-/// components are Hermitian, so one complex inverse transform of the
-/// packed grid yields both real fields: `f_x = Re`, `f_y = Im`.
-pub(crate) fn apply_greens_gradient_packed(
+/// [`apply_greens_gradient`] over the half spectrum the solver transforms:
+/// `rho_k` holds z-rows of the `w = n/2 + 1` bins `z <= n/2`
+/// ([`hacc_swfft::DistFft3d::forward_real`]) and becomes `F_z(k)` in place;
+/// the returned grid holds `[F_x | F_y]` rows of `2w`, two half spectra
+/// side by side, as `DistFft3d::inverse_real::<2>` reads them.
+pub(crate) fn apply_greens_gradient_half(
     rho_k: &mut [Complex64],
     n: usize,
     y0: usize,
@@ -190,14 +195,15 @@ pub(crate) fn apply_greens_gradient_packed(
     box_size: f64,
     opts: &GreensOptions,
 ) -> Vec<Complex64> {
-    assert_eq!(rho_k.len(), ny * n * n);
+    let w = half_width(n);
+    assert_eq!(rho_k.len(), ny * n * w);
     let table = AxisTable::new(n, box_size, opts);
-    let mut fxy = Vec::with_capacity(rho_k.len());
-    for row in table.rows(y0, ny) {
-        for (z, cell) in rho_k[row.offset..][..n].iter_mut().enumerate() {
-            let [fx, fy, fz] = table.force(*cell, &row, z);
-            fxy.push(Complex64::new(fx.re - fy.im, fx.im + fy.re));
-            *cell = fz;
+    let mut fxy = vec![Complex64::zero(); 2 * rho_k.len()];
+    let rows = table.rows(y0, ny).zip(rho_k.chunks_exact_mut(w));
+    for ((row, cells), out) in rows.zip(fxy.chunks_exact_mut(2 * w)) {
+        let (fx, fy) = out.split_at_mut(w);
+        for (z, cell) in cells.iter_mut().enumerate() {
+            [fx[z], fy[z], *cell] = table.force(*cell, &row, z);
         }
     }
     fxy

@@ -6,8 +6,19 @@
 //! (`[y0, y0+ny)`, full x/z extent). The transpose in the middle is the
 //! all-to-all pattern that dominated SWFFT's communication on Frontier.
 //!
-//! Real-space layout A: `data[(lx * n + y) * n + z]` for `lx in 0..nx`.
-//! K-space layout B: `data[(ly * n + x) * n + z]` for `ly in 0..ny`.
+//! Every plane is `n` rows of `width` values along z:
+//!
+//! Real-space layout A: `data[(lx * n + y) * width + z]` for `lx in 0..nx`.
+//! K-space layout B: `data[(ly * n + x) * width + z]` for `ly in 0..ny`.
+//!
+//! The fields the solver transforms are real, so their spectra are
+//! Hermitian and [`DistFft3d::forward_real`] / [`DistFft3d::inverse_real`]
+//! keep only the bins `z ≤ n/2`: `w = n/2 + 1` complex values per z-row
+//! (`F · w` for `F` fields side by side). Their z stage takes two real
+//! rows through one complex length-`n` FFT; the y/x column passes and the
+//! transpose are the complex ones at that row width. The complex-to-complex
+//! [`DistFft3d::forward`] / [`DistFft3d::inverse`] are the width-`n` case:
+//! the reference the real transforms are tested against.
 //!
 //! Both layouts split their slab axis with the same [`slab`], so A -> B
 //! and B -> A are one operation — swap the plane and row indices of the
@@ -27,6 +38,13 @@ pub fn slab(n: usize, size: usize, rank: usize) -> (usize, usize) {
     let count = base + usize::from(rank < rem);
     let offset = rank * base + rank.min(rem);
     (offset, count)
+}
+
+/// Complex values per z-row of a half spectrum of an `n³` grid: the bins
+/// `z = 0 ..= n/2` of a real field.
+#[inline]
+pub fn half_width(n: usize) -> usize {
+    n / 2 + 1
 }
 
 /// A distributed 3-D FFT plan bound to a world size and this rank.
@@ -80,7 +98,11 @@ impl DistFft3d {
         self.rank
     }
 
-    /// Number of local complex elements (identical in both layouts).
+    /// Number of local values of a full-width slab: the complex elements
+    /// of both layouts of [`Self::forward`] / [`Self::inverse`], and the
+    /// reals of layout A that [`Self::forward_real`] reads and
+    /// [`Self::inverse_real`] writes per field. A half-spectrum slab holds
+    /// `ny · n · half_width(n)` complex values.
     pub fn local_len(&self) -> usize {
         self.nx * self.n * self.n
     }
@@ -101,7 +123,7 @@ impl DistFft3d {
         }
 
         // x-slabs -> y-slabs, then FFT along x (columns of each y-plane).
-        self.transpose(comm, data);
+        self.transpose(comm, data, n);
         for plane in data.chunks_exact_mut(n * n) {
             column_pass(&self.plan, plane, n, &mut scratch, false);
         }
@@ -117,13 +139,76 @@ impl DistFft3d {
         for plane in data.chunks_exact_mut(n * n) {
             column_pass(&self.plan, plane, n, &mut scratch, true);
         }
-        self.transpose(comm, data);
+        self.transpose(comm, data, n);
         for plane in data.chunks_exact_mut(n * n) {
             column_pass(&self.plan, plane, n, &mut scratch, true);
             for row in plane.chunks_exact_mut(n) {
                 self.plan.inverse(row);
             }
         }
+    }
+
+    /// Real-input forward transform: consumes this rank's real slab in
+    /// layout A (`local_len()` values) and returns its half spectrum in
+    /// layout B, rows of `w = half_width(n)` — the bins `z ≤ n/2` of what
+    /// [`Self::forward`] returns for the same field (unnormalized).
+    pub fn forward_real(&self, comm: &mut Comm, data: Vec<f64>) -> Vec<Complex64> {
+        assert_eq!(data.len(), self.local_len());
+        let (n, w) = (self.n, half_width(self.n));
+        let mut line = vec![Complex64::zero(); n];
+        let mut scratch = vec![Complex64::zero(); COLS * n];
+        let mut out = Vec::with_capacity(self.nx * n * w);
+        for plane in data.chunks_exact(n * n) {
+            let start = out.len();
+            for rows in plane.chunks(2 * n) {
+                let (a, b) = rows.split_at(n);
+                z_forward_pair(&self.plan, a, b, &mut line, &mut out);
+            }
+            column_pass(&self.plan, &mut out[start..], w, &mut scratch, false);
+        }
+        drop(data);
+        self.transpose(comm, &mut out, w);
+        for plane in out.chunks_exact_mut(n * w) {
+            column_pass(&self.plan, plane, w, &mut scratch, false);
+        }
+        out
+    }
+
+    /// Real-output inverse of `F` half spectra stored side by side:
+    /// consumes layout B with rows of `F · w` values (field `f`'s bins
+    /// `z ≤ n/2` at `[f·w, (f+1)·w)` of each row) and returns each field's
+    /// real slab in layout A, normalized by `1/n³`. The imaginary parts of
+    /// the self-conjugate bins `z = 0` and `z = n/2` are dropped: a real
+    /// field's are zero.
+    pub fn inverse_real<const F: usize>(
+        &self,
+        comm: &mut Comm,
+        mut data: Vec<Complex64>,
+    ) -> [Vec<f64>; F] {
+        let (n, w) = (self.n, half_width(self.n));
+        let width = F * w;
+        assert_eq!(data.len(), self.ny * n * width);
+        let mut scratch = vec![Complex64::zero(); COLS * n];
+        for plane in data.chunks_exact_mut(n * width) {
+            column_pass(&self.plan, plane, width, &mut scratch, true);
+        }
+        self.transpose(comm, &mut data, width);
+        let mut line = vec![Complex64::zero(); n];
+        let mut out = [(); F].map(|()| Vec::with_capacity(self.local_len()));
+        for plane in data.chunks_exact_mut(n * width) {
+            column_pass(&self.plan, plane, width, &mut scratch, true);
+            // Half-row `j` of a plane is row `j / F` of field `j % F`;
+            // consecutive half-rows share one complex FFT.
+            for (p, pair) in plane.chunks(2 * w).enumerate() {
+                let (a, b) = pair.split_at(w);
+                z_inverse_pair(&self.plan, a, b, &mut line);
+                out[2 * p % F].extend(line.iter().map(|c| c.re));
+                if !b.is_empty() {
+                    out[(2 * p + 1) % F].extend(line.iter().map(|c| c.im));
+                }
+            }
+        }
+        out
     }
 
     /// Global wavenumber indices `(kx, ky, kz)` of local k-space element
@@ -133,16 +218,17 @@ impl DistFft3d {
         (x, self.y0 + ly, z)
     }
 
-    /// The slab transpose, A -> B and B -> A alike: with `p = off + l`
-    /// the global index of local plane `l`,
+    /// The slab transpose, A -> B and B -> A alike, for planes of `n`
+    /// rows of `width`: with `p = off + l` the global index of local plane
+    /// `l`,
     ///
     /// ```text
-    /// out[(l * n + r) * n + z] = global[(r * n + p) * n + z]
+    /// out[(l * n + r) * width + z] = global[(r * n + p) * width + z]
     /// ```
     ///
     /// i.e. row `r` of this rank's output plane `p` is row `p` of global
     /// plane `r`, read from whichever rank owns plane `r`.
-    fn transpose(&self, comm: &mut Comm, data: &mut Vec<Complex64>) {
+    fn transpose(&self, comm: &mut Comm, data: &mut Vec<Complex64>, width: usize) {
         let n = self.n;
         let (off, cnt) = (self.x0, self.nx);
         // To peer d: rows [off_d, off_d + cnt_d) of every local plane, one
@@ -153,9 +239,9 @@ impl DistFft3d {
                     return Vec::new();
                 }
                 let (od, cd) = slab(n, self.size, d);
-                let mut buf = Vec::with_capacity(cnt * cd * n);
-                for plane in data.chunks_exact(n * n) {
-                    buf.extend_from_slice(&plane[od * n..(od + cd) * n]);
+                let mut buf = Vec::with_capacity(cnt * cd * width);
+                for plane in data.chunks_exact(n * width) {
+                    buf.extend_from_slice(&plane[od * width..(od + cd) * width]);
                 }
                 buf
             })
@@ -169,18 +255,72 @@ impl DistFft3d {
         for l in 0..cnt {
             for (s, buf) in recvd.iter().enumerate() {
                 let (src, block, first) = if s == self.rank {
-                    (data.as_slice(), n * n, off * n)
+                    (data.as_slice(), n * width, off * width)
                 } else {
-                    (buf.as_slice(), cnt * n, 0)
+                    (buf.as_slice(), cnt * width, 0)
                 };
                 for rows in src.chunks_exact(block) {
-                    out.extend_from_slice(&rows[first + l * n..][..n]);
+                    out.extend_from_slice(&rows[first + l * width..][..width]);
                 }
             }
         }
         assert_eq!(out.len(), data.len(), "transpose blocks do not tile the slab");
         *data = out;
     }
+}
+
+/// The z stage of [`DistFft3d::forward_real`]: appends to `out` the half
+/// spectra of the real rows `a` and then `b` (`b` empty for a lone last
+/// row), both from one complex FFT `C` of `a + i·b`:
+/// `A_k = (C_k + C*_{n−k}) / 2`, `B_k = (C_k − C*_{n−k}) / 2i`.
+fn z_forward_pair(
+    plan: &FftPlan,
+    a: &[f64],
+    b: &[f64],
+    line: &mut [Complex64],
+    out: &mut Vec<Complex64>,
+) {
+    let n = line.len();
+    let w = half_width(n);
+    for (c, &re) in line.iter_mut().zip(a) {
+        *c = Complex64::new(re, 0.0);
+    }
+    for (c, &im) in line.iter_mut().zip(b) {
+        c.im = im;
+    }
+    plan.forward(line);
+    let mirror = |k: usize| line[(n - k) % n].conj();
+    out.extend((0..w).map(|k| (line[k] + mirror(k)).scale(0.5)));
+    if !b.is_empty() {
+        out.extend((0..w).map(|k| {
+            let d = line[k] - mirror(k);
+            Complex64::new(0.5 * d.im, -0.5 * d.re)
+        }));
+    }
+}
+
+/// The z stage of [`DistFft3d::inverse_real`], the inverse of
+/// [`z_forward_pair`]: leaves in `line` the rows `a + i·b` whose half
+/// spectra are `a` and `b` (`b` empty for a lone last row), by one complex
+/// inverse FFT of `A_k + i·B_k` with `A_k = A*_{n−k}` above `n/2`.
+fn z_inverse_pair(plan: &FftPlan, a: &[Complex64], b: &[Complex64], line: &mut [Complex64]) {
+    let n = line.len();
+    let w = a.len();
+    let b_at = |k: usize| b.get(k).copied().unwrap_or_default();
+    for (k, c) in line.iter_mut().enumerate() {
+        let (ak, bk) = if k < w {
+            (a[k], b_at(k))
+        } else {
+            (a[n - k].conj(), b_at(n - k).conj())
+        };
+        *c = Complex64::new(ak.re - bk.im, ak.im + bk.re);
+    }
+    // Bins 0 and n/2 (even n) of a real row are real.
+    let nyquist = if n.is_multiple_of(2) { n / 2 } else { 0 };
+    for k in [0, nyquist] {
+        line[k] = Complex64::new(a[k].re, b_at(k).re);
+    }
+    plan.inverse(line);
 }
 
 #[cfg(test)]
@@ -300,33 +440,91 @@ mod tests {
     }
 
     #[test]
-    fn transpose_is_the_documented_map_and_its_own_inverse() {
-        // Even and uneven slabs, and a world with zero-plane ranks.
-        for (n, ranks) in [(8usize, 1usize), (8, 3), (12, 5), (17, 4), (4, 6)] {
-            let global: Vec<Complex64> = (0..n * n * n)
-                .map(|i| Complex64::new(i as f64, -(i as f64)))
-                .collect();
-            World::run(ranks, |comm| {
-                let fft = DistFft3d::new(comm, n);
-                let orig = global[fft.x0 * n * n..(fft.x0 + fft.nx) * n * n].to_vec();
-                let mut local = orig.clone();
-                fft.transpose(comm, &mut local);
-                assert_eq!(local.len(), orig.len());
-                for l in 0..fft.nx {
-                    let p = fft.x0 + l;
-                    for r in 0..n {
-                        for z in 0..n {
-                            assert_eq!(
-                                local[(l * n + r) * n + z],
-                                global[(r * n + p) * n + z],
-                                "n={n} ranks={ranks} plane {p} row {r} z {z}"
-                            );
+    fn real_transforms_are_the_half_of_the_complex_ones() {
+        // Radix-2, even and odd Bluestein grids; even, uneven and (6 ranks
+        // on n = 4) zero-plane slabs. Two fields side by side through one
+        // inverse must each come back as the single-field round trip does.
+        for n in [4usize, 12, 16, 17] {
+            for ranks in [1usize, 2, 3, 6] {
+                let fields = [rand_grid(n, 7), rand_grid(n, 8)];
+                World::run(ranks, |comm| {
+                    let fft = DistFft3d::new(comm, n);
+                    let w = half_width(n);
+                    let slab = |g: &[Complex64]| g[fft.x0 * n * n..][..fft.local_len()].to_vec();
+                    let reals = fields
+                        .each_ref()
+                        .map(|g| slab(g).iter().map(|c| c.re).collect::<Vec<f64>>());
+                    let halves = reals.each_ref().map(|r| fft.forward_real(comm, r.clone()));
+                    for (g, half) in fields.iter().zip(&halves) {
+                        let mut full = slab(g);
+                        fft.forward(comm, &mut full);
+                        let scale = full.iter().map(|c| c.abs()).fold(0.0, f64::max);
+                        assert_eq!(half.len(), fft.ny * n * w);
+                        for (row, half_row) in full.chunks_exact(n).zip(half.chunks_exact(w)) {
+                            for (got, want) in half_row.iter().zip(row) {
+                                assert!(
+                                    (*got - *want).abs() <= 1e-12 * scale,
+                                    "n={n} ranks={ranks}: {got:?} vs {want:?}"
+                                );
+                            }
                         }
                     }
-                }
-                fft.transpose(comm, &mut local);
-                assert_eq!(local, orig, "n={n} ranks={ranks}: not an involution");
-            });
+                    let mut both = Vec::with_capacity(2 * halves[0].len());
+                    for (a, b) in halves[0].chunks_exact(w).zip(halves[1].chunks_exact(w)) {
+                        both.extend_from_slice(a);
+                        both.extend_from_slice(b);
+                    }
+                    let [one] = fft.inverse_real(comm, halves[0].clone());
+                    let two = fft.inverse_real::<2>(comm, both);
+                    for (got, want) in [
+                        (&one, &reals[0]),
+                        (&two[0], &reals[0]),
+                        (&two[1], &reals[1]),
+                    ] {
+                        assert_eq!(got.len(), want.len());
+                        for (g, w) in got.iter().zip(want) {
+                            assert!((g - w).abs() <= 1e-12, "n={n} ranks={ranks}: {g} vs {w}");
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_is_the_documented_map_and_its_own_inverse() {
+        // Even and uneven slabs, a world with zero-plane ranks, and the
+        // row widths of the complex and the half-spectrum transforms.
+        for (n, ranks) in [(8usize, 1usize), (8, 3), (12, 5), (17, 4), (4, 6)] {
+            for width in [n, half_width(n), 2 * half_width(n)] {
+                let global: Vec<Complex64> = (0..n * n * width)
+                    .map(|i| Complex64::new(i as f64, -(i as f64)))
+                    .collect();
+                World::run(ranks, |comm| {
+                    let fft = DistFft3d::new(comm, n);
+                    let orig = global[fft.x0 * n * width..(fft.x0 + fft.nx) * n * width].to_vec();
+                    let mut local = orig.clone();
+                    fft.transpose(comm, &mut local, width);
+                    assert_eq!(local.len(), orig.len());
+                    for l in 0..fft.nx {
+                        let p = fft.x0 + l;
+                        for r in 0..n {
+                            for z in 0..width {
+                                assert_eq!(
+                                    local[(l * n + r) * width + z],
+                                    global[(r * n + p) * width + z],
+                                    "n={n} ranks={ranks} width={width} plane {p} row {r} z {z}"
+                                );
+                            }
+                        }
+                    }
+                    fft.transpose(comm, &mut local, width);
+                    assert_eq!(
+                        local, orig,
+                        "n={n} ranks={ranks} width={width}: not an involution"
+                    );
+                });
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //!   Bluestein's algorithm so arbitrary lengths work (the paper's grid,
 //!   12,600, is not a power of two).
 //! * [`dist`] — slab-decomposed distributed 3-D FFT over
-//!   [`hacc_ranks::Comm`] (simple, rank count capped at `n`),
+//!   [`hacc_ranks::Comm`] (simple, rank count capped at `n`), complex and
+//!   real-to-complex (the Hermitian half spectrum the PM solve runs on),
 //! * [`pencil`] — the full SWFFT pencil decomposition (`P1 × P2` process
 //!   grid, two transpose rounds, up to `n²` ranks) — what let HACC put a
 //!   12,600³ grid across 72,000 ranks.

@@ -1,6 +1,7 @@
 //! Property tests for the distributed FFT: forward→inverse round-trip
 //! and Parseval's theorem across grid sizes {16, 32, 64} and world
-//! sizes {1, 2, 4}.
+//! sizes {1, 2, 4}, for the complex transforms and the real ones (half
+//! spectrum, each stored mode with an unstored conjugate counted twice).
 //!
 //! The field at every global grid point is a pure function of (seed,
 //! global index), so the same physical field is laid out across any
@@ -10,6 +11,7 @@
 use hacc_ranks::World;
 use hacc_rt::prop::prelude::*;
 use hacc_rt::rng::{Rng, StdRng};
+use hacc_swfft::dist::half_width;
 use hacc_swfft::{Complex64, DistFft3d};
 
 const SIZES: [usize; 3] = [16, 32, 64];
@@ -66,12 +68,57 @@ fn check(n: usize, ranks: usize, seed: u64) {
     );
 }
 
+/// [`check`] for the real transforms: the field's real part through
+/// `forward_real` and `inverse_real`.
+fn check_real(n: usize, ranks: usize, seed: u64) {
+    let stats = World::run(ranks, move |comm| {
+        let plan = DistFft3d::new(comm, n);
+        let w = half_width(n);
+        let original: Vec<f64> = (0..plan.local_len())
+            .map(|i| field(seed, (plan.x0 * n * n + i) as u64).re)
+            .collect();
+        let half = plan.forward_real(comm, original.clone());
+        // Bins 0 < z < n/2 stand for their unstored conjugates too.
+        let sum_k2: f64 = half
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let z = i % w;
+                let weight = if z == 0 || 2 * z == n { 1.0 } else { 2.0 };
+                weight * c.norm_sqr()
+            })
+            .sum();
+        let [back] = plan.inverse_real(comm, half);
+        let max_err = original
+            .iter()
+            .zip(&back)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        let sum_x2: f64 = original.iter().map(|x| x * x).sum();
+        (sum_x2, sum_k2, max_err)
+    });
+
+    let sum_x2: f64 = stats.iter().map(|s| s.0).sum();
+    let sum_k2: f64 = stats.iter().map(|s| s.1).sum();
+    let max_err = stats.iter().map(|s| s.2).fold(0.0f64, f64::max);
+    prop_assert!(
+        max_err < 1e-12,
+        "real round-trip error {max_err:.2e} at n={n} ranks={ranks}"
+    );
+    let rel = (sum_k2 / (n * n * n) as f64 - sum_x2).abs() / sum_x2;
+    prop_assert!(
+        rel < 1e-12,
+        "real Parseval violated by rel {rel:.2e} at n={n} ranks={ranks}"
+    );
+}
+
 /// Deterministic full coverage of the size × world-size matrix.
 #[test]
 fn roundtrip_and_parseval_all_combinations() {
     for n in SIZES {
         for ranks in WORLDS {
             check(n, ranks, 0x5EED_F00D);
+            check_real(n, ranks, 0x5EED_F00D);
         }
     }
 }
@@ -84,6 +131,7 @@ proptest! {
         combo in 0usize..9,
     ) {
         check(SIZES[combo % 3], WORLDS[combo / 3], seed);
+        check_real(SIZES[combo % 3], WORLDS[combo / 3], seed);
     }
 
     #[test]

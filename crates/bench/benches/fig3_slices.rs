@@ -8,11 +8,11 @@
 
 use hacc_analysis::slices::{slice_grid, write_csv, write_pgm, SliceSpec};
 use hacc_bench::{artifact_dir, bench_config, compare, mean_std};
-use hacc_core::ic::generate_ics;
+use hacc_core::ic::distributed_ics;
 use hacc_core::{run_simulation, Physics};
 use hacc_iosim::TieredWriter;
-use hacc_ranks::CartDecomp;
-use hacc_units::Background;
+use hacc_ranks::World;
+use hacc_units::{Background, LinearPower};
 
 fn load_final_state(io_base: &std::path::Path, ranks: usize) -> (Vec<[f64; 3]>, Vec<f64>, Vec<f64>) {
     let mut pos = Vec::new();
@@ -48,6 +48,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&io_base);
     cfg.io_dir = Some(io_base.clone());
     let bg = Background::new(cfg.cosmology);
+    let power = LinearPower::new(cfg.cosmology);
     let dir = artifact_dir();
     let n_res = 64;
     let spec = SliceSpec {
@@ -57,10 +58,15 @@ fn main() {
         extent: cfg.box_size,
     };
 
-    // Early slices straight from the ICs.
-    let ic = generate_ics(&cfg, &bg, &CartDecomp::new(1), 0);
-    let early_rho = slice_grid(&spec, &ic.pos, &ic.mass);
-    let early_t = slice_grid(&spec, &ic.pos, &ic.u);
+    // Early slices straight from the ICs the run starts from.
+    let (mut ic_pos, mut ic_mass, mut ic_u) = (Vec::new(), Vec::new(), Vec::new());
+    for s in World::run(ranks, |comm| distributed_ics(&cfg, &bg, &power, comm)) {
+        ic_pos.extend(s.pos);
+        ic_mass.extend(s.mass);
+        ic_u.extend(s.u);
+    }
+    let early_rho = slice_grid(&spec, &ic_pos, &ic_mass);
+    let early_t = slice_grid(&spec, &ic_pos, &ic_u);
     write_csv(&dir.join("fig3_density_early.csv"), &early_rho, n_res).unwrap();
     write_pgm(&dir.join("fig3_density_early.pgm"), &early_rho, n_res).unwrap();
 

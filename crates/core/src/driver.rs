@@ -4,6 +4,12 @@
 //! restarted from its checkpoint is the step the uninterrupted run took,
 //! bit for bit, in every physics mode.
 //!
+//! A fresh start (and a supervisor cold start) builds the store with
+//! [`distributed_ics`], a collective: step 0 starts after the IC's two
+//! all-to-alls, and its migrate homes the particles, each made by the rank
+//! holding its lattice plane. The cosmology and force-split tables are
+//! built once per run, in `supervise`, and lent to every rank.
+//!
 //! Per global PM step:
 //!
 //! 1. migrate + overload refresh (all-to-all; phase `Misc`);
@@ -29,7 +35,7 @@
 //! assigns them, neither shipped with a particle nor checkpointed.
 
 use crate::config::{Physics, SimConfig};
-use crate::ic::generate_ics;
+use crate::ic::distributed_ics;
 use crate::kicks::KickDrift;
 use crate::overload::{exchange_overload, migrate};
 use crate::particles::{ParticleStore, Species};
@@ -56,7 +62,7 @@ use hacc_sph::CubicSpline;
 use hacc_subgrid::{CoolingModel, StarFormationModel, SupernovaModel};
 use hacc_tree::{ChainingMesh, CmConfig, MAX_LEAF};
 use hacc_units::constants::G_NEWTON;
-use hacc_units::Background;
+use hacc_units::{Background, LinearPower};
 use hacc_rt::rand::rngs::StdRng;
 
 /// Per-PM-step record.
@@ -350,12 +356,13 @@ fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> Si
     // the final clean attempt.
     let max_attempts = plan.events.len() as u64 + 1;
     let state = std::sync::Arc::new(FaultState::new(plan, n_ranks));
+    let tables = RunTables::new(cfg);
     loop {
         state.begin_attempt();
         let body = |comm: &mut Comm| {
             let probe =
                 armed.then(|| FaultProbe::new(std::sync::Arc::clone(&state), comm.rank()));
-            rank_main(cfg, comm, &io_base.path, resume_mode, probe)
+            rank_main(cfg, &tables, comm, &io_base.path, resume_mode, probe)
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if !cfg.sanitize {
@@ -393,6 +400,31 @@ fn supervise(cfg: &SimConfig, n_ranks: usize, mut resume_mode: ResumeMode) -> Si
                 state.record_rollback();
                 resume_mode = ResumeMode::Consistent { or_cold_start: true };
             }
+        }
+    }
+}
+
+/// What a run builds once and lends every rank, as it lends `cfg`: the
+/// growth tables, the normalised linear spectrum and the short-range
+/// force-split table (8192 erf/exp evaluations). Built per rank, 64 ranks
+/// would build them 64 times over, one after another on the host's lanes
+/// and ahead of the IC collective every rank waits in.
+struct RunTables {
+    bg: Background,
+    power: LinearPower,
+    grav: GravConfig,
+}
+
+impl RunTables {
+    fn new(cfg: &SimConfig) -> Self {
+        let softening = cfg.softening_frac * cfg.particle_spacing();
+        let mut grav = GravConfig::new(G_NEWTON, cfg.split_scale(), softening);
+        grav.device = cfg.device;
+        grav.mode = cfg.exec_mode; // G itself is scaled by 1/a at kick time
+        Self {
+            bg: Background::new(cfg.cosmology),
+            power: LinearPower::new(cfg.cosmology),
+            grav,
         }
     }
 }
@@ -531,6 +563,7 @@ fn assemble_report(
 #[allow(clippy::too_many_lines)]
 fn rank_main(
     cfg: &SimConfig,
+    tables: &RunTables,
     comm: &mut Comm,
     io_base: &std::path::Path,
     resume_mode: ResumeMode,
@@ -539,12 +572,12 @@ fn rank_main(
     if let Some(p) = &probe {
         comm.arm_faults(p.clone());
     }
-    let bg = Background::new(cfg.cosmology);
     let kd = KickDrift::new(cfg.cosmology);
     let decomp = CartDecomp::new(comm.size());
     let pfs = io_base.join("pfs").join(format!("rank-{}", comm.rank()));
+    let ics = |comm: &mut Comm| distributed_ics(cfg, &tables.bg, &tables.power, comm);
     let (mut store, start_step) = match resume_mode {
-        ResumeMode::Fresh => (generate_ics(cfg, &bg, &decomp, comm.rank()), 0),
+        ResumeMode::Fresh => (ics(comm), 0),
         ResumeMode::Consistent { or_cold_start } => {
             // A checkpoint step only counts if every rank can read it:
             // intersect the per-rank valid sets (deterministic — pure
@@ -564,9 +597,10 @@ fn rank_main(
                     (store_from_blocks(&blocks), step as usize + 1)
                 }
                 // No surviving common checkpoint: cold-start from the
-                // ICs. Convergent because consumed fault events never
-                // re-fire on the replay.
-                None if or_cold_start => (generate_ics(cfg, &bg, &decomp, comm.rank()), 0),
+                // ICs, a collective every rank enters (`common` is the
+                // same on all of them). Convergent because consumed fault
+                // events never re-fire on the replay.
+                None if or_cold_start => (ics(comm), 0),
                 None => escalate(StepError::NoValidCheckpoint),
             }
         }
@@ -583,7 +617,6 @@ fn rank_main(
             deconvolve_cic: true,
         },
     );
-    let softening = cfg.softening_frac * cfg.particle_spacing();
     let hydro = cfg.physics != Physics::GravityOnly;
     let subgrid_on = cfg.physics == Physics::Hydro;
     let sph_cfg: SphConfig<CubicSpline> = SphConfig {
@@ -624,15 +657,6 @@ fn rank_main(
     let mut updates = 0u64;
     let overload_width = cfg.overload_cells * cfg.cell_size();
 
-    // Short-range gravity configuration. Loop-invariant, and its embedded
-    // force-split table (8192 erf/exp evaluations) is built exactly once
-    // here instead of per grav_step call.
-    let grav_cfg = {
-        let mut g = GravConfig::new(G_NEWTON, cfg.split_scale(), softening);
-        g.device = cfg.device;
-        g.mode = cfg.exec_mode; // G itself is scaled by 1/a at kick time
-        g
-    };
     // Per-step scratch reused across steps: gas index list and the SoA
     // gather buffers handed to the hydro solver each kick.
     let mut gas_idx: Vec<usize> = Vec::new();
@@ -733,7 +757,7 @@ fn rank_main(
                 },
                 || {
                     let g =
-                        grav_step_sinks(&store.pos, &store.mass, cm, &grav_cfg, store.n_owned);
+                        grav_step_sinks(&store.pos, &store.mass, cm, &tables.grav, store.n_owned);
                     let c = g.counters.clone();
                     (g, c)
                 },

@@ -12,20 +12,29 @@
 //! by half a cell and masses split by `Ω_b / Ω_m` (the paper's "equal
 //! number of baryonic and dark matter tracer particles").
 //!
-//! Scale note: each rank generates the (identical, same-seed) global
-//! displacement grid and keeps its own particles — duplicated work that
-//! is trivial at ≤128³ and removes a distributed transpose from the IC
-//! path. The production code distributes this; the physics is identical.
+//! [`distributed_ics`] is the driver's generator: one collective on the
+//! solver's slab transform ([`DistFft3d`]), two all-to-alls in all. Each
+//! rank draws the white noise of its own x-planes from the seed's one
+//! stream, walked past the draws of the planes ahead of its slab, so every
+//! site's noise is the same whoever draws it. `forward_real` takes it to
+//! the half spectrum; each mode is coloured and turned into the three
+//! displacement components side by side, and one `inverse_real::<3>`
+//! brings them back. The rank then makes the particles of the lattice
+//! sites in its planes — not homed: the `migrate` that opens step 0 sends
+//! each to its owner. [`displacement_field`] / [`generate_ics`] are the
+//! serial whole-box reference it is tested against.
 
 use crate::config::{Physics, SimConfig};
 use crate::kicks::KickDrift;
 use crate::particles::{ParticleStore, Species};
-use hacc_ranks::CartDecomp;
+use hacc_ranks::{CartDecomp, Comm};
+use hacc_rt::rand::rngs::StdRng;
+use hacc_rt::rand::{Rng, SeedableRng};
+use hacc_swfft::dist::half_width;
 use hacc_swfft::serial::fft3;
-use hacc_swfft::{Complex64, FftPlan};
+use hacc_swfft::{Complex64, DistFft3d, FftPlan};
 use hacc_units::constants::{temperature_to_u, MU_NEUTRAL, RHO_CRIT0};
 use hacc_units::{Background, LinearPower};
-use hacc_rt::rand::{self, Rng, SeedableRng};
 
 /// The three real-space displacement component grids.
 pub struct DisplacementField {
@@ -36,68 +45,89 @@ pub struct DisplacementField {
     pub psi: [Vec<f64>; 3],
 }
 
+/// The two uniform draws of one lattice site's white noise.
+fn site_draws(rng: &mut StdRng) -> (f64, f64) {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (u1, u2)
+}
+
+/// One site's unit-variance white noise: Box–Muller over its draws.
+fn white_noise(rng: &mut StdRng) -> f64 {
+    let (u1, u2) = site_draws(rng);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// What turns a white-noise mode into displacements: `δ_k = white_k ·
+/// √(P(k) n³/V) · D(a_init)`, then `ψ_k = i g δ_k / k²`.
+struct Colouring<'a> {
+    power: &'a LinearPower,
+    n: usize,
+    kf: f64,
+    ncells: f64,
+    volume: f64,
+    d_init: f64,
+}
+
+impl<'a> Colouring<'a> {
+    fn new(cfg: &SimConfig, bg: &Background, power: &'a LinearPower) -> Self {
+        Self {
+            power,
+            n: cfg.np,
+            kf: 2.0 * std::f64::consts::PI / cfg.box_size,
+            ncells: (cfg.np * cfg.np * cfg.np) as f64,
+            volume: cfg.box_size.powi(3),
+            d_init: bg.growth_factor(cfg.a_init),
+        }
+    }
+
+    /// The wavenumber of FFT bin `i`.
+    fn k(&self, i: usize) -> f64 {
+        let m = if i <= self.n / 2 { i as f64 } else { i as f64 - self.n as f64 };
+        self.kf * m
+    }
+
+    /// The three displacement components of the mode with wavenumbers `k`
+    /// and gradient wavenumbers `g`; the `k = 0` mode stays zero.
+    fn mode(&self, white: Complex64, k: [f64; 3], g: [f64; 3]) -> [Complex64; 3] {
+        let k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
+        if k2 == 0.0 {
+            return [Complex64::zero(); 3];
+        }
+        let amp = (self.power.pk(k2.sqrt()) * self.ncells / self.volume).sqrt() * self.d_init;
+        let delta = white.scale(amp);
+        let i_delta = Complex64::new(-delta.im, delta.re);
+        g.map(|g| i_delta.scale(g / k2))
+    }
+}
+
 /// Generate the Zel'dovich displacement field for the whole box at
-/// `a_init` (deterministic in `seed`).
+/// `a_init` (deterministic in `seed`): the serial reference.
 pub fn displacement_field(cfg: &SimConfig, bg: &Background) -> DisplacementField {
     let n = cfg.np;
     let ncells = n * n * n;
-    let volume = cfg.box_size.powi(3);
     let power = LinearPower::new(cfg.cosmology);
-    let d_init = bg.growth_factor(cfg.a_init);
+    let colour = Colouring::new(cfg, bg, &power);
 
-    // White noise, unit variance.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    let mut white: Vec<Complex64> = (0..ncells)
-        .map(|_| {
-            // Box-Muller for a standard normal.
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            Complex64::new(g, 0.0)
-        })
-        .collect();
-
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut white: Vec<Complex64> =
+        (0..ncells).map(|_| Complex64::new(white_noise(&mut rng), 0.0)).collect();
     // FFT the noise (Hermitian by construction since input is real).
     let plan = FftPlan::new(n);
     fft3(&plan, &mut white, false);
 
-    // Color by sqrt(P(k)) and convert to displacement components.
-    let kf = 2.0 * std::f64::consts::PI / cfg.box_size;
-    let signed = |i: usize| -> f64 {
-        if i <= n / 2 {
-            i as f64
-        } else {
-            i as f64 - n as f64
-        }
-    };
-    let mut psi_k: [Vec<Complex64>; 3] = [
-        vec![Complex64::zero(); ncells],
-        vec![Complex64::zero(); ncells],
-        vec![Complex64::zero(); ncells],
-    ];
-    // Color the noise by sqrt(P(k)); the k = 0 mode stays zero.
-    let [px, py, pz] = &mut psi_k;
+    // The gradient wavenumber keeps the Nyquist bin: its anti-Hermitian
+    // part is imaginary in real space, and `Re` below drops it.
+    let mut psi_k = [(); 3].map(|()| vec![Complex64::zero(); ncells]);
     for x in 0..n {
-        let kx = kf * signed(x);
         for y in 0..n {
-            let ky = kf * signed(y);
             for z in 0..n {
-                let kz = kf * signed(z);
-                let k2 = kx * kx + ky * ky + kz * kz;
-                if k2 == 0.0 {
-                    continue;
-                }
                 let idx = (x * n + y) * n + z;
-                let k = k2.sqrt();
-                // delta_k = white_k * sqrt(P(k) N^3 / V), growth
-                // factor folded in.
-                let amp = (power.pk(k) * ncells as f64 / volume).sqrt() * d_init;
-                let delta = white[idx].scale(amp);
-                // psi_k = i k / k^2 * delta_k.
-                let i_delta = Complex64::new(-delta.im, delta.re);
-                px[idx] = i_delta.scale(kx / k2);
-                py[idx] = i_delta.scale(ky / k2);
-                pz[idx] = i_delta.scale(kz / k2);
+                let k = [colour.k(x), colour.k(y), colour.k(z)];
+                let psi = colour.mode(white[idx], k, k);
+                for (grid, p) in psi_k.iter_mut().zip(psi) {
+                    grid[idx] = p;
+                }
             }
         }
     }
@@ -110,7 +140,75 @@ pub fn displacement_field(cfg: &SimConfig, bg: &Background) -> DisplacementField
     DisplacementField { n, psi }
 }
 
-/// Generate this rank's initial particles.
+/// The particles of one lattice site: dark matter at `q + ψ(q)` and, with
+/// hydro, gas half a cell further, both with the Zel'dovich momentum.
+struct Lattice {
+    n: usize,
+    spacing: f64,
+    box_size: f64,
+    hydro: bool,
+    m_dm: f64,
+    m_gas: f64,
+    u_init: f64,
+    h_smooth: f64,
+    kd: KickDrift,
+    a: f64,
+    growth_rate: f64,
+}
+
+impl Lattice {
+    fn new(cfg: &SimConfig, bg: &Background) -> Self {
+        let n = cfg.np;
+        let c = cfg.cosmology;
+        let spacing = cfg.particle_spacing();
+        // Mean masses: total matter = Omega_m rho_crit V split over np^3
+        // sites; hydro runs split each site's mass into a DM + gas pair.
+        let total_mass = c.omega_m * RHO_CRIT0 * cfg.box_size.powi(3);
+        let site_mass = total_mass / (n as f64).powi(3);
+        let fb = c.omega_b / c.omega_m;
+        let hydro = cfg.physics != Physics::GravityOnly;
+        let (m_dm, m_gas) = if hydro {
+            (site_mass * (1.0 - fb), site_mass * fb)
+        } else {
+            (site_mass, 0.0)
+        };
+        Self {
+            n,
+            spacing,
+            box_size: cfg.box_size,
+            hydro,
+            m_dm,
+            m_gas,
+            // Neutral IGM at ~100 K (typical post-recombination
+            // temperature at these redshifts; precise value is irrelevant
+            // — gravity dominates).
+            u_init: temperature_to_u(100.0, MU_NEUTRAL),
+            h_smooth: cfg.sph_eta * spacing,
+            kd: KickDrift::new(c),
+            a: cfg.a_init,
+            growth_rate: bg.growth_rate(cfg.a_init),
+        }
+    }
+
+    /// Append site `q`'s particles, displaced by `psi`.
+    fn place(&self, store: &mut ParticleStore, q: [usize; 3], psi: [f64; 3]) {
+        let site_id = ((q[0] * self.n + q[1]) * self.n + q[2]) as u64;
+        let q = q.map(|i| i as f64 * self.spacing);
+        // The growth factor is already folded into psi, so growth = 1.
+        let vel = psi.map(|p| self.kd.zeldovich_momentum(self.a, 1.0, self.growth_rate, p));
+        let pos = |offset: f64| {
+            std::array::from_fn(|d| (q[d] + offset + psi[d]).rem_euclid(self.box_size))
+        };
+        store.push(pos(0.0), vel, self.m_dm, Species::DarkMatter, 0.0, 0.0, 2 * site_id);
+        if self.hydro {
+            let gas = pos(0.5 * self.spacing);
+            store.push(gas, vel, self.m_gas, Species::Gas, self.u_init, self.h_smooth, 2 * site_id + 1);
+        }
+    }
+}
+
+/// This rank's initial particles from the serial whole-box field: the
+/// sites of its subdomain.
 pub fn generate_ics(
     cfg: &SimConfig,
     bg: &Background,
@@ -119,70 +217,75 @@ pub fn generate_ics(
 ) -> ParticleStore {
     let field = displacement_field(cfg, bg);
     let n = field.n;
-    let kd = KickDrift::new(cfg.cosmology);
-    let a = cfg.a_init;
-    let growth_rate = bg.growth_rate(a);
-    let spacing = cfg.particle_spacing();
-    let c = cfg.cosmology;
-
-    // Mean masses: total matter = Omega_m rho_crit V split over np^3
-    // sites; hydro runs split each site's mass into a DM + gas pair.
-    let total_mass = c.omega_m * RHO_CRIT0 * cfg.box_size.powi(3);
-    let site_mass = total_mass / (n as f64).powi(3);
-    let fb = c.omega_b / c.omega_m;
-    let hydro = cfg.physics != Physics::GravityOnly;
-    let (m_dm, m_gas) = if hydro {
-        (site_mass * (1.0 - fb), site_mass * fb)
-    } else {
-        (site_mass, 0.0)
-    };
-    // Neutral IGM at ~100 K (typical post-recombination temperature at
-    // these redshifts; precise value is irrelevant — gravity dominates).
-    let u_init = temperature_to_u(100.0, MU_NEUTRAL);
-    let h_smooth = cfg.sph_eta * spacing;
-
+    let lattice = Lattice::new(cfg, bg);
     let (lo, hi) = decomp.subdomain(rank);
-    let lo = [lo[0] * cfg.box_size, lo[1] * cfg.box_size, lo[2] * cfg.box_size];
-    let hi = [hi[0] * cfg.box_size, hi[1] * cfg.box_size, hi[2] * cfg.box_size];
-
+    let inside = |d: usize, i: usize| {
+        let q = i as f64 * lattice.spacing;
+        q >= lo[d] * cfg.box_size && q < hi[d] * cfg.box_size
+    };
     let mut store = ParticleStore::new();
-    // The growth factor is already folded into psi; the momentum needs
-    // D(a) * psi as well, so pass growth = 1 and psi_scaled here.
-    for qx in 0..n {
-        let q0 = qx as f64 * spacing;
-        if q0 < lo[0] || q0 >= hi[0] {
-            continue;
-        }
-        for qy in 0..n {
-            let q1 = qy as f64 * spacing;
-            if q1 < lo[1] || q1 >= hi[1] {
-                continue;
-            }
-            for qz in 0..n {
-                let q2 = qz as f64 * spacing;
-                if q2 < lo[2] || q2 >= hi[2] {
-                    continue;
-                }
+    for qx in (0..n).filter(|&i| inside(0, i)) {
+        for qy in (0..n).filter(|&i| inside(1, i)) {
+            for qz in (0..n).filter(|&i| inside(2, i)) {
                 let idx = (qx * n + qy) * n + qz;
-                let psi = [field.psi[0][idx], field.psi[1][idx], field.psi[2][idx]];
-                let site_id = idx as u64;
-                let mut place = |offset: f64, species: Species, mass: f64, u: f64, id: u64| {
-                    let mut pos = [0.0f64; 3];
-                    let mut vel = [0.0f64; 3];
-                    for d in 0..3 {
-                        let q = [q0, q1, q2][d] + offset;
-                        pos[d] = (q + psi[d]).rem_euclid(cfg.box_size);
-                        vel[d] = kd.zeldovich_momentum(a, 1.0, growth_rate, psi[d]);
-                    }
-                    let hs = if species == Species::Gas { h_smooth } else { 0.0 };
-                    store.push(pos, vel, mass, species, u, hs, id);
-                };
-                place(0.0, Species::DarkMatter, m_dm, 0.0, 2 * site_id);
-                if hydro {
-                    place(0.5 * spacing, Species::Gas, m_gas, u_init, 2 * site_id + 1);
-                }
+                let psi = field.psi.each_ref().map(|c| c[idx]);
+                lattice.place(&mut store, [qx, qy, qz], psi);
             }
         }
+    }
+    store.seal_owned();
+    store
+}
+
+/// This rank's share of the initial particles, generated together by the
+/// whole world (a collective: every rank calls it): the sites of its
+/// x-planes of `DistFft3d::new(comm, cfg.np)`, none on a rank without
+/// planes. The union over ranks is the same particles, bit for bit, on
+/// any rank count, and matches [`generate_ics`] to roundoff.
+pub fn distributed_ics(
+    cfg: &SimConfig,
+    bg: &Background,
+    power: &LinearPower,
+    comm: &mut Comm,
+) -> ParticleStore {
+    let n = cfg.np;
+    let fft = DistFft3d::new(comm, n);
+    // A rank without planes draws nothing; the others walk the stream to
+    // their first plane.
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let ahead = if fft.nx == 0 { 0 } else { fft.x0 * n * n };
+    for _ in 0..ahead {
+        site_draws(&mut rng);
+    }
+    let white: Vec<f64> = (0..fft.local_len()).map(|_| white_noise(&mut rng)).collect();
+    let white_k = fft.forward_real(comm, white);
+
+    // Layout B rows `(y, x)` of the bins `z <= n/2`; the three components
+    // go side by side in rows of `3w`. The gradient wavenumber is zero on
+    // the Nyquist plane of an even grid, as in the PM solve, so each
+    // component is Hermitian — the part the serial `Re` keeps.
+    let colour = Colouring::new(cfg, bg, power);
+    let w = half_width(n);
+    let grad = |i: usize| if 2 * i == n { 0.0 } else { colour.k(i) };
+    let mut psi_k = vec![Complex64::zero(); 3 * white_k.len()];
+    for (r, (row, out)) in white_k.chunks_exact(w).zip(psi_k.chunks_exact_mut(3 * w)).enumerate() {
+        let (y, x) = (fft.y0 + r / n, r % n);
+        for (z, &white) in row.iter().enumerate() {
+            let k = [colour.k(x), colour.k(y), colour.k(z)];
+            let psi = colour.mode(white, k, [grad(x), grad(y), grad(z)]);
+            for (f, p) in psi.into_iter().enumerate() {
+                out[f * w + z] = p;
+            }
+        }
+    }
+    drop(white_k);
+    let psi = fft.inverse_real::<3>(comm, psi_k);
+
+    let lattice = Lattice::new(cfg, bg);
+    let mut store = ParticleStore::new();
+    for i in 0..fft.local_len() {
+        let q = [fft.x0 + i / (n * n), i / n % n, i % n];
+        lattice.place(&mut store, q, psi.each_ref().map(|c| c[i]));
     }
     store.seal_owned();
     store
@@ -191,6 +294,7 @@ pub fn generate_ics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hacc_ranks::World;
 
     fn test_cfg(np: usize) -> SimConfig {
         let mut c = SimConfig::small(np);
@@ -323,5 +427,79 @@ mod tests {
         let s = generate_ics(&cfg, &bg, &CartDecomp::new(1), 0);
         assert_eq!(s.len(), 512);
         assert!(s.species.iter().all(|&sp| sp == Species::DarkMatter));
+    }
+
+    /// One particle's full state: id, species, and the bits of position,
+    /// velocity, mass, u and h.
+    type Row = (u64, Species, [u64; 9]);
+
+    fn rows(s: &ParticleStore) -> Vec<Row> {
+        (0..s.len())
+            .map(|i| {
+                let (p, v) = (s.pos[i], s.vel[i]);
+                let words = [p[0], p[1], p[2], v[0], v[1], v[2], s.mass[i], s.u[i], s.h[i]];
+                (s.id[i], s.species[i], words.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    /// The union over a `ranks`-rank world of the distributed ICs, sorted
+    /// by id, with the number of ranks that made no particle.
+    fn distributed_union(cfg: &SimConfig, ranks: usize) -> (Vec<Row>, usize) {
+        let bg = Background::new(cfg.cosmology);
+        let power = LinearPower::new(cfg.cosmology);
+        let per_rank = World::run(ranks, |comm| rows(&distributed_ics(cfg, &bg, &power, comm)));
+        let empty = per_rank.iter().filter(|r| r.is_empty()).count();
+        let mut all: Vec<Row> = per_rank.into_iter().flatten().collect();
+        all.sort_by_key(|r| r.0);
+        (all, empty)
+    }
+
+    #[test]
+    fn distributed_ics_are_the_serial_reference_on_any_world() {
+        // Radix-2, even and odd Bluestein lattices at spacing 1; even,
+        // uneven and (64 ranks on n <= 32) plane-less slabs.
+        for n in [12usize, 16, 17, 32] {
+            for physics in [Physics::Hydro, Physics::GravityOnly] {
+                let mut cfg = SimConfig::small(n);
+                cfg.physics = physics;
+                let bg = Background::new(cfg.cosmology);
+                let mut serial = rows(&generate_ics(&cfg, &bg, &CartDecomp::new(1), 0));
+                serial.sort_by_key(|r| r.0);
+                let v_scale = serial
+                    .iter()
+                    .flat_map(|r| r.2[3..6].iter().map(|&b| f64::from_bits(b).abs()))
+                    .fold(0.0, f64::max);
+                let mut first: Option<Vec<Row>> = None;
+                for ranks in [1usize, 2, 3, 4, 8, 64] {
+                    let (got, empty) = distributed_union(&cfg, ranks);
+                    assert_eq!(empty, ranks.saturating_sub(n), "n={n} ranks={ranks}");
+                    // Every lattice id exactly once.
+                    let ids: Vec<u64> = got.iter().map(|r| r.0).collect();
+                    let per_site = if physics == Physics::GravityOnly { 1 } else { 2 };
+                    let all_ids: Vec<u64> = (0..(n * n * n) as u64)
+                        .flat_map(|s| (0..per_site).map(move |k| 2 * s + k))
+                        .collect();
+                    assert_eq!(ids, all_ids, "n={n} ranks={ranks} {physics:?}");
+                    for (g, s) in got.iter().zip(&serial) {
+                        assert_eq!(g.1, s.1, "n={n} ranks={ranks}: species");
+                        let (g, s) = (g.2.map(f64::from_bits), s.2.map(f64::from_bits));
+                        for d in 0..3 {
+                            // Positions wrap at the box edge.
+                            let dx = (g[d] - s[d]).abs();
+                            let dx = dx.min(cfg.box_size - dx);
+                            assert!(dx <= 1e-14, "n={n} ranks={ranks}: position {dx:e}");
+                            let dv = (g[3 + d] - s[3 + d]).abs();
+                            assert!(dv <= 1e-14 * v_scale, "n={n} ranks={ranks}: velocity {dv:e}");
+                        }
+                        assert_eq!(g[6..], s[6..], "n={n} ranks={ranks}: mass, species, u, h");                    }
+                    // Bitwise the same particles whatever the rank count.
+                    match &first {
+                        None => first = Some(got),
+                        Some(one) => assert!(*one == got, "n={n}: {ranks} ranks differ from 1"),
+                    }
+                }
+            }
+        }
     }
 }

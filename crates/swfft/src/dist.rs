@@ -442,11 +442,13 @@ mod tests {
     #[test]
     fn real_transforms_are_the_half_of_the_complex_ones() {
         // Radix-2, even and odd Bluestein grids; even, uneven and (6 ranks
-        // on n = 4) zero-plane slabs. Two fields side by side through one
-        // inverse must each come back as the single-field round trip does.
+        // on n = 4) zero-plane slabs. Two and three fields side by side
+        // through one inverse must each come back as its single-field
+        // inverse does — three on odd n = 17 leave each plane's 51
+        // half-rows a lone last row.
         for n in [4usize, 12, 16, 17] {
             for ranks in [1usize, 2, 3, 6] {
-                let fields = [rand_grid(n, 7), rand_grid(n, 8)];
+                let fields = [rand_grid(n, 7), rand_grid(n, 8), rand_grid(n, 9)];
                 World::run(ranks, |comm| {
                     let fft = DistFft3d::new(comm, n);
                     let w = half_width(n);
@@ -469,23 +471,34 @@ mod tests {
                             }
                         }
                     }
-                    let mut both = Vec::with_capacity(2 * halves[0].len());
-                    for (a, b) in halves[0].chunks_exact(w).zip(halves[1].chunks_exact(w)) {
-                        both.extend_from_slice(a);
-                        both.extend_from_slice(b);
-                    }
-                    let [one] = fft.inverse_real(comm, halves[0].clone());
-                    let two = fft.inverse_real::<2>(comm, both);
-                    for (got, want) in [
-                        (&one, &reals[0]),
-                        (&two[0], &reals[0]),
-                        (&two[1], &reals[1]),
-                    ] {
+                    // The first `f` fields' half-rows side by side.
+                    let side_by_side = |f: usize| {
+                        let mut rows = Vec::with_capacity(f * halves[0].len());
+                        for r in 0..halves[0].len() / w {
+                            for half in &halves[..f] {
+                                rows.extend_from_slice(&half[r * w..][..w]);
+                            }
+                        }
+                        rows
+                    };
+                    let ones = halves.each_ref().map(|h| {
+                        let [one] = fft.inverse_real(comm, h.clone());
+                        one
+                    });
+                    let two = fft.inverse_real::<2>(comm, side_by_side(2));
+                    let three = fft.inverse_real::<3>(comm, side_by_side(3));
+                    let close = |got: &[f64], want: &[f64], what: &str| {
                         assert_eq!(got.len(), want.len());
                         for (g, w) in got.iter().zip(want) {
-                            assert!((g - w).abs() <= 1e-12, "n={n} ranks={ranks}: {g} vs {w}");
+                            assert!((g - w).abs() <= 1e-12, "n={n} ranks={ranks} {what}: {g} vs {w}");
                         }
+                    };
+                    for (f, one) in ones.iter().enumerate() {
+                        close(one, &reals[f], "round trip");
+                        close(&three[f], one, "3 side by side");
                     }
+                    close(&two[0], &ones[0], "2 side by side");
+                    close(&two[1], &ones[1], "2 side by side");
                 });
             }
         }

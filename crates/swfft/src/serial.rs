@@ -262,8 +262,9 @@ pub(crate) fn column_pass(
 }
 
 /// In-place serial 3-D FFT of a full `n^3` cube (`n = plan.len()`,
-/// layout `[(x*n + y)*n + z]`), axis order z, y, x. The IC generator's
-/// transform and the reference the distributed FFTs are tested against.
+/// layout `[(x*n + y)*n + z]`), axis order z, y, x. The transform of the
+/// serial IC reference, and the reference the distributed FFTs are tested
+/// against.
 pub fn fft3(plan: &FftPlan, data: &mut [Complex64], inverse: bool) {
     let n = plan.len();
     assert_eq!(data.len(), n * n * n, "data is not an n^3 cube");

@@ -5,8 +5,11 @@
 # id-sorted final particle state, so "same line" means "same bits".
 # With a second binary, `state_hashes.sh BIN BIN2` runs both and prints
 # `args -> hash hash2 same|moved`: which configurations a change moved.
-# The two `--chaos` rows repeat the row above them with a rank lost at
-# step 1: recovery is bitwise, so each prints the hash of the row above.
+# The three `--chaos` rows repeat the row above them with a rank lost:
+# two at step 1 (a rollback to step 0's checkpoint), the 64-rank one at
+# step 0, before any checkpoint exists (a cold start through the
+# distributed ICs). Recovery is bitwise, so each prints the hash of the
+# row above.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=${1:-target/release/frontier-sim}
@@ -38,6 +41,8 @@ done <<'TABLE'
 --np 16 --steps 3 --seed 7 --ranks 2 --physics gravity
 --np 16 --steps 3 --seed 7 --ranks 2 --physics gravity --chaos panic@1:0
 --np 32 --steps 2 --seed 7 --ranks 8 --physics gravity
+--np 32 --steps 2 --seed 7 --ranks 64 --physics gravity
+--np 32 --steps 2 --seed 7 --ranks 64 --physics gravity --chaos panic@0:5
 --np 16 --steps 2 --seed 3 --ranks 2 --zi 1.5 --zf 1.0
 --np 16 --steps 2 --seed 3 --ranks 4 --zi 1.5 --zf 1.0
 --np 16 --steps 1 --seed 3 --ranks 2 --zi 1.5 --zf 1.2 --flat

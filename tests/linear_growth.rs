@@ -7,17 +7,20 @@
 //! hacc-grav (short range), and hacc-analysis (P(k)) in one shot.
 
 use frontier_sim::analysis::measure_power;
-use frontier_sim::core::ic::generate_ics;
+use frontier_sim::core::ic::distributed_ics;
 use frontier_sim::core::{run_simulation, Physics, SimConfig};
 use frontier_sim::mesh::{PmConfig, PmSolver};
-use frontier_sim::ranks::{CartDecomp, World};
-use frontier_sim::units::Background;
+use frontier_sim::ranks::World;
+use frontier_sim::units::{Background, LinearPower};
 
+/// P(k) of the driver's ICs, generated and measured on two ranks (the
+/// deposit routes each particle to its plane owner, so they need no
+/// homing).
 fn measure_ic_power(cfg: &SimConfig) -> Vec<(f64, f64)> {
-    let cfg = cfg.clone();
-    World::run(1, move |comm| {
-        let bg = Background::new(cfg.cosmology);
-        let store = generate_ics(&cfg, &bg, &CartDecomp::new(1), 0);
+    let bg = Background::new(cfg.cosmology);
+    let power = LinearPower::new(cfg.cosmology);
+    World::run(2, |comm| {
+        let store = distributed_ics(cfg, &bg, &power, comm);
         let pm = PmSolver::new(
             comm,
             PmConfig {
@@ -34,8 +37,7 @@ fn measure_ic_power(cfg: &SimConfig) -> Vec<(f64, f64)> {
             .map(|b| (b.k, b.power))
             .collect()
     })
-    .pop()
-    .unwrap()
+    .swap_remove(0)
 }
 
 #[test]
@@ -89,7 +91,7 @@ fn ic_power_matches_input_spectrum_shape() {
     cfg.a_init = 0.2;
     let measured = measure_ic_power(&cfg);
     let bg = Background::new(cfg.cosmology);
-    let lin = frontier_sim::units::LinearPower::new(cfg.cosmology);
+    let lin = LinearPower::new(cfg.cosmology);
     let d2 = bg.growth_factor(cfg.a_init).powi(2);
     let mut checked = 0;
     for (k, p) in measured.iter().take(4) {

@@ -5,8 +5,9 @@
 //! particles within an overload width of its boundary, so the entire
 //! short-range solve (tree build, SPH, gravity, subgrid, clustering
 //! analysis) is node-local for a full PM step. The overload is refreshed
-//! once per PM step with an all-to-all, and particles that drifted out of
-//! their owner's subdomain migrate at the same time.
+//! once per PM step with a sparse exchange among each rank's 27
+//! neighbours, right after particles that drifted out of their owner's
+//! subdomain migrate (a dense all-to-all).
 
 use crate::particles::{ParticleRecord, ParticleStore};
 use hacc_ranks::{CartDecomp, Comm};
@@ -85,21 +86,21 @@ pub fn exchange_overload(
         )
     };
 
-    // Candidate receivers: the (deduplicated) 27-neighborhood of this
-    // rank. Because the overload width never exceeds a subdomain extent,
-    // any rank whose extended domain contains one of our particle images
-    // is in this set.
+    // Candidate receivers: the (deduplicated, ascending) 27-neighborhood
+    // of this rank. Because the overload width never exceeds a subdomain
+    // extent, any rank whose extended domain contains one of our particle
+    // images is in this set. The relation is symmetric, so the same list
+    // names the ranks that send to this one.
     let mut neighbor_ranks: Vec<usize> = Vec::with_capacity(27);
     for dx in -1isize..=1 {
         for dy in -1isize..=1 {
             for dz in -1isize..=1 {
-                let nr = decomp.neighbor(rank, [dx, dy, dz]);
-                if !neighbor_ranks.contains(&nr) {
-                    neighbor_ranks.push(nr);
-                }
+                neighbor_ranks.push(decomp.neighbor(rank, [dx, dy, dz]));
             }
         }
     }
+    neighbor_ranks.sort_unstable();
+    neighbor_ranks.dedup();
     let extended: Vec<([f64; 3], [f64; 3])> = neighbor_ranks
         .iter()
         .map(|&nr| {
@@ -111,7 +112,7 @@ pub fn exchange_overload(
         })
         .collect();
 
-    let mut sends: Vec<Vec<ParticleRecord>> = vec![Vec::new(); comm.size()];
+    let mut sends: Vec<Vec<ParticleRecord>> = vec![Vec::new(); neighbor_ranks.len()];
     for i in 0..store.n_owned {
         let p = store.pos[i];
         // Enumerate every periodic image; ship each image to every
@@ -133,14 +134,19 @@ pub fn exchange_overload(
                         if (0..3).all(|d| img[d] >= elo[d] && img[d] < ehi[d]) {
                             let mut rec = store.extract(i);
                             rec.pos = img;
-                            sends[nr].push(rec);
+                            sends[ni].push(rec);
                         }
                     }
                 }
             }
         }
     }
-    let recvd = comm.all_to_allv(sends);
+    // Ghosts land in ascending source rank order, as a dense all-to-all
+    // would deliver them.
+    let recvd = comm.exchange(
+        neighbor_ranks.iter().copied().zip(sends).collect(),
+        &neighbor_ranks,
+    );
     for buf in recvd {
         for r in buf {
             store.insert(r);

@@ -9,7 +9,7 @@ use crate::context::Context;
 use crate::dataflow::solve_summaries;
 
 /// The `hacc_ranks::Comm` collective surface (method names).
-const COLLECTIVES: [&str; 9] = [
+const COLLECTIVES: [&str; 10] = [
     "barrier",
     "broadcast",
     "gather",
@@ -19,6 +19,7 @@ const COLLECTIVES: [&str; 9] = [
     "all_reduce_sum_u64",
     "exscan_u64",
     "all_to_allv",
+    "exchange",
 ];
 
 /// Identifiers that mark an expression as rank-dependent.

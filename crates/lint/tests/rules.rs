@@ -190,6 +190,32 @@ fn c1_collective_under_rank_guard_fires() {
 }
 
 #[test]
+fn c1_sparse_exchange_under_rank_guard_fires() {
+    // The neighbourhood exchange is a collective like any other: every
+    // rank enters it, peers or none, so only the rank-uniform call is
+    // clean.
+    let guarded = r#"
+            pub fn f(comm: &mut Comm, sends: Vec<(usize, Vec<f64>)>, from: &[usize]) {
+                if comm.rank() != 0 {
+                    let _ = comm.exchange(sends, from);
+                }
+            }
+        "#;
+    let ws = Workspace::from_sources(&[("crates/mesh/src/fixture.rs", guarded)]);
+    let hits = findings(&ws, Rule::C1);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].contains("exchange"), "{hits:?}");
+
+    let uniform = r#"
+            pub fn f(comm: &mut Comm, sends: Vec<(usize, Vec<f64>)>, from: &[usize]) {
+                let _ = comm.exchange(sends, from);
+            }
+        "#;
+    let ws = Workspace::from_sources(&[("crates/mesh/src/fixture.rs", uniform)]);
+    assert_eq!(findings(&ws, Rule::C1), Vec::<String>::new());
+}
+
+#[test]
 fn c1_else_branch_and_match_arms_inherit_the_taint() {
     let branches = r#"
             pub fn f(comm: &mut Comm) {

@@ -6,8 +6,9 @@
 //! force is evaluated by the tree/particle kernels (see `hacc-grav`). This
 //! crate implements the PM half:
 //!
-//! * [`cic`] — cloud-in-cell deposit and interpolation with the
-//!   rank-distributed scatter/gather exchanges,
+//! * [`cic`] — cloud-in-cell deposit and interpolation over each rank's
+//!   footprint: a routed deposit and patch gathers, sparse exchanges with
+//!   the plane owners only,
 //! * [`poisson`] — the k-space Green's function with Gaussian long-range
 //!   filtering and CIC deconvolution, plus spectral force gradients,
 //! * [`pm`] — the [`pm::PmSolver`] orchestrating

@@ -8,6 +8,12 @@
 //! yielding both, and `F_z` with two rows per complex FFT. That needs every
 //! force grid Hermitian, which the zeroed Nyquist gradient wavenumber of
 //! [`crate::poisson`] guarantees.
+//!
+//! The mesh side of a solve shares each rank's CIC footprint once (one
+//! `all_gather`); the deposit and the three force gathers are then sparse
+//! rounds between each rank and the owners of its footprint's planes (see
+//! [`crate::cic`]). A solve is 3 transposes, 1 all-gather and 4 sparse
+//! exchanges.
 
 use crate::cic;
 use crate::poisson::{apply_greens_gradient_half, GreensOptions};
@@ -64,7 +70,8 @@ impl PmSolver {
     }
 
     /// Deposit this rank's particles and return the local slab of the
-    /// *mass* grid (sum of CIC-weighted masses per cell).
+    /// *mass* grid (sum of CIC-weighted masses per cell): the footprint
+    /// exchange and one routed deposit ([`cic::deposit`]).
     pub fn mass_slab(
         &self,
         comm: &mut Comm,
@@ -89,8 +96,11 @@ impl PmSolver {
         let n = self.cfg.n;
         let cell_vol = (self.cfg.box_size / n as f64).powi(3);
 
-        // 1. Deposit, converting mass -> density.
-        let mut rho = self.mass_slab(comm, positions, masses);
+        // 1. Share the footprints once for the deposit and all three
+        //    gathers; deposit, converting mass -> density.
+        let footprint = cic::needed_planes(n, self.cfg.box_size, positions);
+        let requests = cic::PlaneRequests::exchange(comm, n, &footprint);
+        let mut rho = requests.deposit(comm, self.cfg.box_size, positions, masses);
         for m in &mut rho {
             *m /= cell_vol;
         }
@@ -114,17 +124,13 @@ impl PmSolver {
             &opts,
         );
 
-        // 4. Two real inverse FFTs for three fields; the plane requests are
-        //    exchanged once, and each component is gathered and
-        //    interpolated in turn, so a rank holds one component's planes
-        //    at once.
-        let needed = cic::needed_planes(n, self.cfg.box_size, positions);
-        let requests = cic::PlaneRequests::exchange(comm, n, &needed);
+        // 4. Two real inverse FFTs for three fields; each component's
+        //    patches are gathered and interpolated in turn, so a rank holds
+        //    one component's slab and patches at once.
         let mut accel = vec![[0.0f64; 3]; positions.len()];
         let mut interpolate_into = |comm: &mut Comm, d: usize, real: Vec<f64>| {
-            let planes = requests.gather(comm, &real);
-            drop(real);
-            let vals = cic::interpolate(n, self.cfg.box_size, positions, &planes);
+            let patches = requests.gather(comm, &real);
+            let vals = cic::interpolate(n, self.cfg.box_size, positions, &patches);
             for (a, v) in accel.iter_mut().zip(vals) {
                 a[d] = v;
             }

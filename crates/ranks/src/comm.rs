@@ -210,7 +210,7 @@ impl World {
 /// gather + broadcast) count both the outer and the inner entries —
 /// the counters describe what the transport actually executed. Byte
 /// counts are `size_of::<T>()` per message plus element-counted buffer
-/// bytes for `all_to_allv` (see [`CommCounters`]).
+/// bytes for `all_to_allv` and `exchange` (see [`CommCounters`]).
 pub struct Comm {
     rank: usize,
     size: usize,
@@ -609,47 +609,81 @@ impl Comm {
 
     /// The all-to-all-v exchange: `sends[d]` goes to rank `d`; returns the
     /// vector received from each source rank, in rank order. This is the
-    /// backbone of both particle overloading and FFT pencil transposes.
+    /// dense traffic: FFT transposes and particle migration.
     #[track_caller]
-    pub fn all_to_allv<T: Send + 'static>(&mut self, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let site = Location::caller();
+    pub fn all_to_allv<T: Send + 'static>(&mut self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(sends.len(), self.size, "need one send buffer per rank");
-        self.count_collective(CollectiveKind::AllToAllV);
+        let size = self.size;
+        self.route(
+            CollectiveKind::AllToAllV,
+            sends.into_iter().enumerate(),
+            0..size,
+            Location::caller(),
+        )
+    }
+
+    /// The sparse all-to-all-v (MPI's `Neighbor_alltoallv`): each
+    /// `(dst, buf)` of `sends` goes to `dst`, and one buffer is received
+    /// from each rank of `sources`, returned in that order. Every rank
+    /// enters it, with or without peers; the pattern must be consistent —
+    /// `s` lists `r` exactly when `r` sends to `s` — and names each peer at
+    /// most once. A rank may name itself on both sides (no message).
+    #[track_caller]
+    pub fn exchange<T: Send + 'static>(
+        &mut self,
+        sends: Vec<(usize, Vec<T>)>,
+        sources: &[usize],
+    ) -> Vec<Vec<T>> {
+        self.route(
+            CollectiveKind::Exchange,
+            sends,
+            sources.iter().copied(),
+            Location::caller(),
+        )
+    }
+
+    /// The body of both all-to-all-v forms: post every send (mailboxes are
+    /// unbounded, so this cannot deadlock), then receive from `sources` in
+    /// order. A rank's buffer to itself never touches the mailbox, and the
+    /// byte count is element-accurate for the buffers sent (the
+    /// per-message accounting only sees the `Vec` header).
+    fn route<T: Send + 'static>(
+        &mut self,
+        kind: CollectiveKind,
+        sends: impl IntoIterator<Item = (usize, Vec<T>)>,
+        sources: impl IntoIterator<Item = usize>,
+        site: &'static Location<'static>,
+    ) -> Vec<Vec<T>> {
+        self.count_collective(kind);
         self.record_collective(
-            "all_to_allv",
+            kind.name(),
             std::any::type_name::<T>(),
             std::mem::size_of::<T>(),
             0,
             site,
         );
-        // Element-accurate byte accounting for the exchange buffers (the
-        // per-message accounting below only sees the Vec header).
-        let elem_bytes: u64 = sends
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| *d != self.rank)
-            .map(|(_, b)| (b.len() * std::mem::size_of::<T>()) as u64)
-            .sum();
-        self.counters.borrow_mut().bytes_sent += elem_bytes;
         let tag = self.next_collective_tag();
-        // Self-exchange without going through the mailbox.
-        let mut mine = Some(std::mem::take(&mut sends[self.rank]));
-        // Post all sends first (mailboxes are unbounded: cannot deadlock).
-        for (dst, buf) in sends.into_iter().enumerate() {
-            if dst != self.rank {
+        let mut mine = None;
+        for (dst, buf) in sends {
+            if dst == self.rank {
+                mine = Some(buf);
+            } else {
+                let bytes = (buf.len() * std::mem::size_of::<T>()) as u64;
+                self.counters.borrow_mut().bytes_sent += bytes;
                 self.send_raw(dst, tag, buf);
             }
         }
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size);
-        for src in 0..self.size {
-            if src == self.rank {
-                // e1: allow: the loop visits src == self.rank exactly once, so the Option is still live
-                out.push(mine.take().expect("self slot taken once"));
-            } else {
-                out.push(self.recv_raw(src, tag, site));
-            }
-        }
-        out
+        sources
+            .into_iter()
+            .map(|src| {
+                if src == self.rank {
+                    // e1: allow: a rank names itself as a source only when it sent itself a buffer
+                    mine.take().expect("self source without a self send")
+                } else {
+                    self.recv_raw(src, tag, site)
+                }
+            })
+            .collect()
     }
 }
 
@@ -770,6 +804,86 @@ mod tests {
             .map(|r| (0..4).map(|d| (r + d) % 3).sum::<usize>())
             .sum();
         assert_eq!(total, expect);
+    }
+
+    /// The ring pattern of [`exchange`](Comm::exchange): rank `r` sends
+    /// its successor one buffer and itself another, and receives from its
+    /// predecessor and itself, in ascending rank order.
+    fn ring_exchange(c: &mut Comm) -> Vec<Vec<usize>> {
+        let (rank, size) = (c.rank(), c.size());
+        let next = (rank + 1) % size;
+        let prev = (rank + size - 1) % size;
+        let mut sends = vec![(rank, vec![rank; 2])];
+        let mut sources = vec![rank];
+        if size > 1 {
+            sends.push((next, vec![rank * 100 + next; 3]));
+            sources.push(prev);
+            sources.sort_unstable();
+        }
+        c.exchange(sends, &sources)
+    }
+
+    #[test]
+    fn exchange_delivers_in_source_order_with_a_self_send() {
+        for size in [1, 2, 5] {
+            let out = World::run(size, ring_exchange);
+            for (r, recvd) in out.iter().enumerate() {
+                let prev = (r + size - 1) % size;
+                let mut want = vec![(r, vec![r; 2])];
+                if size > 1 {
+                    want.push((prev, vec![prev * 100 + r; 3]));
+                    want.sort_unstable();
+                }
+                let want: Vec<Vec<usize>> = want.into_iter().map(|(_, b)| b).collect();
+                assert_eq!(recvd, &want, "rank {r} of {size}");
+            }
+        }
+    }
+
+    #[test]
+    fn exchange_with_no_peers_is_still_a_collective() {
+        let out = World::run(3, |c| {
+            let got: Vec<Vec<u8>> = c.exchange(Vec::new(), &[]);
+            (got.len(), c.telemetry())
+        });
+        for (n, t) in out {
+            assert_eq!(n, 0);
+            assert_eq!(t.collective(CollectiveKind::Exchange), 1);
+            assert_eq!((t.sends, t.bytes_sent), (0, 0));
+        }
+    }
+
+    #[test]
+    fn exchange_counts_peer_elements_only() {
+        let out = World::run(3, |c| {
+            let _ = ring_exchange(c);
+            c.telemetry()
+        });
+        for t in out {
+            // One message to the successor: its Vec header plus 3 words;
+            // the self buffer never touches the transport.
+            let word = std::mem::size_of::<usize>() as u64;
+            let header = std::mem::size_of::<Vec<usize>>() as u64;
+            assert_eq!((t.sends, t.recvs), (1, 1));
+            assert_eq!(t.bytes_sent, header + 3 * word);
+        }
+    }
+
+    #[test]
+    fn faults_inside_exchange_are_transparent() {
+        // The fault hooks sit under every collective's sends, so a
+        // delayed, a duplicated and a truncated message of the sparse
+        // exchange are each recovered and the buffers still arrive.
+        for spec in ["comm-delay@0:0", "comm-dup@0:1", "comm-trunc@0:2"] {
+            let (out, state) = armed_world(3, spec, 1, ring_exchange);
+            let clean = World::run(3, ring_exchange);
+            assert_eq!(out, clean, "{spec}");
+            let (injected, recovered) = (0..3).fold((0, 0), |(i, r), rank| {
+                let c = state.counters_for(rank);
+                (i + c.total_injected(), r + c.recovered.iter().sum::<u64>())
+            });
+            assert_eq!((injected, recovered), (1, 1), "{spec}");
+        }
     }
 
     #[test]

@@ -50,6 +50,44 @@ proptest! {
     }
 
     #[test]
+    fn exchange_matches_all_to_allv_on_sparse_patterns(seed in 0u64..10_000) {
+        // A random directed pattern, self-edges included: `s` sends `d`
+        // a buffer exactly when `edge(s, d)`. The sparse exchange must
+        // hand each rank what the dense all-to-all-v delivers from the
+        // same sources, whatever order the sends are listed in.
+        let edge = |s: usize, d: usize| mix(&[seed, 3, s as u64, d as u64]) % 3 == 0;
+        let data = |src: u64, dst: u64| -> Vec<u64> {
+            let len = (mix(&[seed, src, dst]) % 5) as usize;
+            (0..len as u64).map(|k| mix(&[seed, src, dst, k])).collect()
+        };
+        for &n in &SIZES {
+            let out = World::run(n, |c: &mut Comm| {
+                let r = c.rank();
+                let mut sends: Vec<(usize, Vec<u64>)> = (0..n)
+                    .filter(|&d| edge(r, d))
+                    .map(|d| (d, data(r as u64, d as u64)))
+                    .collect();
+                sends.sort_by_key(|(d, _)| mix(&[seed, 5, *d as u64]));
+                let sources: Vec<usize> = (0..n).filter(|&s| edge(s, r)).collect();
+                let sparse = c.exchange(sends, &sources);
+                let dense = c.all_to_allv(
+                    (0..n)
+                        .map(|d| if edge(r, d) { data(r as u64, d as u64) } else { Vec::new() })
+                        .collect(),
+                );
+                (sources, sparse, dense)
+            });
+            for (dst, (sources, sparse, dense)) in out.iter().enumerate() {
+                prop_assert_eq!(sparse.len(), sources.len(), "rank {} of {}", dst, n);
+                for (&src, buf) in sources.iter().zip(sparse) {
+                    prop_assert_eq!(buf, &dense[src]);
+                    prop_assert_eq!(buf, &data(src as u64, dst as u64));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn exscan_matches_prefix_sum_reference(seed in 0u64..10_000) {
         for &n in &SIZES {
             let vals: Vec<u64> = (0..n as u64).map(|r| mix(&[seed, r]) % 1_000).collect();

@@ -23,10 +23,13 @@ pub enum CollectiveKind {
     Exscan = 5,
     /// Variable-count all-to-all exchange.
     AllToAllV = 6,
+    /// Variable-count exchange with a listed set of peers (the
+    /// neighbourhood all-to-all).
+    Exchange = 7,
 }
 
 /// Every collective kind, for iteration.
-pub const COLLECTIVE_KINDS: [CollectiveKind; 7] = [
+pub const COLLECTIVE_KINDS: [CollectiveKind; 8] = [
     CollectiveKind::Barrier,
     CollectiveKind::Broadcast,
     CollectiveKind::Gather,
@@ -34,6 +37,7 @@ pub const COLLECTIVE_KINDS: [CollectiveKind; 7] = [
     CollectiveKind::AllReduce,
     CollectiveKind::Exscan,
     CollectiveKind::AllToAllV,
+    CollectiveKind::Exchange,
 ];
 
 impl CollectiveKind {
@@ -47,6 +51,7 @@ impl CollectiveKind {
             CollectiveKind::AllReduce => "all_reduce",
             CollectiveKind::Exscan => "exscan",
             CollectiveKind::AllToAllV => "all_to_allv",
+            CollectiveKind::Exchange => "exchange",
         }
     }
 }
@@ -54,9 +59,9 @@ impl CollectiveKind {
 /// Per-rank communication counters.
 ///
 /// Byte counts are *payload-type* bytes (`size_of::<T>()` per message,
-/// element-counted for the all-to-all-v buffers) — a deterministic proxy
-/// for wire traffic, since the thread-backed transport moves ownership
-/// rather than serializing.
+/// element-counted for the all-to-all-v and exchange buffers) — a
+/// deterministic proxy for wire traffic, since the thread-backed transport
+/// moves ownership rather than serializing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommCounters {
     /// Point-to-point + collective-internal messages sent.
@@ -66,7 +71,7 @@ pub struct CommCounters {
     /// Payload bytes sent.
     pub bytes_sent: u64,
     /// Collective entries per kind (indexed by [`CollectiveKind`]).
-    pub collectives: [u64; 7],
+    pub collectives: [u64; 8],
 }
 
 impl CommCounters {

@@ -9,7 +9,8 @@
 # two at step 1 (a rollback to step 0's checkpoint), the 64-rank one at
 # step 0, before any checkpoint exists (a cold start through the
 # distributed ICs). Recovery is bitwise, so each prints the hash of the
-# row above.
+# row above. The 27-rank row is the one 3×3×3 decomposition, and its
+# 16³ mesh leaves eleven ranks owning no plane.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=${1:-target/release/frontier-sim}
@@ -41,6 +42,7 @@ done <<'TABLE'
 --np 16 --steps 3 --seed 7 --ranks 2 --physics gravity
 --np 16 --steps 3 --seed 7 --ranks 2 --physics gravity --chaos panic@1:0
 --np 32 --steps 2 --seed 7 --ranks 8 --physics gravity
+--np 16 --steps 2 --seed 3 --ranks 27 --physics gravity
 --np 32 --steps 2 --seed 7 --ranks 64 --physics gravity
 --np 32 --steps 2 --seed 7 --ranks 64 --physics gravity --chaos panic@0:5
 --np 16 --steps 2 --seed 3 --ranks 2 --zi 1.5 --zf 1.0

@@ -303,6 +303,18 @@ fn cmd_run(args: &[String]) {
             s.step, s.z, s.substeps, s.particles, s.stars_formed, s.wall_seconds
         );
     }
+    // What the ranks sent each other, summed over ranks, per PM step.
+    let pm_steps = report.steps.len().max(1) as f64;
+    let (msgs, bytes) = report
+        .telemetry
+        .ranks
+        .iter()
+        .fold((0, 0), |(m, b), r| (m + r.comm.sends, b + r.comm.bytes_sent));
+    println!(
+        "\ncomm: {:.0} messages, {:.2} MB per PM step (all ranks)",
+        msgs as f64 / pm_steps,
+        bytes as f64 / pm_steps / 1e6
+    );
     println!("\nphase breakdown:");
     for (phase, frac) in report.timers.fractions() {
         println!("  {:<12} {:>5.1}%", phase.name(), frac * 100.0);

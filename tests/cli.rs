@@ -25,6 +25,12 @@ fn run_prints_one_line_per_pm_step() {
     let steps: Vec<&str> = stdout.lines().filter(|l| l.starts_with("  step ")).collect();
     assert_eq!(steps.len(), 3, "{stdout}");
     assert!(steps.iter().all(|l| l.contains("substeps")), "{stdout}");
+    // And one line of the ranks' traffic per PM step.
+    let comm: Vec<&str> = stdout.lines().filter(|l| l.starts_with("comm: ")).collect();
+    assert_eq!(comm.len(), 1, "{stdout}");
+    assert!(comm[0].ends_with(" MB per PM step (all ranks)"), "{stdout}");
+    let msgs: f64 = comm[0]["comm: ".len()..].split(' ').next().unwrap().parse().unwrap();
+    assert!(msgs > 0.0, "{stdout}");
 }
 
 #[test]

@@ -53,8 +53,8 @@ pub enum ItemKind {
     Struct(StructDef),
     Trait(TraitDef),
     Mod(String, Vec<Item>),
-    Static(StaticDef),
-    /// use / extern / enum / const / macro / type alias / anything else.
+    /// use / extern / enum / const / static / macro / type alias /
+    /// anything else.
     Other,
 }
 
@@ -80,8 +80,6 @@ pub struct Param {
 
 #[derive(Debug)]
 pub struct ImplDef {
-    /// Generic parameters introduced by `impl<...>`.
-    pub generics: Vec<String>,
     /// `Some(trait_name)` for `impl Trait for Type`.
     pub trait_name: Option<String>,
     /// Base name of the implementing type (generics stripped).
@@ -101,12 +99,6 @@ pub struct StructDef {
 pub struct TraitDef {
     pub name: String,
     pub fns: Vec<FnDef>,
-}
-
-#[derive(Debug)]
-pub struct StaticDef {
-    pub name: String,
-    pub ty: TypeRef,
 }
 
 /// A simplified type: base path segment plus generic arguments.
@@ -151,7 +143,6 @@ pub enum Stmt {
         init: Option<Expr>,
         /// The diverging `else { ... }` block of a `let ... else`.
         els: Option<Block>,
-        line: u32,
     },
     Expr(Expr),
     /// A `fn` item nested in a block: its own call-graph node, not part
@@ -187,7 +178,8 @@ pub enum ExprKind {
     /// `[a, b, c]` or `[x; n]`.
     Array(Vec<Expr>),
     Tuple(Vec<Expr>),
-    StructLit { path: Vec<String>, fields: Vec<(String, Expr)>, rest: bool },
+    /// `P { a: x, b, ..base }`; the `..base` expression is not kept.
+    StructLit { path: Vec<String>, fields: Vec<(String, Expr)> },
     Range { lo: Option<Box<Expr>>, hi: Option<Box<Expr>> },
     If { cond: Box<Expr>, then: Block, els: Option<Box<Expr>> },
     /// `if let` / `while let` conditions lower to this marker + scrutinee.
@@ -610,7 +602,6 @@ impl<'a> Parser<'a> {
             Some("struct") => self.struct_def().map(ItemKind::Struct).unwrap_or(ItemKind::Other),
             Some("trait") => self.trait_def().map(ItemKind::Trait).unwrap_or(ItemKind::Other),
             Some("mod") => self.mod_def().unwrap_or(ItemKind::Other),
-            Some("static") => self.static_def().map(ItemKind::Static).unwrap_or(ItemKind::Other),
             Some(_) => {
                 self.skip_to_item_end();
                 ItemKind::Other
@@ -627,45 +618,12 @@ impl<'a> Parser<'a> {
         Some(Item { kind, lo, hi: self.raw_idx(), line, in_test })
     }
 
-    fn generics_decl(&mut self) -> Vec<String> {
-        // `<A, B: Bound, const N: usize>` — collect plain type params.
-        let mut out = Vec::new();
-        if !self.eat_punct('<') {
-            return out;
-        }
-        let mut depth = 1i32;
-        let mut at_param = true;
-        while let Some(t) = self.peek() {
-            match (t.kind, t.text.chars().next().unwrap_or(' ')) {
-                (Kind::Punct, '<') => depth += 1,
-                (Kind::Punct, '>') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        self.pos += 1;
-                        break;
-                    }
-                }
-                (Kind::Punct, ',') if depth == 1 => at_param = true,
-                (Kind::Punct, ':') => at_param = false,
-                (Kind::Ident, _) if depth == 1 && at_param => {
-                    if t.text != "const" && t.text != "'" {
-                        out.push(t.text.clone());
-                        at_param = false;
-                    }
-                }
-                _ => {}
-            }
-            self.pos += 1;
-        }
-        out
-    }
-
     fn fn_def(&mut self) -> Option<FnDef> {
         let inline = std::mem::take(&mut self.pending_inline);
         self.eat_ident("fn");
         let line = self.line();
         let name = self.bump().filter(|t| t.kind == Kind::Ident)?.text.clone();
-        self.generics_decl();
+        self.skip_generic_args();
         // Parameters.
         let mut params = Vec::new();
         if self.at_punct('(') {
@@ -757,7 +715,7 @@ impl<'a> Parser<'a> {
 
     fn impl_def(&mut self) -> Option<ImplDef> {
         self.eat_ident("impl");
-        let generics = self.generics_decl();
+        self.skip_generic_args();
         let first = self.type_ref()?;
         let (trait_name, type_name) = if self.eat_ident("for") {
             let ty = self.type_ref()?;
@@ -772,7 +730,7 @@ impl<'a> Parser<'a> {
             return None;
         }
         let (assoc_types, fns) = self.members();
-        Some(ImplDef { generics, trait_name, type_name, assoc_types, fns })
+        Some(ImplDef { trait_name, type_name, assoc_types, fns })
     }
 
     /// The members of an `impl` / `trait` body whose `{` is consumed, up
@@ -823,7 +781,7 @@ impl<'a> Parser<'a> {
     fn struct_def(&mut self) -> Option<StructDef> {
         self.eat_ident("struct");
         let name = self.bump().filter(|t| t.kind == Kind::Ident)?.text.clone();
-        self.generics_decl();
+        self.skip_generic_args();
         let mut fields = Vec::new();
         if self.at_punct('{') {
             self.pos += 1;
@@ -852,7 +810,7 @@ impl<'a> Parser<'a> {
     fn trait_def(&mut self) -> Option<TraitDef> {
         self.eat_ident("trait");
         let name = self.bump().filter(|t| t.kind == Kind::Ident)?.text.clone();
-        self.generics_decl();
+        self.skip_generic_args();
         // Supertraits / where clause; `trait A = B;` has no body.
         self.skip_to_body();
         let fns = if self.eat_punct('{') {
@@ -885,20 +843,6 @@ impl<'a> Parser<'a> {
             }
         }
         Some(ItemKind::Mod(name, items))
-    }
-
-    fn static_def(&mut self) -> Option<StaticDef> {
-        self.eat_ident("static");
-        self.eat_ident("mut");
-        let name = self.bump().filter(|t| t.kind == Kind::Ident)?.text.clone();
-        let ty = if self.at_punct(':') && !self.punct_at(1, ':') {
-            self.pos += 1;
-            self.type_ref().unwrap_or_else(|| TypeRef::simple("?"))
-        } else {
-            TypeRef::simple("?")
-        };
-        self.skip_to_item_end();
-        Some(StaticDef { name, ty })
     }
 
     // -- types --------------------------------------------------------------
@@ -1100,7 +1044,6 @@ impl<'a> Parser<'a> {
     }
 
     fn let_stmt(&mut self) -> Option<Stmt> {
-        let line = self.line();
         self.eat_ident("let");
         let names = self.pattern_names_until(&['=', ':', ';']);
         let ty = if self.at_punct(':') && !self.punct_at(1, ':') {
@@ -1116,7 +1059,7 @@ impl<'a> Parser<'a> {
             None
         };
         // `let ... else { ... }` — the else block is a real (diverging)
-        // block: rules and the CFG lowering see its `return`/`continue`.
+        // block: the rules see its `return`/`continue`.
         let els = if self.at_ident("else") {
             self.pos += 1;
             self.block()
@@ -1124,7 +1067,7 @@ impl<'a> Parser<'a> {
             None
         };
         self.eat_punct(';');
-        Some(Stmt::Let { names, ty, init, els, line })
+        Some(Stmt::Let { names, ty, init, els })
     }
 
     /// Parse a pattern *loosely*: consume tokens until one of `stops`
@@ -1616,7 +1559,6 @@ impl<'a> Parser<'a> {
                     if looks_type {
                         self.pos += 1;
                         let mut fields = Vec::new();
-                        let mut rest = false;
                         loop {
                             if self.eat_punct('}') {
                                 break;
@@ -1627,7 +1569,6 @@ impl<'a> Parser<'a> {
                             // `..rest`
                             if self.at_punct('.') && self.punct_at(1, '.') {
                                 self.pos += 2;
-                                rest = true;
                                 let _ = self.expr(true);
                                 self.eat_punct(',');
                                 continue;
@@ -1652,10 +1593,7 @@ impl<'a> Parser<'a> {
                             }
                             self.eat_punct(',');
                         }
-                        return Some(Expr::new(
-                            line,
-                            ExprKind::StructLit { path: segs, fields, rest },
-                        ));
+                        return Some(Expr::new(line, ExprKind::StructLit { path: segs, fields }));
                     }
                 }
                 Some(Expr::new(line, ExprKind::Path(segs)))
@@ -1930,7 +1868,6 @@ mod tests {
         let ItemKind::Impl(im) = &f.items[0].kind else { panic!("not impl") };
         assert_eq!(im.trait_name.as_deref(), Some("SplitKernel"));
         assert_eq!(im.type_name, "ForceKernel");
-        assert_eq!(im.generics, vec!["K".to_string()]);
         assert_eq!(im.assoc_types[0].0, "State");
         assert_eq!(im.assoc_types[0].1.base, "ForceState");
         assert_eq!(im.fns.len(), 2);
@@ -2000,9 +1937,8 @@ mod tests {
         let f = parse_src("fn f() -> P { P { muls: 2, ..Default::default() } }");
         let ItemKind::Fn(fd) = &f.items[0].kind else { panic!() };
         let Stmt::Expr(e) = &fd.body.as_ref().unwrap().stmts[0] else { panic!() };
-        let ExprKind::StructLit { fields, rest, .. } = &e.kind else { panic!("not structlit") };
+        let ExprKind::StructLit { fields, .. } = &e.kind else { panic!("not structlit") };
         assert_eq!(fields.len(), 1);
-        assert!(*rest);
     }
 
     #[test]

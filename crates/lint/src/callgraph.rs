@@ -1,5 +1,5 @@
 //! Workspace call graph — the one interprocedural backbone, shared by
-//! C1, C2, E1, L1 and V1 through [`crate::context::Context`].
+//! C1, E1 and V1 through [`crate::context::Context`].
 //!
 //! Nodes are every parsed `fn` with a body (free functions, impl
 //! methods, trait defaults, `fn` items nested in a body), including

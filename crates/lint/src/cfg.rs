@@ -1,4 +1,5 @@
-//! Lightweight per-function flow/type layer over the `ast` module.
+//! Workspace index, local types and the FLOP evaluator over the `ast`
+//! module — no control-flow graph: every rule reads the parsed tree.
 //!
 //! Three services for the rules:
 //!
@@ -24,8 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{
-    Arm, BinOp, Block, Expr, ExprKind, FnDef, ImplDef, Item, ItemKind, StaticDef, Stmt, StructDef,
-    TraitDef, TypeRef,
+    Arm, BinOp, Block, Expr, ExprKind, FnDef, Item, ItemKind, Stmt, StructDef, TraitDef, TypeRef,
 };
 use crate::Workspace;
 
@@ -35,13 +35,10 @@ use crate::Workspace;
 
 pub struct Index<'a> {
     pub structs: BTreeMap<String, &'a StructDef>,
-    pub statics: BTreeMap<String, &'a StaticDef>,
     pub traits: BTreeMap<String, &'a TraitDef>,
     /// (type base name, method name) -> definitions.
     pub methods: BTreeMap<(String, String), Vec<(&'a str, &'a FnDef)>>,
     pub free_fns: BTreeMap<String, Vec<(&'a str, &'a FnDef)>>,
-    /// All impl blocks with their file.
-    pub impls: Vec<(&'a str, &'a ImplDef)>,
     /// type base name -> trait names it implements.
     pub trait_impls: BTreeMap<String, BTreeSet<String>>,
 }
@@ -50,11 +47,9 @@ impl<'a> Index<'a> {
     pub fn build(ws: &'a Workspace) -> Self {
         let mut ix = Index {
             structs: BTreeMap::new(),
-            statics: BTreeMap::new(),
             traits: BTreeMap::new(),
             methods: BTreeMap::new(),
             free_fns: BTreeMap::new(),
-            impls: Vec::new(),
             trait_impls: BTreeMap::new(),
         };
         for f in &ws.files {
@@ -72,9 +67,6 @@ impl<'a> Index<'a> {
                 ItemKind::Struct(sd) => {
                     self.structs.entry(sd.name.clone()).or_insert(sd);
                 }
-                ItemKind::Static(st) => {
-                    self.statics.entry(st.name.clone()).or_insert(st);
-                }
                 ItemKind::Trait(td) => {
                     self.traits.entry(td.name.clone()).or_insert(td);
                 }
@@ -82,7 +74,6 @@ impl<'a> Index<'a> {
                     self.free_fns.entry(fd.name.clone()).or_default().push((file, fd));
                 }
                 ItemKind::Impl(im) => {
-                    self.impls.push((file, im));
                     if let Some(tr) = &im.trait_name {
                         self.trait_impls
                             .entry(im.type_name.clone())
@@ -888,180 +879,10 @@ fn const_trip_count(iter: &Expr) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Per-function control-flow graphs (PR 10)
-//
-// The interprocedural rules (E1/V1/C2) need more than expression trees:
-// dominance for "is this index guarded", path enumeration for "do these
-// two branches issue the same collectives", and `?`/return edges for
-// "which early exits skip the barrier". `lower_fn` flattens a parsed
-// body into basic blocks whose events are the statement-level
-// expressions in evaluation order; structured control flow (if / match
-// / loops / `?` / return / break / continue / `let`-`else` / panic
-// macros) becomes edges. Control flow nested inside a composite
-// expression (e.g. an `if` in a call argument) is lowered structurally
-// too: the composite's children are walked in evaluation order and the
-// composite node itself emits no event, so no expression is ever
-// double-counted. Closure bodies stay inside their event (a closure is
-// data, not flow, for the enclosing function).
+// Rendering
 // ---------------------------------------------------------------------------
 
-pub type BlockId = usize;
-
-/// Which way a conditional edge was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Outcome {
-    True,
-    False,
-    /// `match` arm index.
-    Arm(u16),
-    /// `?` success continuation.
-    Ok,
-    /// `?` error propagation (to the exit block).
-    Err,
-}
-
-/// Edge classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// Unconditional fall-through (includes `break` to the loop exit).
-    Seq,
-    /// Loop back edge (body tail / `continue` to the loop head).
-    Back,
-    /// To the exit block: `return`, fn fall-through, or a panic macro.
-    Ret,
-    /// Branch edge, tagged with the decision it encodes.
-    Cond { cond: usize, outcome: Outcome },
-}
-
-/// One branch condition (side table indexed by `EdgeKind::Cond`).
-#[derive(Debug)]
-pub struct CondInfo {
-    pub line: u32,
-    /// True when the classifier passed to `lower_fn` marked the
-    /// condition (C2 passes rank-dependence; E1/V1 pass `|_| false`).
-    pub tagged: bool,
-    /// Stable syntactic key: two tests of the same rendered condition
-    /// share a key, which lets path enumeration prune contradictory
-    /// assignments (`if c {..}; if c {..}` never takes True then False).
-    pub key: String,
-}
-
-/// One natural-loop record (nesting info).
-#[derive(Debug)]
-pub struct LoopInfo {
-    pub parent: Option<usize>,
-    /// True when no further loop nests inside (the "lane loop" of a
-    /// tiled kernel driver, in V1's vocabulary). Filled by `lower_fn`.
-    pub innermost: bool,
-}
-
-#[derive(Debug, Default)]
-pub struct BasicBlock<'a> {
-    /// Statement-level expressions in evaluation order.
-    pub events: Vec<&'a Expr>,
-    pub succs: Vec<(BlockId, EdgeKind)>,
-    /// Innermost enclosing loop, if any.
-    pub loop_id: Option<usize>,
-}
-
-/// A lowered function body. Block 0 is the entry, block 1 the exit.
-#[derive(Debug, Default)]
-pub struct FnCfg<'a> {
-    pub blocks: Vec<BasicBlock<'a>>,
-    pub conds: Vec<CondInfo>,
-    pub loops: Vec<LoopInfo>,
-}
-
-impl<'a> FnCfg<'a> {
-    pub const ENTRY: BlockId = 0;
-    pub const EXIT: BlockId = 1;
-
-    /// Predecessor lists (derived; edges are stored forward-only).
-    pub fn preds(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (b, bb) in self.blocks.iter().enumerate() {
-            for &(s, _) in &bb.succs {
-                preds[s].push(b);
-            }
-        }
-        preds
-    }
-
-    /// Reverse postorder over forward edges from the entry block.
-    pub fn rpo(&self) -> Vec<BlockId> {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut post = Vec::new();
-        // Iterative DFS (the linter must not recurse on hostile input).
-        let mut stack: Vec<(BlockId, usize)> = vec![(Self::ENTRY, 0)];
-        seen[Self::ENTRY] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < self.blocks[b].succs.len() {
-                let (s, _) = self.blocks[b].succs[*i];
-                *i += 1;
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        post
-    }
-
-    /// Immediate dominators (`None` for the entry and unreachable
-    /// blocks), via the standard iterative RPO algorithm.
-    pub fn dominators(&self) -> Vec<Option<BlockId>> {
-        let rpo = self.rpo();
-        let mut order = vec![usize::MAX; self.blocks.len()];
-        for (i, &b) in rpo.iter().enumerate() {
-            order[b] = i;
-        }
-        let preds = self.preds();
-        let mut idom: Vec<Option<BlockId>> = vec![None; self.blocks.len()];
-        idom[Self::ENTRY] = Some(Self::ENTRY);
-        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| {
-            while a != b {
-                while order[a] > order[b] {
-                    a = idom[a].unwrap_or(Self::ENTRY);
-                }
-                while order[b] > order[a] {
-                    b = idom[b].unwrap_or(Self::ENTRY);
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        let mut rounds = 0u32;
-        while changed && rounds < 64 {
-            changed = false;
-            rounds += 1;
-            for &b in rpo.iter().skip(1) {
-                let mut new = None;
-                for &p in &preds[b] {
-                    if idom[p].is_none() {
-                        continue;
-                    }
-                    new = Some(match new {
-                        None => p,
-                        Some(n) => intersect(&idom, n, p),
-                    });
-                }
-                if new.is_some() && idom[b] != new {
-                    idom[b] = new;
-                    changed = true;
-                }
-            }
-        }
-        idom[Self::ENTRY] = None;
-        idom
-    }
-}
-
-/// Render an expression as a compact stable string — condition keys for
-/// path-feasibility pruning and human-readable witness labels.
+/// Render an expression as a compact stable string for diagnostics.
 pub fn render_expr(e: &Expr) -> String {
     let mut s = String::new();
     render_into(e, &mut s, 0);
@@ -1084,11 +905,6 @@ fn render_into(e: &Expr, s: &mut String, depth: u32) {
         ExprKind::Binary { op, lhs, rhs } => {
             render_into(lhs, s, depth + 1);
             s.push_str(op.symbol());
-            render_into(rhs, s, depth + 1);
-        }
-        ExprKind::Assign { lhs, rhs, .. } => {
-            render_into(lhs, s, depth + 1);
-            s.push('=');
             render_into(rhs, s, depth + 1);
         }
         ExprKind::Call { callee: head, args } | ExprKind::MethodCall { recv: head, args, .. } => {
@@ -1139,374 +955,8 @@ fn render_into(e: &Expr, s: &mut String, depth: u32) {
             s.push_str(name);
             s.push('!');
         }
-        ExprKind::LetCond { scrutinee, .. } => {
-            s.push_str("let=");
-            render_into(scrutinee, s, depth + 1);
-        }
         _ => s.push_str("<expr>"),
     }
-}
-
-/// Does this subtree contain control flow the lowering must expand?
-/// Closure bodies are excluded: a closure is a value.
-fn has_flow(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::If { .. }
-        | ExprKind::Match { .. }
-        | ExprKind::For { .. }
-        | ExprKind::While { .. }
-        | ExprKind::Loop { .. }
-        | ExprKind::Block(_)
-        | ExprKind::Labeled { .. }
-        | ExprKind::Try(_)
-        | ExprKind::Return(_)
-        | ExprKind::Break { .. }
-        | ExprKind::Continue { .. } => true,
-        ExprKind::Closure { .. } => false,
-        _ => {
-            let mut any = false;
-            crate::ast::for_each_child(e, &mut |c| any = any || has_flow(c));
-            any
-        }
-    }
-}
-
-/// Macros that terminate the current path (panic family; `assert!` is a
-/// *conditional* panic and stays a plain event).
-fn is_panic_macro(name: &str) -> bool {
-    matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
-}
-
-struct Lowerer<'a, 'c> {
-    cfg: FnCfg<'a>,
-    cur: BlockId,
-    /// (label, head, exit, loop_id); labeled non-loop blocks get
-    /// `head == exit` and no loop_id.
-    loop_stack: Vec<(Option<String>, BlockId, BlockId, Option<usize>)>,
-    pending_label: Option<String>,
-    classify: &'c dyn Fn(&Expr) -> bool,
-}
-
-/// Lower a function body to a CFG. `classify` tags conditions (C2
-/// passes its rank-dependence test; rules that do not care pass
-/// `|_| false`).
-pub fn lower_fn<'a>(fd: &'a FnDef, classify: &dyn Fn(&Expr) -> bool) -> FnCfg<'a> {
-    let mut lw = Lowerer {
-        cfg: FnCfg::default(),
-        cur: 0,
-        loop_stack: Vec::new(),
-        pending_label: None,
-        classify,
-    };
-    lw.cfg.blocks.push(BasicBlock::default()); // entry
-    lw.cfg.blocks.push(BasicBlock::default()); // exit
-    if let Some(body) = &fd.body {
-        lw.lower_block(body);
-    }
-    lw.edge(lw.cur, FnCfg::EXIT, EdgeKind::Ret);
-    // Mark innermost loops (no other loop claims them as parent).
-    let has_child: Vec<bool> = (0..lw.cfg.loops.len())
-        .map(|i| lw.cfg.loops.iter().any(|l| l.parent == Some(i)))
-        .collect();
-    for (i, l) in lw.cfg.loops.iter_mut().enumerate() {
-        l.innermost = !has_child[i];
-    }
-    lw.cfg
-}
-
-impl<'a> Lowerer<'a, '_> {
-    fn new_block(&mut self) -> BlockId {
-        let id = self.cfg.blocks.len();
-        self.cfg.blocks.push(BasicBlock {
-            loop_id: self.loop_stack.iter().rev().find_map(|(_, _, _, l)| *l),
-            ..BasicBlock::default()
-        });
-        id
-    }
-
-    fn edge(&mut self, from: BlockId, to: BlockId, kind: EdgeKind) {
-        self.cfg.blocks[from].succs.push((to, kind));
-    }
-
-    fn cond(&mut self, expr: Option<&'a Expr>, line: u32, key: String) -> usize {
-        let tagged = expr.map(|e| (self.classify)(e)).unwrap_or(false);
-        self.cfg.conds.push(CondInfo { line, tagged, key });
-        self.cfg.conds.len() - 1
-    }
-
-    fn event(&mut self, e: &'a Expr) {
-        self.cfg.blocks[self.cur].events.push(e);
-        // A `?` anywhere in the event splits the block: the error path
-        // jumps to the exit, the success path falls through. The
-        // synthesized per-site condition stays untagged: an `Err` exit
-        // is error propagation for the caller/supervisor, so C2 groups
-        // on it (per-path data) rather than comparing across it.
-        let mut tries = 0u32;
-        collect_tries(e, &mut tries);
-        for _ in 0..tries {
-            self.try_split(e.line);
-        }
-    }
-
-    /// One `?`: the error path jumps to the exit, the success path
-    /// continues in a fresh block.
-    fn try_split(&mut self, line: u32) {
-        let cid = self.cond(None, line, format!("?@{line}"));
-        let next = self.new_block();
-        self.edge(self.cur, FnCfg::EXIT, EdgeKind::Cond { cond: cid, outcome: Outcome::Err });
-        self.edge(self.cur, next, EdgeKind::Cond { cond: cid, outcome: Outcome::Ok });
-        self.cur = next;
-    }
-
-    fn lower_block(&mut self, b: &'a Block) {
-        for s in &b.stmts {
-            match s {
-                Stmt::Let { init, els, line, .. } => {
-                    if let Some(e) = init {
-                        self.lower_expr(e);
-                    }
-                    if let Some(els) = els {
-                        // `let`-`else`: refutation branches to a
-                        // diverging block. The else block must leave by
-                        // return/break/continue/panic; a fall-through
-                        // edge to the join keeps malformed input sound.
-                        let cid = self.cond(init.as_ref(), *line, format!("let-else@{line}"));
-                        let eb = self.new_block();
-                        let join = self.new_block();
-                        self.edge(self.cur, eb, EdgeKind::Cond { cond: cid, outcome: Outcome::False });
-                        self.edge(self.cur, join, EdgeKind::Cond { cond: cid, outcome: Outcome::True });
-                        self.cur = eb;
-                        self.lower_block(els);
-                        self.edge(self.cur, join, EdgeKind::Seq);
-                        self.cur = join;
-                    }
-                }
-                Stmt::Expr(e) => self.lower_expr(e),
-                Stmt::Fn(_) | Stmt::Opaque => {}
-            }
-        }
-    }
-
-    fn lower_expr(&mut self, e: &'a Expr) {
-        let label = self.pending_label.take();
-        match &e.kind {
-            ExprKind::If { cond, then, els } => {
-                self.lower_expr(cond);
-                let cid = self.cond(Some(cond), e.line, render_expr(cond));
-                let before = self.cur;
-                let tb = self.new_block();
-                let join = self.new_block();
-                self.edge(before, tb, EdgeKind::Cond { cond: cid, outcome: Outcome::True });
-                self.cur = tb;
-                self.lower_block(then);
-                self.edge(self.cur, join, EdgeKind::Seq);
-                match els {
-                    Some(eb) => {
-                        let ebb = self.new_block();
-                        self.edge(before, ebb, EdgeKind::Cond { cond: cid, outcome: Outcome::False });
-                        self.cur = ebb;
-                        self.lower_expr(eb);
-                        self.edge(self.cur, join, EdgeKind::Seq);
-                    }
-                    None => {
-                        self.edge(before, join, EdgeKind::Cond { cond: cid, outcome: Outcome::False });
-                    }
-                }
-                self.cur = join;
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                self.lower_expr(scrutinee);
-                let cid = self.cond(Some(scrutinee), e.line, render_expr(scrutinee));
-                let before = self.cur;
-                let join = self.new_block();
-                if arms.is_empty() {
-                    self.edge(before, join, EdgeKind::Seq);
-                }
-                for (k, arm) in arms.iter().enumerate() {
-                    let ab = self.new_block();
-                    self.edge(
-                        before,
-                        ab,
-                        EdgeKind::Cond { cond: cid, outcome: Outcome::Arm(k.min(u16::MAX as usize) as u16) },
-                    );
-                    self.cur = ab;
-                    if let Some(g) = &arm.guard {
-                        // A failed guard falls through to the later
-                        // arms; modelled as leaving the match.
-                        self.lower_expr(g);
-                        let gid = self.cond(Some(g), g.line, render_expr(g));
-                        let body = self.new_block();
-                        let on = |outcome| EdgeKind::Cond { cond: gid, outcome };
-                        self.edge(self.cur, body, on(Outcome::True));
-                        self.edge(self.cur, join, on(Outcome::False));
-                        self.cur = body;
-                    }
-                    self.lower_expr(&arm.body);
-                    self.edge(self.cur, join, EdgeKind::Seq);
-                }
-                self.cur = join;
-            }
-            ExprKind::While { cond, body } => {
-                let head = self.new_block();
-                self.edge(self.cur, head, EdgeKind::Seq);
-                let exit = self.push_loop(label, head);
-                self.cur = head;
-                self.lower_expr(cond);
-                let cid = self.cond(Some(cond), e.line, render_expr(cond));
-                let head_tail = self.cur; // `?` in the cond may have split
-                let bb = self.new_block();
-                self.edge(head_tail, bb, EdgeKind::Cond { cond: cid, outcome: Outcome::True });
-                self.edge(head_tail, exit, EdgeKind::Cond { cond: cid, outcome: Outcome::False });
-                self.cur = bb;
-                self.lower_block(body);
-                self.edge(self.cur, head, EdgeKind::Back);
-                self.pop_loop(exit);
-            }
-            ExprKind::For { iter, body, .. } => {
-                self.lower_expr(iter);
-                let head = self.new_block();
-                self.edge(self.cur, head, EdgeKind::Seq);
-                let exit = self.push_loop(label, head);
-                let cid = self.cond(Some(iter), e.line, format!("for@{}:{}", e.line, render_expr(iter)));
-                let bb = self.new_block();
-                self.edge(head, bb, EdgeKind::Cond { cond: cid, outcome: Outcome::True });
-                self.edge(head, exit, EdgeKind::Cond { cond: cid, outcome: Outcome::False });
-                self.cur = bb;
-                self.lower_block(body);
-                self.edge(self.cur, head, EdgeKind::Back);
-                self.pop_loop(exit);
-            }
-            ExprKind::Loop { body } => {
-                let head = self.new_block();
-                self.edge(self.cur, head, EdgeKind::Seq);
-                let exit = self.push_loop(label, head);
-                let bb = self.new_block();
-                self.edge(head, bb, EdgeKind::Seq);
-                self.cur = bb;
-                self.lower_block(body);
-                self.edge(self.cur, head, EdgeKind::Back);
-                self.pop_loop(exit);
-            }
-            ExprKind::Labeled { label: l, body } => {
-                match &body.kind {
-                    ExprKind::Loop { .. } | ExprKind::While { .. } | ExprKind::For { .. } => {
-                        self.pending_label = Some(l.clone());
-                        self.lower_expr(body);
-                    }
-                    _ => {
-                        // Labeled block: `break 'l` jumps past it.
-                        let after = self.new_block();
-                        self.loop_stack.push((Some(l.clone()), after, after, None));
-                        self.lower_expr(body);
-                        self.loop_stack.pop();
-                        self.edge(self.cur, after, EdgeKind::Seq);
-                        self.cur = after;
-                    }
-                }
-            }
-            ExprKind::Block(b) => self.lower_block(b),
-            ExprKind::Return(_) => {
-                // The whole `return <val>` is one event (so the value's
-                // subtree is scanned exactly once); `event` adds any `?`
-                // splits inside the value.
-                self.event(e);
-                self.edge(self.cur, FnCfg::EXIT, EdgeKind::Ret);
-                self.cur = self.new_block();
-            }
-            ExprKind::Break { label } => {
-                self.event(e);
-                let target = self.find_loop(label.as_deref()).map(|(_, _, x, _)| x);
-                self.edge(self.cur, target.unwrap_or(FnCfg::EXIT), EdgeKind::Seq);
-                self.cur = self.new_block();
-            }
-            ExprKind::Continue { label } => {
-                self.event(e);
-                let target = self.find_loop(label.as_deref()).map(|(_, h, _, _)| h);
-                match target {
-                    Some(h) => self.edge(self.cur, h, EdgeKind::Back),
-                    None => self.edge(self.cur, FnCfg::EXIT, EdgeKind::Ret),
-                }
-                self.cur = self.new_block();
-            }
-            ExprKind::Macro { name, .. } if is_panic_macro(name) => {
-                self.event(e);
-                self.edge(self.cur, FnCfg::EXIT, EdgeKind::Ret);
-                self.cur = self.new_block();
-            }
-            ExprKind::Try(inner) => {
-                // Statement-level `x?;`: lower the inner expression and
-                // let `event` add the Ok/Err split for the whole node.
-                if has_flow(inner) {
-                    self.lower_expr(inner);
-                    // The split that `event` would have added.
-                    self.try_split(e.line);
-                } else {
-                    self.event(e);
-                }
-            }
-            _ => {
-                if has_flow(e) {
-                    self.lower_children(e);
-                } else {
-                    self.event(e);
-                }
-            }
-        }
-    }
-
-    /// Composite expression with nested control flow: lower children in
-    /// evaluation order (an assignment evaluates its right side first);
-    /// the composite emits no event of its own.
-    fn lower_children(&mut self, e: &'a Expr) {
-        if let ExprKind::Assign { lhs, rhs, .. } = &e.kind {
-            self.lower_expr(rhs);
-            self.lower_expr(lhs);
-        } else {
-            crate::ast::for_each_child(e, &mut |c| self.lower_expr(c));
-        }
-    }
-
-    /// Open a loop headed at `head`; returns its exit block.
-    fn push_loop(&mut self, label: Option<String>, head: BlockId) -> BlockId {
-        let parent = self.loop_stack.iter().rev().find_map(|(_, _, _, l)| *l);
-        let lid = self.cfg.loops.len();
-        self.cfg.loops.push(LoopInfo { parent, innermost: true });
-        let exit = self.new_block(); // allocated outside: loop_id set below
-        self.cfg.blocks[exit].loop_id = parent;
-        self.loop_stack.push((label, head, exit, Some(lid)));
-        self.cfg.blocks[head].loop_id = Some(lid);
-        exit
-    }
-
-    fn pop_loop(&mut self, exit: BlockId) {
-        self.loop_stack.pop();
-        self.cur = exit;
-    }
-
-    fn find_loop(&self, label: Option<&str>) -> Option<(Option<String>, BlockId, BlockId, Option<usize>)> {
-        match label {
-            Some(l) => self
-                .loop_stack
-                .iter()
-                .rev()
-                .find(|(n, _, _, _)| n.as_deref() == Some(l))
-                .cloned(),
-            // Unlabeled break/continue targets the innermost *loop*
-            // (labeled blocks are not break targets without a label).
-            None => self.loop_stack.iter().rev().find(|(_, _, _, l)| l.is_some()).cloned(),
-        }
-    }
-}
-
-/// Count the `?` operators an event evaluates (closure bodies are
-/// values, not flow).
-fn collect_tries(e: &Expr, n: &mut u32) {
-    match &e.kind {
-        ExprKind::Try(_) => *n += 1,
-        ExprKind::Closure { .. } => return,
-        _ => {}
-    }
-    crate::ast::for_each_child(e, &mut |c| collect_tries(c, n));
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 //! Bottom-up interprocedural summaries over the call graph.
 //!
 //! [`solve_summaries`] is the one fixpoint every interprocedural rule
-//! shares: C1/C2's reaches-collective bit and C2's collective traces,
-//! E1's panic-surface mask, L1's acquired-lock sets. SCCs are processed
+//! shares: C1's reaches-collective bit and E1's panic-surface mask.
+//! SCCs are processed
 //! callees-first, so a summary is final before any caller reads it no
 //! matter how deep the call chain; inside an SCC (mutual recursion) the
 //! members are re-evaluated until their summaries stop changing or a
 //! round cap trips. Summaries are context-insensitive; rules layer
-//! context on where it pays (witness chains, C2's trace splicing).
+//! context on where it pays (E1's witness chains).
 
 use crate::callgraph::{CallGraph, FnId};
 

@@ -12,22 +12,20 @@
 //! ([`context`]) per lint pass then holds the workspace index ([`cfg`])
 //! and the typed call graph ([`callgraph`]); the interprocedural rules
 //! solve their per-function summaries bottom-up over it
-//! ([`dataflow`]), and the path/dominance rules lower per-function
-//! CFGs ([`cfg`]) on demand. The rule registry ([`rules`]) hands that
-//! one context to every rule:
+//! ([`dataflow`]). There is no control-flow graph: every AST rule walks
+//! the parsed tree. The rule registry ([`rules`]) hands that one
+//! context to every rule:
 //!
 //! | rule | reads | class |
 //! |------|-------|-------|
 //! | D1   | tokens           | hash-ordered iteration in golden paths; stray wall-clock reads (timed waits included), env reads and thread creation |
-//! | C1   | AST + call graph | collectives under rank-dependent guards (SPMD deadlock)        |
+//! | C1   | AST + call graph | collectives under rank-dependent guards or after rank-guarded exits (SPMD deadlock) |
 //! | H1   | tokens + manifests | non-path dependencies, `extern crate`, `use ::` escapes      |
 //! | F1   | tokens           | `FaultKind` variants no production site can inject             |
 //! | K1   | AST + index      | `pair_flops()` tables that drift from the kernel's derived cost |
 //! | P1   | AST              | heap allocation in per-pair kernels, tile loops, hot loops     |
-//! | L1   | AST + call graph | cycles in the static lock-acquisition graph                    |
 //! | E1   | AST + call graph | unregistered panics reachable from the supervised step loop    |
-//! | V1   | CFG + call graph | lane-divergence blockers in the hot interaction tiles          |
-//! | C2   | CFG + call graph | path pairs diverging on rank with different collective traces  |
+//! | V1   | AST + call graph | lane-divergence blockers in the hot interaction tiles          |
 //!
 //! Findings print as `file:line: [RULE] message` (plus an indented
 //! witness chain for interprocedural findings); `--json` emits the

@@ -8,32 +8,26 @@ use hacc_telem::diag::{normalize, Diagnostic};
 use crate::Workspace;
 
 pub mod c1;
-pub mod c2;
 pub mod d1;
 pub mod e1;
 pub mod f1;
 pub mod h1;
 pub mod k1;
-pub mod l1;
 pub mod p1;
-pub mod spmd;
 pub mod v1;
 
 /// Run every rule over the workspace; findings come back sorted and
 /// deduplicated (byte-stable output across runs and platforms).
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     let cx = Context::new(ws);
-    let reaches = spmd::reaches_collective(&cx);
     let mut out = Vec::new();
     out.extend(d1::run(&cx));
-    out.extend(c1::run(&cx, &reaches));
+    out.extend(c1::run(&cx));
     out.extend(h1::run(&cx));
     out.extend(f1::run(&cx));
     out.extend(k1::run(&cx));
     out.extend(p1::run(&cx));
-    out.extend(l1::run(&cx));
     out.extend(e1::run(&cx));
     out.extend(v1::run(&cx));
-    out.extend(c2::run(&cx, &reaches));
     normalize(out)
 }

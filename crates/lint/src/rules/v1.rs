@@ -8,7 +8,8 @@
 //!
 //! * the whole body of `interact` / `interact_pair` in a `SplitKernel`
 //!   impl (per-pair lane code), and
-//! * the *innermost* ("lane") loops of `execute_leaf*` tile drivers.
+//! * the "lane" loops of `execute_leaf*` tile drivers: the body of
+//!   every loop that holds no other loop.
 //!
 //! Blockers flagged:
 //!
@@ -17,8 +18,12 @@
 //!    or mask the lane instead.
 //! 2. **Unguarded indexing** — `xs[i]` where `i` is not a literal, not
 //!    a `for`-variable bounded by a literal or `.len()`-derived range,
-//!    and no dominating block asserts/tests `xs.len()`. Bounds checks
-//!    the optimizer cannot discharge keep the loop scalar.
+//!    and no `xs.len()` runs on every path to it — in an earlier
+//!    statement of an enclosing block (not inside that statement's
+//!    branch arms, loop bodies or closures) or in the head of an
+//!    enclosing `if` / `match` / loop. A length test inside one arm of
+//!    an earlier `if` guards nothing. Bounds checks the optimizer
+//!    cannot discharge keep the loop scalar.
 //! 3. **Opaque calls** — a call whose resolved workspace target is
 //!    neither `#[inline]` nor leaf-trivial (no loops, no further
 //!    workspace calls, small body). Unresolved calls (std, generic
@@ -36,20 +41,11 @@
 
 use std::collections::BTreeSet;
 
-use crate::ast::{self, Block, Expr, ExprKind};
+use crate::ast::{self, Block, Expr, ExprKind, Stmt};
 use crate::callgraph::{CallGraph, FnId};
-use crate::cfg::{is_literal, lower_fn, render_expr, FnCfg};
+use crate::cfg::{is_literal, render_expr};
 use crate::context::{near, Context, MarkedLines};
 use hacc_telem::diag::{Diagnostic, Rule, WitnessStep};
-
-/// The scope kind a function is checked under.
-#[derive(Clone, Copy, PartialEq)]
-enum Scope {
-    /// interact / interact_pair: the whole body is the lane region.
-    KernelBody,
-    /// execute_leaf*: innermost loops are the lane region.
-    TileDriver,
-}
 
 pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     let allowed = cx.allowed("v1");
@@ -57,207 +53,247 @@ pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     for (fid, n) in cx.cg.nodes.iter().enumerate() {
         let kernel = n.impl_trait == Some("SplitKernel")
             && matches!(n.name.as_str(), "interact" | "interact_pair");
-        let scope = if kernel {
-            Scope::KernelBody
+        let region = if kernel {
+            format!("per-pair kernel body `{}`", n.name)
         } else if n.name.starts_with("execute_leaf") {
-            Scope::TileDriver
+            format!("lane loop of `{}`", n.name)
         } else {
             continue;
         };
-        if !n.in_test {
-            check_fn(&cx.cg, fid, scope, &allowed, &mut out);
-        }
+        let Some(body) = n.def.body.as_ref().filter(|_| !n.in_test) else { continue };
+        let mut walk = Walk {
+            cg: &cx.cg,
+            fid,
+            region,
+            bounded: range_bound_vars(body),
+            int_locals: int_typed_locals(body),
+            allowed: &allowed,
+            flagged: BTreeSet::new(),
+            out: &mut out,
+            before: Vec::new(),
+            // A kernel body is lane code throughout; a tile driver's lane
+            // region is the body of each loop that holds no other loop.
+            lane: kernel,
+        };
+        walk.block(body);
     }
     out
 }
 
-fn check_fn(
-    cg: &CallGraph<'_>,
+/// One function's walk in source order.
+struct Walk<'a, 'c> {
+    cg: &'c CallGraph<'a>,
     fid: FnId,
-    scope: Scope,
-    allowed: &MarkedLines<'_>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let (file, fd) = (cg.nodes[fid].file, cg.nodes[fid].def);
-    let Some(body) = &fd.body else { return };
-    let cfg = lower_fn(fd, &|_| false);
-    let idom = cfg.dominators();
-    let bounded = range_bound_vars(body);
-    let int_locals = int_typed_locals(body);
+    region: String,
+    bounded: BTreeSet<String>,
+    int_locals: BTreeSet<String>,
+    allowed: &'c MarkedLines<'a>,
+    flagged: BTreeSet<(u32, &'static str)>,
+    out: &'c mut Vec<Diagnostic>,
+    /// What has run on every path to the current expression: earlier
+    /// statements of the enclosing blocks and the heads of the enclosing
+    /// conditionals and loops.
+    before: Vec<&'a Expr>,
+    /// Inside the lane region.
+    lane: bool,
+}
 
-    // Lane region: every block (kernel body) or blocks inside an
-    // innermost loop (tile driver).
-    let in_region = |b: usize| -> bool {
-        match scope {
-            Scope::KernelBody => true,
-            Scope::TileDriver => cfg.blocks[b]
-                .loop_id
-                .map(|l| cfg.loops[l].innermost)
-                .unwrap_or(false),
-        }
-    };
-    let region_name = match scope {
-        Scope::KernelBody => format!("per-pair kernel body `{}`", fd.name),
-        Scope::TileDriver => format!("lane loop of `{}`", fd.name),
-    };
-
-    let mut flagged: BTreeSet<(u32, &'static str)> = BTreeSet::new();
-    for (b, bb) in cfg.blocks.iter().enumerate() {
-        if !in_region(b) {
-            continue;
-        }
-        for &ev in &bb.events {
-            // 1. Early exits.
-            let exit = match &ev.kind {
-                ExprKind::Return(_) => Some("return"),
-                ExprKind::Break { .. } => Some("break"),
-                _ => None,
-            };
-            if let Some(kw) = exit {
-                push_once(
-                    file, ev.line, &mut flagged, "exit", allowed, out,
-                    format!(
-                        "`{kw}` inside the {region_name} defeats vectorization — \
-                         hoist the exit above the lane loop or mask the lane \
-                         (`// v1: allow: <reason>` to justify)"
-                    ),
-                    Vec::new(),
-                );
+impl<'a> Walk<'a, '_> {
+    fn block(&mut self, b: &'a Block) {
+        let mark = self.before.len();
+        for s in &b.stmts {
+            let (Stmt::Let { init: Some(e), .. } | Stmt::Expr(e)) = s else { continue };
+            self.expr(e);
+            self.before.push(e);
+            if let Stmt::Let { els: Some(els), .. } = s {
+                self.block(els);
             }
-            ast::walk_expr(ev, &mut |e: &Expr| {
-                match &e.kind {
-                    // 2. Unguarded indexing.
-                    ExprKind::Index { recv, index } => {
-                        if index_is_clean(recv, index, &bounded, &cfg, &idom, b) {
-                            return;
-                        }
-                        push_once(
-                            file, e.line, &mut flagged, "index", allowed, out,
-                            format!(
-                                "bounds-checked index `{}` in the {region_name} has no \
-                                 dominating slice-length guard — assert the length \
-                                 before the loop or use a zipped iterator",
-                                render_expr(e)
-                            ),
-                            Vec::new(),
-                        );
-                    }
-                    // 4. Order-dependent local accumulation.
-                    ExprKind::Assign { op: Some(op), lhs, .. }
-                        if matches!(op, ast::BinOp::Add | ast::BinOp::Sub) =>
-                    {
-                        if let ExprKind::Path(segs) = &lhs.kind {
-                            if segs.len() == 1 && !int_locals.contains(&segs[0]) {
-                                push_once(
-                                    file, e.line, &mut flagged, "accum", allowed, out,
-                                    format!(
-                                        "order-dependent accumulation `{} {}= ...` into a \
-                                         local in the {region_name} — scatter into the \
-                                         caller-provided accumulator instead",
-                                        segs[0],
-                                        if *op == ast::BinOp::Add { "+" } else { "-" },
-                                    ),
-                                    Vec::new(),
-                                );
-                            }
-                        }
-                    }
-                    // 3. Opaque calls (resolved workspace targets only).
-                    ExprKind::Call { .. } | ExprKind::MethodCall { .. } => {
-                        for site in &cg.calls[fid] {
-                            if site.line != e.line {
-                                continue;
-                            }
-                            let t = &cg.nodes[site.callee];
-                            if t.def.inline || leaf_trivial(cg, site.callee) {
-                                continue;
-                            }
-                            let witness = vec![
-                                WitnessStep {
-                                    file: file.to_string(),
-                                    line: e.line,
-                                    label: format!("call in the {region_name}"),
-                                },
-                                WitnessStep {
-                                    file: t.file.to_string(),
-                                    line: t.def.line,
-                                    label: format!(
-                                        "`{}` defined without `#[inline]`",
-                                        t.qual_name()
-                                    ),
-                                },
-                            ];
-                            push_once(
-                                file, e.line, &mut flagged, "call", allowed, out,
-                                format!(
-                                    "`{}` called in the {region_name} is neither \
-                                     `#[inline]` nor leaf-trivial — the optimizer \
-                                     cannot vectorize across the call",
-                                    t.qual_name()
-                                ),
-                                witness,
-                            );
-                        }
-                    }
-                    _ => {}
+        }
+        self.before.truncate(mark);
+    }
+
+    /// Walk `e` with `head` counted as run before `then`.
+    fn after(&mut self, head: &'a Expr, then: impl FnOnce(&mut Self)) {
+        self.expr(head);
+        self.before.push(head);
+        then(self);
+        self.before.pop();
+    }
+
+    /// Run `walk` over a loop whose body is `body`: lane code when the
+    /// body holds no other loop.
+    fn lane_loop(&mut self, body: &'a Block, walk: impl FnOnce(&mut Self)) {
+        let outer = self.lane;
+        self.lane = outer || !has_loop(body);
+        walk(self);
+        self.lane = outer;
+    }
+
+    fn expr(&mut self, e: &'a Expr) {
+        match &e.kind {
+            ExprKind::If { cond, then, els } => self.after(cond, |w| {
+                w.block(then);
+                if let Some(x) = els {
+                    w.expr(x);
                 }
-            });
+            }),
+            ExprKind::Match { scrutinee, arms } => self.after(scrutinee, |w| {
+                for a in arms {
+                    match &a.guard {
+                        Some(g) => w.after(g, |w| w.expr(&a.body)),
+                        None => w.expr(&a.body),
+                    }
+                }
+            }),
+            ExprKind::For { iter, body, .. } => {
+                self.after(iter, |w| w.lane_loop(body, |w| w.block(body)))
+            }
+            // A `while` head runs once per iteration: lane code too.
+            ExprKind::While { cond, body } => {
+                self.lane_loop(body, |w| w.after(cond, |w| w.block(body)))
+            }
+            ExprKind::Loop { body } => self.lane_loop(body, |w| w.block(body)),
+            ExprKind::Block(b) => self.block(b),
+            _ => {
+                if self.lane {
+                    self.check(e);
+                }
+                ast::for_each_child(e, &mut |c| self.expr(c));
+            }
+        }
+    }
+
+    /// The four blockers, at one lane-region expression.
+    fn check(&mut self, e: &'a Expr) {
+        let region = &self.region;
+        match &e.kind {
+            // 1. Early exits.
+            ExprKind::Return(_) | ExprKind::Break { .. } => {
+                let kw = if matches!(e.kind, ExprKind::Return(_)) { "return" } else { "break" };
+                let message = format!(
+                    "`{kw}` inside the {region} defeats vectorization — \
+                     hoist the exit above the lane loop or mask the lane \
+                     (`// v1: allow: <reason>` to justify)"
+                );
+                self.push(e.line, "exit", message, Vec::new());
+            }
+            // 2. Unguarded indexing.
+            ExprKind::Index { recv, index } if !self.index_is_clean(recv, index) => {
+                let message = format!(
+                    "bounds-checked index `{}` in the {region} has no \
+                     dominating slice-length guard — assert the length \
+                     before the loop or use a zipped iterator",
+                    render_expr(e)
+                );
+                self.push(e.line, "index", message, Vec::new());
+            }
+            // 4. Order-dependent local accumulation.
+            ExprKind::Assign { op: Some(op @ (ast::BinOp::Add | ast::BinOp::Sub)), lhs, .. } => {
+                if let ExprKind::Path(segs) = &lhs.kind {
+                    if segs.len() == 1 && !self.int_locals.contains(&segs[0]) {
+                        let message = format!(
+                            "order-dependent accumulation `{} {}= ...` into a \
+                             local in the {region} — scatter into the \
+                             caller-provided accumulator instead",
+                            segs[0],
+                            if *op == ast::BinOp::Add { "+" } else { "-" },
+                        );
+                        self.push(e.line, "accum", message, Vec::new());
+                    }
+                }
+            }
+            // 3. Opaque calls (resolved workspace targets only).
+            ExprKind::Call { .. } | ExprKind::MethodCall { .. } => {
+                let (cg, fid) = (self.cg, self.fid);
+                let file = cg.nodes[fid].file;
+                for site in cg.calls[fid].iter().filter(|s| s.line == e.line) {
+                    let t = &cg.nodes[site.callee];
+                    if t.def.inline || leaf_trivial(cg, site.callee) {
+                        continue;
+                    }
+                    let witness = vec![
+                        WitnessStep {
+                            file: file.to_string(),
+                            line: e.line,
+                            label: format!("call in the {}", self.region),
+                        },
+                        WitnessStep {
+                            file: t.file.to_string(),
+                            line: t.def.line,
+                            label: format!("`{}` defined without `#[inline]`", t.qual_name()),
+                        },
+                    ];
+                    let message = format!(
+                        "`{}` called in the {} is neither \
+                         `#[inline]` nor leaf-trivial — the optimizer \
+                         cannot vectorize across the call",
+                        t.qual_name(),
+                        self.region
+                    );
+                    self.push(e.line, "call", message, witness);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn push(&mut self, line: u32, kind: &'static str, message: String, witness: Vec<WitnessStep>) {
+        let file = self.cg.nodes[self.fid].file;
+        if near(self.allowed, file, line) || !self.flagged.insert((line, kind)) {
+            return;
+        }
+        self.out.push(Diagnostic { file: file.to_string(), line, rule: Rule::V1, message, witness });
+    }
+
+    /// Index expressions the optimizer can discharge without a guard: a
+    /// literal, a bounded `for` variable, or a slice whose `.len()` has
+    /// run on every path here.
+    fn index_is_clean(&self, recv: &Expr, index: &Expr) -> bool {
+        if is_literal(index) {
+            return true;
+        }
+        if let ExprKind::Path(segs) = &index.kind {
+            if segs.len() == 1 && self.bounded.contains(&segs[0]) {
+                return true;
+            }
+        }
+        let Some(base) = base_ident(recv) else { return false };
+        self.before.iter().any(|e| runs_len_of(e, base))
+    }
+}
+
+/// Does evaluating `e` always call `.len()` on a projection of `base` —
+/// outside branch arms, loop bodies and closures, which may not run?
+/// Macro arguments count, so entry asserts like
+/// `assert_eq!(xs.len(), ys.len())` do.
+fn runs_len_of(e: &Expr, base: &str) -> bool {
+    match &e.kind {
+        ExprKind::MethodCall { recv, method, .. }
+            if method == "len" && base_ident(recv) == Some(base) =>
+        {
+            true
+        }
+        ExprKind::If { cond: head, .. }
+        | ExprKind::Match { scrutinee: head, .. }
+        | ExprKind::For { iter: head, .. }
+        | ExprKind::While { cond: head, .. } => runs_len_of(head, base),
+        ExprKind::Loop { .. } | ExprKind::Closure { .. } => false,
+        _ => {
+            let mut hit = false;
+            ast::for_each_child(e, &mut |c| hit = hit || runs_len_of(c, base));
+            hit
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_once(
-    file: &str,
-    line: u32,
-    flagged: &mut BTreeSet<(u32, &'static str)>,
-    kind: &'static str,
-    allowed: &MarkedLines<'_>,
-    out: &mut Vec<Diagnostic>,
-    message: String,
-    witness: Vec<WitnessStep>,
-) {
-    if near(allowed, file, line) || !flagged.insert((line, kind)) {
-        return;
-    }
-    out.push(Diagnostic { file: file.to_string(), line, rule: Rule::V1, message, witness });
-}
-
-/// Index expressions the optimizer can discharge without a guard.
-fn index_is_clean(
-    recv: &Expr,
-    index: &Expr,
-    bounded: &BTreeSet<String>,
-    cfg: &FnCfg<'_>,
-    idom: &[Option<usize>],
-    block: usize,
-) -> bool {
-    if is_literal(index) {
-        return true;
-    }
-    if let ExprKind::Path(segs) = &index.kind {
-        if segs.len() == 1 && bounded.contains(&segs[0]) {
-            return true;
-        }
-    }
-    // Dominating guard: some dominating block's events mention
-    // `<recv base>.len()` (an assert or an if-test).
-    let Some(base) = base_ident(recv) else { return false };
-    let mut cur = block;
-    let mut hops = 0;
-    loop {
-        if cfg.blocks[cur].events.iter().any(|ev| has_len_call(ev, Some(base))) {
-            return true;
-        }
-        match idom.get(cur).copied().flatten() {
-            Some(p) if p != cur => cur = p,
-            _ => return false,
-        }
-        hops += 1;
-        if hops > 512 {
-            return false;
-        }
-    }
+/// Does `b` hold a loop at any depth?
+fn has_loop(b: &Block) -> bool {
+    let mut hit = false;
+    ast::walk_block(b, &mut |e: &Expr| {
+        hit |= matches!(e.kind, ExprKind::For { .. } | ExprKind::While { .. })
+            || matches!(e.kind, ExprKind::Loop { .. });
+    });
+    hit
 }
 
 /// Leftmost path identifier under field/index/deref projections.
@@ -270,15 +306,11 @@ fn base_ident(e: &Expr) -> Option<&str> {
     }
 }
 
-/// Does this expression contain a `.len()` call — on a projection of
-/// `base` when one is given? Macro arguments are walked, so entry
-/// asserts like `assert_eq!(xs.len(), ys.len())` count.
-fn has_len_call(e: &Expr, base: Option<&str>) -> bool {
+/// Does this expression contain a `.len()` call?
+fn has_len_call(e: &Expr) -> bool {
     let mut hit = false;
     ast::walk_expr(e, &mut |x: &Expr| {
-        if let ExprKind::MethodCall { recv, method, .. } = &x.kind {
-            hit |= method == "len" && (base.is_none() || base_ident(recv) == base);
-        }
+        hit |= matches!(&x.kind, ExprKind::MethodCall { method, .. } if method == "len");
     });
     hit
 }
@@ -295,7 +327,7 @@ fn range_bound_vars(body: &Block) -> BTreeSet<String> {
                 it = recv;
             }
             if let ExprKind::Range { hi: Some(h), .. } = &it.kind {
-                if is_literal(h) || has_len_call(h, None) {
+                if is_literal(h) || has_len_call(h) {
                     out.insert(v.clone());
                 }
             }
@@ -334,15 +366,6 @@ fn leaf_trivial(cg: &CallGraph<'_>, fid: FnId) -> bool {
         return false;
     }
     let mut exprs = 0u32;
-    let mut loops = false;
-    ast::walk_block(body, &mut |e: &Expr| {
-        exprs += 1;
-        if matches!(
-            e.kind,
-            ExprKind::For { .. } | ExprKind::While { .. } | ExprKind::Loop { .. }
-        ) {
-            loops = true;
-        }
-    });
-    !loops && exprs <= 60
+    ast::walk_block(body, &mut |_| exprs += 1);
+    !has_loop(body) && exprs <= 60
 }

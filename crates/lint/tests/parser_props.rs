@@ -14,7 +14,7 @@ use hacc_lint::lexer;
 use hacc_rt::prop::prelude::*;
 
 /// Real workspace sources: the largest lint modules (including the
-/// PR-10 interprocedural layer — call graph, dataflow, E1/V1/C2) plus
+/// interprocedural layer — call graph, dataflow, E1 and C1) plus
 /// the hottest production files the AST rules actually analyze.
 const CORPUS: [&str; 10] = [
     include_str!("../src/ast.rs"),
@@ -26,7 +26,7 @@ const CORPUS: [&str; 10] = [
     include_str!("../src/callgraph.rs"),
     include_str!("../src/dataflow.rs"),
     include_str!("../src/rules/e1.rs"),
-    include_str!("../src/rules/c2.rs"),
+    include_str!("../src/rules/c1.rs"),
 ];
 
 /// A char-aligned window of `src`, wrapped to stay in range.

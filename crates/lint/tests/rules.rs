@@ -425,6 +425,113 @@ fn c1_test_fixtures_are_exempt() {
     assert_eq!(findings(&ws, Rule::C1), Vec::<String>::new());
 }
 
+#[test]
+fn c1_rank_guarded_early_exit_taints_what_follows() {
+    // Rank 0 alone reaches the barrier: the others returned.
+    let exits = [
+        "if comm.rank() != 0 { return; }",
+        "if comm.rank() != 0 { panic!(\"only the root continues\"); }",
+    ];
+    for exit in exits {
+        let src = format!("pub fn f(comm: &mut Comm) {{ {exit} comm.barrier(); }}");
+        let ws = Workspace::from_sources(&[("crates/core/src/fixture.rs", &src)]);
+        let hits = findings(&ws, Rule::C1);
+        assert_eq!(hits.len(), 1, "{exit}: {hits:?}");
+        assert!(hits[0].contains("collective `barrier`"), "{hits:?}");
+    }
+}
+
+#[test]
+fn c1_loop_exit_taint_ends_at_the_loop_it_leaves() {
+    // A rank-guarded `continue` skips the rest of its loop body, and the
+    // peer loop's `continue 'outer` the rest of the outer one; every rank
+    // reaches the code after the loop or the labeled block.
+    let ws = Workspace::from_sources(&[(
+        "crates/core/src/fixture.rs",
+        "pub fn f(comm: &mut Comm, n: usize) {
+             for p in 0..n { if p == comm.rank() { continue; } comm.barrier(); }
+             'outer: for a in 0..n {
+                 for b in 0..n { if a + b == comm.rank() { continue 'outer; } }
+                 comm.barrier();
+             }
+             'done: { if comm.rank() == 0 { break 'done; } comm.barrier(); }
+             comm.barrier();
+         }",
+    )]);
+    let hits = findings(&ws, Rule::C1);
+    let lines: Vec<_> = hits.iter().map(|h| h.split(':').nth(1).unwrap_or("")).collect();
+    assert_eq!(lines, ["2", "5", "7"], "{hits:?}");
+}
+
+#[test]
+fn c1_early_exit_inside_a_closure_stays_in_the_closure() {
+    // The `return` leaves the closure, not `f`: every rank reaches the
+    // barrier after it.
+    let ws = Workspace::from_sources(&[(
+        "crates/core/src/fixture.rs",
+        "pub fn f(comm: &mut Comm, xs: &[usize]) -> usize {
+             let weight = |x: usize| { if x == comm.rank() { return 0; } x };
+             let total = xs.iter().map(|&x| weight(x)).sum();
+             comm.barrier();
+             total
+         }",
+    )]);
+    assert_eq!(findings(&ws, Rule::C1), Vec::<String>::new());
+}
+
+#[test]
+fn c1_data_guarded_early_return_is_clean() {
+    let src = "pub fn f(comm: &mut Comm, n: usize) { if n == 0 { return; } comm.barrier(); }";
+    let ws = Workspace::from_sources(&[("crates/core/src/fixture.rs", src)]);
+    assert_eq!(findings(&ws, Rule::C1), Vec::<String>::new());
+}
+
+#[test]
+fn c1_guard_on_a_local_assigned_from_the_rank_fires() {
+    // `me` and `lead` carry the rank as much as `comm.rank()` does.
+    let guards = [
+        "if me == 0 { comm.barrier(); }",
+        "if lead { comm.barrier(); }",
+        "if me == 0 { sync_all(comm); }",
+        "if me != 0 { return; } comm.barrier();",
+    ];
+    for guard in guards {
+        let src = format!(
+            "pub fn sync_all(comm: &mut Comm) {{ comm.barrier(); }}
+             pub fn step(comm: &mut Comm) {{ let me = comm.rank(); let lead = me == 0; {guard} }}"
+        );
+        let ws = Workspace::from_sources(&[("crates/core/src/fixture.rs", &src)]);
+        assert_eq!(findings(&ws, Rule::C1).len(), 1, "{guard}");
+    }
+}
+
+/// C1 is lexical and per call site, so no number of branches elsewhere
+/// in the function hides a guarded collective: with the rank guard
+/// ahead of 7 independent data branches, the site is still reported
+/// exactly once.
+#[test]
+fn c1_reports_a_guarded_collective_whatever_the_branching_around_it() {
+    let fixture = |data_branches: usize| {
+        let branches: String =
+            (0..data_branches).map(|i| format!("if f[{i}] {{ n += 1; }}\n")).collect();
+        let src = format!(
+            "pub fn exchange(comm: &mut Comm, f: &[bool], mut n: u64) -> u64 {{
+                 if comm.rank() == 0 {{
+                     comm.barrier();
+                 }}
+                 {branches}
+                 n
+             }}"
+        );
+        Workspace::from_sources(&[("crates/core/src/fixture.rs", &src)])
+    };
+    for data_branches in [2, 7] {
+        let hits = findings(&fixture(data_branches), Rule::C1);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].contains("collective `barrier`"), "{hits:?}");
+    }
+}
+
 // ---------------------------------------------------------------- H1 --
 
 #[test]
@@ -738,143 +845,6 @@ fn p1_unmarked_loops_and_scratch_reuse_are_clean() {
     assert_eq!(findings(&ws, Rule::P1), Vec::<String>::new());
 }
 
-// ---------------------------------------------------------------- L1 --
-
-#[test]
-fn l1_ab_ba_lock_pair_fires() {
-    let direct = r#"
-            use std::sync::Mutex;
-            pub struct Pair { a: Mutex<u64>, b: Mutex<u64> }
-            impl Pair {
-                pub fn ab(&self) -> u64 {
-                    let ga = self.a.lock().unwrap();
-                    let gb = self.b.lock().unwrap();
-                    *ga + *gb
-                }
-                pub fn ba(&self) -> u64 {
-                    let gb = self.b.lock().unwrap();
-                    let ga = self.a.lock().unwrap();
-                    *ga + *gb
-                }
-            }
-        "#
-    .to_string();
-    // The same pair with `b` taken nine calls below the holder of `a`:
-    // summaries are solved callees-first, so depth does not matter (a
-    // pass-capped fixpoint went silent from six calls down).
-    let chain: String =
-        (1..9).map(|i| format!("fn d{i}(&self) -> u64 {{ self.d{}() }}\n", i + 1)).collect();
-    let deep = format!(
-        r#"
-            use std::sync::Mutex;
-            pub struct Pair {{ a: Mutex<u64>, b: Mutex<u64> }}
-            impl Pair {{
-                pub fn ab(&self) -> u64 {{
-                    let ga = self.a.lock().unwrap();
-                    *ga + self.d1()
-                }}
-                {chain}
-                fn d9(&self) -> u64 {{ *self.b.lock().unwrap() }}
-                pub fn ba(&self) -> u64 {{
-                    let gb = self.b.lock().unwrap();
-                    let ga = self.a.lock().unwrap();
-                    *ga + *gb
-                }}
-            }}
-        "#
-    );
-    for src in [direct, deep] {
-        let ws = Workspace::from_sources(&[("crates/rt/src/fixture.rs", &src)]);
-        let hits = findings(&ws, Rule::L1);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].contains("lock-order cycle"), "{hits:?}");
-        assert!(hits[0].contains("Pair.a") && hits[0].contains("Pair.b"), "{hits:?}");
-    }
-}
-
-#[test]
-fn l1_reacquire_while_held_fires() {
-    let ws = Workspace::from_sources(&[(
-        "crates/rt/src/fixture.rs",
-        r#"
-            use std::sync::Mutex;
-            pub struct Cell { v: Mutex<u64> }
-            impl Cell {
-                pub fn double_lock(&self) -> u64 {
-                    let g1 = self.v.lock().unwrap();
-                    let g2 = self.v.lock().unwrap();
-                    *g1 + *g2
-                }
-            }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::L1);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("re-acquired while already held"), "{hits:?}");
-}
-
-#[test]
-fn l1_wrapper_guard_carries_key_through_caller() {
-    // The ranks mailbox / rt::sched shape: a poison-recovery wrapper
-    // returns the guard; callers holding it must still order correctly.
-    let ws = Workspace::from_sources(&[(
-        "crates/rt/src/fixture.rs",
-        r#"
-            use std::sync::{Mutex, MutexGuard};
-            pub struct W { m: Mutex<u64>, n: Mutex<u64> }
-            impl W {
-                fn lock_m(&self) -> MutexGuard<'_, u64> {
-                    self.m.lock().unwrap()
-                }
-                pub fn forward(&self) -> u64 {
-                    let g = self.lock_m();
-                    let h = self.n.lock().unwrap();
-                    *g + *h
-                }
-                pub fn backward(&self) -> u64 {
-                    let h = self.n.lock().unwrap();
-                    let g = self.lock_m();
-                    *g + *h
-                }
-            }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::L1);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("W.m") && hits[0].contains("W.n"), "{hits:?}");
-}
-
-#[test]
-fn l1_drop_before_reacquire_is_clean() {
-    // Same locks, but the first guard is dropped (or scope-ended)
-    // before the second acquisition — the ranks mailbox discipline.
-    let ws = Workspace::from_sources(&[(
-        "crates/rt/src/fixture.rs",
-        r#"
-            use std::sync::Mutex;
-            pub struct Pair { a: Mutex<u64>, b: Mutex<u64> }
-            impl Pair {
-                pub fn ab(&self) -> u64 {
-                    let x = {
-                        let ga = self.a.lock().unwrap();
-                        *ga
-                    };
-                    let gb = self.b.lock().unwrap();
-                    x + *gb
-                }
-                pub fn ba(&self) -> u64 {
-                    let gb = self.b.lock().unwrap();
-                    let y = *gb;
-                    drop(gb);
-                    let ga = self.a.lock().unwrap();
-                    y + *ga
-                }
-            }
-        "#,
-    )]);
-    assert_eq!(findings(&ws, Rule::L1), Vec::<String>::new());
-}
-
 // --------------------------------------------------------- D1 (env) --
 
 #[test]
@@ -1081,6 +1051,29 @@ fn v1_dominating_length_guard_discharges_the_index() {
 }
 
 #[test]
+fn v1_length_test_in_one_arm_does_not_guard_the_index() {
+    // The assert sits earlier in the source but runs only when `c`
+    // holds: it does not dominate `xs[i]`.
+    let ws = Workspace::from_sources(&[(
+        "crates/gpusim/src/fixture.rs",
+        r#"
+            pub fn execute_leaf(xs: &[f64], idx: &[usize], c: bool, out: &mut [f64; 4]) {
+                for k in 0..idx.len() {
+                    let i = idx[k];
+                    if c {
+                        assert!(xs.len() > i);
+                    }
+                    out[0] = xs[i];
+                }
+            }
+        "#,
+    )]);
+    let hits = findings(&ws, Rule::V1);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].contains("`xs[i]`"), "{}", hits[0]);
+}
+
+#[test]
 fn v1_opaque_call_in_kernel_body_fires_with_witness() {
     let ws = Workspace::from_sources(&[(
         "crates/sph/src/fixture.rs",
@@ -1180,164 +1173,22 @@ fn v1_allow_comment_suppresses_the_exit() {
     assert_eq!(findings(&ws, Rule::V1), Vec::<String>::new());
 }
 
-// ---------------------------------------------------------------- C2 --
-
-#[test]
-fn c2_rank_guarded_collective_diverges() {
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
-            pub fn exchange(comm: &mut Comm) {
-                if comm.rank() == 0 {
-                    comm.barrier();
-                }
-            }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::C2);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("rank-dependent"), "{}", hits[0]);
-    assert!(hits[0].contains("[barrier]"), "{}", hits[0]);
-    assert!(hits[0].contains("path A"), "witness paths missing: {}", hits[0]);
-}
-
-#[test]
-fn c2_rank_uniform_collective_is_clean() {
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
-            pub fn exchange(comm: &mut Comm, n: usize) {
-                let mut local = n;
-                if comm.rank() == 0 {
-                    local += 1;
-                }
-                comm.barrier();
-            }
-        "#,
-    )]);
-    assert_eq!(findings(&ws, Rule::C2), Vec::<String>::new());
-}
-
-#[test]
-fn c2_data_branch_divergence_is_not_compared() {
-    // Both paths differ on a *data* decision, so they land in different
-    // groups: skipping a collective behind `n > 0` is the caller's
-    // contract, not rank divergence.
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
-            pub fn maybe(comm: &mut Comm, n: usize) {
-                if n > 0 {
-                    comm.barrier();
-                }
-            }
-        "#,
-    )]);
-    assert_eq!(findings(&ws, Rule::C2), Vec::<String>::new());
-}
-
-#[test]
-fn c2_divergence_through_a_callee_is_spliced_into_the_trace() {
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
-            pub fn sync_all(comm: &mut Comm) {
-                comm.barrier();
-            }
-            pub fn step(comm: &mut Comm) {
-                let me = comm.rank();
-                if me == 0 {
-                    sync_all(comm);
-                }
-            }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::C2);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("via `sync_all`"), "{}", hits[0]);
-}
-
-#[test]
-fn c2_error_propagation_exit_is_not_divergence() {
-    // The `?` exit skips the barrier, but an Err is per-rank data the
-    // supervisor handles — grouped away, not compared.
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
-            pub fn guarded(comm: &mut Comm) -> Result<(), String> {
-                let v = probe()?;
-                comm.barrier();
-                Ok(v)
-            }
-        "#,
-    )]);
-    assert_eq!(findings(&ws, Rule::C2), Vec::<String>::new());
-}
-
-#[test]
-fn c2_allow_comment_on_the_fn_suppresses() {
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/fixture.rs",
-        r#"
-            // c2: allow: rank 0 coordinates the tiered flush intentionally
-            pub fn exchange(comm: &mut Comm) {
-                if comm.rank() == 0 {
-                    comm.barrier();
-                }
-            }
-        "#,
-    )]);
-    assert_eq!(findings(&ws, Rule::C2), Vec::<String>::new());
-}
-
-// ----------------------------------------------------------- C1 + C2 --
-
-/// Why both codes exist. C2 compares paths, so it needs both sides of
-/// the rank decision among the at most 64 paths it enumerates per
-/// function; C1 is lexical, per call site, and uncapped. With the rank
-/// guard ahead of `n` independent data branches, the rank-true subtree
-/// alone holds 2^n paths.
-#[test]
-fn c1_fires_where_c2_path_cap_truncates() {
-    let fixture = |data_branches: usize| {
-        let branches: String =
-            (0..data_branches).map(|i| format!("if f[{i}] {{ n += 1; }}\n")).collect();
-        let src = format!(
-            "pub fn exchange(comm: &mut Comm, f: &[bool], mut n: u64) -> u64 {{
-                 if comm.rank() == 0 {{
-                     comm.barrier();
-                 }}
-                 {branches}
-                 n
-             }}"
-        );
-        Workspace::from_sources(&[("crates/core/src/fixture.rs", &src)])
-    };
-    // Few paths: both rules see the divergence.
-    let small = fixture(2);
-    assert_eq!(findings(&small, Rule::C1).len(), 1);
-    assert_eq!(findings(&small, Rule::C2).len(), 1);
-    // 128 paths under the rank-true edge: C2's enumeration stops before
-    // it reaches the rank-false side, C1 still reports the site.
-    let branchy = fixture(7);
-    let hits = findings(&branchy, Rule::C1);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("collective `barrier`"), "{hits:?}");
-    assert_eq!(findings(&branchy, Rule::C2), Vec::<String>::new());
-}
-
 // ------------------------------------------------------- self-check --
 
 /// The acceptance bar: `hacc-lint` reports zero unsuppressed
 /// findings on HEAD, with every suppression in `lint.allow` justified
 /// and live. Linting the real repository also exercises the lexer on
 /// ~130 real files every `cargo test`.
-#[test]
-fn clean_workspace_self_check() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+fn repo_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
-        .expect("workspace root");
+        .expect("workspace root")
+}
+
+#[test]
+fn clean_workspace_self_check() {
+    let root = repo_root();
     let ws = Workspace::load(&root).expect("load workspace");
     assert!(
         ws.files.len() > 100,
@@ -1363,4 +1214,39 @@ fn clean_workspace_self_check() {
         "stale lint.allow entries: {:?}",
         report.unused_allows
     );
+}
+
+/// The tier-0 gate seeds one violation per rule: the `CANARIES` table
+/// of `scripts/verify.sh`, rows of `RULE|path|what` followed by the
+/// canary source up to a `---` line. Every static rule has a row, and
+/// no row names a rule that is gone. The runtime rules are hacc-san's,
+/// with their canaries in tier 4.
+#[test]
+fn every_static_rule_has_a_tier0_canary() {
+    const RUNTIME: [Rule; 4] = [Rule::R1, Rule::Q1, Rule::W1, Rule::M1];
+    let verify = std::fs::read_to_string(repo_root().join("scripts/verify.sh"))
+        .expect("scripts/verify.sh");
+    let table = verify
+        .split("<<'CANARIES'\n")
+        .nth(1)
+        .and_then(|t| t.split("\nCANARIES\n").next())
+        .expect("verify.sh has a CANARIES table");
+    let mut seeded = std::collections::BTreeSet::new();
+    let mut row = true;
+    for line in table.lines() {
+        if row {
+            let code = line.split('|').next().unwrap_or_default();
+            let rule = Rule::from_code(code)
+                .unwrap_or_else(|| panic!("canary row names no rule: {line:?}"));
+            assert!(!RUNTIME.contains(&rule), "canary row for a runtime rule: {line:?}");
+            seeded.insert(rule);
+        }
+        row = line == "---";
+    }
+    let missing: Vec<&str> = hacc_telem::diag::RULES
+        .iter()
+        .filter(|r| !RUNTIME.contains(r) && !seeded.contains(r))
+        .map(|r| r.code())
+        .collect();
+    assert!(missing.is_empty(), "static rules with no canary row: {missing:?}");
 }

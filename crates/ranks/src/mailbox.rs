@@ -165,7 +165,8 @@ impl Mailbox {
                 return Taken::Aborted(by);
             }
             // Two-phase park: the waiter is registered under the lock a
-            // sender needs, so its wake cannot be lost.
+            // sender needs, so its wake cannot be lost; `prepare_park`
+            // itself takes no lock.
             st.blocked = Some((key, task.prepare_park()));
             drop(st);
             if task.park() == ParkOutcome::Quiescent {

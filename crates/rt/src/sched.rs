@@ -22,9 +22,9 @@
 //! Blocking primitives use a two-phase handshake so a wake can never be
 //! lost between "I saw the queue empty" and "I went to sleep":
 //!
-//! 1. the task calls [`CurrentTask::prepare_park`] *while still holding
-//!    the primitive's lock* and registers the returned [`Waiter`] with
-//!    the primitive;
+//! 1. the task obtains a [`Waiter`] from [`CurrentTask::prepare_park`]
+//!    (which takes no lock) and *registers* it with the primitive while
+//!    still holding the primitive's lock;
 //! 2. it drops the primitive's lock and calls [`CurrentTask::park`];
 //! 3. a producer that makes the primitive ready drains the registered
 //!    waiters and calls [`Waiter::wake`] on each.
@@ -78,8 +78,6 @@ enum Status {
     Queued,
     /// Holds a lane; its thread runs (or is about to observe the grant).
     Running,
-    /// Declared park intent via `prepare_park`; still holds its lane.
-    Parking,
     /// Blocked with no lane; waiting for a `Waiter::wake`.
     Parked,
     /// Finished (normally or by unwind).
@@ -88,7 +86,7 @@ enum Status {
 
 struct TaskSlot {
     status: Status,
-    /// A wake landed while `Running`/`Parking`: absorb it at next park.
+    /// A wake landed while `Running`: absorb it at next park.
     wake_pending: bool,
     /// This parked task was elected to carry a quiescence proof: its
     /// `park` must return [`ParkOutcome::Quiescent`], not `Woken`. Set
@@ -257,7 +255,7 @@ impl Drop for FinishGuard {
     fn drop(&mut self) {
         let mut st = self.inner.lock();
         let t = &mut st.tasks[self.id];
-        debug_assert!(matches!(t.status, Status::Running | Status::Parking));
+        debug_assert_eq!(t.status, Status::Running);
         t.status = Status::Done;
         st.live -= 1;
         st.release_lane();
@@ -285,14 +283,11 @@ pub struct CurrentTask {
 }
 
 impl CurrentTask {
-    /// Phase one of parking: declare intent while still holding the
-    /// blocking primitive's lock, and obtain the [`Waiter`] to register
-    /// with it. Must be followed by [`park`](Self::park).
+    /// Phase one of parking: the [`Waiter`] to register with the
+    /// blocking primitive under its lock. Takes no lock itself, so a
+    /// primitive never nests the scheduler lock inside its own. Must be
+    /// followed by [`park`](Self::park).
     pub fn prepare_park(&self) -> Waiter {
-        let mut st = self.inner.lock();
-        let t = &mut st.tasks[self.id];
-        debug_assert!(matches!(t.status, Status::Running | Status::Parking));
-        t.status = Status::Parking;
         Waiter {
             inner: Arc::clone(&self.inner),
             id: self.id,
@@ -305,7 +300,7 @@ impl CurrentTask {
     pub fn park(&self) -> ParkOutcome {
         let mut st = self.inner.lock();
         let t = &mut st.tasks[self.id];
-        debug_assert_eq!(t.status, Status::Parking);
+        debug_assert_eq!(t.status, Status::Running);
         if t.wake_pending {
             t.wake_pending = false;
             t.status = Status::Running;
@@ -349,13 +344,14 @@ pub struct Waiter {
 
 impl Waiter {
     /// Make the task runnable again. A parked task is granted a free
-    /// lane or joins the back of the run queue; a parking/running task
-    /// absorbs the wake at its next park.
+    /// lane or joins the back of the run queue; a running task (one
+    /// between `prepare_park` and `park` included) absorbs the wake at
+    /// its next park.
     pub fn wake(&self) {
         let mut st = self.inner.lock();
         let t = &mut st.tasks[self.id];
         match t.status {
-            Status::Running | Status::Parking => t.wake_pending = true,
+            Status::Running => t.wake_pending = true,
             Status::Parked => st.enqueue(self.id),
             Status::Queued | Status::Done => {}
         }

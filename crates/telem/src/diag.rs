@@ -11,7 +11,8 @@ pub enum Rule {
     D1,
     /// Collective consistency: a communicator collective (or a call that
     /// transitively executes one) lexically inside a rank-dependent
-    /// conditional (SPMD deadlock hazard).
+    /// conditional or after a rank-guarded early exit (SPMD deadlock
+    /// hazard).
     C1,
     /// Hermeticity: every manifest dependency must be a path/workspace
     /// reference; no `extern crate` / `use ::` escape hatches.
@@ -26,9 +27,6 @@ pub enum Rule {
     /// Hot-loop allocation: heap-allocating calls inside interaction-tile
     /// loops, per-pair kernel bodies, or `// p1: hot-loop` marked loops.
     P1,
-    /// Static lock order: a cycle in the workspace lock-acquisition graph
-    /// built from `Mutex`/`RwLock` guard scopes (potential deadlock).
-    L1,
     /// Panic surface: an explicit panic site (`unwrap`/`expect`/
     /// `panic!`-family) reachable through the call graph from the
     /// supervised step loop without being a registered `FaultKind`
@@ -39,10 +37,6 @@ pub enum Rule {
     /// scalar accumulation in `interact`/`interact_pair` bodies and
     /// `execute_leaf*` lane loops.
     V1,
-    /// Path-sensitive collectives: two feasible paths through one
-    /// function whose collective traces diverge under rank-dependent
-    /// branching (static twin of hacc-san's Q1 ledger).
-    C2,
     /// Dynamic (hacc-san): conflicting shared-region accesses unordered
     /// by the happens-before relation — a data race.
     R1,
@@ -57,22 +51,20 @@ pub enum Rule {
     M1,
 }
 
-/// All rules, in report order. D1–C2 are `hacc-lint`'s static rules
-/// (D1/H1/F1 scan tokens, K1/P1 walk the AST, C1/L1/E1/V1/C2 read the
+/// All rules, in report order. D1–V1 are `hacc-lint`'s static rules
+/// (D1/H1/F1 scan tokens, K1/P1 walk the AST, C1/E1/V1 walk it with the
 /// shared call graph of its `context`), and R1/Q1/W1/M1 are dynamic
 /// findings emitted by the `hacc-san` runtime sanitizer; one catalog, so
 /// `san.allow` and `lint.allow` speak one format.
-pub const RULES: [Rule; 14] = [
+pub const RULES: [Rule; 12] = [
     Rule::D1,
     Rule::C1,
     Rule::H1,
     Rule::F1,
     Rule::K1,
     Rule::P1,
-    Rule::L1,
     Rule::E1,
     Rule::V1,
-    Rule::C2,
     Rule::R1,
     Rule::Q1,
     Rule::W1,
@@ -89,10 +81,8 @@ impl Rule {
             Rule::F1 => "F1",
             Rule::K1 => "K1",
             Rule::P1 => "P1",
-            Rule::L1 => "L1",
             Rule::E1 => "E1",
             Rule::V1 => "V1",
-            Rule::C2 => "C2",
             Rule::R1 => "R1",
             Rule::Q1 => "Q1",
             Rule::W1 => "W1",

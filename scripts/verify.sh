@@ -25,11 +25,11 @@ scripts/loc.sh
 echo "== tier 0: hacc-lint static analysis =="
 # The lint gate runs before the workspace build: hacc-lint and the
 # hacc-telem it imports are std-only, so this compiles in seconds and
-# fails fast on determinism (D1), collective-safety (C1), hermeticity
-# (H1), fault-coverage (F1), cost-model (K1), hot-loop allocation (P1),
-# lock-order (L1), panic-surface (E1), vectorization-blocker (V1), and
-# path-divergent-collective (C2) findings (`unsafe` needs no rule: every
-# crate root says `#![forbid(unsafe_code)]`). --strict additionally fails
+# fails fast on the findings of its eight rules: determinism (D1),
+# collective-safety (C1), hermeticity (H1), fault-coverage (F1),
+# cost-model (K1), hot-loop allocation (P1), panic-surface (E1), and
+# vectorization-blocker (V1) (`unsafe` needs no rule: every crate root
+# says `#![forbid(unsafe_code)]`). --strict additionally fails
 # on stale lint.allow entries, so the suppression file can only shrink.
 cargo build -q --release --offline -p hacc-lint
 # The analyser is a leaf tool: nothing that simulates or measures may
@@ -48,8 +48,8 @@ tier0_start=$SECONDS
 # is `RULE|path|what`, then the canary source up to a `---` line. The
 # canary files sit outside the module tree (cargo never compiles them),
 # but the lint walks the filesystem: with the canary in place the gate
-# must fail *and* report the seeded rule's own code — a C1 canary has
-# to print [C1], not merely trip C2.
+# must fail *and* report the seeded rule's own code. Every static rule
+# has a row (`crates/lint/tests/rules.rs` checks the table).
 while IFS='|' read -r rule path what; do
     src=""
     while IFS= read -r line && [ "$line" != "---" ]; do
@@ -93,6 +93,14 @@ pub fn canary_guarded(comm: &mut Comm) {
     }
 }
 ---
+C1|crates/ranks/src/__c1_canary.rs|a collective after a rank-guarded early return
+pub fn canary_early_exit(comm: &mut Comm) {
+    if comm.rank() != 0 {
+        return;
+    }
+    comm.barrier();
+}
+---
 H1|crates/units/src/__h1_canary.rs|an extern crate outside the workspace
 extern crate libc;
 ---
@@ -124,22 +132,6 @@ pub fn execute_leaf_canary(n: usize) -> Vec<f64> {
     out
 }
 ---
-L1|crates/rt/src/__l1_canary.rs|an AB/BA lock-order cycle
-use std::sync::Mutex;
-pub struct CanaryLocks { a: Mutex<u64>, b: Mutex<u64> }
-impl CanaryLocks {
-    pub fn ab(&self) -> u64 {
-        let g = self.a.lock().unwrap();
-        let h = self.b.lock().unwrap();
-        *g + *h
-    }
-    pub fn ba(&self) -> u64 {
-        let h = self.b.lock().unwrap();
-        let g = self.a.lock().unwrap();
-        *g + *h
-    }
-}
----
 E1|crates/core/src/__e1_canary.rs|an unwrap one call below a marked supervised root
 // e1: root
 pub fn canary_step_loop(v: &[f64]) -> f64 {
@@ -156,17 +148,6 @@ pub fn execute_leaf_canary2(xs: &[f64], out: &mut [f64; 4]) {
             break;
         }
         out[0] += xs[i];
-    }
-}
----
-C2|crates/ranks/src/__c2_canary.rs|rank-dependent branching that reorders the collective sequence
-pub fn canary_exchange(comm: &mut Comm) {
-    if comm.rank() == 0 {
-        comm.barrier();
-        comm.all_reduce_f64(1.0);
-    } else {
-        comm.all_reduce_f64(1.0);
-        comm.barrier();
     }
 }
 ---

@@ -1,30 +1,28 @@
 //! The one analysis context of a lint pass.
 //!
-//! [`Context::new`] builds the workspace [`Index`] and the typed
-//! [`CallGraph`] exactly once; [`crate::rules::run_all`] hands the same
-//! context to every rule. The helpers every rule shares live here too:
-//! the test-tree predicate and the `// <tag>: ...` marker-comment
-//! scanner behind all on-site annotations (`e1: allow:`, `e1: root`,
-//! `p1: hot-loop`, `k1: bind`, ...).
+//! [`crate::rules::run_all`] builds the workspace [`Index`] and, with
+//! [`Context::new`], the typed [`CallGraph`] over it exactly once, and
+//! hands the same context to every rule. The helpers every rule shares
+//! live here too: the test-tree predicate and the `// <tag>: ...`
+//! marker-comment scanner behind all on-site annotations (`e1: allow:`,
+//! `e1: root`, `p1: hot-loop`, `k1: bind`, ...).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
-use crate::cfg::Index;
+use crate::index::Index;
 use crate::lexer::{Kind, Token};
 use crate::{SourceFile, Workspace};
 
 pub struct Context<'a> {
     pub ws: &'a Workspace,
-    pub index: Index<'a>,
+    pub index: &'a Index<'a>,
     pub cg: CallGraph<'a>,
 }
 
 impl<'a> Context<'a> {
-    pub fn new(ws: &'a Workspace) -> Self {
-        let index = Index::build(ws);
-        let cg = CallGraph::build(ws, &index);
-        Context { ws, index, cg }
+    pub fn new(ws: &'a Workspace, index: &'a Index<'a>) -> Self {
+        Context { ws, index, cg: CallGraph::build(ws, index) }
     }
 
     /// Per-file lines of the `// <tag>: <rest>` markers whose `rest`

@@ -9,12 +9,12 @@
 //! line-level manifest reader ([`manifest`]) scans every `Cargo.toml`)
 //! and a recursive-descent parser ([`ast`]) turns each token stream
 //! into spanned items and expressions, once. One analysis context
-//! ([`context`]) per lint pass then holds the workspace index ([`cfg`])
-//! and the typed call graph ([`callgraph`]); the interprocedural rules
-//! solve their per-function summaries bottom-up over it
-//! ([`dataflow`]). There is no control-flow graph: every AST rule walks
-//! the parsed tree. The rule registry ([`rules`]) hands that one
-//! context to every rule:
+//! ([`context`]) per lint pass then holds the workspace index with its
+//! one call resolver and one typer ([`index`]), and the call graph
+//! built with them ([`callgraph`]), over which the interprocedural
+//! rules solve their per-function summaries bottom-up. There is no
+//! control-flow graph: every AST rule walks the parsed tree. The rule
+//! registry ([`rules`]) hands that one context to every rule:
 //!
 //! | rule | reads | class |
 //! |------|-------|-------|
@@ -22,7 +22,7 @@
 //! | C1   | AST + call graph | collectives under rank-dependent guards or after rank-guarded exits (SPMD deadlock) |
 //! | H1   | tokens + manifests | non-path dependencies, `extern crate`, `use ::` escapes      |
 //! | F1   | tokens           | `FaultKind` variants no production site can inject             |
-//! | K1   | AST + index      | `pair_flops()` tables that drift from the kernel's derived cost |
+//! | K1   | AST + resolver + typer | `pair_flops()` tables that drift from the kernel's derived cost |
 //! | P1   | AST              | heap allocation in per-pair kernels, tile loops, hot loops     |
 //! | E1   | AST + call graph | unregistered panics reachable from the supervised step loop    |
 //! | V1   | AST + call graph | lane-divergence blockers in the hot interaction tiles          |
@@ -44,9 +44,8 @@ use std::path::{Path, PathBuf};
 
 pub mod ast;
 pub mod callgraph;
-pub mod cfg;
 pub mod context;
-pub mod dataflow;
+pub mod index;
 pub mod lexer;
 pub mod manifest;
 pub mod rules;
@@ -189,67 +188,45 @@ pub fn lint(ws: &Workspace, allow: &mut AllowList) -> LintReport {
 /// under `--strict`, stale `lint.allow` entries), 2 invocation or IO
 /// error.
 pub fn cli_main(args: &[String]) -> i32 {
-    let mut root: Option<PathBuf> = None;
-    let mut allow_path: Option<PathBuf> = None;
-    let mut json = false;
-    let mut strict = false;
+    let (mut root, mut allow_path, mut json, mut strict) = (None, None, false, false);
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--strict" => strict = true,
-            "--root" => match it.next() {
-                Some(v) => root = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("lint: --root requires a directory");
-                    return 2;
-                }
-            },
-            "--allow" => match it.next() {
-                Some(v) => allow_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("lint: --allow requires a file");
-                    return 2;
-                }
-            },
+        let (slot, what) = match a.as_str() {
+            "--json" => {
+                json = true;
+                continue;
+            }
+            "--strict" => {
+                strict = true;
+                continue;
+            }
+            "--root" => (&mut root, "a directory"),
+            "--allow" => (&mut allow_path, "a file"),
             other => {
                 eprintln!("lint: unknown option {other:?} (expected --root DIR | --allow FILE | --json | --strict)");
                 return 2;
             }
-        }
+        };
+        let Some(v) = it.next() else {
+            eprintln!("lint: {a} requires {what}");
+            return 2;
+        };
+        *slot = Some(PathBuf::from(v));
     }
 
     let start = root.unwrap_or_else(|| PathBuf::from("."));
     let Some(root) = find_workspace_root(&start) else {
-        eprintln!(
-            "lint: no workspace Cargo.toml found at or above {}",
-            start.display()
-        );
+        eprintln!("lint: no workspace Cargo.toml found at or above {}", start.display());
         return 2;
     };
-
     let allow_file = allow_path.unwrap_or_else(|| root.join("lint.allow"));
-    let mut allow = if allow_file.exists() {
-        let text = match std::fs::read_to_string(&allow_file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("lint: read {}: {e}", allow_file.display());
-                return 2;
-            }
-        };
-        match AllowList::parse(&text, &allow_file.to_string_lossy()) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("lint: {e}");
-                return 2;
-            }
-        }
-    } else {
-        AllowList::empty()
+    let allow = match std::fs::read_to_string(&allow_file) {
+        Ok(text) => AllowList::parse(&text, &allow_file.to_string_lossy()),
+        Err(_) if !allow_file.exists() => Ok(AllowList::empty()),
+        Err(e) => Err(format!("read {}: {e}", allow_file.display())),
     };
-
-    let ws = match Workspace::load(&root) {
-        Ok(ws) => ws,
+    let (mut allow, ws) = match allow.and_then(|a| Ok((a, Workspace::load(&root)?))) {
+        Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("lint: {e}");
             return 2;
@@ -260,16 +237,20 @@ pub fn cli_main(args: &[String]) -> i32 {
     if json {
         print!("{}", diag::render_json(&report.findings, report.suppressed));
     } else {
-        for d in &report.findings {
-            println!("{}", d.render());
-        }
+        report.findings.iter().for_each(|d| println!("{}", d.render()));
+    }
+    // Stale suppressions: a note in text mode, an error under --strict
+    // (also for JSON consumers, on stderr).
+    let verdict = if strict { "error" } else { "note" };
+    if !json || (strict && report.findings.is_empty()) {
         for (file, rule, line) in &report.unused_allows {
-            let verdict = if strict { "error" } else { "note" };
             eprintln!(
                 "lint: {verdict}: lint.allow:{line}: suppression of {} in {file} matched nothing (stale?)",
                 rule.code()
             );
         }
+    }
+    if !json {
         eprintln!(
             "hacc-lint: {} file(s), {} manifest(s): {} finding(s), {} suppressed",
             ws.files.len(),
@@ -278,23 +259,8 @@ pub fn cli_main(args: &[String]) -> i32 {
             report.suppressed
         );
     }
-    if !report.findings.is_empty() {
-        return 1;
-    }
-    if strict && !report.unused_allows.is_empty() {
-        if json {
-            // The note above only prints in text mode; make the strict
-            // failure visible on stderr for JSON consumers too.
-            for (file, rule, line) in &report.unused_allows {
-                eprintln!(
-                    "lint: error: lint.allow:{line}: suppression of {} in {file} matched nothing (stale?)",
-                    rule.code()
-                );
-            }
-        }
-        return 1;
-    }
-    0
+    let stale = strict && !report.unused_allows.is_empty();
+    i32::from(!report.findings.is_empty() || stale)
 }
 
 #[cfg(test)]

@@ -46,9 +46,8 @@
 use std::collections::BTreeSet;
 
 use crate::ast::{self, Block, Expr, ExprKind};
-use crate::callgraph::FnId;
 use crate::context::Context;
-use crate::dataflow::solve_summaries;
+use crate::index::FnId;
 use hacc_telem::diag::{Diagnostic, Rule};
 
 /// The `hacc_ranks::Comm` collective surface (method names).
@@ -109,7 +108,7 @@ fn rank_locals(body: &Block) -> BTreeSet<String> {
 /// onto production callers.
 fn reaches_collective(cx: &Context<'_>) -> Vec<bool> {
     let cg = &cx.cg;
-    solve_summaries(cg, false, &mut |fid, get| {
+    cg.solve_summaries(false, &mut |fid, get| {
         let n = &cg.nodes[fid];
         let Some(body) = n.def.body.as_ref().filter(|_| !n.in_test) else { return false };
         let mut direct = false;

@@ -35,9 +35,9 @@
 //! * `#[cfg(test)]` items and `tests/` / `benches/` trees.
 
 use crate::ast::{self, Expr, ExprKind};
-use crate::callgraph::{CallGraph, FnId};
+use crate::callgraph::CallGraph;
 use crate::context::{near, Context};
-use crate::dataflow::solve_summaries;
+use crate::index::FnId;
 use hacc_telem::diag::{Diagnostic, Rule, WitnessStep};
 
 /// Panic-surface bits, OR-combined through the call graph.
@@ -96,7 +96,7 @@ fn scan_expr(e: &Expr, guarded: bool, sites: &mut Vec<PanicSite>, mask: &mut u8)
         }
         ExprKind::Index { .. } => *mask |= PANIC_INDEX,
         ExprKind::Binary { op: ast::BinOp::Div | ast::BinOp::Rem, rhs, .. }
-            if !crate::cfg::is_literal(rhs) =>
+            if !ast::is_literal(rhs) =>
         {
             *mask |= PANIC_DIV
         }
@@ -118,7 +118,7 @@ fn scan_expr(e: &Expr, guarded: bool, sites: &mut Vec<PanicSite>, mask: &mut u8)
 /// (transitive) callee's bits. Public so tests can pin the class-B
 /// calibration.
 pub fn panic_surface(cg: &CallGraph<'_>, local: &[u8]) -> Vec<u8> {
-    solve_summaries(cg, 0u8, &mut |fid, get| {
+    cg.solve_summaries(0u8, &mut |fid, get| {
         let mut m = local[fid];
         for site in &cg.calls[fid] {
             m |= get(site.callee);

@@ -4,6 +4,7 @@
 //! diagnostics out.
 
 use crate::context::Context;
+use crate::index::Index;
 use hacc_telem::diag::{normalize, Diagnostic};
 use crate::Workspace;
 
@@ -19,7 +20,8 @@ pub mod v1;
 /// Run every rule over the workspace; findings come back sorted and
 /// deduplicated (byte-stable output across runs and platforms).
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
-    let cx = Context::new(ws);
+    let index = Index::build(ws);
+    let cx = Context::new(ws, &index);
     let mut out = Vec::new();
     out.extend(d1::run(&cx));
     out.extend(c1::run(&cx));

@@ -60,11 +60,11 @@ pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     for n in cx.cg.nodes.iter().filter(|n| !n.in_test) {
         let Some(body) = &n.def.body else { continue };
         let kernel = n.impl_trait == Some("SplitKernel")
-            && matches!(n.name.as_str(), "interact" | "interact_pair" | "partial");
+            && matches!(n.name, "interact" | "interact_pair" | "partial");
         if kernel {
             flag_block(n.file, body, "per-pair kernel body", &marks, &mut out);
         } else {
-            scan_for_hot_loops(n.file, body, &n.name, &marks, &mut out);
+            scan_for_hot_loops(n.file, body, n.name, &marks, &mut out);
         }
     }
     out

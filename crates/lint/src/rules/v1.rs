@@ -32,8 +32,8 @@
 //!    into a plain local in the lane region. Strict-FP reductions into
 //!    a scalar force serial evaluation; the blessed idiom scatters
 //!    into the caller-provided accumulator (`out.acc[0] -= s * dx`),
-//!    which the executors order deterministically. Locals with an
-//!    integer type annotation (loop counters) are exempt.
+//!    which the executors order deterministically. Locals the typer
+//!    types as integers (loop counters) are exempt.
 //!
 //! Suppression: `// v1: allow: <reason>` on the site line or the line
 //! above. `#[cfg(test)]` items and `tests/` / `benches/` trees are
@@ -41,18 +41,19 @@
 
 use std::collections::BTreeSet;
 
-use crate::ast::{self, Block, Expr, ExprKind, Stmt};
-use crate::callgraph::{CallGraph, FnId};
-use crate::cfg::{is_literal, render_expr};
+use crate::ast::{self, is_literal, Block, Expr, ExprKind, Stmt};
+use crate::callgraph::CallGraph;
 use crate::context::{near, Context, MarkedLines};
+use crate::index::{Env, FnId, Ty, Typer};
 use hacc_telem::diag::{Diagnostic, Rule, WitnessStep};
 
 pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     let allowed = cx.allowed("v1");
+    let typer = Typer::new(cx.index);
     let mut out = Vec::new();
     for (fid, n) in cx.cg.nodes.iter().enumerate() {
         let kernel = n.impl_trait == Some("SplitKernel")
-            && matches!(n.name.as_str(), "interact" | "interact_pair");
+            && matches!(n.name, "interact" | "interact_pair");
         let region = if kernel {
             format!("per-pair kernel body `{}`", n.name)
         } else if n.name.starts_with("execute_leaf") {
@@ -66,7 +67,7 @@ pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
             fid,
             region,
             bounded: range_bound_vars(body),
-            int_locals: int_typed_locals(body),
+            int_locals: int_typed_locals(&typer, body),
             allowed: &allowed,
             flagged: BTreeSet::new(),
             out: &mut out,
@@ -336,26 +337,12 @@ fn range_bound_vars(body: &Block) -> BTreeSet<String> {
     out
 }
 
-/// Locals that are integers by annotation, literal, or cast (loop/eval
-/// counters) — exempt from the accumulation check.
-fn int_typed_locals(body: &Block) -> BTreeSet<String> {
-    const INT_TYPES: [&str; 12] = [
-        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-    ];
-    let mut out = BTreeSet::new();
-    ast::walk_lets(body, &mut |names, ty, init| {
-        let is_int = match (ty, init.map(|e| &e.kind)) {
-            (Some(t), _) | (None, Some(ExprKind::Cast { ty: t, .. })) => {
-                INT_TYPES.contains(&t.base.as_str())
-            }
-            (None, Some(ExprKind::Num { is_float, .. })) => !is_float,
-            _ => false,
-        };
-        if is_int {
-            out.extend(names.iter().cloned());
-        }
-    });
-    out
+/// Locals the typer types as integers (loop and eval counters) —
+/// exempt from the accumulation check.
+fn int_typed_locals(typer: &Typer, body: &Block) -> BTreeSet<String> {
+    let mut env = Env::new();
+    ast::walk_lets(body, &mut |names, ty, init| typer.bind(&mut env, names, ty, init));
+    env.into_iter().filter(|(_, t)| *t == Ty::Int).map(|(name, _)| name).collect()
 }
 
 /// A callee the optimizer will fold into the loop even without
@@ -368,4 +355,32 @@ fn leaf_trivial(cg: &CallGraph<'_>, fid: FnId) -> bool {
     let mut exprs = 0u32;
     ast::walk_block(body, &mut |_| exprs += 1);
     !has_loop(body) && exprs <= 60
+}
+
+/// An expression as a compact stable string for diagnostics.
+fn render_expr(e: &Expr) -> String {
+    let list = |xs: &[Expr]| xs.iter().map(render_expr).collect::<Vec<_>>().join(",");
+    let opt = |x: &Option<Box<Expr>>| x.as_deref().map(render_expr).unwrap_or_default();
+    let s = match &e.kind {
+        ExprKind::Num { text, .. } => text.clone(),
+        ExprKind::Path(segs) => segs.join("::"),
+        ExprKind::Unary { op, expr } => format!("{op}{}", render_expr(expr)),
+        ExprKind::Binary { op, lhs, rhs } => {
+            format!("{}{}{}", render_expr(lhs), op.symbol(), render_expr(rhs))
+        }
+        ExprKind::Call { callee, args } => format!("{}({})", render_expr(callee), list(args)),
+        ExprKind::MethodCall { recv, method, args } => {
+            format!("{}.{method}({})", render_expr(recv), list(args))
+        }
+        ExprKind::Field { recv, name } => format!("{}.{name}", render_expr(recv)),
+        ExprKind::Index { recv, index } => format!("{}[{}]", render_expr(recv), render_expr(index)),
+        ExprKind::Cast { expr, ty } => format!("{} as {}", render_expr(expr), ty.base),
+        ExprKind::Range { lo, hi } => format!("{}..{}", opt(lo), opt(hi)),
+        ExprKind::Macro { name, .. } => format!("{name}!"),
+        _ => "<expr>".to_string(),
+    };
+    match s.char_indices().nth(160) {
+        Some((cut, _)) => format!("{}…", &s[..cut]),
+        None => s,
+    }
 }

@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use hacc_lint::callgraph::CallGraph;
-use hacc_lint::cfg::Index;
+use hacc_lint::index::Index;
 use hacc_lint::rules::e1::{panic_surface, PANIC_EXPLICIT};
 use hacc_lint::Workspace;
 

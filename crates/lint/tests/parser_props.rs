@@ -18,13 +18,13 @@ use hacc_rt::prop::prelude::*;
 /// the hottest production files the AST rules actually analyze.
 const CORPUS: [&str; 10] = [
     include_str!("../src/ast.rs"),
-    include_str!("../src/cfg.rs"),
+    include_str!("../src/index.rs"),
     include_str!("../../sph/src/hydro.rs"),
     include_str!("../../ranks/src/mailbox.rs"),
     include_str!("../../core/src/driver.rs"),
     include_str!("../../gpusim/src/exec.rs"),
     include_str!("../src/callgraph.rs"),
-    include_str!("../src/dataflow.rs"),
+    include_str!("../src/rules/k1.rs"),
     include_str!("../src/rules/e1.rs"),
     include_str!("../src/rules/c1.rs"),
 ];

@@ -42,29 +42,28 @@ for pkg in "-p hacc-rt" "-p frontier-sim" "--manifest-path $bench_manifest"; do
         exit 1
     fi
 done
-tier0_start=$SECONDS
+tier0_start=$EPOCHREALTIME
 ./target/release/hacc-lint --root . --strict
-# Gate self-tests: one seeded violation per rule. Each row of the table
-# is `RULE|path|what`, then the canary source up to a `---` line. The
-# canary files sit outside the module tree (cargo never compiles them),
-# but the lint walks the filesystem: with the canary in place the gate
-# must fail *and* report the seeded rule's own code. Every static rule
-# has a row (`crates/lint/tests/rules.rs` checks the table).
+# Gate self-tests: one seeded violation per row of the table below, all
+# seeded at once and caught by one lint pass. Each row is
+# `RULE|path|what`, then the canary source up to a `---` line; every row
+# has a file of its own. The canary files sit outside the module tree
+# (cargo never compiles them), but the lint walks the filesystem: with
+# the canaries in place the gate must fail *and* report each row's rule
+# at a line of that row's own file. Every static rule has a row
+# (`crates/lint/tests/rules.rs` checks the table).
+rows=()
 while IFS='|' read -r rule path what; do
     src=""
     while IFS= read -r line && [ "$line" != "---" ]; do
         src+="$line"$'\n'
     done
-    printf '%s' "$src" > "$path"
-    if out=$(./target/release/hacc-lint --root . 2> /dev/null); then
-        echo "error: lint gate passed with $what seeded ($rule)" >&2
+    if [ -e "$path" ]; then
+        echo "error: canary path $path is taken (each row needs a file of its own)" >&2
         exit 1
     fi
-    grep -q "\[$rule\]" <<< "$out" || {
-        echo "error: lint gate missed $what: no [$rule] finding" >&2
-        exit 1
-    }
-    rm -f "$path"
+    printf '%s' "$src" > "$path"
+    rows+=("$rule|$path|$what")
 done <<'CANARIES'
 D1|crates/telem/src/__d1_canary.rs|a stray wall-clock read in a telemetry source
 pub fn leak() -> f64 { std::time::Instant::now().elapsed().as_secs_f64() }
@@ -81,7 +80,7 @@ pub fn fan_out(n: usize) {
     });
 }
 ---
-D1|crates/rt/src/__d1_canary.rs|an environment knob steering the scheduler
+D1|crates/rt/src/__d1_env_canary.rs|an environment knob steering the scheduler
 pub fn lanes() -> usize {
     std::env::var("HACC_CANARY_LANES").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
 }
@@ -93,7 +92,7 @@ pub fn canary_guarded(comm: &mut Comm) {
     }
 }
 ---
-C1|crates/ranks/src/__c1_canary.rs|a collective after a rank-guarded early return
+C1|crates/ranks/src/__c1_exit_canary.rs|a collective after a rank-guarded early return
 pub fn canary_early_exit(comm: &mut Comm) {
     if comm.rank() != 0 {
         return;
@@ -152,15 +151,27 @@ pub fn execute_leaf_canary2(xs: &[f64], out: &mut [f64; 4]) {
 }
 ---
 CANARIES
-# The lint tier must stay cheap enough to run on every commit: the
-# clean pass plus all the canary passes share a 5 s budget (compile
-# time excluded — that is cargo's cache, not the analyzer).
-tier0_elapsed=$(( SECONDS - tier0_start ))
-if [ "$tier0_elapsed" -ge 5 ]; then
-    echo "error: lint tier took ${tier0_elapsed}s, budget is <5s" >&2
+if out=$(./target/release/hacc-lint --root . 2> /dev/null); then
+    echo "error: lint gate passed with ${#rows[@]} canaries seeded" >&2
     exit 1
 fi
-echo "ok: zero unsuppressed findings; all seeded violations caught (${tier0_elapsed}s)"
+rm -f crates/*/src/__*_canary.rs
+for row in "${rows[@]}"; do
+    IFS='|' read -r rule path what <<< "$row"
+    grep -qE "^${path//./\\.}:[0-9]+: \[$rule\]" <<< "$out" || {
+        echo "error: lint gate missed $what: no [$rule] finding in $path" >&2
+        exit 1
+    }
+done
+# The lint tier must stay cheap enough to run on every commit: the
+# clean pass plus the canary pass share a 5 s budget (compile time
+# excluded — that is cargo's cache, not the analyzer).
+tier0_ms=$(awk -v a="$tier0_start" -v b="$EPOCHREALTIME" 'BEGIN { printf "%d", (b - a) * 1000 }')
+if [ "$tier0_ms" -ge 5000 ]; then
+    echo "error: lint tier took ${tier0_ms} ms, budget is <5000 ms" >&2
+    exit 1
+fi
+echo "ok: zero unsuppressed findings; all ${#rows[@]} seeded violations caught (${tier0_ms} ms)"
 
 echo "== build (offline) =="
 cargo build --release --offline

@@ -3,6 +3,11 @@
 use hacc_gpusim::{DeviceSpec, ExecMode};
 use hacc_units::CosmologyParams;
 
+/// Hard cap on smoothing lengths, in units of the interparticle spacing.
+/// Keeps the SPH support (`2 h`) inside the fixed chaining-mesh bin width
+/// and the overload depth for the whole PM step.
+pub(crate) const H_CAP_SPACING: f64 = 1.75;
+
 /// Which physics modules run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Physics {
@@ -203,6 +208,14 @@ impl SimConfig {
                 self.overload_cells * self.cell_size() >= 7.0 * self.split_scale() * 0.99,
                 "overload must cover the short-range cutoff",
             ),
+            // Past the overload a ghost would miss neighbours, and its
+            // truncated density would feed the owned forces it sources.
+            (
+                self.physics == Physics::GravityOnly
+                    || self.overload_cells * self.cell_size()
+                        >= 2.0 * H_CAP_SPACING * self.particle_spacing(),
+                "overload must cover the SPH support cap (2 x 1.75 particle spacings)",
+            ),
             // A sanitizer report describes one world; a chaos plan's
             // rollbacks would span several.
             (
@@ -298,6 +311,27 @@ mod tests {
             let e = c.check_ranks(n).unwrap_err();
             assert!(e.contains("exceeds the subdomain extent"), "{e}");
         }
+    }
+
+    #[test]
+    fn hydro_overload_must_cover_the_sph_support_cap() {
+        // A PM grid twice as fine as the particle lattice halves the
+        // overload (4 cells = 2 spacings) under the 3.5-spacing support
+        // cap, while the gravity cutoff (7 x 0.5 cells) still fits.
+        let mut c = SimConfig::small(16);
+        c.ngrid = 32;
+        let e = c.check().unwrap_err();
+        assert!(e.contains("SPH support cap"), "{e}");
+        c.physics = Physics::HydroAdiabatic;
+        assert!(c.check().unwrap_err().contains("SPH support cap"));
+        c.physics = Physics::GravityOnly;
+        assert_eq!(c.check(), Ok(()));
+        // At the cap itself the overload is wide enough.
+        let mut c = SimConfig::small(16);
+        c.overload_cells = 3.5;
+        assert_eq!(c.check(), Ok(()));
+        c.overload_cells = 3.49;
+        assert!(c.check().unwrap_err().contains("SPH support cap"));
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //! architecture under study. The rungs are scratch of the step that
 //! assigns them, neither shipped with a particle nor checkpointed.
 
-use crate::config::{Physics, SimConfig};
+use crate::config::{Physics, SimConfig, H_CAP_SPACING};
 use crate::ic::distributed_ics;
 use crate::kicks::KickDrift;
-use crate::overload::{exchange_overload, migrate};
+use crate::overload::{exchange_overload, migrate, wrapped_axes};
 use crate::particles::{ParticleStore, Species};
 use crate::timers::{Phase, Timers, PHASES};
 use crate::timestep::{n_substeps, rung_for, RungStats};
@@ -157,11 +157,6 @@ pub struct SimReport {
     pub sanitizer: Option<hacc_san::SanReport>,
 }
 
-/// Hard cap on smoothing lengths, in units of the interparticle spacing.
-/// Keeps the SPH support inside the fixed chaining-mesh bin width and the
-/// overload depth for the whole PM step.
-const H_CAP_SPACING: f64 = 1.75;
-
 /// Reusable SoA gather buffers for the per-kick hydro solve. The gas
 /// subset is re-gathered every kick (positions drift, `u`/`h` update),
 /// but the allocations are step-invariant, so they live outside the
@@ -177,21 +172,75 @@ struct GasGather {
 
 impl GasGather {
     /// Refill from `store` at the gas indices; velocities are converted
-    /// to peculiar (`v / a`) on the way in.
-    fn gather(&mut self, store: &ParticleStore, gas_idx: &[usize], a: f64) {
+    /// to peculiar (`v / a`) on the way in, and positions folded into the
+    /// period along `domain`'s wrapped axes, so that drift across the seam
+    /// since the step's migrate leaves no gas outside the bins.
+    fn gather(&mut self, store: &ParticleStore, gas_idx: &[usize], a: f64, domain: &MeshDomain) {
         self.pos.clear();
         self.vpec.clear();
         self.mass.clear();
         self.h.clear();
         self.u.clear();
         for &i in gas_idx {
-            self.pos.push(store.pos[i]);
+            self.pos.push(domain.fold(store.pos[i]));
             let v = store.vel[i];
             self.vpec.push([v[0] / a, v[1] / a, v[2] / a]);
             self.mass.push(store.mass[i]);
             self.h.push(store.h[i]);
             self.u.push(store.u[i]);
         }
+    }
+}
+
+/// Where a rank's chaining meshes bin: its subdomain grown by the
+/// overload, or one period `[0, box)` along the axes it spans whole
+/// ([`wrapped_axes`]), in bins the short-range cutoff wide.
+struct MeshDomain {
+    lo: [f64; 3],
+    hi: [f64; 3],
+    wrap: [bool; 3],
+    cm_cfg: CmConfig,
+}
+
+impl MeshDomain {
+    fn new(cfg: &SimConfig, decomp: &CartDecomp, rank: usize) -> Self {
+        let width = cfg.overload_cells * cfg.cell_size();
+        let wrap = wrapped_axes(decomp, cfg.box_size, width);
+        let (lo, hi) = decomp.subdomain(rank);
+        let pad = wrap.map(|w| if w { 0.0 } else { width });
+        let r_cut = 7.0 * cfg.split_scale();
+        // Smoothing lengths are clamped to H_CAP x spacing (in the kick),
+        // so the bin width is fixed for the whole run.
+        let h_cap = H_CAP_SPACING * cfg.particle_spacing();
+        let cutoff = if cfg.physics == Physics::GravityOnly {
+            r_cut
+        } else {
+            r_cut.max(2.0 * h_cap)
+        };
+        Self {
+            lo: [0, 1, 2].map(|d| lo[d] * cfg.box_size - pad[d]),
+            hi: [0, 1, 2].map(|d| hi[d] * cfg.box_size + pad[d]),
+            wrap,
+            cm_cfg: CmConfig {
+                bin_width: cutoff.max(1e-3),
+                max_leaf: MAX_LEAF,
+            },
+        }
+    }
+
+    fn mesh(&self, pos: &[[f64; 3]]) -> ChainingMesh {
+        ChainingMesh::build_wrapped(pos, self.lo, self.hi, self.wrap, &self.cm_cfg)
+    }
+
+    /// `p` moved into the period along the wrapped axes.
+    fn fold(&self, p: [f64; 3]) -> [f64; 3] {
+        [0, 1, 2].map(|d| {
+            if self.wrap[d] {
+                self.lo[d] + (p[d] - self.lo[d]).rem_euclid(self.hi[d] - self.lo[d])
+            } else {
+                p[d]
+            }
+        })
     }
 }
 
@@ -656,6 +705,7 @@ fn rank_main(
     let mut total_stars = 0u64;
     let mut updates = 0u64;
     let overload_width = cfg.overload_cells * cfg.cell_size();
+    let domain = MeshDomain::new(cfg, &decomp, comm.rank());
 
     // Per-step scratch reused across steps: gas index list and the SoA
     // gather buffers handed to the hydro solver each kick.
@@ -703,32 +753,12 @@ fn rank_main(
         tracer.end(sp);
 
         // --- 3. chaining mesh + trees (once per PM step) ---
-        let r_cut = 7.0 * cfg.split_scale();
-        // Smoothing lengths are clamped to H_CAP x spacing (below), so
-        // the chaining-mesh bin width can be fixed for the whole step.
-        let h_cap = H_CAP_SPACING * cfg.particle_spacing();
-        let cutoff = if hydro { r_cut.max(2.0 * h_cap) } else { r_cut };
-        let (lo, hi) = decomp.subdomain(comm.rank());
-        let dom_lo = [
-            lo[0] * cfg.box_size - overload_width,
-            lo[1] * cfg.box_size - overload_width,
-            lo[2] * cfg.box_size - overload_width,
-        ];
-        let dom_hi = [
-            hi[0] * cfg.box_size + overload_width,
-            hi[1] * cfg.box_size + overload_width,
-            hi[2] * cfg.box_size + overload_width,
-        ];
-        let cm_cfg = CmConfig {
-            bin_width: cutoff.max(1e-3),
-            max_leaf: MAX_LEAF,
-        };
         let sp = tracer.begin(Phase::TreeBuild.name(), "chaining-mesh");
         if let Some(reg) = ghost_region {
             // The node-local solve starts consuming the ghosts here.
             hacc_san::annotate_read(reg);
         }
-        let mut cm_all = ChainingMesh::build(&store.pos, dom_lo, dom_hi, &cm_cfg);
+        let mut cm_all = domain.mesh(&store.pos);
         tracer.end(sp);
 
         store.indices_of_all_into(Species::Gas, &mut gas_idx);
@@ -772,8 +802,8 @@ fn rank_main(
             // CRKSPH for the gas: forces on the owned gas, density and
             // corrections for the ghosts that source them too.
             let sph = (hydro && !gas_idx.is_empty()).then(|| {
-                gas_gather.gather(store, &gas_idx, a);
-                let gas_cm = ChainingMesh::build(&gas_gather.pos, dom_lo, dom_hi, &cm_cfg);
+                gas_gather.gather(store, &gas_idx, a, &domain);
+                let gas_cm = domain.mesh(&gas_gather.pos);
                 let input = SphInput {
                     pos: &gas_gather.pos,
                     vel: &gas_gather.vpec,
@@ -1522,6 +1552,92 @@ mod tests {
         let gas_idx: Vec<usize> = (0..64).collect();
         let formed: u64 = (0..4).map(|s| substep(&mut store, &gas_idx, s)).sum();
         assert_eq!(formed, star_ids(&store).len() as u64);
+    }
+
+    /// The opening short-range forces of a one-rank world of
+    /// `SimConfig::small(np)`'s initial conditions moved by `shift`
+    /// (mod box), through the driver's exchange, meshes and pipelines:
+    /// per particle id, gravity and, for the gas, CRKSPH `accel` and
+    /// `du_dt`. Also returns the ghosts the overload held.
+    fn one_rank_opening_forces(np: usize, shift: [f64; 3]) -> (usize, Vec<(u64, [f64; 7])>) {
+        let cfg = SimConfig::small(np);
+        let tables = RunTables::new(&cfg);
+        let mut out = World::run(1, |comm| {
+            let decomp = CartDecomp::new(1);
+            let mut store = distributed_ics(&cfg, &tables.bg, &tables.power, comm);
+            for p in &mut store.pos {
+                for d in 0..3 {
+                    p[d] += shift[d];
+                }
+            }
+            migrate(comm, &decomp, &mut store, cfg.box_size);
+            let width = cfg.overload_cells * cfg.cell_size();
+            exchange_overload(comm, &decomp, &mut store, cfg.box_size, width);
+            let n = store.n_owned;
+            let domain = MeshDomain::new(&cfg, &decomp, 0);
+            let cm = domain.mesh(&store.pos);
+            let grav = grav_step_sinks(&store.pos, &store.mass, &cm, &tables.grav, n).accel;
+            let gas_idx = store.indices_of_all(Species::Gas);
+            let mut gas = GasGather::default();
+            gas.gather(&store, &gas_idx, cfg.a_init, &domain);
+            let input = SphInput {
+                pos: &gas.pos,
+                vel: &gas.vpec,
+                mass: &gas.mass,
+                h: &gas.h,
+                u: &gas.u,
+            };
+            let sph_cfg: SphConfig<CubicSpline> = SphConfig::new();
+            let n_gas = gas_idx.partition_point(|&i| i < n);
+            let sph = sph_step_sinks(&input, &domain.mesh(&gas.pos), &sph_cfg, n_gas);
+            let mut forces: Vec<(u64, [f64; 7])> = (0..n)
+                .map(|i| {
+                    (
+                        store.id[i],
+                        [grav[i][0], grav[i][1], grav[i][2], 0.0, 0.0, 0.0, 0.0],
+                    )
+                })
+                .collect();
+            for (gi, &i) in gas_idx[..n_gas].iter().enumerate() {
+                forces[i].1[3..6].copy_from_slice(&sph.accel[gi]);
+                forces[i].1[6] = sph.du_dt[gi];
+            }
+            forces.sort_by_key(|&(id, _)| id);
+            (store.len() - n, forces)
+        });
+        out.pop().unwrap()
+    }
+
+    /// The one-rank world is the integrator's ghost-free reference: its
+    /// overload is empty, and where the box's seam falls moves no
+    /// short-range force beyond summation-order roundoff. Each field's
+    /// largest change stays under 1e-12 of that field's largest value.
+    /// With periodic image ghosts instead, the seam's ghosts carried
+    /// densities truncated at the overload edge, and the CRKSPH `accel`
+    /// and `du_dt` moved by 2.5e-3 to 5.5e-3 of their largest values.
+    #[test]
+    fn one_rank_short_range_forces_do_not_see_the_seam() {
+        for np in [12, 16] {
+            let (ghosts, base) = one_rank_opening_forces(np, [0.0; 3]);
+            assert_eq!(ghosts, 0, "np {np}");
+            let (_, moved) = one_rank_opening_forces(np, [3.3, 7.7, 10.1]);
+            assert_eq!(base.len(), moved.len());
+            for (field, range) in [("gravity", 0..3), ("accel", 3..6), ("du_dt", 6..7)] {
+                let (mut worst, mut scale) = (0.0f64, 0.0f64);
+                for ((id, f), (id2, g)) in base.iter().zip(&moved) {
+                    assert_eq!(id, id2);
+                    for k in range.clone() {
+                        worst = worst.max((f[k] - g[k]).abs());
+                        scale = scale.max(f[k].abs());
+                    }
+                }
+                assert!(scale > 0.0, "np {np}: no {field}");
+                assert!(
+                    worst <= 1e-12 * scale,
+                    "np {np} {field}: {worst:e} of {scale:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -53,11 +53,25 @@ pub fn migrate(
     *store = fresh;
 }
 
+/// The axes a rank treats as periodic inside itself: those its subdomain
+/// spans whole (`dims[d] == 1`), in a box at least three overload widths
+/// long. Along such an axis every rank's only neighbour is itself, so
+/// the overload would hold nothing but periodic copies of the rank's own
+/// particles; [`exchange_overload`] ships no images along it, and the
+/// driver's chaining meshes wrap over `[0, box_size)` instead. Their bins
+/// are the short-range cutoff wide, which `SimConfig::check` keeps within
+/// the overload width, so a wrapped axis holds the three bins minimum
+/// image needs. Smaller boxes keep their images.
+pub fn wrapped_axes(decomp: &CartDecomp, box_size: f64, width: f64) -> [bool; 3] {
+    decomp.dims.map(|n| n == 1 && box_size >= 3.0 * width)
+}
+
 /// Refresh the overload: append ghost copies of every remote (and
 /// periodic-image) particle within `width` of this rank's subdomain.
 /// Owned particles must already be wrapped and correctly homed
 /// (run [`migrate`] first). Ghost positions are shifted by the periodic
 /// image so they are spatially contiguous with the receiving domain.
+/// Along the [`wrapped_axes`] no image is shipped.
 pub fn exchange_overload(
     comm: &mut Comm,
     decomp: &CartDecomp,
@@ -112,14 +126,17 @@ pub fn exchange_overload(
         })
         .collect();
 
+    let wrap = wrapped_axes(decomp, box_size, width);
+    let images = |d: usize| if wrap[d] { 0..=0 } else { -1i64..=1 };
+
     let mut sends: Vec<Vec<ParticleRecord>> = vec![Vec::new(); neighbor_ranks.len()];
     for i in 0..store.n_owned {
         let p = store.pos[i];
         // Enumerate every periodic image; ship each image to every
         // neighbor rank whose extended domain contains it.
-        for kx in -1i64..=1 {
-            for ky in -1i64..=1 {
-                for kz in -1i64..=1 {
+        for kx in images(0) {
+            for ky in images(1) {
+                for kz in images(2) {
                     let img = [
                         p[0] + kx as f64 * box_size,
                         p[1] + ky as f64 * box_size,
@@ -233,80 +250,84 @@ mod tests {
 
     /// Golden overload invariant: after the exchange, every rank can see
     /// (as owned or ghost) every particle within `width` of its domain,
-    /// including periodic images, at the correctly shifted position.
+    /// including periodic images, at the correctly shifted position, and
+    /// holds no other ghost. Along a wrapped axis the domain is the
+    /// period `[0, box)` itself: no image falls inside it. Width 2 wraps
+    /// the axis the 2x2x1 decomposition spans; width 4 (under three per
+    /// box) keeps its images.
     #[test]
     fn overload_covers_extended_domain() {
         let box_size = 10.0;
-        let width = 2.0;
         let n_per_rank = 60;
-        let results = World::run(4, |comm| {
-            let decomp = CartDecomp::new(comm.size());
-            let mut store = random_store(comm.rank(), n_per_rank, box_size);
-            migrate(comm, &decomp, &mut store, box_size);
-            // Capture the global particle set for brute-force checking.
-            let owned: Vec<([f64; 3], u64)> = (0..store.n_owned)
-                .map(|i| (store.pos[i], store.id[i]))
-                .collect();
-            let all: Vec<([f64; 3], u64)> = comm
-                .all_gather(owned)
-                .into_iter()
-                .flatten()
-                .collect();
-            exchange_overload(comm, &decomp, &mut store, box_size, width);
-            let (lo, hi) = decomp.subdomain(comm.rank());
-            let lo = [lo[0] * box_size, lo[1] * box_size, lo[2] * box_size];
-            let hi = [hi[0] * box_size, hi[1] * box_size, hi[2] * box_size];
-            // Brute force: every global particle image in the extended
-            // domain must be present in the local store.
-            let mut missing = 0;
-            for (p, id) in &all {
-                for kx in -1i64..=1 {
-                    for ky in -1i64..=1 {
-                        for kz in -1i64..=1 {
-                            let img = [
-                                p[0] + kx as f64 * box_size,
-                                p[1] + ky as f64 * box_size,
-                                p[2] + kz as f64 * box_size,
-                            ];
-                            let inside = (0..3).all(|d| {
-                                img[d] >= lo[d] - width && img[d] < hi[d] + width
-                            });
-                            if !inside {
-                                continue;
-                            }
-                            let found = store
-                                .pos
-                                .iter()
-                                .zip(&store.id)
-                                .any(|(q, &qid)| {
-                                    qid == *id
-                                        && (0..3).all(|d| (q[d] - img[d]).abs() < 1e-9)
+        for (width, wraps) in [(2.0, [false, false, true]), (4.0, [false; 3])] {
+            let results = World::run(4, |comm| {
+                let decomp = CartDecomp::new(comm.size());
+                assert_eq!(wrapped_axes(&decomp, box_size, width), wraps);
+                let mut store = random_store(comm.rank(), n_per_rank, box_size);
+                migrate(comm, &decomp, &mut store, box_size);
+                // Capture the global particle set for brute-force checking.
+                let owned: Vec<([f64; 3], u64)> = (0..store.n_owned)
+                    .map(|i| (store.pos[i], store.id[i]))
+                    .collect();
+                let all: Vec<([f64; 3], u64)> = comm
+                    .all_gather(owned)
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                exchange_overload(comm, &decomp, &mut store, box_size, width);
+                let (lo, hi) = decomp.subdomain(comm.rank());
+                let pad = wraps.map(|w| if w { 0.0 } else { width });
+                let lo = [0, 1, 2].map(|d| lo[d] * box_size - pad[d]);
+                let hi = [0, 1, 2].map(|d| hi[d] * box_size + pad[d]);
+                // Brute force: every global particle image in the extended
+                // domain must be present in the local store.
+                let (mut missing, mut wanted) = (0, 0);
+                for (p, id) in &all {
+                    for kx in -1i64..=1 {
+                        for ky in -1i64..=1 {
+                            for kz in -1i64..=1 {
+                                let img = [
+                                    p[0] + kx as f64 * box_size,
+                                    p[1] + ky as f64 * box_size,
+                                    p[2] + kz as f64 * box_size,
+                                ];
+                                let inside = (0..3).all(|d| img[d] >= lo[d] && img[d] < hi[d]);
+                                if !inside {
+                                    continue;
+                                }
+                                wanted += 1;
+                                let found = store.pos.iter().zip(&store.id).any(|(q, &qid)| {
+                                    qid == *id && (0..3).all(|d| (q[d] - img[d]).abs() < 1e-9)
                                 });
-                            if !found {
-                                missing += 1;
+                                if !found {
+                                    missing += 1;
+                                }
                             }
                         }
                     }
                 }
+                (missing, wanted, store.len())
+            });
+            for (missing, wanted, held) in results {
+                assert_eq!(missing, 0, "missing overload images at width {width}");
+                assert_eq!(held, wanted, "ghosts outside the domain at width {width}");
             }
-            (missing, store.len() - store.n_owned)
-        });
-        for (missing, ghosts) in results {
-            assert_eq!(missing, 0, "missing overload images");
-            assert!(ghosts > 0, "no ghosts received");
         }
     }
 
+    /// A box under three overload widths wraps no axis: one rank then
+    /// sources its boundary from periodic copies of its own particles.
     #[test]
     fn single_rank_gets_periodic_self_images() {
         let box_size = 10.0;
         World::run(1, |comm| {
             let decomp = CartDecomp::new(1);
+            assert_eq!(wrapped_axes(&decomp, box_size, 4.0), [false; 3]);
             let mut s = ParticleStore::new();
             s.push([0.5, 5.0, 5.0], [0.0; 3], 1.0, Species::DarkMatter, 0.0, 0.0, 1);
             s.push([5.0, 5.0, 5.0], [0.0; 3], 1.0, Species::DarkMatter, 0.0, 0.0, 2);
             s.seal_owned();
-            exchange_overload(comm, &decomp, &mut s, box_size, 1.0);
+            exchange_overload(comm, &decomp, &mut s, box_size, 4.0);
             // Particle 1 near x=0: an image at x = 10.5 must appear.
             let has_image = s
                 .pos
@@ -323,6 +344,78 @@ mod tests {
                 .count();
             assert_eq!(interior_ghosts, 0);
         });
+    }
+
+    /// One rank's `(rank, owned ids, ghost positions and ids)`.
+    type RankGhosts = (usize, Vec<u64>, Vec<([f64; 3], u64)>);
+
+    /// The ghosts each rank holds after migrate + exchange, with the
+    /// overload width of `SimConfig::small(np)` (4 cells of 1 Mpc/h) and
+    /// 300 random particles per rank.
+    fn ghosts_of(n_ranks: usize, np: usize) -> Vec<RankGhosts> {
+        let cfg = crate::config::SimConfig::small(np);
+        let width = cfg.overload_cells * cfg.cell_size();
+        World::run(n_ranks, |comm| {
+            let decomp = CartDecomp::new(comm.size());
+            let mut store = random_store(comm.rank(), 300, cfg.box_size);
+            migrate(comm, &decomp, &mut store, cfg.box_size);
+            exchange_overload(comm, &decomp, &mut store, cfg.box_size, width);
+            let n = store.n_owned;
+            let ghosts = store.pos[n..].iter().copied().zip(store.id[n..].iter().copied());
+            (comm.rank(), store.id[..n].to_vec(), ghosts.collect())
+        })
+    }
+
+    #[test]
+    fn one_rank_world_holds_no_ghosts() {
+        for np in [12, 16] {
+            let cfg = crate::config::SimConfig::small(np);
+            let width = cfg.overload_cells * cfg.cell_size();
+            assert_eq!(wrapped_axes(&CartDecomp::new(1), cfg.box_size, width), [true; 3]);
+            for (_, owned, ghosts) in ghosts_of(1, np) {
+                assert_eq!(owned.len(), 300);
+                assert!(ghosts.is_empty(), "np {np}: {} ghosts", ghosts.len());
+            }
+        }
+    }
+
+    #[test]
+    fn ghosts_come_only_from_shared_axes_and_other_ranks() {
+        let box_size = 16.0;
+        for n_ranks in [2, 4] {
+            let decomp = CartDecomp::new(n_ranks);
+            let wrap = wrapped_axes(&decomp, box_size, 4.0);
+            assert!(wrap.iter().any(|&w| w) && !wrap.iter().all(|&w| w));
+            for (rank, owned, ghosts) in ghosts_of(n_ranks, 16) {
+                assert!(!ghosts.is_empty(), "{n_ranks} ranks: rank {rank} has no ghosts");
+                let (lo, hi) = decomp.subdomain(rank);
+                for (p, id) in ghosts {
+                    assert!(!owned.contains(&id), "rank {rank} holds an image of its own {id}");
+                    // Inside the period along the wrapped axes, outside
+                    // the subdomain along some shared one.
+                    for d in (0..3).filter(|&d| wrap[d]) {
+                        assert!((0.0..box_size).contains(&p[d]), "ghost {id} imaged along {d}");
+                    }
+                    let outside = (0..3).filter(|&d| !wrap[d]).any(|d| {
+                        p[d] < lo[d] * box_size || p[d] >= hi[d] * box_size
+                    });
+                    assert!(outside, "ghost {id} at {p:?} inside rank {rank}'s subdomain");
+                }
+            }
+        }
+    }
+
+    /// Per-rank ghost counts of [`ghosts_of`]`(8, 16)`.
+    const PINNED_EIGHT_RANK_GHOSTS: [usize; 8] = [2124, 2094, 2088, 2103, 2115, 2068, 2102, 2106];
+
+    #[test]
+    fn eight_rank_ghosts_are_unchanged() {
+        // 2x2x2 spans no axis: every ghost is a neighbour's particle or a
+        // periodic image, exactly as before wrapped axes existed. Counts
+        // pinned from the exchange that always shipped images.
+        assert_eq!(wrapped_axes(&CartDecomp::new(8), 16.0, 4.0), [false; 3]);
+        let counts: Vec<usize> = ghosts_of(8, 16).iter().map(|(_, _, g)| g.len()).collect();
+        assert_eq!(counts, PINNED_EIGHT_RANK_GHOSTS);
     }
 
     #[test]

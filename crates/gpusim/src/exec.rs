@@ -125,6 +125,16 @@ pub trait SplitKernel: Sync {
     fn reach(&self, _s: &Self::State) -> Option<([f64; 3], f64)> {
         None
     }
+
+    /// The state of the periodic image of a particle moved by `by`: its
+    /// position plus `by`, component by component, and every other field
+    /// as is. [`sweep_periodic`] calls it on the second leaf of a pair
+    /// that meets across a periodic seam; a kernel whose lists never hold
+    /// such a pair needs no override, and the default refuses.
+    fn translated(&self, _s: &Self::State, _by: [f64; 3]) -> Self::State {
+        // e1: allow: a wrapped list swept with a kernel that cannot move its states is a programming error, not a fault the supervisor could recover from
+        panic!("kernel {} cannot sweep a periodic leaf pair", self.name())
+    }
 }
 
 /// Scratch registers every kernel needs (loop counters, addresses...).
@@ -376,6 +386,17 @@ impl LeafBox {
         b
     }
 
+    /// The box of the leaf's image moved by `by`. Adding a constant is
+    /// monotone under rounding, so this is bitwise the box of the moved
+    /// lanes.
+    fn shifted(&self, by: [f64; 3]) -> Self {
+        LeafBox {
+            lo: [0, 1, 2].map(|d| self.lo[d] + by[d]),
+            hi: [0, 1, 2].map(|d| self.hi[d] + by[d]),
+            reach: self.reach,
+        }
+    }
+
     /// False only when the lane is out of reach of every particle of the
     /// leaf: the kernels' own `r2 >= cut * cut * (1 + 1e-12)` rejection
     /// ([`SplitKernel::reach`]) with the box distance for `r2` and the
@@ -397,18 +418,42 @@ impl LeafBox {
     }
 }
 
-/// Copy the kept slots' states and accumulators into compact scratch.
-fn gather<S: Copy, A: Copy>(
-    keep: &[usize],
-    states: &[S],
-    accums: &[A],
-    compact_states: &mut Vec<S>,
-    compact_accums: &mut Vec<A>,
+/// Copy the kept slots' states, moved by `by` when given, and their
+/// accumulators into compact scratch.
+fn gather<K: SplitKernel>(
+    kernel: &K,
+    keep: impl Iterator<Item = usize> + Clone,
+    by: Option<[f64; 3]>,
+    states: &[K::State],
+    accums: &[K::Accum],
+    compact_states: &mut Vec<K::State>,
+    compact_accums: &mut Vec<K::Accum>,
 ) {
     compact_states.clear();
-    compact_states.extend(keep.iter().map(|&i| states[i]));
+    match by {
+        Some(by) => compact_states.extend(keep.clone().map(|i| kernel.translated(&states[i], by))),
+        None => compact_states.extend(keep.clone().map(|i| states[i])),
+    }
     compact_accums.clear();
-    compact_accums.extend(keep.iter().map(|&i| accums[i]));
+    compact_accums.extend(keep.map(|i| accums[i]));
+}
+
+/// One kernel launch over a leaf interaction list with no periodic
+/// pairs: [`sweep_periodic`] with every pair meeting directly.
+pub fn sweep<K: SplitKernel>(
+    kernel: &K,
+    dev: &DeviceSpec,
+    mode: ExecMode,
+    exec: LeafExec,
+    leaf_range: impl Fn(u32) -> std::ops::Range<usize>,
+    pairs: &[(u32, u32)],
+    states: &[K::State],
+    accums: &mut [K::Accum],
+    counters: &mut KernelCounters,
+) {
+    sweep_periodic(
+        kernel, dev, mode, exec, leaf_range, |_, _| None, pairs, states, accums, counters,
+    );
 }
 
 /// One kernel launch over a leaf interaction list: the single walk every
@@ -417,6 +462,12 @@ fn gather<S: Copy, A: Copy>(
 /// every pair `(a, b)` has `a == b` (self) or `a`'s range entirely below
 /// `b`'s, which is what lets the two accumulator slices be borrowed
 /// together.
+///
+/// `image(a, b)` is the periodic image under which the cross pair meets:
+/// `Some(by)` sweeps `a` against `b`'s lanes moved by `by`
+/// ([`SplitKernel::translated`], the chaining mesh's `image_shift`),
+/// `None` against `b` as it lies. A moved side always goes through the
+/// gathered scratch below; `b`'s accumulators are written back in place.
 ///
 /// A tiled sweep of a kernel that states its [`SplitKernel::reach`]
 /// compacts every cross pair first: the lanes of each leaf that
@@ -434,12 +485,13 @@ fn gather<S: Copy, A: Copy>(
 /// `counters.culled_pairs` the ones removed, and the cull pass is charged
 /// one four-word lane read and one box test per lane offered.
 /// [`LeafExec::Reference`] is always dense.
-pub fn sweep<K: SplitKernel>(
+pub fn sweep_periodic<K: SplitKernel>(
     kernel: &K,
     dev: &DeviceSpec,
     mode: ExecMode,
     exec: LeafExec,
     leaf_range: impl Fn(u32) -> std::ops::Range<usize>,
+    image: impl Fn(u32, u32) -> Option<[f64; 3]>,
     pairs: &[(u32, u32)],
     states: &[K::State],
     accums: &mut [K::Accum],
@@ -452,13 +504,11 @@ pub fn sweep<K: SplitKernel>(
     // One box per leaf, built when a cross pair first names the leaf, and
     // scratch for the widest leaf the list names.
     let (mut n_leaves, mut widest) = (0, 0);
-    if lanes.is_some() {
-        for &(a, b) in pairs {
-            n_leaves = n_leaves.max(a.max(b) as usize + 1);
-            widest = widest.max(leaf_range(a).len()).max(leaf_range(b).len());
-        }
+    for &(a, b) in pairs {
+        n_leaves = n_leaves.max(a.max(b) as usize + 1);
+        widest = widest.max(leaf_range(a).len()).max(leaf_range(b).len());
     }
-    let mut boxes: Vec<Option<LeafBox>> = vec![None; n_leaves];
+    let mut boxes: Vec<Option<LeafBox>> = vec![None; if lanes.is_some() { n_leaves } else { 0 }];
     let (mut keep_a, mut keep_b) = (Vec::with_capacity(widest), Vec::with_capacity(widest));
     let (mut states_a, mut states_b) =
         (Vec::<K::State>::with_capacity(widest), Vec::<K::State>::with_capacity(widest));
@@ -480,13 +530,20 @@ pub fn sweep<K: SplitKernel>(
         }
         let rb = leaf_range(b);
         debug_assert!(ra.end <= rb.start, "leaf ranges must be ordered");
+        let by = image(a, b);
         if let Some(lanes) = lanes.as_ref().filter(|_| ra.len().max(rb.len()) > tile) {
             let box_a = *boxes[a as usize].get_or_insert_with(|| LeafBox::of(&lanes[ra.clone()]));
             let box_b = *boxes[b as usize].get_or_insert_with(|| LeafBox::of(&lanes[rb.clone()]));
+            // `b`'s box and lanes where the pair meets them.
+            let box_b = by.map_or(box_b, |by| box_b.shifted(by));
+            let lane_b = |j: usize| -> Lane {
+                let (p, reach) = lanes[j];
+                (by.map_or(p, |by| [0, 1, 2].map(|d| p[d] + by[d])), reach)
+            };
             keep_a.clear();
             keep_a.extend(ra.clone().filter(|&i| box_b.may_reach(&lanes[i])));
             keep_b.clear();
-            keep_b.extend(rb.clone().filter(|&j| box_a.may_reach(&lanes[j])));
+            keep_b.extend(rb.clone().filter(|&j| box_a.may_reach(&lane_b(j))));
             let offered = (ra.len() + rb.len()) as u64;
             counters.global_reads += LANE_WORDS * offered;
             counters.flops += CULL_TEST.total() * offered;
@@ -495,8 +552,9 @@ pub fn sweep<K: SplitKernel>(
                 continue;
             }
             if keep_a.len() < ra.len() || keep_b.len() < rb.len() {
-                gather(&keep_a, states, accums, &mut states_a, &mut accums_a);
-                gather(&keep_b, states, accums, &mut states_b, &mut accums_b);
+                let (ka, kb) = (keep_a.iter().copied(), keep_b.iter().copied());
+                gather(kernel, ka, None, states, accums, &mut states_a, &mut accums_a);
+                gather(kernel, kb, by, states, accums, &mut states_b, &mut accums_b);
                 execute_leaf_pair(
                     kernel, dev, mode, &states_a, &states_b, &mut accums_a, &mut accums_b, counters,
                 );
@@ -509,14 +567,25 @@ pub fn sweep<K: SplitKernel>(
                 continue;
             }
         }
+        // Dense: `a` in place; `b` in place too, or moved through scratch.
+        if by.is_some() {
+            gather(kernel, rb.clone(), by, states, accums, &mut states_b, &mut accums_b);
+        }
         let (left, right) = accums.split_at_mut(rb.start);
-        let (si, sj) = (&states[ra.clone()], &states[rb.clone()]);
-        let (ai, aj) = (&mut left[ra], &mut right[..rb.len()]);
+        let si = &states[ra.clone()];
+        let (sj, aj) = match by {
+            Some(_) => (&states_b[..], &mut accums_b[..]),
+            None => (&states[rb.clone()], &mut right[..rb.len()]),
+        };
+        let ai = &mut left[ra];
         match exec {
             LeafExec::Tiled => execute_leaf_pair(kernel, dev, mode, si, sj, ai, aj, counters),
             LeafExec::Reference => {
                 execute_leaf_pair_reference(kernel, dev, mode, si, sj, ai, aj, counters)
             }
+        }
+        if by.is_some() {
+            right[..rb.len()].copy_from_slice(&accums_b);
         }
     }
 }

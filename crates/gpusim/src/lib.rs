@@ -36,7 +36,8 @@ pub use counters::{KernelCounters, PairFlops};
 pub use device::{DeviceSpec, Vendor};
 pub use exec::{
     execute_leaf_pair, execute_leaf_pair_reference, execute_leaf_self,
-    execute_leaf_self_reference, execute_with_relaunch, sweep, ExecMode, LeafExec, SplitKernel,
+    execute_leaf_self_reference, execute_with_relaunch, sweep, sweep_periodic, ExecMode, LeafExec,
+    SplitKernel,
 };
 pub use model::ExecutionModel;
 pub use profile::{ProfileRow, ProfileTable};

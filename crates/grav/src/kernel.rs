@@ -72,6 +72,13 @@ impl SplitKernel for GravityKernel {
         Some((s.pos, self.table.r_cut()))
     }
 
+    fn translated(&self, s: &GravState, by: [f64; 3]) -> GravState {
+        GravState {
+            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            ..*s
+        }
+    }
+
     #[inline]
     fn interact(&self, si: &GravState, _: &(), sj: &GravState, _: &(), out: &mut GravAccum) {
         let dx = si.pos[0] - sj.pos[0];

@@ -9,7 +9,7 @@
 
 use crate::kernel::{GravAccum, GravState, GravityKernel};
 use crate::split::ForceSplitTable;
-use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec};
+use hacc_gpusim::{sweep_periodic, DeviceSpec, ExecMode, KernelCounters, LeafExec};
 use hacc_tree::ChainingMesh;
 
 /// Entries in the cached force-splitting table.
@@ -144,12 +144,13 @@ fn grav_step_with(
         })
         .collect();
     let mut accums = vec![GravAccum::default(); n];
-    sweep(
+    sweep_periodic(
         &cfg.kernel,
         &cfg.device,
         cfg.mode,
         exec,
         |leaf| cm.leaves[leaf as usize].range(),
+        |a, b| cm.image_shift(a, b),
         &pairs,
         &states,
         &mut accums,
@@ -284,6 +285,39 @@ mod tests {
         assert!(evaluated > 0 && culled > 0, "{evaluated} evaluated, {culled} culled");
     }
 
+    #[test]
+    fn leaves_meeting_whole_across_the_seam_are_moved_not_swept_in_place() {
+        // Two 40-particle clusters hugging either end of the wrapped x
+        // axis: every lane of each reaches the other's moved box, so the
+        // compaction culls nobody, and the pair must still be swept
+        // against the moved leaf.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let mut pos = Vec::new();
+        for x0 in [0.0, 11.5] {
+            for _ in 0..40 {
+                let yz = [rng.gen_range(5.0..6.0), rng.gen_range(5.0..6.0)];
+                pos.push([rng.gen_range(x0..x0 + 0.5), yz[0], yz[1]]);
+            }
+        }
+        let mass = vec![1.0; pos.len()];
+        let cfg = GravConfig::new(1.0, 0.5, 0.02);
+        let cm = ChainingMesh::build_wrapped(
+            &pos,
+            [0.0; 3],
+            [12.0; 3],
+            [true, false, false],
+            &CmConfig { bin_width: 4.0, max_leaf: 64 },
+        );
+        assert_eq!(cm.n_leaves(), 2);
+        assert!(cm.image_shift(0, 1).is_some());
+        let (evaluated, culled) = assert_matches_dense_reference(&pos, &mass, &cm, &cfg, 80);
+        assert_eq!((evaluated, culled), (2 * 780 + 1600, 0));
+        // Momentum: the clusters pull on each other across the seam.
+        let r = grav_step(&pos, &mass, &cm, &cfg);
+        let pull: f64 = r.accel[..40].iter().map(|a| a[0]).sum();
+        assert!(pull < 0.0, "cluster at x = 0 pulled toward +x ({pull})");
+    }
+
     use hacc_rt::prop::prelude::*;
 
     proptest! {
@@ -306,6 +340,37 @@ mod tests {
                 &pos,
                 [0.0; 3],
                 [12.0; 3],
+                &CmConfig { bin_width: 4.0, max_leaf },
+            );
+            let n_sinks = (sink_frac * n as f64) as usize;
+            assert_matches_dense_reference(&pos, &mass, &cm, &cfg, n_sinks);
+        }
+
+        // The same across periodic seams: a mesh wrapped along the axes
+        // of `wrap_mask`, positions drifted up to `slack` past its ends.
+        // The second leaf of a wrapped pair is moved through scratch, on
+        // the compacted and the dense path alike.
+        #[test]
+        fn culled_sweep_matches_dense_reference_across_periodic_seams(
+            seed in 0u64..u64::MAX,
+            n in 1usize..500,
+            max_leaf in 1usize..80,
+            wrap_mask in 1usize..8,
+            slack in 0.0f64..0.5,
+            sink_frac in 0.0f64..1.0,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut pos, mass) = cloud(&mut rng, n, 12.0 + 2.0 * slack);
+            for p in &mut pos {
+                *p = p.map(|x| x - slack);
+            }
+            let cfg = GravConfig::new(1.0, 0.5, 0.02);
+            let wrap = [0, 1, 2].map(|d| wrap_mask >> d & 1 == 1);
+            let cm = ChainingMesh::build_wrapped(
+                &pos,
+                [0.0; 3],
+                [12.0; 3],
+                wrap,
                 &CmConfig { bin_width: 4.0, max_leaf },
             );
             let n_sinks = (sink_frac * n as f64) as usize;

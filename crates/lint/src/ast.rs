@@ -411,12 +411,13 @@ impl<'a> Parser<'a> {
 
     /// The one skipping primitive: step over tokens until one at bracket
     /// depth 0 satisfies `stop` (left in place), an unmatched closer, or
-    /// the end. `::` is stepped over whole and never stops; `<`/`>` nest
-    /// too when `angles` (in types, patterns and generic lists).
+    /// the end. `::` and `->` are stepped over whole and never stop (the
+    /// `>` of `Fn(A) -> B` closes no generic list); `<`/`>` nest too when
+    /// `angles` (in types, patterns and generic lists).
     fn scan(&mut self, angles: bool, stop: &dyn Fn(&Self) -> bool) {
         let (mut depth, mut angle) = (0usize, 0usize);
         while self.peek().is_some() {
-            if self.at_coloncolon() {
+            if self.at_coloncolon() || self.at_arrow() {
                 self.pos += 2;
                 continue;
             }
@@ -1396,6 +1397,39 @@ mod tests {
         assert_eq!(fd.ret.as_ref().unwrap().base, "f64");
         assert!(fd.body.is_some());
         assert!(f.skipped.is_empty());
+    }
+
+    #[test]
+    fn arrow_in_a_generic_list_keeps_the_fns_parameters_and_body() {
+        // `->` inside `<...>` once ended the generic list at its `>`, and
+        // the fn kept neither parameters nor body.
+        let src = r#"
+            pub fn integrate<F: Fn(f64) -> f64>(f: F, lo: f64, n: usize) -> f64 { f(lo) }
+            fn field<G: Fn(usize, usize) -> f64 + Sync>(n: usize, g: G) { helper(n); }
+        "#;
+        let f = parse_src(src);
+        assert!(f.skipped.is_empty());
+        let fns: Vec<&FnDef> = f
+            .items
+            .iter()
+            .filter_map(|it| match &it.kind {
+                ItemKind::Fn(fd) => Some(fd),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fns.iter().map(|fd| fd.name.as_str()).collect::<Vec<_>>(),
+            ["integrate", "field"]
+        );
+        assert_eq!(
+            fns.iter().map(|fd| fd.params.len()).collect::<Vec<_>>(),
+            [3, 2]
+        );
+        assert_eq!(fns[0].params[1].ty.base, "f64");
+        assert_eq!(fns[0].ret.as_ref().unwrap().base, "f64");
+        assert!(fns
+            .iter()
+            .all(|fd| fd.body.as_ref().is_some_and(|b| !b.stmts.is_empty())));
     }
 
     #[test]

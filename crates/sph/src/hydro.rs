@@ -107,6 +107,12 @@ impl<K: SphKernel> SplitKernel for DensityKernel<K> {
     fn reach(&self, s: &GeomState) -> Option<([f64; 3], f64)> {
         Some((s.pos, self.kernel.support() * s.h))
     }
+    fn translated(&self, s: &GeomState, by: [f64; 3]) -> GeomState {
+        GeomState {
+            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            ..*s
+        }
+    }
     #[inline]
     fn interact(&self, si: &GeomState, _: &(), sj: &GeomState, _: &(), out: &mut f64) {
         let dx = si.pos[0] - sj.pos[0];
@@ -197,6 +203,12 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
     #[inline]
     fn reach(&self, s: &GeomState) -> Option<([f64; 3], f64)> {
         Some((s.pos, self.kernel.support() * s.h))
+    }
+    fn translated(&self, s: &GeomState, by: [f64; 3]) -> GeomState {
+        GeomState {
+            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            ..*s
+        }
     }
     #[inline]
     fn interact(&self, si: &GeomState, _: &(), sj: &GeomState, _: &(), out: &mut Moments) {
@@ -342,6 +354,12 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
     #[inline]
     fn reach(&self, s: &VelGradState) -> Option<([f64; 3], f64)> {
         Some((s.pos, self.kernel.support() * s.h))
+    }
+    fn translated(&self, s: &VelGradState, by: [f64; 3]) -> VelGradState {
+        VelGradState {
+            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            ..*s
+        }
     }
 
     #[inline]
@@ -564,6 +582,12 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
     #[inline]
     fn reach(&self, s: &ForceState) -> Option<([f64; 3], f64)> {
         Some((s.pos, self.kernel.support() * s.h))
+    }
+    fn translated(&self, s: &ForceState, by: [f64; 3]) -> ForceState {
+        ForceState {
+            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            ..*s
+        }
     }
 
     #[inline]

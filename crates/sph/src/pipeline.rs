@@ -17,7 +17,7 @@ use crate::hydro::{
     VelGradAccum, VelGradKernel, VelGradState,
 };
 use crate::kernel::SphKernel;
-use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec};
+use hacc_gpusim::{sweep_periodic, DeviceSpec, ExecMode, KernelCounters, LeafExec};
 use hacc_tree::{ChainingMesh, LeafId};
 
 /// SoA views of the gas particles on this rank (original ordering).
@@ -216,6 +216,7 @@ pub fn sph_step_sinks<K: SphKernel>(
     // States and accumulators below are in tree (slot) order, so each
     // leaf is a contiguous slice.
     let leaf_range = |leaf: LeafId| cm.leaves[leaf as usize].range();
+    let image = |a: LeafId, b: LeafId| cm.image_shift(a, b);
 
     // ---- Stage 1: raw density -> volumes ----
     let geom: Vec<GeomState> = cm
@@ -232,12 +233,13 @@ pub fn sph_step_sinks<K: SphKernel>(
         .collect();
     let dk = DensityKernel { kernel: cfg.kernel };
     let mut rho_slots = vec![0.0f64; n];
-    sweep(
+    sweep_periodic(
         &dk,
         &cfg.device,
         cfg.mode,
         LeafExec::Tiled,
         leaf_range,
+        image,
         &pairs,
         &geom,
         &mut rho_slots,
@@ -265,12 +267,13 @@ pub fn sph_step_sinks<K: SphKernel>(
         .collect();
     let mk = MomentsKernel { kernel: cfg.kernel };
     let mut moments = vec![Moments::default(); n];
-    sweep(
+    sweep_periodic(
         &mk,
         &cfg.device,
         cfg.mode,
         LeafExec::Tiled,
         leaf_range,
+        image,
         &pairs,
         &geom_v,
         &mut moments,
@@ -314,12 +317,13 @@ pub fn sph_step_sinks<K: SphKernel>(
             .collect();
         let vgk = VelGradKernel { kernel: cfg.kernel };
         let mut grads = vec![VelGradAccum::default(); n];
-        sweep(
+        sweep_periodic(
             &vgk,
             &cfg.device,
             cfg.mode,
             LeafExec::Tiled,
             leaf_range,
+            image,
             &pairs,
             &vg_states,
             &mut grads,
@@ -359,12 +363,13 @@ pub fn sph_step_sinks<K: SphKernel>(
         opts: cfg.opts,
     };
     let mut force_slots = vec![ForceAccum::default(); n];
-    sweep(
+    sweep_periodic(
         &fk,
         &cfg.device,
         cfg.mode,
         LeafExec::Tiled,
         leaf_range,
+        image,
         &force_pairs,
         &force_states,
         &mut force_slots,
@@ -872,12 +877,13 @@ mod tests {
         let run = |exec| {
             let mut accums = vec![K::Accum::default(); states.len()];
             let mut counters = KernelCounters::default();
-            sweep(
+            sweep_periodic(
                 kernel,
                 &DeviceSpec::mi250x_gcd(),
                 ExecMode::WarpSplit,
                 exec,
                 |leaf| cm.leaves[leaf as usize].range(),
+                |a, b| cm.image_shift(a, b),
                 pairs,
                 states,
                 &mut accums,
@@ -993,6 +999,34 @@ mod tests {
                 _ => rng.gen_range(h_min..h_max),
             });
             let pairs = cm.interaction_pairs(2.0 * h_max, None);
+            assert_all_kernels_match_dense_reference(&cm, &pairs, &st);
+        }
+
+        // The same across periodic seams: a mesh wrapped along the axes
+        // of `wrap_mask`, positions drifted up to `slack` past its ends.
+        #[test]
+        fn culled_sweeps_match_dense_reference_across_periodic_seams(
+            seed in 0u64..u64::MAX,
+            n in 2usize..1200,
+            max_leaf in 1usize..70,
+            wrap_mask in 1usize..8,
+            slack in 0.0f64..0.5,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let extent = 12.0;
+            let pos: Vec<[f64; 3]> = (0..n)
+                .map(|_| [0; 3].map(|_| rng.gen_range(-slack..extent + slack)))
+                .collect();
+            let wrap = [0, 1, 2].map(|d| wrap_mask >> d & 1 == 1);
+            let cm = ChainingMesh::build_wrapped(
+                &pos,
+                [0.0; 3],
+                [extent; 3],
+                wrap,
+                &CmConfig { bin_width: 4.0, max_leaf },
+            );
+            let st = kernel_states(&pos, &cm, &mut rng, |_, rng| rng.gen_range(0.4..1.75));
+            let pairs = cm.interaction_pairs(3.5, None);
             assert_all_kernels_match_dense_reference(&cm, &pairs, &st);
         }
     }

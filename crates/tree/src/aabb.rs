@@ -54,6 +54,14 @@ impl Aabb {
         }
     }
 
+    /// The box moved by `by` (a periodic image of it).
+    pub fn shifted(&self, by: [f64; 3]) -> Self {
+        Self {
+            lo: [self.lo[0] + by[0], self.lo[1] + by[1], self.lo[2] + by[2]],
+            hi: [self.hi[0] + by[0], self.hi[1] + by[1], self.hi[2] + by[2]],
+        }
+    }
+
     /// True when `p` lies inside (closed bounds).
     pub fn contains(&self, p: &[f64; 3]) -> bool {
         (0..3).all(|d| p[d] >= self.lo[d] && p[d] <= self.hi[d])

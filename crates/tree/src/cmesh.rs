@@ -40,17 +40,28 @@ impl Default for CmConfig {
 ///
 /// Built once per PM step from the particle positions; bounding boxes are
 /// then grown (never shrunk) during subcycles via [`Self::grow_aabbs`].
+///
+/// Along a *wrapped* axis ([`Self::build_wrapped`]) the domain is one
+/// period of a periodic box: the first and last bins are neighbours, and
+/// a leaf pair that meets across that seam sees its second leaf through
+/// the periodic image [`Self::image_shift`] names — minimum-image
+/// distances without replicated particles.
 #[derive(Debug)]
 pub struct ChainingMesh {
     nbins: [usize; 3],
     widths: [f64; 3],
     origin: [f64; 3],
+    /// Period of each wrapped axis (`None`: open, bins clamp at the ends).
+    period: [Option<f64>; 3],
     /// All base leaves, grouped by bin.
     pub leaves: Vec<Leaf>,
     /// `(first_leaf, leaf_count)` per bin.
     bin_leaves: Vec<(u32, u32)>,
     /// Bin of each leaf.
     leaf_bin: Vec<u32>,
+    /// Per leaf, the seams its bin touches: bit `2d` set in the first bin
+    /// along a wrapped axis `d`, bit `2d + 1` in the last.
+    seam: Vec<u8>,
     /// Tree ordering: `order[slot]` is the original particle index.
     pub order: Vec<u32>,
 }
@@ -58,8 +69,26 @@ pub struct ChainingMesh {
 impl ChainingMesh {
     /// Build the mesh for `positions` within the axis-aligned domain
     /// `[lo, hi]` (the overloaded rank volume; positions outside are
-    /// clamped into the boundary bins).
+    /// clamped into the boundary bins). No axis wraps.
     pub fn build(positions: &[[f64; 3]], lo: [f64; 3], hi: [f64; 3], cfg: &CmConfig) -> Self {
+        Self::build_wrapped(positions, lo, hi, [false; 3], cfg)
+    }
+
+    /// [`Self::build`] with the axes flagged in `wrap` periodic, of period
+    /// `hi - lo`: their end bins are neighbours, and positions drifted
+    /// past either end still clamp into the end bins. A wrapped axis needs
+    /// at least three bins (asserted) so that a bin's two neighbours
+    /// along it are distinct and no leaf pair meets twice. As between
+    /// interior bins, the list misses no pair within the cutoff while no
+    /// position strays past its bin by more than the bin width less the
+    /// cutoff.
+    pub fn build_wrapped(
+        positions: &[[f64; 3]],
+        lo: [f64; 3],
+        hi: [f64; 3],
+        wrap: [bool; 3],
+        cfg: &CmConfig,
+    ) -> Self {
         assert!(cfg.bin_width > 0.0 && cfg.max_leaf > 0);
         let mut nbins = [1usize; 3];
         let mut widths = [0f64; 3];
@@ -72,6 +101,15 @@ impl ChainingMesh {
             nbins[d] = ((extent / cfg.bin_width).floor() as usize).max(1);
             widths[d] = extent / nbins[d] as f64;
         }
+        for d in (0..3).filter(|&d| wrap[d]) {
+            assert!(
+                nbins[d] >= 3,
+                "wrapped axis {d} holds {} chaining-mesh bins of {}; minimum image needs 3",
+                nbins[d],
+                cfg.bin_width
+            );
+        }
+        let period = [0, 1, 2].map(|d| wrap[d].then(|| hi[d] - lo[d]));
         let total_bins = nbins[0] * nbins[1] * nbins[2];
 
         // Bin each particle (counting sort).
@@ -119,15 +157,28 @@ impl ChainingMesh {
             leaf_bin.extend(std::iter::repeat(b as u32).take(count));
         }
 
-        Self {
+        let mut cm = Self {
             nbins,
             widths,
             origin: lo,
+            period,
             leaves,
             bin_leaves,
             leaf_bin,
+            seam: Vec::new(),
             order,
-        }
+        };
+        cm.seam = (0..cm.n_leaves() as LeafId)
+            .map(|id| {
+                let c = cm.bin_coords(id);
+                (0..3).filter(|&d| wrap[d]).fold(0, |bits, d| {
+                    let first = u8::from(c[d] == 0) << (2 * d);
+                    let last = u8::from(c[d] == nbins[d] - 1) << (2 * d + 1);
+                    bits | first | last
+                })
+            })
+            .collect();
+        cm
     }
 
     /// Bin grid dimensions.
@@ -181,7 +232,9 @@ impl ChainingMesh {
     /// Leaf-pair interaction list: all pairs `(i, j)` with `i <= j` whose
     /// padded bounding boxes lie within `cutoff` of each other, restricted
     /// to neighboring chaining-mesh bins (the CM guarantee: no interaction
-    /// reaches beyond one bin).
+    /// reaches beyond one bin). A pair that neighbours across a wrapped
+    /// axis's seam is tested, and must be swept, with `j` moved by
+    /// [`Self::image_shift`]`(i, j)`.
     ///
     /// With an `active` mask, a pair is emitted when *either* leaf is
     /// active (inactive neighbors still source forces on active leaves).
@@ -189,29 +242,27 @@ impl ChainingMesh {
         let c2 = cutoff * cutoff;
         let mut pairs = Vec::new();
         let nb = self.nbins;
+        // The bin one step along axis `d`: wrapped axes wrap, open axes end.
+        let step = |d: usize, c: usize, delta: i64| -> Option<usize> {
+            let n = nb[d] as i64;
+            let x = c as i64 + delta;
+            if (0..n).contains(&x) {
+                Some(x as usize)
+            } else {
+                self.period[d].map(|_| x.rem_euclid(n) as usize)
+            }
+        };
         for (i, leaf_i) in self.leaves.iter().enumerate() {
-            let bi = self.leaf_bin[i] as usize;
-            let bc = [
-                bi / (nb[1] * nb[2]),
-                (bi / nb[2]) % nb[1],
-                bi % nb[2],
-            ];
+            let bc = self.bin_coords(i as LeafId);
             for dx in -1i64..=1 {
                 for dy in -1i64..=1 {
                     for dz in -1i64..=1 {
-                        let nx = bc[0] as i64 + dx;
-                        let ny = bc[1] as i64 + dy;
-                        let nz = bc[2] as i64 + dz;
-                        if nx < 0
-                            || ny < 0
-                            || nz < 0
-                            || nx >= nb[0] as i64
-                            || ny >= nb[1] as i64
-                            || nz >= nb[2] as i64
-                        {
+                        let (Some(nx), Some(ny), Some(nz)) =
+                            (step(0, bc[0], dx), step(1, bc[1], dy), step(2, bc[2], dz))
+                        else {
                             continue;
-                        }
-                        let nbin = (nx as usize * nb[1] + ny as usize) * nb[2] + nz as usize;
+                        };
+                        let nbin = (nx * nb[1] + ny) * nb[2] + nz;
                         let (first, count) = self.bin_leaves[nbin];
                         for j in first..first + count {
                             let j = j as usize;
@@ -223,9 +274,11 @@ impl ChainingMesh {
                                     continue;
                                 }
                             }
-                            if i == j
-                                || leaf_i.aabb.min_dist_sqr(&self.leaves[j].aabb) <= c2
-                            {
+                            let aabb_j = match self.image_shift(i as LeafId, j as LeafId) {
+                                Some(by) => self.leaves[j].aabb.shifted(by),
+                                None => self.leaves[j].aabb,
+                            };
+                            if i == j || leaf_i.aabb.min_dist_sqr(&aabb_j) <= c2 {
                                 pairs.push((i as LeafId, j as LeafId));
                             }
                         }
@@ -234,6 +287,36 @@ impl ChainingMesh {
             }
         }
         pairs
+    }
+
+    /// Bin coordinates of leaf `id`'s bin.
+    fn bin_coords(&self, id: LeafId) -> [usize; 3] {
+        let (b, nb) = (self.leaf_bin[id as usize] as usize, self.nbins);
+        [b / (nb[1] * nb[2]), (b / nb[2]) % nb[1], b % nb[2]]
+    }
+
+    /// The periodic image under which leaf `b` neighbours leaf `a`: the
+    /// offset to add to `b`'s positions, or `None` when the two meet
+    /// directly. Along a wrapped axis the first and last bins meet only
+    /// across the seam (there are at least three), so a neighbouring pair
+    /// with one leaf at each end is moved by one period.
+    #[inline]
+    pub fn image_shift(&self, a: LeafId, b: LeafId) -> Option<[f64; 3]> {
+        let (sa, sb) = (self.seam[a as usize], self.seam[b as usize]);
+        if sa == 0 || sb == 0 {
+            return None;
+        }
+        let mut by = [0.0; 3];
+        for (d, period) in self.period.iter().enumerate() {
+            let (first, last) = (1u8 << (2 * d), 2u8 << (2 * d));
+            let period = period.unwrap_or(0.0);
+            if sa & first != 0 && sb & last != 0 {
+                by[d] = -period;
+            } else if sa & last != 0 && sb & first != 0 {
+                by[d] = period;
+            }
+        }
+        (by != [0.0; 3]).then_some(by)
     }
 
     /// Rebuild cost proxy: total leaf AABB volume relative to the domain
@@ -339,6 +422,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every pair within `cutoff` of each other under the minimum image
+    /// along the wrapped axes is met by its leaves' pair, under the image
+    /// shift that realizes that minimum image; no leaf pair is listed
+    /// twice. Positions stray `slack` past both ends of the period, at
+    /// most the margin `bin width - cutoff` that keeps the list exact.
+    #[test]
+    fn wrapped_list_meets_every_close_pair_once_under_its_minimum_image() {
+        let (extent, cutoff, slack) = (12.0, 1.5, 0.5);
+        let cases = [
+            (21, [true, false, true], 3.0),
+            (22, [true; 3], 4.0),
+            (23, [false, true, false], 3.0),
+        ];
+        for (seed, wrap, bin_width) in cases {
+            let pos: Vec<[f64; 3]> = cloud(600, seed, extent + 2.0 * slack)
+                .into_iter()
+                .map(|p| p.map(|x| x - slack))
+                .collect();
+            let cm = ChainingMesh::build_wrapped(
+                &pos,
+                [0.0; 3],
+                [extent; 3],
+                wrap,
+                &CmConfig {
+                    bin_width,
+                    max_leaf: 16,
+                },
+            );
+            let pairs = cm.interaction_pairs(cutoff, None);
+            let pairset: std::collections::HashSet<(u32, u32)> = pairs.iter().copied().collect();
+            assert_eq!(pairset.len(), pairs.len(), "a leaf pair listed twice");
+            assert!(pairs.iter().any(|&(a, b)| cm.image_shift(a, b).is_some()));
+            let mut leaf_of = vec![0u32; pos.len()];
+            for id in 0..cm.n_leaves() as u32 {
+                for &p in cm.leaf_particles(id) {
+                    leaf_of[p as usize] = id;
+                }
+            }
+            for a in 0..pos.len() {
+                for b in (a + 1)..pos.len() {
+                    let (a, b) = if leaf_of[a] <= leaf_of[b] {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    let delta: [f64; 3] = [0, 1, 2].map(|d| {
+                        let x = pos[b][d] - pos[a][d];
+                        if wrap[d] {
+                            x - extent * (x / extent).round()
+                        } else {
+                            x
+                        }
+                    });
+                    if delta.iter().map(|x| x * x).sum::<f64>() > cutoff * cutoff {
+                        continue;
+                    }
+                    let (la, lb) = (leaf_of[a], leaf_of[b]);
+                    assert!(pairset.contains(&(la, lb)), "close pair ({a},{b}) not met");
+                    let by = cm.image_shift(la, lb).unwrap_or([0.0; 3]);
+                    for d in 0..3 {
+                        let met = pos[b][d] + by[d] - pos[a][d];
+                        assert!((met - delta[d]).abs() < 1e-9, "({a},{b}) met across {by:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn open_mesh_has_no_image_shifts() {
+        let (_, cm) = build(400, 12);
+        let pairs = cm.interaction_pairs(1.5, None);
+        assert!(pairs.iter().all(|&(a, b)| cm.image_shift(a, b).is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum image needs 3")]
+    fn wrapped_axis_refuses_fewer_than_three_bins() {
+        let pos = cloud(50, 13, 8.0);
+        let cfg = CmConfig {
+            bin_width: 3.5,
+            max_leaf: 16,
+        };
+        ChainingMesh::build_wrapped(&pos, [0.0; 3], [8.0; 3], [false, true, false], &cfg);
     }
 
     #[test]

@@ -175,6 +175,10 @@ echo "ok: zero unsuppressed findings; all ${#rows[@]} seeded violations caught (
 
 echo "== build (offline) =="
 cargo build --release --offline
+# The benchmark package compiles against the workspace's public items from
+# its own manifest: a signature change that breaks it fails here, not when
+# the benchmark is next run. (The trap restores its lockfile.)
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path "$bench_manifest"
 
 echo "== test (offline) =="
 cargo test -q --offline

@@ -1,8 +1,9 @@
 //! The full simulation driver: the per-PM-step loop of Fig. 2.
 //!
-//! A PM step inherits the particle store and nothing else, so a step
-//! restarted from its checkpoint is the step the uninterrupted run took,
-//! bit for bit, in every physics mode.
+//! A PM step inherits the particle store and one scalar — the substep
+//! count of the step before, when that step left its closing half-kicks
+//! to this one — so a step restarted from its checkpoint is the step the
+//! uninterrupted run took, bit for bit, in every physics mode.
 //!
 //! A fresh start (and a supervisor cold start) builds the store with
 //! [`distributed_ics`], a collective: step 0 starts after the IC's two
@@ -13,20 +14,30 @@
 //! Per global PM step:
 //!
 //! 1. migrate + overload refresh (all-to-all; phase `Misc`);
-//! 2. long-range spectral solve and half-kick (`LongRange`);
+//! 2. long-range spectral solve and kick (`LongRange`): the step before's
+//!    closing half-kick and this step's opening one, from one solve;
 //! 3. one chaining-mesh/tree build (`TreeBuild`);
 //! 4. the short-range block — gravity + CRKSPH + subgrid (`ShortRange`):
 //!    opening forces → CFL rungs of the owned gas from *their* signal
 //!    velocities → the deepest rung any rank holds, all-reduced into the
-//!    step's one subcycle depth → opening half-kick → chained KDK at that
-//!    depth. Forces are computed for the owned particles only — the
-//!    overload ghosts are sources; each star-formation draw comes from a
-//!    stream keyed by `(seed, particle id, PM step, substep)`;
+//!    step's one subcycle depth → one kick of the step before's last
+//!    closing half-width plus this step's opening half-width → chained KDK
+//!    at that depth, ending on the last drift. Forces are computed for the
+//!    owned particles only — the overload ghosts are sources; each
+//!    star-formation draw comes from a stream keyed by `(seed, particle
+//!    id, PM step, substep)`;
 //! 5. in-situ analysis at its cadence (`Analysis`);
-//! 6. closing long-range half-kick;
+//! 6. the final step only: closing short-range and long-range half-kicks;
 //! 7. a full tiered checkpoint every step (`Io`).
 //!
-//! Integration note (documented reproduction simplification): the rung
+//! Integration note: in a kick–drift–kick leapfrog the closing half-kick
+//! of one step and the opening half-kick of the next read forces at the
+//! same positions, so every PM-step boundary is one synchronisation point
+//! with one long-range and one short-range solve ([`closing_widths`]
+//! gives the widths the step before owes). Between steps — in a non-final
+//! checkpoint, ledger record or in-situ analysis — velocities, `u` and `h`
+//! are one closing half-kick behind the positions; the final state is
+//! synchronised. (Documented reproduction simplification:) the rung
 //! machinery assigns per-particle rungs and drives all workload and
 //! utilization accounting, but the *executed* integration advances every
 //! particle at the deepest occupied rung — the paper's own "low-z Flat"
@@ -128,8 +139,11 @@ pub struct SimReport {
     /// Stars formed over the whole run (global).
     pub total_stars: u64,
     /// Particle updates over the run, summed over ranks: one update is one
-    /// owned particle receiving one short-range kick, so this equals
-    /// `Σ_steps particles × (substeps + 1)`.
+    /// kick term an owned particle receives (a step's opening half-kick,
+    /// each substep's closing kick), so this equals
+    /// `Σ_steps particles × (substeps + 1)`. A kick at a PM-step boundary
+    /// applies two terms — the step before's closing half and the next
+    /// step's opening half — with one solve.
     pub particle_updates: u64,
     /// Particle updates per second of solver wall time (aggregate).
     pub particles_per_second: f64,
@@ -303,8 +317,8 @@ enum StepError {
     /// A checkpoint step validated in the cross-rank intersection could
     /// not be decoded when actually loaded.
     CheckpointLoad { step: u64 },
-    /// A CRC-valid checkpoint decoded but is missing a required field
-    /// (format-version mismatch).
+    /// A CRC-valid checkpoint decoded but is missing a required block
+    /// (format-version mismatch), named by `field`.
     CheckpointDecode { field: String },
     /// The tiered writer could not create its staging directories.
     IoSetup(String),
@@ -625,8 +639,11 @@ fn rank_main(
     let decomp = CartDecomp::new(comm.size());
     let pfs = io_base.join("pfs").join(format!("rank-{}", comm.rank()));
     let ics = |comm: &mut Comm| distributed_ics(cfg, &tables.bg, &tables.power, comm);
-    let (mut store, start_step) = match resume_mode {
-        ResumeMode::Fresh => (ics(comm), 0),
+    // `owed_substeps`: the substep count of the step before `start_step`
+    // when that step left its closing half-kicks to `start_step`'s
+    // opening solves; 0 when there is no such step or it closed itself.
+    let (mut store, start_step, mut owed_substeps) = match resume_mode {
+        ResumeMode::Fresh => (ics(comm), 0, 0),
         ResumeMode::Consistent { or_cold_start } => {
             // A checkpoint step only counts if every rank can read it:
             // intersect the per-rank valid sets (deterministic — pure
@@ -643,13 +660,14 @@ fn rank_main(
                 Some(&step) => {
                     let blocks = TieredWriter::load_checkpoint_at(&pfs, step)
                         .unwrap_or_else(|| escalate(StepError::CheckpointLoad { step }));
-                    (store_from_blocks(&blocks), step as usize + 1)
+                    let (store, owed) = restart_state(&blocks);
+                    (store, step as usize + 1, owed)
                 }
                 // No surviving common checkpoint: cold-start from the
                 // ICs, a collective every rank enters (`common` is the
                 // same on all of them). Convergent because consumed fault
                 // events never re-fire on the replay.
-                None if or_cold_start => (ics(comm), 0),
+                None if or_cold_start => (ics(comm), 0, 0),
                 None => escalate(StepError::NoValidCheckpoint),
             }
         }
@@ -726,6 +744,11 @@ fn rank_main(
     for step in start_step..cfg.pm_steps {
         let a0 = cfg.a_init + step as f64 * da_pm;
         let a1 = a0 + da_pm;
+        let final_step = step + 1 == cfg.pm_steps;
+        // What the step before left to this step's opening solves.
+        let owed = step
+            .checked_sub(1)
+            .map_or(Closing::NONE, |prev| closing_widths(cfg, &kd, prev, owed_substeps));
         let counters_step_start = counters.clone();
         tracer.set_step(step as u64);
         if let Some(p) = &probe {
@@ -746,10 +769,11 @@ fn rank_main(
         let n_owned_global =
             comm.all_reduce_sum_u64(store.n_owned as u64);
 
-        // --- 2. long-range solve + opening half-kick ---
-        let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+half-kick");
-        let half_kick = kd.kick_factor(a0, a1) / 2.0;
-        long_range_half_kick(comm, &pm, &mut store, a0, half_kick);
+        // --- 2. long-range solve: the step before's closing half-kick
+        // and this step's opening one ---
+        let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+kick");
+        let opening_pm = owed.pm + kd.kick_factor(a0, a1) / 2.0;
+        long_range_kick(comm, &pm, &mut store, a0, opening_pm);
         tracer.end(sp);
 
         // --- 3. chaining mesh + trees (once per PM step) ---
@@ -863,7 +887,7 @@ fn rank_main(
         // rung any rank holds, so the substep count the report publishes
         // is the one every rank ran.
         let deepest = comm.all_reduce(deepest, u32::max);
-        let rung_stats = RungStats::from_rungs(&store.rung[..store.n_owned], deepest.max(1));
+        let rung_stats = RungStats::from_rungs(&store.rung[..store.n_owned], deepest);
         let nsub = n_substeps(deepest);
         let da_s = da_pm / nsub as f64;
 
@@ -881,8 +905,12 @@ fn rank_main(
             }
         }
         let mut stars_this_step = 0u64;
-        kick(&mut store, &opening, a0, kd.kick_factor(a0, a0 + da_s) / 2.0);
+        // The opening forces also close the step before: its last
+        // substep's half-kick rides on this step's first.
+        let opening_width = owed.short_range + kd.kick_factor(a0, a0 + da_s) / 2.0;
+        kick(&mut store, &opening, a0, opening_width);
         drop(opening); // one force set live at a time through the subcycle
+        let closing = closing_widths(cfg, &kd, step, nsub);
         for s in 0..nsub {
             let as0 = a0 + s as f64 * da_s;
             let as1 = as0 + da_s;
@@ -917,20 +945,25 @@ fn rank_main(
                     as1,
                 );
             }
+            // Closing kick: full between substeps; the last substep's
+            // half-kick is left to the next step's opening forces, except
+            // in the final step, which closes itself.
+            let w = if s + 1 < nsub {
+                kd.kick_factor(as0, as1)
+            } else if final_step {
+                closing.short_range
+            } else {
+                break;
+            };
             // Grow leaf boxes instead of rebuilding (Section IV-B1).
             cm_all.grow_aabbs(&store.pos, None);
-            // Closing kick: half on the last substep, full otherwise.
-            let w = if s + 1 == nsub {
-                kd.kick_factor(as0, as1) / 2.0
-            } else {
-                kd.kick_factor(as0, as1)
-            };
             let a = as1.min(a1);
-            let closing = forces(&store, &cm_all, a);
-            kick(&mut store, &closing, a, w);
+            let f = forces(&store, &cm_all, a);
+            kick(&mut store, &f, a, w);
         }
-        // One update is one owned particle receiving one kick (gravity
-        // and, for gas, hydro forces together).
+        // One update is one owned particle receiving one kick term
+        // (gravity and, for gas, hydro forces together): the opening
+        // half and one closing term per substep.
         updates += store.n_owned as u64 * (u64::from(nsub) + 1);
         tracer.end(sp_sr);
 
@@ -971,10 +1004,14 @@ fn rank_main(
             }
         }
 
-        // --- 6. closing long-range half-kick ---
-        let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+closing-half-kick");
-        long_range_half_kick(comm, &pm, &mut store, a1, half_kick);
-        tracer.end(sp);
+        // --- 6. the final step's closing long-range half-kick; any other
+        // step leaves it to the next step's opening solve ---
+        if final_step {
+            let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+closing-half-kick");
+            long_range_kick(comm, &pm, &mut store, a1, closing.pm);
+            tracer.end(sp);
+        }
+        owed_substeps = if final_step { 0 } else { nsub };
 
         // --- 7. tiered checkpoint of the completed step ---
         let gpu_s = model.kernel_time_s(&counters) - model.kernel_time_s(&counters_step_start);
@@ -996,7 +1033,7 @@ fn rank_main(
                     1.0
                 };
                 w.advance_time(gpu_s.max(60.0));
-                let blocks = checkpoint_blocks(&store, cfg.box_size);
+                let blocks = checkpoint_blocks(&store, cfg.box_size, owed_substeps);
                 io_blocking = w
                     .write_checkpoint(step as u64, &blocks, phase, imbalance * analysis_dip)
                     .unwrap_or_else(|e| {
@@ -1115,22 +1152,49 @@ fn rank_main(
     }
 }
 
-/// One long-range half-kick at scale factor `a`: PM accelerations of the
-/// owned particles, which are the store's contiguous prefix (the solve
+/// One long-range kick of `width` at scale factor `a`: PM accelerations of
+/// the owned particles, which are the store's contiguous prefix (the solve
 /// must not see overload ghosts).
-fn long_range_half_kick(
-    comm: &mut Comm,
-    pm: &PmSolver,
-    store: &mut ParticleStore,
-    a: f64,
-    half_kick: f64,
-) {
+fn long_range_kick(comm: &mut Comm, pm: &PmSolver, store: &mut ParticleStore, a: f64, width: f64) {
     let n = store.n_owned;
     let acc = pm.accelerations(comm, &store.pos[..n], &store.mass[..n]);
     for (vel, acc) in store.vel[..n].iter_mut().zip(&acc) {
         for d in 0..3 {
-            vel[d] += acc[d] / a * half_kick;
+            vel[d] += acc[d] / a * width;
         }
+    }
+}
+
+/// The closing half-kick widths of one PM step.
+struct Closing {
+    /// Long-range: half the step's kick factor.
+    pm: f64,
+    /// Short-range: half the kick factor of the step's last substep.
+    short_range: f64,
+}
+
+impl Closing {
+    const NONE: Self = Self { pm: 0.0, short_range: 0.0 };
+}
+
+/// The closing half-kick widths of PM step `step` run at `nsub` substeps:
+/// what the final step applies itself and what any other step leaves to
+/// the next step's opening solves — computed the same way on the running
+/// and the resumed path, so restart stays bitwise. `nsub == 0` (a step
+/// that closed itself) leaves nothing.
+fn closing_widths(cfg: &SimConfig, kd: &KickDrift, step: usize, nsub: u32) -> Closing {
+    if nsub == 0 {
+        return Closing::NONE;
+    }
+    let da_pm = cfg.da_pm();
+    let a0 = cfg.a_init + step as f64 * da_pm;
+    let a1 = a0 + da_pm;
+    let da_s = da_pm / nsub as f64;
+    let as0 = a0 + (nsub - 1) as f64 * da_s;
+    let as1 = as0 + da_s;
+    Closing {
+        pm: kd.kick_factor(a0, a1) / 2.0,
+        short_range: kd.kick_factor(as0, as1) / 2.0,
     }
 }
 
@@ -1348,14 +1412,20 @@ fn final_analysis(
     (power, n_halos, largest, xi, n_galaxies, y_conc)
 }
 
-/// Serialize the owned particles into checkpoint blocks (the complete
-/// restart state: a resumed run reconstructs the store exactly).
+/// The checkpoint block holding the one scalar a step inherits besides
+/// the store: the substep count of the checkpointed step when it left its
+/// closing half-kicks to the next step, 0 when it closed itself.
+const CLOSING_SUBSTEPS: &str = "closing_substeps";
+
+/// Serialize the owned particles into checkpoint blocks, with
+/// `closing_substeps` (the complete restart state: a resumed run
+/// reconstructs the store and the step boundary exactly).
 ///
 /// Positions are wrapped into the periodic box at write time: the last
 /// substep drift runs after migration, so in-memory positions can sit
 /// slightly outside `[0, box)` until the next step's wrap — but the
 /// checkpoint is the restart contract and must be canonical.
-fn checkpoint_blocks(store: &ParticleStore, box_size: f64) -> Vec<Block> {
+fn checkpoint_blocks(store: &ParticleStore, box_size: f64, closing_substeps: u32) -> Vec<Block> {
     let n = store.n_owned;
     let flat = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..n).map(f).collect() };
     vec![
@@ -1377,11 +1447,14 @@ fn checkpoint_blocks(store: &ParticleStore, box_size: f64) -> Vec<Block> {
                 .map(|&sp| sp as u64)
                 .collect::<Vec<_>>(),
         ),
+        Block::from_u64(CLOSING_SUBSTEPS, &[u64::from(closing_substeps)]),
     ]
 }
 
-/// Rebuild a particle store from checkpoint blocks.
-fn store_from_blocks(blocks: &[Block]) -> ParticleStore {
+/// Rebuild a particle store and the checkpointed step's
+/// `closing_substeps` from checkpoint blocks. A missing block escalates
+/// [`StepError::CheckpointDecode`] naming it.
+fn restart_state(blocks: &[Block]) -> (ParticleStore, u32) {
     let find = |name: &str| -> &Block {
         blocks.iter().find(|b| b.name == name).unwrap_or_else(|| {
             escalate(StepError::CheckpointDecode { field: name.to_string() })
@@ -1393,6 +1466,10 @@ fn store_from_blocks(blocks: &[Block]) -> ParticleStore {
     let (vx, vy, vz) = (get("vx"), get("vy"), get("vz"));
     let (mass, u, metals, h) = (get("mass"), get("u"), get("metals"), get("h"));
     let (id, species) = (get_u("id"), get_u("species"));
+    let closing_substeps = match get_u(CLOSING_SUBSTEPS)[..] {
+        [n] => n as u32,
+        _ => escalate(StepError::CheckpointDecode { field: CLOSING_SUBSTEPS.to_string() }),
+    };
     let n = x.len();
     let mut store = ParticleStore::new();
     for i in 0..n {
@@ -1405,7 +1482,7 @@ fn store_from_blocks(blocks: &[Block]) -> ParticleStore {
         store.metals[i] = metals[i];
     }
     store.seal_owned();
-    store
+    (store, closing_substeps)
 }
 
 #[cfg(test)]
@@ -1637,6 +1714,44 @@ mod tests {
                     "np {np} {field}: {worst:e} of {scale:e}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn all_rung_zero_steps_report_no_adaptive_speedup() {
+        // Gravity-only gas-free steps put every particle on rung 0: flat
+        // and adaptive stepping are the same one substep. One rank, so the
+        // rank-0 statistics cover every particle.
+        let cfg = quick_cfg(8, Physics::GravityOnly);
+        let report = run_simulation(&cfg, 1);
+        for s in &report.steps {
+            assert_eq!(s.substeps, 1);
+            assert_eq!(s.rung_stats.flat_updates, s.particles, "step {}", s.step);
+            assert_eq!(s.rung_stats.speedup(), 1.0, "step {}", s.step);
+        }
+    }
+
+    #[test]
+    fn checkpoint_without_closing_substeps_fails_with_a_typed_error() {
+        let mut cfg = quick_cfg(8, Physics::GravityOnly);
+        let dir = std::env::temp_dir()
+            .join(format!("frontier-closing-block-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        cfg.io_dir = Some(dir.clone());
+        run_simulation(&cfg, 1);
+        // The newest checkpoint as an older build wrote it: CRC-valid,
+        // without the block.
+        let pfs = dir.join("pfs").join("rank-0");
+        let (_, path) = TieredWriter::latest_checkpoint(&pfs).unwrap();
+        let mut blocks = hacc_iosim::read_blocks(&path).unwrap();
+        blocks.retain(|b| b.name != CLOSING_SUBSTEPS);
+        hacc_iosim::write_blocks(&path, &blocks).unwrap();
+        let cause = std::panic::catch_unwind(|| resume_simulation(&cfg, 1))
+            .expect_err("a checkpoint without `closing_substeps` must not resume");
+        let _ = std::fs::remove_dir_all(&dir);
+        match cause.downcast_ref::<StepError>() {
+            Some(StepError::CheckpointDecode { field }) => assert_eq!(field, CLOSING_SUBSTEPS),
+            other => panic!("expected a typed CheckpointDecode, got {other:?}"),
         }
     }
 

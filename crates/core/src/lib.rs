@@ -10,8 +10,10 @@
 //! The integration scheme is the paper's separation of scales: per global
 //! PM step, a long-range half-kick, a block of adaptive short-range
 //! subcycles (rung-based, FAST-style), and a closing long-range half-kick
-//! — with overload refresh and a single tree build per PM step, full
-//! checkpoints every step, and in-situ analysis at a configurable cadence.
+//! — the closing half-kicks of one step riding on the next step's opening
+//! solves — with overload refresh and a single tree build per PM step,
+//! full checkpoints every step, and in-situ analysis at a configurable
+//! cadence.
 //!
 //! Entry points: [`driver::run_simulation`] / [`driver::resume_simulation`]
 //! — the full run, fresh or resumed, under the chaos supervisor.

@@ -57,8 +57,9 @@ impl World {
     /// Run `f` on `n` ranks and return the per-rank results in rank
     /// order.
     ///
-    /// Panics in any rank propagate (the join unwinds), mirroring an MPI
-    /// abort. With `HACC_SAN=1` in the environment the world runs
+    /// Panics in any rank propagate (the join unwinds with the payload of
+    /// the lowest-numbered rank that panicked, so a typed payload reaches
+    /// the caller), mirroring an MPI abort. With `HACC_SAN=1` in the environment the world runs
     /// sanitized instead (the tier-4 full-suite gate): findings not
     /// suppressed by the `HACC_SAN_ALLOW` list panic at world end.
     pub fn run<T, F>(n: usize, f: F) -> Vec<T>
@@ -195,7 +196,7 @@ impl World {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("rank panicked"))
+                .map(|h| h.join().unwrap_or_else(|cause| std::panic::resume_unwind(cause)))
                 .collect()
         })
     }

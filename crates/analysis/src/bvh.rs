@@ -150,79 +150,6 @@ impl Lbvh {
         out
     }
 
-    /// The `k` nearest neighbors of `center` (including any point at the
-    /// center itself), as `(index, distance²)` pairs sorted by distance.
-    /// Returns fewer when the set is smaller than `k`.
-    pub fn query_knn(&self, center: &[f64; 3], k: usize) -> Vec<(u32, f64)> {
-        if self.nodes.is_empty() || k == 0 {
-            return vec![];
-        }
-        // Whole-set queries (distance-ordered scans): sort once instead
-        // of maintaining a bounded candidate list.
-        if k >= self.len() {
-            let mut all: Vec<(u32, f64)> = self
-                .points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    (
-                        i as u32,
-                        (0..3).map(|d| (p[d] - center[d]).powi(2)).sum::<f64>(),
-                    )
-                })
-                .collect();
-            all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            return all;
-        }
-        // Best-first traversal with a bounded max-heap of candidates.
-        let mut heap: Vec<(f64, u32)> = Vec::with_capacity(k + 1); // max at [0]
-        let push = |heap: &mut Vec<(f64, u32)>, d2: f64, i: u32, k: usize| {
-            if heap.len() < k {
-                heap.push((d2, i));
-                heap.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            } else if d2 < heap[0].0 {
-                heap[0] = (d2, i);
-                heap.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            }
-        };
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            let bound = if heap.len() == k {
-                heap[0].0
-            } else {
-                f64::INFINITY
-            };
-            if node.aabb.min_dist_sqr_point(center) > bound {
-                continue;
-            }
-            match node.kind {
-                NodeKind::Leaf { start, count } => {
-                    for &i in &self.order[start as usize..(start + count) as usize] {
-                        let p = &self.points[i as usize];
-                        let d2: f64 =
-                            (0..3).map(|d| (p[d] - center[d]).powi(2)).sum();
-                        push(&mut heap, d2, i, k);
-                    }
-                }
-                NodeKind::Internal { left, right } => {
-                    // Visit the nearer child last (popped first).
-                    let dl = self.nodes[left as usize].aabb.min_dist_sqr_point(center);
-                    let dr = self.nodes[right as usize].aabb.min_dist_sqr_point(center);
-                    if dl < dr {
-                        stack.push(right);
-                        stack.push(left);
-                    } else {
-                        stack.push(left);
-                        stack.push(right);
-                    }
-                }
-            }
-        }
-        heap.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        heap.into_iter().map(|(d2, i)| (i, d2)).collect()
-    }
-
     /// Count (rather than collect) the points within `radius` of
     /// `center` — the primitive behind pair-counting statistics.
     pub fn count_radius(&self, center: &[f64; 3], radius: f64) -> usize {
@@ -371,43 +298,6 @@ mod tests {
         let pa_b = (a ^ b).leading_zeros();
         let pa_c = (a ^ c).leading_zeros();
         assert!(pa_b > pa_c);
-    }
-
-    #[test]
-    fn knn_matches_brute_force() {
-        let pts = cloud(300, 11);
-        let bvh = Lbvh::build(&pts);
-        for (qi, c) in cloud(10, 12).iter().enumerate() {
-            let k = 1 + qi * 3;
-            let got = bvh.query_knn(c, k);
-            // Brute-force k nearest.
-            let mut all: Vec<(u32, f64)> = pts
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    (
-                        i as u32,
-                        (0..3).map(|d| (p[d] - c[d]).powi(2)).sum::<f64>(),
-                    )
-                })
-                .collect();
-            all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            all.truncate(k);
-            assert_eq!(got.len(), k);
-            for (g, b) in got.iter().zip(&all) {
-                // Distances must agree (ties may permute indices).
-                assert!((g.1 - b.1).abs() < 1e-12, "k={k}: {g:?} vs {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn knn_handles_small_sets() {
-        let pts = vec![[0.0; 3], [1.0, 0.0, 0.0]];
-        let bvh = Lbvh::build(&pts);
-        let got = bvh.query_knn(&[0.1, 0.0, 0.0], 5);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, 0);
     }
 
     #[test]

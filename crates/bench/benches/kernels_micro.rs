@@ -4,7 +4,8 @@
 //!
 //! Times three sweeps of identical interaction lists against each other —
 //! the production one (symmetric tiles over lane-compacted leaf pairs), the
-//! same tiles swept dense, and the pre-fix one-sided reference — and
+//! same tiles swept dense, and the one-sided oracle
+//! (`hacc_gpusim::reference::sweep`) — and
 //! `PmSolver::accelerations` (real transforms over half spectra) against
 //! the same solve assembled from the complex transforms with one inverse
 //! per component; emits `*_pairs_per_s` (list-sized pairs) /

@@ -4,13 +4,13 @@
 //! These drive `hacc_gpusim::sweep` directly — the same call `grav_step` /
 //! `sph_step` make, minus the surrounding pipeline — so the production
 //! sweep (symmetric tiles over lane-compacted leaf pairs), the same tiles
-//! swept dense and the one-sided reference path can be timed head to head
-//! over identical interaction lists. All three produce bitwise identical
-//! accumulators (asserted in the `gpusim`, `grav`, and `sph` unit tests);
-//! here only the throughput differs.
+//! swept dense and the one-sided oracle `hacc_gpusim::reference::sweep`
+//! can be timed head to head over identical interaction lists. All three
+//! produce bitwise identical accumulators (asserted in the `gpusim`,
+//! `grav`, and `sph` unit tests); here only the throughput differs.
 
 use hacc_gpusim::{
-    execute_leaf_pair, execute_leaf_self, sweep, DeviceSpec, ExecMode, KernelCounters, LeafExec,
+    execute_leaf_pair, execute_leaf_self, reference, sweep, DeviceSpec, ExecMode, KernelCounters,
     SplitKernel,
 };
 use hacc_grav::{ForceSplitTable, GravState, GravityKernel};
@@ -44,8 +44,8 @@ pub enum Arm {
     /// The same tile executors over the full leaves of every listed pair:
     /// the sweep of a kernel that states no reach.
     Dense,
-    /// The one-sided reference executors (each unordered pair evaluated
-    /// twice, never compacted).
+    /// The one-sided oracle, `hacc_gpusim::reference::sweep` (each
+    /// unordered pair evaluated twice, never compacted).
     Reference,
 }
 
@@ -58,39 +58,30 @@ impl<K: SplitKernel> ShortRangeWorkload<K> {
         let mut counters = KernelCounters::default();
         let leaf_range = |leaf: LeafId| self.cm.leaves[leaf as usize].range();
         let (dev, mode) = (&self.device, ExecMode::WarpSplit);
-        let exec = match arm {
-            Arm::Tiled => LeafExec::Tiled,
-            Arm::Reference => LeafExec::Reference,
+        let (k, pairs, states, c) = (&self.kernel, &self.pairs, &self.states, &mut counters);
+        match arm {
+            Arm::Tiled => sweep(k, dev, mode, leaf_range, |_, _| None, pairs, states, &mut accums, c),
+            Arm::Reference => {
+                reference::sweep(k, dev, mode, leaf_range, |_, _| None, pairs, states, &mut accums, c)
+            }
             Arm::Dense => {
                 // What `sweep` does with a kernel that states no reach:
                 // every leaf pair of the list straight to the tile
                 // executors, on the full slices.
-                for &(a, b) in &self.pairs {
+                for &(a, b) in pairs {
                     let (ra, rb) = (leaf_range(a), leaf_range(b));
                     if a == b {
-                        let (s, acc) = (&self.states[ra.clone()], &mut accums[ra]);
-                        execute_leaf_self(&self.kernel, dev, mode, s, acc, &mut counters);
+                        let (s, acc) = (&states[ra.clone()], &mut accums[ra]);
+                        execute_leaf_self(k, dev, mode, s, acc, c);
                     } else {
                         let (left, right) = accums.split_at_mut(rb.start);
-                        let (si, sj) = (&self.states[ra.clone()], &self.states[rb.clone()]);
+                        let (si, sj) = (&states[ra.clone()], &states[rb.clone()]);
                         let (ai, aj) = (&mut left[ra], &mut right[..rb.len()]);
-                        execute_leaf_pair(&self.kernel, dev, mode, si, sj, ai, aj, &mut counters);
+                        execute_leaf_pair(k, dev, mode, si, sj, ai, aj, c);
                     }
                 }
-                return counters;
             }
-        };
-        sweep(
-            &self.kernel,
-            dev,
-            mode,
-            exec,
-            leaf_range,
-            &self.pairs,
-            &self.states,
-            &mut accums,
-            &mut counters,
-        );
+        }
         counters
     }
 }

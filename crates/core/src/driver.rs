@@ -320,6 +320,9 @@ enum StepError {
     /// A CRC-valid checkpoint decoded but is missing a required block
     /// (format-version mismatch), named by `field`.
     CheckpointDecode { field: String },
+    /// `--resume` found a checkpoint written on another PM-step schedule
+    /// than the resumed run's: its steps are not this run's steps.
+    ScheduleMismatch { checkpoint: Schedule, run: Schedule },
     /// The tiered writer could not create its staging directories.
     IoSetup(String),
     /// Writing a checkpoint failed mid-run.
@@ -338,11 +341,37 @@ impl std::fmt::Display for StepError {
             StepError::CheckpointDecode { field } => {
                 write!(f, "checkpoint is missing required field `{field}`")
             }
+            StepError::ScheduleMismatch { checkpoint, run } => {
+                write!(f, "checkpoint was written on the schedule {checkpoint}, not this run's {run}")
+            }
             StepError::IoSetup(e) => write!(f, "tiered writer setup failed: {e}"),
             StepError::CheckpointWrite { step, cause } => {
                 write!(f, "checkpoint write at step {step} failed: {cause}")
             }
         }
+    }
+}
+
+/// A run's PM-step schedule: `pm_steps` equal steps in `a` from `a_init`
+/// to `a_final`. Its checkpoints record it, and a resume must match it
+/// exactly.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Schedule {
+    a_init: f64,
+    a_final: f64,
+    pm_steps: usize,
+}
+
+impl Schedule {
+    fn of(cfg: &SimConfig) -> Self {
+        Self { a_init: cfg.a_init, a_final: cfg.a_final, pm_steps: cfg.pm_steps }
+    }
+}
+
+impl std::fmt::Display for Schedule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Schedule { a_init, a_final, pm_steps } = self;
+        write!(f, "a = {a_init} -> {a_final} in {pm_steps} PM steps")
     }
 }
 
@@ -660,7 +689,7 @@ fn rank_main(
                 Some(&step) => {
                     let blocks = TieredWriter::load_checkpoint_at(&pfs, step)
                         .unwrap_or_else(|| escalate(StepError::CheckpointLoad { step }));
-                    let (store, owed) = restart_state(&blocks);
+                    let (store, owed) = restart_state(&blocks, Schedule::of(cfg));
                     (store, step as usize + 1, owed)
                 }
                 // No surviving common checkpoint: cold-start from the
@@ -1033,7 +1062,8 @@ fn rank_main(
                     1.0
                 };
                 w.advance_time(gpu_s.max(60.0));
-                let blocks = checkpoint_blocks(&store, cfg.box_size, owed_substeps);
+                let blocks =
+                    checkpoint_blocks(&store, cfg.box_size, owed_substeps, Schedule::of(cfg));
                 io_blocking = w
                     .write_checkpoint(step as u64, &blocks, phase, imbalance * analysis_dip)
                     .unwrap_or_else(|e| {
@@ -1417,15 +1447,25 @@ fn final_analysis(
 /// closing half-kicks to the next step, 0 when it closed itself.
 const CLOSING_SUBSTEPS: &str = "closing_substeps";
 
+/// The checkpoint block holding the [`Schedule`] the run stepped on:
+/// `[a_init, a_final, pm_steps]`.
+const SCHEDULE: &str = "schedule";
+
 /// Serialize the owned particles into checkpoint blocks, with
 /// `closing_substeps` (the complete restart state: a resumed run
-/// reconstructs the store and the step boundary exactly).
+/// reconstructs the store and the step boundary exactly) and the
+/// `schedule` those steps belong to.
 ///
 /// Positions are wrapped into the periodic box at write time: the last
 /// substep drift runs after migration, so in-memory positions can sit
 /// slightly outside `[0, box)` until the next step's wrap — but the
 /// checkpoint is the restart contract and must be canonical.
-fn checkpoint_blocks(store: &ParticleStore, box_size: f64, closing_substeps: u32) -> Vec<Block> {
+fn checkpoint_blocks(
+    store: &ParticleStore,
+    box_size: f64,
+    closing_substeps: u32,
+    schedule: Schedule,
+) -> Vec<Block> {
     let n = store.n_owned;
     let flat = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..n).map(f).collect() };
     vec![
@@ -1448,13 +1488,18 @@ fn checkpoint_blocks(store: &ParticleStore, box_size: f64, closing_substeps: u32
                 .collect::<Vec<_>>(),
         ),
         Block::from_u64(CLOSING_SUBSTEPS, &[u64::from(closing_substeps)]),
+        Block::from_f64(
+            SCHEDULE,
+            &[schedule.a_init, schedule.a_final, schedule.pm_steps as f64],
+        ),
     ]
 }
 
 /// Rebuild a particle store and the checkpointed step's
-/// `closing_substeps` from checkpoint blocks. A missing block escalates
-/// [`StepError::CheckpointDecode`] naming it.
-fn restart_state(blocks: &[Block]) -> (ParticleStore, u32) {
+/// `closing_substeps` from checkpoint blocks, for a run on the schedule
+/// `run`. A missing block escalates [`StepError::CheckpointDecode`] naming
+/// it; a checkpoint of another schedule, [`StepError::ScheduleMismatch`].
+fn restart_state(blocks: &[Block], run: Schedule) -> (ParticleStore, u32) {
     let find = |name: &str| -> &Block {
         blocks.iter().find(|b| b.name == name).unwrap_or_else(|| {
             escalate(StepError::CheckpointDecode { field: name.to_string() })
@@ -1470,6 +1515,13 @@ fn restart_state(blocks: &[Block]) -> (ParticleStore, u32) {
         [n] => n as u32,
         _ => escalate(StepError::CheckpointDecode { field: CLOSING_SUBSTEPS.to_string() }),
     };
+    let checkpoint = match get(SCHEDULE)[..] {
+        [a_init, a_final, pm_steps] => Schedule { a_init, a_final, pm_steps: pm_steps as usize },
+        _ => escalate(StepError::CheckpointDecode { field: SCHEDULE.to_string() }),
+    };
+    if checkpoint != run {
+        escalate(StepError::ScheduleMismatch { checkpoint, run });
+    }
     let n = x.len();
     let mut store = ParticleStore::new();
     for i in 0..n {

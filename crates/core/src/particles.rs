@@ -143,14 +143,6 @@ impl ParticleStore {
         out.extend((0..self.len()).filter(|&i| self.species[i] == s));
     }
 
-    /// Count owned particles of a species.
-    pub fn count_owned(&self, s: Species) -> usize {
-        self.species[..self.n_owned]
-            .iter()
-            .filter(|&&x| x == s)
-            .count()
-    }
-
     /// One particle's full record (for migration).
     pub fn extract(&self, i: usize) -> ParticleRecord {
         ParticleRecord {
@@ -218,7 +210,7 @@ mod tests {
         let s = sample();
         assert_eq!(s.len(), 3);
         assert_eq!(s.n_owned, 3);
-        assert_eq!(s.count_owned(Species::Gas), 2);
+        assert_eq!(s.indices_of(Species::Gas), vec![1, 2]);
         assert_eq!(s.indices_of(Species::DarkMatter), vec![0]);
     }
 

@@ -20,16 +20,6 @@ impl PairFlops {
         self.adds + self.muls + 2 * self.fmas + self.trans
     }
 
-    /// Elementwise sum.
-    pub fn plus(&self, o: &PairFlops) -> PairFlops {
-        PairFlops {
-            adds: self.adds + o.adds,
-            muls: self.muls + o.muls,
-            fmas: self.fmas + o.fmas,
-            trans: self.trans + o.trans,
-        }
-    }
-
     /// Scale all counts by `n` evaluations.
     pub fn times(&self, n: u64) -> PairFlops {
         PairFlops {

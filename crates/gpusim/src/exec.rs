@@ -27,11 +27,13 @@
 //! traversal visits each accumulator's partners in globally ascending
 //! index order for any tile width (see DESIGN.md, "Tiled symmetric
 //! execution"), so results are bit-for-bit reproducible across modes and
-//! modeled devices, and identical to the untiled reference executors kept
-//! below ([`execute_leaf_pair_reference`], [`execute_leaf_self_reference`]).
-//! The same order argument lets [`sweep`] hand the tiles *compacted*
-//! leaves — only the lanes within reach of the partner leaf's box, in slot
-//! order — without moving a bit (DESIGN.md, "Lane compaction").
+//! modeled devices, and identical to the untiled one-sided oracle in
+//! [`crate::reference`]. The same order argument lets [`sweep`], the one
+//! walk of an interaction list every pipeline makes, hand the tiles
+//! *compacted* leaves — only the lanes within reach of the partner leaf's
+//! box, in slot order — without moving a bit (DESIGN.md, "Lane
+//! compaction"), and sweep a pair that meets across a periodic seam
+//! against its second leaf's moved image.
 
 use crate::counters::{KernelCounters, PairFlops};
 use crate::device::DeviceSpec;
@@ -78,9 +80,9 @@ pub trait SplitKernel: Sync {
 
     /// Accumulate the contribution of `j` onto `i`'s accumulator.
     ///
-    /// This one-sided form is the reference implementation (and the
-    /// hook asymmetric kernels implement); the executor calls
-    /// [`SplitKernel::interact_pair`] instead.
+    /// This one-sided form is what the oracle in [`crate::reference`]
+    /// calls (and the hook asymmetric kernels implement); the executor
+    /// calls [`SplitKernel::interact_pair`] instead.
     fn interact(
         &self,
         si: &Self::State,
@@ -128,7 +130,7 @@ pub trait SplitKernel: Sync {
 
     /// The state of the periodic image of a particle moved by `by`: its
     /// position plus `by`, component by component, and every other field
-    /// as is. [`sweep_periodic`] calls it on the second leaf of a pair
+    /// as is. [`sweep`] calls it on the second leaf of a pair
     /// that meets across a periodic seam; a kernel whose lists never hold
     /// such a pair needs no override, and the default refuses.
     fn translated(&self, _s: &Self::State, _by: [f64; 3]) -> Self::State {
@@ -271,78 +273,6 @@ pub fn execute_leaf_self<K: SplitKernel>(
     );
 }
 
-/// The pre-fix cross-leaf executor, kept as the reference implementation:
-/// every ordered `(i, j)` is evaluated from both sides through the
-/// one-sided [`SplitKernel::interact`], doing 2x the pair-term work the
-/// cost model credits. Used by the tiled-vs-reference tests and the
-/// short-range micro-benchmarks; results are bit-identical to
-/// [`execute_leaf_pair`] for kernels honoring the `interact_pair`
-/// contract.
-pub fn execute_leaf_pair_reference<K: SplitKernel>(
-    kernel: &K,
-    dev: &DeviceSpec,
-    mode: ExecMode,
-    states_i: &[K::State],
-    states_j: &[K::State],
-    accum_i: &mut [K::Accum],
-    accum_j: &mut [K::Accum],
-    counters: &mut KernelCounters,
-) {
-    assert_eq!(states_i.len(), accum_i.len());
-    assert_eq!(states_j.len(), accum_j.len());
-    if states_i.is_empty() || states_j.is_empty() {
-        return;
-    }
-    let partials_i: Vec<K::Partial> = states_i.iter().map(|s| kernel.partial(s)).collect();
-    let partials_j: Vec<K::Partial> = states_j.iter().map(|s| kernel.partial(s)).collect();
-    for (i, (si, pi)) in states_i.iter().zip(&partials_i).enumerate() {
-        for (j, (sj, pj)) in states_j.iter().zip(&partials_j).enumerate() {
-            kernel.interact(si, pi, sj, pj, &mut accum_i[i]);
-            kernel.interact(sj, pj, si, pi, &mut accum_j[j]);
-        }
-    }
-    count_pair(kernel, dev, mode, states_i.len(), states_j.len(), false, counters);
-}
-
-/// The pre-fix self-leaf executor (all ordered `i != j` pairs through the
-/// one-sided hook), kept as the reference implementation alongside
-/// [`execute_leaf_pair_reference`].
-pub fn execute_leaf_self_reference<K: SplitKernel>(
-    kernel: &K,
-    dev: &DeviceSpec,
-    mode: ExecMode,
-    states: &[K::State],
-    accum: &mut [K::Accum],
-    counters: &mut KernelCounters,
-) {
-    assert_eq!(states.len(), accum.len());
-    if states.len() < 2 {
-        return;
-    }
-    let partials: Vec<K::Partial> = states.iter().map(|s| kernel.partial(s)).collect();
-    for i in 0..states.len() {
-        for j in 0..states.len() {
-            if i == j {
-                continue;
-            }
-            let (si, pi) = (&states[i], &partials[i]);
-            let (sj, pj) = (&states[j], &partials[j]);
-            kernel.interact(si, pi, sj, pj, &mut accum[i]);
-        }
-    }
-    count_pair(kernel, dev, mode, states.len(), states.len(), true, counters);
-}
-
-/// Which leaf executors a [`sweep`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafExec {
-    /// [`execute_leaf_self`] / [`execute_leaf_pair`] (production).
-    Tiled,
-    /// [`execute_leaf_self_reference`] / [`execute_leaf_pair_reference`]
-    /// (tests and the tiled-vs-reference micro-benchmark).
-    Reference,
-}
-
 /// What the lane compaction reads of one particle: position and reach
 /// ([`SplitKernel::reach`]), four words per slot in one per-sweep array.
 type Lane = ([f64; 3], f64);
@@ -438,24 +368,6 @@ fn gather<K: SplitKernel>(
     compact_accums.extend(keep.map(|i| accums[i]));
 }
 
-/// One kernel launch over a leaf interaction list with no periodic
-/// pairs: [`sweep_periodic`] with every pair meeting directly.
-pub fn sweep<K: SplitKernel>(
-    kernel: &K,
-    dev: &DeviceSpec,
-    mode: ExecMode,
-    exec: LeafExec,
-    leaf_range: impl Fn(u32) -> std::ops::Range<usize>,
-    pairs: &[(u32, u32)],
-    states: &[K::State],
-    accums: &mut [K::Accum],
-    counters: &mut KernelCounters,
-) {
-    sweep_periodic(
-        kernel, dev, mode, exec, leaf_range, |_, _| None, pairs, states, accums, counters,
-    );
-}
-
 /// One kernel launch over a leaf interaction list: the single walk every
 /// short-range pipeline shares. `states` / `accums` are in tree (slot)
 /// order, `leaf_range` maps a leaf id to its contiguous slot range, and
@@ -466,7 +378,8 @@ pub fn sweep<K: SplitKernel>(
 /// `image(a, b)` is the periodic image under which the cross pair meets:
 /// `Some(by)` sweeps `a` against `b`'s lanes moved by `by`
 /// ([`SplitKernel::translated`], the chaining mesh's `image_shift`),
-/// `None` against `b` as it lies. A moved side always goes through the
+/// `None` against `b` as it lies; a list with no periodic pairs passes
+/// `|_, _| None`. A moved side always goes through the
 /// gathered scratch below; `b`'s accumulators are written back in place.
 ///
 /// A tiled sweep of a kernel that states its [`SplitKernel::reach`]
@@ -484,12 +397,12 @@ pub fn sweep<K: SplitKernel>(
 /// those of the dense sweep; `counters.pairs` counts the pairs evaluated,
 /// `counters.culled_pairs` the ones removed, and the cull pass is charged
 /// one four-word lane read and one box test per lane offered.
-/// [`LeafExec::Reference`] is always dense.
-pub fn sweep_periodic<K: SplitKernel>(
+/// [`crate::reference::sweep`] walks the same list through the one-sided
+/// oracle, dense, with this signature.
+pub fn sweep<K: SplitKernel>(
     kernel: &K,
     dev: &DeviceSpec,
     mode: ExecMode,
-    exec: LeafExec,
     leaf_range: impl Fn(u32) -> std::ops::Range<usize>,
     image: impl Fn(u32, u32) -> Option<[f64; 3]>,
     pairs: &[(u32, u32)],
@@ -497,10 +410,7 @@ pub fn sweep_periodic<K: SplitKernel>(
     accums: &mut [K::Accum],
     counters: &mut KernelCounters,
 ) {
-    let lanes: Option<Vec<Lane>> = match exec {
-        LeafExec::Tiled => states.iter().map(|s| kernel.reach(s)).collect(),
-        LeafExec::Reference => None,
-    };
+    let lanes: Option<Vec<Lane>> = states.iter().map(|s| kernel.reach(s)).collect();
     // One box per leaf, built when a cross pair first names the leaf, and
     // scratch for the widest leaf the list names.
     let (mut n_leaves, mut widest) = (0, 0);
@@ -520,12 +430,7 @@ pub fn sweep_periodic<K: SplitKernel>(
         let ra = leaf_range(a);
         if a == b {
             let (s, acc) = (&states[ra.clone()], &mut accums[ra]);
-            match exec {
-                LeafExec::Tiled => execute_leaf_self(kernel, dev, mode, s, acc, counters),
-                LeafExec::Reference => {
-                    execute_leaf_self_reference(kernel, dev, mode, s, acc, counters)
-                }
-            }
+            execute_leaf_self(kernel, dev, mode, s, acc, counters);
             continue;
         }
         let rb = leaf_range(b);
@@ -578,12 +483,7 @@ pub fn sweep_periodic<K: SplitKernel>(
             None => (&states[rb.clone()], &mut right[..rb.len()]),
         };
         let ai = &mut left[ra];
-        match exec {
-            LeafExec::Tiled => execute_leaf_pair(kernel, dev, mode, si, sj, ai, aj, counters),
-            LeafExec::Reference => {
-                execute_leaf_pair_reference(kernel, dev, mode, si, sj, ai, aj, counters)
-            }
-        }
+        execute_leaf_pair(kernel, dev, mode, si, sj, ai, aj, counters);
         if by.is_some() {
             right[..rb.len()].copy_from_slice(&accums_b);
         }
@@ -591,7 +491,7 @@ pub fn sweep_periodic<K: SplitKernel>(
 }
 
 /// Model the launch cost of an `ni x nj` leaf-pair interaction.
-fn count_pair<K: SplitKernel>(
+pub(crate) fn count_pair<K: SplitKernel>(
     kernel: &K,
     dev: &DeviceSpec,
     mode: ExecMode,
@@ -710,6 +610,8 @@ pub fn execute_with_relaunch<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, execute_leaf_pair_reference, execute_leaf_self_reference};
+    use std::ops::Range;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A gravity-flavored test kernel: phi_i += m_j / (|r_i - r_j|^2 + eps).
@@ -1146,11 +1048,14 @@ mod tests {
         fn reach(&self, s: &SupportState) -> Option<([f64; 3], f64)> {
             REACH.then_some((s.pos, s.h))
         }
+        fn translated(&self, s: &SupportState, by: [f64; 3]) -> SupportState {
+            SupportState { pos: [0, 1, 2].map(|d| s.pos[d] + by[d]), ..*s }
+        }
     }
 
     /// Consecutive leaves of the given sizes (zero allowed) and every leaf
     /// pair `a <= b`: the densest list a mesh could hand to a sweep.
-    fn chunked(sizes: &[usize]) -> (Vec<std::ops::Range<usize>>, Vec<(u32, u32)>) {
+    fn chunked(sizes: &[usize]) -> (Vec<Range<usize>>, Vec<(u32, u32)>) {
         let mut ranges = Vec::new();
         let mut start = 0;
         for &n in sizes {
@@ -1162,27 +1067,25 @@ mod tests {
         (ranges, pairs)
     }
 
+    type Swept = (Vec<f64>, KernelCounters);
+
+    /// `pairs` over the consecutive leaves `ranges`, cross pairs meeting
+    /// through `image`, swept in `mode` by the production [`sweep`] and by
+    /// the oracle [`reference::sweep`], in that order.
     fn support_sweep<const REACH: bool>(
         mode: ExecMode,
-        exec: LeafExec,
-        ranges: &[std::ops::Range<usize>],
+        ranges: &[Range<usize>],
+        image: impl Fn(u32, u32) -> Option<[f64; 3]> + Copy,
         pairs: &[(u32, u32)],
         states: &[SupportState],
-    ) -> (Vec<f64>, KernelCounters) {
-        let mut accums = vec![0.0; states.len()];
-        let mut c = KernelCounters::default();
-        sweep(
-            &SupportKernel::<REACH>,
-            &DeviceSpec::mi250x_gcd(),
-            mode,
-            exec,
-            |leaf| ranges[leaf as usize].clone(),
-            pairs,
-            states,
-            &mut accums,
-            &mut c,
-        );
-        (accums, c)
+    ) -> (Swept, Swept) {
+        let (k, dev) = (SupportKernel::<REACH>, DeviceSpec::mi250x_gcd());
+        let leaf_range = |leaf: u32| ranges[leaf as usize].clone();
+        let (mut tiled, mut tc) = (vec![0.0; states.len()], KernelCounters::default());
+        sweep(&k, &dev, mode, leaf_range, image, pairs, states, &mut tiled, &mut tc);
+        let (mut oracle, mut oc) = (vec![0.0; states.len()], KernelCounters::default());
+        reference::sweep(&k, &dev, mode, leaf_range, image, pairs, states, &mut oracle, &mut oc);
+        ((tiled, tc), (oracle, oc))
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1199,13 +1102,16 @@ mod tests {
         // same bits in every accumulator, and the pairs it evaluated plus
         // the pairs it culled are the oracle's list-sized count. Clouds
         // sorted along x and cut into leaves of 0..70 lanes, reaches
-        // spread by a factor of at least 2 within every cloud.
+        // spread by a factor of at least 2 within every cloud. Cross pairs
+        // `seam_gap` or more leaves apart meet through the image one
+        // `extent` down, which lands the far leaf beside the near one.
         #[test]
         fn culled_sweep_matches_dense_reference_bitwise(
             seed in 0u64..u64::MAX,
             n_leaves in 2usize..9,
             spread in 2.0f64..6.0,
             extent in 2.0f64..12.0,
+            seam_gap in 1u32..9,
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let sizes: Vec<usize> = (0..n_leaves)
@@ -1234,12 +1140,12 @@ mod tests {
                 })
                 .collect();
             states.sort_by(|a, b| a.pos[0].total_cmp(&b.pos[0]));
+            let image = |a: u32, b: u32| (b - a >= seam_gap).then_some([-extent, 0.0, 0.0]);
 
-            let (reference, rc) =
-                support_sweep::<true>(ExecMode::WarpSplit, LeafExec::Reference, &ranges, &pairs, &states);
-            prop_assert_eq!(rc.culled_pairs, 0);
             for mode in [ExecMode::WarpSplit, ExecMode::Naive] {
-                let (tiled, tc) = support_sweep::<true>(mode, LeafExec::Tiled, &ranges, &pairs, &states);
+                let ((tiled, tc), (reference, rc)) =
+                    support_sweep::<true>(mode, &ranges, image, &pairs, &states);
+                prop_assert_eq!(rc.culled_pairs, 0);
                 prop_assert_eq!(bits(&tiled), bits(&reference));
                 prop_assert_eq!(tc.list_pairs(), rc.pairs);
             }
@@ -1305,10 +1211,8 @@ mod tests {
         let n_b = states.len() - n_a;
         let (ranges, _) = chunked(&[n_a, n_b]);
         let pairs = [(0, 1)];
-        let (reference, rc) =
-            support_sweep::<true>(ExecMode::WarpSplit, LeafExec::Reference, &ranges, &pairs, &states);
-        let (tiled, tc) =
-            support_sweep::<true>(ExecMode::WarpSplit, LeafExec::Tiled, &ranges, &pairs, &states);
+        let ((tiled, tc), (reference, rc)) =
+            support_sweep::<true>(ExecMode::WarpSplit, &ranges, |_, _| None, &pairs, &states);
         assert_eq!(bits(&tiled), bits(&reference));
         assert!(reference[n_a - 1] != 0.0, "the near lane interacts");
         assert_eq!(tc.list_pairs(), rc.pairs);
@@ -1328,10 +1232,8 @@ mod tests {
         let mut states: Vec<SupportState> = (0..40).map(|i| s(i as f64 * 0.1)).collect();
         states.extend([s(4.5), s(9.0)]);
         let (ranges, pairs) = chunked(&[40, 1, 1, 0]);
-        let (reference, rc) =
-            support_sweep::<true>(ExecMode::WarpSplit, LeafExec::Reference, &ranges, &pairs, &states);
-        let (tiled, tc) =
-            support_sweep::<true>(ExecMode::WarpSplit, LeafExec::Tiled, &ranges, &pairs, &states);
+        let ((tiled, tc), (reference, rc)) =
+            support_sweep::<true>(ExecMode::WarpSplit, &ranges, |_, _| None, &pairs, &states);
         assert_eq!(bits(&tiled), bits(&reference));
         assert!(tiled[40] > 0.0);
         assert_eq!(tiled[41], 0.0);
@@ -1352,8 +1254,8 @@ mod tests {
         let states: Vec<SupportState> =
             (0..40).map(|i| s(i as f64 * 0.1)).chain((0..5).map(|i| s(50.0 + i as f64 * 0.1))).collect();
         let (ranges, _) = chunked(&[40, 5]);
-        let (tiled, c) =
-            support_sweep::<true>(ExecMode::WarpSplit, LeafExec::Tiled, &ranges, &[(0, 1)], &states);
+        let ((tiled, c), _) =
+            support_sweep::<true>(ExecMode::WarpSplit, &ranges, |_, _| None, &[(0, 1)], &states);
         assert!(tiled.iter().all(|&v| v == 0.0));
         assert_eq!((c.pairs, c.culled_pairs, c.warps), (0, 200, 0));
         assert_eq!(c.global_reads, LANE_WORDS * 45);
@@ -1377,8 +1279,8 @@ mod tests {
                 &SupportKernel::<true>,
                 &dev,
                 ExecMode::WarpSplit,
-                LeafExec::Tiled,
                 |leaf| ranges[leaf as usize].clone(),
+                |_, _| None,
                 &[(0, 1)],
                 &states,
                 &mut accums,
@@ -1403,12 +1305,10 @@ mod tests {
             .collect();
         states.sort_by(|a, b| a.pos[0].total_cmp(&b.pos[0]));
         let (ranges, pairs) = chunked(&[40, 33, 47]);
-        let (culled, cc) =
-            support_sweep::<true>(ExecMode::WarpSplit, LeafExec::Tiled, &ranges, &pairs, &states);
-        let (dense, dc) =
-            support_sweep::<false>(ExecMode::WarpSplit, LeafExec::Tiled, &ranges, &pairs, &states);
-        let (_, rc) =
-            support_sweep::<false>(ExecMode::WarpSplit, LeafExec::Reference, &ranges, &pairs, &states);
+        let ((culled, cc), _) =
+            support_sweep::<true>(ExecMode::WarpSplit, &ranges, |_, _| None, &pairs, &states);
+        let ((dense, dc), (_, rc)) =
+            support_sweep::<false>(ExecMode::WarpSplit, &ranges, |_, _| None, &pairs, &states);
         assert_eq!(bits(&culled), bits(&dense));
         assert!(cc.culled_pairs > 0);
         // No reach, no cull: every list-sized pair evaluated, and the cost

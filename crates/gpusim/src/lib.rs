@@ -10,10 +10,13 @@
 //!   rates and warp widths (32 for Nvidia/Intel, 64 for AMD),
 //! * [`counters`] — FLOP/byte/shuffle/atomic counters using the paper's
 //!   accounting convention (FMA = 2 ops, transcendental = 1),
-//! * [`exec`] — a leaf-pair kernel executor that runs the *same physics*
-//!   in either `Naive` or `WarpSplit` mode, lane-tiled exactly like the
-//!   GPU kernels (half-warp of i-particles against half-warp of
-//!   j-particles, partials exchanged by shuffle),
+//! * [`exec`] — the one leaf-pair kernel executor and the one walk of an
+//!   interaction list ([`sweep`]), running the *same physics* in either
+//!   `Naive` or `WarpSplit` mode, lane-tiled exactly like the GPU kernels
+//!   (half-warp of i-particles against half-warp of j-particles, partials
+//!   exchanged by shuffle),
+//! * [`reference`] — the one-sided oracle the tests and the short-range
+//!   micro-benchmark swap in for [`sweep`]; no production path calls it,
 //! * [`model`] — a roofline-style device timing model (compute vs memory
 //!   bound, occupancy limited by register pressure, partial-tile lane
 //!   masking) that converts counters into modeled kernel time and device
@@ -31,13 +34,12 @@ pub mod device;
 pub mod exec;
 pub mod model;
 pub mod profile;
+pub mod reference;
 
 pub use counters::{KernelCounters, PairFlops};
 pub use device::{DeviceSpec, Vendor};
 pub use exec::{
-    execute_leaf_pair, execute_leaf_pair_reference, execute_leaf_self,
-    execute_leaf_self_reference, execute_with_relaunch, sweep, sweep_periodic, ExecMode, LeafExec,
-    SplitKernel,
+    execute_leaf_pair, execute_leaf_self, execute_with_relaunch, sweep, ExecMode, SplitKernel,
 };
 pub use model::ExecutionModel;
 pub use profile::{ProfileRow, ProfileTable};

@@ -9,7 +9,7 @@
 
 use crate::kernel::{GravAccum, GravState, GravityKernel};
 use crate::split::ForceSplitTable;
-use hacc_gpusim::{sweep_periodic, DeviceSpec, ExecMode, KernelCounters, LeafExec};
+use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters};
 use hacc_tree::ChainingMesh;
 
 /// Entries in the cached force-splitting table.
@@ -103,19 +103,6 @@ pub fn grav_step_sinks(
     cfg: &GravConfig,
     n_sinks: usize,
 ) -> GravResult {
-    grav_step_with(pos, mass, cm, cfg, n_sinks, LeafExec::Tiled)
-}
-
-/// [`grav_step_sinks`] through either executor family (the tests compare
-/// them).
-fn grav_step_with(
-    pos: &[[f64; 3]],
-    mass: &[f64],
-    cm: &ChainingMesh,
-    cfg: &GravConfig,
-    n_sinks: usize,
-    exec: LeafExec,
-) -> GravResult {
     assert_eq!(pos.len(), mass.len());
     let n = pos.len();
     assert!(n_sinks <= n, "{n_sinks} sinks among {n} particles");
@@ -144,11 +131,10 @@ fn grav_step_with(
         })
         .collect();
     let mut accums = vec![GravAccum::default(); n];
-    sweep_periodic(
+    sweep(
         &cfg.kernel,
         &cfg.device,
         cfg.mode,
-        exec,
         |leaf| cm.leaves[leaf as usize].range(),
         |a, b| cm.image_shift(a, b),
         &pairs,
@@ -176,6 +162,7 @@ fn grav_step_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hacc_gpusim::reference;
     use hacc_tree::CmConfig;
     use hacc_rt::rand::{self, Rng, SeedableRng};
 
@@ -252,10 +239,33 @@ mod tests {
         n_sinks: usize,
     ) -> (u64, u64) {
         let tiled = grav_step_sinks(pos, mass, cm, cfg, n_sinks);
-        let reference = grav_step_with(pos, mass, cm, cfg, n_sinks, LeafExec::Reference);
-        assert_eq!(tiled.accel, reference.accel);
-        assert_eq!(reference.counters.culled_pairs, 0);
-        assert_eq!(tiled.counters.list_pairs(), reference.counters.pairs);
+        // `grav_step_sinks` with the oracle swapped in for the sweep.
+        let pairs = cm.interaction_pairs(cfg.table().r_cut(), Some(&cm.sink_leaves(n_sinks)));
+        let states: Vec<GravState> = cm
+            .order
+            .iter()
+            .map(|&i| GravState { pos: pos[i as usize], mass: mass[i as usize] })
+            .collect();
+        let mut accums = vec![GravAccum::default(); pos.len()];
+        let mut rc = KernelCounters::default();
+        reference::sweep(
+            &cfg.kernel,
+            &cfg.device,
+            cfg.mode,
+            |leaf| cm.leaves[leaf as usize].range(),
+            |a, b| cm.image_shift(a, b),
+            &pairs,
+            &states,
+            &mut accums,
+            &mut rc,
+        );
+        let mut accel = vec![[0.0f64; 3]; pos.len()];
+        for (slot, &i) in cm.order.iter().enumerate().filter(|(_, &i)| (i as usize) < n_sinks) {
+            accel[i as usize] = accums[slot].acc.map(|a| cfg.g_newton * a);
+        }
+        assert_eq!(tiled.accel, accel);
+        assert_eq!(rc.culled_pairs, 0);
+        assert_eq!(tiled.counters.list_pairs(), rc.pairs);
         (tiled.counters.pairs, tiled.counters.culled_pairs)
     }
 

@@ -22,8 +22,9 @@
 //! * [`register_thread`] / [`ThreadToken`] — rank-thread registration.
 //! * [`LockClock`], [`send_stamp`]/[`recv_join`] — the happens-before
 //!   edges, called from `hacc_rt::sync` and the `hacc-ranks` transport.
-//! * [`region`] / [`annotate_access`] — the shared-state annotation API
-//!   for ranks::comm, the driver's ghost buffers, and gpusim's tables.
+//! * [`region`] / [`annotate_read`] / [`annotate_write`] — the
+//!   shared-state annotation API for ranks::comm, the driver's ghost
+//!   buffers, and gpusim's tables.
 //! * [`SanReport`] — byte-stable findings report in the finding format
 //!   `hacc-telem` defines and `hacc-lint` shares (`file:line: [RULE]
 //!   msg`), with `san.allow` suppression via the same [`AllowList`]
@@ -80,11 +81,6 @@ fn with_ctx<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> Option<R> {
 #[inline]
 pub fn armed() -> bool {
     TLS.with(|c| c.borrow().is_some())
-}
-
-/// The session the current thread is registered with, if any.
-pub fn current_session() -> Option<Arc<SanSession>> {
-    with_ctx(|ctx| Arc::clone(&ctx.session))
 }
 
 /// Registration receipt for one thread. Must be [`finish`]ed on the
@@ -208,18 +204,9 @@ pub fn recv_join(stamp: Option<&VectorClock>) {
 
 // -------------------------------------------------------- annotation --
 
-/// Record an access to a registered shared region and check it against
-/// the region's access history under the happens-before relation. The
-/// call site becomes the diagnostic location. No-op when the sanitizer
-/// is off.
-#[track_caller]
-#[inline]
-pub fn annotate_access(region: RegionId, kind: Access) {
-    let loc = Location::caller();
-    with_ctx(|ctx| ctx.session.access(region, kind, ctx.slot, &ctx.clock, loc));
-}
-
-/// [`annotate_access`] with [`Access::Read`].
+/// Record a read of a registered shared region and check it against the
+/// region's access history under the happens-before relation. The call
+/// site becomes the diagnostic location. No-op when the sanitizer is off.
 #[track_caller]
 #[inline]
 pub fn annotate_read(region: RegionId) {
@@ -230,7 +217,7 @@ pub fn annotate_read(region: RegionId) {
     });
 }
 
-/// [`annotate_access`] with [`Access::Write`].
+/// [`annotate_read`] for a write.
 #[track_caller]
 #[inline]
 pub fn annotate_write(region: RegionId) {
@@ -318,7 +305,6 @@ mod tests {
         let r = region("noop");
         annotate_write(r);
         annotate_read(r);
-        assert!(current_session().is_none());
     }
 
     #[test]

@@ -37,7 +37,8 @@ use crate::clock::VectorClock;
 use crate::registry::{region_name, RegionId};
 use crate::report::SanReport;
 
-/// Read or write, for [`crate::annotate_access`].
+/// Read or write, as [`crate::annotate_read`] / [`crate::annotate_write`]
+/// record it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
     /// Shared read.

@@ -31,12 +31,6 @@ impl IdealGas {
     pub fn u_from_p_rho(&self, p: f64, rho: f64) -> f64 {
         p / ((self.gamma - 1.0) * rho.max(f64::MIN_POSITIVE))
     }
-
-    /// Entropic function `A = P / rho^gamma` (adiabat label).
-    #[inline]
-    pub fn entropy_function(&self, rho: f64, u: f64) -> f64 {
-        self.pressure(rho, u) / rho.max(f64::MIN_POSITIVE).powf(self.gamma)
-    }
 }
 
 #[cfg(test)]
@@ -67,17 +61,5 @@ mod tests {
         let (rho, u) = (0.7, 11.0);
         let p = eos.pressure(rho, u);
         assert!((eos.u_from_p_rho(p, rho) - u).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entropy_constant_under_adiabatic_scaling() {
-        let eos = IdealGas::default();
-        // Compress adiabatically: u ~ rho^(gamma-1).
-        let (rho1, u1) = (1.0f64, 1.0f64);
-        let rho2 = 8.0f64;
-        let u2 = u1 * (rho2 / rho1).powf(eos.gamma - 1.0);
-        let a1 = eos.entropy_function(rho1, u1);
-        let a2 = eos.entropy_function(rho2, u2);
-        assert!((a1 / a2 - 1.0).abs() < 1e-12);
     }
 }

@@ -17,7 +17,7 @@ use crate::hydro::{
     VelGradAccum, VelGradKernel, VelGradState,
 };
 use crate::kernel::SphKernel;
-use hacc_gpusim::{sweep_periodic, DeviceSpec, ExecMode, KernelCounters, LeafExec};
+use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters};
 use hacc_tree::{ChainingMesh, LeafId};
 
 /// SoA views of the gas particles on this rank (original ordering).
@@ -233,11 +233,10 @@ pub fn sph_step_sinks<K: SphKernel>(
         .collect();
     let dk = DensityKernel { kernel: cfg.kernel };
     let mut rho_slots = vec![0.0f64; n];
-    sweep_periodic(
+    sweep(
         &dk,
         &cfg.device,
         cfg.mode,
-        LeafExec::Tiled,
         leaf_range,
         image,
         &pairs,
@@ -267,11 +266,10 @@ pub fn sph_step_sinks<K: SphKernel>(
         .collect();
     let mk = MomentsKernel { kernel: cfg.kernel };
     let mut moments = vec![Moments::default(); n];
-    sweep_periodic(
+    sweep(
         &mk,
         &cfg.device,
         cfg.mode,
-        LeafExec::Tiled,
         leaf_range,
         image,
         &pairs,
@@ -317,11 +315,10 @@ pub fn sph_step_sinks<K: SphKernel>(
             .collect();
         let vgk = VelGradKernel { kernel: cfg.kernel };
         let mut grads = vec![VelGradAccum::default(); n];
-        sweep_periodic(
+        sweep(
             &vgk,
             &cfg.device,
             cfg.mode,
-            LeafExec::Tiled,
             leaf_range,
             image,
             &pairs,
@@ -363,11 +360,10 @@ pub fn sph_step_sinks<K: SphKernel>(
         opts: cfg.opts,
     };
     let mut force_slots = vec![ForceAccum::default(); n];
-    sweep_periodic(
+    sweep(
         &fk,
         &cfg.device,
         cfg.mode,
-        LeafExec::Tiled,
         leaf_range,
         image,
         &force_pairs,
@@ -874,25 +870,16 @@ mod tests {
         states: &[K::State],
         bits: impl Fn(&K::Accum) -> [f64; N],
     ) -> (u64, u64) {
-        let run = |exec| {
-            let mut accums = vec![K::Accum::default(); states.len()];
-            let mut counters = KernelCounters::default();
-            sweep_periodic(
-                kernel,
-                &DeviceSpec::mi250x_gcd(),
-                ExecMode::WarpSplit,
-                exec,
-                |leaf| cm.leaves[leaf as usize].range(),
-                |a, b| cm.image_shift(a, b),
-                pairs,
-                states,
-                &mut accums,
-                &mut counters,
-            );
-            (accums, counters)
-        };
-        let (tiled, tc) = run(LeafExec::Tiled);
-        let (reference, rc) = run(LeafExec::Reference);
+        let (dev, mode) = (DeviceSpec::mi250x_gcd(), ExecMode::WarpSplit);
+        let leaf_range = |leaf: LeafId| cm.leaves[leaf as usize].range();
+        let image = |a: LeafId, b: LeafId| cm.image_shift(a, b);
+        let (mut tiled, mut tc) = (vec![K::Accum::default(); states.len()], KernelCounters::default());
+        sweep(kernel, &dev, mode, leaf_range, image, pairs, states, &mut tiled, &mut tc);
+        let (mut reference, mut rc) =
+            (vec![K::Accum::default(); states.len()], KernelCounters::default());
+        hacc_gpusim::reference::sweep(
+            kernel, &dev, mode, leaf_range, image, pairs, states, &mut reference, &mut rc,
+        );
         for (slot, (t, r)) in tiled.iter().zip(&reference).enumerate() {
             assert_eq!(
                 bits(t).map(f64::to_bits),

@@ -4,7 +4,7 @@
 //! particle pair — for the SPH density kernel and the short-range gravity
 //! kernel.
 
-use hacc_gpusim::{sweep_periodic, DeviceSpec, ExecMode, KernelCounters, LeafExec, SplitKernel};
+use hacc_gpusim::{sweep, DeviceSpec, ExecMode, KernelCounters, SplitKernel};
 use hacc_grav::{ForceSplitTable, GravState, GravityKernel};
 use hacc_rt::prop::prelude::*;
 use hacc_rt::rand::{self, Rng, SeedableRng};
@@ -54,11 +54,10 @@ fn swept<K: SplitKernel>(
 ) -> Vec<K::Accum> {
     let slots: Vec<K::State> = cm.order.iter().map(|&i| states[i as usize]).collect();
     let mut accums = vec![K::Accum::default(); slots.len()];
-    sweep_periodic(
+    sweep(
         kernel,
         &DeviceSpec::mi250x_gcd(),
         ExecMode::WarpSplit,
-        LeafExec::Tiled,
         |leaf| cm.leaves[leaf as usize].range(),
         |a, b| cm.image_shift(a, b),
         &cm.interaction_pairs(cutoff, None),

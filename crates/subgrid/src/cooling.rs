@@ -118,17 +118,6 @@ impl CoolingModel {
         };
         u_new.max(u_min.min(u))
     }
-
-    /// Cooling time `u / |du/dt|` in Gyr (infinite when not cooling) —
-    /// used by the adaptive timestepper to subcycle dense gas.
-    pub fn cooling_time_gyr(&self, rho: f64, u: f64, z_metal: f64, a: f64) -> f64 {
-        let rate = self.du_dt(rho, u, z_metal, a);
-        if rate >= 0.0 {
-            f64::INFINITY
-        } else {
-            u / (-rate)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,21 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn cooling_time_positive_and_shrinks_with_density() {
-        let m = model();
-        let u = temperature_to_u(1.0e5, MU_IONIZED);
-        let t1 = m.cooling_time_gyr(100.0 * 0.05 * RHO_CRIT0, u, 0.0, 1.0);
-        let t2 = m.cooling_time_gyr(10000.0 * 0.05 * RHO_CRIT0, u, 0.0, 1.0);
-        assert!(t1.is_finite() && t2.is_finite());
-        assert!(t2 < t1);
-    }
-
-    #[test]
     fn explicit_and_implicit_branches_agree_for_small_steps() {
         let m = model();
         let u = temperature_to_u(2.0e6, MU_IONIZED);
         let rho = 1000.0 * 0.05 * RHO_CRIT0;
-        let tau = m.cooling_time_gyr(rho, u, 0.0, 1.0);
+        // The cooling time `u / |du/dt|`.
+        let tau = u / -m.du_dt(rho, u, 0.0, 1.0);
         let dt = 0.05 * tau;
         let explicit = u + m.du_dt(rho, u, 0.0, 1.0) * dt;
         let integrated = m.cool_particle(rho, u, 0.0, 1.0, dt);

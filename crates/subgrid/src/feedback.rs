@@ -65,12 +65,6 @@ impl SupernovaModel {
         }
         (du, dz)
     }
-
-    /// Supernova-driven wind velocity scale, `sqrt(2 e_specific)`, km/s —
-    /// a diagnostic for the expected temperature of heated gas.
-    pub fn wind_velocity(&self) -> f64 {
-        (2.0 * self.energy_per_mass).sqrt()
-    }
 }
 
 impl Default for SupernovaModel {
@@ -86,14 +80,12 @@ mod tests {
     #[test]
     fn canonical_energy_scale() {
         let m = SupernovaModel::new();
-        // 1e51 erg / 100 Msun ~ 5e5 (km/s)^2 -> wind velocity ~ 1000 km/s.
+        // 1e51 erg / 100 Msun ~ 5e5 (km/s)^2.
         assert!(
             m.energy_per_mass > 4.0e5 && m.energy_per_mass < 6.0e5,
             "e = {}",
             m.energy_per_mass
         );
-        let v = m.wind_velocity();
-        assert!(v > 800.0 && v < 1200.0, "v_wind = {v}");
     }
 
     #[test]

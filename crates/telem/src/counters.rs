@@ -194,16 +194,6 @@ impl FaultKind {
             FaultKind::GpuLaunch => "gpu_launch",
         }
     }
-
-    /// True for faults the run survives in place (retry/dedup/late
-    /// delivery); false for fatal faults that require a rollback to a
-    /// valid checkpoint.
-    pub fn is_transient(&self) -> bool {
-        !matches!(
-            self,
-            FaultKind::RankPanic | FaultKind::CkptTorn | FaultKind::CkptCrc
-        )
-    }
 }
 
 /// Per-rank fault-injection counters: how many faults of each kind were
@@ -331,16 +321,6 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.injected(FaultKind::RankPanic), 2);
         assert_eq!(b.recovered(FaultKind::CommDup), 1);
-    }
-
-    #[test]
-    fn fatal_faults_are_not_transient() {
-        assert!(!FaultKind::RankPanic.is_transient());
-        assert!(!FaultKind::CkptTorn.is_transient());
-        assert!(!FaultKind::CkptCrc.is_transient());
-        assert!(FaultKind::CommDelay.is_transient());
-        assert!(FaultKind::NvmeErr.is_transient());
-        assert!(FaultKind::GpuLaunch.is_transient());
     }
 
     #[test]

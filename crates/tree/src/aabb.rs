@@ -46,14 +46,6 @@ impl Aabb {
         }
     }
 
-    /// Pad uniformly by `eps` on every side.
-    pub fn padded(&self, eps: f64) -> Self {
-        Self {
-            lo: [self.lo[0] - eps, self.lo[1] - eps, self.lo[2] - eps],
-            hi: [self.hi[0] + eps, self.hi[1] + eps, self.hi[2] + eps],
-        }
-    }
-
     /// The box moved by `by` (a periodic image of it).
     pub fn shifted(&self, by: [f64; 3]) -> Self {
         Self {

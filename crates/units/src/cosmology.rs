@@ -1,6 +1,6 @@
-//! FLRW background cosmology: expansion history, distances, growth factor.
+//! FLRW background cosmology: expansion history and growth factor.
 
-use crate::constants::{C_KM_S, GYR_S, H0_HKM_S_MPC, MPC_CM};
+use crate::constants::H0_HKM_S_MPC;
 use crate::interp::InterpTable;
 
 /// Parameters of a flat (w0, wa) dark-energy cosmology.
@@ -84,27 +84,9 @@ impl CosmologyParams {
     pub fn hubble(&self, a: f64) -> f64 {
         H0_HKM_S_MPC * self.e(a)
     }
-
-    /// Matter density parameter at scale factor `a`.
-    #[inline]
-    pub fn omega_m_a(&self, a: f64) -> f64 {
-        self.omega_m / (a * a * a) / self.e2(a)
-    }
-
-    /// Redshift corresponding to scale factor `a`.
-    #[inline]
-    pub fn z_of_a(a: f64) -> f64 {
-        1.0 / a - 1.0
-    }
-
-    /// Scale factor corresponding to redshift `z`.
-    #[inline]
-    pub fn a_of_z(z: f64) -> f64 {
-        1.0 / (1.0 + z)
-    }
 }
 
-/// Precomputed background: growth factor, times, and distances on a log-`a`
+/// Precomputed background: growth factor and growth rate on a log-`a`
 /// grid with interpolation, so the hot simulation loop never integrates
 /// ODEs.
 #[derive(Debug, Clone)]
@@ -112,8 +94,6 @@ pub struct Background {
     params: CosmologyParams,
     growth: InterpTable,
     growth_rate: InterpTable,
-    age_gyr: InterpTable,
-    comoving_dist: InterpTable,
 }
 
 const A_MIN: f64 = 1.0e-3;
@@ -170,40 +150,10 @@ impl Background {
             *v /= d0;
         }
 
-        // Age: t(a) = (1/H0) int_0^a da' / (a' E(a')); report in Gyr.
-        // 1/H0 in Gyr = MPC_CM / (100 h * 1e5 cm/s) / GYR_S.
-        let hubble_time_gyr = MPC_CM / (H0_HKM_S_MPC * params.h * 1.0e5) / GYR_S;
-        let mut age_vals = Vec::with_capacity(N_GRID);
-        // Integrate from a=0 to A_MIN analytically assuming matter/radiation:
-        // small contribution; use simple midpoint refinement from ~0.
-        let mut t = integrate(|a| 1.0 / (a * params.e(a)), 1.0e-8, A_MIN, 2048);
-        let mut prev_a = A_MIN;
-        for &lna in &lnas {
-            let a = lna.exp();
-            if a > prev_a {
-                t += integrate(|x| 1.0 / (x * params.e(x)), prev_a, a, 16);
-                prev_a = a;
-            }
-            age_vals.push(t * hubble_time_gyr);
-        }
-
-        // Comoving distance chi(a) = (c/H0) int_a^1 da'/(a'^2 E(a')) in Mpc/h.
-        let dh = C_KM_S / H0_HKM_S_MPC; // Mpc/h
-        let mut chi_vals = vec![0.0; N_GRID];
-        let mut chi = 0.0;
-        for i in (0..N_GRID - 1).rev() {
-            let a_hi = lnas[i + 1].exp();
-            let a_lo = lnas[i].exp();
-            chi += integrate(|x| 1.0 / (x * x * params.e(x)), a_lo, a_hi, 16);
-            chi_vals[i] = chi * dh;
-        }
-
         Self {
             params,
             growth: InterpTable::new(lnas.clone(), growth_vals),
-            growth_rate: InterpTable::new(lnas.clone(), rate_vals),
-            age_gyr: InterpTable::new(lnas.clone(), age_vals),
-            comoving_dist: InterpTable::new(lnas, chi_vals),
+            growth_rate: InterpTable::new(lnas, rate_vals),
         }
     }
 
@@ -222,16 +172,6 @@ impl Background {
         self.growth_rate.eval(a.ln())
     }
 
-    /// Age of the universe at scale factor `a`, in Gyr.
-    pub fn age_gyr(&self, a: f64) -> f64 {
-        self.age_gyr.eval(a.ln())
-    }
-
-    /// Comoving distance from the observer (a=1) to scale factor `a`,
-    /// in Mpc/h.
-    pub fn comoving_distance(&self, a: f64) -> f64 {
-        self.comoving_dist.eval(a.ln())
-    }
 }
 
 /// Composite-Simpson integration of `f` over `[lo, hi]` with `n` panels
@@ -291,52 +231,8 @@ mod tests {
     }
 
     #[test]
-    fn age_today_planck() {
-        let bg = Background::new(CosmologyParams::planck2018());
-        let t0 = bg.age_gyr(1.0);
-        assert!((t0 - 13.8).abs() < 0.3, "t0 = {t0} Gyr");
-    }
-
-    #[test]
-    fn age_monotonic() {
-        let bg = Background::new(CosmologyParams::planck2018());
-        let mut prev = 0.0;
-        for i in 1..=100 {
-            let a = i as f64 / 100.0;
-            let t = bg.age_gyr(a.max(1.1e-3));
-            assert!(t >= prev);
-            prev = t;
-        }
-    }
-
-    #[test]
-    fn comoving_distance_planck() {
-        let bg = Background::new(CosmologyParams::planck2018());
-        // chi(z=1) ~ 2300-2400 Mpc/h for Planck cosmology.
-        let chi = bg.comoving_distance(0.5);
-        assert!(chi > 2200.0 && chi < 2500.0, "chi(z=1) = {chi}");
-        assert!(bg.comoving_distance(1.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn omega_m_a_limits() {
-        let c = CosmologyParams::planck2018();
-        assert!((c.omega_m_a(1.0) - c.omega_m).abs() < 1e-12);
-        // Matter domination in the past (but before radiation takes over).
-        assert!(c.omega_m_a(0.05) > 0.98);
-    }
-
-    #[test]
     fn simpson_integrates_polynomial_exactly() {
         let v = integrate(|x| 3.0 * x * x, 0.0, 2.0, 4);
         assert!((v - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn z_a_roundtrip() {
-        for &z in &[0.0, 0.5, 1.0, 9.0, 99.0] {
-            let a = CosmologyParams::a_of_z(z);
-            assert!((CosmologyParams::z_of_a(a) - z).abs() < 1e-12);
-        }
     }
 }

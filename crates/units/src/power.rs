@@ -3,7 +3,7 @@
 //! `P(k, a) = A k^{n_s} T^2(k) D^2(a)`, with the amplitude `A` fixed by the
 //! rms linear fluctuation `sigma8` in spheres of radius 8 Mpc/h at a = 1.
 
-use crate::cosmology::{integrate, Background, CosmologyParams};
+use crate::cosmology::{integrate, CosmologyParams};
 use crate::transfer::eisenstein_hu_no_wiggle;
 
 /// Linear matter power spectrum in `(Mpc/h)^3` for `k` in `h/Mpc`.
@@ -51,12 +51,6 @@ impl LinearPower {
         self.amplitude * k.powf(self.params.n_s) * t * t
     }
 
-    /// P(k, a) scaled by the linear growth factor from `bg`.
-    pub fn pk_at(&self, bg: &Background, k: f64, a: f64) -> f64 {
-        let d = bg.growth_factor(a);
-        self.pk(k) * d * d
-    }
-
     /// rms linear fluctuation in top-hat spheres of radius `r` Mpc/h:
     /// `sigma^2(R) = (1/2pi^2) int dk k^2 P(k) W^2(kR)`.
     pub fn sigma_r(&self, r: f64) -> f64 {
@@ -70,10 +64,6 @@ impl LinearPower {
         (v / (2.0 * std::f64::consts::PI * std::f64::consts::PI)).sqrt()
     }
 
-    /// The dimensionless power `Delta^2(k) = k^3 P(k) / (2 pi^2)`.
-    pub fn delta2(&self, k: f64) -> f64 {
-        k * k * k * self.pk(k) / (2.0 * std::f64::consts::PI * std::f64::consts::PI)
-    }
 }
 
 #[cfg(test)]
@@ -126,23 +116,5 @@ mod tests {
         let s8 = p.sigma_r(8.0);
         let s16 = p.sigma_r(16.0);
         assert!(s4 > s8 && s8 > s16);
-    }
-
-    #[test]
-    fn growth_scaling_of_pk_at() {
-        let c = CosmologyParams::planck2018();
-        let p = LinearPower::new(c);
-        let bg = Background::new(c);
-        let k = 0.1;
-        let d = bg.growth_factor(0.5);
-        assert!((p.pk_at(&bg, k, 0.5) / p.pk(k) - d * d).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delta2_dimensionless_growth_with_k_at_small_scales() {
-        // On small scales Delta^2 still increases with k (n_eff > -3).
-        let p = LinearPower::new(CosmologyParams::planck2018());
-        assert!(p.delta2(1.0) > p.delta2(0.1));
-        assert!(p.delta2(0.1) > p.delta2(0.01));
     }
 }

@@ -119,18 +119,19 @@ fn resumed_run_matches_uninterrupted() {
 
 #[test]
 fn resume_skips_torn_checkpoint() {
+    use frontier_sim::iosim::TieredWriter;
     let ranks = 1;
-    let (mut c, dir) = cfg("torn", 3);
+    let (c, dir) = cfg("torn", 4);
     run_simulation(&c, ranks);
-    // Corrupt the newest checkpoint on the PFS: the resume must fall
-    // back to the previous one and redo the lost step.
+    // A crash after step 2's checkpoint landed (step 3's never did), and
+    // that newest checkpoint torn on the PFS: the resume must fall back
+    // to the previous one and redo the lost steps.
     let pfs = dir.path().join("pfs").join("rank-0");
-    let (latest, path) =
-        frontier_sim::iosim::TieredWriter::latest_checkpoint(&pfs).unwrap();
+    std::fs::remove_file(pfs.join(TieredWriter::checkpoint_name(3))).unwrap();
+    let (latest, path) = TieredWriter::latest_checkpoint(&pfs).unwrap();
     assert_eq!(latest, 2);
     flip_middle_byte(&path);
 
-    c.pm_steps = 4;
     let resumed = resume_simulation(&c, ranks);
     // Fell back to checkpoint 1 -> redoes steps 2 and 3.
     assert_eq!(resumed.steps.len(), 2);
@@ -223,4 +224,35 @@ fn hydro_state_survives_resume() {
             assert_eq!(resumed.final_state_hash, reference.final_state_hash, "{tag}");
         }
     }
+}
+
+/// A resume on another PM-step schedule than the checkpointing run's is
+/// refused, naming both: a 4-step run resumed with 2 steps would step on
+/// another `da` and report its state one half-kick behind. The error is a
+/// typed payload private to the driver, so the check reads the message
+/// the command line prints when the run panics.
+#[test]
+fn resume_on_another_schedule_panics_naming_both() {
+    let dir = TempRunDir::new("schedule");
+    let out = dir.path().to_str().unwrap();
+    let run = |steps: &str, resume: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_frontier-sim"))
+            .args(["run", "--np", "8", "--ranks", "1", "--physics", "gravity"])
+            .args(["--zi", "1", "--zf", "0", "--steps", steps, "--out", out])
+            .args(resume)
+            .output()
+            .expect("spawn frontier-sim")
+    };
+    assert!(run("4", &[]).status.success());
+    let resumed = run("2", &["--resume"]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(!resumed.status.success(), "{stderr}");
+    assert!(stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains(
+            "checkpoint was written on the schedule a = 0.5 -> 1 in 4 PM steps, \
+             not this run's a = 0.5 -> 1 in 2 PM steps"
+        ),
+        "{stderr}"
+    );
 }

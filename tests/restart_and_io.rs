@@ -46,12 +46,15 @@ fn checkpoints_land_on_pfs_and_reload() {
             assert!(names.contains(&f), "missing field {f}");
         }
         // The restart state is the store's 12 persistent columns and the
-        // final step's `closing_substeps` (0: it closed itself); the
-        // rungs are per-step scratch and are not among them.
-        assert_eq!(names.len(), 13, "{names:?}");
+        // final step's `closing_substeps` (0: it closed itself), beside
+        // the `schedule` those steps were taken on; the rungs are
+        // per-step scratch and are not among them.
+        assert_eq!(names.len(), 14, "{names:?}");
         assert!(!names.contains(&"rung"), "{names:?}");
         let closing = blocks.iter().find(|b| b.name == "closing_substeps").unwrap();
         assert_eq!(closing.as_u64(), [0]);
+        let schedule = blocks.iter().find(|b| b.name == "schedule").unwrap();
+        assert_eq!(schedule.as_f64(), [cfg.a_init, cfg.a_final, cfg.pm_steps as f64]);
         let x = blocks.iter().find(|b| b.name == "x").unwrap().as_f64();
         // Positions are inside the periodic box.
         assert!(x.iter().all(|&v| v >= 0.0 && v < cfg.box_size));

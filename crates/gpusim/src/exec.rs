@@ -37,6 +37,7 @@
 
 use crate::counters::{KernelCounters, PairFlops};
 use crate::device::DeviceSpec;
+use crate::real::Real;
 
 /// Execution strategy for the interaction kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +48,11 @@ pub enum ExecMode {
     WarpSplit,
 }
 
-/// A separable pairwise interaction kernel (Eq. 2 of the paper).
-pub trait SplitKernel: Sync {
+/// A separable pairwise interaction kernel (Eq. 2 of the paper), over
+/// the scalar `T` of its states and accumulators. Production runs every
+/// kernel at the default `f64`; the tests run the same bodies at
+/// [`crate::reference::Counted`] to pin the FLOP tables.
+pub trait SplitKernel<T: Real = f64>: Sync {
     /// Per-particle input state.
     type State: Copy + Send + Sync;
     /// The shared partial term (`f_i` / `g_j`) exchanged between lanes.

@@ -15,8 +15,12 @@
 //!   `Naive` or `WarpSplit` mode, lane-tiled exactly like the GPU kernels
 //!   (half-warp of i-particles against half-warp of j-particles, partials
 //!   exchanged by shuffle),
+//! * [`real`] — the scalar trait the kernel bodies are generic over
+//!   (production runs them at `f64`),
 //! * [`reference`] — the one-sided oracle the tests and the short-range
-//!   micro-benchmark swap in for [`sweep`]; no production path calls it,
+//!   micro-benchmark swap in for [`sweep`], and the counting scalar
+//!   [`reference::Counted`] that pins every kernel's FLOP table; no
+//!   production path calls either,
 //! * [`model`] — a roofline-style device timing model (compute vs memory
 //!   bound, occupancy limited by register pressure, partial-tile lane
 //!   masking) that converts counters into modeled kernel time and device
@@ -34,6 +38,7 @@ pub mod device;
 pub mod exec;
 pub mod model;
 pub mod profile;
+pub mod real;
 pub mod reference;
 
 pub use counters::{KernelCounters, PairFlops};
@@ -43,3 +48,4 @@ pub use exec::{
 };
 pub use model::ExecutionModel;
 pub use profile::{ProfileRow, ProfileTable};
+pub use real::Real;

@@ -1,22 +1,22 @@
 //! The short-range gravity pair kernel.
 
 use crate::split::ForceSplitTable;
-use hacc_gpusim::{PairFlops, SplitKernel};
+use hacc_gpusim::{PairFlops, Real, SplitKernel};
 
 /// Per-particle state of the gravity kernel.
 #[derive(Debug, Clone, Copy)]
-pub struct GravState {
+pub struct GravState<T = f64> {
     /// Position.
-    pub pos: [f64; 3],
+    pub pos: [T; 3],
     /// Mass.
-    pub mass: f64,
+    pub mass: T,
 }
 
 /// Accumulated acceleration (`G = 1` internally; scale by `G` downstream).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GravAccum {
+pub struct GravAccum<T = f64> {
     /// Acceleration components.
-    pub acc: [f64; 3],
+    pub acc: [T; 3],
 }
 
 /// `a_i += -m_j g(r) (r_i - r_j)` with the tabulated split factor `g`.
@@ -26,10 +26,10 @@ pub struct GravityKernel {
     pub table: ForceSplitTable,
 }
 
-impl SplitKernel for GravityKernel {
-    type State = GravState;
+impl<T: Real> SplitKernel<T> for GravityKernel {
+    type State = GravState<T>;
     type Partial = ();
-    type Accum = GravAccum;
+    type Accum = GravAccum<T>;
 
     fn name(&self) -> &'static str {
         "grav_short_range"
@@ -47,8 +47,8 @@ impl SplitKernel for GravityKernel {
         PairFlops::default()
     }
     fn pair_flops(&self) -> PairFlops {
-        // One unordered pair on the symmetric path, audited against
-        // `interact_pair`:
+        // One unordered pair on the symmetric path, pinned against
+        // `interact_pair` by `flop_table_matches_the_counted_body`:
         //   dr (3 add); r2 (1 mul + 2 fma);
         //   eval_r2: x = r2*inv_dr2 (1 mul), f = x - i (1 add),
         //     lerp b-a then a+(b-a)f (1 add + 1 fma),
@@ -64,29 +64,36 @@ impl SplitKernel for GravityKernel {
             trans: 2,
         }
     }
-    fn partial(&self, _s: &GravState) {}
+    fn partial(&self, _s: &GravState<T>) {}
 
     /// `eval_r2` is zero from `r_cut²` on, and a zero `g` scatters nothing.
     #[inline]
-    fn reach(&self, s: &GravState) -> Option<([f64; 3], f64)> {
-        Some((s.pos, self.table.r_cut()))
+    fn reach(&self, s: &GravState<T>) -> Option<([f64; 3], f64)> {
+        Some((s.pos.map(T::to_f64), self.table.r_cut()))
     }
 
-    fn translated(&self, s: &GravState, by: [f64; 3]) -> GravState {
+    fn translated(&self, s: &GravState<T>, by: [f64; 3]) -> GravState<T> {
         GravState {
-            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            pos: [0, 1, 2].map(|d| s.pos[d] + T::c(by[d])),
             ..*s
         }
     }
 
     #[inline]
-    fn interact(&self, si: &GravState, _: &(), sj: &GravState, _: &(), out: &mut GravAccum) {
+    fn interact(
+        &self,
+        si: &GravState<T>,
+        _: &(),
+        sj: &GravState<T>,
+        _: &(),
+        out: &mut GravAccum<T>,
+    ) {
         let dx = si.pos[0] - sj.pos[0];
         let dy = si.pos[1] - sj.pos[1];
         let dz = si.pos[2] - sj.pos[2];
         let r2 = dx * dx + dy * dy + dz * dz;
         let g = self.table.eval_r2(r2);
-        if g != 0.0 {
+        if g != T::c(0.0) {
             let s = sj.mass * g;
             out.acc[0] -= s * dx;
             out.acc[1] -= s * dy;
@@ -102,19 +109,19 @@ impl SplitKernel for GravityKernel {
     #[inline]
     fn interact_pair(
         &self,
-        si: &GravState,
+        si: &GravState<T>,
         _: &(),
-        sj: &GravState,
+        sj: &GravState<T>,
         _: &(),
-        out_i: &mut GravAccum,
-        out_j: &mut GravAccum,
+        out_i: &mut GravAccum<T>,
+        out_j: &mut GravAccum<T>,
     ) {
         let dx = si.pos[0] - sj.pos[0];
         let dy = si.pos[1] - sj.pos[1];
         let dz = si.pos[2] - sj.pos[2];
         let r2 = dx * dx + dy * dy + dz * dz;
         let g = self.table.eval_r2(r2);
-        if g != 0.0 {
+        if g != T::c(0.0) {
             let s_i = sj.mass * g;
             let s_j = si.mass * g;
             out_i.acc[0] -= s_i * dx;
@@ -130,6 +137,7 @@ impl SplitKernel for GravityKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hacc_gpusim::reference::Counted;
 
     fn kernel() -> GravityKernel {
         GravityKernel {
@@ -242,6 +250,38 @@ mod tests {
                 "third-law violation in {d} on the symmetric path"
             );
         }
+    }
+
+    /// The table against the body it bills, as the CRKSPH kernels'
+    /// `flop_table_*` tests do: one pair in range, on `Counted` states,
+    /// through `partial`, `interact_pair` and `interact`. The pair total
+    /// is the table's (this kernel has no pre-filter) and `trans` exact;
+    /// the FMA split is the compiler's (DESIGN.md, "FLOP tables").
+    #[test]
+    fn flop_table_matches_the_counted_body() {
+        const PREFILTER: u64 = 0;
+        let k = kernel();
+        let c = |pos: [f64; 3], mass| GravState { pos: pos.map(Counted), mass: Counted(mass) };
+        let (a, b) = (c([0.1, -0.4, 0.7], 2.0), c([1.0, 0.6, -0.3], 5.0));
+        Counted::take_tally();
+        k.partial(&a);
+        let partial = Counted::take_tally().total();
+        let (mut fa, mut fb) = (GravAccum::default(), GravAccum::default());
+        k.interact_pair(&a, &(), &b, &(), &mut fa, &mut fb);
+        let pair = Counted::take_tally();
+        k.interact(&a, &(), &b, &(), &mut fa);
+        let one = Counted::take_tally().total();
+        let table = SplitKernel::<f64>::pair_flops(&k);
+        assert_eq!(partial, SplitKernel::<f64>::partial_flops(&k).total());
+        assert_eq!((pair.total(), one), (31, 24));
+        assert_eq!(pair.total(), table.total() + PREFILTER);
+        assert_eq!(pair.trans, table.trans);
+        assert!(one <= pair.total() && pair.total() <= 2 * one);
+        let words = |bytes: usize| (bytes / std::mem::size_of::<f64>()) as u64;
+        let state_words = words(std::mem::size_of::<GravState>());
+        assert_eq!(SplitKernel::<f64>::state_words(&k), state_words);
+        let accum_words = words(std::mem::size_of::<GravAccum>());
+        assert_eq!(SplitKernel::<f64>::accum_words(&k), accum_words);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! in `r²` (equivalent accuracy, branch-free inner loop, no transcendental
 //! per pair — the property that matters for the GPU kernels).
 
+use hacc_gpusim::Real;
 use hacc_mesh::poisson::short_range_fraction;
 
 /// Tabulation of the smooth splitting *fraction* `f_sr(r) ∈ [0, 1]`,
@@ -60,17 +61,17 @@ impl ForceSplitTable {
     /// Evaluate `g(r) = f_sr(r) / (r² + eps²)^{3/2}` from `r²`; zero
     /// beyond the cutoff.
     #[inline]
-    pub fn eval_r2(&self, r2: f64) -> f64 {
-        if r2 >= self.r_cut2 {
-            return 0.0;
+    pub fn eval_r2<T: Real>(&self, r2: T) -> T {
+        if r2 >= T::c(self.r_cut2) {
+            return T::c(0.0);
         }
-        let x = r2 * self.inv_dr2;
-        let i = x as usize;
-        let f = x - i as f64;
-        let a = self.frac[i];
-        let b = self.frac[(i + 1).min(self.frac.len() - 1)];
+        let x = r2 * T::c(self.inv_dr2);
+        let i = x.to_f64() as usize;
+        let f = x - T::c(i as f64);
+        let a = T::c(self.frac[i]);
+        let b = T::c(self.frac[(i + 1).min(self.frac.len() - 1)]);
         let fraction = a + (b - a) * f;
-        let r2_soft = r2 + self.eps2;
+        let r2_soft = r2 + T::c(self.eps2);
         fraction / (r2_soft * r2_soft.sqrt())
     }
 

@@ -53,9 +53,7 @@ pub enum ItemKind {
     Struct(StructDef),
     Trait(TraitDef),
     Mod(Vec<Item>),
-    /// `type Name = T;` (in an impl: an associated type binding).
-    Type(String, TypeRef),
-    /// use / extern / enum / const / static / macro / anything else.
+    /// use / extern / enum / const / static / type / macro / anything else.
     Other,
 }
 
@@ -85,7 +83,6 @@ pub struct ImplDef {
     pub trait_name: Option<String>,
     /// Base name of the implementing type (generics stripped).
     pub type_name: String,
-    pub assoc_types: Vec<(String, TypeRef)>,
     pub fns: Vec<FnDef>,
 }
 
@@ -104,12 +101,11 @@ pub struct TraitDef {
 
 /// A simplified type: base path segment plus generic arguments.
 /// Special bases: `"&"` (reference, one arg), `"[array]"` (element in
-/// `args[0]`, literal length in `array_len`), `"(tuple)"` (elements).
+/// `args[0]`), `"(tuple)"` (elements).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypeRef {
     pub base: String,
     pub args: Vec<TypeRef>,
-    pub array_len: Option<u64>,
 }
 
 impl TypeRef {
@@ -117,7 +113,7 @@ impl TypeRef {
         TypeRef::new(base, Vec::new())
     }
     fn new(base: &str, args: Vec<TypeRef>) -> Self {
-        TypeRef { base: base.to_string(), args, array_len: None }
+        TypeRef { base: base.to_string(), args }
     }
     /// Strip reference layers: `&mut T` -> `T`.
     pub fn deref(&self) -> &TypeRef {
@@ -321,9 +317,6 @@ pub fn check_coverage(toks: &[Token], file: &File) -> Result<(), String> {
     }
     Ok(())
 }
-
-/// An impl or trait body: its associated type bindings and its fns.
-type Members = (Vec<(String, TypeRef)>, Vec<FnDef>);
 
 struct Parser<'a> {
     toks: &'a [Token],
@@ -576,7 +569,6 @@ impl<'a> Parser<'a> {
             Some("struct") => self.struct_def().map(ItemKind::Struct),
             Some("trait") => self.trait_def().map(ItemKind::Trait),
             Some("mod") => self.mod_def(),
-            Some("type") => self.type_def(),
             _ => {
                 self.skip_to_item_end();
                 None
@@ -634,26 +626,22 @@ impl<'a> Parser<'a> {
             false => (None, first.base),
         };
         self.skip_where();
-        let (assoc_types, fns) = self.members()?;
-        Some(ImplDef { trait_name, type_name, assoc_types, fns })
+        let fns = self.members()?;
+        Some(ImplDef { trait_name, type_name, fns })
     }
 
-    /// The `type X = T;` bindings and the fns of an `impl` / `trait`
-    /// body, through its closing `}`; `None` when there is no body.
-    fn members(&mut self) -> Option<Members> {
+    /// The fns of an `impl` / `trait` body, through its closing `}`;
+    /// `None` when there is no body.
+    fn members(&mut self) -> Option<Vec<FnDef>> {
         if !self.eat_punct('{') {
             self.eat_punct(';');
             return None;
         }
-        let (mut types, mut fns) = (Vec::new(), Vec::new());
-        for it in self.items(None) {
-            match it.kind {
-                ItemKind::Type(name, ty) => types.push((name, ty)),
-                ItemKind::Fn(fd) => fns.push(fd),
-                _ => {}
-            }
-        }
-        Some((types, fns))
+        let fns = self.items(None).into_iter().filter_map(|it| match it.kind {
+            ItemKind::Fn(fd) => Some(fd),
+            _ => None,
+        });
+        Some(fns.collect())
     }
 
     fn struct_def(&mut self) -> Option<StructDef> {
@@ -681,7 +669,7 @@ impl<'a> Parser<'a> {
         self.skip_generic_args();
         // Supertraits / where clause; `trait A = B;` has no body.
         self.scan_to(false, "{;");
-        let fns = self.members().map(|m| m.1).unwrap_or_default();
+        let fns = self.members().unwrap_or_default();
         Some(TraitDef { name, fns })
     }
 
@@ -693,14 +681,6 @@ impl<'a> Parser<'a> {
             return None;
         }
         Some(ItemKind::Mod(self.items(None)))
-    }
-
-    fn type_def(&mut self) -> Option<ItemKind> {
-        self.eat_ident("type");
-        let name = self.name();
-        let ty = if self.eat_punct('=') { self.type_ref() } else { None };
-        self.skip_to_item_end();
-        Some(ItemKind::Type(name?, ty?))
     }
 
     // -- types --------------------------------------------------------------
@@ -726,10 +706,8 @@ impl<'a> Parser<'a> {
         let _ = self.eat_ident("dyn") || self.eat_ident("impl");
         // Slices and arrays.
         if self.eat_punct('[') {
-            let mut ty = TypeRef::new("[array]", vec![self.type_ref()?]);
+            let ty = TypeRef::new("[array]", vec![self.type_ref()?]);
             if self.eat_punct(';') {
-                let len = self.peek().filter(|t| t.kind == Kind::Num);
-                ty.array_len = len.and_then(|t| t.text.parse().ok());
                 // The length expression, up to its ']'.
                 self.scan(false, &|_| false);
             }
@@ -1433,9 +1411,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_impl_with_assoc_type() {
+    fn parses_impl_with_assoc_type_and_generic_trait() {
         let src = r#"
-            impl<K: SphKernel> SplitKernel for ForceKernel<K> {
+            impl<K: SphKernel, T: Real> SplitKernel<T> for ForceKernel<K> {
                 type State = ForceState;
                 fn state_words(&self) -> usize { 16 }
                 fn interact(&self, si: &ForceState, sj: &ForceState, out: &mut ForceAccum) {
@@ -1449,8 +1427,6 @@ mod tests {
         let ItemKind::Impl(im) = &f.items[0].kind else { panic!("not impl") };
         assert_eq!(im.trait_name.as_deref(), Some("SplitKernel"));
         assert_eq!(im.type_name, "ForceKernel");
-        assert_eq!(im.assoc_types[0].0, "State");
-        assert_eq!(im.assoc_types[0].1.base, "ForceState");
         assert_eq!(im.fns.len(), 2);
     }
 
@@ -1461,7 +1437,6 @@ mod tests {
         assert_eq!(sd.name, "GravState");
         assert_eq!(sd.fields.len(), 2);
         assert_eq!(sd.fields[0].1.base, "[array]");
-        assert_eq!(sd.fields[0].1.array_len, Some(3));
         assert_eq!(sd.fields[1].1.base, "f64");
     }
 

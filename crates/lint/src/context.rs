@@ -5,7 +5,7 @@
 //! hands the same context to every rule. The helpers every rule shares
 //! live here too: the test-tree predicate and the `// <tag>: ...`
 //! marker-comment scanner behind all on-site annotations (`e1: allow:`,
-//! `e1: root`, `p1: hot-loop`, `k1: bind`, ...).
+//! `e1: root`, `p1: hot-loop`, `v1: allow:`).
 
 use std::collections::{BTreeMap, BTreeSet};
 

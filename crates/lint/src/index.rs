@@ -1,5 +1,5 @@
 //! The workspace index, the call resolver and the typer: one of each,
-//! shared by the call graph and K1.
+//! shared by the call graph and V1.
 //!
 //! * The **index** holds every parsed `fn` with a body as an [`FnNode`]
 //!   addressed by [`FnId`] (free functions, impl methods, trait
@@ -20,10 +20,10 @@
 //! * The **typer** types parameters (`self` as its owner), `let`s (by
 //!   annotation, else initializer), literals, casts, struct and tuple
 //!   fields, indexing, arithmetic, integer-valued builtin methods,
-//!   resolved methods' declared returns and `Type::f(..)` constructors,
-//!   substituting generic parameters through `bindings` — enough to
-//!   tell float arithmetic from integer index arithmetic and to name a
-//!   method receiver.
+//!   resolved methods' declared returns and `Type::f(..)` constructors
+//!   — enough to tell float arithmetic from integer index arithmetic
+//!   and to name a method receiver. A generic parameter types as the
+//!   struct of its name; arithmetic on it is float arithmetic.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -192,11 +192,6 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// Float, or untracked: an untracked value counts as float so that
-    /// it makes a cost *louder*, never silently smaller.
-    pub fn is_floatish(&self) -> bool {
-        matches!(self, Ty::Float | Ty::Unknown)
-    }
     fn is_int_or_bool(&self) -> bool {
         matches!(self, Ty::Int | Ty::Bool)
     }
@@ -207,25 +202,16 @@ pub type Env = BTreeMap<String, Ty>;
 
 pub struct Typer<'i, 'a> {
     pub index: &'i Index<'a>,
-    /// Generic-parameter and associated-type substitutions.
-    pub bindings: BTreeMap<String, TypeRef>,
 }
 
 impl<'i, 'a> Typer<'i, 'a> {
     pub fn new(index: &'i Index<'a>) -> Self {
-        Typer { index, bindings: BTreeMap::new() }
+        Typer { index }
     }
 
-    /// A syntactic type as a `Ty`, generic parameters and associated
-    /// types substituted through `bindings`.
+    /// A syntactic type as a `Ty`.
     pub fn resolve(&self, tr: &TypeRef) -> Ty {
-        let mut cur = tr.deref();
-        for _ in 0..8 {
-            match self.bindings.get(&cur.base) {
-                Some(sub) if sub.base != cur.base => cur = sub.deref(),
-                _ => break,
-            }
-        }
+        let cur = tr.deref();
         let first = cur.args.first();
         match cur.base.as_str() {
             "f64" | "f32" => Ty::Float,
@@ -275,10 +261,13 @@ impl<'i, 'a> Typer<'i, 'a> {
             ExprKind::Path(segs) if segs.len() == 1 => env.get(&segs[0]).cloned().unwrap_or(Ty::Unknown),
             ExprKind::Unary { op: '!', .. } => Ty::Bool,
             ExprKind::Unary { expr, .. } => self.ty_of(expr, env),
-            ExprKind::Binary { op, lhs, rhs } if op.is_arith() => match self.is_float_arith(lhs, rhs, env) {
-                true => Ty::Float,
-                false => Ty::Int,
-            },
+            // Integer arithmetic only on integer or bool operands: a
+            // generic scalar `T` (a struct here) or an untracked operand
+            // makes float arithmetic.
+            ExprKind::Binary { op, lhs, rhs } if op.is_arith() => {
+                let int = |e| self.ty_of(e, env).is_int_or_bool();
+                if int(lhs) && int(rhs) { Ty::Int } else { Ty::Float }
+            }
             ExprKind::Binary {
                 op: BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor | BinOp::Shl | BinOp::Shr,
                 ..
@@ -312,17 +301,9 @@ impl<'i, 'a> Typer<'i, 'a> {
         }
     }
 
-    /// Is `lhs op rhs` float arithmetic (either side float or untracked,
-    /// not both integer or bool)?
-    pub fn is_float_arith(&self, lhs: &Expr, rhs: &Expr, env: &Env) -> bool {
-        let (l, r) = (self.ty_of(lhs, env), self.ty_of(rhs, env));
-        (l.is_floatish() || r.is_floatish()) && !(l.is_int_or_bool() && r.is_int_or_bool())
-    }
-
     /// The type of `recv.method(..)`: `len` and `to_bits` are integers,
     /// an integer's `min`/`max`/`abs`/... stays one, a struct's method
-    /// has its declared return; anything else is untracked (which a
-    /// float result costs the same as).
+    /// has its declared return; anything else is untracked.
     fn method_ty(&self, recv: Ty, method: &str) -> Ty {
         match (method, &recv) {
             ("len" | "to_bits", _) => Ty::Int,

@@ -22,7 +22,6 @@
 //! | C1   | AST + call graph | collectives under rank-dependent guards or after rank-guarded exits (SPMD deadlock) |
 //! | H1   | tokens + manifests | non-path dependencies, `extern crate`, `use ::` escapes      |
 //! | F1   | tokens           | `FaultKind` variants no production site can inject             |
-//! | K1   | AST + resolver + typer | `pair_flops()` tables that drift from the kernel's derived cost |
 //! | P1   | AST              | heap allocation in per-pair kernels, tile loops, hot loops     |
 //! | E1   | AST + call graph | unregistered panics reachable from the supervised step loop    |
 //! | V1   | AST + call graph | lane-divergence blockers in the hot interaction tiles          |

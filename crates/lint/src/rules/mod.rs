@@ -13,7 +13,6 @@ pub mod d1;
 pub mod e1;
 pub mod f1;
 pub mod h1;
-pub mod k1;
 pub mod p1;
 pub mod v1;
 
@@ -27,7 +26,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     out.extend(c1::run(&cx));
     out.extend(h1::run(&cx));
     out.extend(f1::run(&cx));
-    out.extend(k1::run(&cx));
     out.extend(p1::run(&cx));
     out.extend(e1::run(&cx));
     out.extend(v1::run(&cx));

@@ -24,7 +24,7 @@ const CORPUS: [&str; 10] = [
     include_str!("../../core/src/driver.rs"),
     include_str!("../../gpusim/src/exec.rs"),
     include_str!("../src/callgraph.rs"),
-    include_str!("../src/rules/k1.rs"),
+    include_str!("../src/rules/v1.rs"),
     include_str!("../src/rules/e1.rs"),
     include_str!("../src/rules/c1.rs"),
 ];

@@ -635,242 +635,6 @@ fn cli_rejects_unknown_options_with_exit_2() {
     assert_eq!(hacc_lint::cli_main(&["--bogus".to_string()]), 2);
 }
 
-// ---------------------------------------------------------------- K1 --
-
-#[test]
-fn k1_undercounted_table_fires() {
-    let ws = Workspace::from_sources(&[(
-        "crates/gpusim/src/fixture.rs",
-        r#"
-            pub struct S { pub x: f64, pub y: f64 }
-            pub struct Kern;
-            impl SplitKernel for Kern {
-                type State = S;
-                type Partial = ();
-                type Accum = f64;
-                fn state_words(&self) -> u64 { 2 }
-                fn pair_flops(&self) -> PairFlops {
-                    PairFlops { adds: 1, muls: 1, fmas: 0, trans: 0 }
-                }
-                fn interact(&self, si: &S, _p: &(), sj: &S, _q: &(), out: &mut f64) {
-                    *out += si.x * sj.y;
-                }
-            }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::K1);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("pair_flops` disagrees"), "{hits:?}");
-    assert!(hits[0].contains("fmas"), "{hits:?}");
-}
-
-#[test]
-fn k1_exact_table_and_tolerance_are_clean() {
-    let ws = Workspace::from_sources(&[(
-        "crates/gpusim/src/fixture.rs",
-        r#"
-            pub struct S { pub x: f64, pub y: f64 }
-            pub struct Kern;
-            impl SplitKernel for Kern {
-                type State = S;
-                type Partial = ();
-                type Accum = f64;
-                fn state_words(&self) -> u64 { 2 }
-                // The guard below costs one data-dependent mul per
-                // side, carried by the tolerance annotation (pair path
-                // = 2x interact) rather than the table.
-                // k1: tolerance(muls = 2)
-                fn pair_flops(&self) -> PairFlops {
-                    PairFlops { adds: 0, muls: 0, fmas: 2, trans: 0 }
-                }
-                fn interact(&self, si: &S, _p: &(), sj: &S, _q: &(), out: &mut f64) {
-                    if si.x * 2.0 > sj.y {
-                        return;
-                    }
-                    *out += si.x * sj.y;
-                }
-            }
-        "#,
-    )]);
-    assert_eq!(findings(&ws, Rule::K1), Vec::<String>::new());
-}
-
-#[test]
-fn k1_state_words_mismatch_fires() {
-    let ws = Workspace::from_sources(&[(
-        "crates/gpusim/src/fixture.rs",
-        r#"
-            pub struct S { pub pos: [f64; 3], pub m: f64 }
-            pub struct Kern;
-            impl SplitKernel for Kern {
-                type State = S;
-                type Partial = ();
-                type Accum = f64;
-                fn state_words(&self) -> u64 { 3 }
-                fn pair_flops(&self) -> PairFlops {
-                    PairFlops { adds: 0, muls: 0, fmas: 2, trans: 0 }
-                }
-                fn interact(&self, si: &S, _p: &(), sj: &S, _q: &(), out: &mut f64) {
-                    *out += si.m * sj.m;
-                }
-            }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::K1);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].contains("declares 3 but"), "{hits:?}");
-    assert!(hits[0].contains("4 f64 words"), "{hits:?}");
-}
-
-#[test]
-fn k1_symmetric_override_outside_bracket_fires() {
-    // An interact_pair that costs MORE than two one-sided calls:
-    // sharing the pair term may only save work.
-    let ws = Workspace::from_sources(&[(
-        "crates/gpusim/src/fixture.rs",
-        r#"
-            pub struct S { pub x: f64 }
-            pub struct Kern;
-            impl SplitKernel for Kern {
-                type State = S;
-                type Partial = ();
-                type Accum = f64;
-                fn state_words(&self) -> u64 { 1 }
-                fn pair_flops(&self) -> PairFlops {
-                    PairFlops { adds: 0, muls: 5, fmas: 0, trans: 0 }
-                }
-                fn interact(&self, si: &S, _p: &(), sj: &S, _q: &(), out: &mut f64) {
-                    *out = si.x * sj.x;
-                }
-                fn interact_pair(&self, si: &S, _p: &(), sj: &S, _q: &(),
-                                 oi: &mut f64, oj: &mut f64) {
-                    *oi = si.x * sj.x * si.x * sj.x * si.x;
-                    *oj = *oi;
-                }
-            }
-        "#,
-    )]);
-    let hits = findings(&ws, Rule::K1);
-    assert!(
-        hits.iter().any(|h| h.contains("outside the one-sided bracket")),
-        "{hits:?}"
-    );
-}
-
-#[test]
-fn k1_same_file_helper_is_not_shadowed_by_another_crate() {
-    // The kernel calls its own file's `helper`; a costlier, uncostable
-    // `helper` elsewhere in the workspace must not change the verdict.
-    let kernel = (
-        "crates/gpusim/src/fixture.rs",
-        r#"
-            pub struct S { pub x: f64 }
-            pub struct Kern;
-            fn helper(x: f64) -> f64 { x * x }
-            impl SplitKernel for Kern {
-                type State = S;
-                type Partial = ();
-                type Accum = f64;
-                fn state_words(&self) -> u64 { 1 }
-                fn pair_flops(&self) -> PairFlops {
-                    PairFlops { adds: 0, muls: 0, fmas: 0, trans: 0 }
-                }
-                fn interact(&self, si: &S, _p: &(), sj: &S, _q: &(), out: &mut f64) {
-                    *out += helper(si.x) * sj.x;
-                }
-            }
-        "#,
-    );
-    let other = (
-        "crates/core/src/other.rs",
-        "pub fn helper(mut x: f64) -> f64 { while x > 1.0 { x = x / 2.0; } x }",
-    );
-    let alone = findings(&Workspace::from_sources(&[kernel]), Rule::K1);
-    assert_eq!(alone.len(), 1, "{alone:?}");
-    assert!(alone[0].contains("pair_flops` disagrees"), "{alone:?}");
-    assert_eq!(findings(&Workspace::from_sources(&[kernel, other]), Rule::K1), alone);
-}
-
-/// The five production kernels' derived costs, read from K1's own
-/// message on the real sources with each `pair_flops()` body zeroed in
-/// memory: the symmetric `interact_pair` path, and (with the override
-/// renamed away) the default path of two one-sided `interact` calls.
-#[test]
-fn k1_derives_the_production_kernel_costs() {
-    // (file, kernel, interact_pair, interact) as [adds, muls, fmas, trans].
-    const PINNED: [(&str, &str, [u64; 4], [u64; 4]); 5] = [
-        ("crates/grav/src/kernel.rs", "GravityKernel", [6, 5, 9, 2], [6, 4, 6, 2]),
-        ("crates/sph/src/hydro.rs", "DensityKernel", [7, 22, 4, 5], [5, 10, 3, 3]),
-        ("crates/sph/src/hydro.rs", "MomentsKernel", [12, 36, 20, 5], [6, 17, 11, 3]),
-        ("crates/sph/src/hydro.rs", "VelGradKernel", [14, 34, 20, 11], [7, 16, 11, 6]),
-        ("crates/sph/src/hydro.rs", "ForceKernel", [27, 73, 24, 11], [26, 77, 21, 13]),
-    ];
-    let root = repo_root();
-    let ws = Workspace::load(&root).expect("load workspace");
-    let rels: Vec<&str> = ws
-        .files
-        .iter()
-        .map(|f| f.rel.as_str())
-        .chain(ws.manifests.iter().map(|m| m.rel.as_str()))
-        .collect();
-    let texts: Vec<String> = rels
-        .iter()
-        .map(|rel| std::fs::read_to_string(root.join(rel)).expect("read source"))
-        .collect();
-    for symmetric in [true, false] {
-        let entries: Vec<(&str, String)> = rels
-            .iter()
-            .zip(&texts)
-            .map(|(&rel, text)| {
-                let mine = PINNED.iter().filter(|p| p.0 == rel);
-                (rel, mine.fold(text.clone(), |t, p| zero_table(&t, p.1, symmetric)))
-            })
-            .collect();
-        let entries: Vec<(&str, &str)> = entries.iter().map(|(r, t)| (*r, t.as_str())).collect();
-        let hits = findings(&Workspace::from_sources(&entries), Rule::K1);
-        for (_, kernel, pair, one) in PINNED {
-            let got = hits
-                .iter()
-                .find(|h| h.contains(&format!("`{kernel}::pair_flops` disagrees")))
-                .and_then(|h| h.split("derived {").nth(1))
-                .and_then(|rest| rest.split('}').next())
-                .unwrap_or_else(|| panic!("no derived cost for {kernel}: {hits:?}"));
-            let [a, m, f, t] = if symmetric { pair } else { one.map(|x| 2 * x) };
-            let expect = format!("adds: {a}, muls: {m}, fmas: {f}, trans: {t}");
-            assert_eq!(got, expect, "{kernel} (symmetric path: {symmetric})");
-        }
-    }
-}
-
-/// `text` with `kernel`'s `pair_flops()` body replaced by an all-zero
-/// table and, unless `symmetric`, its `interact_pair` override renamed
-/// so K1 costs the default two-`interact` path.
-fn zero_table(text: &str, kernel: &str, symmetric: bool) -> String {
-    let imp = text.find(&format!("SplitKernel for {kernel}")).expect("kernel impl");
-    let head = imp + text[imp..].find("fn pair_flops").expect("pair_flops");
-    let open = head + text[head..].find('{').expect("body");
-    let mut depth = 0;
-    let close = open
-        + text[open..]
-            .char_indices()
-            .find(|&(_, c)| {
-                depth += i32::from(c == '{') - i32::from(c == '}');
-                depth == 0
-            })
-            .expect("closing brace")
-            .0;
-    let mut out = format!(
-        "{}{{ PairFlops {{ adds: 0, muls: 0, fmas: 0, trans: 0 }} {}",
-        &text[..open],
-        &text[close..]
-    );
-    if !symmetric {
-        let at = imp + out[imp..].find("fn interact_pair").expect("interact_pair");
-        out.replace_range(at..at + "fn interact_pair".len(), "fn interact_pair_renamed");
-    }
-    out
-}
-
 // ---------------------------------------------------------------- P1 --
 
 #[test]
@@ -1265,6 +1029,64 @@ fn v1_float_local_accumulation_fires_but_int_counters_are_exempt() {
         "#,
     )]);
     assert_eq!(findings(&quiet, Rule::V1), Vec::<String>::new());
+}
+
+/// The one resolver looks in the caller's file first: a kernel calling
+/// its own file's leaf-trivial `helper` is clean although another crate
+/// holds an opaque `helper`, which a kernel with no local one reaches.
+#[test]
+fn v1_same_file_helper_is_not_shadowed_by_another_crate() {
+    let kernel = |local: &str| {
+        format!(
+            "{local}
+            pub struct Kern;
+            impl SplitKernel for Kern {{
+                fn interact(&self, r: f64, out: &mut [f64; 3]) {{
+                    out[0] -= helper(r);
+                }}
+            }}"
+        )
+    };
+    let other = (
+        "crates/core/src/other.rs",
+        "pub fn helper(mut x: f64) -> f64 { while x > 1.0 { x = x / 2.0; } x }",
+    );
+    let own = kernel("fn helper(x: f64) -> f64 { x * x }");
+    let ws = Workspace::from_sources(&[("crates/gpusim/src/fixture.rs", own.as_str()), other]);
+    assert_eq!(findings(&ws, Rule::V1), Vec::<String>::new());
+    let bare = kernel("");
+    let ws = Workspace::from_sources(&[("crates/gpusim/src/fixture.rs", bare.as_str()), other]);
+    let hits = findings(&ws, Rule::V1);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].contains("`helper` called in the per-pair kernel body"), "{}", hits[0]);
+}
+
+/// A kernel generic over its scalar is policed like an `f64` one:
+/// `T::c(..)` types as the struct `T`, and arithmetic on it is float
+/// arithmetic, so a local built from it is no exempt integer counter.
+#[test]
+fn v1_generic_scalar_kernel_fires_like_an_f64_one() {
+    let ws = Workspace::from_sources(&[(
+        "crates/sph/src/fixture.rs",
+        r#"
+            pub struct K;
+            impl<T: Real> SplitKernel<T> for K {
+                fn interact(&self, r: T, out: &mut [T; 3]) {
+                    if r == T::c(0.0) {
+                        return;
+                    }
+                    let cut = T::c(2.0);
+                    let mut s = cut * cut;
+                    s += r;
+                    out[0] -= s;
+                }
+            }
+        "#,
+    )]);
+    let hits = findings(&ws, Rule::V1);
+    assert_eq!(hits.len(), 2, "{hits:?}");
+    assert!(hits[0].contains("`return`"), "{}", hits[0]);
+    assert!(hits[1].contains("order-dependent accumulation `s += ...`"), "{}", hits[1]);
 }
 
 #[test]

@@ -17,23 +17,25 @@
 //! m2_i = sum_j V_j (r_i - r_j) ⊗ (r_i - r_j) W_ij
 //! ```
 
+use hacc_gpusim::Real;
+
 /// Accumulated kernel moments for one particle. `m2` is symmetric and
 /// stored as `[xx, xy, xz, yy, yz, zz]`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Moments {
+pub struct Moments<T = f64> {
     /// Zeroth moment.
-    pub m0: f64,
+    pub m0: T,
     /// First moment (vector).
-    pub m1: [f64; 3],
+    pub m1: [T; 3],
     /// Second moment (symmetric 3×3, packed upper triangle).
-    pub m2: [f64; 6],
+    pub m2: [T; 6],
 }
 
-impl Moments {
+impl<T: Real> Moments<T> {
     /// Accumulate the contribution of a neighbor with volume `v`, kernel
     /// value `w`, and separation `dr = r_i - r_j`.
     #[inline]
-    pub fn accumulate(&mut self, v: f64, w: f64, dr: &[f64; 3]) {
+    pub fn accumulate(&mut self, v: T, w: T, dr: &[T; 3]) {
         let vw = v * w;
         self.m0 += vw;
         for d in 0..3 {
@@ -50,18 +52,18 @@ impl Moments {
 
 /// Linear-order correction coefficients for one particle.
 #[derive(Debug, Clone, Copy)]
-pub struct CrkCorrections {
+pub struct CrkCorrections<T = f64> {
     /// Multiplicative normalization.
-    pub a: f64,
+    pub a: T,
     /// Linear correction vector.
-    pub b: [f64; 3],
+    pub b: [T; 3],
 }
 
-impl Default for CrkCorrections {
+impl<T: Real> Default for CrkCorrections<T> {
     fn default() -> Self {
         Self {
-            a: 1.0,
-            b: [0.0; 3],
+            a: T::c(1.0),
+            b: [T::c(0.0); 3],
         }
     }
 }
@@ -133,15 +135,15 @@ pub fn corrected_w(c: &CrkCorrections, w: f64, dr: &[f64; 3]) -> f64 {
 /// see the crate docs): `∇W^R = A (1 + B·dr) ∇W + A B W`, where
 /// `∇W = dw_dr * dr / |dr|`.
 #[inline]
-pub fn corrected_grad_w(
-    c: &CrkCorrections,
-    w: f64,
-    dw_dr: f64,
-    dr: &[f64; 3],
-    r: f64,
-) -> [f64; 3] {
-    let lin = 1.0 + c.b[0] * dr[0] + c.b[1] * dr[1] + c.b[2] * dr[2];
-    let radial = if r > 0.0 { dw_dr / r } else { 0.0 };
+pub fn corrected_grad_w<T: Real>(
+    c: &CrkCorrections<T>,
+    w: T,
+    dw_dr: T,
+    dr: &[T; 3],
+    r: T,
+) -> [T; 3] {
+    let lin = T::c(1.0) + c.b[0] * dr[0] + c.b[1] * dr[1] + c.b[2] * dr[2];
+    let radial = if r > T::c(0.0) { dw_dr / r } else { T::c(0.0) };
     [
         c.a * (lin * radial * dr[0] + c.b[0] * w),
         c.a * (lin * radial * dr[1] + c.b[1] * w),

@@ -12,11 +12,14 @@
 //! is computed once per unordered pair and scattered into both
 //! accumulators, with each side's arithmetic kept literally identical to
 //! the one-sided `interact` reference — the `*_matches_one_sided` tests
-//! below pin that bitwise. `pair_flops` tables are audited against the
-//! `interact_pair` bodies, counting the general `h_i != h_j` case (the
-//! runtime additionally shares kernel evaluations when the smoothing
-//! lengths are bit-equal), with sqrt and divide each one transcendental
-//! and the interior branch (in-support, viscosity active) taken.
+//! below pin that bitwise. The bodies are generic over their scalar
+//! ([`Real`]): production runs them at `f64`, and the `flop_table_*`
+//! tests run them at [`hacc_gpusim::reference::Counted`] to pin each
+//! `pair_flops` table against the `interact_pair` body. The tables count
+//! the general `h_i != h_j` case (the runtime additionally shares kernel
+//! evaluations when the smoothing lengths are bit-equal), with sqrt and
+//! divide each one transcendental and the interior branch (in-support,
+//! viscosity active) taken.
 //!
 //! Every `interact_pair` body opens with the same exact support
 //! pre-filter, `may_interact`: most candidate pairs of a leaf-pair tile
@@ -26,7 +29,7 @@
 
 use crate::crk::{corrected_grad_w, CrkCorrections, Moments};
 use crate::kernel::SphKernel;
-use hacc_gpusim::{PairFlops, SplitKernel};
+use hacc_gpusim::{PairFlops, Real, SplitKernel};
 
 /// The support pre-filter of the symmetric pair bodies: false only when
 /// the pair is certainly outside the larger of the two supports, `cut =
@@ -41,19 +44,19 @@ use hacc_gpusim::{PairFlops, SplitKernel};
 /// pairs in the boundary band fall through to the body's own exact
 /// checks.
 #[inline]
-fn may_interact(r2: f64, cut: f64) -> bool {
-    r2 < cut * cut * (1.0 + 1e-12)
+fn may_interact<T: Real>(r2: T, cut: T) -> bool {
+    r2 < cut * cut * T::c(1.0 + 1e-12)
 }
 
 /// Per-particle state consumed by the density and moments kernels.
 #[derive(Debug, Clone, Copy)]
-pub struct GeomState {
+pub struct GeomState<T = f64> {
     /// Position.
-    pub pos: [f64; 3],
+    pub pos: [T; 3],
     /// Smoothing length.
-    pub h: f64,
+    pub h: T,
     /// Mass (density kernel) — also reused as volume (moments kernel).
-    pub m_or_v: f64,
+    pub m_or_v: T,
 }
 
 /// Stage 1: raw SPH density `rho_i = sum_j m_j W(r_ij, h_i)`
@@ -64,11 +67,10 @@ pub struct DensityKernel<K: SphKernel> {
     pub kernel: K,
 }
 
-impl<K: SphKernel> SplitKernel for DensityKernel<K> {
-    // k1: bind K = CubicSpline
-    type State = GeomState;
+impl<K: SphKernel, T: Real> SplitKernel<T> for DensityKernel<K> {
+    type State = GeomState<T>;
     type Partial = ();
-    type Accum = f64;
+    type Accum = T;
 
     fn name(&self) -> &'static str {
         "sph_density"
@@ -85,14 +87,14 @@ impl<K: SphKernel> SplitKernel for DensityKernel<K> {
     fn partial_flops(&self) -> PairFlops {
         PairFlops::default()
     }
-    // k1: tolerance(muls = 3)
     fn pair_flops(&self) -> PairFlops {
-        // Audited vs `interact_pair` (general h_i != h_j):
+        // `interact_pair` (general h_i != h_j):
         //   dr (3 add); r2 (1 mul + 2 fma); sqrt (1);
         //   W x2 (each: q div 1, sigma 3 mul + 1 div, poly 5 mul 2 add,
         //     scale 1 mul); scatter both sides (2 fma).
-        // The table bills the interacting path only; the support
-        // pre-filter's 3 muls on every candidate are the tolerance.
+        // The table bills the interacting path only, not the support
+        // pre-filter's 3 muls on every candidate (the test's
+        // `PREFILTER`).
         PairFlops {
             adds: 7,
             muls: 19,
@@ -100,21 +102,21 @@ impl<K: SphKernel> SplitKernel for DensityKernel<K> {
             trans: 5,
         }
     }
-    fn partial(&self, _s: &GeomState) {}
+    fn partial(&self, _s: &GeomState<T>) {}
     /// The support radius: `may_interact` rejects a pair beyond the
     /// larger of the two.
     #[inline]
-    fn reach(&self, s: &GeomState) -> Option<([f64; 3], f64)> {
-        Some((s.pos, self.kernel.support() * s.h))
+    fn reach(&self, s: &GeomState<T>) -> Option<([f64; 3], f64)> {
+        Some((s.pos.map(T::to_f64), self.kernel.support() * s.h.to_f64()))
     }
-    fn translated(&self, s: &GeomState, by: [f64; 3]) -> GeomState {
+    fn translated(&self, s: &GeomState<T>, by: [f64; 3]) -> GeomState<T> {
         GeomState {
-            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            pos: [0, 1, 2].map(|d| s.pos[d] + T::c(by[d])),
             ..*s
         }
     }
     #[inline]
-    fn interact(&self, si: &GeomState, _: &(), sj: &GeomState, _: &(), out: &mut f64) {
+    fn interact(&self, si: &GeomState<T>, _: &(), sj: &GeomState<T>, _: &(), out: &mut T) {
         let dx = si.pos[0] - sj.pos[0];
         let dy = si.pos[1] - sj.pos[1];
         let dz = si.pos[2] - sj.pos[2];
@@ -127,18 +129,18 @@ impl<K: SphKernel> SplitKernel for DensityKernel<K> {
     #[inline]
     fn interact_pair(
         &self,
-        si: &GeomState,
+        si: &GeomState<T>,
         _: &(),
-        sj: &GeomState,
+        sj: &GeomState<T>,
         _: &(),
-        out_i: &mut f64,
-        out_j: &mut f64,
+        out_i: &mut T,
+        out_j: &mut T,
     ) {
         let dx = si.pos[0] - sj.pos[0];
         let dy = si.pos[1] - sj.pos[1];
         let dz = si.pos[2] - sj.pos[2];
         let r2 = dx * dx + dy * dy + dz * dz;
-        if may_interact(r2, self.kernel.support() * si.h.max(sj.h)) {
+        if may_interact(r2, T::c(self.kernel.support()) * si.h.max(sj.h)) {
             let r = r2.sqrt();
             let wi = self.kernel.w(r, si.h);
             let wj = if sj.h.to_bits() == si.h.to_bits() {
@@ -160,11 +162,10 @@ pub struct MomentsKernel<K: SphKernel> {
     pub kernel: K,
 }
 
-impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
-    // k1: bind K = CubicSpline
-    type State = GeomState;
+impl<K: SphKernel, T: Real> SplitKernel<T> for MomentsKernel<K> {
+    type State = GeomState<T>;
     type Partial = ();
-    type Accum = Moments;
+    type Accum = Moments<T>;
 
     fn name(&self) -> &'static str {
         "crk_moments"
@@ -181,15 +182,14 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
     fn partial_flops(&self) -> PairFlops {
         PairFlops::default()
     }
-    // k1: tolerance(muls = 3)
     fn pair_flops(&self) -> PairFlops {
-        // Audited vs `interact_pair` (general h_i != h_j):
+        // `interact_pair` (general h_i != h_j):
         //   dr + reversed dr (6 add); r2 (1 mul + 2 fma); sqrt (1);
         //   W x2 (2 add + 9 mul + 2 trans each);
         //   accumulate x2 (each: vw 1 mul, m0 1 add, m1 3 fma,
         //     m2 6 mul + 6 fma).
-        // The support pre-filter's 3 muls per candidate are the
-        // tolerance, as in the density kernel.
+        // The support pre-filter's 3 muls per candidate are not billed,
+        // as in the density kernel.
         PairFlops {
             adds: 12,
             muls: 33,
@@ -197,21 +197,21 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
             trans: 5,
         }
     }
-    fn partial(&self, _s: &GeomState) {}
+    fn partial(&self, _s: &GeomState<T>) {}
     /// The support radius: `may_interact` rejects a pair beyond the
     /// larger of the two.
     #[inline]
-    fn reach(&self, s: &GeomState) -> Option<([f64; 3], f64)> {
-        Some((s.pos, self.kernel.support() * s.h))
+    fn reach(&self, s: &GeomState<T>) -> Option<([f64; 3], f64)> {
+        Some((s.pos.map(T::to_f64), self.kernel.support() * s.h.to_f64()))
     }
-    fn translated(&self, s: &GeomState, by: [f64; 3]) -> GeomState {
+    fn translated(&self, s: &GeomState<T>, by: [f64; 3]) -> GeomState<T> {
         GeomState {
-            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            pos: [0, 1, 2].map(|d| s.pos[d] + T::c(by[d])),
             ..*s
         }
     }
     #[inline]
-    fn interact(&self, si: &GeomState, _: &(), sj: &GeomState, _: &(), out: &mut Moments) {
+    fn interact(&self, si: &GeomState<T>, _: &(), sj: &GeomState<T>, _: &(), out: &mut Moments<T>) {
         let dr = [
             si.pos[0] - sj.pos[0],
             si.pos[1] - sj.pos[1],
@@ -219,7 +219,7 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
         ];
         let r = (dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2]).sqrt();
         let w = self.kernel.w(r, si.h);
-        if w > 0.0 {
+        if w > T::c(0.0) {
             out.accumulate(sj.m_or_v, w, &dr);
         }
     }
@@ -229,12 +229,12 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
     #[inline]
     fn interact_pair(
         &self,
-        si: &GeomState,
+        si: &GeomState<T>,
         _: &(),
-        sj: &GeomState,
+        sj: &GeomState<T>,
         _: &(),
-        out_i: &mut Moments,
-        out_j: &mut Moments,
+        out_i: &mut Moments<T>,
+        out_j: &mut Moments<T>,
     ) {
         let dr = [
             si.pos[0] - sj.pos[0],
@@ -242,7 +242,7 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
             si.pos[2] - sj.pos[2],
         ];
         let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-        if may_interact(r2, self.kernel.support() * si.h.max(sj.h)) {
+        if may_interact(r2, T::c(self.kernel.support()) * si.h.max(sj.h)) {
             let r = r2.sqrt();
             let wi = self.kernel.w(r, si.h);
             let wj = if sj.h.to_bits() == si.h.to_bits() {
@@ -250,10 +250,10 @@ impl<K: SphKernel> SplitKernel for MomentsKernel<K> {
             } else {
                 self.kernel.w(r, sj.h)
             };
-            if wi > 0.0 {
+            if wi > T::c(0.0) {
                 out_i.accumulate(sj.m_or_v, wi, &dr);
             }
-            if wj > 0.0 {
+            if wj > T::c(0.0) {
                 let drj = [
                     sj.pos[0] - si.pos[0],
                     sj.pos[1] - si.pos[1],
@@ -276,24 +276,24 @@ pub struct VelGradKernel<K: SphKernel> {
 
 /// State for the velocity-gradient kernel.
 #[derive(Debug, Clone, Copy)]
-pub struct VelGradState {
+pub struct VelGradState<T = f64> {
     /// Position.
-    pub pos: [f64; 3],
+    pub pos: [T; 3],
     /// Velocity.
-    pub vel: [f64; 3],
+    pub vel: [T; 3],
     /// Smoothing length.
-    pub h: f64,
+    pub h: T,
     /// Volume.
-    pub vol: f64,
+    pub vol: T,
 }
 
 /// Accumulated velocity gradients.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct VelGradAccum {
+pub struct VelGradAccum<T = f64> {
     /// Divergence of the velocity field.
-    pub div: f64,
+    pub div: T,
     /// Curl components.
-    pub curl: [f64; 3],
+    pub curl: [T; 3],
 }
 
 impl VelGradAccum {
@@ -312,11 +312,10 @@ impl VelGradAccum {
     }
 }
 
-impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
-    // k1: bind K = CubicSpline
-    type State = VelGradState;
+impl<K: SphKernel, T: Real> SplitKernel<T> for VelGradKernel<K> {
+    type State = VelGradState<T>;
     type Partial = ();
-    type Accum = VelGradAccum;
+    type Accum = VelGradAccum<T>;
 
     fn name(&self) -> &'static str {
         "vel_gradients"
@@ -333,14 +332,12 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
     fn partial_flops(&self) -> PairFlops {
         PairFlops::default()
     }
-    // k1: tolerance(muls = 3)
     fn pair_flops(&self) -> PairFlops {
-        // Statically audited by hacc-lint K1 against `interact_pair`
-        // (general h_i != h_j, both sides in support; the support
-        // pre-filter's 3 muls per candidate are the tolerance). The old hand
-        // audit billed the div/curl accumulations as mul+add; the
-        // compiler fuses every `acc += a * b` spine to an FMA, which
-        // is what the derived count (and the hardware) sees.
+        // `interact_pair` (general h_i != h_j, both sides in support;
+        // the support pre-filter's 3 muls per candidate are not billed).
+        // The div/curl accumulations are billed as FMAs, as a GPU
+        // compiler contracts every `acc += a * b` spine; the total is
+        // the same either way, and only it and `trans` are pinned.
         PairFlops {
             adds: 14,
             muls: 31,
@@ -348,22 +345,29 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
             trans: 11,
         }
     }
-    fn partial(&self, _s: &VelGradState) {}
+    fn partial(&self, _s: &VelGradState<T>) {}
     /// The support radius: `may_interact` rejects a pair beyond the
     /// larger of the two.
     #[inline]
-    fn reach(&self, s: &VelGradState) -> Option<([f64; 3], f64)> {
-        Some((s.pos, self.kernel.support() * s.h))
+    fn reach(&self, s: &VelGradState<T>) -> Option<([f64; 3], f64)> {
+        Some((s.pos.map(T::to_f64), self.kernel.support() * s.h.to_f64()))
     }
-    fn translated(&self, s: &VelGradState, by: [f64; 3]) -> VelGradState {
+    fn translated(&self, s: &VelGradState<T>, by: [f64; 3]) -> VelGradState<T> {
         VelGradState {
-            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            pos: [0, 1, 2].map(|d| s.pos[d] + T::c(by[d])),
             ..*s
         }
     }
 
     #[inline]
-    fn interact(&self, si: &VelGradState, _: &(), sj: &VelGradState, _: &(), out: &mut VelGradAccum) {
+    fn interact(
+        &self,
+        si: &VelGradState<T>,
+        _: &(),
+        sj: &VelGradState<T>,
+        _: &(),
+        out: &mut VelGradAccum<T>,
+    ) {
         let dr = [
             si.pos[0] - sj.pos[0],
             si.pos[1] - sj.pos[1],
@@ -375,8 +379,8 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
         // instead of exiting early, keeping the lane loop straight-line
         // (V1): the accumulation runs under a single predicate, exactly
         // like the zero-charge mask in the gravity kernel.
-        let dw = if r == 0.0 { 0.0 } else { self.kernel.dw_dr(r, si.h) };
-        if dw != 0.0 {
+        let dw = if r == T::c(0.0) { T::c(0.0) } else { self.kernel.dw_dr(r, si.h) };
+        if dw != T::c(0.0) {
             // ∇W_ij (gradient w.r.t. r_i).
             let g = [dw * dr[0] / r, dw * dr[1] / r, dw * dr[2] / r];
             let dv = [
@@ -397,12 +401,12 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
     #[inline]
     fn interact_pair(
         &self,
-        si: &VelGradState,
+        si: &VelGradState<T>,
         _: &(),
-        sj: &VelGradState,
+        sj: &VelGradState<T>,
         _: &(),
-        out_i: &mut VelGradAccum,
-        out_j: &mut VelGradAccum,
+        out_i: &mut VelGradAccum<T>,
+        out_j: &mut VelGradAccum<T>,
     ) {
         let dr = [
             si.pos[0] - sj.pos[0],
@@ -410,13 +414,13 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
             si.pos[2] - sj.pos[2],
         ];
         let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-        if may_interact(r2, self.kernel.support() * si.h.max(sj.h)) {
+        if may_interact(r2, T::c(self.kernel.support()) * si.h.max(sj.h)) {
             let r = r2.sqrt();
             // Self-pair lanes mask to zero slopes instead of an early exit
             // (V1); the two predicated scatter blocks below then skip them
             // exactly as the old `return` did.
-            let (dwi, dwj) = if r == 0.0 {
-                (0.0, 0.0)
+            let (dwi, dwj) = if r == T::c(0.0) {
+                (T::c(0.0), T::c(0.0))
             } else {
                 let dwi = self.kernel.dw_dr(r, si.h);
                 let dwj = if sj.h.to_bits() == si.h.to_bits() {
@@ -426,7 +430,7 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
                 };
                 (dwi, dwj)
             };
-            if dwi != 0.0 {
+            if dwi != T::c(0.0) {
                 let g = [dwi * dr[0] / r, dwi * dr[1] / r, dwi * dr[2] / r];
                 let dv = [
                     sj.vel[0] - si.vel[0],
@@ -439,7 +443,7 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
                 out_i.curl[1] += v * (dv[2] * g[0] - dv[0] * g[2]);
                 out_i.curl[2] += v * (dv[0] * g[1] - dv[1] * g[0]);
             }
-            if dwj != 0.0 {
+            if dwj != T::c(0.0) {
                 let drj = [
                     sj.pos[0] - si.pos[0],
                     sj.pos[1] - si.pos[1],
@@ -463,36 +467,36 @@ impl<K: SphKernel> SplitKernel for VelGradKernel<K> {
 
 /// Per-particle state of the force kernel.
 #[derive(Debug, Clone, Copy)]
-pub struct ForceState {
+pub struct ForceState<T = f64> {
     /// Position.
-    pub pos: [f64; 3],
+    pub pos: [T; 3],
     /// Velocity.
-    pub vel: [f64; 3],
+    pub vel: [T; 3],
     /// Smoothing length.
-    pub h: f64,
+    pub h: T,
     /// Pressure.
-    pub p: f64,
+    pub p: T,
     /// Density.
-    pub rho: f64,
+    pub rho: T,
     /// Sound speed.
-    pub cs: f64,
+    pub cs: T,
     /// Volume.
-    pub vol: f64,
+    pub vol: T,
     /// Balsara viscosity limiter in [0, 1] (1 = full viscosity).
-    pub balsara: f64,
+    pub balsara: T,
     /// CRK corrections.
-    pub corr: CrkCorrections,
+    pub corr: CrkCorrections<T>,
 }
 
 /// Accumulator of the force kernel.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ForceAccum {
+pub struct ForceAccum<T = f64> {
     /// `m_i dv_i/dt` — momentum rate (divide by mass downstream).
-    pub mom: [f64; 3],
+    pub mom: [T; 3],
     /// `m_i du_i/dt` — thermal energy rate.
-    pub eng: f64,
+    pub eng: T,
     /// Maximum signal velocity seen (for the CFL timestep).
-    pub vsig: f64,
+    pub vsig: T,
 }
 
 /// Artificial-viscosity and force options.
@@ -536,11 +540,10 @@ pub struct ForceKernel<K: SphKernel> {
     pub opts: HydroOptions,
 }
 
-impl<K: SphKernel> SplitKernel for ForceKernel<K> {
-    // k1: bind K = CubicSpline
-    type State = ForceState;
+impl<K: SphKernel, T: Real> SplitKernel<T> for ForceKernel<K> {
+    type State = ForceState<T>;
     type Partial = ();
-    type Accum = ForceAccum;
+    type Accum = ForceAccum<T>;
 
     fn name(&self) -> &'static str {
         "crk_force"
@@ -555,20 +558,14 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
         5
     }
     fn partial_flops(&self) -> PairFlops {
-        PairFlops {
-            muls: 2,
-            ..Default::default()
-        }
+        PairFlops::default()
     }
-    // k1: tolerance(muls = 2)
     fn pair_flops(&self) -> PairFlops {
-        // Statically audited by hacc-lint K1 against `interact_pair`
-        // (general h_i != h_j, in support, viscosity branch taken,
-        // fused cubic-spline W/dW). The table bills the interacting
-        // path only; the squared-radius pre-filter costs 2 extra muls
-        // on every candidate pair, interacting or not, and is carried
-        // as the `k1: tolerance(muls = 2)` annotation above rather
-        // than folded into the model.
+        // `interact_pair` (general h_i != h_j, in support, viscosity
+        // branch taken, fused cubic-spline W/dW). The table bills the
+        // interacting path only; the squared-radius pre-filter costs 2
+        // extra muls on every candidate pair, interacting or not, and
+        // is not folded into the model (the test's `PREFILTER`).
         PairFlops {
             adds: 27,
             muls: 71,
@@ -576,22 +573,29 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
             trans: 11,
         }
     }
-    fn partial(&self, _s: &ForceState) {}
+    fn partial(&self, _s: &ForceState<T>) {}
     /// The support radius: `may_interact` rejects a pair beyond the
     /// larger of the two.
     #[inline]
-    fn reach(&self, s: &ForceState) -> Option<([f64; 3], f64)> {
-        Some((s.pos, self.kernel.support() * s.h))
+    fn reach(&self, s: &ForceState<T>) -> Option<([f64; 3], f64)> {
+        Some((s.pos.map(T::to_f64), self.kernel.support() * s.h.to_f64()))
     }
-    fn translated(&self, s: &ForceState, by: [f64; 3]) -> ForceState {
+    fn translated(&self, s: &ForceState<T>, by: [f64; 3]) -> ForceState<T> {
         ForceState {
-            pos: [0, 1, 2].map(|d| s.pos[d] + by[d]),
+            pos: [0, 1, 2].map(|d| s.pos[d] + T::c(by[d])),
             ..*s
         }
     }
 
     #[inline]
-    fn interact(&self, si: &ForceState, _: &(), sj: &ForceState, _: &(), out: &mut ForceAccum) {
+    fn interact(
+        &self,
+        si: &ForceState<T>,
+        _: &(),
+        sj: &ForceState<T>,
+        _: &(),
+        out: &mut ForceAccum<T>,
+    ) {
         let dr = [
             si.pos[0] - sj.pos[0],
             si.pos[1] - sj.pos[1],
@@ -599,11 +603,11 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
         ];
         let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
         let r = r2.sqrt();
-        let support = self.kernel.support();
+        let support = T::c(self.kernel.support());
         // Out-of-support and self-pair lanes are masked by predicating
         // the whole pair term (V1) — the exact complement of the old
         // early exit, so the accepted-lane arithmetic is bit-identical.
-        if !(r >= support * si.h.max(sj.h) || r == 0.0) {
+        if !(r >= support * si.h.max(sj.h) || r == T::c(0.0)) {
             let wi = self.kernel.w(r, si.h);
             let dwi = self.kernel.dw_dr(r, si.h);
             let wj = self.kernel.w(r, sj.h);
@@ -614,9 +618,9 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
             let drj = [-dr[0], -dr[1], -dr[2]];
             let gj = corrected_grad_w(&sj.corr, wj, dwj, &drj, r);
             let g = [
-                0.5 * (gi[0] - gj[0]),
-                0.5 * (gi[1] - gj[1]),
-                0.5 * (gi[2] - gj[2]),
+                T::c(0.5) * (gi[0] - gj[0]),
+                T::c(0.5) * (gi[1] - gj[1]),
+                T::c(0.5) * (gi[2] - gj[2]),
             ];
 
             // Monaghan viscosity on approaching pairs.
@@ -626,28 +630,28 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
                 si.vel[2] - sj.vel[2],
             ];
             let vdotr = dv[0] * dr[0] + dv[1] * dr[1] + dv[2] * dr[2];
-            let hbar = 0.5 * (si.h + sj.h);
-            let rho_bar = 0.5 * (si.rho + sj.rho);
-            let cbar = 0.5 * (si.cs + sj.cs);
-            let q = if vdotr < 0.0 {
-                let mu = hbar * vdotr / (r2 + self.opts.eps_visc * hbar * hbar);
-                let limiter = 0.5 * (si.balsara + sj.balsara);
-                (-self.opts.alpha_visc * cbar * mu + self.opts.beta_visc * mu * mu)
+            let hbar = T::c(0.5) * (si.h + sj.h);
+            let rho_bar = T::c(0.5) * (si.rho + sj.rho);
+            let cbar = T::c(0.5) * (si.cs + sj.cs);
+            let q = if vdotr < T::c(0.0) {
+                let mu = hbar * vdotr / (r2 + T::c(self.opts.eps_visc) * hbar * hbar);
+                let limiter = T::c(0.5) * (si.balsara + sj.balsara);
+                (T::c(-self.opts.alpha_visc) * cbar * mu + T::c(self.opts.beta_visc) * mu * mu)
                     * rho_bar
                     * limiter
             } else {
-                0.0
+                T::c(0.0)
             };
 
             let x = si.vol * sj.vol * (si.p + sj.p + q);
             out.mom[0] -= x * g[0];
             out.mom[1] -= x * g[1];
             out.mom[2] -= x * g[2];
-            out.eng += 0.5 * x * (dv[0] * g[0] + dv[1] * g[1] + dv[2] * g[2]);
+            out.eng += T::c(0.5) * x * (dv[0] * g[0] + dv[1] * g[1] + dv[2] * g[2]);
 
             // Signal velocity for the CFL condition.
-            let w_rel = (vdotr / r).min(0.0);
-            let vsig = si.cs + sj.cs - 3.0 * w_rel;
+            let w_rel = (vdotr / r).min(T::c(0.0));
+            let vsig = si.cs + sj.cs - T::c(3.0) * w_rel;
             if vsig > out.vsig {
                 out.vsig = vsig;
             }
@@ -666,12 +670,12 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
     #[inline]
     fn interact_pair(
         &self,
-        si: &ForceState,
+        si: &ForceState<T>,
         _: &(),
-        sj: &ForceState,
+        sj: &ForceState<T>,
         _: &(),
-        out_i: &mut ForceAccum,
-        out_j: &mut ForceAccum,
+        out_i: &mut ForceAccum<T>,
+        out_j: &mut ForceAccum<T>,
     ) {
         let dr = [
             si.pos[0] - sj.pos[0],
@@ -679,7 +683,7 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
             si.pos[2] - sj.pos[2],
         ];
         let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-        let cut = self.kernel.support() * si.h.max(sj.h);
+        let cut = T::c(self.kernel.support()) * si.h.max(sj.h);
         // Clearly-out-of-support pairs skip the sqrt entirely; pairs in
         // the boundary band fall through to the exact one-sided check,
         // keeping the symmetric path bitwise identical to `interact`.
@@ -688,7 +692,7 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
         // accepted lanes compute bit-identically to `interact`.
         if may_interact(r2, cut) {
             let r = r2.sqrt();
-            if !(r >= cut || r == 0.0) {
+            if !(r >= cut || r == T::c(0.0)) {
                 let (wi, dwi) = self.kernel.w_dw(r, si.h);
                 let (wj, dwj) = if sj.h.to_bits() == si.h.to_bits() {
                     (wi, dwi)
@@ -700,9 +704,9 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
                 let drj = [-dr[0], -dr[1], -dr[2]];
                 let gj = corrected_grad_w(&sj.corr, wj, dwj, &drj, r);
                 let g = [
-                    0.5 * (gi[0] - gj[0]),
-                    0.5 * (gi[1] - gj[1]),
-                    0.5 * (gi[2] - gj[2]),
+                    T::c(0.5) * (gi[0] - gj[0]),
+                    T::c(0.5) * (gi[1] - gj[1]),
+                    T::c(0.5) * (gi[2] - gj[2]),
                 ];
 
                 let dv = [
@@ -711,17 +715,17 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
                     si.vel[2] - sj.vel[2],
                 ];
                 let vdotr = dv[0] * dr[0] + dv[1] * dr[1] + dv[2] * dr[2];
-                let hbar = 0.5 * (si.h + sj.h);
-                let rho_bar = 0.5 * (si.rho + sj.rho);
-                let cbar = 0.5 * (si.cs + sj.cs);
-                let q = if vdotr < 0.0 {
-                    let mu = hbar * vdotr / (r2 + self.opts.eps_visc * hbar * hbar);
-                    let limiter = 0.5 * (si.balsara + sj.balsara);
-                    (-self.opts.alpha_visc * cbar * mu + self.opts.beta_visc * mu * mu)
+                let hbar = T::c(0.5) * (si.h + sj.h);
+                let rho_bar = T::c(0.5) * (si.rho + sj.rho);
+                let cbar = T::c(0.5) * (si.cs + sj.cs);
+                let q = if vdotr < T::c(0.0) {
+                    let mu = hbar * vdotr / (r2 + T::c(self.opts.eps_visc) * hbar * hbar);
+                    let limiter = T::c(0.5) * (si.balsara + sj.balsara);
+                    (T::c(-self.opts.alpha_visc) * cbar * mu + T::c(self.opts.beta_visc) * mu * mu)
                         * rho_bar
                         * limiter
                 } else {
-                    0.0
+                    T::c(0.0)
                 };
 
                 let x = si.vol * sj.vol * (si.p + sj.p + q);
@@ -731,12 +735,12 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
                 out_j.mom[0] += x * g[0];
                 out_j.mom[1] += x * g[1];
                 out_j.mom[2] += x * g[2];
-                let e = 0.5 * x * (dv[0] * g[0] + dv[1] * g[1] + dv[2] * g[2]);
+                let e = T::c(0.5) * x * (dv[0] * g[0] + dv[1] * g[1] + dv[2] * g[2]);
                 out_i.eng += e;
                 out_j.eng += e;
 
-                let w_rel = (vdotr / r).min(0.0);
-                let vsig = si.cs + sj.cs - 3.0 * w_rel;
+                let w_rel = (vdotr / r).min(T::c(0.0));
+                let vsig = si.cs + sj.cs - T::c(3.0) * w_rel;
                 if vsig > out_i.vsig {
                     out_i.vsig = vsig;
                 }
@@ -752,6 +756,7 @@ impl<K: SphKernel> SplitKernel for ForceKernel<K> {
 mod tests {
     use super::*;
     use crate::kernel::CubicSpline;
+    use hacc_gpusim::reference::Counted;
 
     fn state(pos: [f64; 3], vel: [f64; 3], p: f64) -> ForceState {
         ForceState {
@@ -1067,5 +1072,107 @@ mod tests {
         let mut rho = 0.0;
         dk.interact(&si, &(), &sj, &(), &mut rho);
         assert!((rho - 3.0 * CubicSpline.w(0.5, 1.0)).abs() < 1e-14);
+    }
+
+    // ---- FLOP tables, pinned on the counting scalar ----
+
+    /// The costliest path every table bills: unequal smoothing lengths,
+    /// `q < 1` on both sides, in support, approaching (viscosity on).
+    fn costliest_pair() -> (ForceState<Counted>, ForceState<Counted>) {
+        let c = Counted;
+        let state = |pos: [f64; 3], vel: [f64; 3], h| ForceState {
+            pos: pos.map(c),
+            vel: vel.map(c),
+            h: c(h),
+            p: c(2.0),
+            rho: c(1.1),
+            cs: c(0.9),
+            vol: c(0.8),
+            balsara: c(0.7),
+            corr: CrkCorrections { a: c(1.05), b: [0.02, -0.01, 0.03].map(c) },
+        };
+        (
+            state([0.0; 3], [0.5, -0.2, 0.3], 1.0),
+            state([0.3, -0.2, 0.25], [-0.1, 0.1, -0.2], 1.2),
+        )
+    }
+
+    fn geom(s: &ForceState<Counted>) -> GeomState<Counted> {
+        GeomState { pos: s.pos, h: s.h, m_or_v: s.vol }
+    }
+
+    fn vel_grad(s: &ForceState<Counted>) -> VelGradState<Counted> {
+        VelGradState { pos: s.pos, vel: s.vel, h: s.h, vol: s.vol }
+    }
+
+    /// Run `k` on `Counted` states through `partial`, `interact_pair` and
+    /// `interact`, and hold the table to what they counted: `partial()`
+    /// to `partial_flops()`; the pair and one-sided totals to `pinned`;
+    /// the pair total to the table plus the unbilled `prefilter`; `trans`
+    /// exactly; one `interact` ≤ `interact_pair` ≤ two; and the state and
+    /// accumulator words to the `f64` types' sizes. The FMA split is not
+    /// compared: whether a mul and an add fuse is the compiler's choice
+    /// and leaves the total alone (DESIGN.md, "FLOP tables").
+    fn assert_flop_table<K>(
+        k: &K,
+        (si, sj): (<K as SplitKernel<Counted>>::State, <K as SplitKernel<Counted>>::State),
+        pinned: (u64, u64),
+        prefilter: u64,
+    ) where
+        K: SplitKernel<Counted> + SplitKernel,
+    {
+        let name = SplitKernel::<f64>::name(k);
+        Counted::take_tally();
+        let pi = SplitKernel::<Counted>::partial(k, &si);
+        let pj = SplitKernel::<Counted>::partial(k, &sj);
+        let partial = Counted::take_tally().total();
+        let (mut ai, mut aj) = Default::default();
+        SplitKernel::<Counted>::interact_pair(k, &si, &pi, &sj, &pj, &mut ai, &mut aj);
+        let pair = Counted::take_tally();
+        SplitKernel::<Counted>::interact(k, &si, &pi, &sj, &pj, &mut ai);
+        let one = Counted::take_tally().total();
+        let table = SplitKernel::<f64>::pair_flops(k);
+        assert_eq!(partial, 2 * SplitKernel::<f64>::partial_flops(k).total(), "{name} partial");
+        assert_eq!((pair.total(), one), pinned, "{name} pair and one-sided totals");
+        assert_eq!(pair.total(), table.total() + prefilter, "{name} table total");
+        assert_eq!(pair.trans, table.trans, "{name} transcendentals");
+        assert!(one <= pair.total() && pair.total() <= 2 * one, "{name} one-sided bracket");
+        let words = |bytes: usize| (bytes / std::mem::size_of::<f64>()) as u64;
+        let state = words(std::mem::size_of::<<K as SplitKernel>::State>());
+        let accum = words(std::mem::size_of::<<K as SplitKernel>::Accum>());
+        assert_eq!(SplitKernel::<f64>::state_words(k), state, "{name} state words");
+        assert_eq!(SplitKernel::<f64>::accum_words(k), accum, "{name} accumulator words");
+    }
+
+    #[test]
+    fn flop_table_density() {
+        const PREFILTER: u64 = 3;
+        let (si, sj) = costliest_pair();
+        let k = DensityKernel { kernel: CubicSpline };
+        assert_flop_table(&k, (geom(&si), geom(&sj)), (42, 24), PREFILTER);
+    }
+
+    #[test]
+    fn flop_table_moments() {
+        const PREFILTER: u64 = 3;
+        let (si, sj) = costliest_pair();
+        let k = MomentsKernel { kernel: CubicSpline };
+        assert_flop_table(&k, (geom(&si), geom(&sj)), (93, 48), PREFILTER);
+    }
+
+    #[test]
+    fn flop_table_vel_grad() {
+        const PREFILTER: u64 = 3;
+        let (si, sj) = costliest_pair();
+        let k = VelGradKernel { kernel: CubicSpline };
+        assert_flop_table(&k, (vel_grad(&si), vel_grad(&sj)), (99, 51), PREFILTER);
+    }
+
+    #[test]
+    fn flop_table_force() {
+        // The body reuses the pre-filter's `cut` for its exact support
+        // test, so only 2 of the filter's 3 muls go unbilled.
+        const PREFILTER: u64 = 2;
+        assert_flop_table(&fk(), costliest_pair(), (159, 158), PREFILTER);
     }
 }

@@ -1,12 +1,19 @@
 //! SPH interpolation kernels (3-D, compact support of radius `2h`).
+//!
+//! The kernel values are generic over the scalar of the pair kernels
+//! that call them ([`hacc_gpusim::Real`]); at `f64` each body is the
+//! plain `f64` expression.
+
+use hacc_gpusim::Real;
+use std::f64::consts::PI;
 
 /// An SPH smoothing kernel in three dimensions, parameterized by the
 /// scaled separation `q = r / h`, with support `q < 2`.
 pub trait SphKernel: Sync + Copy {
     /// Kernel value `W(r, h)` (units 1/length³).
-    fn w(&self, r: f64, h: f64) -> f64;
+    fn w<T: Real>(&self, r: T, h: T) -> T;
     /// Radial derivative `dW/dr` (units 1/length⁴); `<= 0` everywhere.
-    fn dw_dr(&self, r: f64, h: f64) -> f64;
+    fn dw_dr<T: Real>(&self, r: T, h: T) -> T;
     /// Support radius in units of `h` (2 for both kernels here).
     fn support(&self) -> f64 {
         2.0
@@ -16,7 +23,7 @@ pub trait SphKernel: Sync + Copy {
     /// `q = r/h`, the support branch, and normalization subexpressions.
     /// Overrides must return exactly the values the single-value methods
     /// return (bitwise) — the symmetric-tile force kernel relies on it.
-    fn w_dw(&self, r: f64, h: f64) -> (f64, f64) {
+    fn w_dw<T: Real>(&self, r: T, h: T) -> (T, T) {
         (self.w(r, h), self.dw_dr(r, h))
     }
 }
@@ -27,29 +34,29 @@ pub trait SphKernel: Sync + Copy {
 pub struct CubicSpline;
 
 impl SphKernel for CubicSpline {
-    fn w(&self, r: f64, h: f64) -> f64 {
+    fn w<T: Real>(&self, r: T, h: T) -> T {
         let q = r / h;
-        let sigma = 1.0 / (std::f64::consts::PI * h * h * h);
-        if q < 1.0 {
-            sigma * (1.0 - 1.5 * q * q + 0.75 * q * q * q)
-        } else if q < 2.0 {
-            let t = 2.0 - q;
-            sigma * 0.25 * t * t * t
+        let sigma = T::c(1.0) / (T::c(PI) * h * h * h);
+        if q < T::c(1.0) {
+            sigma * (T::c(1.0) - T::c(1.5) * q * q + T::c(0.75) * q * q * q)
+        } else if q < T::c(2.0) {
+            let t = T::c(2.0) - q;
+            sigma * T::c(0.25) * t * t * t
         } else {
-            0.0
+            T::c(0.0)
         }
     }
 
-    fn dw_dr(&self, r: f64, h: f64) -> f64 {
+    fn dw_dr<T: Real>(&self, r: T, h: T) -> T {
         let q = r / h;
-        let sigma = 1.0 / (std::f64::consts::PI * h * h * h * h);
-        if q < 1.0 {
-            sigma * (-3.0 * q + 2.25 * q * q)
-        } else if q < 2.0 {
-            let t = 2.0 - q;
-            sigma * (-0.75 * t * t)
+        let sigma = T::c(1.0) / (T::c(PI) * h * h * h * h);
+        if q < T::c(1.0) {
+            sigma * (T::c(-3.0) * q + T::c(2.25) * q * q)
+        } else if q < T::c(2.0) {
+            let t = T::c(2.0) - q;
+            sigma * (T::c(-0.75) * t * t)
         } else {
-            0.0
+            T::c(0.0)
         }
     }
 
@@ -57,21 +64,21 @@ impl SphKernel for CubicSpline {
     // `1/(pi*h*h*h*h) == 1/((pi*h*h*h)*h)` exactly (left-associative
     // products), so both components stay bitwise identical to the
     // single-value methods.
-    fn w_dw(&self, r: f64, h: f64) -> (f64, f64) {
+    fn w_dw<T: Real>(&self, r: T, h: T) -> (T, T) {
         let q = r / h;
-        let d3 = std::f64::consts::PI * h * h * h;
-        let sigma = 1.0 / d3;
-        let sigma4 = 1.0 / (d3 * h);
-        if q < 1.0 {
+        let d3 = T::c(PI) * h * h * h;
+        let sigma = T::c(1.0) / d3;
+        let sigma4 = T::c(1.0) / (d3 * h);
+        if q < T::c(1.0) {
             (
-                sigma * (1.0 - 1.5 * q * q + 0.75 * q * q * q),
-                sigma4 * (-3.0 * q + 2.25 * q * q),
+                sigma * (T::c(1.0) - T::c(1.5) * q * q + T::c(0.75) * q * q * q),
+                sigma4 * (T::c(-3.0) * q + T::c(2.25) * q * q),
             )
-        } else if q < 2.0 {
-            let t = 2.0 - q;
-            (sigma * 0.25 * t * t * t, sigma4 * (-0.75 * t * t))
+        } else if q < T::c(2.0) {
+            let t = T::c(2.0) - q;
+            (sigma * T::c(0.25) * t * t * t, sigma4 * (T::c(-0.75) * t * t))
         } else {
-            (0.0, 0.0)
+            (T::c(0.0), T::c(0.0))
         }
     }
 }
@@ -82,34 +89,34 @@ impl SphKernel for CubicSpline {
 pub struct WendlandC4;
 
 impl SphKernel for WendlandC4 {
-    fn w(&self, r: f64, h: f64) -> f64 {
-        let q = r / (2.0 * h); // Wendland literature uses support = 1
-        if q >= 1.0 {
-            return 0.0;
+    fn w<T: Real>(&self, r: T, h: T) -> T {
+        let q = r / (T::c(2.0) * h); // Wendland literature uses support = 1
+        if q >= T::c(1.0) {
+            return T::c(0.0);
         }
         // sigma for 3D C4 on unit support: 495/(32 pi); rescale to 2h.
-        let sigma = 495.0 / (32.0 * std::f64::consts::PI * (2.0 * h).powi(3));
-        let omq = 1.0 - q;
+        let sigma = T::c(495.0) / (T::c(32.0 * PI) * (T::c(2.0) * h).powi(3));
+        let omq = T::c(1.0) - q;
         let omq2 = omq * omq;
         let omq6 = omq2 * omq2 * omq2;
-        sigma * omq6 * (1.0 + 6.0 * q + 35.0 / 3.0 * q * q)
+        sigma * omq6 * (T::c(1.0) + T::c(6.0) * q + T::c(35.0 / 3.0) * q * q)
     }
 
-    fn dw_dr(&self, r: f64, h: f64) -> f64 {
-        let s = 2.0 * h;
+    fn dw_dr<T: Real>(&self, r: T, h: T) -> T {
+        let s = T::c(2.0) * h;
         let q = r / s;
-        if q >= 1.0 {
-            return 0.0;
+        if q >= T::c(1.0) {
+            return T::c(0.0);
         }
-        let sigma = 495.0 / (32.0 * std::f64::consts::PI * s * s * s);
-        let omq = 1.0 - q;
+        let sigma = T::c(495.0) / (T::c(32.0 * PI) * s * s * s);
+        let omq = T::c(1.0) - q;
         let omq2 = omq * omq;
         let omq5 = omq2 * omq2 * omq;
         // d/dq [ (1-q)^6 (1 + 6q + 35/3 q^2) ]
         //  = (1-q)^5 [ -6(1+6q+35/3 q^2) + (1-q)(6 + 70/3 q) ]
         let dpoly = omq5
-            * (-6.0 * (1.0 + 6.0 * q + 35.0 / 3.0 * q * q)
-                + omq * (6.0 + 70.0 / 3.0 * q));
+            * (T::c(-6.0) * (T::c(1.0) + T::c(6.0) * q + T::c(35.0 / 3.0) * q * q)
+                + omq * (T::c(6.0) + T::c(70.0 / 3.0) * q));
         sigma * dpoly / s
     }
 
@@ -117,22 +124,22 @@ impl SphKernel for WendlandC4 {
     // normalization expression verbatim so the results stay bitwise
     // identical to the single-value methods ((2h).powi(3) and s*s*s
     // associate differently and must not be cross-substituted).
-    fn w_dw(&self, r: f64, h: f64) -> (f64, f64) {
-        let s = 2.0 * h;
+    fn w_dw<T: Real>(&self, r: T, h: T) -> (T, T) {
+        let s = T::c(2.0) * h;
         let q = r / s;
-        if q >= 1.0 {
-            return (0.0, 0.0);
+        if q >= T::c(1.0) {
+            return (T::c(0.0), T::c(0.0));
         }
-        let sigma_w = 495.0 / (32.0 * std::f64::consts::PI * (2.0 * h).powi(3));
-        let sigma_d = 495.0 / (32.0 * std::f64::consts::PI * s * s * s);
-        let omq = 1.0 - q;
+        let sigma_w = T::c(495.0) / (T::c(32.0 * PI) * (T::c(2.0) * h).powi(3));
+        let sigma_d = T::c(495.0) / (T::c(32.0 * PI) * s * s * s);
+        let omq = T::c(1.0) - q;
         let omq2 = omq * omq;
         let omq6 = omq2 * omq2 * omq2;
         let omq5 = omq2 * omq2 * omq;
-        let w = sigma_w * omq6 * (1.0 + 6.0 * q + 35.0 / 3.0 * q * q);
+        let w = sigma_w * omq6 * (T::c(1.0) + T::c(6.0) * q + T::c(35.0 / 3.0) * q * q);
         let dpoly = omq5
-            * (-6.0 * (1.0 + 6.0 * q + 35.0 / 3.0 * q * q)
-                + omq * (6.0 + 70.0 / 3.0 * q));
+            * (T::c(-6.0) * (T::c(1.0) + T::c(6.0) * q + T::c(35.0 / 3.0) * q * q)
+                + omq * (T::c(6.0) + T::c(70.0 / 3.0) * q));
         (w, sigma_d * dpoly / s)
     }
 }
@@ -145,7 +152,7 @@ pub fn kernel_volume_integral<K: SphKernel>(k: &K, h: f64, n: usize) -> f64 {
     let mut total = 0.0;
     for i in 0..n {
         let r = (i as f64 + 0.5) * dr;
-        total += 4.0 * std::f64::consts::PI * r * r * k.w(r, h) * dr;
+        total += 4.0 * PI * r * r * k.w(r, h) * dr;
     }
     total
 }

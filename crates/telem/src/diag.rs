@@ -20,10 +20,6 @@ pub enum Rule {
     /// Fault-site coverage: every `FaultKind` variant must be injected by
     /// at least one production `fire(...)` call site.
     F1,
-    /// Cost-model conformance: the statically derived pair-FLOP count of
-    /// every `SplitKernel::interact`/`interact_pair` body must match the
-    /// kernel's declared `pair_flops()`/`state_words()` tables.
-    K1,
     /// Hot-loop allocation: heap-allocating calls inside interaction-tile
     /// loops, per-pair kernel bodies, or `// p1: hot-loop` marked loops.
     P1,
@@ -52,16 +48,15 @@ pub enum Rule {
 }
 
 /// All rules, in report order. D1–V1 are `hacc-lint`'s static rules
-/// (D1/H1/F1 scan tokens, K1/P1 walk the AST, C1/E1/V1 walk it with the
+/// (D1/H1/F1 scan tokens, P1 walks the AST, C1/E1/V1 walk it with the
 /// shared call graph of its `context`), and R1/Q1/W1/M1 are dynamic
 /// findings emitted by the `hacc-san` runtime sanitizer; one catalog, so
 /// `san.allow` and `lint.allow` speak one format.
-pub const RULES: [Rule; 12] = [
+pub const RULES: [Rule; 11] = [
     Rule::D1,
     Rule::C1,
     Rule::H1,
     Rule::F1,
-    Rule::K1,
     Rule::P1,
     Rule::E1,
     Rule::V1,
@@ -79,7 +74,6 @@ impl Rule {
             Rule::C1 => "C1",
             Rule::H1 => "H1",
             Rule::F1 => "F1",
-            Rule::K1 => "K1",
             Rule::P1 => "P1",
             Rule::E1 => "E1",
             Rule::V1 => "V1",

@@ -25,9 +25,9 @@ scripts/loc.sh
 echo "== tier 0: hacc-lint static analysis =="
 # The lint gate runs before the workspace build: hacc-lint and the
 # hacc-telem it imports are std-only, so this compiles in seconds and
-# fails fast on the findings of its eight rules: determinism (D1),
+# fails fast on the findings of its seven rules: determinism (D1),
 # collective-safety (C1), hermeticity (H1), fault-coverage (F1),
-# cost-model (K1), hot-loop allocation (P1), panic-surface (E1), and
+# hot-loop allocation (P1), panic-surface (E1), and
 # vectorization-blocker (V1) (`unsafe` needs no rule: every crate root
 # says `#![forbid(unsafe_code)]`). --strict additionally fails
 # on stale lint.allow entries, so the suppression file can only shrink.
@@ -105,22 +105,6 @@ extern crate libc;
 ---
 F1|crates/fault/src/__f1_canary.rs|a fault site no production code fires
 pub enum FaultKind { CanaryNeverFired }
----
-K1|crates/gpusim/src/__k1_canary.rs|a pair_flops table that undercounts its kernel body
-pub struct CanaryState { pub x: f64 }
-pub struct CanaryKernel;
-impl SplitKernel for CanaryKernel {
-    type State = CanaryState;
-    type Partial = ();
-    type Accum = f64;
-    fn state_words(&self) -> u64 { 1 }
-    fn pair_flops(&self) -> PairFlops {
-        PairFlops { adds: 0, muls: 0, fmas: 0, trans: 0 }
-    }
-    fn interact(&self, si: &CanaryState, _p: &(), sj: &CanaryState, _q: &(), out: &mut f64) {
-        *out += si.x * sj.x;
-    }
-}
 ---
 P1|crates/gpusim/src/__p1_canary.rs|a heap allocation inside an interaction-tile loop
 pub fn execute_leaf_canary(n: usize) -> Vec<f64> {
@@ -346,64 +330,85 @@ echo "== tier 5: perf ratchet — short-range symmetric kernels, long-range PM s
 # host moves them by itself, and the repository benchmark gates them
 # against its host-speed probe. Re-bless deliberate performance changes
 # with scripts/bench_update.sh.
-HACC_BENCH_BASELINE="$PWD/BENCH_kernels.json" \
-HACC_BENCH_JSON="$tdir/bench_fresh.json" \
+# A red tier 5 does not stop the gate: its verdict is recorded, tier 6
+# runs anyway, and both verdicts print (and decide the exit code) at the
+# end.
+tier5=ok
+if ! HACC_BENCH_BASELINE="$PWD/BENCH_kernels.json" \
+    HACC_BENCH_JSON="$tdir/bench_fresh.json" \
     cargo bench -q --offline -p hacc-bench --bench kernels_micro \
-    > "$tdir/ratchet-micro.log" 2>&1 || {
+    > "$tdir/ratchet-micro.log" 2>&1; then
     echo "error: kernels_micro perf ratchet failed:" >&2
     tail -n 25 "$tdir/ratchet-micro.log" >&2
-    exit 1
-}
-grep -E "short_range_symmetric|long_range|ratchet" "$tdir/ratchet-micro.log" | sed 's/^/  /'
-HACC_BENCH_BASELINE="$PWD/BENCH_kernels.json" \
-HACC_BENCH_JSON="$tdir/bench_fresh.json" \
+    tier5=FAILED
+fi
+grep -E "short_range_symmetric|long_range|ratchet" "$tdir/ratchet-micro.log" | sed 's/^/  /' || true
+if ! HACC_BENCH_BASELINE="$PWD/BENCH_kernels.json" \
+    HACC_BENCH_JSON="$tdir/bench_fresh.json" \
     cargo bench -q --offline -p hacc-bench --bench headline_hydro_vs_gravity \
-    > "$tdir/ratchet-headline.log" 2>&1 || {
+    > "$tdir/ratchet-headline.log" 2>&1; then
     echo "error: headline perf ratchet failed:" >&2
     tail -n 25 "$tdir/ratchet-headline.log" >&2
-    exit 1
-}
-grep -E "^metric" "$tdir/ratchet-headline.log" | sed 's/^/  /'
-echo "ok: perf ratchet green against BENCH_kernels.json"
+    tier5=FAILED
+fi
+grep -E "^metric" "$tdir/ratchet-headline.log" | sed 's/^/  /' || true
+[ "$tier5" = ok ] && echo "ok: perf ratchet green against BENCH_kernels.json"
 
 echo "== tier 6: cooperative-scheduler scaling gate =="
-# The multiplexing contract at full scale: world sizes that oversubscribe
-# the host by orders of magnitude must stay exact, sanitized, and
-# byte-stable.
-#
-# (a) 1024-rank sanitized smoke, twice: finding-free and byte-identical.
-for run in a b; do
-    ./target/release/frontier-sim ranks \
-        --ranks 1024 --rounds 1 --seed 4242 --sanitize \
-        > "$tdir/ranks-1024-$run.txt"
-done
-grep -q '^findings            : 0$' "$tdir/ranks-1024-a.txt" || {
-    echo "error: sanitized 1024-rank world is not clean:" >&2
-    cat "$tdir/ranks-1024-a.txt" >&2
-    exit 1
-}
-cmp "$tdir/ranks-1024-a.txt" "$tdir/ranks-1024-b.txt" || {
-    echo "error: 1024-rank sanitized output differs between identical runs" >&2
-    exit 1
-}
-# (b) 4096-rank smoke: every collective kind completes on this host.
-./target/release/frontier-sim ranks --ranks 4096 --rounds 1 --seed 4242 \
-    > "$tdir/ranks-4096.txt"
-grep -q '^digest' "$tdir/ranks-4096.txt" || {
-    echo "error: 4096-rank smoke printed no digest" >&2
-    exit 1
-}
-# (c) Gate self-test: a wait cycle buried in a 256-rank multiplexed
-# world must FAIL (diagnosed deadlock), never hang the gate.
-if timeout 120 cargo test --release -q --offline --test sanitizer \
-    canary_multiplexed_deadlock_must_fail -- --ignored > /dev/null 2>&1; then
-    echo "error: multiplexed deadlock canary passed — detection lost its teeth" >&2
+# Run in a subshell of its own, errexit on, so that its first failure
+# ends tier 6 alone and is recorded like tier 5's.
+set +e
+(
+    set -e
+    # The multiplexing contract at full scale: world sizes that oversubscribe
+    # the host by orders of magnitude must stay exact, sanitized, and
+    # byte-stable.
+    #
+    # (a) 1024-rank sanitized smoke, twice: finding-free and byte-identical.
+    for run in a b; do
+        ./target/release/frontier-sim ranks \
+            --ranks 1024 --rounds 1 --seed 4242 --sanitize \
+            > "$tdir/ranks-1024-$run.txt"
+    done
+    grep -q '^findings            : 0$' "$tdir/ranks-1024-a.txt" || {
+        echo "error: sanitized 1024-rank world is not clean:" >&2
+        cat "$tdir/ranks-1024-a.txt" >&2
+        exit 1
+    }
+    cmp "$tdir/ranks-1024-a.txt" "$tdir/ranks-1024-b.txt" || {
+        echo "error: 1024-rank sanitized output differs between identical runs" >&2
+        exit 1
+    }
+    # (b) 4096-rank smoke: every collective kind completes on this host.
+    ./target/release/frontier-sim ranks --ranks 4096 --rounds 1 --seed 4242 \
+        > "$tdir/ranks-4096.txt"
+    grep -q '^digest' "$tdir/ranks-4096.txt" || {
+        echo "error: 4096-rank smoke printed no digest" >&2
+        exit 1
+    }
+    # (c) Gate self-test: a wait cycle buried in a 256-rank multiplexed
+    # world must FAIL (diagnosed deadlock), never hang the gate.
+    if timeout 120 cargo test --release -q --offline --test sanitizer \
+        canary_multiplexed_deadlock_must_fail -- --ignored > /dev/null 2>&1; then
+        echo "error: multiplexed deadlock canary passed — detection lost its teeth" >&2
+        exit 1
+    fi
+    # (d) The release-tier scaling tests: 4096-rank collectives, driver
+    # decomposition invariance across 64 ranks (48 of them zero-plane FFT
+    # ranks), and 256-rank chaos recovery.
+    cargo test --release -q --offline --test rank_scaling -- --ignored
+    echo "ok: 1024-rank sanitized world byte-stable, 4096-rank world exact"
+)
+tier6_status=$?
+set -e
+tier6=ok
+[ "$tier6_status" -eq 0 ] || tier6=FAILED
+
+echo "== verdicts =="
+echo "  tier 5 (perf ratchet): $tier5"
+echo "  tier 6 (scaling):      $tier6"
+if [ "$tier5" != ok ] || [ "$tier6" != ok ]; then
+    echo "verify.sh: FAILED" >&2
     exit 1
 fi
-# (d) The release-tier scaling tests: 4096-rank collectives, driver
-# decomposition invariance across 64 ranks (48 of them zero-plane FFT
-# ranks), and 256-rank chaos recovery.
-cargo test --release -q --offline --test rank_scaling -- --ignored
-echo "ok: 1024-rank sanitized world byte-stable, 4096-rank world exact"
-
 echo "verify.sh: all checks passed"

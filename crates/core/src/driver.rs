@@ -284,8 +284,6 @@ struct RankOutput {
     xi: Vec<XiBin>,
     n_galaxies: u64,
     y_map_concentration: f64,
-    total_stars: u64,
-    updates: u64,
     momentum: [f64; 3],
     momentum_scale: f64,
     faults: FaultCounters,
@@ -317,8 +315,10 @@ enum StepError {
     /// A checkpoint step validated in the cross-rank intersection could
     /// not be decoded when actually loaded.
     CheckpointLoad { step: u64 },
-    /// A CRC-valid checkpoint decoded but is missing a required block
-    /// (format-version mismatch), named by `field`.
+    /// A CRC-valid checkpoint decoded, but a required block, named by
+    /// `field`, is missing (format-version mismatch) or malformed: a
+    /// particle column not as long as `x`, a species code that is no
+    /// [`Species`], a run-level block of the wrong length.
     CheckpointDecode { field: String },
     /// `--resume` found a checkpoint written on another PM-step schedule
     /// than the resumed run's: its steps are not this run's steps.
@@ -339,7 +339,7 @@ impl std::fmt::Display for StepError {
                 write!(f, "checkpoint for step {step} failed to load after validating")
             }
             StepError::CheckpointDecode { field } => {
-                write!(f, "checkpoint is missing required field `{field}`")
+                write!(f, "checkpoint field `{field}` is missing or malformed")
             }
             StepError::ScheduleMismatch { checkpoint, run } => {
                 write!(f, "checkpoint was written on the schedule {checkpoint}, not this run's {run}")
@@ -565,7 +565,6 @@ fn assemble_report(
     let mut counters = KernelCounters::default();
     let mut profile = ProfileTable::new();
     let mut utilizations = Vec::with_capacity(n_ranks);
-    let mut updates = 0u64;
     let mut momentum = [0.0f64; 3];
     let mut momentum_scale = 0.0f64;
     for o in &outputs {
@@ -573,13 +572,15 @@ fn assemble_report(
         counters.merge(&o.counters);
         profile.merge(&o.profile);
         utilizations.push(o.utilization);
-        updates += o.updates;
         momentum_scale += o.momentum_scale;
         for d in 0..3 {
             momentum[d] += o.momentum[d];
         }
     }
     let first = &outputs[0];
+    // `StepRecord::particles` is the post-migrate global count, and
+    // nothing later in a step changes it.
+    let updates: u64 = first.steps.iter().map(|s| s.particles * (u64::from(s.substeps) + 1)).sum();
     let solver_wall = timers.get(Phase::ShortRange).max(1e-12) / n_ranks as f64;
 
     // Unified telemetry bundle. GPU rows come from the merged profile
@@ -638,7 +639,7 @@ fn assemble_report(
         xi: first.xi.clone(),
         n_galaxies: outputs.iter().map(|o| o.n_galaxies).sum(),
         y_map_concentration: first.y_map_concentration,
-        total_stars: first.total_stars,
+        total_stars: first.steps.iter().map(|s| s.stars_formed).sum(),
         particle_updates: updates,
         particles_per_second: updates as f64 / solver_wall.max(1e-12),
         total_momentum: momentum,
@@ -749,8 +750,6 @@ fn rank_main(
     let mut profile = ProfileTable::new();
     let model = ExecutionModel::new(cfg.device);
     let mut steps = Vec::with_capacity(cfg.pm_steps);
-    let mut total_stars = 0u64;
-    let mut updates = 0u64;
     let overload_width = cfg.overload_cells * cfg.cell_size();
     let domain = MeshDomain::new(cfg, &decomp, comm.rank());
 
@@ -990,10 +989,6 @@ fn rank_main(
             let f = forces(&store, &cm_all, a);
             kick(&mut store, &f, a, w);
         }
-        // One update is one owned particle receiving one kick term
-        // (gravity and, for gas, hydro forces together): the opening
-        // half and one closing term per substep.
-        updates += store.n_owned as u64 * (u64::from(nsub) + 1);
         tracer.end(sp_sr);
 
         // --- 5. in-situ analysis (+ science output through the tiers) ---
@@ -1062,8 +1057,8 @@ fn rank_main(
                     1.0
                 };
                 w.advance_time(gpu_s.max(60.0));
-                let blocks =
-                    checkpoint_blocks(&store, cfg.box_size, owed_substeps, Schedule::of(cfg));
+                let mut blocks = store.checkpoint_blocks(cfg.box_size);
+                blocks.extend(run_blocks(owed_substeps, Schedule::of(cfg)));
                 io_blocking = w
                     .write_checkpoint(step as u64, &blocks, phase, imbalance * analysis_dip)
                     .unwrap_or_else(|e| {
@@ -1118,7 +1113,6 @@ fn rank_main(
         tracer.end(sp);
 
         let stars_formed = comm.all_reduce_sum_u64(stars_this_step);
-        total_stars += stars_formed;
         let gpu_max = comm.all_reduce_f64(gpu_s, f64::max);
         // The step span is the wall-clock authority here: the tracer is
         // the blessed measurement point (lint rule D1 bans raw
@@ -1173,8 +1167,6 @@ fn rank_main(
         xi,
         n_galaxies,
         y_map_concentration: y_conc,
-        total_stars,
-        updates,
         momentum,
         momentum_scale,
         faults,
@@ -1236,50 +1228,26 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Bitwise hash of the global particle state: rows of (id, box-wrapped
-/// position, velocity, mass, u, metals, h) gathered to rank 0, sorted by
-/// particle id, and folded with FNV-1a over the exact little-endian f64
-/// bit patterns. The id sort makes the hash independent of ownership and
-/// in-rank ordering; the wrap makes it match the checkpoint's canonical
-/// form, so a recovered run and its uninterrupted reference agree
-/// bit-for-bit or not at all. Every rank returns the same value.
+/// Bitwise hash of the global particle state: each owned particle's
+/// [`hash_row`](crate::particles::ParticleRecord::hash_row) (its id and
+/// the words of its f64 checkpoint columns, position box-wrapped)
+/// gathered to rank 0, sorted by particle id, and folded with FNV-1a over
+/// the little-endian words. The id sort makes the hash independent of
+/// ownership and in-rank ordering; the wrap makes it match the
+/// checkpoint's canonical form, so a recovered run and its uninterrupted
+/// reference agree bit-for-bit or not at all. Every rank returns the same
+/// value.
 fn global_state_hash(comm: &mut Comm, store: &ParticleStore, box_size: f64) -> u64 {
-    let n = store.n_owned;
-    let rows: Vec<(u64, [u64; 10])> = (0..n)
-        .map(|i| {
-            (
-                store.id[i],
-                [
-                    store.pos[i][0].rem_euclid(box_size).to_bits(),
-                    store.pos[i][1].rem_euclid(box_size).to_bits(),
-                    store.pos[i][2].rem_euclid(box_size).to_bits(),
-                    store.vel[i][0].to_bits(),
-                    store.vel[i][1].to_bits(),
-                    store.vel[i][2].to_bits(),
-                    store.mass[i].to_bits(),
-                    store.u[i].to_bits(),
-                    store.metals[i].to_bits(),
-                    store.h[i].to_bits(),
-                ],
-            )
-        })
-        .collect();
-    let gathered = comm.gather(0, rows);
-    let hash = if let Some(per_rank) = gathered {
-        let mut flat: Vec<(u64, [u64; 10])> =
-            per_rank.into_iter().flatten().collect();
-        flat.sort_by_key(|r| r.0);
+    let rows: Vec<_> = (0..store.n_owned).map(|i| store.extract(i).hash_row(box_size)).collect();
+    let hash = comm.gather(0, rows).map_or(0, |per_rank| {
+        let mut rows: Vec<_> = per_rank.into_iter().flatten().collect();
+        rows.sort_by_key(|row| row[0]); // by id
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (id, words) in flat {
-            fnv1a(&mut h, &id.to_le_bytes());
-            for w in words {
-                fnv1a(&mut h, &w.to_le_bytes());
-            }
+        for word in rows.into_iter().flatten() {
+            fnv1a(&mut h, &word.to_le_bytes());
         }
         h
-    } else {
-        0
-    };
+    });
     comm.broadcast(0, hash)
 }
 
@@ -1451,42 +1419,12 @@ const CLOSING_SUBSTEPS: &str = "closing_substeps";
 /// `[a_init, a_final, pm_steps]`.
 const SCHEDULE: &str = "schedule";
 
-/// Serialize the owned particles into checkpoint blocks, with
-/// `closing_substeps` (the complete restart state: a resumed run
-/// reconstructs the store and the step boundary exactly) and the
-/// `schedule` those steps belong to.
-///
-/// Positions are wrapped into the periodic box at write time: the last
-/// substep drift runs after migration, so in-memory positions can sit
-/// slightly outside `[0, box)` until the next step's wrap — but the
-/// checkpoint is the restart contract and must be canonical.
-fn checkpoint_blocks(
-    store: &ParticleStore,
-    box_size: f64,
-    closing_substeps: u32,
-    schedule: Schedule,
-) -> Vec<Block> {
-    let n = store.n_owned;
-    let flat = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..n).map(f).collect() };
-    vec![
-        Block::from_f64("x", &flat(&|i| store.pos[i][0].rem_euclid(box_size))),
-        Block::from_f64("y", &flat(&|i| store.pos[i][1].rem_euclid(box_size))),
-        Block::from_f64("z", &flat(&|i| store.pos[i][2].rem_euclid(box_size))),
-        Block::from_f64("vx", &flat(&|i| store.vel[i][0])),
-        Block::from_f64("vy", &flat(&|i| store.vel[i][1])),
-        Block::from_f64("vz", &flat(&|i| store.vel[i][2])),
-        Block::from_f64("mass", &flat(&|i| store.mass[i])),
-        Block::from_f64("u", &flat(&|i| store.u[i])),
-        Block::from_f64("metals", &flat(&|i| store.metals[i])),
-        Block::from_f64("h", &flat(&|i| store.h[i])),
-        Block::from_u64("id", &store.id[..n].to_vec()),
-        Block::from_u64(
-            "species",
-            &store.species[..n]
-                .iter()
-                .map(|&sp| sp as u64)
-                .collect::<Vec<_>>(),
-        ),
+/// The run-level checkpoint blocks written after the particle columns
+/// of [`ParticleStore::checkpoint_blocks`]: `closing_substeps` (with the
+/// store, the complete restart state: a resumed run reconstructs the step
+/// boundary exactly) and the `schedule` those steps belong to.
+fn run_blocks(closing_substeps: u32, schedule: Schedule) -> [Block; 2] {
+    [
         Block::from_u64(CLOSING_SUBSTEPS, &[u64::from(closing_substeps)]),
         Block::from_f64(
             SCHEDULE,
@@ -1497,49 +1435,35 @@ fn checkpoint_blocks(
 
 /// Rebuild a particle store and the checkpointed step's
 /// `closing_substeps` from checkpoint blocks, for a run on the schedule
-/// `run`. A missing block escalates [`StepError::CheckpointDecode`] naming
-/// it; a checkpoint of another schedule, [`StepError::ScheduleMismatch`].
+/// `run`. A block that is missing or malformed escalates
+/// [`StepError::CheckpointDecode`] naming it; a checkpoint of another
+/// schedule, [`StepError::ScheduleMismatch`].
 fn restart_state(blocks: &[Block], run: Schedule) -> (ParticleStore, u32) {
+    fn decode_error(field: &str) -> ! {
+        escalate(StepError::CheckpointDecode { field: field.to_string() })
+    }
     let find = |name: &str| -> &Block {
-        blocks.iter().find(|b| b.name == name).unwrap_or_else(|| {
-            escalate(StepError::CheckpointDecode { field: name.to_string() })
-        })
+        blocks.iter().find(|b| b.name == name).unwrap_or_else(|| decode_error(name))
     };
-    let get = |name: &str| -> Vec<f64> { find(name).as_f64() };
-    let get_u = |name: &str| -> Vec<u64> { find(name).as_u64() };
-    let (x, y, z) = (get("x"), get("y"), get("z"));
-    let (vx, vy, vz) = (get("vx"), get("vy"), get("vz"));
-    let (mass, u, metals, h) = (get("mass"), get("u"), get("metals"), get("h"));
-    let (id, species) = (get_u("id"), get_u("species"));
-    let closing_substeps = match get_u(CLOSING_SUBSTEPS)[..] {
+    let closing_substeps = match find(CLOSING_SUBSTEPS).as_u64()[..] {
         [n] => n as u32,
-        _ => escalate(StepError::CheckpointDecode { field: CLOSING_SUBSTEPS.to_string() }),
+        _ => decode_error(CLOSING_SUBSTEPS),
     };
-    let checkpoint = match get(SCHEDULE)[..] {
+    let checkpoint = match find(SCHEDULE).as_f64()[..] {
         [a_init, a_final, pm_steps] => Schedule { a_init, a_final, pm_steps: pm_steps as usize },
-        _ => escalate(StepError::CheckpointDecode { field: SCHEDULE.to_string() }),
+        _ => decode_error(SCHEDULE),
     };
     if checkpoint != run {
         escalate(StepError::ScheduleMismatch { checkpoint, run });
     }
-    let n = x.len();
-    let mut store = ParticleStore::new();
-    for i in 0..n {
-        let sp = match species[i] {
-            0 => Species::DarkMatter,
-            1 => Species::Gas,
-            _ => Species::Star,
-        };
-        store.push([x[i], y[i], z[i]], [vx[i], vy[i], vz[i]], mass[i], sp, u[i], h[i], id[i]);
-        store.metals[i] = metals[i];
-    }
-    store.seal_owned();
+    let store = ParticleStore::from_checkpoint(blocks).unwrap_or_else(|field| decode_error(field));
     (store, closing_substeps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::particles::ParticleRecord;
     use crate::timers::PHASES;
     use hacc_units::constants::{temperature_to_u, MU_IONIZED};
 
@@ -1637,8 +1561,16 @@ mod tests {
         let sn = SupernovaModel::new();
         let mut gas = ParticleStore::new();
         for id in 0..64u64 {
-            let u_cold = temperature_to_u(5.0e3, MU_IONIZED);
-            gas.push([id as f64; 3], [0.0; 3], 1.0e10, Species::Gas, u_cold, 0.05, id);
+            gas.insert(ParticleRecord {
+                pos: [id as f64; 3],
+                vel: [0.0; 3],
+                mass: 1.0e10,
+                species: Species::Gas,
+                u: temperature_to_u(5.0e3, MU_IONIZED),
+                metals: 0.0,
+                h: 0.05,
+                id,
+            });
         }
         gas.seal_owned();
         let substep = move |store: &mut ParticleStore, gas_idx: &[usize], s: u32| {
@@ -1783,28 +1715,40 @@ mod tests {
         }
     }
 
+    /// Doctored copies of one run's newest checkpoint, each CRC-valid,
+    /// fail the resume with a typed error naming the bad block: one
+    /// without `closing_substeps` (as an older build wrote it), one whose
+    /// `h` column is a word short of `x`, one with a species code of 7.
     #[test]
-    fn checkpoint_without_closing_substeps_fails_with_a_typed_error() {
+    fn malformed_checkpoint_fails_with_a_typed_error() {
         let mut cfg = quick_cfg(8, Physics::GravityOnly);
         let dir = std::env::temp_dir()
-            .join(format!("frontier-closing-block-{}", std::process::id()));
+            .join(format!("frontier-malformed-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         cfg.io_dir = Some(dir.clone());
         run_simulation(&cfg, 1);
-        // The newest checkpoint as an older build wrote it: CRC-valid,
-        // without the block.
         let pfs = dir.join("pfs").join("rank-0");
         let (_, path) = TieredWriter::latest_checkpoint(&pfs).unwrap();
-        let mut blocks = hacc_iosim::read_blocks(&path).unwrap();
-        blocks.retain(|b| b.name != CLOSING_SUBSTEPS);
-        hacc_iosim::write_blocks(&path, &blocks).unwrap();
-        let cause = std::panic::catch_unwind(|| resume_simulation(&cfg, 1))
-            .expect_err("a checkpoint without `closing_substeps` must not resume");
-        let _ = std::fs::remove_dir_all(&dir);
-        match cause.downcast_ref::<StepError>() {
-            Some(StepError::CheckpointDecode { field }) => assert_eq!(field, CLOSING_SUBSTEPS),
-            other => panic!("expected a typed CheckpointDecode, got {other:?}"),
+        let written = hacc_iosim::read_blocks(&path).unwrap();
+        // Each doctor edits the block it names; clearing the name drops it.
+        let doctors: [(&str, fn(&mut Block)); 3] = [
+            (CLOSING_SUBSTEPS, |b| b.name.clear()),
+            ("h", |b| b.data.truncate(b.data.len() - 8)),
+            ("species", |b| b.data[0] = 7),
+        ];
+        for (field, doctor) in doctors {
+            let mut blocks = written.clone();
+            blocks.iter_mut().filter(|b| b.name == field).for_each(doctor);
+            blocks.retain(|b| !b.name.is_empty());
+            hacc_iosim::write_blocks(&path, &blocks).unwrap();
+            let cause = std::panic::catch_unwind(|| resume_simulation(&cfg, 1))
+                .expect_err("a malformed checkpoint must not resume");
+            match cause.downcast_ref::<StepError>() {
+                Some(StepError::CheckpointDecode { field: named }) => assert_eq!(named, field),
+                other => panic!("{field}: expected a typed CheckpointDecode, got {other:?}"),
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::config::{Physics, SimConfig};
 use crate::kicks::KickDrift;
-use crate::particles::{ParticleStore, Species};
+use crate::particles::{ParticleRecord, ParticleStore, Species};
 use hacc_ranks::{CartDecomp, Comm};
 use hacc_rt::rand::rngs::StdRng;
 use hacc_rt::rand::{Rng, SeedableRng};
@@ -199,10 +199,27 @@ impl Lattice {
         let pos = |offset: f64| {
             std::array::from_fn(|d| (q[d] + offset + psi[d]).rem_euclid(self.box_size))
         };
-        store.push(pos(0.0), vel, self.m_dm, Species::DarkMatter, 0.0, 0.0, 2 * site_id);
+        let dm = ParticleRecord {
+            pos: pos(0.0),
+            vel,
+            mass: self.m_dm,
+            species: Species::DarkMatter,
+            u: 0.0,
+            metals: 0.0,
+            h: 0.0,
+            id: 2 * site_id,
+        };
+        store.insert(dm);
         if self.hydro {
-            let gas = pos(0.5 * self.spacing);
-            store.push(gas, vel, self.m_gas, Species::Gas, self.u_init, self.h_smooth, 2 * site_id + 1);
+            store.insert(ParticleRecord {
+                pos: pos(0.5 * self.spacing),
+                mass: self.m_gas,
+                species: Species::Gas,
+                u: self.u_init,
+                h: self.h_smooth,
+                id: 2 * site_id + 1,
+                ..dm
+            });
         }
     }
 }

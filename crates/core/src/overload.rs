@@ -178,23 +178,26 @@ mod tests {
     use hacc_ranks::World;
     use hacc_rt::rand::{self, Rng, SeedableRng};
 
+    /// A unit-mass dark-matter particle at rest.
+    fn dm(pos: [f64; 3], id: u64) -> ParticleRecord {
+        ParticleRecord {
+            pos,
+            vel: [0.0; 3],
+            mass: 1.0,
+            species: Species::DarkMatter,
+            u: 0.0,
+            metals: 0.0,
+            h: 0.0,
+            id,
+        }
+    }
+
     fn random_store(rank: usize, n: usize, box_size: f64) -> ParticleStore {
         let mut rng = rand::rngs::StdRng::seed_from_u64(rank as u64 + 100);
         let mut s = ParticleStore::new();
         for i in 0..n {
-            s.push(
-                [
-                    rng.gen_range(0.0..box_size),
-                    rng.gen_range(0.0..box_size),
-                    rng.gen_range(0.0..box_size),
-                ],
-                [0.0; 3],
-                1.0,
-                Species::DarkMatter,
-                0.0,
-                0.0,
-                (rank * n + i) as u64,
-            );
+            let pos = [(); 3].map(|()| rng.gen_range(0.0..box_size));
+            s.insert(dm(pos, (rank * n + i) as u64));
         }
         s.seal_owned();
         s
@@ -234,7 +237,8 @@ mod tests {
             let decomp = CartDecomp::new(comm.size());
             let mut s = ParticleStore::new();
             if comm.rank() == 0 {
-                s.push([-1.0, 9.0, 4.0], [0.0; 3], 1.0, Species::Gas, 1.0, 0.1, 7);
+                let out_of_box = dm([-1.0, 9.0, 4.0], 7);
+                s.insert(ParticleRecord { species: Species::Gas, u: 1.0, h: 0.1, ..out_of_box });
             }
             s.seal_owned();
             migrate(comm, &decomp, &mut s, box_size);
@@ -324,8 +328,8 @@ mod tests {
             let decomp = CartDecomp::new(1);
             assert_eq!(wrapped_axes(&decomp, box_size, 4.0), [false; 3]);
             let mut s = ParticleStore::new();
-            s.push([0.5, 5.0, 5.0], [0.0; 3], 1.0, Species::DarkMatter, 0.0, 0.0, 1);
-            s.push([5.0, 5.0, 5.0], [0.0; 3], 1.0, Species::DarkMatter, 0.0, 0.0, 2);
+            s.insert(dm([0.5, 5.0, 5.0], 1));
+            s.insert(dm([5.0, 5.0, 5.0], 2));
             s.seal_owned();
             exchange_overload(comm, &decomp, &mut s, box_size, 4.0);
             // Particle 1 near x=0: an image at x = 10.5 must appear.

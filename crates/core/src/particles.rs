@@ -3,7 +3,11 @@
 //! CRK-HACC keeps particles in structure-of-arrays layout for coalesced
 //! GPU access; we mirror that. One store holds every species on a rank
 //! (owned particles first, then overload ghosts — see
-//! [`crate::overload`]).
+//! [`crate::overload`]). [`ParticleRecord`] is the one declaration of what
+//! a particle carries across a PM step: migrate and the overload ship it,
+//! and the checkpoint writes it as [`ParticleRecord::COLUMNS`].
+
+use hacc_iosim::format::Block;
 
 /// Particle species.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,30 +65,6 @@ impl ParticleStore {
         self.pos.is_empty()
     }
 
-    /// Append one particle; returns its index.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push(
-        &mut self,
-        pos: [f64; 3],
-        vel: [f64; 3],
-        mass: f64,
-        species: Species,
-        u: f64,
-        h: f64,
-        id: u64,
-    ) -> usize {
-        self.pos.push(pos);
-        self.vel.push(vel);
-        self.mass.push(mass);
-        self.species.push(species);
-        self.u.push(u);
-        self.metals.push(0.0);
-        self.h.push(h);
-        self.id.push(id);
-        self.rung.push(0);
-        self.pos.len() - 1
-    }
-
     /// Drop all ghosts, keeping owned particles only.
     pub fn truncate_to_owned(&mut self) {
         let n = self.n_owned;
@@ -102,22 +82,6 @@ impl ParticleStore {
     /// Mark the current length as all-owned (no ghosts).
     pub fn seal_owned(&mut self) {
         self.n_owned = self.len();
-    }
-
-    /// Remove the owned particle at `i` by swap-remove (order not
-    /// preserved). Only valid when no ghosts are present.
-    pub fn swap_remove(&mut self, i: usize) {
-        assert_eq!(self.n_owned, self.len(), "remove with ghosts present");
-        self.pos.swap_remove(i);
-        self.vel.swap_remove(i);
-        self.mass.swap_remove(i);
-        self.species.swap_remove(i);
-        self.u.swap_remove(i);
-        self.metals.swap_remove(i);
-        self.h.swap_remove(i);
-        self.id.swap_remove(i);
-        self.rung.swap_remove(i);
-        self.n_owned -= 1;
     }
 
     /// Indices of owned particles of a species.
@@ -157,7 +121,7 @@ impl ParticleStore {
         }
     }
 
-    /// Append a migrated record.
+    /// Append one particle; its rung starts at 0.
     pub fn insert(&mut self, r: ParticleRecord) {
         self.pos.push(r.pos);
         self.vel.push(r.vel);
@@ -169,9 +133,56 @@ impl ParticleStore {
         self.id.push(r.id);
         self.rung.push(0);
     }
+
+    /// The owned particles as one checkpoint block per
+    /// [`ParticleRecord::COLUMNS`] entry, filled in one pass over the
+    /// store. Positions are wrapped into `[0, box_size)`: the last
+    /// substep's drift can leave one outside until the next migrate, but
+    /// the checkpoint is the restart contract and must be canonical.
+    pub(crate) fn checkpoint_blocks(&self, box_size: f64) -> Vec<Block> {
+        let n = self.n_owned;
+        let mut data: [Vec<u8>; COLUMN_COUNT] = std::array::from_fn(|_| Vec::with_capacity(8 * n));
+        for i in 0..n {
+            for (col, word) in data.iter_mut().zip(self.extract(i).words(box_size)) {
+                col.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        ParticleRecord::COLUMNS
+            .iter()
+            .zip(data)
+            .map(|(name, data)| Block { name: name.to_string(), data })
+            .collect()
+    }
+
+    /// The all-owned store that [`checkpoint_blocks`] wrote. The error
+    /// names the column that is missing, differs in length from `x`, or
+    /// (`species`) holds a code that is no [`Species`].
+    ///
+    /// [`checkpoint_blocks`]: ParticleStore::checkpoint_blocks
+    pub(crate) fn from_checkpoint(blocks: &[Block]) -> Result<Self, &'static str> {
+        let mut cols: [&[u8]; COLUMN_COUNT] = [&[]; COLUMN_COUNT];
+        for (col, name) in cols.iter_mut().zip(ParticleRecord::COLUMNS) {
+            *col = &blocks.iter().find(|b| b.name == name).ok_or(name)?.data;
+        }
+        // `x`'s whole words; a column of any other byte length fails.
+        let len = cols[0].len() / 8 * 8;
+        if let Some(k) = cols.iter().position(|c| c.len() != len) {
+            return Err(ParticleRecord::COLUMNS[k]);
+        }
+        let mut store = Self::new();
+        for at in (0..len).step_by(8) {
+            let words = cols.map(|c| u64::from_le_bytes(std::array::from_fn(|k| c[at + k])));
+            store.insert(ParticleRecord::from_words(words)?);
+        }
+        store.seal_owned();
+        Ok(store)
+    }
 }
 
-/// A self-contained particle record used for rank-to-rank migration.
+const COLUMN_COUNT: usize = ParticleRecord::COLUMNS.len();
+
+/// Everything a particle carries from one PM step to the next: what
+/// migrate and the overload exchange ship and the checkpoint writes.
 #[derive(Debug, Clone, Copy)]
 pub struct ParticleRecord {
     /// Position.
@@ -192,21 +203,80 @@ pub struct ParticleRecord {
     pub id: u64,
 }
 
+impl ParticleRecord {
+    /// The checkpoint's particle columns, in block order: the
+    /// [`F64_COLUMNS`](Self::F64_COLUMNS) f64 columns, then `id` and the
+    /// species code.
+    pub const COLUMNS: [&'static str; 12] =
+        ["x", "y", "z", "vx", "vy", "vz", "mass", "u", "metals", "h", "id", "species"];
+
+    /// How many leading [`COLUMNS`](Self::COLUMNS) hold f64 values.
+    pub const F64_COLUMNS: usize = 10;
+
+    /// One word per [`COLUMNS`](Self::COLUMNS) entry: the f64 bit
+    /// patterns (position wrapped into `[0, box_size)`), id, species code.
+    fn words(&self, box_size: f64) -> [u64; COLUMN_COUNT] {
+        let [x, y, z] = self.pos.map(|p| p.rem_euclid(box_size).to_bits());
+        let [vx, vy, vz] = self.vel.map(f64::to_bits);
+        let [mass, u, metals, h] = [self.mass, self.u, self.metals, self.h].map(f64::to_bits);
+        [x, y, z, vx, vy, vz, mass, u, metals, h, self.id, self.species as u64]
+    }
+
+    /// The record [`words`](Self::words) wrote; a species code other than
+    /// 0, 1 or 2 fails, naming its column.
+    fn from_words(w: [u64; COLUMN_COUNT]) -> Result<Self, &'static str> {
+        const SPECIES: [Species; 3] = [Species::DarkMatter, Species::Gas, Species::Star];
+        let species = *SPECIES.iter().find(|&&s| s as u64 == w[11]).ok_or(Self::COLUMNS[11])?;
+        let f = |k: usize| f64::from_bits(w[k]);
+        Ok(Self {
+            pos: [f(0), f(1), f(2)],
+            vel: [f(3), f(4), f(5)],
+            mass: f(6),
+            u: f(7),
+            metals: f(8),
+            h: f(9),
+            id: w[10],
+            species,
+        })
+    }
+
+    /// The record's row of the global state hash: its id, then the words
+    /// of its f64 columns.
+    pub(crate) fn hash_row(&self, box_size: f64) -> [u64; 1 + Self::F64_COLUMNS] {
+        let words = self.words(box_size);
+        std::array::from_fn(|k| if k == 0 { self.id } else { words[k - 1] })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn record(x: f64, species: Species, id: u64) -> ParticleRecord {
+        let gas = species == Species::Gas;
+        ParticleRecord {
+            pos: [x; 3],
+            vel: [0.1 * x; 3],
+            mass: 3.0,
+            species,
+            u: if gas { 10.0 * x } else { 0.0 },
+            metals: 0.0,
+            h: if gas { 0.5 } else { 0.0 },
+            id,
+        }
+    }
+
     fn sample() -> ParticleStore {
         let mut s = ParticleStore::new();
-        s.push([1.0; 3], [0.0; 3], 5.0, Species::DarkMatter, 0.0, 0.0, 1);
-        s.push([2.0; 3], [0.1; 3], 3.0, Species::Gas, 10.0, 0.5, 2);
-        s.push([3.0; 3], [0.2; 3], 3.0, Species::Gas, 20.0, 0.5, 3);
+        s.insert(record(1.0, Species::DarkMatter, 1));
+        s.insert(record(2.0, Species::Gas, 2));
+        s.insert(record(3.0, Species::Gas, 3));
         s.seal_owned();
         s
     }
 
     #[test]
-    fn push_and_seal() {
+    fn insert_and_seal() {
         let s = sample();
         assert_eq!(s.len(), 3);
         assert_eq!(s.n_owned, 3);
@@ -217,7 +287,7 @@ mod tests {
     #[test]
     fn ghosts_truncated() {
         let mut s = sample();
-        s.push([9.0; 3], [0.0; 3], 1.0, Species::Gas, 5.0, 0.5, 99);
+        s.insert(record(9.0, Species::Gas, 99));
         assert_eq!(s.len(), 4);
         assert_eq!(s.indices_of(Species::Gas), vec![1, 2], "owned only");
         assert_eq!(s.indices_of_all(Species::Gas), vec![1, 2, 3]);
@@ -232,23 +302,51 @@ mod tests {
 
     #[test]
     fn migration_roundtrip() {
+        // Every migrate and overload message carries these bytes.
+        assert_eq!(std::mem::size_of::<ParticleRecord>(), 96);
         let s = sample();
         let r = s.extract(1);
         let mut t = ParticleStore::new();
         t.insert(r);
         t.seal_owned();
         assert_eq!(t.id[0], 2);
-        assert_eq!(t.u[0], 10.0);
+        assert_eq!(t.u[0], 20.0);
         assert_eq!(t.species[0], Species::Gas);
     }
 
     #[test]
-    fn swap_remove_star_formation_pattern() {
+    fn checkpoint_roundtrip_wraps_positions_and_keeps_owned_only() {
         let mut s = sample();
-        s.swap_remove(0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.n_owned, 2);
-        // Last element swapped in.
-        assert_eq!(s.id[0], 3);
+        s.metals[2] = 0.02;
+        s.species[2] = Species::Star;
+        s.pos[0][1] = -0.25;
+        s.insert(record(9.0, Species::Gas, 99)); // a ghost: not written
+        let blocks = s.checkpoint_blocks(8.0);
+        let names: Vec<&str> = blocks.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, ParticleRecord::COLUMNS);
+        assert_eq!(blocks[1].as_f64(), vec![7.75, 2.0, 3.0]);
+        let t = ParticleStore::from_checkpoint(&blocks).unwrap();
+        assert_eq!(t.n_owned, 3);
+        assert_eq!(t.pos[0], [1.0, 7.75, 1.0]);
+        for i in 0..3 {
+            let (a, b) = (s.extract(i), t.extract(i));
+            assert_eq!(a.hash_row(8.0), b.hash_row(8.0));
+            assert_eq!(a.species, b.species);
+        }
+    }
+
+    /// The decode cases the driver's resume test does not run: a column
+    /// longer than `x`, an `x` with a partial word, a missing column.
+    #[test]
+    fn checkpoint_decode_names_the_bad_column() {
+        let blocks = sample().checkpoint_blocks(8.0);
+        let doctored = |name: &str, edit: &dyn Fn(&mut Block)| {
+            let mut blocks = blocks.clone();
+            blocks.iter_mut().filter(|b| b.name == name).for_each(edit);
+            ParticleStore::from_checkpoint(&blocks).err()
+        };
+        assert_eq!(doctored("vz", &|b| b.data.extend([0; 8])), Some("vz"));
+        assert_eq!(doctored("x", &|b| b.data.push(0)), Some("x"));
+        assert_eq!(doctored("metals", &|b| b.name.clear()), Some("metals"));
     }
 }

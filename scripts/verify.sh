@@ -181,39 +181,17 @@ cargo test --release -q --offline
 echo "== tier 2: telemetry golden-section determinism =="
 # Two identical runs must produce byte-identical Chrome traces and
 # byte-identical golden regions of the text report; wall-clock content
-# is confined to the non-golden appendix.
+# is confined to the non-golden appendix, so the byte-diff catches any
+# wall-clock leak that makes two identical runs differ (hacc-lint rule D1
+# polices the sources of wall time).
+scripts/goldens.sh
+echo "ok: telemetry golden sections are byte-identical"
+
+echo "== tier 3: chaos gate — supervised recovery is bitwise-exact =="
 tdir=$(mktemp -d)
 golden() {
     sed -n '/# === GOLDEN BEGIN ===/,/# === GOLDEN END ===/p' "$1"
 }
-for physics in gravity hydro; do
-    for run in a b; do
-        ./target/release/frontier-sim run \
-            --np 8 --ranks 2 --steps 2 --physics "$physics" --seed 4242 \
-            --out "$tdir/io-$physics-$run" --telemetry "$tdir/telem-$physics-$run" \
-            > "$tdir/stdout-$physics-$run.log"
-        golden "$tdir/telem-$physics-$run/report.txt" > "$tdir/golden-$physics-$run.txt"
-    done
-    cmp "$tdir/telem-$physics-a/trace.json" "$tdir/telem-$physics-b/trace.json" || {
-        echo "error: chrome traces differ between identical $physics runs" >&2
-        exit 1
-    }
-    [ -s "$tdir/golden-$physics-a.txt" ] || {
-        echo "error: report.txt has no golden region" >&2
-        exit 1
-    }
-    cmp "$tdir/golden-$physics-a.txt" "$tdir/golden-$physics-b.txt" || {
-        echo "error: golden report regions differ between identical $physics runs" >&2
-        exit 1
-    }
-done
-# (The grep-based wall-clock-leak lint that lived here moved into
-# hacc-lint rule D1, which polices the *sources* of wall time instead
-# of its artifacts; the byte-diff above still catches any leak that
-# makes two identical runs differ.)
-echo "ok: telemetry golden sections are byte-identical"
-
-echo "== tier 3: chaos gate — supervised recovery is bitwise-exact =="
 # For each rank count, run an uninterrupted reference, then the same
 # seed under several fault plans. Every recovered run must report the
 # reference's exact final state hash, and chaos telemetry itself must

@@ -10,6 +10,7 @@
 //! count* IS the contract: the golden-run tests below hash the full
 //! particle state and the telemetry golden sections.
 
+use frontier_sim::core::particles::ParticleRecord;
 use frontier_sim::core::{run_simulation, Physics, SimConfig, SimReport};
 use frontier_sim::iosim::TieredWriter;
 use frontier_sim::telem::golden_section;
@@ -97,14 +98,13 @@ fn cfg_io(tag: &str) -> (SimConfig, std::path::PathBuf) {
 /// Full final particle state from the checkpoints, sorted by particle id
 /// so the ordering is decomposition-independent.
 fn final_state(dir: &std::path::Path, ranks: usize) -> Vec<(u64, Vec<f64>)> {
-    const FIELDS: [&str; 10] =
-        ["x", "y", "z", "vx", "vy", "vz", "mass", "u", "metals", "h"];
+    let fields = &ParticleRecord::COLUMNS[..ParticleRecord::F64_COLUMNS];
     let mut rows = Vec::new();
     for r in 0..ranks {
         let pfs = dir.join("pfs").join(format!("rank-{r}"));
         let (_, blocks) = TieredWriter::load_latest_valid(&pfs).unwrap();
         let ids = blocks.iter().find(|b| b.name == "id").unwrap().as_u64();
-        let cols: Vec<Vec<f64>> = FIELDS
+        let cols: Vec<Vec<f64>> = fields
             .iter()
             .map(|n| blocks.iter().find(|b| b.name == *n).unwrap().as_f64())
             .collect();

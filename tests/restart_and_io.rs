@@ -40,17 +40,16 @@ fn checkpoints_land_on_pfs_and_reload() {
         let (step, blocks) =
             TieredWriter::load_latest_valid(&pfs).expect("restartable checkpoint");
         assert_eq!(step, cfg.pm_steps as u64 - 1);
-        // The full field set survives the roundtrip.
+        // The restart state, in block order, under the names readers of
+        // the format (`examples/sky_maps.rs`) look up: the store's 12
+        // persistent columns, the final step's `closing_substeps` (0: it
+        // closed itself) and the `schedule` those steps were taken on.
+        // The rungs are per-step scratch and are not among them.
         let names: Vec<&str> = blocks.iter().map(|b| b.name.as_str()).collect();
-        for f in ["x", "y", "z", "vx", "vy", "vz", "mass", "u", "id"] {
-            assert!(names.contains(&f), "missing field {f}");
-        }
-        // The restart state is the store's 12 persistent columns and the
-        // final step's `closing_substeps` (0: it closed itself), beside
-        // the `schedule` those steps were taken on; the rungs are
-        // per-step scratch and are not among them.
-        assert_eq!(names.len(), 14, "{names:?}");
-        assert!(!names.contains(&"rung"), "{names:?}");
+        let particle =
+            ["x", "y", "z", "vx", "vy", "vz", "mass", "u", "metals", "h", "id", "species"];
+        assert_eq!(names[..12], particle);
+        assert_eq!(names[12..], ["closing_substeps", "schedule"]);
         let closing = blocks.iter().find(|b| b.name == "closing_substeps").unwrap();
         assert_eq!(closing.as_u64(), [0]);
         let schedule = blocks.iter().find(|b| b.name == "schedule").unwrap();

@@ -1,6 +1,7 @@
 //! Simulation configuration.
 
 use hacc_gpusim::{DeviceSpec, ExecMode};
+use hacc_grav::CUTOFF_SPLIT_SCALES;
 use hacc_units::CosmologyParams;
 
 /// Hard cap on smoothing lengths, in units of the interparticle spacing.
@@ -78,8 +79,8 @@ pub struct SimConfig {
     /// empty plan is one attempt with no fault probes armed.
     pub chaos: Option<String>,
     /// Run the world under the hacc-san dynamic sanitizer (the
-    /// `--sanitize` flag): happens-before race detection over annotated
-    /// shared regions, MUST-style collective matching, and wait-graph
+    /// `--sanitize` flag): rank-privacy checks on annotated regions,
+    /// MUST-style collective matching, p2p payload checks, and wait-graph
     /// deadlock detection. The findings report rides on [`SimReport`]
     /// and the telemetry golden section.
     ///
@@ -205,7 +206,8 @@ impl SimConfig {
             (self.pm_steps >= 1, "need at least one PM step"),
             (self.max_rung <= 10, "rung hierarchy too deep"),
             (
-                self.overload_cells * self.cell_size() >= 7.0 * self.split_scale() * 0.99,
+                self.overload_cells * self.cell_size()
+                    >= CUTOFF_SPLIT_SCALES * self.split_scale() * 0.99,
                 "overload must cover the short-range cutoff",
             ),
             // Past the overload a ghost would miss neighbours, and its

@@ -59,7 +59,7 @@ use hacc_analysis::{
 };
 use hacc_fault::{FaultPlan, FaultProbe, FaultState};
 use hacc_gpusim::{execute_with_relaunch, ExecutionModel, KernelCounters, ProfileTable};
-use hacc_grav::{grav_step_sinks, GravConfig};
+use hacc_grav::{grav_step_sinks, GravConfig, CUTOFF_SPLIT_SCALES};
 use hacc_iosim::format::Block;
 use hacc_iosim::{IoStats, TieredConfig, TieredWriter};
 use hacc_mesh::{PmConfig, PmSolver};
@@ -222,7 +222,7 @@ impl MeshDomain {
         let wrap = wrapped_axes(decomp, cfg.box_size, width);
         let (lo, hi) = decomp.subdomain(rank);
         let pad = wrap.map(|w| if w { 0.0 } else { width });
-        let r_cut = 7.0 * cfg.split_scale();
+        let r_cut = CUTOFF_SPLIT_SCALES * cfg.split_scale();
         // Smoothing lengths are clamped to H_CAP x spacing (in the kick),
         // so the bin width is fixed for the whole run.
         let h_cap = H_CAP_SPACING * cfg.particle_spacing();
@@ -763,8 +763,8 @@ fn rank_main(
 
     // Sanitizer region for this rank's overload (ghost) buffer: the
     // exchange writes it once per step and the node-local solve reads
-    // it. One region per rank — ghosts are rank-private, and the
-    // detector checks the write-then-read ordering across steps.
+    // it. One region per rank — ghosts are rank-private, and R1 checks
+    // that no other rank touches them.
     let ghost_region = hacc_san::armed().then(|| hacc_san::region("ghost-exchange"));
 
     let da_pm = cfg.da_pm();

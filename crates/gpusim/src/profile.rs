@@ -6,24 +6,9 @@ use crate::model::ExecutionModel;
 use std::collections::BTreeMap;
 
 /// A named-kernel profile table.
-///
-/// Carries a hacc-san shared region: mutations (`record`/`merge`) are
-/// annotated writes and reads (`get`/`rows`) annotated reads, so a table
-/// shared across unsynchronized threads trips the race detector.
-/// Cloning yields a fresh region — the clone is a distinct object.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileTable {
     entries: BTreeMap<String, KernelCounters>,
-    region: hacc_san::LazyRegion,
-}
-
-impl Default for ProfileTable {
-    fn default() -> Self {
-        Self {
-            entries: BTreeMap::new(),
-            region: hacc_san::LazyRegion::new("gpusim::ProfileTable"),
-        }
-    }
 }
 
 /// One rendered profile row.
@@ -57,9 +42,6 @@ impl ProfileTable {
 
     /// Accumulate a launch's counters under `name`.
     pub fn record(&mut self, name: &str, counters: &KernelCounters) {
-        if hacc_san::armed() {
-            hacc_san::annotate_write(self.region.id());
-        }
         self.entries
             .entry(name.to_string())
             .or_default()
@@ -68,10 +50,6 @@ impl ProfileTable {
 
     /// Merge another table (e.g. from another rank).
     pub fn merge(&mut self, other: &ProfileTable) {
-        if hacc_san::armed() {
-            hacc_san::annotate_write(self.region.id());
-            hacc_san::annotate_read(other.region.id());
-        }
         for (name, c) in &other.entries {
             self.entries.entry(name.clone()).or_default().merge(c);
         }
@@ -89,18 +67,12 @@ impl ProfileTable {
 
     /// Counters of one kernel.
     pub fn get(&self, name: &str) -> Option<&KernelCounters> {
-        if hacc_san::armed() {
-            hacc_san::annotate_read(self.region.id());
-        }
         self.entries.get(name)
     }
 
     /// Render rows sorted by modeled time (descending) under a device
     /// model — what a rocprof "top kernels" view shows.
     pub fn rows(&self, model: &ExecutionModel) -> Vec<ProfileRow> {
-        if hacc_san::armed() {
-            hacc_san::annotate_read(self.region.id());
-        }
         let mut rows: Vec<ProfileRow> = self
             .entries
             .iter()

@@ -24,4 +24,4 @@ pub mod split;
 
 pub use kernel::{GravAccum, GravState, GravityKernel};
 pub use pipeline::{grav_step, grav_step_sinks, GravConfig, GravResult};
-pub use split::ForceSplitTable;
+pub use split::{ForceSplitTable, CUTOFF_SPLIT_SCALES};

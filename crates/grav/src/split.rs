@@ -8,6 +8,10 @@
 use hacc_gpusim::Real;
 use hacc_mesh::poisson::short_range_fraction;
 
+/// The short-range cutoff in units of the split scale `r_s`: at `7 r_s`
+/// the splitting fraction has dropped below ~1e-6.
+pub const CUTOFF_SPLIT_SCALES: f64 = 7.0;
+
 /// Tabulation of the smooth splitting *fraction* `f_sr(r) ∈ [0, 1]`,
 /// sampled uniformly in `r²` up to the cutoff. The steep `1/r³` factor is
 /// evaluated analytically per pair (one rsqrt — cheap on GPU), so the
@@ -24,12 +28,11 @@ pub struct ForceSplitTable {
 }
 
 impl ForceSplitTable {
-    /// Build the table for split scale `r_s`, cutting the force off where
-    /// the splitting fraction drops below ~1e-6 (at `r ≈ 7 r_s`), with
-    /// Plummer softening `eps`.
+    /// Build the table for split scale `r_s`, cutting the force off at
+    /// [`CUTOFF_SPLIT_SCALES`]` r_s`, with Plummer softening `eps`.
     pub fn new(r_s: f64, eps: f64, n: usize) -> Self {
         assert!(r_s > 0.0 && n >= 2);
-        let r_cut = 7.0 * r_s;
+        let r_cut = CUTOFF_SPLIT_SCALES * r_s;
         let r_cut2 = r_cut * r_cut;
         let dr2 = r_cut2 / (n - 1) as f64;
         let eps2 = eps * eps;

@@ -123,7 +123,7 @@ impl World {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        let tok = san.map(hacc_san::register_thread);
+        let tok = san.map(|s| hacc_san::register_thread(s, rank));
         let mut comm = Comm {
             rank,
             size: mailboxes.len(),
@@ -267,7 +267,6 @@ impl Comm {
             type_name: std::any::type_name::<T>(),
             bytes: std::mem::size_of::<T>(),
             marker,
-            stamp: hacc_san::send_stamp(),
         };
         let env = frame(Box::new(value), Marker::Normal);
         if let Some(probe) = &self.probe {
@@ -346,7 +345,6 @@ impl Comm {
                             probe.recovered(FaultKind::CommDup);
                         }
                     }
-                    hacc_san::recv_join(env.stamp.as_deref());
                     // Validation happens at match time: a truncated frame
                     // is dropped here and the loop retries — its
                     // retransmission is filed right behind it.

@@ -43,9 +43,6 @@ pub(crate) struct Envelope {
     pub type_name: &'static str,
     pub bytes: usize,
     pub marker: Marker,
-    /// The sender's vector clock at the send (`None` unsanitized); the
-    /// matching receive joins it — the happens-before edge.
-    pub stamp: Option<hacc_san::Stamp>,
 }
 
 struct State {
@@ -193,7 +190,6 @@ mod tests {
             type_name: "u64",
             bytes: 8,
             marker: Marker::Normal,
-            stamp: None,
         }
     }
 

@@ -2,10 +2,8 @@
 //!
 //! Rendering contains only deterministic quantities: rank count,
 //! ledger-checked collectives, tracked regions, annotated accesses, and
-//! the normalized findings. Scheduling-dependent counters (lock
-//! acquisitions, channel stamps) are deliberately excluded so two
-//! identical clean runs produce byte-identical reports — the property
-//! the tier-4 gate byte-compares.
+//! the normalized findings, so two identical clean runs produce
+//! byte-identical reports — the property the tier-4 gate byte-compares.
 
 use std::fmt::Write as _;
 

@@ -1,12 +1,14 @@
 //! A sanitizer session: one `World::run`'s worth of dynamic checking.
 //!
 //! The session owns three checkers, all exact because every "rank" is a
-//! thread of this process observing one shared logical clock space:
+//! thread of this process sharing one session:
 //!
-//! * **Race table** — FastTrack-style happens-before checking over
-//!   annotated regions: each region keeps its last write epoch and the
-//!   per-thread read set; an access that is not ordered after a prior
-//!   conflicting access by the vector-clock relation is a race (R1).
+//! * **Region ledger** — rank privacy over annotated regions: each
+//!   region records which ranks touched it, whether each wrote it, and
+//!   its lowest call site. A region one rank wrote and another rank
+//!   touched is one R1 finding at [`SanSession::finish`]. No ordering is
+//!   consulted: ranks share no memory, so a region a rank writes belongs
+//!   to that rank alone, however the accesses were sequenced.
 //! * **Collective ledger** — MUST-style matching: the i-th collective
 //!   of every rank must carry the same (call site, kind, element type,
 //!   element size, root) signature. The first arriver at position i
@@ -20,10 +22,6 @@
 //!   the suite. No clock is read, so `--chaos` comm-delay faults — which
 //!   hold messages until the sender's next transport op, never across a
 //!   blocked sender — cannot false-positive.
-//!
-//! Internals use `std::sync` directly, never the instrumented
-//! `hacc_rt::sync` wrappers, so the sanitizer cannot recurse into
-//! itself.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::Location;
@@ -33,33 +31,48 @@ use std::sync::{Arc, Mutex};
 use hacc_telem::diag::normalize;
 use hacc_telem::{Diagnostic, Rule};
 
-use crate::clock::VectorClock;
-use crate::registry::{region_name, RegionId};
 use crate::report::SanReport;
+use crate::RegionId;
 
-/// Read or write, as [`crate::annotate_read`] / [`crate::annotate_write`]
-/// record it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
-    /// Shared read.
-    Read,
-    /// Exclusive write.
-    Write,
-}
-
-#[derive(Clone)]
-struct SiteStamp {
-    slot: usize,
-    time: u64,
-    file: &'static str,
-    line: u32,
-    kind: Access,
-}
-
-#[derive(Default)]
+/// What the ranks did to one region.
 struct RegionState {
-    last_write: Option<SiteStamp>,
-    reads: Vec<SiteStamp>,
+    name: &'static str,
+    /// Per touching rank: whether it wrote the region.
+    wrote: BTreeMap<usize, bool>,
+    /// The lowest `(file, line)` of any access.
+    site: (&'static str, u32),
+}
+
+impl RegionState {
+    /// The R1 finding, when one rank wrote the region and another
+    /// touched it. The text depends only on the set of accesses, never
+    /// on their order.
+    fn finding(&self) -> Option<Diagnostic> {
+        let ranks = |writers_only: bool| {
+            self.wrote
+                .iter()
+                .filter(|&(_, &w)| w || !writers_only)
+                .map(|(r, _)| r.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let writers = ranks(true);
+        if writers.is_empty() || self.wrote.len() < 2 {
+            return None;
+        }
+        let (file, line) = self.site;
+        Some(Diagnostic {
+            witness: Vec::new(),
+            file: file.to_string(),
+            line,
+            rule: Rule::R1,
+            message: format!(
+                "region `{}` is not rank-private: written by rank(s) {writers} and touched by ranks {}",
+                self.name,
+                ranks(false)
+            ),
+        })
+    }
 }
 
 struct CollSlot {
@@ -165,82 +178,25 @@ impl SanSession {
         }
     }
 
-    // ------------------------------------------------------------ race --
+    // ---------------------------------------------------------- regions --
 
     pub(crate) fn access(
         &self,
         region: RegionId,
-        kind: Access,
-        slot: usize,
-        clock: &VectorClock,
+        write: bool,
+        rank: usize,
         loc: &'static Location<'static>,
     ) {
-        let here = SiteStamp {
-            slot,
-            time: clock.get(slot),
-            file: loc.file(),
-            line: loc.line(),
-            kind,
-        };
-        let mut races: Vec<SiteStamp> = Vec::new();
+        let site = (loc.file(), loc.line());
         let mut st = self.lock();
         st.accesses += 1;
-        let rs = st.regions.entry(region.0).or_default();
-        match kind {
-            Access::Write => {
-                if let Some(w) = &rs.last_write {
-                    if w.slot != slot && !clock.observed(w.slot, w.time) {
-                        races.push(w.clone());
-                    }
-                }
-                for r in &rs.reads {
-                    if r.slot != slot && !clock.observed(r.slot, r.time) {
-                        races.push(r.clone());
-                    }
-                }
-                rs.last_write = Some(here.clone());
-                rs.reads.clear();
-            }
-            Access::Read => {
-                if let Some(w) = &rs.last_write {
-                    if w.slot != slot && !clock.observed(w.slot, w.time) {
-                        races.push(w.clone());
-                    }
-                }
-                if let Some(r) = rs.reads.iter_mut().find(|r| r.slot == slot) {
-                    r.time = here.time;
-                    r.file = here.file;
-                    r.line = here.line;
-                } else {
-                    rs.reads.push(here.clone());
-                }
-            }
-        }
-        drop(st);
-        let verb = |k: Access| match k {
-            Access::Read => "read",
-            Access::Write => "write",
-        };
-        for prior in races {
-            self.report(
-                Rule::R1,
-                here.file,
-                here.line,
-                format!(
-                    "data race on region `{}`: this {} and the {} at {}:{} \
-                     are unordered by happens-before",
-                    region_name(region),
-                    verb(here.kind),
-                    verb(prior.kind),
-                    prior.file,
-                    prior.line
-                ),
-                format!(
-                    "R1:{}:{}:{}:{}:{}",
-                    region.0, here.file, here.line, prior.file, prior.line
-                ),
-            );
-        }
+        let rs = st.regions.entry(region.id).or_insert(RegionState {
+            name: region.name,
+            wrote: BTreeMap::new(),
+            site,
+        });
+        *rs.wrote.entry(rank).or_default() |= write;
+        rs.site = rs.site.min(site);
     }
 
     // ------------------------------------------------------ collectives --
@@ -386,10 +342,12 @@ impl SanSession {
 
     // ----------------------------------------------------------- finish --
 
-    /// End-of-world checks and report assembly. Call after every rank
-    /// thread has been joined.
+    /// End-of-world checks (region privacy, collective counts) and
+    /// report assembly. Call after every rank thread has been joined.
     pub fn finish(&self) -> SanReport {
         let mut st = self.lock();
+        let shared: Vec<_> = st.regions.values().filter_map(RegionState::finding).collect();
+        st.findings.extend(shared);
         // Collective-count divergence: every rank must have executed the
         // same number of collectives (signature equality at each position
         // was already checked on entry).
@@ -430,7 +388,7 @@ impl SanSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::region;
+    use crate::region;
 
     fn loc() -> &'static Location<'static> {
         Location::caller()
@@ -473,48 +431,60 @@ mod tests {
         assert!(r.findings[0].message.contains("count diverged"));
     }
 
-    #[test]
-    fn unordered_writes_race() {
+    /// The one R1 finding of a two-rank session in which rank 0 writes
+    /// a region at one call site and rank 1 reads it at a lower one, the
+    /// rank `first` touching it first; and that lower line.
+    fn shared_write_seen_first_by(first: usize) -> (Diagnostic, u32) {
         let s = SanSession::new(2);
         let reg = region("fixture");
-        let mut c0 = VectorClock::new();
-        c0.set(10, 1);
-        let mut c1 = VectorClock::new();
-        c1.set(11, 1);
-        s.access(reg, Access::Write, 10, &c0, loc());
-        s.access(reg, Access::Write, 11, &c1, loc());
+        let read_site = loc();
+        let write_site = loc();
+        let mut touch = [(0, true, write_site), (1, false, read_site)];
+        touch.rotate_left(first);
+        for (rank, write, site) in touch {
+            s.access(reg, write, rank, site);
+        }
+        let mut r = s.finish();
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!((r.regions, r.accesses), (1, 2));
+        (r.findings.remove(0), read_site.line())
+    }
+
+    #[test]
+    fn r1_text_is_independent_of_the_first_rank() {
+        let [(a, low), (b, _)] = [0, 1].map(shared_write_seen_first_by);
+        assert_eq!(a.render(), b.render());
+        assert_eq!(a.rule, Rule::R1);
+        assert_eq!(
+            a.message,
+            "region `fixture` is not rank-private: written by rank(s) 0 and touched by ranks 0, 1"
+        );
+        assert_eq!(a.line, low, "anchored at the lowest call site");
+    }
+
+    #[test]
+    fn reads_by_many_ranks_are_clean() {
+        let s = SanSession::new(4);
+        let reg = region("fixture");
+        for rank in 0..4 {
+            s.access(reg, false, rank, loc());
+        }
         let r = s.finish();
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, Rule::R1);
-        assert!(r.findings[0].message.contains("fixture"));
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert_eq!((r.regions, r.accesses), (1, 4));
     }
 
     #[test]
-    fn ordered_writes_are_clean() {
+    fn one_rank_writing_its_own_region_is_clean() {
         let s = SanSession::new(2);
-        let reg = region("fixture");
-        let mut c0 = VectorClock::new();
-        c0.set(10, 1);
-        s.access(reg, Access::Write, 10, &c0, loc());
-        // Thread 11 has observed thread 10's epoch (joined its clock).
-        let mut c1 = VectorClock::new();
-        c1.set(11, 1);
-        c1.join(&c0);
-        s.access(reg, Access::Write, 11, &c1, loc());
-        assert!(s.finish().findings.is_empty());
-    }
-
-    #[test]
-    fn concurrent_reads_do_not_race() {
-        let s = SanSession::new(2);
-        let reg = region("fixture");
-        let mut c0 = VectorClock::new();
-        c0.set(10, 1);
-        let mut c1 = VectorClock::new();
-        c1.set(11, 1);
-        s.access(reg, Access::Read, 10, &c0, loc());
-        s.access(reg, Access::Read, 11, &c1, loc());
-        assert!(s.finish().findings.is_empty());
+        for rank in 0..2 {
+            let reg = region("ghost-exchange");
+            s.access(reg, true, rank, loc());
+            s.access(reg, false, rank, loc());
+        }
+        let r = s.finish();
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert_eq!((r.regions, r.accesses), (2, 4));
     }
 
     /// The one W1 finding of a session whose `rank` held the proof.

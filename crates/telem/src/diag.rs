@@ -33,8 +33,8 @@ pub enum Rule {
     /// scalar accumulation in `interact`/`interact_pair` bodies and
     /// `execute_leaf*` lane loops.
     V1,
-    /// Dynamic (hacc-san): conflicting shared-region accesses unordered
-    /// by the happens-before relation — a data race.
+    /// Dynamic (hacc-san): an annotated region one rank wrote and another
+    /// rank touched — rank-private state shared across ranks.
     R1,
     /// Dynamic (hacc-san): collective sequence or signature divergence
     /// across ranks (MUST-style collective matching).

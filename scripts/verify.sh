@@ -261,18 +261,32 @@ echo "ok: all fault plans recovered to the reference state hash"
 
 echo "== tier 4: hacc-san dynamic sanitizer gate =="
 # The whole release suite again with the sanitizer armed on every
-# World::run (HACC_SAN=1): happens-before race detection, MUST-style
-# collective matching, and wait-graph deadlock detection, all live.
-# Justified suppressions come from the checked-in san.allow.
+# World::run (HACC_SAN=1): rank-privacy checks on annotated regions,
+# MUST-style collective matching, and wait-graph deadlock detection, all
+# live. Justified suppressions come from the checked-in san.allow.
 HACC_SAN=1 HACC_SAN_ALLOW="$PWD/san.allow" cargo test --release -q --offline
-# Gate self-test: the armed gate must FAIL on the seeded canary race
-# (an `#[ignore]`d fixture only this gate runs). If it passes, the
-# sanitizer has silently lost its teeth.
-if HACC_SAN=1 cargo test --release -q --offline --test sanitizer \
-    canary_seeded_race_must_fail -- --ignored > /dev/null 2>&1; then
+# Gate self-test on the seeded canary race (an `#[ignore]`d fixture only
+# this gate runs): unarmed it must pass, and armed it must FAIL with an
+# R1 finding naming its region — a failure for any other reason proves
+# nothing about the sanitizer.
+canary() {
+    cargo test --release -q --offline --test sanitizer \
+        canary_seeded_race_must_fail -- --ignored > "$tdir/canary-$1.log" 2>&1
+}
+canary plain || {
+    echo "error: the seeded canary fails with the sanitizer off:" >&2
+    tail -n 25 "$tdir/canary-plain.log" >&2
+    exit 1
+}
+if HACC_SAN=1 canary armed; then
     echo "error: sanitizer gate missed the seeded canary race" >&2
     exit 1
 fi
+grep -q '\[R1\] region `canary-race`' "$tdir/canary-armed.log" || {
+    echo "error: the armed canary failed without an R1 finding on canary-race:" >&2
+    tail -n 25 "$tdir/canary-armed.log" >&2
+    exit 1
+}
 # Clean sanitized CLI runs at every test-tier rank count; the sanitizer
 # report must be finding-free and byte-identical run to run.
 for ranks in 1 2 4 8; do

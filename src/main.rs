@@ -42,7 +42,7 @@ fn main() {
                  \x20                 panic comm-delay comm-dup comm-trunc ckpt-torn\n\
                  \x20                 ckpt-crc nvme-err gpu-launch\n\
                  \x20 --sanitize      run under the hacc-san dynamic sanitizer\n\
-                 \x20                 (races, collective matching, deadlock); findings\n\
+                 \x20                 (rank privacy, collective matching, deadlock); findings\n\
                  \x20                 honor <root>/san.allow and exit 1 when unsuppressed\n\
                  \n\
                  ranks options (self-checking communication smoke world):\n\

@@ -49,7 +49,7 @@ use crate::config::{Physics, SimConfig, H_CAP_SPACING};
 use crate::ic::distributed_ics;
 use crate::kicks::KickDrift;
 use crate::overload::{exchange_overload, migrate, wrapped_axes};
-use crate::particles::{ParticleStore, Species};
+use crate::particles::{ParticleRecord, ParticleStore, Species};
 use crate::timers::{Phase, Timers, PHASES};
 use crate::timestep::{n_substeps, rung_for, RungStats};
 use hacc_analysis::power::PowerBin;
@@ -1229,19 +1229,19 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// Bitwise hash of the global particle state: each owned particle's
-/// [`hash_row`](crate::particles::ParticleRecord::hash_row) (its id and
-/// the words of its f64 checkpoint columns, position box-wrapped)
-/// gathered to rank 0, sorted by particle id, and folded with FNV-1a over
-/// the little-endian words. The id sort makes the hash independent of
+/// checkpoint row ([`ParticleRecord::words`](crate::particles::ParticleRecord::words):
+/// every column, species included, position box-wrapped) gathered to
+/// rank 0, sorted by particle id, and folded with FNV-1a over the
+/// little-endian words. The id sort makes the hash independent of
 /// ownership and in-rank ordering; the wrap makes it match the
 /// checkpoint's canonical form, so a recovered run and its uninterrupted
 /// reference agree bit-for-bit or not at all. Every rank returns the same
 /// value.
 fn global_state_hash(comm: &mut Comm, store: &ParticleStore, box_size: f64) -> u64 {
-    let rows: Vec<_> = (0..store.n_owned).map(|i| store.extract(i).hash_row(box_size)).collect();
+    let rows: Vec<_> = (0..store.n_owned).map(|i| store.extract(i).words(box_size)).collect();
     let hash = comm.gather(0, rows).map_or(0, |per_rank| {
         let mut rows: Vec<_> = per_rank.into_iter().flatten().collect();
-        rows.sort_by_key(|row| row[0]); // by id
+        rows.sort_by_key(|row| row[ParticleRecord::F64_COLUMNS]); // the id word
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for word in rows.into_iter().flatten() {
             fnv1a(&mut h, &word.to_le_bytes());
@@ -1463,7 +1463,6 @@ fn restart_state(blocks: &[Block], run: Schedule) -> (ParticleStore, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::particles::ParticleRecord;
     use crate::timers::PHASES;
     use hacc_units::constants::{temperature_to_u, MU_IONIZED};
 
@@ -1613,6 +1612,19 @@ mod tests {
         let gas_idx: Vec<usize> = (0..64).collect();
         let formed: u64 = (0..4).map(|s| substep(&mut store, &gas_idx, s)).sum();
         assert_eq!(formed, star_ids(&store).len() as u64);
+    }
+
+    #[test]
+    fn state_hash_sees_a_species_change_alone() {
+        // A star formed with no gas neighbour for its feedback changes
+        // `species` and nothing else.
+        let (gas, _) = dense_cold_gas();
+        let mut star = gas.clone();
+        star.species[5] = Species::Star;
+        let hashes = World::run(1, |comm| {
+            [&gas, &star].map(|store| global_state_hash(comm, store, 64.0))
+        });
+        assert_ne!(hashes[0][0], hashes[0][1]);
     }
 
     /// The opening short-range forces of a one-rank world of

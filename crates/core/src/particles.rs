@@ -215,7 +215,8 @@ impl ParticleRecord {
 
     /// One word per [`COLUMNS`](Self::COLUMNS) entry: the f64 bit
     /// patterns (position wrapped into `[0, box_size)`), id, species code.
-    fn words(&self, box_size: f64) -> [u64; COLUMN_COUNT] {
+    /// The checkpoint's row, and the global state hash's.
+    pub(crate) fn words(&self, box_size: f64) -> [u64; COLUMN_COUNT] {
         let [x, y, z] = self.pos.map(|p| p.rem_euclid(box_size).to_bits());
         let [vx, vy, vz] = self.vel.map(f64::to_bits);
         let [mass, u, metals, h] = [self.mass, self.u, self.metals, self.h].map(f64::to_bits);
@@ -238,13 +239,6 @@ impl ParticleRecord {
             id: w[10],
             species,
         })
-    }
-
-    /// The record's row of the global state hash: its id, then the words
-    /// of its f64 columns.
-    pub(crate) fn hash_row(&self, box_size: f64) -> [u64; 1 + Self::F64_COLUMNS] {
-        let words = self.words(box_size);
-        std::array::from_fn(|k| if k == 0 { self.id } else { words[k - 1] })
     }
 }
 
@@ -330,8 +324,7 @@ mod tests {
         assert_eq!(t.pos[0], [1.0, 7.75, 1.0]);
         for i in 0..3 {
             let (a, b) = (s.extract(i), t.extract(i));
-            assert_eq!(a.hash_row(8.0), b.hash_row(8.0));
-            assert_eq!(a.species, b.species);
+            assert_eq!(a.words(8.0), b.words(8.0));
         }
     }
 

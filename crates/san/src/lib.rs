@@ -107,13 +107,6 @@ pub struct RegionId {
     name: &'static str,
 }
 
-impl RegionId {
-    /// The diagnostic name the region was registered under.
-    pub fn name(self) -> &'static str {
-        self.name
-    }
-}
-
 /// Register a region under a diagnostic name. Each call returns a
 /// distinct region — accesses that should be checked against each other
 /// must share one `RegionId`.
@@ -206,7 +199,7 @@ mod tests {
         let a = region("table");
         let b = region("table");
         assert_ne!(a, b);
-        assert_eq!((a.name(), b.name()), ("table", "table"));
+        assert_eq!((a.name, b.name), ("table", "table"));
     }
 
     /// Run `body(rank)` on one thread per rank, each bound to `s`.
@@ -246,11 +239,11 @@ mod tests {
         let s = SanSession::new(2);
         let reg = region("handed-over");
         let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (tx, rx) = (Mutex::new(Some(tx)), Mutex::new(rx));
+        let rx = Mutex::new(rx);
         on_ranks(&s, |rank| {
             if rank == 0 {
                 annotate_write(reg);
-                tx.lock().unwrap().take().unwrap().send(()).unwrap();
+                tx.send(()).unwrap();
             } else {
                 rx.lock().unwrap().recv().unwrap();
                 annotate_write(reg);

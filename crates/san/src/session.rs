@@ -474,19 +474,6 @@ mod tests {
         assert_eq!((r.regions, r.accesses), (1, 4));
     }
 
-    #[test]
-    fn one_rank_writing_its_own_region_is_clean() {
-        let s = SanSession::new(2);
-        for rank in 0..2 {
-            let reg = region("ghost-exchange");
-            s.access(reg, true, rank, loc());
-            s.access(reg, false, rank, loc());
-        }
-        let r = s.finish();
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!((r.regions, r.accesses), (2, 4));
-    }
-
     /// The one W1 finding of a session whose `rank` held the proof.
     fn deadlock_seen_by(s: &SanSession, rank: usize) -> Diagnostic {
         s.report_deadlock(rank);

@@ -11,24 +11,28 @@
 //! holding its lattice plane. The cosmology and force-split tables are
 //! built once per run, in `supervise`, and lent to every rank.
 //!
-//! Per global PM step:
+//! Per global PM step, one fn per stage over a rank's two contexts, `Run`
+//! (what the stages read) and `RankState` (what they write):
 //!
-//! 1. migrate + overload refresh (all-to-all; phase `Misc`);
-//! 2. long-range spectral solve and kick (`LongRange`): the step before's
-//!    closing half-kick and this step's opening one, from one solve;
-//! 3. one chaining-mesh/tree build (`TreeBuild`);
-//! 4. the short-range block — gravity + CRKSPH + subgrid (`ShortRange`):
+//! 1. `migrate_and_refresh`: migrate + overload refresh (all-to-all; phase `Misc`);
+//! 2. `long_range_kick`: long-range spectral solve and kick
+//!    (`LongRange`): the step before's closing half-kick and this step's
+//!    opening one, from one solve;
+//! 3. `build_mesh`: one chaining-mesh/tree build (`TreeBuild`);
+//! 4. `short_range_block`: gravity + CRKSPH + subgrid (`ShortRange`):
 //!    opening forces → CFL rungs of the owned gas from *their* signal
 //!    velocities → the deepest rung any rank holds, all-reduced into the
 //!    step's one subcycle depth → one kick of the step before's last
 //!    closing half-width plus this step's opening half-width → chained KDK
 //!    at that depth, ending on the last drift. Forces are computed for the
-//!    owned particles only — the overload ghosts are sources; each
-//!    star-formation draw comes from a stream keyed by `(seed, particle
-//!    id, PM step, substep)`;
-//! 5. in-situ analysis at its cadence (`Analysis`);
-//! 6. the final step only: closing short-range and long-range half-kicks;
-//! 7. a full tiered checkpoint every step (`Io`).
+//!    step's `Sinks`, the owned particles — the overload ghosts are
+//!    sources; each star-formation draw comes from a stream keyed by
+//!    `(seed, particle id, PM step, substep)`;
+//! 5. `in_situ_analysis`: in-situ analysis at its cadence (`Analysis`);
+//! 6. `close_step`: the final step only, its closing long-range half-kick
+//!    (its closing short-range one ends stage 4);
+//! 7. `write_checkpoint`: a full tiered checkpoint every step (`Io`);
+//!    then `reduce_ledger`, the conservation ledger's end-of-step totals.
 //!
 //! Integration note: in a kick–drift–kick leapfrog the closing half-kick
 //! of one step and the opening half-kick of the next read forces at the
@@ -75,6 +79,7 @@ use hacc_tree::{ChainingMesh, CmConfig, MAX_LEAF};
 use hacc_units::constants::G_NEWTON;
 use hacc_units::{Background, LinearPower};
 use hacc_rt::rand::rngs::StdRng;
+use std::path::{Path, PathBuf};
 
 /// Per-PM-step record.
 #[derive(Debug, Clone)]
@@ -171,41 +176,6 @@ pub struct SimReport {
     pub sanitizer: Option<hacc_san::SanReport>,
 }
 
-/// Reusable SoA gather buffers for the per-kick hydro solve. The gas
-/// subset is re-gathered every kick (positions drift, `u`/`h` update),
-/// but the allocations are step-invariant, so they live outside the
-/// step loop.
-#[derive(Default)]
-struct GasGather {
-    pos: Vec<[f64; 3]>,
-    vpec: Vec<[f64; 3]>,
-    mass: Vec<f64>,
-    h: Vec<f64>,
-    u: Vec<f64>,
-}
-
-impl GasGather {
-    /// Refill from `store` at the gas indices; velocities are converted
-    /// to peculiar (`v / a`) on the way in, and positions folded into the
-    /// period along `domain`'s wrapped axes, so that drift across the seam
-    /// since the step's migrate leaves no gas outside the bins.
-    fn gather(&mut self, store: &ParticleStore, gas_idx: &[usize], a: f64, domain: &MeshDomain) {
-        self.pos.clear();
-        self.vpec.clear();
-        self.mass.clear();
-        self.h.clear();
-        self.u.clear();
-        for &i in gas_idx {
-            self.pos.push(domain.fold(store.pos[i]));
-            let v = store.vel[i];
-            self.vpec.push([v[0] / a, v[1] / a, v[2] / a]);
-            self.mass.push(store.mass[i]);
-            self.h.push(store.h[i]);
-            self.u.push(store.u[i]);
-        }
-    }
-}
-
 /// Where a rank's chaining meshes bin: its subdomain grown by the
 /// overload, or one period `[0, box)` along the axes it spans whole
 /// ([`wrapped_axes`]), in bins the short-range cutoff wide.
@@ -269,6 +239,148 @@ struct ShortRangeForces {
     sph: Option<SphResult>,
 }
 
+/// The sinks of one PM step's short-range solve, the particles whose
+/// forces are computed and that are kicked: the owned particles, the
+/// store's prefix, and the owned gas, a prefix of the step's gas list.
+/// Built once per PM step by [`ShortRange::sinks`]; every loop over sinks
+/// reads it.
+#[derive(Clone, Copy)]
+struct Sinks {
+    owned: usize,
+    owned_gas: usize,
+}
+
+impl Sinks {
+    /// Store indices of the owned particles.
+    fn particles(self) -> std::ops::Range<usize> {
+        0..self.owned
+    }
+
+    /// The owned gas of `gas_idx`, the step's gas list.
+    fn gas(self, gas_idx: &[usize]) -> &[usize] {
+        &gas_idx[..self.owned_gas]
+    }
+}
+
+/// A rank's short-range solver: the books its kernel launches keep, and
+/// the gas list and SoA gather buffers of the hydro solve. The gas is
+/// re-gathered every solve (positions drift, `u`/`h` update), but the
+/// allocations are step-invariant, so they live across steps.
+#[derive(Default)]
+struct ShortRange {
+    counters: KernelCounters,
+    profile: ProfileTable,
+    /// Store indices of the step's gas, owned then ghosts, ascending.
+    gas_idx: Vec<usize>,
+    pos: Vec<[f64; 3]>,
+    vpec: Vec<[f64; 3]>,
+    mass: Vec<f64>,
+    h: Vec<f64>,
+    u: Vec<f64>,
+}
+
+impl ShortRange {
+    /// This PM step's sinks; refills the gas list from `store`.
+    // p1: hot-loop
+    fn sinks(&mut self, store: &ParticleStore) -> Sinks {
+        store.indices_of_all_into(Species::Gas, &mut self.gas_idx);
+        // The store keeps owned particles first and `gas_idx` ascends, so
+        // the owned gas is a prefix of it.
+        let owned_gas = self.gas_idx.partition_point(|&i| i < store.n_owned);
+        Sinks { owned: store.n_owned, owned_gas }
+    }
+
+    /// The short-range forces on `sinks` at scale factor `a`, sourced by
+    /// every particle `cm` bins.
+    // p1: hot-loop
+    fn forces(
+        &mut self, run: &Run, store: &ParticleStore, cm: &ChainingMesh, a: f64, sinks: Sinks,
+    ) -> ShortRangeForces {
+        // Short-range gravity on the owned particles, sourced by everyone
+        // (the ghosts' own accelerations have no reader, so ghost-only
+        // leaf pairs are never swept). Launches go through the relaunch
+        // harness: an injected launch failure discards the attempt and
+        // recomputes — deterministic inputs make the retry bit-identical,
+        // so physics is unaffected.
+        let mut launch_counters = KernelCounters::default();
+        let g = execute_with_relaunch(
+            4,
+            &mut launch_counters,
+            |_| run.probe.as_ref().map(|p| p.fire(FaultKind::GpuLaunch)).unwrap_or(false),
+            || {
+                let g = grav_step_sinks(&store.pos, &store.mass, cm, &run.tables.grav, sinks.owned);
+                let c = g.counters.clone();
+                (g, c)
+            },
+        );
+        if let Some(p) = &run.probe {
+            for _ in 0..launch_counters.relaunches {
+                p.recovered(FaultKind::GpuLaunch);
+            }
+        }
+        self.counters.merge(&launch_counters);
+        self.profile.record("grav_short_range", &launch_counters);
+        // CRKSPH for the gas: forces on the owned gas, density and
+        // corrections for the ghosts that source them too.
+        let sph = run.sph.as_ref().filter(|_| !self.gas_idx.is_empty()).map(|sph_cfg| {
+            self.gather(store, a, &run.domain);
+            let (pos, vel, mass, h, u) = (&self.pos, &self.vpec, &self.mass, &self.h, &self.u);
+            let input = SphInput { pos, vel, mass, h, u };
+            let r = sph_step_sinks(&input, &run.domain.mesh(&self.pos), sph_cfg, sinks.owned_gas);
+            self.counters.merge(&r.counters.merged());
+            r.counters.record_into(&mut self.profile);
+            r
+        });
+        ShortRangeForces { grav: g.accel, sph }
+    }
+
+    /// Refill the gather buffers from `store` at the gas indices;
+    /// velocities are converted to peculiar (`v / a`) on the way in, and
+    /// positions folded into the period along `domain`'s wrapped axes, so
+    /// that drift across the seam since the step's migrate leaves no gas
+    /// outside the bins.
+    fn gather(&mut self, store: &ParticleStore, a: f64, domain: &MeshDomain) {
+        self.pos.clear();
+        self.vpec.clear();
+        self.mass.clear();
+        self.h.clear();
+        self.u.clear();
+        for &i in &self.gas_idx {
+            self.pos.push(domain.fold(store.pos[i]));
+            let v = store.vel[i];
+            self.vpec.push([v[0] / a, v[1] / a, v[2] / a]);
+            self.mass.push(store.mass[i]);
+            self.h.push(store.h[i]);
+            self.u.push(store.u[i]);
+        }
+    }
+
+    /// Kick `sinks` by the forces `f` evaluated at `a` over the kick
+    /// factor `width`; the owned gas also takes a smoothing length from
+    /// its fresh density.
+    // p1: hot-loop
+    fn kick(
+        &self, run: &Run, store: &mut ParticleStore, f: &ShortRangeForces, a: f64, width: f64,
+        sinks: Sinks,
+    ) {
+        for i in sinks.particles() {
+            for d in 0..3 {
+                store.vel[i][d] += f.grav[i][d] / a * width;
+            }
+        }
+        let Some(r) = &f.sph else { return };
+        let (cfg, spacing) = (run.cfg, run.cfg.particle_spacing());
+        for (gi, &i) in sinks.gas(&self.gas_idx).iter().enumerate() {
+            for d in 0..3 {
+                store.vel[i][d] += r.accel[gi][d] * width;
+            }
+            store.u[i] = (store.u[i] + r.du_dt[gi] * width).max(1e-10);
+            let target = cfg.sph_eta * (store.mass[i] / r.rho[gi].max(1e-30)).cbrt();
+            store.h[i] = target.clamp(0.5 * spacing, H_CAP_SPACING * spacing);
+        }
+    }
+}
+
 struct RankOutput {
     steps: Vec<StepRecord>,
     spans: Vec<Span>,
@@ -276,7 +388,6 @@ struct RankOutput {
     ledger: ConservationLedger,
     counters: KernelCounters,
     profile: ProfileTable,
-    utilization: f64,
     io: Option<IoStats>,
     power: Vec<PowerBin>,
     n_halos: usize,
@@ -284,8 +395,8 @@ struct RankOutput {
     xi: Vec<XiBin>,
     n_galaxies: u64,
     y_map_concentration: f64,
-    momentum: [f64; 3],
-    momentum_scale: f64,
+    /// The end-of-run [`owned_totals`].
+    totals: [f64; 7],
     faults: FaultCounters,
     state_hash: u64,
 }
@@ -525,7 +636,7 @@ impl RunTables {
 /// for a run handed none — one of its own under the temp dir, removed
 /// when the supervisor returns or unwinds.
 struct IoBase {
-    path: std::path::PathBuf,
+    path: PathBuf,
     owned: bool,
 }
 
@@ -561,6 +672,7 @@ fn assemble_report(
     sanitizer: Option<hacc_san::SanReport>,
 ) -> SimReport {
     let n_ranks = outputs.len();
+    let model = ExecutionModel::new(cfg.device);
     let mut timers = Timers::new();
     let mut counters = KernelCounters::default();
     let mut profile = ProfileTable::new();
@@ -571,10 +683,10 @@ fn assemble_report(
         timers.merge(&Timers::from_spans(&o.spans));
         counters.merge(&o.counters);
         profile.merge(&o.profile);
-        utilizations.push(o.utilization);
-        momentum_scale += o.momentum_scale;
+        utilizations.push(model.utilization(&o.counters));
+        momentum_scale += o.totals[4];
         for d in 0..3 {
-            momentum[d] += o.momentum[d];
+            momentum[d] += o.totals[1 + d];
         }
     }
     let first = &outputs[0];
@@ -585,7 +697,6 @@ fn assemble_report(
 
     // Unified telemetry bundle. GPU rows come from the merged profile
     // table; sorted by name so the golden artifact has a stable order.
-    let model = ExecutionModel::new(cfg.device);
     let mut gpu: Vec<GpuKernelRow> = profile
         .rows(&model)
         .iter()
@@ -653,477 +764,183 @@ fn assemble_report(
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// What a rank's stages read and none of them writes: the run's
+/// configuration and tables, and what the rank builds from them once.
+struct Run<'a> {
+    cfg: &'a SimConfig,
+    tables: &'a RunTables,
+    decomp: CartDecomp,
+    domain: MeshDomain,
+    pm: PmSolver,
+    kd: KickDrift,
+    /// `None` in a gravity-only run.
+    sph: Option<SphConfig<CubicSpline>>,
+    /// `None` unless the run has full hydro.
+    subgrid: Option<Subgrid>,
+    probe: Option<FaultProbe>,
+    model: ExecutionModel,
+    /// Sanitizer region for this rank's overload (ghost) buffer: the
+    /// exchange writes it once per step and the node-local solve reads
+    /// it. One region per rank — ghosts are rank-private, and R1 checks
+    /// that no other rank touches them.
+    ghosts: Option<hacc_san::RegionId>,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        cfg: &'a SimConfig, tables: &'a RunTables, comm: &mut Comm, probe: Option<FaultProbe>,
+    ) -> Self {
+        let decomp = CartDecomp::new(comm.size());
+        let domain = MeshDomain::new(cfg, &decomp, comm.rank());
+        // Long-range PM solver: prefactor 4 pi G; the 1/a of the comoving
+        // Poisson equation is applied per step.
+        let prefactor = 4.0 * std::f64::consts::PI * G_NEWTON;
+        let (n, box_size, split_scale) = (cfg.ngrid, cfg.box_size, cfg.split_scale());
+        let pm_cfg = PmConfig { n, box_size, prefactor, split_scale, deconvolve_cic: true };
+        let hydro = cfg.physics != Physics::GravityOnly;
+        let sph = SphConfig { device: cfg.device, mode: cfg.exec_mode, ..SphConfig::new() };
+        Self {
+            pm: PmSolver::new(comm, pm_cfg),
+            kd: KickDrift::new(cfg.cosmology),
+            sph: hydro.then_some(sph),
+            subgrid: (cfg.physics == Physics::Hydro).then(|| Subgrid::new(cfg)),
+            model: ExecutionModel::new(cfg.device),
+            ghosts: hacc_san::armed().then(|| hacc_san::region("ghost-exchange")),
+            cfg, tables, decomp, domain, probe,
+        }
+    }
+}
+
+/// What a rank's stages write: the particles and what a step hands the
+/// next, the rank's telemetry and output, and scratch reused across steps.
+struct RankState {
+    store: ParticleStore,
+    /// The substep count of the last step run when it left its closing
+    /// half-kicks to the next step's opening solves; 0 when there is no
+    /// such step or it closed itself.
+    owed_substeps: u32,
+    tracer: Tracer,
+    ledger: ConservationLedger,
+    writer: Option<TieredWriter>,
+    steps: Vec<StepRecord>,
+    sr: ShortRange,
+    /// The halo-catalog staging columns, refilled in place each step
+    /// (lint rule P1).
+    halo_cols: [Vec<f64>; 4],
+}
+
+impl RankState {
+    fn new(run: &Run, rank: usize, io_base: &Path, store: ParticleStore, owed_substeps: u32)
+        -> Self {
+        let cfg = run.cfg;
+        // I/O: every rank stages to its own local dir; rank 0's writer
+        // keeps the machine-scale statistics.
+        let mut writer = (cfg.checkpoint_every > 0).then(|| {
+            let tiered_cfg = TieredConfig {
+                local_dir: io_base.join(format!("nvme-{rank}")),
+                pfs_dir: pfs_dir(io_base, rank),
+                window: cfg.checkpoint_window.max(1),
+                ..TieredConfig::frontier(io_base)
+            };
+            TieredWriter::new(tiered_cfg)
+                .unwrap_or_else(|e| escalate(StepError::IoSetup(e.to_string())))
+        });
+        if let (Some(p), Some(w)) = (&run.probe, writer.as_mut()) {
+            w.arm_faults(p.clone());
+        }
+        Self {
+            tracer: Tracer::new(rank),
+            ledger: ConservationLedger::new(),
+            steps: Vec::with_capacity(cfg.pm_steps),
+            sr: ShortRange::default(),
+            halo_cols: Default::default(),
+            store, owed_substeps, writer,
+        }
+    }
+}
+
+/// A rank's checkpoint directory on the (simulated) PFS.
+fn pfs_dir(io_base: &Path, rank: usize) -> PathBuf {
+    io_base.join("pfs").join(format!("rank-{rank}"))
+}
+
+/// One PM step: `[a0, a1]` in the scale factor.
+struct PmStep {
+    index: usize,
+    a0: f64,
+    a1: f64,
+    /// The run's final step, which closes itself.
+    last: bool,
+    /// An in-situ analysis step.
+    analysis: bool,
+    /// What the step before left to this step's opening solves.
+    owed: Closing,
+}
+
+impl PmStep {
+    fn new(run: &Run, index: usize, owed_substeps: u32) -> Self {
+        let cfg = run.cfg;
+        let a0 = cfg.a_init + index as f64 * cfg.da_pm();
+        Self {
+            index, a0,
+            a1: a0 + cfg.da_pm(),
+            last: index + 1 == cfg.pm_steps,
+            analysis: cfg.analysis_every > 0 && (index + 1).is_multiple_of(cfg.analysis_every),
+            owed: index.checked_sub(1).map_or(Closing::NONE, |prev| {
+                closing_widths(cfg, &run.kd, prev, owed_substeps)
+            }),
+        }
+    }
+}
+
 fn rank_main(
-    cfg: &SimConfig,
-    tables: &RunTables,
-    comm: &mut Comm,
-    io_base: &std::path::Path,
-    resume_mode: ResumeMode,
+    cfg: &SimConfig, tables: &RunTables, comm: &mut Comm, io_base: &Path, resume_mode: ResumeMode,
     probe: Option<FaultProbe>,
 ) -> RankOutput {
     if let Some(p) = &probe {
         comm.arm_faults(p.clone());
     }
-    let kd = KickDrift::new(cfg.cosmology);
-    let decomp = CartDecomp::new(comm.size());
-    let pfs = io_base.join("pfs").join(format!("rank-{}", comm.rank()));
-    let ics = |comm: &mut Comm| distributed_ics(cfg, &tables.bg, &tables.power, comm);
-    // `owed_substeps`: the substep count of the step before `start_step`
-    // when that step left its closing half-kicks to `start_step`'s
-    // opening solves; 0 when there is no such step or it closed itself.
-    let (mut store, start_step, mut owed_substeps) = match resume_mode {
-        ResumeMode::Fresh => (ics(comm), 0, 0),
-        ResumeMode::Consistent { or_cold_start } => {
-            // A checkpoint step only counts if every rank can read it:
-            // intersect the per-rank valid sets (deterministic — pure
-            // function of the on-disk files).
-            let mine = TieredWriter::valid_checkpoint_steps(&pfs);
-            let all = comm.all_gather(mine);
-            let common = all
-                .iter()
-                .skip(1)
-                .fold(all[0].clone(), |acc, v| {
-                    acc.into_iter().filter(|s| v.contains(s)).collect()
-                });
-            match common.last() {
-                Some(&step) => {
-                    let blocks = TieredWriter::load_checkpoint_at(&pfs, step)
-                        .unwrap_or_else(|| escalate(StepError::CheckpointLoad { step }));
-                    let (store, owed) = restart_state(&blocks, Schedule::of(cfg));
-                    (store, step as usize + 1, owed)
-                }
-                // No surviving common checkpoint: cold-start from the
-                // ICs, a collective every rank enters (`common` is the
-                // same on all of them). Convergent because consumed fault
-                // events never re-fire on the replay.
-                None if or_cold_start => (ics(comm), 0, 0),
-                None => escalate(StepError::NoValidCheckpoint),
-            }
-        }
-    };
-    // Long-range PM solver: prefactor 4 pi G; the 1/a of the comoving
-    // Poisson equation is applied per step.
-    let pm = PmSolver::new(
-        comm,
-        PmConfig {
-            n: cfg.ngrid,
-            box_size: cfg.box_size,
-            prefactor: 4.0 * std::f64::consts::PI * G_NEWTON,
-            split_scale: cfg.split_scale(),
-            deconvolve_cic: true,
-        },
-    );
-    let hydro = cfg.physics != Physics::GravityOnly;
-    let subgrid_on = cfg.physics == Physics::Hydro;
-    let sph_cfg: SphConfig<CubicSpline> = SphConfig {
-        kernel: CubicSpline,
-        eos: Default::default(),
-        opts: Default::default(),
-        device: cfg.device,
-        mode: cfg.exec_mode,
-    };
-    let cooling = CoolingModel::new(cfg.cosmology.h);
-    let mut sf = StarFormationModel::new(cfg.cosmology.h);
-    sf.nh_threshold = cfg.sf_nh_threshold;
-    let sn = SupernovaModel::new();
+    let pfs = pfs_dir(io_base, comm.rank());
+    let (store, start_step, owed_substeps) = initial_state(cfg, tables, comm, &pfs, resume_mode);
+    let run = Run::new(cfg, tables, comm, probe);
+    let mut st = RankState::new(&run, comm.rank(), io_base, store, owed_substeps);
 
-    // I/O: every rank stages to its own local dir; rank 0's writer keeps
-    // the machine-scale statistics.
-    let tiered_cfg = TieredConfig {
-        local_dir: io_base.join(format!("nvme-{}", comm.rank())),
-        pfs_dir: io_base.join("pfs").join(format!("rank-{}", comm.rank())),
-        window: cfg.checkpoint_window.max(1),
-        ..TieredConfig::frontier(io_base)
-    };
-    let mut writer = (cfg.checkpoint_every > 0).then(|| {
-        TieredWriter::new(tiered_cfg)
-            .unwrap_or_else(|e| escalate(StepError::IoSetup(e.to_string())))
-    });
-    if let (Some(p), Some(w)) = (&probe, writer.as_mut()) {
-        w.arm_faults(p.clone());
-    }
-
-    let mut tracer = Tracer::new(comm.rank());
-    let mut ledger = ConservationLedger::new();
-    let mut counters = KernelCounters::default();
-    let mut profile = ProfileTable::new();
-    let model = ExecutionModel::new(cfg.device);
-    let mut steps = Vec::with_capacity(cfg.pm_steps);
-    let overload_width = cfg.overload_cells * cfg.cell_size();
-    let domain = MeshDomain::new(cfg, &decomp, comm.rank());
-
-    // Per-step scratch reused across steps: gas index list and the SoA
-    // gather buffers handed to the hydro solver each kick.
-    let mut gas_idx: Vec<usize> = Vec::new();
-    let mut gas_gather = GasGather::default();
-    // More per-step scratch: the halo-catalog staging columns, refilled
-    // in place each step (lint rule P1).
-    let mut halo_cols: [Vec<f64>; 4] = Default::default();
-
-    // Sanitizer region for this rank's overload (ghost) buffer: the
-    // exchange writes it once per step and the node-local solve reads
-    // it. One region per rank — ghosts are rank-private, and R1 checks
-    // that no other rank touches them.
-    let ghost_region = hacc_san::armed().then(|| hacc_san::region("ghost-exchange"));
-
-    let da_pm = cfg.da_pm();
     // p1: hot-loop
-    for step in start_step..cfg.pm_steps {
-        let a0 = cfg.a_init + step as f64 * da_pm;
-        let a1 = a0 + da_pm;
-        let final_step = step + 1 == cfg.pm_steps;
-        // What the step before left to this step's opening solves.
-        let owed = step
-            .checked_sub(1)
-            .map_or(Closing::NONE, |prev| closing_widths(cfg, &kd, prev, owed_substeps));
-        let counters_step_start = counters.clone();
-        tracer.set_step(step as u64);
-        if let Some(p) = &probe {
-            p.set_step(step as u64);
+    for index in start_step..cfg.pm_steps {
+        let step = PmStep::new(&run, index, st.owed_substeps);
+        let gpu_start = run.model.kernel_time_s(&st.sr.counters);
+        st.tracer.set_step(index as u64);
+        if let Some(p) = &run.probe {
+            p.set_step(index as u64);
         }
         // p1: allow: per-step trace label, one small allocation per PM step
-        let sp_step = tracer.begin("step", &format!("step-{step}"));
+        let sp_step = st.tracer.begin("step", &format!("step-{index}"));
 
-        // --- 1. migrate + overload refresh ---
-        let sp = tracer.begin(Phase::Misc.name(), "migrate+overload");
-        migrate(comm, &decomp, &mut store, cfg.box_size);
-        exchange_overload(comm, &decomp, &mut store, cfg.box_size, overload_width);
-        if let Some(reg) = ghost_region {
-            hacc_san::annotate_write(reg);
-        }
-        tracer.end(sp);
+        let n_owned_global = migrate_and_refresh(&run, comm, &mut st);
+        let opening_pm = step.owed.pm + run.kd.kick_factor(step.a0, step.a1) / 2.0;
+        long_range_kick(&run, comm, &mut st, "pm-solve+kick", step.a0, opening_pm);
+        let mut cm = build_mesh(&run, &mut st);
+        let sinks = st.sr.sinks(&st.store);
+        let (nsub, rung_stats, stars) =
+            short_range_block(&run, comm, &mut st, &mut cm, sinks, &step);
+        in_situ_analysis(&run, &mut st, &step);
+        close_step(&run, comm, &mut st, &step, nsub);
+        let gpu_s = run.model.kernel_time_s(&st.sr.counters) - gpu_start;
+        let io_blocking = write_checkpoint(&run, &mut st, &step, gpu_s);
+        reduce_ledger(comm, &mut st, &step, n_owned_global);
 
-        let n_owned_global =
-            comm.all_reduce_sum_u64(store.n_owned as u64);
-
-        // --- 2. long-range solve: the step before's closing half-kick
-        // and this step's opening one ---
-        let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+kick");
-        let opening_pm = owed.pm + kd.kick_factor(a0, a1) / 2.0;
-        long_range_kick(comm, &pm, &mut store, a0, opening_pm);
-        tracer.end(sp);
-
-        // --- 3. chaining mesh + trees (once per PM step) ---
-        let sp = tracer.begin(Phase::TreeBuild.name(), "chaining-mesh");
-        if let Some(reg) = ghost_region {
-            // The node-local solve starts consuming the ghosts here.
-            hacc_san::annotate_read(reg);
-        }
-        let mut cm_all = domain.mesh(&store.pos);
-        tracer.end(sp);
-
-        store.indices_of_all_into(Species::Gas, &mut gas_idx);
-        // The store keeps owned particles first and `gas_idx` ascends, so
-        // the owned gas is a prefix of it: the sinks of the hydro solve.
-        let n_owned_gas = gas_idx.partition_point(|&i| i < store.n_owned);
-
-        // --- 4. short-range block: forces, rungs, depth, chained KDK ---
-        let gas_gather = &mut gas_gather;
-        let mut forces = |store: &ParticleStore, cm: &ChainingMesh, a: f64| {
-            // Short-range gravity on the owned particles, sourced by
-            // everyone (the ghosts' own accelerations have no reader, so
-            // ghost-only leaf pairs are never swept). Launches go through the
-            // relaunch harness: an injected launch failure discards the
-            // attempt and recomputes — deterministic inputs make the
-            // retry bit-identical, so physics is unaffected.
-            let mut launch_counters = KernelCounters::default();
-            let g = execute_with_relaunch(
-                4,
-                &mut launch_counters,
-                |_| {
-                    probe
-                        .as_ref()
-                        .map(|p| p.fire(FaultKind::GpuLaunch))
-                        .unwrap_or(false)
-                },
-                || {
-                    let g =
-                        grav_step_sinks(&store.pos, &store.mass, cm, &tables.grav, store.n_owned);
-                    let c = g.counters.clone();
-                    (g, c)
-                },
-            );
-            if let Some(p) = &probe {
-                for _ in 0..launch_counters.relaunches {
-                    p.recovered(FaultKind::GpuLaunch);
-                }
-            }
-            counters.merge(&launch_counters);
-            profile.record("grav_short_range", &launch_counters);
-            // CRKSPH for the gas: forces on the owned gas, density and
-            // corrections for the ghosts that source them too.
-            let sph = (hydro && !gas_idx.is_empty()).then(|| {
-                gas_gather.gather(store, &gas_idx, a, &domain);
-                let gas_cm = domain.mesh(&gas_gather.pos);
-                let input = SphInput {
-                    pos: &gas_gather.pos,
-                    vel: &gas_gather.vpec,
-                    mass: &gas_gather.mass,
-                    h: &gas_gather.h,
-                    u: &gas_gather.u,
-                };
-                let r = sph_step_sinks(&input, &gas_cm, &sph_cfg, n_owned_gas);
-                counters.merge(&r.counters.merged());
-                r.counters.record_into(&mut profile);
-                r
-            });
-            ShortRangeForces { grav: g.accel, sph }
-        };
-        let kick = |store: &mut ParticleStore, f: &ShortRangeForces, a: f64, width: f64| {
-            for i in 0..store.n_owned {
-                for d in 0..3 {
-                    store.vel[i][d] += f.grav[i][d] / a * width;
-                }
-            }
-            let Some(r) = &f.sph else { return };
-            let spacing = cfg.particle_spacing();
-            for (gi, &i) in gas_idx[..n_owned_gas].iter().enumerate() {
-                for d in 0..3 {
-                    store.vel[i][d] += r.accel[gi][d] * width;
-                }
-                store.u[i] = (store.u[i] + r.du_dt[gi] * width).max(1e-10);
-                // Update smoothing length from the fresh density.
-                let target = cfg.sph_eta * (store.mass[i] / r.rho[gi].max(1e-30)).cbrt();
-                store.h[i] = target.clamp(0.5 * spacing, H_CAP_SPACING * spacing);
-            }
-        };
-
-        // Opening forces first: they do not depend on the kick width, and
-        // their signal velocities set it. The depth all-reduce below stays
-        // outside the short-range spans, so a rank's wait for its peers'
-        // forces is not booked as solver time.
-        let sp = tracer.begin(Phase::ShortRange.name(), "opening-forces");
-        let opening = forces(&store, &cm_all, a0);
-        tracer.end(sp);
-
-        // --- rung assignment (owned gas by CFL; everyone else on rung 0) ---
-        store.rung.fill(0);
-        if let Some(r) = &opening.sph {
-            for (gi, &i) in gas_idx[..n_owned_gas].iter().enumerate() {
-                let dt_code = cfl_timestep(&[store.h[i]], &[r.vsig[gi]], &[r.cs[gi]], cfg.cfl);
-                let da_desired = dt_code * a0 * kd.hubble(a0);
-                store.rung[i] = rung_for(da_desired, da_pm, cfg.max_rung);
-            }
-        }
-        let deepest = if cfg.flat_stepping {
-            cfg.max_rung
-        } else {
-            store.rung[..store.n_owned].iter().copied().max().unwrap_or(0)
-        };
-        // One subcycle depth per PM step: every rank takes the deepest
-        // rung any rank holds, so the substep count the report publishes
-        // is the one every rank ran.
-        let deepest = comm.all_reduce(deepest, u32::max);
-        let rung_stats = RungStats::from_rungs(&store.rung[..store.n_owned], deepest);
-        let nsub = n_substeps(deepest);
-        let da_s = da_pm / nsub as f64;
-
-        let sp_sr = tracer.begin(Phase::ShortRange.name(), "subcycle-block");
-        // Planned rank loss fires here — mid-step, after this step's
-        // migrate/PM work but before its checkpoint, so the newest
-        // checkpoint on disk predates the killed step (the node-loss
-        // shape the Frontier-E campaign actually survived).
-        if let Some(p) = &probe {
-            if p.fire(FaultKind::RankPanic) {
-                panic!(
-                    "injected fault: rank {} lost at step {step}",
-                    comm.rank()
-                );
-            }
-        }
-        let mut stars_this_step = 0u64;
-        // The opening forces also close the step before: its last
-        // substep's half-kick rides on this step's first.
-        let opening_width = owed.short_range + kd.kick_factor(a0, a0 + da_s) / 2.0;
-        kick(&mut store, &opening, a0, opening_width);
-        drop(opening); // one force set live at a time through the subcycle
-        let closing = closing_widths(cfg, &kd, step, nsub);
-        for s in 0..nsub {
-            let as0 = a0 + s as f64 * da_s;
-            let as1 = as0 + da_s;
-            // Drift everyone (owned; ghosts stay frozen within the step,
-            // their error bounded by the overload slack).
-            let drift = kd.drift_factor(as0, as1);
-            for i in 0..store.n_owned {
-                for d in 0..3 {
-                    store.pos[i][d] += store.vel[i][d] * drift;
-                }
-            }
-            // Hubble expansion cooling of the gas.
-            if hydro {
-                let f = kd.hubble_cooling_factor(as0, as1);
-                for &i in &gas_idx {
-                    if i < store.n_owned {
-                        store.u[i] *= f;
-                    }
-                }
-            }
-            // Subgrid sources at substep granularity.
-            if subgrid_on {
-                stars_this_step += apply_subgrid(
-                    &mut store,
-                    &gas_idx,
-                    &cooling,
-                    &sf,
-                    &sn,
-                    &kd,
-                    |id| draw_stream(cfg.seed, id, step, s),
-                    as0,
-                    as1,
-                );
-            }
-            // Closing kick: full between substeps; the last substep's
-            // half-kick is left to the next step's opening forces, except
-            // in the final step, which closes itself.
-            let w = if s + 1 < nsub {
-                kd.kick_factor(as0, as1)
-            } else if final_step {
-                closing.short_range
-            } else {
-                break;
-            };
-            // Grow leaf boxes instead of rebuilding (Section IV-B1).
-            cm_all.grow_aabbs(&store.pos, None);
-            let a = as1.min(a1);
-            let f = forces(&store, &cm_all, a);
-            kick(&mut store, &f, a, w);
-        }
-        tracer.end(sp_sr);
-
-        // --- 5. in-situ analysis (+ science output through the tiers) ---
-        if cfg.analysis_every > 0 && (step + 1) % cfg.analysis_every == 0 {
-            let sp = tracer.begin(Phase::Analysis.name(), "in-situ-analysis");
-            // The FOF halo catalog of the owned particles.
-            let n = store.n_owned;
-            let b_link = 0.2 * cfg.particle_spacing();
-            let halos = fof_halos(&store.pos[..n], &store.vel[..n], &store.mass[..n], b_link, 10);
-            tracer.end(sp);
-            // Halo catalogs are the paper's ~12 PB science side channel:
-            // written through the same tiers, never pruned.
-            if let Some(w) = writer.as_mut() {
-                let sp = tracer.begin(Phase::Io.name(), "halo-catalog");
-                let frac = step as f64 / cfg.pm_steps.max(1) as f64;
-                for c in halo_cols.iter_mut() {
-                    c.clear();
-                }
-                halo_cols[0].extend(halos.iter().map(|h| h.mass));
-                halo_cols[1].extend(halos.iter().map(|h| h.center[0]));
-                halo_cols[2].extend(halos.iter().map(|h| h.center[1]));
-                halo_cols[3].extend(halos.iter().map(|h| h.center[2]));
-                let blocks = [
-                    Block::from_f64("mass", &halo_cols[0]),
-                    Block::from_f64("x", &halo_cols[1]),
-                    Block::from_f64("y", &halo_cols[2]),
-                    Block::from_f64("z", &halo_cols[3]),
-                ];
-                let _ = w.write_output(
-                    // p1: allow: per-step catalog filename on the I/O path
-                    &format!("halos_{step:08}.gio"),
-                    &blocks,
-                    frac * 0.8,
-                    1.3,
-                );
-                tracer.end(sp);
-            }
-        }
-
-        // --- 6. the final step's closing long-range half-kick; any other
-        // step leaves it to the next step's opening solve ---
-        if final_step {
-            let sp = tracer.begin(Phase::LongRange.name(), "pm-solve+closing-half-kick");
-            long_range_kick(comm, &pm, &mut store, a1, closing.pm);
-            tracer.end(sp);
-        }
-        owed_substeps = if final_step { 0 } else { nsub };
-
-        // --- 7. tiered checkpoint of the completed step ---
-        let gpu_s = model.kernel_time_s(&counters) - model.kernel_time_s(&counters_step_start);
-        let mut io_blocking = 0.0;
-        if let Some(w) = writer.as_mut() {
-            if (step + 1) % cfg.checkpoint_every == 0 {
-                let sp = tracer.begin(Phase::Io.name(), "checkpoint");
-                // Low-z clustering raises PFS contention and grows the
-                // node data imbalance toward ~2x (Section VI-B); analysis
-                // output steps dip the NVMe bandwidth by up to 30%.
-                let frac = step as f64 / cfg.pm_steps.max(1) as f64;
-                let phase = frac * 0.8;
-                let imbalance = 1.0 + frac;
-                let analysis_dip = if cfg.analysis_every > 0
-                    && (step + 1) % cfg.analysis_every == 0
-                {
-                    1.3
-                } else {
-                    1.0
-                };
-                w.advance_time(gpu_s.max(60.0));
-                let mut blocks = store.checkpoint_blocks(cfg.box_size);
-                blocks.extend(run_blocks(owed_substeps, Schedule::of(cfg)));
-                io_blocking = w
-                    .write_checkpoint(step as u64, &blocks, phase, imbalance * analysis_dip)
-                    .unwrap_or_else(|e| {
-                        escalate(StepError::CheckpointWrite {
-                            step: step as u64,
-                            // p1: allow: cold path — only runs when a checkpoint write fails, right before unwinding
-                            cause: e.to_string(),
-                        })
-                    });
-                tracer.end(sp);
-            }
-        }
-
-        // --- conservation ledger: globally reduced end-of-step totals ---
-        // Ownership only changes at migrate (next step's entry), so the
-        // count reduced after migration is the end-of-step count too. The
-        // f64 sums reduce elementwise in rank order — deterministic for a
-        // fixed rank count.
-        let sp = tracer.begin(Phase::Misc.name(), "ledger-reduce");
-        let mut local = [0.0f64; 7];
-        for i in 0..store.n_owned {
-            let m = store.mass[i];
-            local[0] += m;
-            let mut v2 = 0.0;
-            for d in 0..3 {
-                let p = m * store.vel[i][d];
-                local[1 + d] += p;
-                local[4] += p.abs();
-                v2 += store.vel[i][d] * store.vel[i][d];
-            }
-            local[5] += 0.5 * m * v2;
-            if store.species[i] == Species::Gas {
-                local[6] += m * store.u[i];
-            }
-        }
-        let tot = comm.all_reduce(local, |mut a, b| {
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x += y;
-            }
-            a
-        });
-        // p1: allow: conservation ledger, one bounded record per PM step
-        ledger.push(LedgerRecord {
-            step: step as u64,
-            count: n_owned_global,
-            mass: tot[0],
-            momentum: [tot[1], tot[2], tot[3]],
-            momentum_scale: tot[4],
-            kinetic: tot[5],
-            internal: tot[6],
-        });
-        tracer.end(sp);
-
-        let stars_formed = comm.all_reduce_sum_u64(stars_this_step);
+        let stars_formed = comm.all_reduce_sum_u64(stars);
         let gpu_max = comm.all_reduce_f64(gpu_s, f64::max);
         // The step span is the wall-clock authority here: the tracer is
         // the blessed measurement point (lint rule D1 bans raw
         // Instant::now in the driver) and wall_s stays non-golden.
-        let wall = tracer.end(sp_step);
+        let wall = st.tracer.end(sp_step);
         let wall_max = comm.all_reduce_f64(wall, f64::max);
         // p1: allow: appends into capacity preallocated to pm_steps
-        steps.push(StepRecord {
-            step,
-            a: a0,
-            z: 1.0 / a0 - 1.0,
+        st.steps.push(StepRecord {
+            step: index,
+            a: step.a0,
+            z: 1.0 / step.a0 - 1.0,
             substeps: nsub,
             rung_stats,
             particles: n_owned_global,
@@ -1135,56 +952,333 @@ fn rank_main(
     }
 
     // --- final analysis: P(k), FOF, xi(r), HOD galaxies, SZ map ---
-    let sp = tracer.begin(Phase::Analysis.name(), "final-analysis");
+    let sp = st.tracer.begin(Phase::Analysis.name(), "final-analysis");
     let (power, n_halos, largest_halo, xi, n_galaxies, y_conc) =
-        final_analysis(cfg, comm, &store);
-    tracer.end(sp);
+        final_analysis(cfg, comm, &st.store);
+    st.tracer.end(sp);
 
-    let state_hash = global_state_hash(comm, &store, cfg.box_size);
-    let faults = probe.as_ref().map(|p| p.counters()).unwrap_or_default();
-    let io = writer.map(|w| w.finish());
-    let utilization = model.utilization(&counters);
-    let mut momentum = [0.0f64; 3];
-    let mut momentum_scale = 0.0f64;
-    for i in 0..store.n_owned {
-        for d in 0..3 {
-            momentum[d] += store.mass[i] * store.vel[i][d];
-            momentum_scale += (store.mass[i] * store.vel[i][d]).abs();
-        }
-    }
+    let state_hash = global_state_hash(comm, &st.store, cfg.box_size);
+    let faults = run.probe.as_ref().map(|p| p.counters()).unwrap_or_default();
+    let io = st.writer.map(|w| w.finish());
     RankOutput {
-        steps,
-        spans: tracer.into_spans(),
+        steps: st.steps,
+        spans: st.tracer.into_spans(),
         comm: comm.telemetry(),
-        ledger,
-        counters,
-        profile,
-        utilization,
-        io,
-        power,
-        n_halos,
-        largest_halo,
-        xi,
-        n_galaxies,
+        ledger: st.ledger,
+        counters: st.sr.counters,
+        profile: st.sr.profile,
+        io, power, n_halos, largest_halo, xi, n_galaxies,
         y_map_concentration: y_conc,
-        momentum,
-        momentum_scale,
-        faults,
-        state_hash,
+        totals: owned_totals(&st.store),
+        faults, state_hash,
     }
 }
 
-/// One long-range kick of `width` at scale factor `a`: PM accelerations of
-/// the owned particles, which are the store's contiguous prefix (the solve
-/// must not see overload ghosts).
-fn long_range_kick(comm: &mut Comm, pm: &PmSolver, store: &mut ParticleStore, a: f64, width: f64) {
-    let n = store.n_owned;
-    let acc = pm.accelerations(comm, &store.pos[..n], &store.mass[..n]);
+/// A rank's particles at the first step it runs, that step, and the
+/// `owed_substeps` (see [`RankState`]) the step inherits.
+fn initial_state(
+    cfg: &SimConfig, tables: &RunTables, comm: &mut Comm, pfs: &Path, resume_mode: ResumeMode,
+) -> (ParticleStore, usize, u32) {
+    let ics = |comm: &mut Comm| distributed_ics(cfg, &tables.bg, &tables.power, comm);
+    let ResumeMode::Consistent { or_cold_start } = resume_mode else {
+        return (ics(comm), 0, 0);
+    };
+    // A checkpoint step only counts if every rank can read it: intersect
+    // the per-rank valid sets (deterministic — pure function of the
+    // on-disk files).
+    let mine = TieredWriter::valid_checkpoint_steps(pfs);
+    let all = comm.all_gather(mine);
+    let common = all
+        .iter()
+        .skip(1)
+        .fold(all[0].clone(), |acc, v| acc.into_iter().filter(|s| v.contains(s)).collect());
+    match common.last() {
+        Some(&step) => {
+            let blocks = TieredWriter::load_checkpoint_at(pfs, step)
+                .unwrap_or_else(|| escalate(StepError::CheckpointLoad { step }));
+            let (store, owed) = restart_state(&blocks, Schedule::of(cfg));
+            (store, step as usize + 1, owed)
+        }
+        // No surviving common checkpoint: cold-start from the ICs, a
+        // collective every rank enters (`common` is the same on all of
+        // them). Convergent because consumed fault events never re-fire
+        // on the replay.
+        None if or_cold_start => (ics(comm), 0, 0),
+        None => escalate(StepError::NoValidCheckpoint),
+    }
+}
+
+/// Stage 1: migrate + overload refresh. Returns the global owned count.
+// p1: hot-loop
+fn migrate_and_refresh(run: &Run, comm: &mut Comm, st: &mut RankState) -> u64 {
+    let (cfg, decomp) = (run.cfg, &run.decomp);
+    let sp = st.tracer.begin(Phase::Misc.name(), "migrate+overload");
+    migrate(comm, decomp, &mut st.store, cfg.box_size);
+    let overload_width = cfg.overload_cells * cfg.cell_size();
+    exchange_overload(comm, decomp, &mut st.store, cfg.box_size, overload_width);
+    if let Some(reg) = run.ghosts {
+        hacc_san::annotate_write(reg);
+    }
+    st.tracer.end(sp);
+    comm.all_reduce_sum_u64(st.store.n_owned as u64)
+}
+
+/// Stage 3: the step's one chaining mesh over everything the rank holds.
+// p1: hot-loop
+fn build_mesh(run: &Run, st: &mut RankState) -> ChainingMesh {
+    let sp = st.tracer.begin(Phase::TreeBuild.name(), "chaining-mesh");
+    if let Some(reg) = run.ghosts {
+        // The node-local solve starts consuming the ghosts here.
+        hacc_san::annotate_read(reg);
+    }
+    let cm = run.domain.mesh(&st.store.pos);
+    st.tracer.end(sp);
+    cm
+}
+
+/// Stage 4: the short-range block — opening forces, rungs, the step's
+/// subcycle depth, chained KDK. Returns the substeps, the rung statistics
+/// and the stars this rank formed.
+// p1: hot-loop
+fn short_range_block(
+    run: &Run, comm: &mut Comm, st: &mut RankState, cm: &mut ChainingMesh, sinks: Sinks,
+    step: &PmStep,
+) -> (u32, RungStats, u64) {
+    let (cfg, kd, a0) = (run.cfg, &run.kd, step.a0);
+    let da_pm = cfg.da_pm();
+    // Opening forces first: they do not depend on the kick width, and
+    // their signal velocities set it. The depth all-reduce below stays
+    // outside the short-range spans, so a rank's wait for its peers'
+    // forces is not booked as solver time.
+    let sp = st.tracer.begin(Phase::ShortRange.name(), "opening-forces");
+    let opening = st.sr.forces(run, &st.store, cm, a0, sinks);
+    st.tracer.end(sp);
+
+    // --- rung assignment (owned gas by CFL; everyone else on rung 0) ---
+    let store = &mut st.store;
+    store.rung.fill(0);
+    if let Some(r) = &opening.sph {
+        for (gi, &i) in sinks.gas(&st.sr.gas_idx).iter().enumerate() {
+            let dt_code = cfl_timestep(&[store.h[i]], &[r.vsig[gi]], &[r.cs[gi]], cfg.cfl);
+            let da_desired = dt_code * a0 * kd.hubble(a0);
+            store.rung[i] = rung_for(da_desired, da_pm, cfg.max_rung);
+        }
+    }
+    let deepest = if cfg.flat_stepping {
+        cfg.max_rung
+    } else {
+        store.rung[sinks.particles()].iter().copied().max().unwrap_or(0)
+    };
+    // One subcycle depth per PM step: every rank takes the deepest rung
+    // any rank holds, so the substep count the report publishes is the
+    // one every rank ran.
+    let deepest = comm.all_reduce(deepest, u32::max);
+    let rung_stats = RungStats::from_rungs(&store.rung[sinks.particles()], deepest);
+    let nsub = n_substeps(deepest);
+    let da_s = da_pm / nsub as f64;
+
+    let sp_sr = st.tracer.begin(Phase::ShortRange.name(), "subcycle-block");
+    // Planned rank loss fires here — mid-step, after this step's
+    // migrate/PM work but before its checkpoint, so the newest checkpoint
+    // on disk predates the killed step (the node-loss shape the
+    // Frontier-E campaign actually survived).
+    if let Some(p) = &run.probe {
+        if p.fire(FaultKind::RankPanic) {
+            panic!("injected fault: rank {} lost at step {}", comm.rank(), step.index);
+        }
+    }
+    let mut stars = 0u64;
+    // The opening forces also close the step before: its last substep's
+    // half-kick rides on this step's first.
+    let opening_width = step.owed.short_range + kd.kick_factor(a0, a0 + da_s) / 2.0;
+    st.sr.kick(run, &mut st.store, &opening, a0, opening_width, sinks);
+    drop(opening); // one force set live at a time through the subcycle
+    let closing = closing_widths(cfg, kd, step.index, nsub);
+    for s in 0..nsub {
+        let as0 = a0 + s as f64 * da_s;
+        let as1 = as0 + da_s;
+        let store = &mut st.store;
+        // Drift everyone (owned; ghosts stay frozen within the step,
+        // their error bounded by the overload slack).
+        let drift = kd.drift_factor(as0, as1);
+        for i in sinks.particles() {
+            for d in 0..3 {
+                store.pos[i][d] += store.vel[i][d] * drift;
+            }
+        }
+        let gas = sinks.gas(&st.sr.gas_idx);
+        // Hubble expansion cooling of the gas.
+        if run.sph.is_some() {
+            let f = kd.hubble_cooling_factor(as0, as1);
+            for &i in gas {
+                store.u[i] *= f;
+            }
+        }
+        // Subgrid sources at substep granularity.
+        if let Some(subgrid) = &run.subgrid {
+            let stream_of = |id| draw_stream(cfg.seed, id, step.index, s);
+            stars += subgrid.apply(store, gas, kd, stream_of, as0, as1);
+        }
+        // Closing kick: full between substeps; the last substep's
+        // half-kick is left to the next step's opening forces, except in
+        // the final step, which closes itself.
+        let w = if s + 1 < nsub {
+            kd.kick_factor(as0, as1)
+        } else if step.last {
+            closing.short_range
+        } else {
+            break;
+        };
+        // Grow leaf boxes instead of rebuilding (Section IV-B1).
+        cm.grow_aabbs(&st.store.pos, None);
+        let a = as1.min(step.a1);
+        let f = st.sr.forces(run, &st.store, cm, a, sinks);
+        st.sr.kick(run, &mut st.store, &f, a, w, sinks);
+    }
+    st.tracer.end(sp_sr);
+    (nsub, rung_stats, stars)
+}
+
+/// Stage 5: in-situ analysis at its cadence — the FOF halo catalog of
+/// the owned particles — and the catalog through the I/O tiers.
+// p1: hot-loop
+fn in_situ_analysis(run: &Run, st: &mut RankState, step: &PmStep) {
+    if !step.analysis {
+        return;
+    }
+    let cfg = run.cfg;
+    let sp = st.tracer.begin(Phase::Analysis.name(), "in-situ-analysis");
+    let n = st.store.n_owned;
+    let (pos, vel, mass) = (&st.store.pos[..n], &st.store.vel[..n], &st.store.mass[..n]);
+    let halos = fof_halos(pos, vel, mass, 0.2 * cfg.particle_spacing(), 10);
+    st.tracer.end(sp);
+    // Halo catalogs are the paper's ~12 PB science side channel: written
+    // through the same tiers, never pruned.
+    let Some(w) = st.writer.as_mut() else { return };
+    let sp = st.tracer.begin(Phase::Io.name(), "halo-catalog");
+    let frac = step.index as f64 / cfg.pm_steps.max(1) as f64;
+    // Column 0 is the mass, 1..=3 the centre.
+    for (k, c) in st.halo_cols.iter_mut().enumerate() {
+        c.clear();
+        c.extend(halos.iter().map(|h| if k == 0 { h.mass } else { h.center[k - 1] }));
+    }
+    let names = ["mass", "x", "y", "z"];
+    let blocks: [Block; 4] = std::array::from_fn(|k| Block::from_f64(names[k], &st.halo_cols[k]));
+    let i = step.index;
+    // p1: allow: per-step catalog filename on the I/O path
+    let _ = w.write_output(&format!("halos_{i:08}.gio"), &blocks, frac * 0.8, 1.3);
+    st.tracer.end(sp);
+}
+
+/// Stage 6: the final step's closing long-range half-kick; any other
+/// step leaves it, with its last substep's short-range one, to the next
+/// step's opening solves.
+// p1: hot-loop
+fn close_step(run: &Run, comm: &mut Comm, st: &mut RankState, step: &PmStep, nsub: u32) {
+    if step.last {
+        let closing = closing_widths(run.cfg, &run.kd, step.index, nsub).pm;
+        long_range_kick(run, comm, st, "pm-solve+closing-half-kick", step.a1, closing);
+    }
+    st.owed_substeps = if step.last { 0 } else { nsub };
+}
+
+/// Stage 7: the tiered checkpoint of the completed step, at its cadence.
+/// Returns the modeled blocking I/O seconds.
+// p1: hot-loop
+fn write_checkpoint(run: &Run, st: &mut RankState, step: &PmStep, gpu_s: f64) -> f64 {
+    let cfg = run.cfg;
+    let Some(w) = st.writer.as_mut() else { return 0.0 };
+    if !(step.index + 1).is_multiple_of(cfg.checkpoint_every) {
+        return 0.0;
+    }
+    let sp = st.tracer.begin(Phase::Io.name(), "checkpoint");
+    // Low-z clustering raises PFS contention and grows the node data
+    // imbalance toward ~2x (Section VI-B); analysis output steps dip the
+    // NVMe bandwidth by up to 30%.
+    let frac = step.index as f64 / cfg.pm_steps.max(1) as f64;
+    let analysis_dip = if step.analysis { 1.3 } else { 1.0 };
+    w.advance_time(gpu_s.max(60.0));
+    let mut blocks = st.store.checkpoint_blocks(cfg.box_size);
+    blocks.extend(run_blocks(st.owed_substeps, Schedule::of(cfg)));
+    let index = step.index as u64;
+    let io_blocking = w
+        .write_checkpoint(index, &blocks, frac * 0.8, (1.0 + frac) * analysis_dip)
+        .unwrap_or_else(|e| {
+            escalate(StepError::CheckpointWrite {
+                step: index,
+                // p1: allow: cold path — only runs when a checkpoint write fails, right before unwinding
+                cause: e.to_string(),
+            })
+        });
+    st.tracer.end(sp);
+    io_blocking
+}
+
+/// The conservation ledger: globally reduced end-of-step totals.
+/// Ownership only changes at migrate (next step's entry), so the count
+/// reduced after migration is the end-of-step count too. The f64 sums
+/// reduce elementwise in rank order — deterministic for a fixed rank
+/// count.
+// p1: hot-loop
+fn reduce_ledger(comm: &mut Comm, st: &mut RankState, step: &PmStep, count: u64) {
+    let sp = st.tracer.begin(Phase::Misc.name(), "ledger-reduce");
+    let tot = comm.all_reduce(owned_totals(&st.store), |mut a, b| {
+        for (x, y) in a.iter_mut().zip(&b) {
+            *x += y;
+        }
+        a
+    });
+    // p1: allow: conservation ledger, one bounded record per PM step
+    st.ledger.push(LedgerRecord {
+        step: step.index as u64,
+        count,
+        mass: tot[0],
+        momentum: [tot[1], tot[2], tot[3]],
+        momentum_scale: tot[4],
+        kinetic: tot[5],
+        internal: tot[6],
+    });
+    st.tracer.end(sp);
+}
+
+/// The owned particles' sums the ledger and the report reduce, in store
+/// order: mass, momentum (three components), the momentum scale
+/// `Σ m |v_d|`, kinetic energy and the gas's internal energy.
+fn owned_totals(store: &ParticleStore) -> [f64; 7] {
+    let mut t = [0.0f64; 7];
+    for i in 0..store.n_owned {
+        let m = store.mass[i];
+        t[0] += m;
+        let mut v2 = 0.0;
+        for d in 0..3 {
+            let p = m * store.vel[i][d];
+            t[1 + d] += p;
+            t[4] += p.abs();
+            v2 += store.vel[i][d] * store.vel[i][d];
+        }
+        t[5] += 0.5 * m * v2;
+        if store.species[i] == Species::Gas {
+            t[6] += m * store.u[i];
+        }
+    }
+    t
+}
+
+/// Stage 2 (and 6's closing half): one long-range kick of `width` at
+/// scale factor `a`, in the `LongRange` span `name`: PM accelerations of
+/// the owned particles, which are the store's contiguous prefix (the
+/// solve must not see overload ghosts).
+// p1: hot-loop
+fn long_range_kick(run: &Run, comm: &mut Comm, st: &mut RankState, name: &str, a: f64, width: f64) {
+    let sp = st.tracer.begin(Phase::LongRange.name(), name);
+    let (n, store) = (st.store.n_owned, &mut st.store);
+    let acc = run.pm.accelerations(comm, &store.pos[..n], &store.mass[..n]);
     for (vel, acc) in store.vel[..n].iter_mut().zip(&acc) {
         for d in 0..3 {
             vel[d] += acc[d] / a * width;
         }
     }
+    st.tracer.end(sp);
 }
 
 /// The closing half-kick widths of one PM step.
@@ -1261,79 +1355,80 @@ fn draw_stream(seed: u64, id: u64, step: usize, substep: u32) -> StdRng {
     StdRng::stream(seed, ((step as u64) << 11 | u64::from(substep)) << 40 | id)
 }
 
-/// Cooling, star formation, and SN feedback over one substep;
-/// `stream_of(id)` is the generator of that particle's draw.
-#[allow(clippy::too_many_arguments)]
-fn apply_subgrid(
-    store: &mut ParticleStore,
-    gas_idx: &[usize],
-    cooling: &CoolingModel,
-    sf: &StarFormationModel,
-    sn: &SupernovaModel,
-    kd: &KickDrift,
-    stream_of: impl Fn(u64) -> StdRng,
-    a0: f64,
-    a1: f64,
-) -> u64 {
-    let dt_gyr = kd.dt_gyr(a0, a1);
-    let a = 0.5 * (a0 + a1);
-    // Approximate local comoving density from the smoothing length
-    // (rho = m (eta/h)^3) — the cheap estimate the subgrid models key on.
-    let rho_of = |store: &ParticleStore, i: usize, eta: f64| {
-        let h = store.h[i].max(1e-6);
-        store.mass[i] * (eta / h).powi(3)
-    };
-    let eta = 1.6;
-    let mut new_stars: Vec<usize> = Vec::new();
-    for &i in gas_idx {
-        if i >= store.n_owned {
-            continue;
-        }
-        let rho = rho_of(store, i, eta);
-        let z_metal = store.metals[i];
-        store.u[i] = cooling.cool_particle(rho, store.u[i], z_metal, a, dt_gyr);
-        // `gas_idx` is frozen for the PM step: a particle converted at an
-        // earlier substep is still listed, and must not be drawn again.
-        if store.species[i] == Species::Gas
-            && sf.try_form_star(&mut stream_of(store.id[i]), rho, store.u[i], a, dt_gyr)
-        {
-            new_stars.push(i);
-        }
+/// The subgrid models of a full-hydro run.
+struct Subgrid {
+    cooling: CoolingModel,
+    sf: StarFormationModel,
+    sn: SupernovaModel,
+}
+
+impl Subgrid {
+    fn new(cfg: &SimConfig) -> Self {
+        let mut sf = StarFormationModel::new(cfg.cosmology.h);
+        sf.nh_threshold = cfg.sf_nh_threshold;
+        Self { cooling: CoolingModel::new(cfg.cosmology.h), sf, sn: SupernovaModel::new() }
     }
-    // Convert and inject feedback.
-    let stars = new_stars.len() as u64;
-    if !new_stars.is_empty() {
-        // Gas positions for the neighbor search.
-        let gas_owned: Vec<usize> = gas_idx
-            .iter()
-            .copied()
-            .filter(|&i| i < store.n_owned)
-            .collect();
-        let pos: Vec<[f64; 3]> = gas_owned.iter().map(|&i| store.pos[i]).collect();
-        let bvh = Lbvh::build(&pos);
-        for &i in &new_stars {
-            store.species[i] = Species::Star;
-            let m_star = store.mass[i];
-            let neighbors = bvh.query_radius(&store.pos[i], 2.0 * store.h[i]);
-            let targets: Vec<usize> = neighbors
-                .iter()
-                .map(|&g| gas_owned[g as usize])
-                .filter(|&j| j != i && store.species[j] == Species::Gas)
-                .collect();
-            if targets.is_empty() {
-                continue;
-            }
-            let weights = vec![1.0; targets.len()];
-            let masses: Vec<f64> = targets.iter().map(|&j| store.mass[j]).collect();
-            let (du, dz) = sn.distribute(m_star, &weights, &masses);
-            for (k, &j) in targets.iter().enumerate() {
-                store.u[j] += du[k];
-                store.metals[j] =
-                    (store.metals[j] * store.mass[j] + dz[k]) / store.mass[j];
+
+    /// Cooling, star formation, and SN feedback of the owned gas `gas`
+    /// over one substep; `stream_of(id)` is the generator of that
+    /// particle's draw. Returns the stars formed.
+    fn apply(
+        &self, store: &mut ParticleStore, gas: &[usize], kd: &KickDrift,
+        stream_of: impl Fn(u64) -> StdRng, a0: f64, a1: f64,
+    ) -> u64 {
+        let dt_gyr = kd.dt_gyr(a0, a1);
+        let a = 0.5 * (a0 + a1);
+        // Approximate local comoving density from the smoothing length
+        // (rho = m (eta/h)^3) — the cheap estimate the subgrid models key on.
+        let rho_of = |store: &ParticleStore, i: usize, eta: f64| {
+            let h = store.h[i].max(1e-6);
+            store.mass[i] * (eta / h).powi(3)
+        };
+        let eta = 1.6;
+        let mut new_stars: Vec<usize> = Vec::new();
+        for &i in gas {
+            let rho = rho_of(store, i, eta);
+            let z_metal = store.metals[i];
+            store.u[i] = self.cooling.cool_particle(rho, store.u[i], z_metal, a, dt_gyr);
+            // The gas list is frozen for the PM step: a particle converted
+            // at an earlier substep is still listed, and must not be drawn
+            // again.
+            if store.species[i] == Species::Gas
+                && self.sf.try_form_star(&mut stream_of(store.id[i]), rho, store.u[i], a, dt_gyr)
+            {
+                new_stars.push(i);
             }
         }
+        // Convert and inject feedback.
+        let stars = new_stars.len() as u64;
+        if !new_stars.is_empty() {
+            // Gas positions for the neighbor search.
+            let pos: Vec<[f64; 3]> = gas.iter().map(|&i| store.pos[i]).collect();
+            let bvh = Lbvh::build(&pos);
+            for &i in &new_stars {
+                store.species[i] = Species::Star;
+                let m_star = store.mass[i];
+                let neighbors = bvh.query_radius(&store.pos[i], 2.0 * store.h[i]);
+                let targets: Vec<usize> = neighbors
+                    .iter()
+                    .map(|&g| gas[g as usize])
+                    .filter(|&j| j != i && store.species[j] == Species::Gas)
+                    .collect();
+                if targets.is_empty() {
+                    continue;
+                }
+                let weights = vec![1.0; targets.len()];
+                let masses: Vec<f64> = targets.iter().map(|&j| store.mass[j]).collect();
+                let (du, dz) = self.sn.distribute(m_star, &weights, &masses);
+                for (k, &j) in targets.iter().enumerate() {
+                    store.u[j] += du[k];
+                    store.metals[j] =
+                        (store.metals[j] * store.mass[j] + dz[k]) / store.mass[j];
+                }
+            }
+        }
+        stars
     }
-    stars
 }
 
 /// Final-state analysis.
@@ -1550,14 +1645,11 @@ mod tests {
 
     /// 64 dense cold gas particles, far enough apart that feedback finds
     /// no neighbour, with the subgrid models of `SimConfig::small(8)`.
-    /// The closure runs `apply_subgrid` at PM step 3, substep `s`.
+    /// The closure runs `Subgrid::apply` at PM step 3, substep `s`.
     fn dense_cold_gas() -> (ParticleStore, impl Fn(&mut ParticleStore, &[usize], u32) -> u64) {
         let cfg = SimConfig::small(8);
         let kd = KickDrift::new(cfg.cosmology);
-        let cooling = CoolingModel::new(cfg.cosmology.h);
-        let mut sf = StarFormationModel::new(cfg.cosmology.h);
-        sf.nh_threshold = cfg.sf_nh_threshold;
-        let sn = SupernovaModel::new();
+        let subgrid = Subgrid::new(&cfg);
         let mut gas = ParticleStore::new();
         for id in 0..64u64 {
             gas.insert(ParticleRecord {
@@ -1572,9 +1664,9 @@ mod tests {
             });
         }
         gas.seal_owned();
-        let substep = move |store: &mut ParticleStore, gas_idx: &[usize], s: u32| {
+        let substep = move |store: &mut ParticleStore, gas: &[usize], s: u32| {
             let stream_of = |id| draw_stream(cfg.seed, id, 3, s);
-            apply_subgrid(store, gas_idx, &cooling, &sf, &sn, &kd, stream_of, 0.5, 0.6)
+            subgrid.apply(store, gas, &kd, stream_of, 0.5, 0.6)
         };
         (gas, substep)
     }
@@ -1629,54 +1721,39 @@ mod tests {
 
     /// The opening short-range forces of a one-rank world of
     /// `SimConfig::small(np)`'s initial conditions moved by `shift`
-    /// (mod box), through the driver's exchange, meshes and pipelines:
+    /// (mod box), through the step's own stages (migrate + overload, the
+    /// mesh build, the short-range solver's `forces` on the owned sinks):
     /// per particle id, gravity and, for the gas, CRKSPH `accel` and
     /// `du_dt`. Also returns the ghosts the overload held.
     fn one_rank_opening_forces(np: usize, shift: [f64; 3]) -> (usize, Vec<(u64, [f64; 7])>) {
-        let cfg = SimConfig::small(np);
+        let mut cfg = SimConfig::small(np);
+        cfg.checkpoint_every = 0; // no writer: the stages below write no file
         let tables = RunTables::new(&cfg);
         let mut out = World::run(1, |comm| {
-            let decomp = CartDecomp::new(1);
             let mut store = distributed_ics(&cfg, &tables.bg, &tables.power, comm);
             for p in &mut store.pos {
                 for d in 0..3 {
                     p[d] += shift[d];
                 }
             }
-            migrate(comm, &decomp, &mut store, cfg.box_size);
-            let width = cfg.overload_cells * cfg.cell_size();
-            exchange_overload(comm, &decomp, &mut store, cfg.box_size, width);
-            let n = store.n_owned;
-            let domain = MeshDomain::new(&cfg, &decomp, 0);
-            let cm = domain.mesh(&store.pos);
-            let grav = grav_step_sinks(&store.pos, &store.mass, &cm, &tables.grav, n).accel;
-            let gas_idx = store.indices_of_all(Species::Gas);
-            let mut gas = GasGather::default();
-            gas.gather(&store, &gas_idx, cfg.a_init, &domain);
-            let input = SphInput {
-                pos: &gas.pos,
-                vel: &gas.vpec,
-                mass: &gas.mass,
-                h: &gas.h,
-                u: &gas.u,
+            let run = Run::new(&cfg, &tables, comm, None);
+            let mut st = RankState::new(&run, 0, Path::new(""), store, 0);
+            migrate_and_refresh(&run, comm, &mut st);
+            let cm = build_mesh(&run, &mut st);
+            let sinks = st.sr.sinks(&st.store);
+            let f = st.sr.forces(&run, &st.store, &cm, cfg.a_init, sinks);
+            let (store, sph) = (&st.store, f.sph.expect("small(np) runs hydro"));
+            let row = |i: usize| {
+                let g = f.grav[i];
+                (store.id[i], [g[0], g[1], g[2], 0.0, 0.0, 0.0, 0.0])
             };
-            let sph_cfg: SphConfig<CubicSpline> = SphConfig::new();
-            let n_gas = gas_idx.partition_point(|&i| i < n);
-            let sph = sph_step_sinks(&input, &domain.mesh(&gas.pos), &sph_cfg, n_gas);
-            let mut forces: Vec<(u64, [f64; 7])> = (0..n)
-                .map(|i| {
-                    (
-                        store.id[i],
-                        [grav[i][0], grav[i][1], grav[i][2], 0.0, 0.0, 0.0, 0.0],
-                    )
-                })
-                .collect();
-            for (gi, &i) in gas_idx[..n_gas].iter().enumerate() {
+            let mut forces: Vec<(u64, [f64; 7])> = sinks.particles().map(row).collect();
+            for (gi, &i) in sinks.gas(&st.sr.gas_idx).iter().enumerate() {
                 forces[i].1[3..6].copy_from_slice(&sph.accel[gi]);
                 forces[i].1[6] = sph.du_dt[gi];
             }
             forces.sort_by_key(|&(id, _)| id);
-            (store.len() - n, forces)
+            (store.len() - sinks.owned, forces)
         });
         out.pop().unwrap()
     }

@@ -17,6 +17,9 @@
 //! 3. Every loop marked with a `// p1: hot-loop` comment on the line of
 //!    the loop header or the line above (the driver step loop and any
 //!    future hand-annotated hot path), including all nested loops.
+//! 4. The whole body of a fn whose definition line (or the line above
+//!    it) carries the same marker: a stage the step loop calls, whose
+//!    body runs once per step as the loop's own body does.
 //!
 //! Allocation set: `Vec::new` / `Box::new` / `String::from` /
 //! `*::with_capacity` path calls; `push` / `push_back` / `push_front` /
@@ -63,6 +66,8 @@ pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
             && matches!(n.name, "interact" | "interact_pair" | "partial");
         if kernel {
             flag_block(n.file, body, "per-pair kernel body", &marks, &mut out);
+        } else if near(&marks.hot, n.file, n.def.line) {
+            flag_block(n.file, body, "`// p1: hot-loop` marked fn", &marks, &mut out);
         } else {
             scan_for_hot_loops(n.file, body, n.name, &marks, &mut out);
         }

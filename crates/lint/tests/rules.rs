@@ -702,6 +702,35 @@ fn p1_marked_loop_fires_and_allow_suppresses() {
 }
 
 #[test]
+fn p1_marked_fn_body_is_hot_at_any_depth() {
+    // The marker above a fn (free or method) makes its whole body hot,
+    // loops or not; an allow still suppresses, an unmarked fn stays cold.
+    let ws = Workspace::from_sources(&[(
+        "crates/core/src/fixture.rs",
+        "// p1: hot-loop\n\
+         pub fn stage(n: usize) -> usize {\n\
+         let a = format!(\"a{n}\");\n\
+         // p1: allow: one bounded record per step\n\
+         let b = vec![0u8; n];\n\
+         a.len() + b.len()\n\
+         }\n\
+         pub struct S;\n\
+         impl S {\n\
+         // p1: hot-loop\n\
+         fn method(&self, n: usize) -> usize {\n\
+         if n > 0 { let v: Vec<u8> = Vec::new(); return v.len(); }\n\
+         n\n\
+         }\n\
+         }\n\
+         pub fn cold(n: usize) -> Vec<u8> { vec![0u8; n] }\n",
+    )]);
+    let hits = findings(&ws, Rule::P1);
+    assert_eq!(hits.len(), 2, "{hits:?}");
+    assert!(hits[0].contains("format!") && hits[0].contains("marked fn"), "{hits:?}");
+    assert!(hits[1].contains("Vec::new") && hits[1].contains("marked fn"), "{hits:?}");
+}
+
+#[test]
 fn p1_unmarked_loops_and_scratch_reuse_are_clean() {
     let ws = Workspace::from_sources(&[(
         "crates/core/src/fixture.rs",

@@ -115,6 +115,12 @@ pub fn execute_leaf_canary(n: usize) -> Vec<f64> {
     out
 }
 ---
+P1|crates/core/src/__p1_fn_canary.rs|a heap allocation in a marked step-stage fn, outside any loop
+// p1: hot-loop
+pub fn canary_stage(step: usize) -> usize {
+    format!("stage-{step}").len()
+}
+---
 E1|crates/core/src/__e1_canary.rs|an unwrap one call below a marked supervised root
 // e1: root
 pub fn canary_step_loop(v: &[f64]) -> f64 {

@@ -294,7 +294,12 @@ impl ShortRange {
     /// every particle `cm` bins.
     // p1: hot-loop
     fn forces(
-        &mut self, run: &Run, store: &ParticleStore, cm: &ChainingMesh, a: f64, sinks: Sinks,
+        &mut self,
+        run: &Run,
+        store: &ParticleStore,
+        cm: &ChainingMesh,
+        a: f64,
+        sinks: Sinks,
     ) -> ShortRangeForces {
         // Short-range gravity on the owned particles, sourced by everyone
         // (the ghosts' own accelerations have no reader, so ghost-only
@@ -360,7 +365,12 @@ impl ShortRange {
     /// its fresh density.
     // p1: hot-loop
     fn kick(
-        &self, run: &Run, store: &mut ParticleStore, f: &ShortRangeForces, a: f64, width: f64,
+        &self,
+        run: &Run,
+        store: &mut ParticleStore,
+        f: &ShortRangeForces,
+        a: f64,
+        width: f64,
         sinks: Sinks,
     ) {
         for i in sinks.particles() {
@@ -788,7 +798,10 @@ struct Run<'a> {
 
 impl<'a> Run<'a> {
     fn new(
-        cfg: &'a SimConfig, tables: &'a RunTables, comm: &mut Comm, probe: Option<FaultProbe>,
+        cfg: &'a SimConfig,
+        tables: &'a RunTables,
+        comm: &mut Comm,
+        probe: Option<FaultProbe>,
     ) -> Self {
         let decomp = CartDecomp::new(comm.size());
         let domain = MeshDomain::new(cfg, &decomp, comm.rank());
@@ -800,13 +813,17 @@ impl<'a> Run<'a> {
         let hydro = cfg.physics != Physics::GravityOnly;
         let sph = SphConfig { device: cfg.device, mode: cfg.exec_mode, ..SphConfig::new() };
         Self {
+            cfg,
+            tables,
+            decomp,
+            domain,
             pm: PmSolver::new(comm, pm_cfg),
             kd: KickDrift::new(cfg.cosmology),
             sph: hydro.then_some(sph),
             subgrid: (cfg.physics == Physics::Hydro).then(|| Subgrid::new(cfg)),
+            probe,
             model: ExecutionModel::new(cfg.device),
             ghosts: hacc_san::armed().then(|| hacc_san::region("ghost-exchange")),
-            cfg, tables, decomp, domain, probe,
         }
     }
 }
@@ -830,8 +847,13 @@ struct RankState {
 }
 
 impl RankState {
-    fn new(run: &Run, rank: usize, io_base: &Path, store: ParticleStore, owed_substeps: u32)
-        -> Self {
+    fn new(
+        run: &Run,
+        rank: usize,
+        io_base: &Path,
+        store: ParticleStore,
+        owed_substeps: u32,
+    ) -> Self {
         let cfg = run.cfg;
         // I/O: every rank stages to its own local dir; rank 0's writer
         // keeps the machine-scale statistics.
@@ -849,12 +871,14 @@ impl RankState {
             w.arm_faults(p.clone());
         }
         Self {
+            store,
+            owed_substeps,
             tracer: Tracer::new(rank),
             ledger: ConservationLedger::new(),
+            writer,
             steps: Vec::with_capacity(cfg.pm_steps),
             sr: ShortRange::default(),
             halo_cols: Default::default(),
-            store, owed_substeps, writer,
         }
     }
 }
@@ -882,7 +906,8 @@ impl PmStep {
         let cfg = run.cfg;
         let a0 = cfg.a_init + index as f64 * cfg.da_pm();
         Self {
-            index, a0,
+            index,
+            a0,
             a1: a0 + cfg.da_pm(),
             last: index + 1 == cfg.pm_steps,
             analysis: cfg.analysis_every > 0 && (index + 1).is_multiple_of(cfg.analysis_every),
@@ -894,7 +919,11 @@ impl PmStep {
 }
 
 fn rank_main(
-    cfg: &SimConfig, tables: &RunTables, comm: &mut Comm, io_base: &Path, resume_mode: ResumeMode,
+    cfg: &SimConfig,
+    tables: &RunTables,
+    comm: &mut Comm,
+    io_base: &Path,
+    resume_mode: ResumeMode,
     probe: Option<FaultProbe>,
 ) -> RankOutput {
     if let Some(p) = &probe {
@@ -967,17 +996,27 @@ fn rank_main(
         ledger: st.ledger,
         counters: st.sr.counters,
         profile: st.sr.profile,
-        io, power, n_halos, largest_halo, xi, n_galaxies,
+        io,
+        power,
+        n_halos,
+        largest_halo,
+        xi,
+        n_galaxies,
         y_map_concentration: y_conc,
         totals: owned_totals(&st.store),
-        faults, state_hash,
+        faults,
+        state_hash,
     }
 }
 
 /// A rank's particles at the first step it runs, that step, and the
 /// `owed_substeps` (see [`RankState`]) the step inherits.
 fn initial_state(
-    cfg: &SimConfig, tables: &RunTables, comm: &mut Comm, pfs: &Path, resume_mode: ResumeMode,
+    cfg: &SimConfig,
+    tables: &RunTables,
+    comm: &mut Comm,
+    pfs: &Path,
+    resume_mode: ResumeMode,
 ) -> (ParticleStore, usize, u32) {
     let ics = |comm: &mut Comm| distributed_ics(cfg, &tables.bg, &tables.power, comm);
     let ResumeMode::Consistent { or_cold_start } = resume_mode else {
@@ -1041,7 +1080,11 @@ fn build_mesh(run: &Run, st: &mut RankState) -> ChainingMesh {
 /// and the stars this rank formed.
 // p1: hot-loop
 fn short_range_block(
-    run: &Run, comm: &mut Comm, st: &mut RankState, cm: &mut ChainingMesh, sinks: Sinks,
+    run: &Run,
+    comm: &mut Comm,
+    st: &mut RankState,
+    cm: &mut ChainingMesh,
+    sinks: Sinks,
     step: &PmStep,
 ) -> (u32, RungStats, u64) {
     let (cfg, kd, a0) = (run.cfg, &run.kd, step.a0);
@@ -1373,8 +1416,13 @@ impl Subgrid {
     /// over one substep; `stream_of(id)` is the generator of that
     /// particle's draw. Returns the stars formed.
     fn apply(
-        &self, store: &mut ParticleStore, gas: &[usize], kd: &KickDrift,
-        stream_of: impl Fn(u64) -> StdRng, a0: f64, a1: f64,
+        &self,
+        store: &mut ParticleStore,
+        gas: &[usize],
+        kd: &KickDrift,
+        stream_of: impl Fn(u64) -> StdRng,
+        a0: f64,
+        a1: f64,
     ) -> u64 {
         let dt_gyr = kd.dt_gyr(a0, a1);
         let a = 0.5 * (a0 + a1);
@@ -1523,7 +1571,9 @@ fn run_blocks(closing_substeps: u32, schedule: Schedule) -> [Block; 2] {
         Block::from_u64(CLOSING_SUBSTEPS, &[u64::from(closing_substeps)]),
         Block::from_f64(
             SCHEDULE,
-            &[schedule.a_init, schedule.a_final, schedule.pm_steps as f64],
+            &[schedule.a_init,
+            schedule.a_final,
+            schedule.pm_steps as f64],
         ),
     ]
 }

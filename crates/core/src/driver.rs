@@ -1357,14 +1357,6 @@ fn closing_widths(cfg: &SimConfig, kd: &KickDrift, step: usize, nsub: u32) -> Cl
     }
 }
 
-/// FNV-1a over a byte slice (streaming).
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-}
-
 /// Bitwise hash of the global particle state: each owned particle's
 /// checkpoint row ([`ParticleRecord::words`](crate::particles::ParticleRecord::words):
 /// every column, species included, position box-wrapped) gathered to
@@ -1379,11 +1371,7 @@ fn global_state_hash(comm: &mut Comm, store: &ParticleStore, box_size: f64) -> u
     let hash = comm.gather(0, rows).map_or(0, |per_rank| {
         let mut rows: Vec<_> = per_rank.into_iter().flatten().collect();
         rows.sort_by_key(|row| row[ParticleRecord::F64_COLUMNS]); // the id word
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for word in rows.into_iter().flatten() {
-            fnv1a(&mut h, &word.to_le_bytes());
-        }
-        h
+        hacc_rt::fnv1a(rows.into_iter().flatten())
     });
     comm.broadcast(0, hash)
 }

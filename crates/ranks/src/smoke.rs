@@ -30,14 +30,6 @@ pub fn mix(vals: &[u64]) -> u64 {
     h
 }
 
-/// Order-sensitive FNV-1a accumulator.
-fn fnv1a(digest: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *digest ^= u64::from(b);
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Run `rounds` self-checking rounds of the full collective suite plus
 /// a p2p ring; returns this rank's digest.
 ///
@@ -46,7 +38,8 @@ fn fnv1a(digest: &mut u64, v: u64) {
 pub fn smoke(comm: &mut Comm, seed: u64, rounds: usize) -> u64 {
     let n = comm.size();
     let me = comm.rank() as u64;
-    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
+    // Every observed payload, in order: the digest's input.
+    let mut seen = Vec::new();
     for round in 0..rounds as u64 {
         let s = mix(&[seed, round]);
 
@@ -57,7 +50,7 @@ pub fn smoke(comm: &mut Comm, seed: u64, rounds: usize) -> u64 {
         let want = mix(&[s, 2, root as u64]);
         let got = comm.broadcast(root, want);
         assert_eq!(got, want, "rank {me}: broadcast from root {root}");
-        fnv1a(&mut digest, got);
+        seen.push(got);
 
         // Gather at the same root.
         if let Some(all) = comm.gather(root, mix(&[s, 3, me])) {
@@ -67,7 +60,7 @@ pub fn smoke(comm: &mut Comm, seed: u64, rounds: usize) -> u64 {
                     mix(&[s, 3, r as u64]),
                     "root {root}: gather slot {r}"
                 );
-                fnv1a(&mut digest, v);
+                seen.push(v);
             }
         }
 
@@ -75,7 +68,7 @@ pub fn smoke(comm: &mut Comm, seed: u64, rounds: usize) -> u64 {
         let all = comm.all_gather(mix(&[s, 4, me]));
         for (r, &v) in all.iter().enumerate() {
             assert_eq!(v, mix(&[s, 4, r as u64]), "rank {me}: all_gather slot {r}");
-            fnv1a(&mut digest, v);
+            seen.push(v);
         }
 
         // All-reduce: rank-ordered wrapping sum (bitwise-deterministic).
@@ -83,13 +76,13 @@ pub fn smoke(comm: &mut Comm, seed: u64, rounds: usize) -> u64 {
         let want: u64 = (0..n as u64)
             .fold(0u64, |acc, r| acc.wrapping_add(mix(&[s, 5, r])));
         assert_eq!(sum, want, "rank {me}: all_reduce sum");
-        fnv1a(&mut digest, sum);
+        seen.push(sum);
 
         // Exclusive prefix scan over small counts.
         let scan = comm.exscan_u64(mix(&[s, 6, me]) & 0xffff);
         let want: u64 = (0..me).map(|r| mix(&[s, 6, r]) & 0xffff).sum();
         assert_eq!(scan, want, "rank {me}: exscan");
-        fnv1a(&mut digest, scan);
+        seen.push(scan);
 
         // All-to-all-v with ragged per-pair lengths (0..=3).
         let sends: Vec<Vec<u64>> = (0..n as u64)
@@ -113,7 +106,7 @@ pub fn smoke(comm: &mut Comm, seed: u64, rounds: usize) -> u64 {
                     mix(&[s, 8, src, me, i as u64]),
                     "rank {me}: a2av payload from {src} slot {i}"
                 );
-                fnv1a(&mut digest, v);
+                seen.push(v);
             }
         }
 
@@ -125,9 +118,9 @@ pub fn smoke(comm: &mut Comm, seed: u64, rounds: usize) -> u64 {
         comm.send(right, tag, mix(&[s, 10, me]));
         let got: u64 = comm.recv(left, tag);
         assert_eq!(got, mix(&[s, 10, left as u64]), "rank {me}: ring from {left}");
-        fnv1a(&mut digest, got);
+        seen.push(got);
     }
-    digest
+    hacc_rt::fnv1a(seen)
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@
 //! * [`sched`] — the rank scheduler: `lanes` run permits multiplexing
 //!   any number of ranks, the host's one parallelism mechanism;
 //! * [`prop`] — a bounded-shrinking property-test macro covering the
-//!   `proptest!` call sites.
+//!   `proptest!` call sites;
+//! * [`fnv1a`] — the workspace's one digest.
 //!
 //! See DESIGN.md § "Dependency policy: hermetic builds via `hacc-rt`".
 
@@ -36,5 +37,31 @@ pub mod rand {
     /// Mirrors `rand::rngs`.
     pub mod rngs {
         pub use crate::rng::StdRng;
+    }
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `words`, in order: the
+/// workspace's one digest (the final state hash, the rank smoke's
+/// per-rank and per-run digests).
+pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for b in word.to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_is_the_published_byte_hash() {
+        // FNV-1a 64 of no bytes is the offset basis, of the byte "a"
+        // 0xaf63dc4c8601ec8c; the word 0x61 is "a" and seven zero bytes.
+        let prime = 0x0000_0100_0000_01b3u64;
+        assert_eq!(super::fnv1a([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a([0x61]), 0xaf63_dc4c_8601_ec8cu64.wrapping_mul(prime.wrapping_pow(7)));
     }
 }

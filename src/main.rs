@@ -112,17 +112,8 @@ fn cmd_ranks(args: &[String]) {
     println!("ranks               : {ranks}");
     println!("rounds              : {rounds}");
     println!("seed                : {seed}");
-    let digest_of = |digests: &[u64]| {
-        // Order-sensitive FNV-1a over the per-rank digests.
-        let mut d = 0xcbf2_9ce4_8422_2325u64;
-        for v in digests {
-            for b in v.to_le_bytes() {
-                d ^= u64::from(b);
-                d = d.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        d
-    };
+    // Order-sensitive FNV-1a over the per-rank digests.
+    let digest_of = |digests: &[u64]| hacc_rt::fnv1a(digests.iter().copied());
     if parse_flag(args, "--sanitize") {
         let (digests, report) =
             World::run_sanitized(ranks, |comm| smoke::smoke(comm, seed, rounds));

@@ -118,20 +118,10 @@ fn final_state(dir: &std::path::Path, ranks: usize) -> Vec<(u64, Vec<f64>)> {
 
 /// FNV-1a over the exact bit patterns of the sorted state.
 fn bitwise_state_hash(state: &[(u64, Vec<f64>)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    for (id, vals) in state {
-        eat(*id);
-        for v in vals {
-            eat(v.to_bits());
-        }
-    }
-    h
+    let words = state.iter().flat_map(|(id, vals)| {
+        std::iter::once(*id).chain(vals.iter().map(|v| v.to_bits()))
+    });
+    hacc_rt::fnv1a(words)
 }
 
 #[test]

@@ -86,14 +86,7 @@ fn final_state(dir: &std::path::Path, ranks: usize) -> Vec<(u64, Vec<f64>)> {
 
 /// FNV-1a over the exact bit patterns of the sorted id set.
 fn id_hash(state: &[(u64, Vec<f64>)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (id, _) in state {
-        for b in id.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    h
+    hacc_rt::fnv1a(state.iter().map(|&(id, _)| id))
 }
 
 /// (count, id-hash, mass, centroid) of a run's final state.

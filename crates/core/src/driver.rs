@@ -329,8 +329,13 @@ impl ShortRange {
         // corrections for the ghosts that source them too.
         let sph = run.sph.as_ref().filter(|_| !self.gas_idx.is_empty()).map(|sph_cfg| {
             self.gather(store, a, &run.domain);
-            let (pos, vel, mass, h, u) = (&self.pos, &self.vpec, &self.mass, &self.h, &self.u);
-            let input = SphInput { pos, vel, mass, h, u };
+            let input = SphInput {
+                pos: &self.pos,
+                vel: &self.vpec,
+                mass: &self.mass,
+                h: &self.h,
+                u: &self.u,
+            };
             let r = sph_step_sinks(&input, &run.domain.mesh(&self.pos), sph_cfg, sinks.owned_gas);
             self.counters.merge(&r.counters.merged());
             r.counters.record_into(&mut self.profile);
@@ -807,9 +812,16 @@ impl<'a> Run<'a> {
         let domain = MeshDomain::new(cfg, &decomp, comm.rank());
         // Long-range PM solver: prefactor 4 pi G; the 1/a of the comoving
         // Poisson equation is applied per step.
-        let prefactor = 4.0 * std::f64::consts::PI * G_NEWTON;
-        let (n, box_size, split_scale) = (cfg.ngrid, cfg.box_size, cfg.split_scale());
-        let pm_cfg = PmConfig { n, box_size, prefactor, split_scale, deconvolve_cic: true };
+        let pm = PmSolver::new(
+            comm,
+            PmConfig {
+                n: cfg.ngrid,
+                box_size: cfg.box_size,
+                prefactor: 4.0 * std::f64::consts::PI * G_NEWTON,
+                split_scale: cfg.split_scale(),
+                deconvolve_cic: true,
+            },
+        );
         let hydro = cfg.physics != Physics::GravityOnly;
         let sph = SphConfig { device: cfg.device, mode: cfg.exec_mode, ..SphConfig::new() };
         Self {
@@ -817,7 +829,7 @@ impl<'a> Run<'a> {
             tables,
             decomp,
             domain,
-            pm: PmSolver::new(comm, pm_cfg),
+            pm,
             kd: KickDrift::new(cfg.cosmology),
             sph: hydro.then_some(sph),
             subgrid: (cfg.physics == Physics::Hydro).then(|| Subgrid::new(cfg)),
@@ -1200,13 +1212,20 @@ fn in_situ_analysis(run: &Run, st: &mut RankState, step: &PmStep) {
     let Some(w) = st.writer.as_mut() else { return };
     let sp = st.tracer.begin(Phase::Io.name(), "halo-catalog");
     let frac = step.index as f64 / cfg.pm_steps.max(1) as f64;
-    // Column 0 is the mass, 1..=3 the centre.
-    for (k, c) in st.halo_cols.iter_mut().enumerate() {
+    let cols = &mut st.halo_cols;
+    for c in cols.iter_mut() {
         c.clear();
-        c.extend(halos.iter().map(|h| if k == 0 { h.mass } else { h.center[k - 1] }));
     }
-    let names = ["mass", "x", "y", "z"];
-    let blocks: [Block; 4] = std::array::from_fn(|k| Block::from_f64(names[k], &st.halo_cols[k]));
+    cols[0].extend(halos.iter().map(|h| h.mass));
+    cols[1].extend(halos.iter().map(|h| h.center[0]));
+    cols[2].extend(halos.iter().map(|h| h.center[1]));
+    cols[3].extend(halos.iter().map(|h| h.center[2]));
+    let blocks = [
+        Block::from_f64("mass", &cols[0]),
+        Block::from_f64("x", &cols[1]),
+        Block::from_f64("y", &cols[2]),
+        Block::from_f64("z", &cols[3]),
+    ];
     let i = step.index;
     // p1: allow: per-step catalog filename on the I/O path
     let _ = w.write_output(&format!("halos_{i:08}.gio"), &blocks, frac * 0.8, 1.3);

@@ -1162,7 +1162,7 @@ fn short_range_block(
             }
         }
         let gas = sinks.gas(&st.sr.gas_idx);
-        // Hubble expansion cooling of the gas.
+        // Hubble expansion cooling of the gas (hydro runs).
         if run.sph.is_some() {
             let f = kd.hubble_cooling_factor(as0, as1);
             for &i in gas {

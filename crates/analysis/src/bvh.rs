@@ -62,14 +62,6 @@ impl Lbvh {
     /// the original slice).
     pub fn build(points: &[[f64; 3]]) -> Self {
         let n = points.len();
-        if n == 0 {
-            return Self {
-                nodes: vec![],
-                order: vec![],
-                points: vec![],
-                root: 0,
-            };
-        }
         // Bounding box of the set.
         let mut bounds = Aabb::empty();
         for p in points {
@@ -150,46 +142,24 @@ impl Lbvh {
         out
     }
 
-    /// Count (rather than collect) the points within `radius` of
-    /// `center` — the primitive behind pair-counting statistics.
-    pub fn count_radius(&self, center: &[f64; 3], radius: f64) -> usize {
-        if self.nodes.is_empty() {
-            return 0;
-        }
-        let r2 = radius * radius;
-        let mut count = 0;
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            if node.aabb.min_dist_sqr_point(center) > r2 {
-                continue;
-            }
-            match node.kind {
-                NodeKind::Leaf { start, count: c } => {
-                    for &i in &self.order[start as usize..(start + c) as usize] {
-                        let p = &self.points[i as usize];
-                        let d2: f64 =
-                            (0..3).map(|d| (p[d] - center[d]).powi(2)).sum();
-                        if d2 <= r2 {
-                            count += 1;
-                        }
-                    }
-                }
-                NodeKind::Internal { left, right } => {
-                    stack.push(left);
-                    stack.push(right);
-                }
-            }
-        }
-        count
-    }
-
     /// As [`Self::query_radius`], reusing an output buffer (cleared).
     pub fn query_radius_into(&self, center: &[f64; 3], radius: f64, out: &mut Vec<u32>) {
         out.clear();
-        if self.nodes.is_empty() {
-            return;
-        }
+        self.walk(center, radius, |i, _| {
+            out.push(i);
+            true
+        });
+    }
+
+    /// The one traversal: call `visit(index, d2)` on every point within
+    /// `radius` of `center` (inclusive, `d2 <= radius²`), in traversal
+    /// order, until `visit` returns `false`.
+    pub(crate) fn walk(
+        &self,
+        center: &[f64; 3],
+        radius: f64,
+        mut visit: impl FnMut(u32, f64) -> bool,
+    ) {
         let r2 = radius * radius;
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
@@ -202,8 +172,8 @@ impl Lbvh {
                     for &i in &self.order[start as usize..(start + count) as usize] {
                         let p = &self.points[i as usize];
                         let d2: f64 = (0..3).map(|d| (p[d] - center[d]).powi(2)).sum();
-                        if d2 <= r2 {
-                            out.push(i);
+                        if d2 <= r2 && !visit(i, d2) {
+                            return;
                         }
                     }
                 }
@@ -298,17 +268,6 @@ mod tests {
         let pa_b = (a ^ b).leading_zeros();
         let pa_c = (a ^ c).leading_zeros();
         assert!(pa_b > pa_c);
-    }
-
-    #[test]
-    fn count_radius_matches_query_len() {
-        let pts = cloud(400, 13);
-        let bvh = Lbvh::build(&pts);
-        for c in cloud(8, 14) {
-            for r in [0.5, 1.5, 4.0] {
-                assert_eq!(bvh.count_radius(&c, r), bvh.query_radius(&c, r).len());
-            }
-        }
     }
 
     proptest! {

@@ -1,7 +1,8 @@
-//! Friends-of-friends halo finding (Davis et al. 1985) via union-find
-//! over BVH radius queries.
+//! Friends-of-friends halo finding (Davis et al. 1985): DBSCAN's
+//! clustering kernel at `min_pts = 2` (`dbscan::cluster`), plus the halo
+//! property reductions.
 
-use crate::bvh::Lbvh;
+use crate::dbscan::cluster;
 
 /// A friends-of-friends halo.
 #[derive(Debug, Clone)]
@@ -16,49 +17,10 @@ pub struct Halo {
     pub velocity: [f64; 3],
 }
 
-/// Disjoint-set forest with path halving and union by size.
-#[derive(Debug)]
-pub struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-}
-
-impl UnionFind {
-    /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-        }
-    }
-
-    /// Representative of `x`'s set.
-    pub fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    /// Merge the sets of `a` and `b`.
-    pub fn union(&mut self, a: u32, b: u32) {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        if self.size[ra as usize] < self.size[rb as usize] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb as usize] = ra;
-        self.size[ra as usize] += self.size[rb as usize];
-    }
-}
-
 /// Run FOF with linking length `b_link` (absolute length, not a fraction
-/// of mean separation) and keep groups with at least `min_members`.
-/// Halos are returned sorted by descending mass.
+/// of mean separation) and keep groups with at least `min_members`. The
+/// groups are the clusters at `min_pts = 2`, so a particle without a
+/// friend is in none. Halos are returned sorted by descending mass.
 pub fn fof_halos(
     positions: &[[f64; 3]],
     velocities: &[[f64; 3]],
@@ -69,29 +31,16 @@ pub fn fof_halos(
     let n = positions.len();
     assert_eq!(velocities.len(), n);
     assert_eq!(masses.len(), n);
-    if n == 0 {
-        return vec![];
-    }
-    let bvh = Lbvh::build(positions);
-    let mut uf = UnionFind::new(n);
-    let mut buf = Vec::new();
-    for (i, p) in positions.iter().enumerate() {
-        bvh.query_radius_into(p, b_link, &mut buf);
-        for &j in &buf {
-            if (j as usize) > i {
-                uf.union(i as u32, j);
-            }
+    // Members in ascending index, groups in cluster-id order.
+    let clusters = cluster(positions, b_link, 2);
+    let mut groups = vec![Vec::new(); clusters.count];
+    for (i, label) in clusters.label.iter().enumerate() {
+        if let Some(c) = label {
+            groups[*c as usize].push(i as u32);
         }
     }
-    // Gather groups. BTreeMap, not HashMap: group order feeds the halo
-    // list, and ties in the mass sort below must break identically on
-    // every run for the golden-run tier to hold (lint rule D1).
-    let mut groups: std::collections::BTreeMap<u32, Vec<u32>> = std::collections::BTreeMap::new();
-    for i in 0..n as u32 {
-        groups.entry(uf.find(i)).or_default().push(i);
-    }
     let mut halos: Vec<Halo> = groups
-        .into_values()
+        .into_iter()
         .filter(|members| members.len() >= min_members)
         .map(|members| {
             let mut mass = 0.0;
@@ -214,15 +163,5 @@ mod tests {
         let halos = fof_halos(&pos, &vel, &mass, 1.0, 2);
         assert_eq!(halos.len(), 1);
         assert_eq!(halos[0].members.len(), 50);
-    }
-
-    #[test]
-    fn union_find_invariants() {
-        let mut uf = UnionFind::new(10);
-        uf.union(0, 1);
-        uf.union(2, 3);
-        uf.union(1, 3);
-        assert_eq!(uf.find(0), uf.find(2));
-        assert_ne!(uf.find(0), uf.find(9));
     }
 }

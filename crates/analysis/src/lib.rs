@@ -8,10 +8,10 @@
 //! 11.6% of the Frontier-E runtime.
 //!
 //! * [`bvh`] — a Morton-ordered linear BVH (the ArborX analog) with
-//!   fixed-radius neighbor queries;
-//! * [`fof`] — friends-of-friends halo finding via union-find over BVH
-//!   queries, with halo property reduction;
-//! * [`mod@dbscan`] — DBSCAN core/border/noise clustering;
+//!   fixed-radius neighbor queries, all served by one traversal;
+//! * [`mod@dbscan`] — the one clustering kernel, `dbscan::cluster`: DBSCAN
+//!   by one union-find over BVH walks. FOF ([`fof`], with halo property
+//!   reduction) is DBSCAN at `min_pts = 2`;
 //! * [`power`] — matter power spectrum P(k) from the distributed FFT;
 //! * [`massfunc`] — halo mass functions;
 //! * [`slices`] — density/temperature slice extraction (Fig. 3).

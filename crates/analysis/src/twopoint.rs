@@ -45,18 +45,18 @@ pub fn correlation_function(
         .map(|i| r_min * (log_step * i as f64).exp())
         .collect();
 
-    // Cumulative counts per edge via count_radius, then difference.
-    // Each unordered pair is counted twice (query from both ends), minus
-    // the self-match at r=0 included in every count.
+    // Cumulative counts per edge from one walk per point out to the
+    // outermost edge, binning each pair by `d2 <= r_e²` at every edge
+    // (self-matches skipped). Each unordered pair is counted twice,
+    // walked from both ends.
     let mut cum = vec![0u64; n_bins + 1];
-    for p in positions {
-        for (e, &r) in edges.iter().enumerate() {
-            cum[e] += bvh.count_radius(p, r) as u64;
-        }
-    }
-    // Remove self-matches (each point counts itself at every radius).
-    for c in cum.iter_mut() {
-        *c -= positions.len() as u64;
+    for (i, p) in positions.iter().enumerate() {
+        bvh.walk(p, edges[n_bins], |j, d2| {
+            for (c, r) in cum.iter_mut().zip(&edges) {
+                *c += u64::from(j as usize != i && d2 <= r * r);
+            }
+            true
+        });
     }
 
     (0..n_bins)

@@ -101,8 +101,6 @@ pub struct StepRecord {
     pub stars_formed: u64,
     /// Modeled GPU kernel seconds this step (max over ranks).
     pub gpu_seconds_modeled: f64,
-    /// Modeled blocking I/O seconds (Frontier-scale).
-    pub io_blocking_s: f64,
     /// Wall-clock solver seconds this step (max over ranks).
     pub wall_seconds: f64,
 }
@@ -967,7 +965,7 @@ fn rank_main(
         in_situ_analysis(&run, &mut st, &step);
         close_step(&run, comm, &mut st, &step, nsub);
         let gpu_s = run.model.kernel_time_s(&st.sr.counters) - gpu_start;
-        let io_blocking = write_checkpoint(&run, &mut st, &step, gpu_s);
+        write_checkpoint(&run, &mut st, &step, gpu_s);
         reduce_ledger(comm, &mut st, &step, n_owned_global);
 
         let stars_formed = comm.all_reduce_sum_u64(stars);
@@ -987,7 +985,6 @@ fn rank_main(
             particles: n_owned_global,
             stars_formed,
             gpu_seconds_modeled: gpu_max,
-            io_blocking_s: io_blocking,
             wall_seconds: wall_max,
         });
     }
@@ -995,7 +992,7 @@ fn rank_main(
     // --- final analysis: P(k), FOF, xi(r), HOD galaxies, SZ map ---
     let sp = st.tracer.begin(Phase::Analysis.name(), "final-analysis");
     let (power, n_halos, largest_halo, xi, n_galaxies, y_conc) =
-        final_analysis(cfg, comm, &st.store);
+        final_analysis(&run, comm, &st.store);
     st.tracer.end(sp);
 
     let state_hash = global_state_hash(comm, &st.store, cfg.box_size);
@@ -1245,13 +1242,12 @@ fn close_step(run: &Run, comm: &mut Comm, st: &mut RankState, step: &PmStep, nsu
 }
 
 /// Stage 7: the tiered checkpoint of the completed step, at its cadence.
-/// Returns the modeled blocking I/O seconds.
 // p1: hot-loop
-fn write_checkpoint(run: &Run, st: &mut RankState, step: &PmStep, gpu_s: f64) -> f64 {
+fn write_checkpoint(run: &Run, st: &mut RankState, step: &PmStep, gpu_s: f64) {
     let cfg = run.cfg;
-    let Some(w) = st.writer.as_mut() else { return 0.0 };
+    let Some(w) = st.writer.as_mut() else { return };
     if !(step.index + 1).is_multiple_of(cfg.checkpoint_every) {
-        return 0.0;
+        return;
     }
     let sp = st.tracer.begin(Phase::Io.name(), "checkpoint");
     // Low-z clustering raises PFS contention and grows the node data
@@ -1263,17 +1259,14 @@ fn write_checkpoint(run: &Run, st: &mut RankState, step: &PmStep, gpu_s: f64) ->
     let mut blocks = st.store.checkpoint_blocks(cfg.box_size);
     blocks.extend(run_blocks(st.owed_substeps, Schedule::of(cfg)));
     let index = step.index as u64;
-    let io_blocking = w
-        .write_checkpoint(index, &blocks, frac * 0.8, (1.0 + frac) * analysis_dip)
-        .unwrap_or_else(|e| {
-            escalate(StepError::CheckpointWrite {
-                step: index,
-                // p1: allow: cold path — only runs when a checkpoint write fails, right before unwinding
-                cause: e.to_string(),
-            })
+    if let Err(e) = w.write_checkpoint(index, &blocks, frac * 0.8, (1.0 + frac) * analysis_dip) {
+        escalate(StepError::CheckpointWrite {
+            step: index,
+            // p1: allow: cold path — only runs when a checkpoint write fails, right before unwinding
+            cause: e.to_string(),
         });
+    }
     st.tracer.end(sp);
-    io_blocking
 }
 
 /// The conservation ledger: globally reduced end-of-step totals.
@@ -1488,24 +1481,16 @@ impl Subgrid {
 
 /// Final-state analysis.
 fn final_analysis(
-    cfg: &SimConfig,
+    run: &Run,
     comm: &mut Comm,
     store: &ParticleStore,
 ) -> (Vec<PowerBin>, usize, f64, Vec<XiBin>, u64, f64) {
+    let cfg = run.cfg;
     let n = store.n_owned;
     let (pos, vel, mass) = (&store.pos[..n], &store.vel[..n], &store.mass[..n]);
-    // P(k) over all ranks through the PM deposit path.
-    let pm = PmSolver::new(
-        comm,
-        PmConfig {
-            n: cfg.ngrid,
-            box_size: cfg.box_size,
-            prefactor: 1.0,
-            split_scale: 0.0,
-            deconvolve_cic: false,
-        },
-    );
-    let (delta_k, y0, ny) = pm.density_k(comm, pos, mass);
+    // P(k) over all ranks through the PM deposit path (`density_k` reads
+    // only the solver's grid size and box).
+    let (delta_k, y0, ny) = run.pm.density_k(comm, pos, mass);
     let power = measure_power(comm, &delta_k, cfg.ngrid, y0, ny, cfg.box_size);
     // Local FOF (per-rank; the global count is the reduced sum).
     let b_link = 0.2 * cfg.particle_spacing();

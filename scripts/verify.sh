@@ -181,8 +181,10 @@ echo "== state-hash table (informational, no threshold) =="
 # built; diff against another binary's output to see what a change moved.
 scripts/state_hashes.sh
 
-echo "== tier 2: release test suite =="
-cargo test --release -q --offline
+echo "== tier 2: release test suite, every workspace crate =="
+# The crates' own tests (the clustering oracles, the driver's, the lint
+# rule fixtures, ...) run only under --workspace.
+cargo test --workspace --release -q --offline
 
 echo "== tier 2: telemetry golden-section determinism =="
 # Two identical runs must produce byte-identical Chrome traces and

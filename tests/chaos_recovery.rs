@@ -9,33 +9,11 @@
 //! contract holds in every physics mode: a PM step inherits the particle
 //! store and nothing else, so the gates here run full hydro.
 
+mod common;
+
+use common::TempRunDir;
 use frontier_sim::core::{run_simulation, Physics, SimConfig};
 use frontier_sim::telem::FaultKind;
-
-/// Scratch directory that cleans itself up on success but survives a
-/// failing test so the checkpoints can be inspected.
-struct TempRunDir(std::path::PathBuf);
-
-impl TempRunDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "frontier-chaos-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        Self(dir)
-    }
-}
-
-impl Drop for TempRunDir {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("test failed; run artifacts kept at {}", self.0.display());
-        } else {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-}
 
 /// Full hydro at low redshift: the CFL rule asks for the deepest rung
 /// allowed and the subgrid models draw every substep, so a replayed step
@@ -52,7 +30,7 @@ fn cfg(tag: &str, chaos: Option<&str>) -> (SimConfig, TempRunDir) {
     c.seed = 1234;
     c.chaos = chaos.map(String::from);
     let dir = TempRunDir::new(tag);
-    c.io_dir = Some(dir.0.clone());
+    c.io_dir = Some(dir.path().to_path_buf());
     (c, dir)
 }
 

@@ -7,37 +7,10 @@
 //! uninterrupted one — bit for bit, in every physics mode: a PM step
 //! inherits the particle store and nothing else.
 
+mod common;
+
+use common::TempRunDir;
 use frontier_sim::core::{resume_simulation, run_simulation, Physics, SimConfig};
-
-/// Scratch directory that cleans itself up on success but survives a
-/// failing test, so the checkpoint files that triggered the failure can
-/// be inspected.
-struct TempRunDir(std::path::PathBuf);
-
-impl TempRunDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "frontier-ft-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        Self(dir)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for TempRunDir {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("test failed; run artifacts kept at {}", self.0.display());
-        } else {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-}
 
 /// Tear a checkpoint: flip one byte in the middle of its payload.
 fn flip_middle_byte(path: &std::path::Path) {

@@ -8,9 +8,10 @@
 //! holding at rank counts that oversubscribe the FFT slab decomposition
 //! (zero-plane ranks) and the host cores alike.
 
-use frontier_sim::core::particles::ParticleRecord;
+mod common;
+
+use common::final_state;
 use frontier_sim::core::{run_simulation, Physics, SimConfig};
-use frontier_sim::iosim::TieredWriter;
 use frontier_sim::ranks::{smoke, World};
 
 // --- smoke worlds: every collective kind + p2p ring -----------------
@@ -61,27 +62,6 @@ fn cfg_io(np: usize, tag: &str) -> (SimConfig, std::path::PathBuf) {
     let _ = std::fs::remove_dir_all(&dir);
     c.io_dir = Some(dir.clone());
     (c, dir)
-}
-
-/// Full final particle state from the checkpoints, sorted by particle
-/// id so the ordering is decomposition-independent.
-fn final_state(dir: &std::path::Path, ranks: usize) -> Vec<(u64, Vec<f64>)> {
-    let fields = &ParticleRecord::COLUMNS[..ParticleRecord::F64_COLUMNS];
-    let mut rows = Vec::new();
-    for r in 0..ranks {
-        let pfs = dir.join("pfs").join(format!("rank-{r}"));
-        let (_, blocks) = TieredWriter::load_latest_valid(&pfs).unwrap();
-        let ids = blocks.iter().find(|b| b.name == "id").unwrap().as_u64();
-        let cols: Vec<Vec<f64>> = fields
-            .iter()
-            .map(|n| blocks.iter().find(|b| b.name == *n).unwrap().as_f64())
-            .collect();
-        for (i, &id) in ids.iter().enumerate() {
-            rows.push((id, cols.iter().map(|c| c[i]).collect()));
-        }
-    }
-    rows.sort_by_key(|(id, _)| *id);
-    rows
 }
 
 /// FNV-1a over the exact bit patterns of the sorted id set.

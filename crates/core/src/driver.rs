@@ -1403,13 +1403,20 @@ struct Subgrid {
     cooling: CoolingModel,
     sf: StarFormationModel,
     sn: SupernovaModel,
+    /// `SimConfig::sph_eta`, which the kick sets `h` with.
+    eta: f64,
 }
 
 impl Subgrid {
     fn new(cfg: &SimConfig) -> Self {
         let mut sf = StarFormationModel::new(cfg.cosmology.h);
         sf.nh_threshold = cfg.sf_nh_threshold;
-        Self { cooling: CoolingModel::new(cfg.cosmology.h), sf, sn: SupernovaModel::new() }
+        Self {
+            cooling: CoolingModel::new(cfg.cosmology.h),
+            sf,
+            sn: SupernovaModel::new(),
+            eta: cfg.sph_eta,
+        }
     }
 
     /// Cooling, star formation, and SN feedback of the owned gas `gas`
@@ -1426,16 +1433,16 @@ impl Subgrid {
     ) -> u64 {
         let dt_gyr = kd.dt_gyr(a0, a1);
         let a = 0.5 * (a0 + a1);
-        // Approximate local comoving density from the smoothing length
-        // (rho = m (eta/h)^3) — the cheap estimate the subgrid models key on.
-        let rho_of = |store: &ParticleStore, i: usize, eta: f64| {
+        // Approximate local comoving density from the smoothing length:
+        // the kick's h = eta (m/rho)^(1/3) inverted, rho = m (eta/h)^3 —
+        // the cheap estimate the subgrid models key on.
+        let rho_of = |store: &ParticleStore, i: usize| {
             let h = store.h[i].max(1e-6);
-            store.mass[i] * (eta / h).powi(3)
+            store.mass[i] * (self.eta / h).powi(3)
         };
-        let eta = 1.6;
         let mut new_stars: Vec<usize> = Vec::new();
         for &i in gas {
-            let rho = rho_of(store, i, eta);
+            let rho = rho_of(store, i);
             let z_metal = store.metals[i];
             store.u[i] = self.cooling.cool_particle(rho, store.u[i], z_metal, a, dt_gyr);
             // The gas list is frozen for the PM step: a particle converted
@@ -1532,8 +1539,10 @@ fn final_analysis(
         vec![]
     };
 
-    // Compton-y mock map of the gas, for the SZ concentration diagnostic.
-    let gas: Vec<usize> = store.indices_of(Species::Gas);
+    // Compton-y mock map of the gas, for the SZ concentration diagnostic:
+    // like xi, a rank-0 statistic (the report reads rank 0's value).
+    let gas: Vec<usize> =
+        if comm.rank() == 0 { store.indices_of(Species::Gas) } else { Vec::new() };
     let y_conc = if gas.len() > 10 {
         let gpos: Vec<[f64; 3]> = gas.iter().map(|&i| store.pos[i]).collect();
         let gmass: Vec<f64> = gas.iter().map(|&i| store.mass[i]).collect();

@@ -15,10 +15,10 @@
 //!
 //! Everything here is a pure function of the plan: no wall clocks, no
 //! OS randomness. A plan either comes verbatim from a `--chaos SPEC`
-//! string or is expanded from the run seed (`auto@N`) by a splitmix64
-//! chain — so the same seed and spec produce the same injections, the
-//! same recoveries, and byte-identical `FaultCounters` rows in the
-//! telemetry golden report.
+//! string or is expanded from the run seed (`auto@N`) by a
+//! `hacc_rt::rng::splitmix64` chain — so the same seed and spec
+//! produce the same injections, the same recoveries, and
+//! byte-identical `FaultCounters` rows in the telemetry golden report.
 //!
 //! Each planned event fires **exactly once per supervised run**, not
 //! once per attempt: the consumed flags live in the shared
@@ -44,6 +44,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use hacc_rt::rng::splitmix64;
 use hacc_rt::sync::Mutex;
 use hacc_telem::{FaultCounters, FaultKind, FAULT_KINDS};
 
@@ -78,16 +79,6 @@ fn site_from_token(tok: &str) -> Option<FaultKind> {
         "gpu-launch" => FaultKind::GpuLaunch,
         _ => return None,
     })
-}
-
-/// The splitmix64 step — the deterministic expansion primitive for
-/// `auto@N` events (same seed, same plan, on every platform).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {
@@ -304,6 +295,30 @@ mod tests {
         assert!(a.events.iter().all(|e| e.step < 4 && e.rank < 2));
         let c = FaultPlan::parse("auto@16", 43, 4, 2).unwrap();
         assert_ne!(a, c, "different seeds must give different plans");
+    }
+
+    #[test]
+    fn auto_expansion_is_pinned() {
+        // The plan `auto@8` expands to for seed 42 on 4 steps x 2 ranks:
+        // a chaos run is replayed from its seed, so the expansion is
+        // part of the recorded run.
+        use FaultKind::*;
+        let p = FaultPlan::parse("auto@8", 42, 4, 2).unwrap();
+        let got: Vec<(FaultKind, u64, usize)> =
+            p.events.iter().map(|e| (e.site, e.step, e.rank)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (CommTrunc, 1, 0),
+                (CkptCrc, 3, 1),
+                (CommTrunc, 1, 0),
+                (CkptTorn, 3, 0),
+                (RankPanic, 1, 0),
+                (CommTrunc, 2, 0),
+                (CommDelay, 1, 1),
+                (NvmeErr, 0, 0),
+            ]
+        );
     }
 
     #[test]

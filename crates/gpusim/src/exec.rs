@@ -138,7 +138,7 @@ pub trait SplitKernel<T: Real = f64>: Sync {
     /// that meets across a periodic seam; a kernel whose lists never hold
     /// such a pair needs no override, and the default refuses.
     fn translated(&self, _s: &Self::State, _by: [f64; 3]) -> Self::State {
-        // e1: allow: a wrapped list swept with a kernel that cannot move its states is a programming error, not a fault the supervisor could recover from
+        // A wrapped list swept with a kernel that cannot move its states is a programming error, not a fault the supervisor could recover from
         panic!("kernel {} cannot sweep a periodic leaf pair", self.name())
     }
 }

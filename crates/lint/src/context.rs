@@ -4,8 +4,9 @@
 //! [`Context::new`], the typed [`CallGraph`] over it exactly once, and
 //! hands the same context to every rule. The helpers every rule shares
 //! live here too: the test-tree predicate and the `// <tag>: ...`
-//! marker-comment scanner behind all on-site annotations (`e1: allow:`,
-//! `e1: root`, `p1: hot-loop`, `v1: allow:`).
+//! marker-comment scanner behind all on-site annotations (`e1: root`,
+//! `p1: hot-loop`, and the `<rule>: allow:` suppressions that
+//! [`crate::rules::run_all`] applies after every rule).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,12 +33,6 @@ impl<'a> Context<'a> {
             markers(&f.toks, tag).filter(|(_, rest)| keep(rest)).map(|(line, _)| line).collect()
         };
         self.ws.files.iter().map(|f| (f.rel.as_str(), lines(f))).collect()
-    }
-
-    /// Per-file `// <tag>: allow: <reason>` lines; an empty reason does
-    /// not suppress.
-    pub fn allowed(&self, tag: &str) -> MarkedLines<'a> {
-        self.marked(tag, |rest| rest.strip_prefix("allow:").is_some_and(|r| !r.trim().is_empty()))
     }
 }
 

@@ -28,10 +28,12 @@
 //!
 //! Findings print as `file:line: [RULE] message` (plus an indented
 //! witness chain for interprocedural findings); `--json` emits the
-//! stable `hacc-lint/1` schema (`docs/LINT.md`). Suppressions live in
-//! a checked-in `lint.allow` ([`AllowList`]) whose every entry requires a
-//! justification, or on-site as `// e1: allow: <reason>`-style marker
-//! comments. Exit codes: 0 clean, 1 unsuppressed findings, 2 bad
+//! stable `hacc-lint/2` schema (`docs/LINT.md`). A finding is
+//! suppressed only at its site: a `// <rule>: allow: <reason>` comment
+//! (`d1`, `c1`, ..., `v1`) on its line or the line above, applied once
+//! after every rule by [`rules::run_all`]. A marker that suppresses
+//! nothing is itself a finding, so a stale one cannot wait for the next
+//! violation beside it. Exit codes: 0 clean, 1 findings, 2 bad
 //! invocation/IO. The `hacc-lint` binary is the one way to run it (the
 //! tier-0 gate in `scripts/verify.sh`); nothing that simulates depends
 //! on this crate — the finding format both it and `hacc-san` speak
@@ -49,8 +51,8 @@ pub mod lexer;
 pub mod manifest;
 pub mod rules;
 
-use hacc_telem::{diag, find_workspace_root};
-pub use hacc_telem::{AllowList, Diagnostic, Rule};
+use hacc_telem::diag;
+pub use hacc_telem::{Diagnostic, Rule};
 
 /// One lexed + parsed source file.
 #[derive(Debug)]
@@ -141,76 +143,46 @@ fn relpath(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Result of one lint run, before rendering.
-#[derive(Debug)]
-pub struct LintReport {
-    /// Unsuppressed findings, sorted.
-    pub findings: Vec<Diagnostic>,
-    /// Findings matched by `lint.allow` entries.
-    pub suppressed: usize,
-    /// `lint.allow` entries (file, rule, allow-file line) that matched
-    /// nothing this run.
-    pub unused_allows: Vec<(String, Rule, u32)>,
-}
-
-/// Run every rule over `ws`, partitioning through the allowlist.
-pub fn lint(ws: &Workspace, allow: &mut AllowList) -> LintReport {
-    let all = rules::run_all(ws);
-    let mut findings = Vec::new();
-    let mut suppressed = 0usize;
-    for d in all {
-        if allow.suppresses(&d) {
-            suppressed += 1;
-        } else {
-            findings.push(d);
+/// Walk upward from `start` to the manifest declaring `[workspace]`.
+fn find_workspace_root(start: &Path) -> Option<PathBuf> {
+    let mut dir = start.canonicalize().ok()?;
+    loop {
+        let manifest = dir.join("Cargo.toml");
+        if let Ok(text) = std::fs::read_to_string(&manifest) {
+            if text.contains("[workspace]") {
+                return Some(dir);
+            }
         }
-    }
-    let unused_allows = allow
-        .unused()
-        .into_iter()
-        .map(|e| (e.file.clone(), e.rule, e.line))
-        .collect();
-    LintReport {
-        findings,
-        suppressed,
-        unused_allows,
+        dir = dir.parent()?.to_path_buf();
     }
 }
 
 /// The CLI driver behind the `hacc-lint` binary.
 ///
 /// ```text
-/// hacc-lint [--root DIR] [--allow FILE] [--json] [--strict]
+/// hacc-lint [--root DIR] [--json]
 /// ```
 ///
-/// Returns the process exit code: 0 clean, 1 unsuppressed findings (or,
-/// under `--strict`, stale `lint.allow` entries), 2 invocation or IO
-/// error.
+/// Returns the process exit code: 0 clean, 1 findings (stale
+/// suppression markers among them), 2 invocation or IO error.
 pub fn cli_main(args: &[String]) -> i32 {
-    let (mut root, mut allow_path, mut json, mut strict) = (None, None, false, false);
+    let (mut root, mut json) = (None, false);
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let (slot, what) = match a.as_str() {
-            "--json" => {
-                json = true;
-                continue;
+        match a.as_str() {
+            "--json" => json = true,
+            "--root" => {
+                let Some(v) = it.next() else {
+                    eprintln!("lint: --root requires a directory");
+                    return 2;
+                };
+                root = Some(PathBuf::from(v));
             }
-            "--strict" => {
-                strict = true;
-                continue;
-            }
-            "--root" => (&mut root, "a directory"),
-            "--allow" => (&mut allow_path, "a file"),
             other => {
-                eprintln!("lint: unknown option {other:?} (expected --root DIR | --allow FILE | --json | --strict)");
+                eprintln!("lint: unknown option {other:?} (expected --root DIR | --json)");
                 return 2;
             }
-        };
-        let Some(v) = it.next() else {
-            eprintln!("lint: {a} requires {what}");
-            return 2;
-        };
-        *slot = Some(PathBuf::from(v));
+        }
     }
 
     let start = root.unwrap_or_else(|| PathBuf::from("."));
@@ -218,48 +190,27 @@ pub fn cli_main(args: &[String]) -> i32 {
         eprintln!("lint: no workspace Cargo.toml found at or above {}", start.display());
         return 2;
     };
-    let allow_file = allow_path.unwrap_or_else(|| root.join("lint.allow"));
-    let allow = match std::fs::read_to_string(&allow_file) {
-        Ok(text) => AllowList::parse(&text, &allow_file.to_string_lossy()),
-        Err(_) if !allow_file.exists() => Ok(AllowList::empty()),
-        Err(e) => Err(format!("read {}: {e}", allow_file.display())),
-    };
-    let (mut allow, ws) = match allow.and_then(|a| Ok((a, Workspace::load(&root)?))) {
-        Ok(loaded) => loaded,
+    let ws = match Workspace::load(&root) {
+        Ok(ws) => ws,
         Err(e) => {
             eprintln!("lint: {e}");
             return 2;
         }
     };
-    let report = lint(&ws, &mut allow);
+    let findings = rules::run_all(&ws);
 
     if json {
-        print!("{}", diag::render_json(&report.findings, report.suppressed));
+        print!("{}", diag::render_json(&findings));
     } else {
-        report.findings.iter().for_each(|d| println!("{}", d.render()));
-    }
-    // Stale suppressions: a note in text mode, an error under --strict
-    // (also for JSON consumers, on stderr).
-    let verdict = if strict { "error" } else { "note" };
-    if !json || (strict && report.findings.is_empty()) {
-        for (file, rule, line) in &report.unused_allows {
-            eprintln!(
-                "lint: {verdict}: lint.allow:{line}: suppression of {} in {file} matched nothing (stale?)",
-                rule.code()
-            );
-        }
-    }
-    if !json {
+        findings.iter().for_each(|d| println!("{}", d.render()));
         eprintln!(
-            "hacc-lint: {} file(s), {} manifest(s): {} finding(s), {} suppressed",
+            "hacc-lint: {} file(s), {} manifest(s): {} finding(s)",
             ws.files.len(),
             ws.manifests.len(),
-            report.findings.len(),
-            report.suppressed
+            findings.len()
         );
     }
-    let stale = strict && !report.unused_allows.is_empty();
-    i32::from(!report.findings.is_empty() || stale)
+    i32::from(!findings.is_empty())
 }
 
 #[cfg(test)]
@@ -275,24 +226,5 @@ mod tests {
         assert_eq!(ws.files.len(), 1);
         assert_eq!(ws.manifests.len(), 1);
         assert_eq!(ws.manifests[0].package.as_deref(), Some("x"));
-    }
-
-    #[test]
-    fn lint_partitions_through_allowlist() {
-        let ws = Workspace::from_sources(&[("crates/x/src/lib.rs", "extern crate libc;\n")]);
-        let mut allow = AllowList::empty();
-        let r = lint(&ws, &mut allow);
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, Rule::H1);
-
-        let mut allow = AllowList::parse(
-            "crates/x/src/lib.rs: H1: fixture justification for the test\n",
-            "t",
-        )
-        .unwrap();
-        let r = lint(&ws, &mut allow);
-        assert!(r.findings.is_empty());
-        assert_eq!(r.suppressed, 1);
-        assert!(r.unused_allows.is_empty());
     }
 }

@@ -38,7 +38,7 @@
 //! Guard tracking is lexical, not control flow: a call whose *execution*
 //! is rank-uniform but whose *text* sits under a rank guard still fires —
 //! the right default for a deadlock class; suppress the rare intentional
-//! case in `lint.allow` with a justification. Every site is reported.
+//! case with a `// c1: allow: <reason>` marker. Every site is reported.
 //! Test code is exempt: the hacc-san fixtures place collectives under
 //! rank guards on purpose, and the tier-4 `HACC_SAN=1` gate catches
 //! divergent collectives in tests at runtime.

@@ -17,19 +17,20 @@
 //!    pure function of the seed. Only the `crates/bench` harness may
 //!    read clocks; anything else — the span tracer, the one
 //!    wall-duration authority of a run, included — needs a reviewed
-//!    `lint.allow` entry. A timed wait (`wait_timeout`, `park_timeout`,
-//!    `recv_timeout`, `thread::sleep`) is a clock read in disguise —
-//!    what the code does next depends on how long something took — and
-//!    is flagged the same way: a blocking point parks on the scheduler
-//!    and is woken by an event or a quiescence proof.
+//!    `// d1: allow: <reason>` marker at the read. A timed wait
+//!    (`wait_timeout`, `park_timeout`, `recv_timeout`, `thread::sleep`)
+//!    is a clock read in disguise — what the code does next depends on
+//!    how long something took — and is flagged the same way: a blocking
+//!    point parks on the scheduler and is woken by an event or a
+//!    quiescence proof.
 //!
 //! 3. **Environment reads outside the two env owners.** `std::env::var`
 //!    (and `var_os` / `vars` / `option_env!`) is ambient configuration:
 //!    two runs of the same seed on different machines silently diverge,
 //!    and a benchmark no longer knows what it measured. Every knob must
 //!    arrive through the parsed config; only `crates/san/src/lib.rs`
-//!    (`HACC_SAN`, `HACC_SAN_ALLOW`: the tier-4 full-suite gate) and
-//!    `crates/bench` may read the environment.
+//!    (`HACC_SAN`: the tier-4 full-suite gate) and `crates/bench` may
+//!    read the environment.
 //!
 //! 4. **Thread creation outside the two thread owners.** Ranks on
 //!    `hacc_rt::sched` lanes are the host's only parallelism: the

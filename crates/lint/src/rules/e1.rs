@@ -30,9 +30,10 @@
 //! * panic sites inside an `if` whose condition mentions `FaultKind`
 //!   or calls `.fire(..)` — those are the registered injection sites
 //!   the supervisor exists to catch;
-//! * `// e1: allow: <reason>` on the site line or the line above
-//!   (empty reason does not suppress);
 //! * `#[cfg(test)]` items and `tests/` / `benches/` trees.
+//!
+//! A `// e1: allow: <reason>` marker on the site line or the line above
+//! drops the finding in [`super::run_all`]'s suppression step.
 
 use crate::ast::{self, Expr, ExprKind};
 use crate::callgraph::CallGraph;
@@ -129,8 +130,6 @@ pub fn panic_surface(cg: &CallGraph<'_>, local: &[u8]) -> Vec<u8> {
 
 pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     let cg = &cx.cg;
-    let allowed = cx.allowed("e1");
-
     // Local panic info per node.
     let mut local_mask = vec![0u8; cg.nodes.len()];
     let mut local_sites: Vec<Vec<PanicSite>> = Vec::with_capacity(cg.nodes.len());
@@ -166,9 +165,6 @@ pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
             continue;
         }
         for site in &local_sites[fid] {
-            if near(&allowed, n.file, site.line) {
-                continue;
-            }
             let chain = cg.witness_path(&parents, fid);
             let mut witness = Vec::with_capacity(chain.len() + 1);
             let root_id = chain[0].0;

@@ -28,7 +28,7 @@
 //!
 //! Site suppression: `// p1: allow: <reason>` on the allocation's line
 //! or the line above documents a reviewed exception (e.g. a cold error
-//! branch inside a hot loop). An empty reason does not suppress.
+//! branch inside a hot loop); [`super::run_all`] applies it.
 //! `#[cfg(test)]` items and `tests/` / `benches/` trees are exempt.
 
 use crate::ast::{self, Block, Expr, ExprKind};
@@ -55,30 +55,21 @@ const ALLOC_TYPES: [&str; 8] = [
 ];
 
 pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
-    let marks = Marks {
-        hot: cx.marked("p1", |rest| rest.starts_with("hot-loop")),
-        allowed: cx.allowed("p1"),
-    };
+    let hot = cx.marked("p1", |rest| rest.starts_with("hot-loop"));
     let mut out = Vec::new();
     for n in cx.cg.nodes.iter().filter(|n| !n.in_test) {
         let Some(body) = &n.def.body else { continue };
         let kernel = n.impl_trait == Some("SplitKernel")
             && matches!(n.name, "interact" | "interact_pair" | "partial");
         if kernel {
-            flag_block(n.file, body, "per-pair kernel body", &marks, &mut out);
-        } else if near(&marks.hot, n.file, n.def.line) {
-            flag_block(n.file, body, "`// p1: hot-loop` marked fn", &marks, &mut out);
+            flag_block(n.file, body, "per-pair kernel body", &mut out);
+        } else if near(&hot, n.file, n.def.line) {
+            flag_block(n.file, body, "`// p1: hot-loop` marked fn", &mut out);
         } else {
-            scan_for_hot_loops(n.file, body, n.name, &marks, &mut out);
+            scan_for_hot_loops(n.file, body, n.name, &hot, &mut out);
         }
     }
     out
-}
-
-/// The file-keyed `// p1: hot-loop` and `// p1: allow:` marker lines.
-struct Marks<'a> {
-    hot: MarkedLines<'a>,
-    allowed: MarkedLines<'a>,
 }
 
 /// Non-kernel function: hot regions are its loops — all of them when
@@ -88,7 +79,7 @@ fn scan_for_hot_loops(
     file: &str,
     body: &Block,
     fn_name: &str,
-    marks: &Marks<'_>,
+    hot: &MarkedLines<'_>,
     out: &mut Vec<Diagnostic>,
 ) {
     let tile_driver = fn_name.starts_with("execute_leaf");
@@ -99,7 +90,7 @@ fn scan_for_hot_loops(
             | ExprKind::Loop { body } => body,
             _ => return,
         };
-        if tile_driver || near(&marks.hot, file, e.line) {
+        if tile_driver || near(hot, file, e.line) {
             let ctx = if tile_driver {
                 "interaction-tile loop"
             } else {
@@ -107,18 +98,12 @@ fn scan_for_hot_loops(
             };
             // walk_block on the loop body also covers nested loops, so
             // a marked outer loop flags allocations at any depth.
-            flag_block(file, loop_body, ctx, marks, out);
+            flag_block(file, loop_body, ctx, out);
         }
     });
 }
 
-fn flag_block(
-    file: &str,
-    b: &Block,
-    ctx: &str,
-    marks: &Marks<'_>,
-    out: &mut Vec<Diagnostic>,
-) {
+fn flag_block(file: &str, b: &Block, ctx: &str, out: &mut Vec<Diagnostic>) {
     ast::walk_block(b, &mut |e: &Expr| {
         let what = match &e.kind {
             ExprKind::Call { callee, .. } => match &callee.kind {
@@ -145,9 +130,6 @@ fn flag_block(
             _ => None,
         };
         if let Some(what) = what {
-            if near(&marks.allowed, file, e.line) {
-                return;
-            }
             out.push(Diagnostic { witness: Vec::new(),
                 file: file.to_string(),
                 line: e.line,

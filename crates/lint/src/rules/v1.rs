@@ -36,19 +36,18 @@
 //!    types as integers (loop counters) are exempt.
 //!
 //! Suppression: `// v1: allow: <reason>` on the site line or the line
-//! above. `#[cfg(test)]` items and `tests/` / `benches/` trees are
-//! exempt.
+//! above, applied by [`super::run_all`]. `#[cfg(test)]` items and
+//! `tests/` / `benches/` trees are exempt.
 
 use std::collections::BTreeSet;
 
 use crate::ast::{self, is_literal, Block, Expr, ExprKind, Stmt};
 use crate::callgraph::CallGraph;
-use crate::context::{near, Context, MarkedLines};
+use crate::context::Context;
 use crate::index::{Env, FnId, Ty, Typer};
 use hacc_telem::diag::{Diagnostic, Rule, WitnessStep};
 
 pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
-    let allowed = cx.allowed("v1");
     let typer = Typer::new(cx.index);
     let mut out = Vec::new();
     for (fid, n) in cx.cg.nodes.iter().enumerate() {
@@ -68,7 +67,6 @@ pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
             region,
             bounded: range_bound_vars(body),
             int_locals: int_typed_locals(&typer, body),
-            allowed: &allowed,
             flagged: BTreeSet::new(),
             out: &mut out,
             before: Vec::new(),
@@ -88,7 +86,6 @@ struct Walk<'a, 'c> {
     region: String,
     bounded: BTreeSet<String>,
     int_locals: BTreeSet<String>,
-    allowed: &'c MarkedLines<'a>,
     flagged: BTreeSet<(u32, &'static str)>,
     out: &'c mut Vec<Diagnostic>,
     /// What has run on every path to the current expression: earlier
@@ -240,7 +237,7 @@ impl<'a> Walk<'a, '_> {
 
     fn push(&mut self, line: u32, kind: &'static str, message: String, witness: Vec<WitnessStep>) {
         let file = self.cg.nodes[self.fid].file;
-        if near(self.allowed, file, line) || !self.flagged.insert((line, kind)) {
+        if !self.flagged.insert((line, kind)) {
             return;
         }
         self.out.push(Diagnostic { file: file.to_string(), line, rule: Rule::V1, message, witness });

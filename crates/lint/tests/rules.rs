@@ -6,7 +6,7 @@
 //! string literals, which the lexer treats as opaque — so nothing in
 //! this file can trip the self-check that lints the repository itself.
 
-use hacc_lint::{lint, rules, AllowList, Rule, Workspace};
+use hacc_lint::{rules, Rule, Workspace};
 
 fn findings(ws: &Workspace, rule: Rule) -> Vec<String> {
     rules::run_all(ws)
@@ -612,22 +612,59 @@ fn f1_fully_covered_enum_is_clean() {
     assert_eq!(findings(&ws, Rule::F1), Vec::<String>::new());
 }
 
-// ---------------------------------------------- allowlist + exit codes --
+// ------------------------------------------- suppression + exit codes --
+
+/// Every finding, rendered, of one fixture file outside the blessed
+/// clock modules, where an `Instant::now` is a D1 finding.
+fn lint_fixture(src: &str) -> Vec<String> {
+    let ws = Workspace::from_sources(&[("crates/core/src/fixture.rs", src)]);
+    rules::run_all(&ws).iter().map(|d| d.render()).collect()
+}
 
 #[test]
-fn allowlist_requires_justification_and_suppresses_by_file_and_rule() {
-    assert!(AllowList::parse("crates/x/src/lib.rs: H1:\n", "lint.allow").is_err());
+fn d1_allow_marker_drops_a_finding_on_its_line_and_the_line_below() {
+    let bare = "pub fn t() -> f64 {\n    std::time::Instant::now().elapsed().as_secs_f64()\n}\n";
+    assert_eq!(lint_fixture(bare).len(), 1);
 
-    let ws = Workspace::from_sources(&[("crates/x/src/lib.rs", "extern crate libc;\n")]);
-    let mut allow = AllowList::parse(
-        "crates/x/src/lib.rs: H1: fixture — the escape is reviewed in this test\n",
-        "lint.allow",
-    )
-    .unwrap();
-    let report = lint(&ws, &mut allow);
-    assert!(report.findings.is_empty());
-    assert_eq!(report.suppressed, 1);
-    assert!(report.unused_allows.is_empty());
+    let same_line = "pub fn t() -> f64 {\n    \
+                     std::time::Instant::now().elapsed().as_secs_f64() // d1: allow: fixture print\n\
+                     }\n";
+    let line_above = "pub fn t() -> f64 {\n    // d1: allow: fixture print\n    \
+                      std::time::Instant::now().elapsed().as_secs_f64()\n}\n";
+    for src in [same_line, line_above] {
+        assert_eq!(lint_fixture(src), Vec::<String>::new(), "{src}");
+    }
+}
+
+#[test]
+fn allow_marker_of_another_rule_drops_nothing() {
+    let src = "pub fn t() -> f64 {\n    // e1: allow: names the wrong rule\n    \
+               std::time::Instant::now().elapsed().as_secs_f64()\n}\n";
+    let all = lint_fixture(src);
+    assert_eq!(all.len(), 2, "{all:?}");
+    let stale = "crates/core/src/fixture.rs:2: [E1] `// e1: allow:` suppresses no E1";
+    assert!(all[0].starts_with(stale), "{all:?}");
+    let clock = "crates/core/src/fixture.rs:3: [D1] `Instant::now`";
+    assert!(all[1].starts_with(clock), "{all:?}");
+}
+
+#[test]
+fn unused_allow_marker_is_a_finding_at_its_line() {
+    let src = "pub fn t() -> u32 {\n    // d1: allow: nothing here reads a clock\n    7\n}\n";
+    assert_eq!(
+        lint_fixture(src),
+        ["crates/core/src/fixture.rs:2: [D1] `// d1: allow:` suppresses no D1 finding; delete it"]
+    );
+}
+
+#[test]
+fn allow_marker_with_an_empty_reason_drops_nothing() {
+    let src = "pub fn t() -> f64 {\n    // d1: allow:\n    \
+               std::time::Instant::now().elapsed().as_secs_f64()\n}\n";
+    let all = lint_fixture(src);
+    assert_eq!(all.len(), 1, "{all:?}");
+    let clock = "crates/core/src/fixture.rs:3: [D1] `Instant::now`";
+    assert!(all[0].starts_with(clock), "{all:?}");
 }
 
 #[test]
@@ -1140,10 +1177,9 @@ fn v1_allow_comment_suppresses_the_exit() {
 
 // ------------------------------------------------------- self-check --
 
-/// The acceptance bar: `hacc-lint` reports zero unsuppressed
-/// findings on HEAD, with every suppression in `lint.allow` justified
-/// and live. Linting the real repository also exercises the lexer on
-/// ~130 real files every `cargo test`.
+/// The acceptance bar: `hacc-lint` reports zero findings on HEAD,
+/// stale suppression markers included. Linting the real repository
+/// also exercises the lexer on ~160 real files every `cargo test`.
 fn repo_root() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -1160,25 +1196,8 @@ fn clean_workspace_self_check() {
         "expected the full workspace, got {} files",
         ws.files.len()
     );
-    let allow_text =
-        std::fs::read_to_string(root.join("lint.allow")).expect("lint.allow exists");
-    let mut allow = AllowList::parse(&allow_text, "lint.allow").expect("lint.allow parses");
-    let report = lint(&ws, &mut allow);
-    assert!(
-        report.findings.is_empty(),
-        "unsuppressed findings on HEAD:\n{}",
-        report
-            .findings
-            .iter()
-            .map(|d| d.render())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        report.unused_allows.is_empty(),
-        "stale lint.allow entries: {:?}",
-        report.unused_allows
-    );
+    let findings: Vec<String> = rules::run_all(&ws).iter().map(|d| d.render()).collect();
+    assert!(findings.is_empty(), "findings on HEAD:\n{}", findings.join("\n"));
 }
 
 /// The tier-0 gate seeds one violation per rule: the `CANARIES` table

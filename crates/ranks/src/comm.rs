@@ -59,26 +59,23 @@ impl World {
     ///
     /// Panics in any rank propagate (the join unwinds with the payload of
     /// the lowest-numbered rank that panicked, so a typed payload reaches
-    /// the caller), mirroring an MPI abort. With `HACC_SAN=1` in the environment the world runs
-    /// sanitized instead (the tier-4 full-suite gate): findings not
-    /// suppressed by the `HACC_SAN_ALLOW` list panic at world end.
+    /// the caller), mirroring an MPI abort. With `HACC_SAN=1` in the
+    /// environment the world runs sanitized instead (the tier-4
+    /// full-suite gate): any finding panics at world end.
     pub fn run<T, F>(n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
         if hacc_san::env_armed() {
-            let (results, mut report) = Self::run_sanitized(n, f);
-            let mut allow = hacc_san::env_allowlist();
-            report.apply_allow(&mut allow);
+            let (results, report) = Self::run_sanitized(n, f);
             if !report.is_clean() {
                 panic!(
                     "hacc-san findings (HACC_SAN=1):\n{}",
                     report.render_text()
                 );
             }
-            return results
-                .expect("sanitizer aborted the world without an unsuppressed finding");
+            return results.expect("sanitizer aborted the world without a finding");
         }
         Self::run_inner(n, &f, None)
             .expect("unsanitized rank results are never swallowed")

@@ -15,8 +15,11 @@
 /// Golden-ratio increment used by SplitMix64.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// One SplitMix64 step: advance `state` and return its next output.
+/// Seeds [`StdRng`], and expands `auto@N` chaos specs in `hacc-fault`
+/// (same seed, same values, on every platform).
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(GOLDEN);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

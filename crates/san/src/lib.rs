@@ -22,8 +22,8 @@
 //!   annotation API; the driver marks each rank's ghost buffer.
 //! * [`SanReport`] — byte-stable findings report in the finding format
 //!   `hacc-telem` defines and `hacc-lint` shares (`file:line: [RULE]
-//!   msg`), with `san.allow` suppression via the same [`AllowList`]
-//!   grammar.
+//!   msg`). No finding is suppressed: each is a fault of the run that
+//!   produced it.
 //!
 //! Findings use rules R1 (a region one rank wrote and another touched),
 //! Q1 (collective divergence), W1 (deadlock/stall), M1 (p2p payload
@@ -42,7 +42,7 @@ pub mod report;
 pub mod session;
 
 pub use hacc_telem::diag::render_json;
-pub use hacc_telem::{find_workspace_root, AllowList, Diagnostic, Rule};
+pub use hacc_telem::{Diagnostic, Rule};
 pub use report::SanReport;
 pub use session::SanSession;
 
@@ -154,20 +154,6 @@ pub fn env_armed() -> bool {
             .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
             .unwrap_or(false)
     })
-}
-
-/// The suppression list named by `HACC_SAN_ALLOW`, or an empty list.
-/// A malformed file is a hard error (suppressions without justification
-/// must not silently vanish).
-pub fn env_allowlist() -> AllowList {
-    match std::env::var("HACC_SAN_ALLOW") {
-        Ok(path) if !path.is_empty() => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("HACC_SAN_ALLOW: read {path}: {e}"));
-            AllowList::parse(&text, &path).unwrap_or_else(|e| panic!("HACC_SAN_ALLOW: {e}"))
-        }
-        _ => AllowList::empty(),
-    }
 }
 
 #[cfg(test)]

@@ -377,7 +377,6 @@ impl SanSession {
         SanReport {
             ranks: self.ranks,
             findings: normalize(std::mem::take(&mut st.findings)),
-            suppressed: 0,
             collectives: st.coll_slots.len() as u64,
             regions: st.regions.len() as u64,
             accesses: st.accesses,

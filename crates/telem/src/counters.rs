@@ -119,7 +119,8 @@ pub struct IoCounters {
     pub nvme_bytes: u64,
     /// Bytes bled asynchronously to the PFS tier.
     pub pfs_bytes: u64,
-    /// Files written to the local tier (checkpoints + science outputs).
+    /// Checkpoints written (to the local tier, or straight to the PFS
+    /// in the no-tiering ablation). Science outputs are not counted.
     pub nvme_writes: u64,
     /// Files that completed the bleed to the PFS.
     pub files_bled: u64,

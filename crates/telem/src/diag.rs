@@ -3,7 +3,8 @@
 //! `sanitizer.txt` / `sanitizer.json`.
 
 /// The rule catalog. Codes are stable API: they appear in diagnostics,
-/// in `lint.allow` entries, and in CI logs.
+/// in `// <code>: allow:` suppression markers (lowercase), and in CI
+/// logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Determinism: hash-ordered collections in golden/reduction paths;
@@ -51,7 +52,7 @@ pub enum Rule {
 /// (D1/H1/F1 scan tokens, P1 walks the AST, C1/E1/V1 walk it with the
 /// shared call graph of its `context`), and R1/Q1/W1/M1 are dynamic
 /// findings emitted by the `hacc-san` runtime sanitizer; one catalog, so
-/// `san.allow` and `lint.allow` speak one format.
+/// both report in one format.
 pub const RULES: [Rule; 11] = [
     Rule::D1,
     Rule::C1,
@@ -167,25 +168,24 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Render findings as a SARIF-lite JSON document (documented in
-/// `docs/LINT.md`). Stable schema, version `"hacc-lint/1"`:
+/// `docs/LINT.md`). Stable schema, version `"hacc-lint/2"`:
 ///
 /// ```json
 /// {
-///   "schema": "hacc-lint/1",
+///   "schema": "hacc-lint/2",
 ///   "results": [
 ///     {"ruleId": "E1", "level": "error",
 ///      "message": {"text": "..."},
 ///      "location": {"uri": "crates/x/src/lib.rs", "line": 7},
 ///      "codeFlow": [{"uri": "...", "line": 3, "label": "rank_main"}]}
-///   ],
-///   "suppressed": 0
+///   ]
 /// }
 /// ```
 ///
 /// `codeFlow` is present only on interprocedural findings. Key order,
 /// indentation, and escaping are fixed so CI can byte-compare output.
-pub fn render_json(findings: &[Diagnostic], suppressed: usize) -> String {
-    let mut out = String::from("{\n  \"schema\": \"hacc-lint/1\",\n  \"results\": [");
+pub fn render_json(findings: &[Diagnostic]) -> String {
+    let mut out = String::from("{\n  \"schema\": \"hacc-lint/2\",\n  \"results\": [");
     for (i, d) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -217,7 +217,7 @@ pub fn render_json(findings: &[Diagnostic], suppressed: usize) -> String {
     if !findings.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str(&format!("],\n  \"suppressed\": {}\n}}\n", suppressed));
+    out.push_str("]\n}\n");
     out
 }
 
@@ -253,12 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_counts() {
+    fn json_escapes() {
         let d = Diagnostic::new("a.rs", 1, Rule::H1, "say \"no\"\n");
-        let j = render_json(&[d], 3);
-        assert!(j.contains("\"schema\": \"hacc-lint/1\""));
+        let j = render_json(&[d]);
+        assert!(j.contains("\"schema\": \"hacc-lint/2\""));
         assert!(j.contains("\\\"no\\\"\\n"));
-        assert!(j.contains("\"suppressed\": 3"));
+        assert!(j.ends_with("}\n  ]\n}\n"), "{j}");
         assert!(!j.contains("codeFlow"), "no witness => no codeFlow key");
         assert_eq!(json_escape("a\"b\\c\u{1}"), "a\\\"b\\\\c\\u0001");
     }
@@ -268,7 +268,7 @@ mod tests {
         let mut d = Diagnostic::new("b.rs", 9, Rule::E1, "m");
         d.witness =
             vec![WitnessStep { file: "a.rs".into(), line: 3, label: "rank_main".into() }];
-        let j = render_json(&[d], 0);
+        let j = render_json(&[d]);
         assert!(j.contains(
             "\"codeFlow\": [{\"uri\": \"a.rs\", \"line\": 3, \"label\": \"rank_main\"}]"
         ));

@@ -144,7 +144,7 @@ impl Background {
                 dp += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p);
             }
         }
-        // e1: allow: growth_vals always holds at least the a-start sample pushed before the loop
+        // growth_vals always holds at least the a-start sample pushed before the loop
         let d0 = *growth_vals.last().unwrap();
         for v in &mut growth_vals {
             *v /= d0;

@@ -29,8 +29,9 @@ echo "== tier 0: hacc-lint static analysis =="
 # collective-safety (C1), hermeticity (H1), fault-coverage (F1),
 # hot-loop allocation (P1), panic-surface (E1), and
 # vectorization-blocker (V1) (`unsafe` needs no rule: every crate root
-# says `#![forbid(unsafe_code)]`). --strict additionally fails
-# on stale lint.allow entries, so the suppression file can only shrink.
+# says `#![forbid(unsafe_code)]`). A finding is suppressed only by a
+# `// <rule>: allow: <reason>` marker at its site, and a marker that
+# suppresses nothing is itself a finding, so a stale one fails here.
 cargo build -q --release --offline -p hacc-lint
 # The analyser is a leaf tool: nothing that simulates or measures may
 # compile it.
@@ -43,7 +44,7 @@ for pkg in "-p hacc-rt" "-p frontier-sim" "--manifest-path $bench_manifest"; do
     fi
 done
 tier0_start=$EPOCHREALTIME
-./target/release/hacc-lint --root . --strict
+./target/release/hacc-lint --root .
 # Gate self-tests: one seeded violation per row of the table below, all
 # seeded at once and caught by one lint pass. Each row is
 # `RULE|path|what`, then the canary source up to a `---` line; every row
@@ -161,7 +162,7 @@ if [ "$tier0_ms" -ge 5000 ]; then
     echo "error: lint tier took ${tier0_ms} ms, budget is <5000 ms" >&2
     exit 1
 fi
-echo "ok: zero unsuppressed findings; all ${#rows[@]} seeded violations caught (${tier0_ms} ms)"
+echo "ok: zero findings; all ${#rows[@]} seeded violations caught (${tier0_ms} ms)"
 
 echo "== build (offline) =="
 cargo build --release --offline
@@ -271,8 +272,8 @@ echo "== tier 4: hacc-san dynamic sanitizer gate =="
 # The whole release suite again with the sanitizer armed on every
 # World::run (HACC_SAN=1): rank-privacy checks on annotated regions,
 # MUST-style collective matching, and wait-graph deadlock detection, all
-# live. Justified suppressions come from the checked-in san.allow.
-HACC_SAN=1 HACC_SAN_ALLOW="$PWD/san.allow" cargo test --release -q --offline
+# live. Any finding fails the run: there is no suppression list.
+HACC_SAN=1 cargo test --release -q --offline
 # Gate self-test on the seeded canary race (an `#[ignore]`d fixture only
 # this gate runs): unarmed it must pass, and armed it must FAIL with an
 # R1 finding naming its region — a failure for any other reason proves

@@ -13,7 +13,6 @@
 use frontier_sim::core::driver::chaos_plan;
 use frontier_sim::core::{resume_simulation, run_simulation, Physics, SimConfig};
 use frontier_sim::ranks::{smoke, World};
-use frontier_sim::san::AllowList;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,8 +41,8 @@ fn main() {
                  \x20                 panic comm-delay comm-dup comm-trunc ckpt-torn\n\
                  \x20                 ckpt-crc nvme-err gpu-launch\n\
                  \x20 --sanitize      run under the hacc-san dynamic sanitizer\n\
-                 \x20                 (rank privacy, collective matching, deadlock); findings\n\
-                 \x20                 honor <root>/san.allow and exit 1 when unsuppressed\n\
+                 \x20                 (rank privacy, collective matching, deadlock);\n\
+                 \x20                 exit 1 on any finding\n\
                  \n\
                  ranks options (self-checking communication smoke world):\n\
                  \x20 --ranks R       world size (default 256; 4096 works on a laptop)\n\
@@ -144,21 +143,6 @@ fn writable_dir(dir: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot write telemetry to {dir}: {e}"))
 }
 
-/// The workspace's `san.allow` for a `--sanitize` run, when there is one.
-fn san_allowlist(sanitize: bool) -> Result<Option<AllowList>, String> {
-    let root = sanitize
-        .then(|| frontier_sim::san::find_workspace_root(std::path::Path::new(".")))
-        .flatten();
-    let Some(path) = root.map(|r| r.join("san.allow")).filter(|p| p.is_file()) else {
-        return Ok(None);
-    };
-    std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| AllowList::parse(&text, &path.to_string_lossy()))
-        .map(Some)
-        .map_err(|e| format!("san.allow: {e}"))
-}
-
 fn cmd_run(args: &[String]) {
     reject_unknown(
         args,
@@ -212,12 +196,11 @@ fn cmd_run(args: &[String]) {
                 Ok(())
             }
         })
-        .and_then(|()| writable_dir(&telemetry_dir))
-        .and_then(|()| san_allowlist(cfg.sanitize));
-    let mut allow = checked.unwrap_or_else(|e| {
+        .and_then(|()| writable_dir(&telemetry_dir));
+    if let Err(e) = checked {
         eprintln!("{e}");
         std::process::exit(2);
-    });
+    }
 
     println!(
         "frontier-sim: {} particles, {:.0} Mpc/h box, {} PM steps, z = {:.1} -> {:.1}, {} ranks",
@@ -228,23 +211,14 @@ fn cmd_run(args: &[String]) {
         zf,
         ranks
     );
+    // d1: allow: CLI-level elapsed-time print on stdout; never enters telemetry artifacts or checkpoints
     let t0 = std::time::Instant::now();
-    let mut report = if resume {
+    let report = if resume {
         resume_simulation(&cfg, ranks)
     } else {
         run_simulation(&cfg, ranks)
     };
     let wall = t0.elapsed().as_secs_f64();
-
-    // Partition sanitizer findings through <workspace>/san.allow before
-    // anything renders, so the console summary, the telemetry golden
-    // lines, and sanitizer.txt all agree on the suppressed count.
-    if let Some(san) = &mut report.sanitizer {
-        if let Some(allow) = &mut allow {
-            san.apply_allow(allow);
-        }
-        report.telemetry.sanitizer = san.golden_lines();
-    }
 
     if !telemetry_dir.is_empty() {
         let dir = std::path::Path::new(&telemetry_dir);
@@ -262,7 +236,7 @@ fn cmd_run(args: &[String]) {
                 .expect("write sanitizer.txt");
             std::fs::write(
                 dir.join("sanitizer.json"),
-                frontier_sim::san::render_json(&san.findings, san.suppressed),
+                frontier_sim::san::render_json(&san.findings),
             )
             .expect("write sanitizer.json");
             println!(

@@ -121,23 +121,3 @@ fn unwritable_telemetry_dir_is_refused_before_any_world_starts() {
         assert!(!stdout.contains("completed"), "{dir}: {stdout}");
     }
 }
-
-#[test]
-fn unreadable_san_allow_is_refused_before_any_world_starts() {
-    // A workspace root whose san.allow is not text.
-    let root = std::env::temp_dir().join(format!("frontier-cli-allow-{}", std::process::id()));
-    std::fs::create_dir_all(&root).unwrap();
-    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
-    std::fs::write(root.join("san.allow"), [0xffu8, 0xfe]).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_frontier-sim"))
-        .args(["run", "--np", "8", "--steps", "1", "--sanitize"])
-        .current_dir(&root)
-        .output()
-        .expect("spawn frontier-sim");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
-    assert!(stderr.starts_with("san.allow: "), "{stderr}");
-    assert!(!String::from_utf8_lossy(&out.stdout).contains("completed"));
-    std::fs::remove_dir_all(&root).unwrap();
-}

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::final_state;
+use common::{final_state, TempRunDir};
 use frontier_sim::core::{run_simulation, Physics, SimConfig, SimReport};
 use frontier_sim::telem::golden_section;
 
@@ -84,15 +84,11 @@ fn particle_count_rank_invariant() {
 
 /// Like `cfg()` but checkpointing into a throwaway directory so the full
 /// final particle state can be read back.
-fn cfg_io(tag: &str) -> (SimConfig, std::path::PathBuf) {
+fn cfg_io(tag: &str) -> (SimConfig, TempRunDir) {
     let mut c = cfg();
     c.checkpoint_every = 1;
-    let dir = std::env::temp_dir().join(format!(
-        "frontier-golden-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    c.io_dir = Some(dir.clone());
+    let dir = TempRunDir::new(tag);
+    c.io_dir = Some(dir.path().to_path_buf());
     (c, dir)
 }
 
@@ -112,17 +108,16 @@ fn golden_run_state_hash_identical_across_repeated_runs() {
     for ranks in [1usize, 2, 4] {
         let (c1, d1) = cfg_io(&format!("rerun-a{ranks}"));
         run_simulation(&c1, ranks);
-        let s1 = final_state(&d1, ranks);
+        let s1 = final_state(d1.path(), ranks);
         let (c2, d2) = cfg_io(&format!("rerun-b{ranks}"));
         run_simulation(&c2, ranks);
-        let s2 = final_state(&d2, ranks);
+        let s2 = final_state(d2.path(), ranks);
         assert_eq!(s1.len(), 1000);
         assert_eq!(
             bitwise_state_hash(&s1),
             bitwise_state_hash(&s2),
             "{ranks}-rank run is not reproducible bit-for-bit"
         );
-        let _ = (std::fs::remove_dir_all(&d1), std::fs::remove_dir_all(&d2));
     }
 }
 
@@ -138,7 +133,7 @@ fn golden_run_aggregate_hash_rank_invariant() {
         let (c, d) = cfg_io(&format!("agg{ranks}"));
         box_size = c.box_size;
         run_simulation(&c, ranks);
-        let s = final_state(&d, ranks);
+        let s = final_state(d.path(), ranks);
         let mass: f64 = s.iter().map(|(_, v)| v[6]).sum();
         let mut com = [0.0f64; 3];
         for (_, v) in &s {
@@ -149,7 +144,6 @@ fn golden_run_aggregate_hash_rank_invariant() {
         let id_state: Vec<(u64, Vec<f64>)> =
             s.iter().map(|(id, _)| (*id, Vec::new())).collect();
         results.push((s.len(), bitwise_state_hash(&id_state), mass, com));
-        let _ = std::fs::remove_dir_all(&d);
     }
     let (n0, ids0, mass0, com0) = results[0].clone();
     for (ranks, (n, ids, mass, com)) in [2usize, 4].iter().zip(&results[1..]) {

@@ -1,6 +1,9 @@
 //! Integration: thermodynamic behaviour of the gas through the full
 //! driver — Hubble cooling, shock heating, subgrid activity.
 
+mod common;
+
+use common::TempRunDir;
 use frontier_sim::core::{run_simulation, Physics, SimConfig, SimReport};
 use frontier_sim::iosim::TieredWriter;
 
@@ -21,19 +24,15 @@ fn assert_updates_match_substeps(r: &SimReport) {
     );
 }
 
-fn cfg(tag: &str, physics: Physics) -> (SimConfig, std::path::PathBuf) {
+fn cfg(tag: &str, physics: Physics) -> (SimConfig, TempRunDir) {
     let mut c = SimConfig::small(8);
     c.physics = physics;
     c.pm_steps = 3;
     c.max_rung = 1;
     c.analysis_every = 0;
     c.checkpoint_every = 1;
-    let dir = std::env::temp_dir().join(format!(
-        "frontier-hydro-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    c.io_dir = Some(dir.clone());
+    let dir = TempRunDir::new(tag);
+    c.io_dir = Some(dir.path().to_path_buf());
     (c, dir)
 }
 
@@ -51,7 +50,7 @@ fn final_u(dir: &std::path::Path, ranks: usize) -> Vec<f64> {
 fn internal_energies_stay_finite_and_positive() {
     let (c, dir) = cfg("finite", Physics::Hydro);
     assert_updates_match_substeps(&run_simulation(&c, 2));
-    let u = final_u(&dir, 2);
+    let u = final_u(dir.path(), 2);
     // Gas entries carry positive u; collisionless entries are zero.
     let gas: Vec<f64> = u.iter().copied().filter(|&v| v > 0.0).collect();
     assert!(!gas.is_empty(), "no gas energies recorded");
@@ -62,7 +61,6 @@ fn internal_energies_stay_finite_and_positive() {
         "runaway heating: max u = {:.3e}",
         gas.iter().cloned().fold(0.0, f64::max)
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -70,15 +68,14 @@ fn subgrid_run_matches_adiabatic_except_sources() {
     // With identical seeds, the adiabatic and full-subgrid runs share
     // dynamics until cooling/star formation diverge them; both must
     // complete with the same particle budget (stars replace gas 1:1).
-    let (ca, da) = cfg("adiab", Physics::HydroAdiabatic);
-    let (cs, ds) = cfg("subgrid", Physics::Hydro);
+    let (ca, _da) = cfg("adiab", Physics::HydroAdiabatic);
+    let (cs, _ds) = cfg("subgrid", Physics::Hydro);
     let ra = run_simulation(&ca, 1);
     let rs = run_simulation(&cs, 1);
     assert_eq!(ra.total_particles, rs.total_particles);
     assert_eq!(ra.steps.len(), rs.steps.len());
     // The adiabatic run can never form stars.
     assert_eq!(ra.total_stars, 0);
-    let _ = (std::fs::remove_dir_all(&da), std::fs::remove_dir_all(&ds));
 }
 
 #[test]
@@ -86,10 +83,9 @@ fn gravity_only_run_has_no_thermal_state() {
     let (c, dir) = cfg("gravonly", Physics::GravityOnly);
     let r = run_simulation(&c, 1);
     assert_eq!(r.total_particles, 512);
-    let u = final_u(&dir, 1);
+    let u = final_u(dir.path(), 1);
     assert!(u.iter().all(|&v| v == 0.0));
     assert_eq!(r.total_stars, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- conservation-ledger tier ---------------------------------------
@@ -233,13 +229,13 @@ fn first_step_subcycles_like_the_rest() {
 
 #[test]
 fn deeper_rungs_cost_more_substeps() {
-    let (mut c, dir) = cfg("rungs", Physics::HydroAdiabatic);
+    let (mut c, _dir) = cfg("rungs", Physics::HydroAdiabatic);
     c.flat_stepping = true;
     c.max_rung = 3;
     let r = run_simulation(&c, 1);
     assert!(r.steps.iter().all(|s| s.substeps == 8));
     // Flat stepping at rung 3 does 8x the updates of rung 0.
-    let (mut c0, dir0) = cfg("rungs0", Physics::HydroAdiabatic);
+    let (mut c0, _dir0) = cfg("rungs0", Physics::HydroAdiabatic);
     c0.flat_stepping = true;
     c0.max_rung = 0;
     let r0 = run_simulation(&c0, 1);
@@ -250,5 +246,4 @@ fn deeper_rungs_cost_more_substeps() {
         r.counters.pairs,
         r0.counters.pairs
     );
-    let _ = (std::fs::remove_dir_all(&dir), std::fs::remove_dir_all(&dir0));
 }

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::final_state;
+use common::{final_state, TempRunDir};
 use frontier_sim::core::{run_simulation, Physics, SimConfig};
 use frontier_sim::ranks::{smoke, World};
 
@@ -47,7 +47,7 @@ fn smoke_world_all_collectives_at_4096_ranks() {
 // across decompositions (ghost staleness within a PM step), aggregates
 // must not.
 
-fn cfg_io(np: usize, tag: &str) -> (SimConfig, std::path::PathBuf) {
+fn cfg_io(np: usize, tag: &str) -> (SimConfig, TempRunDir) {
     let mut c = SimConfig::small(np);
     c.physics = Physics::GravityOnly;
     c.pm_steps = 1;
@@ -55,12 +55,8 @@ fn cfg_io(np: usize, tag: &str) -> (SimConfig, std::path::PathBuf) {
     c.analysis_every = 0;
     c.checkpoint_every = 1;
     c.seed = 4242;
-    let dir = std::env::temp_dir().join(format!(
-        "frontier-rank-scaling-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    c.io_dir = Some(dir.clone());
+    let dir = TempRunDir::new(tag);
+    c.io_dir = Some(dir.path().to_path_buf());
     (c, dir)
 }
 
@@ -73,7 +69,7 @@ fn id_hash(state: &[(u64, Vec<f64>)]) -> u64 {
 fn aggregates(np: usize, ranks: usize, tag: &str) -> (usize, u64, f64, [f64; 3]) {
     let (c, d) = cfg_io(np, tag);
     run_simulation(&c, ranks);
-    let s = final_state(&d, ranks);
+    let s = final_state(d.path(), ranks);
     let mass: f64 = s.iter().map(|(_, v)| v[6]).sum();
     let mut com = [0.0f64; 3];
     for (_, v) in &s {
@@ -81,9 +77,7 @@ fn aggregates(np: usize, ranks: usize, tag: &str) -> (usize, u64, f64, [f64; 3])
             com[k] += v[6] * v[k] / mass;
         }
     }
-    let out = (s.len(), id_hash(&s), mass, com);
-    let _ = std::fs::remove_dir_all(&d);
-    out
+    (s.len(), id_hash(&s), mass, com)
 }
 
 fn assert_aggregates_invariant(np: usize, rank_counts: &[usize], tag: &str) {
@@ -162,12 +156,12 @@ fn chaos_recovery_at_256_ranks() {
     let np = 32;
     // Two PM steps so the step-1 fault lands after the step-0
     // checkpoint exists and the rollback is a real one.
-    let (mut cfg_ref, dir_ref) = cfg_io(np, "chaos-ref");
+    let (mut cfg_ref, _dir_ref) = cfg_io(np, "chaos-ref");
     cfg_ref.pm_steps = 2;
     let reference = run_simulation(&cfg_ref, ranks);
     assert_eq!(reference.attempts, 1);
 
-    let (mut cfg_chaos, dir_chaos) = cfg_io(np, "chaos-hit");
+    let (mut cfg_chaos, _dir_chaos) = cfg_io(np, "chaos-hit");
     cfg_chaos.pm_steps = 2;
     cfg_chaos.chaos = Some("panic@1:171".into());
     let recovered = run_simulation(&cfg_chaos, ranks);
@@ -175,9 +169,5 @@ fn chaos_recovery_at_256_ranks() {
     assert_eq!(
         recovered.final_state_hash, reference.final_state_hash,
         "256-rank recovery did not converge to the reference state"
-    );
-    let _ = (
-        std::fs::remove_dir_all(&dir_ref),
-        std::fs::remove_dir_all(&dir_chaos),
     );
 }

@@ -1,22 +1,21 @@
 //! Integration: the simulation's checkpoints are complete, CRC-valid,
 //! restartable artifacts on the (simulated) PFS.
 
+mod common;
+
+use common::TempRunDir;
 use frontier_sim::core::{run_simulation, Physics, SimConfig};
 use frontier_sim::iosim::TieredWriter;
 
-fn io_cfg(tag: &str) -> (SimConfig, std::path::PathBuf) {
+fn io_cfg(tag: &str) -> (SimConfig, TempRunDir) {
     let mut cfg = SimConfig::small(8);
     cfg.physics = Physics::HydroAdiabatic;
     cfg.pm_steps = 3;
     cfg.max_rung = 1;
     cfg.analysis_every = 0;
     cfg.checkpoint_every = 1;
-    let dir = std::env::temp_dir().join(format!(
-        "frontier-it-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    cfg.io_dir = Some(dir.clone());
+    let dir = TempRunDir::new(tag);
+    cfg.io_dir = Some(dir.path().to_path_buf());
     (cfg, dir)
 }
 
@@ -36,7 +35,7 @@ fn checkpoints_land_on_pfs_and_reload() {
 
     let mut total_particles = 0;
     for r in 0..ranks {
-        let pfs = dir.join("pfs").join(format!("rank-{r}"));
+        let pfs = dir.path().join("pfs").join(format!("rank-{r}"));
         let (step, blocks) =
             TieredWriter::load_latest_valid(&pfs).expect("restartable checkpoint");
         assert_eq!(step, cfg.pm_steps as u64 - 1);
@@ -60,7 +59,6 @@ fn checkpoints_land_on_pfs_and_reload() {
         total_particles += x.len();
     }
     assert_eq!(total_particles as u64, cfg.total_particles());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -68,7 +66,7 @@ fn checkpoint_window_prunes_old_steps() {
     let (mut cfg, dir) = io_cfg("prune");
     cfg.pm_steps = 5;
     run_simulation(&cfg, 1);
-    let pfs = dir.join("pfs").join("rank-0");
+    let pfs = dir.path().join("pfs").join("rank-0");
     let mut steps: Vec<u64> = std::fs::read_dir(&pfs)
         .unwrap()
         .flatten()
@@ -77,7 +75,6 @@ fn checkpoint_window_prunes_old_steps() {
     steps.sort_unstable();
     // Window of 2 (the Frontier config): only the last two checkpoints.
     assert_eq!(steps, vec![3, 4], "pruning left {steps:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -85,7 +82,7 @@ fn corrupted_checkpoint_falls_back_to_previous() {
     let (mut cfg, dir) = io_cfg("fallback");
     cfg.pm_steps = 4;
     run_simulation(&cfg, 1);
-    let pfs = dir.join("pfs").join("rank-0");
+    let pfs = dir.path().join("pfs").join("rank-0");
     let (latest, path) = TieredWriter::latest_checkpoint(&pfs).unwrap();
     assert_eq!(latest, 3);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -94,7 +91,6 @@ fn corrupted_checkpoint_falls_back_to_previous() {
     std::fs::write(&path, bytes).unwrap();
     let (step, _) = TieredWriter::load_latest_valid(&pfs).unwrap();
     assert_eq!(step, 2, "must fall back past the torn checkpoint");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -104,7 +100,7 @@ fn ids_conserved_through_the_full_run() {
     run_simulation(&cfg, ranks);
     let mut ids = Vec::new();
     for r in 0..ranks {
-        let pfs = dir.join("pfs").join(format!("rank-{r}"));
+        let pfs = dir.path().join("pfs").join(format!("rank-{r}"));
         let (_, blocks) = TieredWriter::load_latest_valid(&pfs).unwrap();
         ids.extend(blocks.iter().find(|b| b.name == "id").unwrap().as_u64());
     }
@@ -113,7 +109,6 @@ fn ids_conserved_through_the_full_run() {
     ids.dedup();
     assert_eq!(ids.len(), before, "duplicate particle ids after migration");
     assert_eq!(ids.len() as u64, cfg.total_particles());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

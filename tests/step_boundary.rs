@@ -3,6 +3,9 @@
 //! so a run makes one long-range and one short-range solve per boundary,
 //! and a run resumed at a boundary is the uninterrupted run, bit for bit.
 
+mod common;
+
+use common::TempRunDir;
 use frontier_sim::core::{resume_simulation, run_simulation, Physics, SimConfig, SimReport};
 use frontier_sim::iosim::TieredWriter;
 
@@ -76,19 +79,15 @@ fn resume_across_a_substep_change_is_bitwise() {
         let mut c = cfg(physics);
         c.checkpoint_every = 1;
         c.checkpoint_window = 16;
-        let dir = std::env::temp_dir().join(format!(
-            "frontier-boundary-{physics:?}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        c.io_dir = Some(dir.clone());
+        let dir = TempRunDir::new(&format!("{physics:?}"));
+        c.io_dir = Some(dir.path().to_path_buf());
         let reference = run_simulation(&c, 2);
         if physics != Physics::GravityOnly {
             assert_eq!(substeps(&reference), [2, 4, 4], "{physics:?}");
         }
         // Keep step 0's checkpoint only.
         for rank in 0..2 {
-            let pfs = dir.join("pfs").join(format!("rank-{rank}"));
+            let pfs = dir.path().join("pfs").join(format!("rank-{rank}"));
             for e in std::fs::read_dir(&pfs).unwrap().flatten() {
                 let name = e.file_name().to_string_lossy().into_owned();
                 if TieredWriter::parse_step(&name).is_some_and(|s| s > 0) {
@@ -97,7 +96,6 @@ fn resume_across_a_substep_change_is_bitwise() {
             }
         }
         let resumed = resume_simulation(&c, 2);
-        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(resumed.steps[0].step, 1, "{physics:?}");
         assert_eq!(substeps(&resumed), substeps(&reference)[1..], "{physics:?}");
         assert_eq!(

@@ -161,9 +161,15 @@ impl Lbvh {
         mut visit: impl FnMut(u32, f64) -> bool,
     ) {
         let r2 = radius * radius;
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
+        // Median splits down to LEAF_SIZE leaves bound the depth by
+        // ceil(log2(n / LEAF_SIZE)) + 1 <= 29 for u32 indices, and the
+        // DFS stack by depth + 1.
+        let mut stack = [0u32; 64];
+        stack[0] = self.root;
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let node = &self.nodes[stack[top] as usize];
             if node.aabb.min_dist_sqr_point(center) > r2 {
                 continue;
             }
@@ -178,8 +184,9 @@ impl Lbvh {
                     }
                 }
                 NodeKind::Internal { left, right } => {
-                    stack.push(left);
-                    stack.push(right);
+                    stack[top] = left;
+                    stack[top + 1] = right;
+                    top += 2;
                 }
             }
         }

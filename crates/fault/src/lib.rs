@@ -42,10 +42,9 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hacc_rt::rng::splitmix64;
-use hacc_rt::sync::Mutex;
 use hacc_telem::{FaultCounters, FaultKind, FAULT_KINDS};
 
 /// One planned fault: a site, the PM step it fires in, and the rank it
@@ -188,7 +187,13 @@ impl FaultState {
 
     /// Snapshot of one rank's accumulated counters (all attempts).
     pub fn counters_for(&self, rank: usize) -> FaultCounters {
-        self.counters.lock()[rank].clone()
+        self.lock_counters()[rank].clone()
+    }
+
+    /// The per-rank counters. No update leaves them half-written, so a
+    /// panic under the lock (poisoning) is ignored.
+    fn lock_counters(&self) -> MutexGuard<'_, Vec<FaultCounters>> {
+        self.counters.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -234,7 +239,7 @@ impl FaultProbe {
                 && ev.rank == self.rank
                 && !self.state.consumed[i].swap(true, Ordering::SeqCst)
             {
-                self.state.counters.lock()[self.rank].record_injected(site);
+                self.state.lock_counters()[self.rank].record_injected(site);
                 return true;
             }
         }
@@ -244,7 +249,7 @@ impl FaultProbe {
     /// Record an in-place recovery (retry, dedup, late delivery) at
     /// `site` on this rank.
     pub fn recovered(&self, site: FaultKind) {
-        self.state.counters.lock()[self.rank].record_recovered(site);
+        self.state.lock_counters()[self.rank].record_recovered(site);
     }
 
     /// Snapshot of this rank's accumulated counters (all attempts).

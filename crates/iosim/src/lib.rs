@@ -5,20 +5,22 @@
 //! machines) plus ~12 PB of science outputs. The paper's strategy:
 //!
 //! 1. every node writes synchronously to its own NVMe (no PFS contention),
-//! 2. a background thread *bleeds* completed files to the Lustre PFS,
-//! 3. more background threads prune checkpoints outside a time window,
+//! 2. completed files *bleed* asynchronously to the Lustre PFS,
+//! 3. checkpoints outside a time window are pruned,
 //!
 //! achieving an effective 5.45 TB/s — above Orion's nominal 4.6 TB/s peak
 //! — because the blocking path never touches the PFS.
 //!
-//! This crate implements that protocol for real (files are written,
-//! bled by background threads, pruned, CRC-validated, and restartable)
-//! while *time* is accounted by calibrated device models at Frontier
+//! This crate implements that protocol's order for real (files are
+//! written, moved to the PFS tier by the writing rank, pruned,
+//! CRC-validated, and restartable) while *time* — the bleed's asynchrony
+//! included — is accounted by calibrated device models at Frontier
 //! parameters, since we have no 9,000-node NVMe fleet:
 //!
 //! * [`mod@format`] — a GenericIO-flavored block format with per-block CRC32,
 //! * [`device`] — NVMe and PFS bandwidth models (variability included),
-//! * [`tiers`] — the tiered writer with background bleed and pruning,
+//! * [`tiers`] — the tiered writer: bleed (asynchronous in modeled time)
+//!   and pruning,
 //! * [`faults`] — exponential-MTTI fault injection and the
 //!   checkpoint-cadence trade-off, plus restart-from-latest-valid,
 //! * [`inject`] — deterministic storage-fault primitives (torn writes,

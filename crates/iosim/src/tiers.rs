@@ -1,13 +1,12 @@
-//! The tiered writer: synchronous node-local writes, background bleed to
-//! the PFS, and time-window pruning — all with real files and modeled
-//! clocks.
+//! The tiered writer: synchronous node-local writes, a bleed to the PFS,
+//! and time-window pruning — all with real files and modeled clocks. The
+//! protocol's order runs on the real files, on the writing rank: a write
+//! returns after its file has moved to the PFS tier. Its asynchrony is
+//! the modeled clock (`bleed_free_at_s` and the backlog stalls).
 
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
 
 use hacc_fault::FaultProbe;
-use hacc_rt::sync::Mutex;
 use hacc_telem::FaultKind;
 
 use crate::device::{NvmeModel, PfsModel};
@@ -78,7 +77,8 @@ pub struct IoStats {
     pub stalls: u64,
     /// Files actually bled to the PFS (real file count).
     pub files_bled: u64,
-    /// Bytes actually copied to the PFS tier by the bleeder.
+    /// Bytes actually moved to the PFS tier (the file's length on disk
+    /// when it moved).
     pub bytes_bled: u64,
     /// Files pruned from the PFS.
     pub files_pruned: u64,
@@ -115,79 +115,27 @@ impl IoStats {
     }
 }
 
-enum BleedJob {
-    File {
-        step: u64,
-        local_path: PathBuf,
-        pfs_path: PathBuf,
-        window: usize,
-    },
-    /// Acknowledged once every job queued before it has been processed.
-    Sync(Sender<()>),
-    Shutdown,
-}
-
 /// The per-node tiered writer. Files are really written and bled; clocks
 /// are modeled at machine scale.
 pub struct TieredWriter {
     cfg: TieredConfig,
-    tx: Sender<BleedJob>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    stats: Arc<Mutex<IoStats>>,
+    stats: IoStats,
     /// Modeled simulation clock (seconds).
     now_s: f64,
-    /// Modeled time at which the bleeder becomes idle.
+    /// Modeled time at which the PFS bleed becomes idle.
     bleed_free_at_s: f64,
     /// Optional fault probe: planned storage faults fire through here.
     probe: Option<FaultProbe>,
 }
 
 impl TieredWriter {
-    /// Create the writer, its directories, and the background bleeder.
+    /// Create the writer and its directories.
     pub fn new(cfg: TieredConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.local_dir)?;
         std::fs::create_dir_all(&cfg.pfs_dir)?;
-        let stats = Arc::new(Mutex::new(IoStats::default()));
-        let (tx, rx) = channel::<BleedJob>();
-        let stats_bg = Arc::clone(&stats);
-        let worker = std::thread::spawn(move || {
-            while let Ok(job) = rx.recv() {
-                match job {
-                    BleedJob::Shutdown => break,
-                    BleedJob::Sync(ack) => {
-                        let _ = ack.send(());
-                    }
-                    BleedJob::File {
-                        step,
-                        local_path,
-                        pfs_path,
-                        window,
-                    } => {
-                        // Real copy local -> PFS, then drop the local copy
-                        // and prune outdated PFS checkpoints.
-                        if let Ok(copied) = std::fs::copy(&local_path, &pfs_path) {
-                            let _ = std::fs::remove_file(&local_path);
-                            let mut s = stats_bg.lock();
-                            s.files_bled += 1;
-                            s.bytes_bled += copied;
-                            drop(s);
-                            // Science outputs (step = MAX) never prune.
-                            if step != u64::MAX {
-                                let cutoff = step.saturating_sub(window as u64 - 1);
-                                if let Some(dir) = pfs_path.parent() {
-                                    prune_old(dir, cutoff, &stats_bg);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
         Ok(Self {
             cfg,
-            tx,
-            worker: Some(worker),
-            stats,
+            stats: IoStats::default(),
             now_s: 0.0,
             bleed_free_at_s: 0.0,
             probe: None,
@@ -250,23 +198,23 @@ impl TieredWriter {
                 // the modeled blocking time pays.
                 sync_t += inject::NVME_RETRY_BACKOFF_S
                     + self.cfg.nvme.write_time_s(bytes, slowdown);
-                self.stats.lock().faults += 1;
+                self.stats.faults += 1;
                 probe.recovered(FaultKind::NvmeErr);
             }
             if probe.fire(FaultKind::CkptTorn) {
                 // Torn write: the file lands truncated and will fail
                 // validation at restart (which must skip it).
                 inject::tear_file(&local_path)?;
-                self.stats.lock().faults += 1;
+                self.stats.faults += 1;
             }
             if probe.fire(FaultKind::CkptCrc) {
                 // Silent media corruption: same length, flipped byte;
                 // only the CRC check at restart can catch it.
                 inject::corrupt_crc(&local_path)?;
-                self.stats.lock().faults += 1;
+                self.stats.faults += 1;
             }
         }
-        // If the bleeder is still busy past the point where local capacity
+        // If the bleed is still busy past the point where local capacity
         // would be exceeded (one full checkpoint of headroom), stall.
         let mut blocking = sync_t;
         let mut stalled = false;
@@ -281,22 +229,17 @@ impl TieredWriter {
         }
         self.now_s += blocking;
 
-        // Asynchronous machine-wide bleed.
+        // Modeled asynchronous machine-wide bleed.
         let bleed_t = self.cfg.pfs.write_time_s(machine_bytes, phase);
         let start = self.bleed_free_at_s.max(self.now_s);
         self.bleed_free_at_s = start + bleed_t;
 
-        // Hand the real file to the bleeder.
-        self.tx
-            .send(BleedJob::File {
-                step,
-                local_path,
-                pfs_path: self.cfg.pfs_dir.join(&name),
-                window: self.cfg.window,
-            })
-            .expect("bleeder alive");
+        if self.bleed(&name) {
+            let cutoff = step.saturating_sub(self.cfg.window as u64 - 1);
+            self.prune_before(cutoff);
+        }
 
-        let mut s = self.stats.lock();
+        let s = &mut self.stats;
         s.checkpoints += 1;
         s.bytes_local += bytes;
         s.bytes_machine += machine_bytes;
@@ -317,7 +260,7 @@ impl TieredWriter {
 
     /// Write a non-checkpoint science output (analysis products — the
     /// paper's ~12 PB side channel) through the same tiers: synchronous
-    /// local write, async bleed, but *no* pruning window (science outputs
+    /// local write, bleed, but *no* pruning window (science outputs
     /// are permanent). Returns the modeled blocking seconds.
     pub fn write_output(
         &mut self,
@@ -338,15 +281,8 @@ impl TieredWriter {
         let bleed_t = self.cfg.pfs.write_time_s(machine_bytes, phase);
         let start = self.bleed_free_at_s.max(self.now_s);
         self.bleed_free_at_s = start + bleed_t;
-        self.tx
-            .send(BleedJob::File {
-                step: u64::MAX, // never triggers pruning
-                local_path,
-                pfs_path: self.cfg.pfs_dir.join(name),
-                window: usize::MAX,
-            })
-            .expect("bleeder alive");
-        let mut s = self.stats.lock();
+        self.bleed(name);
+        let s = &mut self.stats;
         s.bytes_local += bytes;
         s.bytes_machine += machine_bytes;
         s.blocking_time_s += sync_t;
@@ -368,7 +304,7 @@ impl TieredWriter {
         let writers = self.cfg.n_nodes * 8; // 8 ranks per node
         let t = self.cfg.pfs.direct_write_time_s(machine_bytes, writers);
         self.now_s += t;
-        let mut s = self.stats.lock();
+        let s = &mut self.stats;
         s.checkpoints += 1;
         s.bytes_local += bytes;
         s.bytes_machine += machine_bytes;
@@ -376,86 +312,70 @@ impl TieredWriter {
         Ok(t)
     }
 
-    /// Wait for all queued bleeds to land on the real file system.
-    pub fn drain(&self) {
-        // The job channel is FIFO and the bleeder single-threaded: its
-        // acknowledgement of a `Sync` job orders after every bleed queued
-        // before this call. The wait is a plain OS block: the bleeder is
-        // not a scheduler task, and a cooperative park on it would read as
-        // world quiescence.
-        let (ack_tx, ack_rx) = channel();
-        self.tx.send(BleedJob::Sync(ack_tx)).expect("bleeder alive");
-        ack_rx
-            .recv()
-            .expect("bleeder acknowledges a sync before exiting");
-    }
-
-    /// Shut down the bleeder (after it has processed every queued bleed)
-    /// and return the statistics.
-    pub fn finish(mut self) -> IoStats {
-        self.shutdown();
-        let stats = self.stats.lock().clone();
-        stats
-    }
-
-    fn shutdown(&mut self) {
-        let _ = self.tx.send(BleedJob::Shutdown);
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
+    /// Move the staged file `name` to the PFS tier and count it. A failed
+    /// move leaves the file staged, counts nothing and returns `false`.
+    fn bleed(&mut self, name: &str) -> bool {
+        let (local_path, pfs_path) = (self.cfg.local_dir.join(name), self.cfg.pfs_dir.join(name));
+        // The length on disk, not the one written: a torn file bleeds short.
+        let Ok(len) = std::fs::metadata(&local_path).map(|m| m.len()) else {
+            return false;
+        };
+        // The two tiers may sit on different file systems, where a rename
+        // fails.
+        if std::fs::rename(&local_path, &pfs_path).is_err() {
+            if std::fs::copy(&local_path, &pfs_path).is_err() {
+                return false;
+            }
+            let _ = std::fs::remove_file(&local_path);
         }
+        self.stats.files_bled += 1;
+        self.stats.bytes_bled += len;
+        true
+    }
+
+    /// Remove PFS checkpoints older than `cutoff` (science outputs are
+    /// never pruned).
+    fn prune_before(&mut self, cutoff: u64) {
+        for (step, path) in checkpoints(&self.cfg.pfs_dir) {
+            if step < cutoff && std::fs::remove_file(path).is_ok() {
+                self.stats.files_pruned += 1;
+            }
+        }
+    }
+
+    /// Kept for the benchmark census, which times it: every bleed lands
+    /// before its write returns, so there is nothing to wait for
+    /// (ROADMAP item 1(b) deletes it with the census rewrite).
+    pub fn drain(&self) {}
+
+    /// Return the statistics.
+    pub fn finish(self) -> IoStats {
+        self.stats
     }
 
     /// Locate the newest checkpoint on the PFS.
     pub fn latest_checkpoint(pfs_dir: &Path) -> Option<(u64, PathBuf)> {
-        let mut best: Option<(u64, PathBuf)> = None;
-        for entry in std::fs::read_dir(pfs_dir).ok()? {
-            let entry = entry.ok()?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(step) = Self::parse_step(&name) {
-                if best.as_ref().map(|(s, _)| step > *s).unwrap_or(true) {
-                    best = Some((step, entry.path()));
-                }
-            }
-        }
-        best
+        checkpoints(pfs_dir).pop()
     }
 
     /// Restart support: load the newest *valid* checkpoint, skipping any
     /// that fail CRC validation (torn by a crash).
     pub fn load_latest_valid(pfs_dir: &Path) -> Option<(u64, Vec<Block>)> {
-        let mut steps: Vec<(u64, PathBuf)> = std::fs::read_dir(pfs_dir)
-            .ok()?
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                Self::parse_step(&name).map(|s| (s, e.path()))
-            })
-            .collect();
-        steps.sort_by_key(|(s, _)| std::cmp::Reverse(*s));
-        for (step, path) in steps {
-            if let Ok(blocks) = read_blocks(&path) {
-                return Some((step, blocks));
-            }
-        }
-        None
+        checkpoints(pfs_dir)
+            .into_iter()
+            .rev()
+            .find_map(|(step, path)| read_blocks(&path).ok().map(|b| (step, b)))
     }
 
     /// Steps of every checkpoint on the PFS that passes CRC validation,
     /// ascending. This is what the supervisor intersects across ranks to
     /// find a globally consistent rollback target.
     pub fn valid_checkpoint_steps(pfs_dir: &Path) -> Vec<u64> {
-        let mut steps: Vec<u64> = std::fs::read_dir(pfs_dir)
+        checkpoints(pfs_dir)
             .into_iter()
-            .flatten()
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                let step = Self::parse_step(&name)?;
-                read_blocks(&e.path()).ok().map(|_| step)
-            })
-            .collect();
-        steps.sort_unstable();
-        steps
+            .filter(|(_, path)| read_blocks(path).is_ok())
+            .map(|(step, _)| step)
+            .collect()
     }
 
     /// Load the checkpoint at exactly `step`, validating CRC.
@@ -464,23 +384,20 @@ impl TieredWriter {
     }
 }
 
-impl Drop for TieredWriter {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn prune_old(dir: &Path, cutoff: u64, stats: &Arc<Mutex<IoStats>>) {
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let name = e.file_name().to_string_lossy().into_owned();
-            if let Some(step) = TieredWriter::parse_step(&name) {
-                if step < cutoff && std::fs::remove_file(e.path()).is_ok() {
-                    stats.lock().files_pruned += 1;
-                }
-            }
-        }
-    }
+/// Every checkpoint in `dir` as `(step, path)`, ascending by step. An
+/// entry that cannot be read is skipped.
+fn checkpoints(dir: &Path) -> Vec<(u64, PathBuf)> {
+    let mut found: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|e| {
+            let step = TieredWriter::parse_step(&e.file_name().to_string_lossy())?;
+            Some((step, e.path()))
+        })
+        .collect();
+    found.sort_unstable();
+    found
 }
 
 #[cfg(test)]
@@ -539,50 +456,35 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_only_after_every_queued_bleed_landed() {
-        let base = unique_base("drain");
+    fn every_write_has_bled_when_it_returns() {
+        let base = unique_base("in-place");
         let mut cfg = TieredConfig::frontier(&base);
-        cfg.window = 64;
-        let pfs_dir = cfg.pfs_dir.clone();
-        let local_dir = cfg.local_dir.clone();
-        let mut w = TieredWriter::new(cfg).unwrap();
-        for step in 0..64 {
-            w.write_checkpoint(step, &payload(16), 0.2, 1.0).unwrap();
-        }
-        w.drain();
-        // No sleep: the acknowledgement alone orders after the last copy.
-        assert_eq!(w.stats.lock().files_bled, 64);
-        assert_eq!(std::fs::read_dir(&local_dir).unwrap().count(), 0);
-        let (step, _) = TieredWriter::load_latest_valid(&pfs_dir).unwrap();
-        assert_eq!(step, 63);
-        // finish() with bleeds still queued and no drain() processes them.
-        for step in 64..72 {
-            w.write_checkpoint(step, &payload(16), 0.2, 1.0).unwrap();
-        }
-        let stats = w.finish();
-        assert_eq!(stats.files_bled, 72);
-        assert_eq!(std::fs::read_dir(&local_dir).unwrap().count(), 0);
-        let _ = std::fs::remove_dir_all(&base);
-    }
+        cfg.window = 16;
+        let (pfs_dir, local_dir) = (cfg.pfs_dir.clone(), cfg.local_dir.clone());
+        let mut w = armed_writer(cfg, "ckpt-torn@1:0", 2);
+        let staged = || std::fs::read_dir(&local_dir).unwrap().count();
+        let pfs_len = |name: &str| std::fs::metadata(pfs_dir.join(name)).unwrap().len();
 
-    #[test]
-    fn drain_inside_a_scheduler_task_waits_for_the_bleeder() {
-        // The bleeder is outside the scheduler's world: a cooperative
-        // park on it from the world's only task would be diagnosed as a
-        // deadlock. drain() must block the thread instead.
-        let base = unique_base("drain-task");
-        let cfg = TieredConfig::frontier(&base);
-        let local_dir = cfg.local_dir.clone();
-        let mut w = TieredWriter::new(cfg).unwrap();
-        let task = hacc_rt::sched::Scheduler::new(1).register();
-        task.run(|_| {
-            for step in 0..8 {
-                w.write_checkpoint(step, &payload(16), 0.2, 1.0).unwrap();
-            }
-            w.drain();
-        });
-        assert_eq!(w.stats.lock().files_bled, 8);
-        assert_eq!(std::fs::read_dir(&local_dir).unwrap().count(), 0);
+        w.write_output("halos_000.gio", &payload(50), 0.1, 1.3)
+            .unwrap();
+        assert_eq!(staged(), 0);
+        assert_eq!(w.stats.files_bled, 1);
+        assert_eq!(w.stats.bytes_bled, pfs_len("halos_000.gio"));
+        assert_eq!(w.stats.bytes_bled, w.stats.bytes_local);
+
+        for step in 0..2u64 {
+            w.probe.as_ref().unwrap().set_step(step);
+            let (bled, local) = (w.stats.bytes_bled, w.stats.bytes_local);
+            w.write_checkpoint(step, &payload(100), 0.2, 1.0).unwrap();
+            assert_eq!(staged(), 0);
+            assert_eq!(w.stats.files_bled, 2 + step);
+            let moved = w.stats.bytes_bled - bled;
+            assert_eq!(moved, pfs_len(&TieredWriter::checkpoint_name(step)));
+            // Step 1 is torn: what bleeds is the 5/8 that landed.
+            let written = w.stats.bytes_local - local;
+            assert_eq!(moved, if step == 1 { written * 5 / 8 } else { written });
+        }
+        let _ = w.finish();
         let _ = std::fs::remove_dir_all(&base);
     }
 

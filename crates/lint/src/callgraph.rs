@@ -149,11 +149,11 @@ impl<'a> CallGraph<'a> {
     }
 
     /// Bottom-up interprocedural summary fixpoint, the one every
-    /// interprocedural rule shares (C1's reaches-collective bit, E1's
-    /// panic-surface mask). SCCs are processed callees-first, so a
-    /// summary is final before any caller reads it; `compute(fid, get)`
-    /// produces `fid`'s summary, reading callee summaries through `get`
-    /// (the current approximation — `initial` on first touch). Members
+    /// interprocedural rule shares (C1's reaches-collective bit). SCCs
+    /// are processed callees-first, so a summary is final before any
+    /// caller reads it; `compute(fid, get)` produces `fid`'s summary,
+    /// reading callee summaries through `get` (the current
+    /// approximation — `initial` on first touch). Members
     /// of a cyclic SCC iterate to a local fixpoint with an `8n + 8`
     /// round cap.
     pub fn solve_summaries<S: Clone + PartialEq>(

@@ -37,8 +37,7 @@
 //!    scheduler's "only `lanes` run permits exist" holds for the whole
 //!    process only if nothing else starts OS threads. `thread::spawn`,
 //!    `thread::scope` and `thread::Builder` paths are flagged outside
-//!    `ranks::comm` (hosting ranks), `iosim::tiers` (hosting the
-//!    bleeder) and `crates/bench`.
+//!    `ranks::comm` (hosting ranks) and `crates/bench`.
 //!
 //! `#[cfg(test)]` regions and `tests/`/`benches/` trees are exempt —
 //! test scaffolding may time itself without touching golden artifacts.
@@ -61,13 +60,9 @@ const CLOCK_ALLOWED: [&str; 1] = ["crates/bench/"];
 /// Calls that wait on the wall clock.
 const TIMED_WAITS: [&str; 3] = ["wait_timeout", "park_timeout", "recv_timeout"];
 
-/// Modules that may create OS threads: the rank host, the bleeder host,
-/// and the bench harness.
-const THREAD_ALLOWED: [&str; 3] = [
-    "crates/ranks/src/comm.rs",
-    "crates/iosim/src/tiers.rs",
-    "crates/bench/",
-];
+/// Modules that may create OS threads: the rank host and the bench
+/// harness.
+const THREAD_ALLOWED: [&str; 2] = ["crates/ranks/src/comm.rs", "crates/bench/"];
 
 /// Modules that may read the process environment: the sanitizer's
 /// full-suite gate and the bench harness.
@@ -204,8 +199,8 @@ fn thread_creation(f: &SourceFile, toks: &[&Token], out: &mut Vec<Diagnostic>) {
             rule: Rule::D1,
             message: format!(
                 "`thread::{what}` outside the two thread owners (ranks::comm hosting \
-                 ranks, iosim::tiers hosting the bleeder): ranks on sched lanes \
-                 are the host's only parallelism — use more ranks, not more threads"
+                 ranks, and crates/bench): ranks on sched lanes are the host's only \
+                 parallelism — use more ranks, not more threads"
             ),
         });
     }

@@ -8,10 +8,9 @@
 //! `unwrap()` seven calls below `rank_main` is an unplanned job-killer
 //! at 72,000 ranks.
 //!
-//! The analysis: build the workspace call graph, compute each
-//! function's panic surface bottom-up with the summary solver, then
-//! BFS from the supervised roots and report every *explicit* panic
-//! site reachable from them, with the full call-path witness.
+//! The analysis: build the workspace call graph, BFS from the
+//! supervised roots and report every *explicit* panic site reachable
+//! from them, with the full call-path witness.
 //!
 //! Roots: `rank_main` in `crates/core/src/driver.rs`, plus any fn
 //! whose definition line carries `// e1: root` (line or line above) —
@@ -22,9 +21,7 @@
 //! `unimplemented!` macros. Class B sites — `assert*` macros, slice
 //! indexing, non-literal integer division — also panic, but the
 //! workspace has ~726 asserts and indexes on nearly every hot line;
-//! reporting them would bury the signal. They still feed the computed
-//! can-panic *surface* (exposed to tests via [`panic_surface`]), so
-//! tightening the reported class later is a one-line change.
+//! reporting them would bury the signal.
 //!
 //! Exemptions:
 //! * panic sites inside an `if` whose condition mentions `FaultKind`
@@ -36,27 +33,12 @@
 //! drops the finding in [`super::run_all`]'s suppression step.
 
 use crate::ast::{self, Expr, ExprKind};
-use crate::callgraph::CallGraph;
 use crate::context::{near, Context};
 use crate::index::FnId;
 use hacc_telem::diag::{Diagnostic, Rule, WitnessStep};
 
-/// Panic-surface bits, OR-combined through the call graph.
-pub const PANIC_EXPLICIT: u8 = 1;
-pub const PANIC_INDEX: u8 = 2;
-pub const PANIC_DIV: u8 = 4;
-pub const PANIC_ASSERT: u8 = 8;
-
 const EXPLICIT_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-const ASSERT_MACROS: [&str; 6] = [
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
 
 /// One explicit (class A) panic site in a function body.
 struct PanicSite {
@@ -76,32 +58,20 @@ fn mentions_fault(e: &Expr) -> bool {
     hit
 }
 
-/// Collect class-A sites (skipping fault-guarded branches) and the
-/// full surface mask of an expression tree.
-fn scan_expr(e: &Expr, guarded: bool, sites: &mut Vec<PanicSite>, mask: &mut u8) {
-    let mut explicit = |what: String| {
-        *mask |= PANIC_EXPLICIT;
-        if !guarded {
-            sites.push(PanicSite { line: e.line, what });
-        }
-    };
-    match &e.kind {
+/// Collect class-A sites, skipping fault-guarded branches.
+fn scan_expr(e: &Expr, guarded: bool, sites: &mut Vec<PanicSite>) {
+    let what = match &e.kind {
+        _ if guarded => None,
         ExprKind::MethodCall { method, .. } if EXPLICIT_METHODS.contains(&method.as_str()) => {
-            explicit(format!("`.{method}()`"))
+            Some(format!("`.{method}()`"))
         }
         ExprKind::Macro { name, .. } if PANIC_MACROS.contains(&name.as_str()) => {
-            explicit(format!("`{name}!`"))
+            Some(format!("`{name}!`"))
         }
-        ExprKind::Macro { name, .. } if ASSERT_MACROS.contains(&name.as_str()) => {
-            *mask |= PANIC_ASSERT
-        }
-        ExprKind::Index { .. } => *mask |= PANIC_INDEX,
-        ExprKind::Binary { op: ast::BinOp::Div | ast::BinOp::Rem, rhs, .. }
-            if !ast::is_literal(rhs) =>
-        {
-            *mask |= PANIC_DIV
-        }
-        _ => {}
+        _ => None,
+    };
+    if let Some(what) = what {
+        sites.push(PanicSite { line: e.line, what });
     }
     // Everything an `if` on a fault probe controls is a registered
     // injection site; its condition is not.
@@ -111,33 +81,18 @@ fn scan_expr(e: &Expr, guarded: bool, sites: &mut Vec<PanicSite>, mask: &mut u8)
     };
     ast::for_each_child(e, &mut |c| {
         let inner = guarded || fault_cond.is_some_and(|fc| !std::ptr::eq(fc, c));
-        scan_expr(c, inner, sites, mask)
+        scan_expr(c, inner, sites)
     });
-}
-
-/// Whole-graph panic surface: per-fn OR of own bits and every
-/// (transitive) callee's bits. Public so tests can pin the class-B
-/// calibration.
-pub fn panic_surface(cg: &CallGraph<'_>, local: &[u8]) -> Vec<u8> {
-    cg.solve_summaries(0u8, &mut |fid, get| {
-        let mut m = local[fid];
-        for site in &cg.calls[fid] {
-            m |= get(site.callee);
-        }
-        m
-    })
 }
 
 pub fn run(cx: &Context<'_>) -> Vec<Diagnostic> {
     let cg = &cx.cg;
-    // Local panic info per node.
-    let mut local_mask = vec![0u8; cg.nodes.len()];
+    // Local panic sites per node.
     let mut local_sites: Vec<Vec<PanicSite>> = Vec::with_capacity(cg.nodes.len());
-    for (fid, n) in cg.nodes.iter().enumerate() {
+    for n in cg.nodes {
         let mut sites = Vec::new();
         if let Some(body) = &n.def.body {
-            let mask = &mut local_mask[fid];
-            ast::block_exprs(body, &mut |e| scan_expr(e, false, &mut sites, mask));
+            ast::block_exprs(body, &mut |e| scan_expr(e, false, &mut sites));
         }
         local_sites.push(sites);
     }

@@ -145,7 +145,6 @@ fn d1_thread_creation_is_allowed_in_the_owners_bench_and_tests() {
     let spawn = "pub fn t() { let _ = std::thread::spawn(|| {}); }";
     let ws = Workspace::from_sources(&[
         ("crates/ranks/src/comm.rs", spawn),
-        ("crates/iosim/src/tiers.rs", spawn),
         ("crates/bench/benches/b.rs", spawn),
         ("tests/integration.rs", spawn),
         (
@@ -156,6 +155,16 @@ fn d1_thread_creation_is_allowed_in_the_owners_bench_and_tests() {
         ),
     ]);
     assert_eq!(findings(&ws, Rule::D1), Vec::<String>::new());
+}
+
+#[test]
+fn d1_thread_creation_in_the_tiered_writer_fires() {
+    // The tiered writer bleeds on the writing rank: it owns no thread.
+    let spawn = "pub fn t() { let _ = std::thread::spawn(|| {}); }";
+    let ws = Workspace::from_sources(&[("crates/iosim/src/tiers.rs", spawn)]);
+    let hits = findings(&ws, Rule::D1);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].contains("crates/iosim/src/tiers.rs"), "{hits:?}");
 }
 
 // ---------------------------------------------------------------- C1 --

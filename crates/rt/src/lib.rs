@@ -11,7 +11,6 @@
 //!   `rand`-shaped [`rng::Rng`]/[`rng::SeedableRng`] traits;
 //! * [`rand`] — a path-compatibility facade so call sites keep writing
 //!   `rand::rngs::StdRng::seed_from_u64(..)` after switching their `use`;
-//! * [`sync`] — `Mutex` with parking_lot's no-poisoning API;
 //! * [`sched`] — the rank scheduler: `lanes` run permits multiplexing
 //!   any number of ranks, the host's one parallelism mechanism;
 //! * [`prop`] — a bounded-shrinking property-test macro covering the
@@ -25,7 +24,6 @@
 pub mod prop;
 pub mod rng;
 pub mod sched;
-pub mod sync;
 
 /// Path-compatibility facade mirroring the `rand` crate layout.
 ///

@@ -32,7 +32,7 @@ fn main() {
             .unwrap();
         writer.advance_time(1128.0); // the paper's ~18.8-minute mean PM step
         println!(
-            "  step {step}: blocking {:.1} ms (modeled NVMe sync), bleed runs in background",
+            "  step {step}: blocking {:.1} ms (modeled NVMe sync), modeled bleed overlaps the solver",
             blocking * 1000.0
         );
     }

@@ -21,6 +21,14 @@ trap cleanup EXIT
 
 echo "== line census (informational, no threshold) =="
 scripts/loc.sh
+# rustfmt drift of the workspace, as the number of hunks `cargo fmt`
+# would rewrite; informational, and skipped where rustfmt is missing.
+if cargo fmt --version >/dev/null 2>&1; then
+    drift=$(cargo fmt --all --check 2>/dev/null | grep -c '^Diff in' || true)
+    echo "rustfmt drift: $drift hunk(s)"
+else
+    echo "rustfmt drift: rustfmt not installed"
+fi
 
 echo "== tier 0: hacc-lint static analysis =="
 # The lint gate runs before the workspace build: hacc-lint and the

@@ -19,10 +19,11 @@
 //! site's noise is the same whoever draws it. `forward_real` takes it to
 //! the half spectrum; each mode is coloured and turned into the three
 //! displacement components side by side, and one `inverse_real::<3>`
-//! brings them back. The rank then makes the particles of the lattice
-//! sites in its planes — not homed: the `migrate` that opens step 0 sends
-//! each to its owner. [`displacement_field`] / [`generate_ics`] are the
-//! serial whole-box reference it is tested against.
+//! brings them back, read in place through the view it returns. The rank
+//! then makes the particles of the lattice sites in its planes — not
+//! homed: the `migrate` that opens step 0 sends each to its owner.
+//! [`displacement_field`] / [`generate_ics`] are the serial whole-box
+//! reference it is tested against.
 
 use crate::config::{Physics, SimConfig};
 use crate::kicks::KickDrift;
@@ -297,12 +298,13 @@ pub fn distributed_ics(
     }
     drop(white_k);
     let psi = fft.inverse_real::<3>(comm, psi_k);
+    let psi = [0, 1, 2].map(|f| psi.field(f));
 
     let lattice = Lattice::new(cfg, bg);
     let mut store = ParticleStore::new();
     for i in 0..fft.local_len() {
-        let q = [fft.x0 + i / (n * n), i / n % n, i % n];
-        lattice.place(&mut store, q, psi.each_ref().map(|c| c[i]));
+        let (lx, y, z) = (i / (n * n), i / n % n, i % n);
+        lattice.place(&mut store, [fft.x0 + lx, y, z], psi.map(|c| c.at(lx, y, z)));
     }
     store.seal_owned();
     store

@@ -80,7 +80,35 @@ pub fn exchange_overload(
     width: f64,
 ) {
     store.truncate_to_owned();
-    let rank = comm.rank();
+    let (neighbor_ranks, sends) = overload_sends(decomp, comm.rank(), store, box_size, width);
+    // Ghosts land in ascending source rank order, as a dense all-to-all
+    // would deliver them.
+    let recvd = comm.exchange(
+        neighbor_ranks.iter().copied().zip(sends).collect(),
+        &neighbor_ranks,
+    );
+    for buf in recvd {
+        for r in buf {
+            store.insert(r);
+        }
+    }
+}
+
+/// An axis-aligned box, `(lo, hi)`.
+type Bounds = ([f64; 3], [f64; 3]);
+
+/// The candidate receivers of `rank`'s overload — the (deduplicated,
+/// ascending) 27-neighbourhood — and each one's subdomain grown by `width`.
+/// Because the overload width never exceeds a subdomain extent, any rank
+/// whose extended domain contains one of our particle images is in this
+/// set. The relation is symmetric, so the same list names the ranks that
+/// send to this one.
+fn neighbourhood(
+    decomp: &CartDecomp,
+    rank: usize,
+    box_size: f64,
+    width: f64,
+) -> (Vec<usize>, Vec<Bounds>) {
     // Sanity: the overload cannot exceed a subdomain extent, or
     // next-nearest neighbors would be needed.
     for d in 0..3 {
@@ -90,21 +118,6 @@ pub fn exchange_overload(
             "overload width {width} exceeds subdomain extent {extent}"
         );
     }
-
-    // Precompute every neighbor's subdomain in box units.
-    let subdomain = |r: usize| -> ([f64; 3], [f64; 3]) {
-        let (lo, hi) = decomp.subdomain(r);
-        (
-            [lo[0] * box_size, lo[1] * box_size, lo[2] * box_size],
-            [hi[0] * box_size, hi[1] * box_size, hi[2] * box_size],
-        )
-    };
-
-    // Candidate receivers: the (deduplicated, ascending) 27-neighborhood
-    // of this rank. Because the overload width never exceeds a subdomain
-    // extent, any rank whose extended domain contains one of our particle
-    // images is in this set. The relation is symmetric, so the same list
-    // names the ranks that send to this one.
     let mut neighbor_ranks: Vec<usize> = Vec::with_capacity(27);
     for dx in -1isize..=1 {
         for dy in -1isize..=1 {
@@ -115,25 +128,50 @@ pub fn exchange_overload(
     }
     neighbor_ranks.sort_unstable();
     neighbor_ranks.dedup();
-    let extended: Vec<([f64; 3], [f64; 3])> = neighbor_ranks
+    let extended = neighbor_ranks
         .iter()
         .map(|&nr| {
-            let (lo, hi) = subdomain(nr);
+            let (lo, hi) = decomp.subdomain(nr);
             (
-                [lo[0] - width, lo[1] - width, lo[2] - width],
-                [hi[0] + width, hi[1] + width, hi[2] + width],
+                lo.map(|l| l * box_size - width),
+                hi.map(|h| h * box_size + width),
             )
         })
         .collect();
+    (neighbor_ranks, extended)
+}
 
+/// The overload's receivers and, per receiver, the images of `store`'s
+/// owned particles in its extended domain, particle by particle, images in
+/// ascending `(kx, ky, kz)`.
+///
+/// Every extended domain lies inside `[-width, box_size + width)` on each
+/// axis — after rounding too, as `lo * box_size - width >= -width` and
+/// `hi * box_size + width <= box_size + width` for `0 <= lo, hi <= 1` — so
+/// an image is tried only when each of its coordinates, the same float
+/// expression the test reads, lies there: an interior particle tries one
+/// image, not 27, and the images shipped and their order are unchanged.
+fn overload_sends(
+    decomp: &CartDecomp,
+    rank: usize,
+    store: &ParticleStore,
+    box_size: f64,
+    width: f64,
+) -> (Vec<usize>, Vec<Vec<ParticleRecord>>) {
+    let (neighbor_ranks, extended) = neighbourhood(decomp, rank, box_size, width);
     let wrap = wrapped_axes(decomp, box_size, width);
-    let images = |d: usize| if wrap[d] { 0..=0 } else { -1i64..=1 };
-
     let mut sends: Vec<Vec<ParticleRecord>> = vec![Vec::new(); neighbor_ranks.len()];
     for i in 0..store.n_owned {
         let p = store.pos[i];
-        // Enumerate every periodic image; ship each image to every
-        // neighbor rank whose extended domain contains it.
+        let images = |d: usize| {
+            let shifts = if wrap[d] { 0..=0 } else { -1i64..=1 };
+            shifts.filter(move |&k| {
+                let x = p[d] + k as f64 * box_size;
+                x >= -width && x < box_size + width
+            })
+        };
+        // Ship each image to every neighbor rank whose extended domain
+        // contains it.
         for kx in images(0) {
             for ky in images(1) {
                 for kz in images(2) {
@@ -158,17 +196,7 @@ pub fn exchange_overload(
             }
         }
     }
-    // Ghosts land in ascending source rank order, as a dense all-to-all
-    // would deliver them.
-    let recvd = comm.exchange(
-        neighbor_ranks.iter().copied().zip(sends).collect(),
-        &neighbor_ranks,
-    );
-    for buf in recvd {
-        for r in buf {
-            store.insert(r);
-        }
-    }
+    (neighbor_ranks, sends)
 }
 
 #[cfg(test)]
@@ -420,6 +448,110 @@ mod tests {
         assert_eq!(wrapped_axes(&CartDecomp::new(8), 16.0, 4.0), [false; 3]);
         let counts: Vec<usize> = ghosts_of(8, 16).iter().map(|(_, _, g)| g.len()).collect();
         assert_eq!(counts, PINNED_EIGHT_RANK_GHOSTS);
+    }
+
+    /// The refresh's sends as it made them before it skipped images: every
+    /// periodic image (one along a wrapped axis) against every extended
+    /// domain — the reference [`overload_sends`] must match.
+    fn overload_sends_every_image(
+        decomp: &CartDecomp,
+        rank: usize,
+        store: &ParticleStore,
+        box_size: f64,
+        width: f64,
+    ) -> (Vec<usize>, Vec<Vec<ParticleRecord>>) {
+        let (neighbor_ranks, extended) = neighbourhood(decomp, rank, box_size, width);
+        let wrap = wrapped_axes(decomp, box_size, width);
+        let images = |d: usize| if wrap[d] { 0..=0 } else { -1i64..=1 };
+        let mut sends: Vec<Vec<ParticleRecord>> = vec![Vec::new(); neighbor_ranks.len()];
+        for i in 0..store.n_owned {
+            let p = store.pos[i];
+            for kx in images(0) {
+                for ky in images(1) {
+                    for kz in images(2) {
+                        let img = [
+                            p[0] + kx as f64 * box_size,
+                            p[1] + ky as f64 * box_size,
+                            p[2] + kz as f64 * box_size,
+                        ];
+                        let self_image = kx == 0 && ky == 0 && kz == 0;
+                        for (ni, &nr) in neighbor_ranks.iter().enumerate() {
+                            if self_image && nr == rank {
+                                continue;
+                            }
+                            let (elo, ehi) = &extended[ni];
+                            if (0..3).all(|d| img[d] >= elo[d] && img[d] < ehi[d]) {
+                                let mut rec = store.extract(i);
+                                rec.pos = img;
+                                sends[ni].push(rec);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (neighbor_ranks, sends)
+    }
+
+    /// Particles of `rank`'s subdomain, each coordinate inside it, within
+    /// `width` of its low or high face, or on either face's last float:
+    /// faces, edges and corners of the subdomain and of the box.
+    fn boundary_store(
+        decomp: &CartDecomp,
+        rank: usize,
+        box_size: f64,
+        width: f64,
+    ) -> ParticleStore {
+        let (lo, hi) = decomp.subdomain(rank);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(rank as u64 + 7);
+        let mut s = ParticleStore::new();
+        for i in 0..200 {
+            let pos = [0, 1, 2].map(|d| {
+                let (a, b) = (lo[d] * box_size, hi[d] * box_size);
+                match rng.gen_range(0..5) {
+                    0 => rng.gen_range(a..b),
+                    1 => rng.gen_range(a..b.min(a + width)),
+                    2 => rng.gen_range(a.max(b - width)..b),
+                    3 => a,
+                    _ => f64::from_bits(b.to_bits() - 1),
+                }
+            });
+            s.insert(dm(pos, (rank * 1000 + i) as u64));
+        }
+        s.seal_owned();
+        s
+    }
+
+    #[test]
+    fn skipping_unreachable_images_keeps_every_send() {
+        let box_size = 16.0;
+        let mut wrapped = 0;
+        for n_ranks in [1, 2, 8, 27, 64] {
+            let decomp = CartDecomp::new(n_ranks);
+            let extent = box_size / *decomp.dims.iter().max().unwrap() as f64;
+            for width in [0.3 * extent, extent] {
+                wrapped += wrapped_axes(&decomp, box_size, width)
+                    .iter()
+                    .filter(|&&w| w)
+                    .count();
+                for rank in 0..n_ranks {
+                    let store = boundary_store(&decomp, rank, box_size, width);
+                    let records = |(ranks, sends): (Vec<usize>, Vec<Vec<ParticleRecord>>)| {
+                        let sends: Vec<Vec<String>> = sends
+                            .iter()
+                            .map(|buf| buf.iter().map(|r| format!("{r:?}")).collect())
+                            .collect();
+                        (ranks, sends)
+                    };
+                    let got = records(overload_sends(&decomp, rank, &store, box_size, width));
+                    let want = records(overload_sends_every_image(
+                        &decomp, rank, &store, box_size, width,
+                    ));
+                    assert_eq!(got, want, "{n_ranks} ranks, width {width}, rank {rank}");
+                }
+            }
+        }
+        assert!(wrapped > 0, "no wrapped axis exercised");
     }
 
     #[test]

@@ -13,12 +13,36 @@
 //! ([`PlaneRequests::deposit`]), and each gather answer carries only the
 //! asker's `y × z` patch of each plane ([`PlaneRequests::gather`]).
 //! [`interpolate`] reads the answers in place, and a rank's own planes
-//! straight from its slab.
+//! straight from its slab, through [`Slab`]: a plain `[f64]` or one field
+//! of a real inverse's output.
 
 use std::ops::Range;
 
 use hacc_ranks::Comm;
-use hacc_swfft::dist::slab;
+use hacc_swfft::dist::{slab, RealField};
+
+/// One field of a rank's x-slab in layout A, read a cell at a time: the
+/// plain `[f64]` of a deposit, or a field of the view
+/// `DistFft3d::inverse_real` returns.
+pub trait Slab {
+    /// The value at column `z` of row `y` of local plane `lx`, on an
+    /// `n`-cell mesh.
+    fn at(&self, n: usize, lx: usize, y: usize, z: usize) -> f64;
+}
+
+impl Slab for [f64] {
+    #[inline]
+    fn at(&self, n: usize, lx: usize, y: usize, z: usize) -> f64 {
+        self[(lx * n + y) * n + z]
+    }
+}
+
+impl<const F: usize> Slab for RealField<'_, F> {
+    #[inline]
+    fn at(&self, _n: usize, lx: usize, y: usize, z: usize) -> f64 {
+        RealField::at(self, lx, y, z)
+    }
+}
 
 /// Which rank owns global x-plane `ix` under the slab decomposition.
 #[inline]
@@ -184,8 +208,8 @@ pub struct PlaneRequests {
     askers: Vec<usize>,
     /// Per plane of this rank's footprint, in footprint order: the index
     /// into `owners` of the plane's owner, and where the plane starts — its
-    /// patch in that owner's answer, or, for a plane this rank owns, the
-    /// plane in its own slab.
+    /// patch in that owner's answer — or, for a plane this rank owns, its
+    /// local plane in the slab.
     planes: Vec<(usize, usize)>,
     /// This rank's index in `owners`, when it owns a plane of its
     /// footprint.
@@ -215,7 +239,7 @@ impl PlaneRequests {
                 let earlier = answered[slot];
                 answered[slot] += 1;
                 let start = if Some(slot) == own {
-                    (ix - x0) * n * n
+                    ix - x0
                 } else {
                     earlier * y.len * z.len
                 };
@@ -280,7 +304,11 @@ impl PlaneRequests {
     /// order), the asker's `y × z` patch row by row — at most two
     /// contiguous z-runs per row. The rank's answer to itself is empty: its
     /// own planes are read from `local_slab`, which the patches borrow.
-    pub fn gather<'a>(&self, comm: &mut Comm, local_slab: &'a [f64]) -> Patches<'a> {
+    pub fn gather<'a, S: Slab + ?Sized>(
+        &self,
+        comm: &mut Comm,
+        local_slab: &'a S,
+    ) -> Patches<'a, S> {
         let n = self.n;
         let (rank, size) = (comm.rank(), comm.size());
         let (x0, nx) = slab(n, size, rank);
@@ -295,11 +323,9 @@ impl PlaneRequests {
                 let mine = x.cells(n).filter(|ix| (x0..x0 + nx).contains(ix));
                 let mut buf = Vec::with_capacity(mine.clone().count() * y.len * z.len);
                 for ix in mine {
-                    let plane = &local_slab[(ix - x0) * n * n..][..n * n];
                     for iy in y.cells(n) {
-                        let row = &plane[iy * n..][..n];
                         for run in z.runs(n) {
-                            buf.extend_from_slice(&row[run]);
+                            buf.extend(run.map(|iz| local_slab.at(n, ix - x0, iy, iz)));
                         }
                     }
                 }
@@ -346,21 +372,21 @@ pub fn deposit(
 /// One field over a rank's footprint, as its plane owners answered it and
 /// as its own slab holds it, both read in place by [`interpolate`].
 #[derive(Debug)]
-pub struct Patches<'a> {
+pub struct Patches<'a, S: ?Sized = [f64]> {
     n: usize,
     footprint: Footprint,
     /// Per footprint plane, the answer and where the plane starts in it, or
-    /// in `local` (the requests' own table).
+    /// its plane of `local` (the requests' own table).
     planes: Vec<(usize, usize)>,
     /// The answer standing for this rank's own planes, if it owns any.
     own: Option<usize>,
     /// This rank's slab of the field.
-    local: &'a [f64],
+    local: &'a S,
     /// One answer per owner asked, ascending owner.
     bufs: Vec<Vec<f64>>,
 }
 
-impl Patches<'_> {
+impl<S: Slab + ?Sized> Patches<'_, S> {
     /// The field at mesh cell `(ix, iy, iz)`, which must lie in the
     /// footprint.
     #[inline]
@@ -374,7 +400,7 @@ impl Patches<'_> {
         );
         let (answer, start) = self.planes[x.offset(n, ix)];
         if Some(answer) == self.own {
-            self.local[start + iy * n + iz]
+            self.local.at(n, start, iy, iz)
         } else {
             self.bufs[answer][start + dy * z.len + dz]
         }
@@ -384,7 +410,12 @@ impl Patches<'_> {
 /// Interpolate a grid quantity at particle positions from the patches
 /// [`PlaneRequests::gather`] collected for the footprint of these
 /// positions.
-pub fn interpolate(n: usize, box_size: f64, positions: &[[f64; 3]], patches: &Patches) -> Vec<f64> {
+pub fn interpolate<S: Slab + ?Sized>(
+    n: usize,
+    box_size: f64,
+    positions: &[[f64; 3]],
+    patches: &Patches<'_, S>,
+) -> Vec<f64> {
     assert_eq!(n, patches.n, "patches of another mesh");
     positions
         .iter()
@@ -547,7 +578,7 @@ mod tests {
                 // Two fields through one exchange of the requests.
                 for sign in [1.0, -1.0] {
                     let local = field_slab(comm, n, sign);
-                    let patches = requests.gather(comm, &local);
+                    let patches = requests.gather(comm, local.as_slice());
                     let got = interpolate(n, box_size, &pos, &patches);
                     // Whole planes: every stencil cell read off the full
                     // grid, in the same order.
@@ -562,7 +593,7 @@ mod tests {
                 // The one-shot form agrees.
                 let local = field_slab(comm, n, 1.0);
                 let once = gather_planes(comm, n, &local, &footprint);
-                let again = requests.gather(comm, &local);
+                let again = requests.gather(comm, local.as_slice());
                 assert_eq!(once.bufs, again.bufs);
                 footprint
             });
@@ -744,7 +775,7 @@ mod tests {
             footprint: [Span { start: 0, len: 2 }; 3],
             planes: vec![(0, 0), (0, 4)],
             own: None,
-            local: &[],
+            local: &[] as &[f64],
             bufs: vec![vec![0.0; 8]],
         };
         patches.at(0, 2, 0);

@@ -3,11 +3,19 @@
 //!
 //! Density and forces are real fields, so one solve runs on half spectra
 //! (the bins `z <= n/2` of every z-row): a real forward transform of the
-//! density, then two real inverses for the three force components —
-//! `[F_x | F_y]` side by side in each z-row, one complex FFT per line
-//! yielding both, and `F_z` with two rows per complex FFT. That needs every
-//! force grid Hermitian, which the zeroed Nyquist gradient wavenumber of
-//! [`crate::poisson`] guarantees.
+//! density, then two real inverses for the three force components. That
+//! needs every force grid Hermitian, which the zeroed Nyquist gradient
+//! wavenumber of [`crate::poisson`] guarantees.
+//!
+//! The solve is ordered to hold few grids. The density spectrum becomes
+//! `psi = -i phi(k)` in place; `F_z = g_z psi` is built, inverted, gathered
+//! and dropped; then `[F_x | F_y]`, side by side in each z-row so one
+//! complex FFT per line yields both, replaces `psi`. The transposes and the
+//! real inverses work in place, so with `S` one half-spectrum slab a rank
+//! holds at most `psi` with a force grid and its transpose's traffic, or
+//! `[F_x | F_y]` with its own: `3S` on 2 ranks, where the copying solve
+//! held `6S`, and under `4S` on any number. The inverses' output is read
+//! where the z stage left it ([`hacc_swfft::dist::RealFields`]).
 //!
 //! The mesh side of a solve shares each rank's CIC footprint once (one
 //! `all_gather`); the deposit and the three force gathers are then sparse
@@ -16,7 +24,7 @@
 //! exchanges.
 
 use crate::cic;
-use crate::poisson::{apply_greens_gradient_half, GreensOptions};
+use crate::poisson::{GreensOptions, HalfSpectrum};
 use hacc_ranks::Comm;
 use hacc_swfft::{Complex64, DistFft3d};
 
@@ -106,41 +114,42 @@ impl PmSolver {
         }
 
         // 2. Real forward FFT into the transposed half-spectrum layout.
-        let mut fz = self.fft.forward_real(comm, rho);
+        let mut psi = self.fft.forward_real(comm, rho);
 
-        // 3. Green's function + spectral gradient: `fz` becomes F_z(k),
-        //    F_x and F_y share the rows of a second grid.
+        // 3. Green's function: `psi` becomes `-i phi(k)` in place.
         let opts = GreensOptions {
             prefactor: self.cfg.prefactor,
             split_scale: self.cfg.split_scale,
             deconvolve_cic: self.cfg.deconvolve_cic,
         };
-        let fxy = apply_greens_gradient_half(
-            &mut fz,
-            n,
-            self.fft.y0,
-            self.fft.ny,
-            self.cfg.box_size,
-            &opts,
-        );
+        let half = HalfSpectrum::new(n, self.fft.y0, self.fft.ny, self.cfg.box_size, &opts);
+        half.potential(&mut psi);
 
-        // 4. Two real inverse FFTs for three fields; each component's
-        //    patches are gathered and interpolated in turn, so a rank holds
-        //    one component's slab and patches at once.
-        let mut accel = vec![[0.0f64; 3]; positions.len()];
-        let mut interpolate_into = |comm: &mut Comm, d: usize, real: Vec<f64>| {
-            let patches = requests.gather(comm, &real);
-            let vals = cic::interpolate(n, self.cfg.box_size, positions, &patches);
-            for (a, v) in accel.iter_mut().zip(vals) {
-                a[d] = v;
-            }
-        };
-        let [fx, fy] = self.fft.inverse_real(comm, fxy);
-        interpolate_into(comm, 0, fx);
-        interpolate_into(comm, 1, fy);
-        let [fz] = self.fft.inverse_real(comm, fz);
-        interpolate_into(comm, 2, fz);
-        accel
+        // 4. One gradient at a time, each inverted in place and its
+        //    patches gathered and interpolated: F_z, dropped before
+        //    [F_x | F_y] is built side by side in `psi`'s allocation.
+        let box_size = self.cfg.box_size;
+        let fz = self.fft.inverse_real::<1>(comm, half.force_z(&psi));
+        let az = cic::interpolate(n, box_size, positions, &requests.gather(comm, &fz.field(0)));
+        drop(fz);
+        let fxy = self.fft.inverse_real::<2>(comm, half.force_xy(psi));
+        let ax = cic::interpolate(
+            n,
+            box_size,
+            positions,
+            &requests.gather(comm, &fxy.field(0)),
+        );
+        let ay = cic::interpolate(
+            n,
+            box_size,
+            positions,
+            &requests.gather(comm, &fxy.field(1)),
+        );
+        ax.into_iter()
+            .zip(ay)
+            .zip(az)
+            .map(|((x, y), z)| [x, y, z])
+            .collect()
     }
 
     /// The local k-space density grid (used by the P(k) analysis). Returns

@@ -21,8 +21,10 @@
 //! is `c_x c_y c_z / k^2` with `c_i = exp(-k_i^2 r_s^2) / w_i^2` read from
 //! one table of `n` entries ([`AxisTable`]): no transcendental per cell.
 //!
-//! The per-mode physics has two output forms: the solver's, over the half
-//! spectrum of the real transforms (bins `z <= n/2` of each z-row), and the
+//! The per-mode physics, `psi = -i phi(k)` scaled by each gradient
+//! wavenumber, has two output forms: the solver's `HalfSpectrum`, over the
+//! half spectrum of the real transforms (bins `z <= n/2` of each z-row),
+//! which makes `psi` in place and one force grid at a time from it, and the
 //! full-spectrum [`apply_greens_gradient`] with one grid per component,
 //! the reference the tests and the benchmark census call.
 
@@ -120,7 +122,11 @@ impl AxisTable {
     }
 
     /// The z-rows of the y-planes `[y0, y0 + ny)` in layout B order.
-    fn rows(&self, y0: usize, ny: usize) -> impl Iterator<Item = Row> + '_ {
+    fn rows(
+        &self,
+        y0: usize,
+        ny: usize,
+    ) -> impl DoubleEndedIterator<Item = Row> + ExactSizeIterator + '_ {
         let n = self.k.len();
         (0..ny * n).map(move |r| {
             let (y, x) = (y0 + r / n, r % n);
@@ -133,21 +139,28 @@ impl AxisTable {
         })
     }
 
-    /// The physics of one mode: the three force components
-    /// `F_d = -i g_d phi(k)` of bin `z` of `row`. The zero mode sources no
-    /// force (Jeans swindle / periodic background subtraction).
+    /// The physics of one mode: `psi = -i phi(k)` of bin `z` of `row`,
+    /// which each gradient wavenumber turns into a force component. The
+    /// zero mode sources no force (Jeans swindle / periodic background
+    /// subtraction).
     #[inline]
-    fn force(&self, rho: Complex64, row: &Row, z: usize) -> [Complex64; 3] {
+    fn psi(&self, rho: Complex64, row: &Row, z: usize) -> Complex64 {
         let k2 = row.kxy2 + self.k[z] * self.k[z];
         if k2 == 0.0 {
-            return [Complex64::zero(); 3];
+            return Complex64::zero();
         }
         let phi = rho.scale(row.cxy * self.c[z] / k2);
-        let m_i_phi = Complex64::new(phi.im, -phi.re); // -i * phi
+        Complex64::new(phi.im, -phi.re) // -i * phi
+    }
+
+    /// The three force components `F_d = g_d psi` of bin `z` of `row`.
+    #[inline]
+    fn force(&self, rho: Complex64, row: &Row, z: usize) -> [Complex64; 3] {
+        let psi = self.psi(rho, row, z);
         [
-            m_i_phi.scale(row.gx),
-            m_i_phi.scale(row.gy),
-            m_i_phi.scale(self.k_grad[z]),
+            psi.scale(row.gx),
+            psi.scale(row.gy),
+            psi.scale(self.k_grad[z]),
         ]
     }
 }
@@ -182,31 +195,72 @@ pub fn apply_greens_gradient(
     grids
 }
 
-/// [`apply_greens_gradient`] over the half spectrum the solver transforms:
-/// `rho_k` holds z-rows of the `w = n/2 + 1` bins `z <= n/2`
-/// ([`hacc_swfft::DistFft3d::forward_real`]) and becomes `F_z(k)` in place;
-/// the returned grid holds `[F_x | F_y]` rows of `2w`, two half spectra
-/// side by side, as `DistFft3d::inverse_real::<2>` reads them.
-pub(crate) fn apply_greens_gradient_half(
-    rho_k: &mut [Complex64],
-    n: usize,
+/// [`apply_greens_gradient`] over the half spectrum the solver transforms
+/// (z-rows of the `w = n/2 + 1` bins `z <= n/2`, as
+/// [`hacc_swfft::DistFft3d::forward_real`] returns them), one gradient at
+/// a time so that few half-spectrum slabs live at once:
+/// [`Self::potential`] turns `rho(k)` into `psi = -i phi(k)` in place,
+/// then [`Self::force_z`] and [`Self::force_xy`] scale `psi` by the
+/// gradient wavenumbers. Each value is the product
+/// [`apply_greens_gradient`] forms for that mode, bit for bit.
+pub(crate) struct HalfSpectrum {
+    table: AxisTable,
+    w: usize,
     y0: usize,
     ny: usize,
-    box_size: f64,
-    opts: &GreensOptions,
-) -> Vec<Complex64> {
-    let w = half_width(n);
-    assert_eq!(rho_k.len(), ny * n * w);
-    let table = AxisTable::new(n, box_size, opts);
-    let mut fxy = vec![Complex64::zero(); 2 * rho_k.len()];
-    let rows = table.rows(y0, ny).zip(rho_k.chunks_exact_mut(w));
-    for ((row, cells), out) in rows.zip(fxy.chunks_exact_mut(2 * w)) {
-        let (fx, fy) = out.split_at_mut(w);
-        for (z, cell) in cells.iter_mut().enumerate() {
-            [fx[z], fy[z], *cell] = table.force(*cell, &row, z);
+}
+
+impl HalfSpectrum {
+    /// The factors of this rank's y-planes `[y0, y0 + ny)`.
+    pub(crate) fn new(n: usize, y0: usize, ny: usize, box_size: f64, opts: &GreensOptions) -> Self {
+        Self {
+            table: AxisTable::new(n, box_size, opts),
+            w: half_width(n),
+            y0,
+            ny,
         }
     }
-    fxy
+
+    /// `rho(k)` becomes `psi = -i phi(k)`, zero at `k = 0`.
+    pub(crate) fn potential(&self, rho_k: &mut [Complex64]) {
+        let rows = self.table.rows(self.y0, self.ny);
+        assert_eq!(rho_k.len(), self.ny * self.table.k.len() * self.w);
+        for (row, cells) in rows.zip(rho_k.chunks_exact_mut(self.w)) {
+            for (z, cell) in cells.iter_mut().enumerate() {
+                *cell = self.table.psi(*cell, &row, z);
+            }
+        }
+    }
+
+    /// `F_z(k) = g_z psi`, in rows of `w`.
+    pub(crate) fn force_z(&self, psi: &[Complex64]) -> Vec<Complex64> {
+        let g = &self.table.k_grad[..self.w];
+        psi.chunks_exact(self.w)
+            .flat_map(|cells| cells.iter().zip(g).map(|(p, &gz)| p.scale(gz)))
+            .collect()
+    }
+
+    /// `[F_x | F_y] = [g_x psi | g_y psi]` in rows of `2w`, two half
+    /// spectra side by side as `DistFft3d::inverse_real::<2>` reads them,
+    /// built in `psi`'s own allocation: grown to two slabs and filled from
+    /// the last row back, since row `r` of the result starts at `2r·w`,
+    /// past the rows of `psi` not yet read.
+    pub(crate) fn force_xy(&self, mut psi: Vec<Complex64>) -> Vec<Complex64> {
+        let (w, len) = (self.w, psi.len());
+        let rows = self.table.rows(self.y0, self.ny);
+        assert_eq!(len, rows.len() * w);
+        psi.resize(2 * len, Complex64::zero());
+        let mut cells = vec![Complex64::zero(); w];
+        for (r, row) in rows.enumerate().rev() {
+            cells.copy_from_slice(&psi[r * w..][..w]);
+            let (fx, fy) = psi[2 * r * w..][..2 * w].split_at_mut(w);
+            for ((x, y), p) in fx.iter_mut().zip(fy).zip(&cells) {
+                *x = p.scale(row.gx);
+                *y = p.scale(row.gy);
+            }
+        }
+        psi
+    }
 }
 
 /// The isotropic long-range filter in k-space, `S(k) = exp(-k² r_s²)`.
@@ -388,6 +442,41 @@ mod tests {
                                 );
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn half_spectrum_forces_are_the_full_ones_bitwise() {
+        // psi first, then one gradient at a time, on the bins z <= n/2 of
+        // a slab that starts mid-grid: every value the product the
+        // full-spectrum reference forms.
+        let box_size = 10.0;
+        for n in [16usize, 12, 17] {
+            let (y0, ny, w) = (3, 5, half_width(n));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let rho_k: Vec<Complex64> = (0..ny * n * n)
+                .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            for cells in SPLIT_CELLS {
+                let o = opts(cells * box_size / n as f64);
+                let full = apply_greens_gradient(&rho_k, n, y0, ny, box_size, &o);
+                let half = HalfSpectrum::new(n, y0, ny, box_size, &o);
+                let mut psi: Vec<Complex64> = rho_k
+                    .chunks_exact(n)
+                    .flat_map(|row| row[..w].to_vec())
+                    .collect();
+                half.potential(&mut psi);
+                let fz = half.force_z(&psi);
+                let fxy = half.force_xy(psi);
+                let bits = |c: Complex64| (c.re.to_bits(), c.im.to_bits());
+                for r in 0..ny * n {
+                    for z in 0..w {
+                        let want = [0, 1, 2].map(|d| bits(full[d][r * n + z]));
+                        let got = [fxy[2 * r * w + z], fxy[(2 * r + 1) * w + z], fz[r * w + z]];
+                        assert_eq!(got.map(bits), want, "n={n} row {r} z {z}");
                     }
                 }
             }

@@ -22,9 +22,15 @@
 //!
 //! Both layouts split their slab axis with the same [`slab`], so A -> B
 //! and B -> A are one operation — swap the plane and row indices of the
-//! global cube — and there is one `transpose`, its own inverse. It keeps
-//! no buffers between calls: a retained spare slab measured no faster and
-//! raised the resident set by a grid per rank.
+//! global cube — and there is one `transpose`, its own inverse. It works
+//! in place: the rows bound for each peer are packed into one send
+//! buffer, the square block that stays on the rank is turned by swaps,
+//! and each received block lands in the rows its own send vacated. No
+//! output slab is built and no buffer is kept between calls.
+//!
+//! [`DistFft3d::inverse_real`] works in place too: its z stage writes each
+//! complex line back into the spectrum's own allocation and returns it as
+//! [`RealFields`], a read-only view of the `F` real slabs.
 
 use crate::complex::Complex64;
 use crate::serial::{column_pass, FftPlan, COLS};
@@ -109,7 +115,7 @@ impl DistFft3d {
 
     /// Forward transform: consumes real-space layout A, returns k-space
     /// layout B (unnormalized).
-    pub fn forward(&self, comm: &mut Comm, data: &mut Vec<Complex64>) {
+    pub fn forward(&self, comm: &mut Comm, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.local_len());
         let n = self.n;
         let mut scratch = vec![Complex64::zero(); COLS * n];
@@ -131,7 +137,7 @@ impl DistFft3d {
 
     /// Inverse transform: consumes k-space layout B, returns real-space
     /// layout A, normalized by `1/n³`.
-    pub fn inverse(&self, comm: &mut Comm, data: &mut Vec<Complex64>) {
+    pub fn inverse(&self, comm: &mut Comm, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.local_len());
         let n = self.n;
         let mut scratch = vec![Complex64::zero(); COLS * n];
@@ -177,14 +183,15 @@ impl DistFft3d {
     /// Real-output inverse of `F` half spectra stored side by side:
     /// consumes layout B with rows of `F · w` values (field `f`'s bins
     /// `z ≤ n/2` at `[f·w, (f+1)·w)` of each row) and returns each field's
-    /// real slab in layout A, normalized by `1/n³`. The imaginary parts of
-    /// the self-conjugate bins `z = 0` and `z = n/2` are dropped: a real
+    /// real slab in layout A, normalized by `1/n³`, as a view of the
+    /// consumed allocation ([`RealFields`]). The imaginary parts of the
+    /// self-conjugate bins `z = 0` and `z = n/2` are dropped: a real
     /// field's are zero.
     pub fn inverse_real<const F: usize>(
         &self,
         comm: &mut Comm,
         mut data: Vec<Complex64>,
-    ) -> [Vec<f64>; F] {
+    ) -> RealFields<F> {
         let (n, w) = (self.n, half_width(self.n));
         let width = F * w;
         assert_eq!(data.len(), self.ny * n * width);
@@ -193,22 +200,29 @@ impl DistFft3d {
             column_pass(&self.plan, plane, width, &mut scratch, true);
         }
         self.transpose(comm, &mut data, width);
+        let lines = (n * F).div_ceil(2);
         let mut line = vec![Complex64::zero(); n];
-        let mut out = [(); F].map(|()| Vec::with_capacity(self.local_len()));
-        for plane in data.chunks_exact_mut(n * width) {
-            column_pass(&self.plan, plane, width, &mut scratch, true);
-            // Half-row `j` of a plane is row `j / F` of field `j % F`;
-            // consecutive half-rows share one complex FFT.
-            for (p, pair) in plane.chunks(2 * w).enumerate() {
-                let (a, b) = pair.split_at(w);
+        for l in 0..self.nx {
+            let plane = l * n * width..(l + 1) * n * width;
+            column_pass(
+                &self.plan,
+                &mut data[plane.clone()],
+                width,
+                &mut scratch,
+                true,
+            );
+            // Half-rows `2p` and `2p + 1` share one complex FFT, whose line
+            // lands at or below the half-rows it was made from: lines take
+            // `n` values, half-row pairs `2w > n`.
+            for p in 0..lines {
+                let start = plane.start + 2 * p * w;
+                let (a, b) = data[start..plane.end.min(start + 2 * w)].split_at(w);
                 z_inverse_pair(&self.plan, a, b, &mut line);
-                out[2 * p % F].extend(line.iter().map(|c| c.re));
-                if !b.is_empty() {
-                    out[(2 * p + 1) % F].extend(line.iter().map(|c| c.im));
-                }
+                data[(l * lines + p) * n..][..n].copy_from_slice(&line);
             }
         }
-        out
+        data.truncate(self.nx * lines * n);
+        RealFields { n, lines, data }
     }
 
     /// Global wavenumber indices `(kx, ky, kz)` of local k-space element
@@ -227,10 +241,13 @@ impl DistFft3d {
     /// ```
     ///
     /// i.e. row `r` of this rank's output plane `p` is row `p` of global
-    /// plane `r`, read from whichever rank owns plane `r`.
-    fn transpose(&self, comm: &mut Comm, data: &mut Vec<Complex64>, width: usize) {
+    /// plane `r`, read from whichever rank owns plane `r`. In place: no
+    /// output slab, only the rows that leave the rank are copied out.
+    fn transpose(&self, comm: &mut Comm, data: &mut [Complex64], width: usize) {
         let n = self.n;
         let (off, cnt) = (self.x0, self.nx);
+        assert_eq!(data.len(), cnt * n * width, "transpose of a foreign slab");
+        let row = |l: usize, r: usize| (l * n + r) * width;
         // To peer d: rows [off_d, off_d + cnt_d) of every local plane, one
         // contiguous run per plane. The block that stays here is not packed.
         let sends: Vec<Vec<Complex64>> = (0..self.size)
@@ -240,32 +257,92 @@ impl DistFft3d {
                 }
                 let (od, cd) = slab(n, self.size, d);
                 let mut buf = Vec::with_capacity(cnt * cd * width);
-                for plane in data.chunks_exact(n * width) {
-                    buf.extend_from_slice(&plane[od * width..(od + cd) * width]);
+                for l in 0..cnt {
+                    buf.extend_from_slice(&data[row(l, od)..row(l, od + cd)]);
                 }
                 buf
             })
             .collect();
-        let recvd = comm.all_to_allv(sends);
-        // Build the output in order — plane l, then source s, then s's
-        // planes, each of which contributes row l of its block (the own
-        // block is read in place) — so each row is copied once and nothing
-        // is zeroed.
-        let mut out = Vec::with_capacity(data.len());
+        // The block that stays is square: row (l, off + j) trades places
+        // with row (j, off + l), the later of the two.
         for l in 0..cnt {
-            for (s, buf) in recvd.iter().enumerate() {
-                let (src, block, first) = if s == self.rank {
-                    (data.as_slice(), n * width, off * width)
-                } else {
-                    (buf.as_slice(), cnt * width, 0)
-                };
-                for rows in src.chunks_exact(block) {
-                    out.extend_from_slice(&rows[first + l * width..][..width]);
-                }
+            for j in l + 1..cnt {
+                let (head, tail) = data.split_at_mut(row(j, off + l));
+                head[row(l, off + j)..][..width].swap_with_slice(&mut tail[..width]);
             }
         }
-        assert_eq!(out.len(), data.len(), "transpose blocks do not tile the slab");
-        *data = out;
+        // Source s sent, plane j then row l, row (off + l) of its plane
+        // o_s + j: it fills the rows (l, o_s + j) that this rank's own send
+        // to s vacated.
+        for (s, buf) in comm.all_to_allv(sends).into_iter().enumerate() {
+            if s == self.rank {
+                continue;
+            }
+            let (os, cs) = slab(n, self.size, s);
+            assert_eq!(
+                buf.len(),
+                cs * cnt * width,
+                "transpose blocks do not tile the slab"
+            );
+            for (k, rows) in buf.chunks_exact(width).enumerate() {
+                let (j, l) = (k / cnt, k % cnt);
+                data[row(l, os + j)..][..width].copy_from_slice(rows);
+            }
+        }
+    }
+}
+
+/// The `F` real slabs [`DistFft3d::inverse_real`] returns, in layout A,
+/// left in the allocation of the spectrum it consumed: a read-only view.
+///
+/// A plane holds `n · F` real rows, half-row `j = y·F + f` being row `y`
+/// of field `f`. The z stage takes them two at a time through one complex
+/// FFT and stores that line, `a + i·b`, as `n` complex values: plane `lx`
+/// keeps its `⌈n·F/2⌉` lines from line `lx · ⌈n·F/2⌉`, and half-row `j` is
+/// the `re` (even `j`) or `im` (odd `j`) of line `j / 2` — the last line's
+/// `im` is unused when `n·F` is odd.
+#[derive(Debug)]
+pub struct RealFields<const F: usize> {
+    n: usize,
+    /// Lines per plane, `⌈n·F/2⌉`.
+    lines: usize,
+    data: Vec<Complex64>,
+}
+
+impl<const F: usize> RealFields<F> {
+    /// Field `f`, below `F`.
+    pub fn field(&self, f: usize) -> RealField<'_, F> {
+        assert!(f < F, "field {f} of {F}");
+        RealField { fields: self, f }
+    }
+}
+
+/// One field of a [`RealFields`]: a real slab in layout A.
+#[derive(Debug, Clone, Copy)]
+pub struct RealField<'a, const F: usize> {
+    fields: &'a RealFields<F>,
+    f: usize,
+}
+
+impl<'a, const F: usize> RealField<'a, F> {
+    /// The value at column `z` of row `y` of local plane `lx`.
+    #[inline]
+    pub fn at(&self, lx: usize, y: usize, z: usize) -> f64 {
+        let RealFields { n, lines, ref data } = *self.fields;
+        let j = y * F + self.f;
+        let c = data[(lx * lines + j / 2) * n + z];
+        if j.is_multiple_of(2) {
+            c.re
+        } else {
+            c.im
+        }
+    }
+
+    /// Every value, in layout A order `(lx · n + y) · n + z`.
+    pub fn values(self) -> impl Iterator<Item = f64> + 'a {
+        let RealFields { n, lines, ref data } = *self.fields;
+        let planes = data.len() / (lines * n);
+        (0..planes * n * n).map(move |i| self.at(i / (n * n), i / n % n, i % n))
     }
 }
 
@@ -439,6 +516,11 @@ mod tests {
         check_matches_serial(4, 6);
     }
 
+    /// Each field of a [`RealFields`] as its own slab.
+    fn slabs<const F: usize>(fields: &RealFields<F>) -> [Vec<f64>; F] {
+        std::array::from_fn(|f| fields.field(f).values().collect())
+    }
+
     #[test]
     fn real_transforms_are_the_half_of_the_complex_ones() {
         // Radix-2, even and odd Bluestein grids; even, uneven and (6 ranks
@@ -482,11 +564,11 @@ mod tests {
                         rows
                     };
                     let ones = halves.each_ref().map(|h| {
-                        let [one] = fft.inverse_real(comm, h.clone());
+                        let [one] = slabs(&fft.inverse_real(comm, h.clone()));
                         one
                     });
-                    let two = fft.inverse_real::<2>(comm, side_by_side(2));
-                    let three = fft.inverse_real::<3>(comm, side_by_side(3));
+                    let two = slabs(&fft.inverse_real::<2>(comm, side_by_side(2)));
+                    let three = slabs(&fft.inverse_real::<3>(comm, side_by_side(3)));
                     let close = |got: &[f64], want: &[f64], what: &str| {
                         assert_eq!(got.len(), want.len());
                         for (g, w) in got.iter().zip(want) {
@@ -537,6 +619,85 @@ mod tests {
                         "n={n} ranks={ranks} width={width}: not an involution"
                     );
                 });
+            }
+        }
+    }
+
+    /// The real inverse as a copy: each line's `re` and `im` appended to
+    /// fresh per-field slabs, the reference [`RealFields`] must read.
+    fn inverse_real_copied<const F: usize>(
+        fft: &DistFft3d,
+        comm: &mut Comm,
+        mut data: Vec<Complex64>,
+    ) -> [Vec<f64>; F] {
+        let (n, w) = (fft.n, half_width(fft.n));
+        let width = F * w;
+        let mut scratch = vec![Complex64::zero(); COLS * n];
+        for plane in data.chunks_exact_mut(n * width) {
+            column_pass(&fft.plan, plane, width, &mut scratch, true);
+        }
+        fft.transpose(comm, &mut data, width);
+        let mut line = vec![Complex64::zero(); n];
+        let mut out = [(); F].map(|()| Vec::with_capacity(fft.local_len()));
+        for plane in data.chunks_exact_mut(n * width) {
+            column_pass(&fft.plan, plane, width, &mut scratch, true);
+            for (p, pair) in plane.chunks(2 * w).enumerate() {
+                let (a, b) = pair.split_at(w);
+                z_inverse_pair(&fft.plan, a, b, &mut line);
+                out[2 * p % F].extend(line.iter().map(|c| c.re));
+                if !b.is_empty() {
+                    out[(2 * p + 1) % F].extend(line.iter().map(|c| c.im));
+                }
+            }
+        }
+        out
+    }
+
+    /// `F` random half spectra side by side on this rank, in layout B.
+    fn rand_half_spectra<const F: usize>(fft: &DistFft3d, seed: u64) -> Vec<Complex64> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed + fft.rank as u64);
+        (0..fft.ny * fft.n * F * half_width(fft.n))
+            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect()
+    }
+
+    fn check_in_place<const F: usize>(n: usize, ranks: usize) {
+        World::run(ranks, |comm| {
+            let fft = DistFft3d::new(comm, n);
+            let spectra = rand_half_spectra::<F>(&fft, 11 * F as u64);
+            let want = inverse_real_copied::<F>(&fft, comm, spectra.clone());
+            let ptr = spectra.as_ptr();
+            let got = fft.inverse_real::<F>(comm, spectra);
+            assert_eq!(
+                got.data.as_ptr(),
+                ptr,
+                "F={F} n={n} ranks={ranks}: a new allocation"
+            );
+            for (f, want) in want.iter().enumerate() {
+                let got: Vec<u64> = got.field(f).values().map(f64::to_bits).collect();
+                let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "F={F} n={n} ranks={ranks} field {f}");
+            }
+            let mut slab = rand_half_spectra::<F>(&fft, 3);
+            let ptr = slab.as_ptr();
+            fft.transpose(comm, &mut slab, F * half_width(n));
+            assert_eq!(
+                slab.as_ptr(),
+                ptr,
+                "F={F} n={n} ranks={ranks}: transpose moved"
+            );
+        });
+    }
+
+    #[test]
+    fn real_inverse_works_in_place_and_reads_the_copied_lines_bitwise() {
+        // Odd n·F (9 and 17 with one or three fields) leaves each plane a
+        // lone last half-row; six ranks on n = 4 own no plane past rank 3.
+        for n in [4usize, 9, 12, 16, 17] {
+            for ranks in [1usize, 2, 3, 6] {
+                check_in_place::<1>(n, ranks);
+                check_in_place::<2>(n, ranks);
+                check_in_place::<3>(n, ranks);
             }
         }
     }

@@ -88,10 +88,10 @@ fn check_real(n: usize, ranks: usize, seed: u64) {
                 weight * c.norm_sqr()
             })
             .sum();
-        let [back] = plan.inverse_real(comm, half);
+        let back = plan.inverse_real::<1>(comm, half);
         let max_err = original
             .iter()
-            .zip(&back)
+            .zip(back.field(0).values())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         let sum_x2: f64 = original.iter().map(|x| x * x).sum();

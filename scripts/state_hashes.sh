@@ -15,7 +15,9 @@
 # checkpoint exists (a cold start through the distributed ICs). Recovery
 # is bitwise, so each prints the hash of the row above. The 27-rank row
 # is the one 3×3×3 decomposition, and its 16³ mesh leaves eleven ranks
-# owning no plane.
+# owning no plane. The `--np 9` row is the one odd grid: its PM and IC
+# real inverses (n·F = 9 and 27 half-rows per plane) leave each plane a
+# lone last half-row, and its transforms run Bluestein.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=${1:-target/release/frontier-sim}
@@ -53,6 +55,7 @@ done <<'TABLE'
 --np 16 --steps 3 --seed 7 --ranks 2 --physics gravity --chaos panic@1:0
 --np 32 --steps 2 --seed 7 --ranks 8 --physics gravity
 --np 16 --steps 2 --seed 3 --ranks 27 --physics gravity
+--np 9 --steps 2 --seed 3 --ranks 2 --physics gravity
 --np 32 --steps 2 --seed 7 --ranks 64 --physics gravity
 --np 32 --steps 2 --seed 7 --ranks 64 --physics gravity --chaos panic@0:5
 --np 16 --steps 2 --seed 3 --ranks 2 --zi 1.5 --zf 1.0

@@ -1,6 +1,6 @@
 //! The microbenchmarks behind the tier-5 kernel ratchet
-//! (`BENCH_kernels.json`): the short-range symmetric tiles and the
-//! long-range PM solve.
+//! (`BENCH_kernels.json`): the short-range symmetric tiles, the
+//! long-range PM solve and the batched slab FFT.
 //!
 //! Times three sweeps of identical interaction lists against each other —
 //! the production one (symmetric tiles over lane-compacted leaf pairs), the
@@ -8,7 +8,9 @@
 //! (`hacc_gpusim::reference::sweep`) — and
 //! `PmSolver::accelerations` (real transforms over half spectra) against
 //! the same solve assembled from the complex transforms with one inverse
-//! per component; emits `*_pairs_per_s` (list-sized pairs) /
+//! per component, and `DistFft3d::forward` (batched line passes) against
+//! the same 3-D transform one line at a time through `FftPlan::forward`;
+//! emits `*_pairs_per_s` (list-sized pairs) /
 //! `*_cells_per_s` / `*_speedup` metrics through [`hacc_bench::baseline`],
 //! and (under the ratchet) asserts the >= 2x win the symmetric-tile fix
 //! claims and the >= 1.55x win of the half-spectrum solve.
@@ -25,7 +27,7 @@ use hacc_mesh::poisson::{apply_greens_gradient, GreensOptions};
 use hacc_mesh::{cic, PmConfig, PmSolver};
 use hacc_ranks::{Comm, World};
 use hacc_rt::rand::{self, Rng, SeedableRng};
-use hacc_swfft::{Complex64, DistFft3d};
+use hacc_swfft::{Complex64, DistFft3d, FftPlan};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -205,6 +207,85 @@ fn long_range(samples: usize) -> (f64, f64) {
     ((n * n * n) as f64 / fastest, median(ratios))
 }
 
+/// The complex 3-D transform of an `n³` cube (layout `(x·n + y)·n + z`)
+/// one line at a time through the public `FftPlan::forward`: the z rows in
+/// place, then the y and the x columns, eight adjacent columns at a time
+/// gathered into eight lines, each transformed and scattered back — the
+/// per-line algorithm the batched passes of `DistFft3d` replaced.
+fn per_line_fft3(plan: &FftPlan, data: &mut [Complex64]) {
+    let n = plan.len();
+    for row in data.chunks_exact_mut(n) {
+        plan.forward(row);
+    }
+    let mut lines = vec![Complex64::zero(); 8 * n];
+    // y: each x-plane is n rows of n columns; x: the cube is n rows of n².
+    for (matrix, stride) in [(n * n, n), (n * n * n, n * n)] {
+        for block in data.chunks_exact_mut(matrix) {
+            for c0 in (0..stride).step_by(8) {
+                let w = 8.min(stride - c0);
+                for (r, row) in block.chunks_exact(stride).enumerate() {
+                    for (c, v) in row[c0..c0 + w].iter().enumerate() {
+                        lines[c * n + r] = *v;
+                    }
+                }
+                for line in lines[..w * n].chunks_exact_mut(n) {
+                    plan.forward(line);
+                }
+                for (r, row) in block.chunks_exact_mut(stride).enumerate() {
+                    for (c, v) in row[c0..c0 + w].iter_mut().enumerate() {
+                        *v = lines[c * n + r];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The batched slab FFT: `samples` alternating 64³ complex forward
+/// transforms on one rank, `DistFft3d::forward` against [`per_line_fft3`],
+/// the order swapped every other sample as in [`long_range`]. Returns the
+/// median over the samples of per-line time ÷ batched time. The warm-up
+/// sample checks that both arms compute the same bits (on one rank the
+/// slab transform's output is the cube with x and y swapped).
+fn batched_fft(samples: usize) -> f64 {
+    let n = 64;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let cube: Vec<Complex64> = (0..n * n * n)
+        .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        .collect();
+    let plan = FftPlan::new(n);
+    let timings = World::run(1, |comm| {
+        let fft = DistFft3d::new(comm, n);
+        (0..=samples)
+            .map(|s| {
+                let (mut batched, mut per_line) = (cube.clone(), cube.clone());
+                let (mut batched_s, mut per_line_s) = (0.0, 0.0);
+                for per_line_arm in [s % 2 == 1, s % 2 == 0] {
+                    let t = Instant::now();
+                    if per_line_arm {
+                        per_line_fft3(&plan, black_box(&mut per_line));
+                        per_line_s = t.elapsed().as_secs_f64();
+                    } else {
+                        fft.forward(comm, black_box(&mut batched));
+                        batched_s = t.elapsed().as_secs_f64();
+                    }
+                }
+                if s == 0 {
+                    let swapped = |i: usize| (i / n % n * n + i / (n * n)) * n + i % n;
+                    assert!(
+                        (0..n * n * n).all(|i| batched[i] == per_line[swapped(i)]),
+                        "the batched and the per-line transform disagree"
+                    );
+                }
+                (batched_s, per_line_s)
+            })
+            .collect::<Vec<_>>()
+    })
+    .pop()
+    .expect("one rank");
+    median(timings[1..].iter().map(|(b, p)| p / b).collect())
+}
+
 fn main() {
     // Fixed measurement budget per arm: long enough for a stable median
     // ratio (the ratchet tolerance is 15%), short enough for the verify
@@ -239,7 +320,13 @@ fn main() {
         "bench  long_range/pm_solve (64^3 cells, 2 ranks): {pm_cells_per_s:.3e} cells/s, {half_speedup:.2}x the complex three-inverse assembly"
     );
 
+    let batched_speedup = batched_fft(21);
+    println!(
+        "bench  long_range/batched_fft (64^3 complex forward, 1 rank): {batched_speedup:.2}x the per-line transform"
+    );
+
     baseline::record(&[
+        ("long_range_batched_fft_speedup", batched_speedup),
         ("long_range_pm_solve_cells_per_s", pm_cells_per_s),
         ("long_range_half_spectrum_speedup", half_speedup),
         ("short_range_grav_tiled_pairs_per_s", g.tiled_per_s),

@@ -57,8 +57,9 @@ impl PmConfig {
     }
 }
 
-/// Per-rank PM solver handle. Construct once per run (plans are cached),
-/// call [`PmSolver::accelerations`] once per PM step.
+/// Per-rank PM solver handle. Construct once per run (plans are cached).
+/// The driver calls [`PmSolver::accelerations`] for every PM step's
+/// opening solve and once more for the last step's closing solve.
 #[derive(Debug)]
 pub struct PmSolver {
     cfg: PmConfig,

@@ -33,7 +33,7 @@
 //! [`RealFields`], a read-only view of the `F` real slabs.
 
 use crate::complex::Complex64;
-use crate::serial::{column_pass, FftPlan, COLS};
+use crate::serial::{column_pass, row_pass, FftPlan, Lanes, Pass, Scratch};
 use hacc_ranks::Comm;
 
 /// Slab bounds for one rank: `(offset, count)` planes.
@@ -118,13 +118,11 @@ impl DistFft3d {
     pub fn forward(&self, comm: &mut Comm, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.local_len());
         let n = self.n;
-        let mut scratch = vec![Complex64::zero(); COLS * n];
+        let mut scratch = Scratch::new(&self.plan);
 
         // FFT along z (contiguous) and y (columns) of each local x-plane.
         for plane in data.chunks_exact_mut(n * n) {
-            for row in plane.chunks_exact_mut(n) {
-                self.plan.forward(row);
-            }
+            row_pass(&self.plan, plane, &mut scratch, false);
             column_pass(&self.plan, plane, n, &mut scratch, false);
         }
 
@@ -140,7 +138,7 @@ impl DistFft3d {
     pub fn inverse(&self, comm: &mut Comm, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.local_len());
         let n = self.n;
-        let mut scratch = vec![Complex64::zero(); COLS * n];
+        let mut scratch = Scratch::new(&self.plan);
 
         for plane in data.chunks_exact_mut(n * n) {
             column_pass(&self.plan, plane, n, &mut scratch, true);
@@ -148,9 +146,7 @@ impl DistFft3d {
         self.transpose(comm, data, n);
         for plane in data.chunks_exact_mut(n * n) {
             column_pass(&self.plan, plane, n, &mut scratch, true);
-            for row in plane.chunks_exact_mut(n) {
-                self.plan.inverse(row);
-            }
+            row_pass(&self.plan, plane, &mut scratch, true);
         }
     }
 
@@ -161,15 +157,16 @@ impl DistFft3d {
     pub fn forward_real(&self, comm: &mut Comm, data: Vec<f64>) -> Vec<Complex64> {
         assert_eq!(data.len(), self.local_len());
         let (n, w) = (self.n, half_width(self.n));
-        let mut line = vec![Complex64::zero(); n];
-        let mut scratch = vec![Complex64::zero(); COLS * n];
+        let mut scratch = Scratch::new(&self.plan);
         let mut out = Vec::with_capacity(self.nx * n * w);
         for plane in data.chunks_exact(n * n) {
             let start = out.len();
-            for rows in plane.chunks(2 * n) {
-                let (a, b) = rows.split_at(n);
-                z_forward_pair(&self.plan, a, b, &mut line, &mut out);
-            }
+            let mut pairs = RealRowPairs {
+                plane,
+                n,
+                out: &mut out,
+            };
+            scratch.run(&self.plan, n.div_ceil(2), &mut pairs, false);
             column_pass(&self.plan, &mut out[start..], w, &mut scratch, false);
         }
         drop(data);
@@ -195,31 +192,29 @@ impl DistFft3d {
         let (n, w) = (self.n, half_width(self.n));
         let width = F * w;
         assert_eq!(data.len(), self.ny * n * width);
-        let mut scratch = vec![Complex64::zero(); COLS * n];
+        let mut scratch = Scratch::new(&self.plan);
         for plane in data.chunks_exact_mut(n * width) {
             column_pass(&self.plan, plane, width, &mut scratch, true);
         }
         self.transpose(comm, &mut data, width);
         let lines = (n * F).div_ceil(2);
-        let mut line = vec![Complex64::zero(); n];
         for l in 0..self.nx {
-            let plane = l * n * width..(l + 1) * n * width;
+            let plane = l * n * width;
             column_pass(
                 &self.plan,
-                &mut data[plane.clone()],
+                &mut data[plane..][..n * width],
                 width,
                 &mut scratch,
                 true,
             );
-            // Half-rows `2p` and `2p + 1` share one complex FFT, whose line
-            // lands at or below the half-rows it was made from: lines take
-            // `n` values, half-row pairs `2w > n`.
-            for p in 0..lines {
-                let start = plane.start + 2 * p * w;
-                let (a, b) = data[start..plane.end.min(start + 2 * w)].split_at(w);
-                z_inverse_pair(&self.plan, a, b, &mut line);
-                data[(l * lines + p) * n..][..n].copy_from_slice(&line);
-            }
+            let mut pairs = HalfRowPairs {
+                data: &mut data,
+                plane,
+                half_rows: n * F,
+                first_line: l * lines,
+                n,
+            };
+            scratch.run(&self.plan, lines, &mut pairs, true);
         }
         data.truncate(self.nx * lines * n);
         RealFields { n, lines, data }
@@ -346,64 +341,111 @@ impl<'a, const F: usize> RealField<'a, F> {
     }
 }
 
-/// The z stage of [`DistFft3d::forward_real`]: appends to `out` the half
-/// spectra of the real rows `a` and then `b` (`b` empty for a lone last
-/// row), both from one complex FFT `C` of `a + i·b`:
-/// `A_k = (C_k + C*_{n−k}) / 2`, `B_k = (C_k − C*_{n−k}) / 2i`.
-fn z_forward_pair(
-    plan: &FftPlan,
-    a: &[f64],
-    b: &[f64],
-    line: &mut [Complex64],
-    out: &mut Vec<Complex64>,
-) {
-    let n = line.len();
-    let w = half_width(n);
-    for (c, &re) in line.iter_mut().zip(a) {
-        *c = Complex64::new(re, 0.0);
+/// The z stage of [`DistFft3d::forward_real`] over one plane of `n` real
+/// rows: line `p` is the complex row `a + i·b` of rows `a = 2p` and
+/// `b = 2p + 1` (`b = 0` for a lone last row). Its transform `C` is
+/// stored as the half spectra `A_k = (C_k + C*_{n−k}) / 2` and
+/// `B_k = (C_k − C*_{n−k}) / 2i`, appended to `out` in row order.
+struct RealRowPairs<'a> {
+    plane: &'a [f64],
+    n: usize,
+    out: &'a mut Vec<Complex64>,
+}
+
+impl Pass for RealRowPairs<'_> {
+    fn load<T: Lanes>(&mut self, first: usize, count: usize, batch: &mut [T]) {
+        let n = self.n;
+        for (c, rows) in self.plane[2 * first * n..]
+            .chunks(2 * n)
+            .take(count)
+            .enumerate()
+        {
+            let (a, b) = rows.split_at(n);
+            for (k, v) in batch.iter_mut().enumerate() {
+                v.set_lane(c, Complex64::new(a[k], b.get(k).copied().unwrap_or(0.0)));
+            }
+        }
     }
-    for (c, &im) in line.iter_mut().zip(b) {
-        c.im = im;
-    }
-    plan.forward(line);
-    let mirror = |k: usize| line[(n - k) % n].conj();
-    out.extend((0..w).map(|k| (line[k] + mirror(k)).scale(0.5)));
-    if !b.is_empty() {
-        out.extend((0..w).map(|k| {
-            let d = line[k] - mirror(k);
-            Complex64::new(0.5 * d.im, -0.5 * d.re)
-        }));
+
+    fn store<T: Lanes>(&mut self, first: usize, count: usize, batch: &[T]) {
+        let (n, w) = (self.n, half_width(self.n));
+        for c in 0..count {
+            let line = |k: usize| batch[k].lane(c);
+            // (n − k) mod n: bin 0 is its own mirror.
+            let mirror = |k: usize| line(if k == 0 { 0 } else { n - k }).conj();
+            self.out
+                .extend((0..w).map(|k| (line(k) + mirror(k)).scale(0.5)));
+            if 2 * (first + c) + 1 < n {
+                self.out.extend((0..w).map(|k| {
+                    let d = line(k) - mirror(k);
+                    Complex64::new(0.5 * d.im, -0.5 * d.re)
+                }));
+            }
+        }
     }
 }
 
-/// The z stage of [`DistFft3d::inverse_real`], the inverse of
-/// [`z_forward_pair`]: leaves in `line` the rows `a + i·b` whose half
-/// spectra are `a` and `b` (`b` empty for a lone last row), by one complex
-/// inverse FFT of `A_k + i·B_k` with `A_k = A*_{n−k}` above `n/2`.
-fn z_inverse_pair(plan: &FftPlan, a: &[Complex64], b: &[Complex64], line: &mut [Complex64]) {
-    let n = line.len();
-    let w = a.len();
-    let b_at = |k: usize| b.get(k).copied().unwrap_or_default();
-    for (k, c) in line.iter_mut().enumerate() {
-        let (ak, bk) = if k < w {
-            (a[k], b_at(k))
-        } else {
-            (a[n - k].conj(), b_at(n - k).conj())
-        };
-        *c = Complex64::new(ak.re - bk.im, ak.im + bk.re);
+/// The z stage of [`DistFft3d::inverse_real`] over the plane of `half_rows`
+/// half-rows of `w = half_width(n)` starting at `data[plane]`, the inverse
+/// of [`RealRowPairs`]: line `p` is the complex inverse FFT of
+/// `A_k + i·B_k` (`A_k = A*_{n−k}` above `n/2`) for half-rows `a = 2p` and
+/// `b = 2p + 1` (`B = 0` for a lone last half-row), the rows `a + i·b`. It
+/// is stored at line `first_line + p` of `data`, at or below the half-rows
+/// it was made from: lines take `n` values, half-row pairs `2w > n`, and a
+/// batch is read whole before any of it is written.
+struct HalfRowPairs<'a> {
+    data: &'a mut [Complex64],
+    plane: usize,
+    half_rows: usize,
+    first_line: usize,
+    n: usize,
+}
+
+impl Pass for HalfRowPairs<'_> {
+    fn load<T: Lanes>(&mut self, first: usize, count: usize, batch: &mut [T]) {
+        let (n, w) = (self.n, half_width(self.n));
+        // Bins 0 and n/2 (even n) of a real row are real.
+        let nyquist = if n.is_multiple_of(2) { n / 2 } else { 0 };
+        for c in 0..count {
+            let p = first + c;
+            let a = &self.data[self.plane + 2 * p * w..][..w];
+            let b = if 2 * p + 1 < self.half_rows {
+                &self.data[self.plane + (2 * p + 1) * w..][..w]
+            } else {
+                &[]
+            };
+            let b_at = |k: usize| b.get(k).copied().unwrap_or_default();
+            let pair = |ak: Complex64, bk: Complex64| Complex64::new(ak.re - bk.im, ak.im + bk.re);
+            let (lo, hi) = batch.split_at_mut(w);
+            for (k, v) in lo.iter_mut().enumerate() {
+                v.set_lane(c, pair(a[k], b_at(k)));
+            }
+            // Above n/2, A_k = A*_{n−k}: k = w .. n reads n − w down to 1.
+            for (v, k) in hi.iter_mut().zip((1..=n - w).rev()) {
+                v.set_lane(c, pair(a[k].conj(), b_at(k).conj()));
+            }
+            for k in [0, nyquist] {
+                batch[k].set_lane(c, Complex64::new(a[k].re, b_at(k).re));
+            }
+        }
     }
-    // Bins 0 and n/2 (even n) of a real row are real.
-    let nyquist = if n.is_multiple_of(2) { n / 2 } else { 0 };
-    for k in [0, nyquist] {
-        line[k] = Complex64::new(a[k].re, b_at(k).re);
+
+    fn store<T: Lanes>(&mut self, first: usize, count: usize, batch: &[T]) {
+        let n = self.n;
+        let lines = self.data[(self.first_line + first) * n..].chunks_exact_mut(n);
+        for (c, line) in lines.take(count).enumerate() {
+            for (z, v) in line.iter_mut().zip(batch) {
+                *z = v.lane(c);
+            }
+        }
     }
-    plan.inverse(line);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serial::fft3;
+    use crate::serial::tests::{bits, rand_signal, reference_columns, reference_transform};
     use hacc_ranks::World;
     use hacc_rt::rand::{self, Rng, SeedableRng};
 
@@ -437,8 +479,7 @@ mod tests {
         fft3(&FftPlan::new(n), &mut reference, false);
         let results = World::run(ranks, |comm| {
             let fft = DistFft3d::new(comm, n);
-            let mut local =
-                grid[fft.x0 * n * n..(fft.x0 + fft.nx) * n * n].to_vec();
+            let mut local = grid[fft.x0 * n * n..(fft.x0 + fft.nx) * n * n].to_vec();
             fft.forward(comm, &mut local);
             (fft.y0, fft.ny, local)
         });
@@ -486,8 +527,7 @@ mod tests {
         let grid = rand_grid(n, 5);
         let results = World::run(4, |comm| {
             let fft = DistFft3d::new(comm, n);
-            let orig =
-                grid[fft.x0 * n * n..(fft.x0 + fft.nx) * n * n].to_vec();
+            let orig = grid[fft.x0 * n * n..(fft.x0 + fft.nx) * n * n].to_vec();
             let mut local = orig.clone();
             fft.forward(comm, &mut local);
             fft.inverse(comm, &mut local);
@@ -572,7 +612,10 @@ mod tests {
                     let close = |got: &[f64], want: &[f64], what: &str| {
                         assert_eq!(got.len(), want.len());
                         for (g, w) in got.iter().zip(want) {
-                            assert!((g - w).abs() <= 1e-12, "n={n} ranks={ranks} {what}: {g} vs {w}");
+                            assert!(
+                                (g - w).abs() <= 1e-12,
+                                "n={n} ranks={ranks} {what}: {g} vs {w}"
+                            );
                         }
                     };
                     for (f, one) in ones.iter().enumerate() {
@@ -623,7 +666,74 @@ mod tests {
         }
     }
 
-    /// The real inverse as a copy: each line's `re` and `im` appended to
+    /// The z stage of the real forward transform for rows `a` and `b`
+    /// (`b` empty for a lone last row), one line through
+    /// [`reference_transform`]: the half spectra of `a`, then of `b`.
+    fn z_forward_pair_reference(a: &[f64], b: &[f64]) -> Vec<Complex64> {
+        let n = a.len();
+        let w = half_width(n);
+        let mut line: Vec<Complex64> = a.iter().map(|&re| Complex64::new(re, 0.0)).collect();
+        for (c, &im) in line.iter_mut().zip(b) {
+            c.im = im;
+        }
+        reference_transform(&mut line, false);
+        let mirror = |k: usize| line[(n - k) % n].conj();
+        let mut out: Vec<Complex64> = (0..w).map(|k| (line[k] + mirror(k)).scale(0.5)).collect();
+        if !b.is_empty() {
+            out.extend((0..w).map(|k| {
+                let d = line[k] - mirror(k);
+                Complex64::new(0.5 * d.im, -0.5 * d.re)
+            }));
+        }
+        out
+    }
+
+    /// The z stage of the real inverse for half-rows `a` and `b` (`b`
+    /// empty for a lone last half-row), one line through
+    /// [`reference_transform`]: the rows `a + i·b`.
+    fn z_inverse_pair_reference(n: usize, a: &[Complex64], b: &[Complex64]) -> Vec<Complex64> {
+        let w = a.len();
+        let b_at = |k: usize| b.get(k).copied().unwrap_or_default();
+        let mut line: Vec<Complex64> = (0..n)
+            .map(|k| {
+                let (ak, bk) = if k < w {
+                    (a[k], b_at(k))
+                } else {
+                    (a[n - k].conj(), b_at(n - k).conj())
+                };
+                Complex64::new(ak.re - bk.im, ak.im + bk.re)
+            })
+            .collect();
+        let nyquist = if n.is_multiple_of(2) { n / 2 } else { 0 };
+        for k in [0, nyquist] {
+            line[k] = Complex64::new(a[k].re, b_at(k).re);
+        }
+        reference_transform(&mut line, true);
+        line
+    }
+
+    /// [`DistFft3d::forward_real`] line by line: the reference its
+    /// batches must match bitwise.
+    fn forward_real_reference(fft: &DistFft3d, comm: &mut Comm, data: &[f64]) -> Vec<Complex64> {
+        let (n, w) = (fft.n, half_width(fft.n));
+        let mut out = Vec::with_capacity(fft.nx * n * w);
+        for plane in data.chunks_exact(n * n) {
+            let start = out.len();
+            for rows in plane.chunks(2 * n) {
+                let (a, b) = rows.split_at(n);
+                out.extend(z_forward_pair_reference(a, b));
+            }
+            reference_columns(&mut out[start..], w, false);
+        }
+        fft.transpose(comm, &mut out, w);
+        for plane in out.chunks_exact_mut(n * w) {
+            reference_columns(plane, w, false);
+        }
+        out
+    }
+
+    /// The real inverse as a copy, line by line through
+    /// [`reference_transform`]: each line's `re` and `im` appended to
     /// fresh per-field slabs, the reference [`RealFields`] must read.
     fn inverse_real_copied<const F: usize>(
         fft: &DistFft3d,
@@ -632,18 +742,16 @@ mod tests {
     ) -> [Vec<f64>; F] {
         let (n, w) = (fft.n, half_width(fft.n));
         let width = F * w;
-        let mut scratch = vec![Complex64::zero(); COLS * n];
         for plane in data.chunks_exact_mut(n * width) {
-            column_pass(&fft.plan, plane, width, &mut scratch, true);
+            reference_columns(plane, width, true);
         }
         fft.transpose(comm, &mut data, width);
-        let mut line = vec![Complex64::zero(); n];
         let mut out = [(); F].map(|()| Vec::with_capacity(fft.local_len()));
         for plane in data.chunks_exact_mut(n * width) {
-            column_pass(&fft.plan, plane, width, &mut scratch, true);
+            reference_columns(plane, width, true);
             for (p, pair) in plane.chunks(2 * w).enumerate() {
                 let (a, b) = pair.split_at(w);
-                z_inverse_pair(&fft.plan, a, b, &mut line);
+                let line = z_inverse_pair_reference(n, a, b);
                 out[2 * p % F].extend(line.iter().map(|c| c.re));
                 if !b.is_empty() {
                     out[(2 * p + 1) % F].extend(line.iter().map(|c| c.im));
@@ -695,6 +803,64 @@ mod tests {
         // lone last half-row; six ranks on n = 4 own no plane past rank 3.
         for n in [4usize, 9, 12, 16, 17] {
             for ranks in [1usize, 2, 3, 6] {
+                check_in_place::<1>(n, ranks);
+                check_in_place::<2>(n, ranks);
+                check_in_place::<3>(n, ranks);
+            }
+        }
+    }
+
+    #[test]
+    fn batched_passes_are_bit_equal_to_the_per_line_reference() {
+        // Widths below, at and past LANES: tails of one to seven lines
+        // (the one-line path and part-filled rows) behind zero to sixteen
+        // full rows; radix-2 lengths of both log2 parities and Bluestein
+        // lengths, the paper-grid factor 126 among them.
+        for n in [2usize, 4, 8, 9, 12, 16, 17, 32, 64, 126, 128] {
+            let plan = FftPlan::new(n);
+            let mut scratch = Scratch::new(&plan);
+            for width in [1usize, 3, 7, 8, 9, 17, 33, 65, 130] {
+                for inverse in [false, true] {
+                    let x = rand_signal(n * width, (n * width) as u64 + u64::from(inverse));
+                    let mut got = x.clone();
+                    column_pass(&plan, &mut got, width, &mut scratch, inverse);
+                    let mut want = x.clone();
+                    reference_columns(&mut want, width, inverse);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "columns: n={n} width={width} inverse={inverse}"
+                    );
+                    // The same values as `width` contiguous lines.
+                    let mut got = x.clone();
+                    row_pass(&plan, &mut got, &mut scratch, inverse);
+                    let mut want = x;
+                    for line in want.chunks_exact_mut(n) {
+                        reference_transform(line, inverse);
+                    }
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "rows: n={n} lines={width} inverse={inverse}"
+                    );
+                }
+            }
+        }
+        // The real transforms' z stages: odd n (a lone last row per plane
+        // forward, and a lone last half-row for odd n·F inverse), whole
+        // batches of row pairs (16, 128) and a one-pair tail (17).
+        for n in [9usize, 16, 17, 128] {
+            for ranks in [1usize, 2, 3] {
+                World::run(ranks, |comm| {
+                    let fft = DistFft3d::new(comm, n);
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64 + comm.rank() as u64);
+                    let real: Vec<f64> = (0..fft.local_len())
+                        .map(|_| rng.gen_range(-1.0..1.0))
+                        .collect();
+                    let want = forward_real_reference(&fft, comm, &real);
+                    let got = fft.forward_real(comm, real);
+                    assert_eq!(bits(&got), bits(&want), "forward_real: n={n} ranks={ranks}");
+                });
                 check_in_place::<1>(n, ranks);
                 check_in_place::<2>(n, ranks);
                 check_in_place::<3>(n, ranks);

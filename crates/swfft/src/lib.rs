@@ -11,7 +11,10 @@
 //! * [`complex`] — a minimal `Complex64` (no external num crates).
 //! * [`serial`] — iterative radix-2 Cooley–Tukey with cached twiddles, and
 //!   Bluestein's algorithm so arbitrary lengths work (the paper's grid,
-//!   12,600, is not a power of two).
+//!   12,600, is not a power of two); one butterfly body that transforms a
+//!   single line or eight side by side, and the batched row and column
+//!   passes every 3-D transform runs its lines through, bit-identical to
+//!   transforming each line alone.
 //! * [`dist`] — slab-decomposed distributed 3-D FFT over
 //!   [`hacc_ranks::Comm`] (simple, rank count capped at `n`), complex and
 //!   real-to-complex (the Hermitian half spectrum the PM solve runs on),

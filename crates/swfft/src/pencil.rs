@@ -21,7 +21,7 @@
 
 use crate::complex::Complex64;
 use crate::dist::slab;
-use crate::serial::FftPlan;
+use crate::serial::{row_pass, FftPlan, Scratch};
 use hacc_ranks::Comm;
 
 /// Pencil grid: factor `size` into `p1 × p2` as square as possible.
@@ -130,39 +130,27 @@ impl PencilFft3d {
     /// unnormalized.
     pub fn forward(&self, comm: &mut Comm, data: &mut Vec<Complex64>) {
         assert_eq!(data.len(), self.local_len());
-        let n = self.n;
+        let mut scratch = Scratch::new(&self.plan);
         // FFT along z (contiguous rows).
-        for row in data.chunks_mut(n) {
-            self.plan.forward(row);
-        }
+        row_pass(&self.plan, data, &mut scratch, false);
         // Transpose within the P2 row: z-pencils -> y-pencils.
         let mut ybuf = self.z_to_y(comm, data);
-        for row in ybuf.chunks_mut(n) {
-            self.plan.forward(row);
-        }
+        row_pass(&self.plan, &mut ybuf, &mut scratch, false);
         // Transpose within the P1 column: y-pencils -> x-pencils.
         let mut xbuf = self.y_to_x(comm, &ybuf);
-        for row in xbuf.chunks_mut(n) {
-            self.plan.forward(row);
-        }
+        row_pass(&self.plan, &mut xbuf, &mut scratch, false);
         *data = xbuf;
     }
 
     /// Inverse transform: X layout in, Z layout out, normalized by 1/n³.
     pub fn inverse(&self, comm: &mut Comm, data: &mut Vec<Complex64>) {
         assert_eq!(data.len(), self.kny * self.nz * self.n);
-        let n = self.n;
-        for row in data.chunks_mut(n) {
-            self.plan.inverse(row);
-        }
+        let mut scratch = Scratch::new(&self.plan);
+        row_pass(&self.plan, data, &mut scratch, true);
         let mut ybuf = self.y_to_x_inverse(comm, data);
-        for row in ybuf.chunks_mut(n) {
-            self.plan.inverse(row);
-        }
+        row_pass(&self.plan, &mut ybuf, &mut scratch, true);
         let mut zbuf = self.z_to_y_inverse(comm, &ybuf);
-        for row in zbuf.chunks_mut(n) {
-            self.plan.inverse(row);
-        }
+        row_pass(&self.plan, &mut zbuf, &mut scratch, true);
         *data = zbuf;
     }
 
@@ -422,8 +410,7 @@ mod tests {
         let n = 8;
         let errs = World::run(4, |comm| {
             let fft = PencilFft3d::new(comm, n);
-            let mut rng =
-                rand::rngs::StdRng::seed_from_u64(comm.rank() as u64 + 50);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(comm.rank() as u64 + 50);
             let orig: Vec<Complex64> = (0..fft.local_len())
                 .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), 0.0))
                 .collect();

@@ -1,13 +1,174 @@
 //! Serial 1-D FFTs: iterative radix-2 Cooley–Tukey with cached twiddle
 //! tables (two butterfly stages per sweep over the data), and Bluestein's
-//! chirp-z algorithm for arbitrary lengths; on top of them the strided
-//! multi-line pass ([`column_pass`]) that every 3-D transform's
-//! non-contiguous axes go through, and the serial 3-D [`fft3`].
+//! chirp-z algorithm for arbitrary lengths; on top of them the batched
+//! multi-line passes every 3-D transform goes through ([`column_pass`] for
+//! strided lines, [`row_pass`] for contiguous ones), and the serial 3-D
+//! [`fft3`].
+//!
+//! One butterfly body serves two element types ([`Lanes`]): a
+//! [`Complex64`], one line, which [`FftPlan::forward`] / [`FftPlan::inverse`]
+//! transform, and a [`Row`] of [`LANES`] lines side by side, which the
+//! passes transform. Every lane of a row goes through exactly the
+//! operations its line alone would, in the same order, so a batched pass
+//! is bit-identical to transforming each line on its own.
 //!
 //! Plans are immutable after construction and safe to share across rank
 //! threads (`&FftPlan` is `Send + Sync`), mirroring FFTW-style plan reuse.
 
 use crate::complex::Complex64;
+use std::ops::{Add, Mul, Sub};
+
+/// Lines a batched pass transforms together: a [`Row`]'s `re` and `im`
+/// are 64 bytes each, one cache line.
+pub(crate) const LANES: usize = 8;
+
+/// What the transforms butterfly: a [`Complex64`] (one line) or a [`Row`]
+/// ([`LANES`] lines). `b * w` by a twiddle, `a ± b`, `conj` and `scale`
+/// act on every lane as the `Complex64` operations do.
+pub(crate) trait Lanes:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Complex64, Output = Self>
+{
+    /// Every lane zero.
+    const ZERO: Self;
+    /// Lane-wise complex conjugate.
+    fn conj(self) -> Self;
+    /// Lane-wise multiplication by a real scalar.
+    fn scale(self, s: f64) -> Self;
+    /// Lane `l`'s value.
+    fn lane(&self, l: usize) -> Complex64;
+    /// Set lane `l`'s value.
+    fn set_lane(&mut self, l: usize, v: Complex64);
+    /// Set lanes `0 .. count` to `src[l * stride]`.
+    fn gather(&mut self, src: &[Complex64], stride: usize, count: usize);
+    /// Write lanes `0 .. count` to `dst[l * stride]`.
+    fn scatter(&self, dst: &mut [Complex64], stride: usize, count: usize);
+}
+
+impl Lanes for Complex64 {
+    const ZERO: Self = Complex64::zero();
+    #[inline]
+    fn conj(self) -> Self {
+        Complex64::conj(self)
+    }
+    #[inline]
+    fn scale(self, s: f64) -> Self {
+        Complex64::scale(self, s)
+    }
+    #[inline]
+    fn lane(&self, _: usize) -> Complex64 {
+        *self
+    }
+    #[inline]
+    fn set_lane(&mut self, _: usize, v: Complex64) {
+        *self = v;
+    }
+    #[inline]
+    fn gather(&mut self, src: &[Complex64], _: usize, _: usize) {
+        *self = src[0];
+    }
+    #[inline]
+    fn scatter(&self, dst: &mut [Complex64], _: usize, _: usize) {
+        dst[0] = *self;
+    }
+}
+
+/// One element index of [`LANES`] lines: lane `l` is `re[l] + i·im[l]`.
+/// The arrays are split so that each operation is a plain loop over
+/// `f64`s, which the compiler vectorises.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    re: [f64; LANES],
+    im: [f64; LANES],
+}
+
+impl Row {
+    #[inline]
+    fn map(f: impl Fn(usize) -> (f64, f64)) -> Self {
+        let mut out = Self::ZERO;
+        for l in 0..LANES {
+            (out.re[l], out.im[l]) = f(l);
+        }
+        out
+    }
+}
+
+impl Add for Row {
+    type Output = Self;
+    #[inline]
+    fn add(self, o: Self) -> Self {
+        Row::map(|l| (self.re[l] + o.re[l], self.im[l] + o.im[l]))
+    }
+}
+
+impl Sub for Row {
+    type Output = Self;
+    #[inline]
+    fn sub(self, o: Self) -> Self {
+        Row::map(|l| (self.re[l] - o.re[l], self.im[l] - o.im[l]))
+    }
+}
+
+impl Mul<Complex64> for Row {
+    type Output = Self;
+    /// Each lane times `w`, as `Complex64`'s `Mul` forms it.
+    #[inline]
+    fn mul(self, w: Complex64) -> Self {
+        Row::map(|l| {
+            (
+                self.re[l] * w.re - self.im[l] * w.im,
+                self.re[l] * w.im + self.im[l] * w.re,
+            )
+        })
+    }
+}
+
+impl Lanes for Row {
+    const ZERO: Self = Row {
+        re: [0.0; LANES],
+        im: [0.0; LANES],
+    };
+    #[inline]
+    fn conj(self) -> Self {
+        Row::map(|l| (self.re[l], -self.im[l]))
+    }
+    #[inline]
+    fn scale(self, s: f64) -> Self {
+        Row::map(|l| (self.re[l] * s, self.im[l] * s))
+    }
+    #[inline]
+    fn lane(&self, l: usize) -> Complex64 {
+        Complex64::new(self.re[l], self.im[l])
+    }
+    #[inline]
+    fn set_lane(&mut self, l: usize, v: Complex64) {
+        (self.re[l], self.im[l]) = (v.re, v.im);
+    }
+    #[inline]
+    fn gather(&mut self, src: &[Complex64], stride: usize, count: usize) {
+        if count == LANES {
+            let lanes: [Complex64; LANES] = std::array::from_fn(|l| src[l * stride]);
+            self.re = lanes.map(|c| c.re);
+            self.im = lanes.map(|c| c.im);
+        } else {
+            for l in 0..count {
+                self.set_lane(l, src[l * stride]);
+            }
+        }
+    }
+    #[inline]
+    fn scatter(&self, dst: &mut [Complex64], stride: usize, count: usize) {
+        if count == LANES {
+            let dst = &mut dst[..(LANES - 1) * stride + 1];
+            for l in 0..LANES {
+                dst[l * stride] = self.lane(l);
+            }
+        } else {
+            for l in 0..count {
+                dst[l * stride] = self.lane(l);
+            }
+        }
+    }
+}
 
 /// A reusable plan for length-`n` transforms.
 #[derive(Debug, Clone)]
@@ -41,9 +202,7 @@ impl FftPlan {
         assert!(n >= 1, "FFT length must be positive");
         if n.is_power_of_two() {
             let twiddles = (0..n / 2)
-                .map(|k| {
-                    Complex64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64)
-                })
+                .map(|k| Complex64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
                 .collect();
             Self {
                 n,
@@ -94,18 +253,30 @@ impl FftPlan {
     /// Unnormalized forward transform (negative exponent convention):
     /// `X_k = sum_j x_j e^{-2 pi i j k / n}`.
     pub fn forward(&self, data: &mut [Complex64]) {
-        self.run(data, false);
+        let mut scratch = vec![Complex64::zero(); self.scratch_len()];
+        self.run(data, &mut scratch, false);
     }
 
     /// Normalized inverse transform: `x_j = (1/n) sum_k X_k e^{+2 pi i jk/n}`.
     pub fn inverse(&self, data: &mut [Complex64]) {
-        self.run(data, true);
+        let mut scratch = vec![Complex64::zero(); self.scratch_len()];
+        self.run(data, &mut scratch, true);
     }
 
-    /// [`Self::forward`] or [`Self::inverse`], chosen by a flag: what the
-    /// multi-line passes call.
-    pub(crate) fn run(&self, data: &mut [Complex64], inverse: bool) {
-        self.transform(data, inverse);
+    /// Elements of scratch [`Self::run`] needs beside the data: Bluestein's
+    /// convolution length, none for radix-2.
+    pub(crate) fn scratch_len(&self) -> usize {
+        match self.kind {
+            PlanKind::Radix2 { .. } => 0,
+            PlanKind::Bluestein { m, .. } => m,
+        }
+    }
+
+    /// [`Self::forward`] or [`Self::inverse`] of every lane of `data`,
+    /// chosen by a flag, with `scratch` (at least [`Self::scratch_len`]
+    /// long) for Bluestein's convolution.
+    pub(crate) fn run<T: Lanes>(&self, data: &mut [T], scratch: &mut [T], inverse: bool) {
+        self.transform(data, scratch, inverse);
         if inverse {
             let inv_n = 1.0 / self.n as f64;
             for v in data.iter_mut() {
@@ -114,14 +285,14 @@ impl FftPlan {
         }
     }
 
-    fn transform(&self, data: &mut [Complex64], inverse: bool) {
+    fn transform<T: Lanes>(&self, data: &mut [T], scratch: &mut [T], inverse: bool) {
         assert_eq!(data.len(), self.n, "data length does not match plan");
         match &self.kind {
             PlanKind::Radix2 { twiddles } => {
                 if inverse {
-                    radix2::<true>(data, twiddles)
+                    radix2::<T, true>(data, twiddles)
                 } else {
-                    radix2::<false>(data, twiddles)
+                    radix2::<T, false>(data, twiddles)
                 }
             }
             PlanKind::Bluestein {
@@ -137,17 +308,18 @@ impl FftPlan {
                         *v = v.conj();
                     }
                 }
-                let mut buf = vec![Complex64::zero(); *m];
-                for k in 0..self.n {
-                    buf[k] = data[k] * chirp[k];
+                let buf = &mut scratch[..*m];
+                for ((b, d), c) in buf.iter_mut().zip(&*data).zip(chirp) {
+                    *b = *d * *c;
                 }
-                inner.forward(&mut buf);
-                for (b, f) in buf.iter_mut().zip(filter_fft.iter()) {
+                buf[self.n..].fill(T::ZERO);
+                inner.run(buf, &mut [], false);
+                for (b, f) in buf.iter_mut().zip(filter_fft) {
                     *b = *b * *f;
                 }
-                inner.inverse(&mut buf);
-                for k in 0..self.n {
-                    data[k] = buf[k] * chirp[k];
+                inner.run(buf, &mut [], true);
+                for ((d, b), c) in data.iter_mut().zip(&*buf).zip(chirp) {
+                    *d = *b * *c;
                 }
                 if inverse {
                     for v in data.iter_mut() {
@@ -159,7 +331,8 @@ impl FftPlan {
     }
 }
 
-/// Iterative radix-2 with bit-reversal reordering. `twiddles[k]` holds
+/// Iterative radix-2 with bit-reversal reordering, over one line
+/// (`T = Complex64`) or [`LANES`] of them (`T = Row`). `twiddles[k]` holds
 /// `e^{-2 pi i k / n}`; `INVERSE` conjugates them.
 ///
 /// Two butterfly stages run per sweep over the data (one plain stage
@@ -169,7 +342,7 @@ impl FftPlan {
 /// one the stage-at-a-time loop performs — same operands, same twiddle,
 /// same order of operations — so the output is bit-identical to it; the
 /// saving is half the passes over `data`.
-fn radix2<const INVERSE: bool>(data: &mut [Complex64], twiddles: &[Complex64]) {
+fn radix2<T: Lanes, const INVERSE: bool>(data: &mut [T], twiddles: &[Complex64]) {
     let n = data.len();
     if n <= 1 {
         return;
@@ -189,7 +362,7 @@ fn radix2<const INVERSE: bool>(data: &mut [Complex64], twiddles: &[Complex64]) {
             twiddles[i]
         }
     };
-    let butterfly = |a: Complex64, b: Complex64, w: Complex64| {
+    let butterfly = |a: T, b: T, w: Complex64| {
         let b = b * w;
         (a + b, a - b)
     };
@@ -222,43 +395,140 @@ fn radix2<const INVERSE: bool>(data: &mut [Complex64], twiddles: &[Complex64]) {
     }
 }
 
-/// Columns [`column_pass`] transforms together: eight adjacent
-/// `Complex64` are two 64-byte cache lines of every row, so the gather
-/// and the scatter use each line they touch in full.
-pub(crate) const COLS: usize = 8;
+/// A set of lines a batched pass transforms, read into and written back
+/// from the batch a lane at a time.
+pub(crate) trait Pass {
+    /// Put lines `first .. first + count` (`count` at most the lanes of
+    /// `T`) into lanes `0 .. count` of `batch`, one element index per entry.
+    fn load<T: Lanes>(&mut self, first: usize, count: usize, batch: &mut [T]);
+    /// Write lanes `0 .. count` of the transformed `batch` back as lines
+    /// `first .. first + count`.
+    fn store<T: Lanes>(&mut self, first: usize, count: usize, batch: &[T]);
+}
+
+/// The per-call buffers of the batched passes: a [`Row`] batch and a
+/// one-line batch, each `n` long plus the plan's Bluestein scratch.
+pub(crate) struct Scratch {
+    rows: Vec<Row>,
+    line: Vec<Complex64>,
+}
+
+impl Scratch {
+    pub(crate) fn new(plan: &FftPlan) -> Self {
+        let len = plan.len() + plan.scratch_len();
+        Self {
+            rows: vec![Row::ZERO; len],
+            line: vec![Complex64::zero(); len],
+        }
+    }
+
+    /// Transform the `lines` lines of `pass`: [`LANES`] at a time through
+    /// a [`Row`] batch, and a ragged tail of fewer than `LANES / 2` lines
+    /// one at a time, where a row batch would transform mostly empty lanes.
+    pub(crate) fn run(
+        &mut self,
+        plan: &FftPlan,
+        lines: usize,
+        pass: &mut impl Pass,
+        inverse: bool,
+    ) {
+        let mut first = 0;
+        while first < lines {
+            let count = LANES.min(lines - first);
+            if count >= LANES / 2 {
+                batch(plan, pass, first, count, &mut self.rows, inverse);
+                first += count;
+            } else {
+                batch(plan, pass, first, 1, &mut self.line, inverse);
+                first += 1;
+            }
+        }
+    }
+}
+
+/// One batch of a pass: load, transform, store.
+fn batch<T: Lanes>(
+    plan: &FftPlan,
+    pass: &mut impl Pass,
+    first: usize,
+    count: usize,
+    buf: &mut [T],
+    inverse: bool,
+) {
+    let (lines, scratch) = buf.split_at_mut(plan.len());
+    pass.load(first, count, lines);
+    plan.run(lines, scratch, inverse);
+    pass.store(first, count, lines);
+}
+
+/// Lines laid out with strides: element `k` of line `i` is
+/// `data[i * line + k * elem]`. The columns of a row-major matrix are
+/// `line = 1`, `elem` = its row length; its rows are `line` = the row
+/// length, `elem = 1`.
+struct Strided<'a> {
+    data: &'a mut [Complex64],
+    line: usize,
+    elem: usize,
+}
+
+impl Pass for Strided<'_> {
+    fn load<T: Lanes>(&mut self, first: usize, count: usize, batch: &mut [T]) {
+        let lines = &self.data[first * self.line..];
+        for (k, v) in batch.iter_mut().enumerate() {
+            v.gather(&lines[k * self.elem..], self.line, count);
+        }
+    }
+
+    fn store<T: Lanes>(&mut self, first: usize, count: usize, batch: &[T]) {
+        let lines = &mut self.data[first * self.line..];
+        for (k, v) in batch.iter().enumerate() {
+            v.scatter(&mut lines[k * self.elem..], self.line, count);
+        }
+    }
+}
 
 /// Transform every column of `data`, a row-major matrix of `plan.len()`
 /// rows and `stride` columns, in place: the one way a strided line is
-/// transformed. A block of [`COLS`] adjacent columns is gathered into
-/// `COLS` contiguous lines of `scratch` (at least `COLS * plan.len()`
-/// long), transformed there and scattered back; each line sees exactly
-/// what `plan.forward` / `plan.inverse` on that column alone computes.
+/// transformed. Each row's [`LANES`] adjacent columns are one contiguous
+/// copy into a batch row; every column sees exactly what `plan.forward` /
+/// `plan.inverse` on that column alone computes.
 pub(crate) fn column_pass(
     plan: &FftPlan,
     data: &mut [Complex64],
     stride: usize,
-    scratch: &mut [Complex64],
+    scratch: &mut Scratch,
+    inverse: bool,
+) {
+    assert_eq!(
+        data.len(),
+        plan.len() * stride,
+        "data is not n rows of stride"
+    );
+    let mut columns = Strided {
+        data,
+        line: 1,
+        elem: stride,
+    };
+    scratch.run(plan, stride, &mut columns, inverse);
+}
+
+/// Transform every contiguous length-`plan.len()` line of `data` in place,
+/// [`LANES`] lines per batch.
+pub(crate) fn row_pass(
+    plan: &FftPlan,
+    data: &mut [Complex64],
+    scratch: &mut Scratch,
     inverse: bool,
 ) {
     let n = plan.len();
-    assert_eq!(data.len(), n * stride, "data is not n rows of stride");
-    for c0 in (0..stride).step_by(COLS) {
-        let w = COLS.min(stride - c0);
-        let lines = &mut scratch[..w * n];
-        for (r, row) in data.chunks_exact(stride).enumerate() {
-            for (c, v) in row[c0..c0 + w].iter().enumerate() {
-                lines[c * n + r] = *v;
-            }
-        }
-        for line in lines.chunks_exact_mut(n) {
-            plan.run(line, inverse);
-        }
-        for (r, row) in data.chunks_exact_mut(stride).enumerate() {
-            for (c, v) in row[c0..c0 + w].iter_mut().enumerate() {
-                *v = lines[c * n + r];
-            }
-        }
-    }
+    assert!(data.len().is_multiple_of(n), "data is not rows of n");
+    let lines = data.len() / n;
+    let mut rows = Strided {
+        data,
+        line: n,
+        elem: 1,
+    };
+    scratch.run(plan, lines, &mut rows, inverse);
 }
 
 /// In-place serial 3-D FFT of a full `n^3` cube (`n = plan.len()`,
@@ -268,10 +538,8 @@ pub(crate) fn column_pass(
 pub fn fft3(plan: &FftPlan, data: &mut [Complex64], inverse: bool) {
     let n = plan.len();
     assert_eq!(data.len(), n * n * n, "data is not an n^3 cube");
-    let mut scratch = vec![Complex64::zero(); COLS * n];
-    for row in data.chunks_exact_mut(n) {
-        plan.run(row, inverse);
-    }
+    let mut scratch = Scratch::new(plan);
+    row_pass(plan, data, &mut scratch, inverse);
     // y: each x-plane is n rows of n; x: the cube is n rows of n².
     for plane in data.chunks_exact_mut(n * n) {
         column_pass(plan, plane, n, &mut scratch, inverse);
@@ -297,12 +565,12 @@ pub fn naive_dft(data: &[Complex64], inverse: bool) -> Vec<Complex64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hacc_rt::prop::prelude::*;
     use hacc_rt::rand::{self, Rng, SeedableRng};
 
-    fn rand_signal(n: usize, seed: u64) -> Vec<Complex64> {
+    pub(crate) fn rand_signal(n: usize, seed: u64) -> Vec<Complex64> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
@@ -336,7 +604,11 @@ mod tests {
             let mut y = x.clone();
             plan.forward(&mut y);
             let reference = naive_dft(&x, false);
-            assert!(max_err(&y, &reference) < 1e-8, "n = {n}: {}", max_err(&y, &reference));
+            assert!(
+                max_err(&y, &reference) < 1e-8,
+                "n = {n}: {}",
+                max_err(&y, &reference)
+            );
         }
     }
 
@@ -431,8 +703,9 @@ mod tests {
 
     /// `FftPlan::forward` / `inverse` spelled out over
     /// `radix2_stage_per_sweep`: the plan's Bluestein construction and its
-    /// normalizations, operation for operation.
-    fn reference_transform(data: &mut [Complex64], inverse: bool) {
+    /// normalizations, operation for operation, one line at a time. The
+    /// bit-level reference of every pass: it shares no code with them.
+    pub(crate) fn reference_transform(data: &mut [Complex64], inverse: bool) {
         let n = data.len();
         let scale = |d: &mut [Complex64]| {
             let inv = 1.0 / d.len() as f64;
@@ -480,7 +753,7 @@ mod tests {
         }
     }
 
-    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+    pub(crate) fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
         v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
@@ -490,10 +763,11 @@ mod tests {
         // 32 and 64) for 12 and 17.
         for n in [2usize, 4, 8, 16, 32, 64, 128, 256, 12, 17] {
             let plan = FftPlan::new(n);
+            let mut scratch = vec![Complex64::zero(); plan.scratch_len()];
             for inverse in [false, true] {
                 let x = rand_signal(n, 1000 + n as u64);
                 let mut got = x.clone();
-                plan.run(&mut got, inverse);
+                plan.run(&mut got, &mut scratch, inverse);
                 let mut want = x;
                 reference_transform(&mut want, inverse);
                 assert_eq!(bits(&got), bits(&want), "n = {n}, inverse = {inverse}");
@@ -501,25 +775,32 @@ mod tests {
         }
     }
 
+    /// Every column of a row-major `n × stride` matrix through
+    /// [`reference_transform`], one gathered line at a time.
+    pub(crate) fn reference_columns(data: &mut [Complex64], stride: usize, inverse: bool) {
+        let n = data.len() / stride;
+        for c in 0..stride {
+            let mut col: Vec<Complex64> = (0..n).map(|r| data[r * stride + c]).collect();
+            reference_transform(&mut col, inverse);
+            for (r, v) in col.into_iter().enumerate() {
+                data[r * stride + c] = v;
+            }
+        }
+    }
+
     #[test]
     fn column_pass_is_bit_equal_to_each_column_alone() {
-        // Widths that are not multiples of COLS; the last row is the
+        // Widths that are not multiples of LANES; the last row is the
         // stride fft3 uses for its x pass (n rows of n² columns).
         for (n, stride) in [(12usize, 12usize), (17, 17), (4, 16)] {
             let plan = FftPlan::new(n);
-            let mut scratch = vec![Complex64::zero(); COLS * n];
+            let mut scratch = Scratch::new(&plan);
             for inverse in [false, true] {
                 let x = rand_signal(n * stride, (n * stride) as u64);
                 let mut got = x.clone();
                 column_pass(&plan, &mut got, stride, &mut scratch, inverse);
                 let mut want = x;
-                for c in 0..stride {
-                    let mut col: Vec<Complex64> = (0..n).map(|r| want[r * stride + c]).collect();
-                    plan.run(&mut col, inverse);
-                    for (r, v) in col.into_iter().enumerate() {
-                        want[r * stride + c] = v;
-                    }
-                }
+                reference_columns(&mut want, stride, inverse);
                 assert_eq!(bits(&got), bits(&want), "n = {n}, stride = {stride}");
             }
         }

@@ -7,6 +7,11 @@
 //! is transformed and read: a stored mode whose conjugate is not stored
 //! (`0 < z < n/2`) counts for both, so bins, mean wavenumbers and mode
 //! counts are those of all `n³` modes.
+//!
+//! Each cell's shell and `|m|` come from a table indexed by the integer
+//! `m² = mx² + my² + mz²`; the bins reduce in one `all_reduce`.
+//! [`density_power`] bins a PM solve's density spectrum `rho(k)` as it
+//! stands: the driver's final P(k) needs no deposit or transform of its own.
 
 use hacc_ranks::Comm;
 use hacc_swfft::dist::half_width;
@@ -38,66 +43,101 @@ pub fn measure_power(
     ny: usize,
     box_size: f64,
 ) -> Vec<PowerBin> {
+    binned_power(comm, delta_k, n, y0, ny, box_size, None)
+}
+
+/// P(k) of the overdensity from this rank's half spectrum of the
+/// *density* `rho(k)` (mass per cell volume, the layout of
+/// [`measure_power`]), as a PM solve transforms it: for `k != 0`,
+/// `delta(k) = rho(k) V / M_total`, so the bins are those of `rho(k)`
+/// times `(V / M_total)²`, applied once per bin after the reduction.
+/// `local_mass` is this rank's share of the deposited mass; `M_total`, its
+/// sum over ranks, rides in the one reduction of the bins.
+pub fn density_power(
+    comm: &mut Comm,
+    rho_k: &[Complex64],
+    n: usize,
+    y0: usize,
+    ny: usize,
+    box_size: f64,
+    local_mass: f64,
+) -> Vec<PowerBin> {
+    binned_power(comm, rho_k, n, y0, ny, box_size, Some(local_mass))
+}
+
+/// Bin one rank's half spectrum and reduce the bins — power, wavenumber
+/// and mode sums, and `local_mass` when given, packed in one vector and
+/// folded in rank order by one `all_reduce`. With a mass, the spectrum is
+/// `rho(k)` and each bin's power is scaled by `(V / M_total)²`.
+fn binned_power(
+    comm: &mut Comm,
+    spectrum: &[Complex64],
+    n: usize,
+    y0: usize,
+    ny: usize,
+    box_size: f64,
+    local_mass: Option<f64>,
+) -> Vec<PowerBin> {
     let w = half_width(n);
-    assert_eq!(delta_k.len(), ny * n * w);
+    assert_eq!(spectrum.len(), ny * n * w);
     let kf = 2.0 * std::f64::consts::PI / box_size;
     let n_bins = n / 2;
     let norm = 1.0 / (n as f64).powi(3);
     let volume = box_size * box_size * box_size;
+    // |signed wavenumber| of index i along x or y.
+    let fold = |i: usize| if i <= n / 2 { i } else { n - i };
+    // Per integer m² = mx² + my² + mz² <= 3(n/2)²: its shell and |m|, the
+    // bits a per-cell sqrt and round give. The zero mode is in no shell.
+    let mut shells: Vec<(usize, f64)> = (0..=3 * (n / 2) * (n / 2))
+        .map(|m2| {
+            let m = (m2 as f64).sqrt();
+            ((m - 0.5).round() as usize, m)
+        })
+        .collect();
+    shells[0].0 = n_bins;
 
-    let signed = |i: usize| -> f64 {
-        if i <= n / 2 {
-            i as f64
-        } else {
-            i as f64 - n as f64
-        }
-    };
-
-    let mut psum = vec![0.0f64; n_bins];
-    let mut ksum = vec![0.0f64; n_bins];
-    let mut count = vec![0u64; n_bins];
+    // [psum | ksum | count | mass]; counts are exact in f64 below 2⁵³.
+    let mut sums = vec![0.0f64; 3 * n_bins + 1];
+    let (psum, rest) = sums.split_at_mut(n_bins);
+    let (ksum, rest) = rest.split_at_mut(n_bins);
+    let (count, mass) = rest.split_at_mut(n_bins);
     for ly in 0..ny {
-        let my = signed(y0 + ly);
+        let my = fold(y0 + ly);
         for x in 0..n {
-            let mx = signed(x);
-            let row = (ly * n + x) * w;
-            for z in 0..w {
-                let mz = z as f64;
-                let m2 = mx * mx + my * my + mz * mz;
-                if m2 == 0.0 {
-                    continue;
-                }
-                let m = m2.sqrt();
-                let bin = (m - 0.5).round() as usize;
+            let mx = fold(x);
+            let mxy2 = mx * mx + my * my;
+            let row = &spectrum[(ly * n + x) * w..][..w];
+            for (z, c) in row.iter().enumerate() {
+                let (bin, m) = shells[mxy2 + z * z];
                 if bin >= n_bins {
                     continue;
                 }
                 // Bins z = 0 and z = n/2 hold their own conjugates.
-                let modes = if z == 0 || 2 * z == n { 1 } else { 2 };
-                let dk = delta_k[row + z].scale(norm);
-                psum[bin] += modes as f64 * volume * dk.norm_sqr();
-                ksum[bin] += modes as f64 * m * kf;
+                let modes = if z == 0 || 2 * z == n { 1.0 } else { 2.0 };
+                psum[bin] += modes * volume * c.scale(norm).norm_sqr();
+                ksum[bin] += modes * m * kf;
                 count[bin] += modes;
             }
         }
     }
+    mass[0] = local_mass.unwrap_or(0.0);
 
-    // Reduce across ranks (element-wise sums).
-    let reduce = |comm: &mut Comm, v: Vec<f64>| -> Vec<f64> {
-        comm.all_reduce(v, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect())
-    };
-    let psum = reduce(comm, psum);
-    let ksum = reduce(comm, ksum);
-    let count = comm.all_reduce(count, |a, b| {
-        a.iter().zip(&b).map(|(x, y)| x + y).collect()
+    let sums = comm.all_reduce(sums, |mut a, b| {
+        for (x, y) in a.iter_mut().zip(&b) {
+            *x += y;
+        }
+        a
     });
-
+    let (psum, rest) = sums.split_at(n_bins);
+    let (ksum, rest) = rest.split_at(n_bins);
+    let (count, mass) = rest.split_at(n_bins);
+    let scale = local_mass.map_or(1.0, |_| (volume / mass[0]).powi(2));
     (0..n_bins)
-        .filter(|&b| count[b] > 0)
+        .filter(|&b| count[b] > 0.0)
         .map(|b| PowerBin {
-            k: ksum[b] / count[b] as f64,
-            power: psum[b] / count[b] as f64,
-            modes: count[b],
+            k: ksum[b] / count[b],
+            power: psum[b] * scale / count[b],
+            modes: count[b] as u64,
         })
         .collect()
 }
@@ -109,6 +149,154 @@ mod tests {
     use hacc_rt::rand::{self, Rng, SeedableRng};
     use hacc_swfft::serial::fft3;
     use hacc_swfft::{DistFft3d, FftPlan};
+    use hacc_telem::CollectiveKind;
+
+    /// The binning as it was written before the shell table: a `sqrt` and
+    /// a `round` per cell, three reductions. [`measure_power`] must match
+    /// it bit for bit.
+    fn per_cell_power(
+        comm: &mut Comm,
+        delta_k: &[Complex64],
+        n: usize,
+        y0: usize,
+        ny: usize,
+        box_size: f64,
+    ) -> Vec<PowerBin> {
+        let w = half_width(n);
+        let kf = 2.0 * std::f64::consts::PI / box_size;
+        let n_bins = n / 2;
+        let norm = 1.0 / (n as f64).powi(3);
+        let volume = box_size * box_size * box_size;
+        let signed = |i: usize| -> f64 {
+            if i <= n / 2 {
+                i as f64
+            } else {
+                i as f64 - n as f64
+            }
+        };
+        let mut psum = vec![0.0f64; n_bins];
+        let mut ksum = vec![0.0f64; n_bins];
+        let mut count = vec![0u64; n_bins];
+        for ly in 0..ny {
+            let my = signed(y0 + ly);
+            for x in 0..n {
+                let mx = signed(x);
+                let row = (ly * n + x) * w;
+                for z in 0..w {
+                    let mz = z as f64;
+                    let m2 = mx * mx + my * my + mz * mz;
+                    if m2 == 0.0 {
+                        continue;
+                    }
+                    let m = m2.sqrt();
+                    let bin = (m - 0.5).round() as usize;
+                    if bin >= n_bins {
+                        continue;
+                    }
+                    let modes = if z == 0 || 2 * z == n { 1 } else { 2 };
+                    let dk = delta_k[row + z].scale(norm);
+                    psum[bin] += modes as f64 * volume * dk.norm_sqr();
+                    ksum[bin] += modes as f64 * m * kf;
+                    count[bin] += modes;
+                }
+            }
+        }
+        let reduce = |comm: &mut Comm, v: Vec<f64>| -> Vec<f64> {
+            comm.all_reduce(v, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect())
+        };
+        let psum = reduce(comm, psum);
+        let ksum = reduce(comm, ksum);
+        let count = comm.all_reduce(count, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
+        (0..n_bins)
+            .filter(|&b| count[b] > 0)
+            .map(|b| PowerBin {
+                k: ksum[b] / count[b] as f64,
+                power: psum[b] / count[b] as f64,
+                modes: count[b],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_binning_matches_per_cell_sqrt() {
+        // Even and odd grids, one rank, uneven slabs, zero-plane ranks.
+        let field = |x: usize, y: usize, z: usize| {
+            ((x * 29 + y * 13 + z * 5) % 11) as f64 / 11.0 - 0.5 + (z as f64 * 0.7).cos() * 0.3
+        };
+        for (n, ranks) in [(16usize, 1usize), (12, 3), (17, 2), (9, 4), (4, 6)] {
+            let l = 25.0;
+            let (got, want) = World::run(ranks, |comm| {
+                let fft = DistFft3d::new(comm, n);
+                let local: Vec<f64> = (0..fft.local_len())
+                    .map(|i| field(fft.x0 + i / (n * n), i / n % n, i % n))
+                    .collect();
+                let delta_k = fft.forward_real(comm, local);
+                let got = measure_power(comm, &delta_k, n, fft.y0, fft.ny, l);
+                (got, per_cell_power(comm, &delta_k, n, fft.y0, fft.ny, l))
+            })
+            .pop()
+            .unwrap();
+            assert_eq!(got.len(), want.len(), "n={n} ranks={ranks}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.modes, w.modes, "n={n} ranks={ranks}");
+                assert_eq!(g.k.to_bits(), w.k.to_bits(), "n={n} ranks={ranks}");
+                assert_eq!(g.power.to_bits(), w.power.to_bits(), "n={n} ranks={ranks}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_reduction_per_measurement() {
+        let counts = World::run(3, |comm| {
+            let fft = DistFft3d::new(comm, 12);
+            let delta_k = fft.forward_real(comm, vec![0.5; fft.local_len()]);
+            let before = comm.telemetry().collective(CollectiveKind::AllReduce);
+            measure_power(comm, &delta_k, 12, fft.y0, fft.ny, 10.0);
+            density_power(comm, &delta_k, 12, fft.y0, fft.ny, 10.0, 1.0);
+            comm.telemetry().collective(CollectiveKind::AllReduce) - before
+        });
+        assert_eq!(counts, [2; 3]);
+    }
+
+    #[test]
+    fn density_power_is_the_overdensity_power() {
+        // delta = rho V / M - 1, so binning rho(k) with the scale folded in
+        // must agree with binning delta(k).
+        let (n, l) = (12usize, 30.0);
+        let rho = |x: usize, y: usize, z: usize| {
+            1.0 + 0.3 * (x as f64 * 0.9).sin() + 0.1 * ((y * 7 + z * 3) % 5) as f64
+        };
+        let (from_rho, from_delta) = World::run(3, |comm| {
+            let fft = DistFft3d::new(comm, n);
+            let cell_vol = (l / n as f64).powi(3);
+            let local: Vec<f64> = (0..fft.local_len())
+                .map(|i| rho(fft.x0 + i / (n * n), i / n % n, i % n))
+                .collect();
+            let local_mass = local.iter().sum::<f64>() * cell_vol;
+            let total = comm.all_reduce_f64(local_mass, |a, b| a + b);
+            let delta = local.iter().map(|r| r * l * l * l / total - 1.0).collect();
+            let delta_k = fft.forward_real(comm, delta);
+            let rho_k = fft.forward_real(comm, local);
+            (
+                density_power(comm, &rho_k, n, fft.y0, fft.ny, l, local_mass),
+                measure_power(comm, &delta_k, n, fft.y0, fft.ny, l),
+            )
+        })
+        .pop()
+        .unwrap();
+        assert_eq!(from_rho.len(), from_delta.len());
+        for (a, b) in from_rho.iter().zip(&from_delta) {
+            assert_eq!(a.modes, b.modes);
+            assert_eq!(a.k.to_bits(), b.k.to_bits());
+            assert!(
+                (a.power - b.power).abs() <= 1e-12 * b.power,
+                "k={}: {} vs {}",
+                b.k,
+                a.power,
+                b.power
+            );
+        }
+    }
 
     /// Build delta(x) on the full grid, run the distributed FFT, measure.
     fn measure_field<F: Fn(usize, usize, usize) -> f64 + Sync>(

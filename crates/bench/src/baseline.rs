@@ -10,8 +10,9 @@
 //!   `scripts/bench_update.sh` to (re-)bless `BENCH_kernels.json`.
 //! * `HACC_BENCH_BASELINE=<path>` — ratchet the metrics against a
 //!   previously blessed baseline. The dimensionless `*_speedup` metrics —
-//!   each a median of ratios of adjacent, interleaved sweeps, which the
-//!   host's speed cancels out of — fail the process with a delta table
+//!   each the ratio of two arms' fastest times over interleaved samples
+//!   whose order flips every sample, which the host's speed cancels out
+//!   of — fail the process with a delta table
 //!   when they drop more than [`RATCHET_TOLERANCE`] below their baseline:
 //!   the tier-5 gate in `scripts/verify.sh`. Absolute rates (`*_per_s`)
 //!   and cost multiples move with the host by themselves; they are

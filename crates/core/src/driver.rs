@@ -30,7 +30,8 @@
 //!    `(seed, particle id, PM step, substep)`;
 //! 5. `in_situ_analysis`: in-situ analysis at its cadence (`Analysis`);
 //! 6. `close_step`: the final step only, its closing long-range half-kick
-//!    (its closing short-range one ends stage 4);
+//!    (its closing short-range one ends stage 4); the final P(k) is binned
+//!    from that solve's density spectrum, at the final positions;
 //! 7. `write_checkpoint`: a full tiered checkpoint every step (`Io`);
 //!    then `reduce_ledger`, the conservation ledger's end-of-step totals.
 //!
@@ -56,11 +57,9 @@ use crate::overload::{exchange_overload, migrate, wrapped_axes};
 use crate::particles::{ParticleRecord, ParticleStore, Species};
 use crate::timers::{Phase, Timers, PHASES};
 use crate::timestep::{n_substeps, rung_for, RungStats};
-use hacc_analysis::power::PowerBin;
+use hacc_analysis::power::{density_power, PowerBin};
 use hacc_analysis::twopoint::XiBin;
-use hacc_analysis::{
-    compton_y_map, correlation_function, fof_halos, measure_power, populate, HodParams, Lbvh,
-};
+use hacc_analysis::{compton_y_map, correlation_function, fof_halos, populate, HodParams, Lbvh};
 use hacc_fault::{FaultPlan, FaultProbe, FaultState};
 use hacc_gpusim::{execute_with_relaunch, ExecutionModel, KernelCounters, ProfileTable};
 use hacc_grav::{grav_step_sinks, GravConfig, CUTOFF_SPLIT_SCALES};
@@ -68,6 +67,7 @@ use hacc_iosim::format::Block;
 use hacc_iosim::{IoStats, TieredConfig, TieredWriter};
 use hacc_mesh::{PmConfig, PmSolver};
 use hacc_ranks::{CartDecomp, Comm, World};
+use hacc_swfft::Complex64;
 use hacc_telem::{
     CommCounters, ConservationLedger, FaultCounters, FaultKind, GpuKernelRow, LedgerRecord,
     RankTelemetry, Span, TelemetryReport, Tracer,
@@ -854,6 +854,9 @@ struct RankState {
     /// The halo-catalog staging columns, refilled in place each step
     /// (lint rule P1).
     halo_cols: [Vec<f64>; 4],
+    /// The final P(k), binned by the last step's closing solve; `None`
+    /// until that solve (a run resumed after its last step makes none).
+    final_power: Option<Vec<PowerBin>>,
 }
 
 impl RankState {
@@ -889,6 +892,7 @@ impl RankState {
             steps: Vec::with_capacity(cfg.pm_steps),
             sr: ShortRange::default(),
             halo_cols: Default::default(),
+            final_power: None,
         }
     }
 }
@@ -957,7 +961,7 @@ fn rank_main(
 
         let n_owned_global = migrate_and_refresh(&run, comm, &mut st);
         let opening_pm = step.owed.pm + run.kd.kick_factor(step.a0, step.a1) / 2.0;
-        long_range_kick(&run, comm, &mut st, "pm-solve+kick", step.a0, opening_pm);
+        long_range_kick(&run, comm, &mut st, step.a0, opening_pm, false);
         let mut cm = build_mesh(&run, &mut st);
         let sinks = st.sr.sinks(&st.store);
         let (nsub, rung_stats, stars) =
@@ -992,7 +996,7 @@ fn rank_main(
     // --- final analysis: P(k), FOF, xi(r), HOD galaxies, SZ map ---
     let sp = st.tracer.begin(Phase::Analysis.name(), "final-analysis");
     let (power, n_halos, largest_halo, xi, n_galaxies, y_conc) =
-        final_analysis(&run, comm, &st.store);
+        final_analysis(&run, comm, &st.store, st.final_power.take());
     st.tracer.end(sp);
 
     let state_hash = global_state_hash(comm, &st.store, cfg.box_size);
@@ -1229,14 +1233,15 @@ fn in_situ_analysis(run: &Run, st: &mut RankState, step: &PmStep) {
     st.tracer.end(sp);
 }
 
-/// Stage 6: the final step's closing long-range half-kick; any other
-/// step leaves it, with its last substep's short-range one, to the next
-/// step's opening solves.
+/// Stage 6: the final step's closing long-range half-kick, whose solve
+/// also bins the final P(k) (nothing moves the particles after it); any
+/// other step leaves it, with its last substep's short-range one, to the
+/// next step's opening solves.
 // p1: hot-loop
 fn close_step(run: &Run, comm: &mut Comm, st: &mut RankState, step: &PmStep, nsub: u32) {
     if step.last {
         let closing = closing_widths(run.cfg, &run.kd, step.index, nsub).pm;
-        long_range_kick(run, comm, st, "pm-solve+closing-half-kick", step.a1, closing);
+        long_range_kick(run, comm, st, step.a1, closing, true);
     }
     st.owed_substeps = if step.last { 0 } else { nsub };
 }
@@ -1320,20 +1325,40 @@ fn owned_totals(store: &ParticleStore) -> [f64; 7] {
 }
 
 /// Stage 2 (and 6's closing half): one long-range kick of `width` at
-/// scale factor `a`, in the `LongRange` span `name`: PM accelerations of
-/// the owned particles, which are the store's contiguous prefix (the
-/// solve must not see overload ghosts).
+/// scale factor `a`, in a `LongRange` span: PM accelerations of the owned
+/// particles, which are the store's contiguous prefix (the solve must not
+/// see overload ghosts). The run's `last` solve, the final step's closing
+/// one, also bins the final P(k) from its density spectrum, before the
+/// solve turns that into the potential.
 // p1: hot-loop
-fn long_range_kick(run: &Run, comm: &mut Comm, st: &mut RankState, name: &str, a: f64, width: f64) {
+fn long_range_kick(run: &Run, comm: &mut Comm, st: &mut RankState, a: f64, width: f64, last: bool) {
+    let name = if last {
+        "pm-solve+closing-half-kick"
+    } else {
+        "pm-solve+kick"
+    };
     let sp = st.tracer.begin(Phase::LongRange.name(), name);
     let (n, store) = (st.store.n_owned, &mut st.store);
-    let acc = run.pm.accelerations(comm, &store.pos[..n], &store.mass[..n]);
+    let (pos, mass) = (&store.pos[..n], &store.mass[..n]);
+    let (rho_k, requests) = run.pm.density_spectrum(comm, pos, mass);
+    if last {
+        st.final_power = Some(spectrum_pk(run, comm, &rho_k, mass));
+    }
+    let acc = run.pm.forces(comm, pos, rho_k, &requests);
     for (vel, acc) in store.vel[..n].iter_mut().zip(&acc) {
         for d in 0..3 {
             vel[d] += acc[d] / a * width;
         }
     }
     st.tracer.end(sp);
+}
+
+/// P(k) over all ranks from the density spectrum `rho_k` the PM solver
+/// made of particles with masses `mass`.
+fn spectrum_pk(run: &Run, comm: &mut Comm, rho_k: &[Complex64], mass: &[f64]) -> Vec<PowerBin> {
+    let (cfg, (y0, ny)) = (run.cfg, run.pm.k_slab());
+    let local_mass = mass.iter().sum();
+    density_power(comm, rho_k, cfg.ngrid, y0, ny, cfg.box_size, local_mass)
 }
 
 /// The closing half-kick widths of one PM step.
@@ -1486,19 +1511,22 @@ impl Subgrid {
     }
 }
 
-/// Final-state analysis.
+/// Final-state analysis. `power` is the P(k) the last closing solve
+/// binned at these positions; a run that made no closing solve (one
+/// resumed after its last step) deposits and transforms them here.
 fn final_analysis(
     run: &Run,
     comm: &mut Comm,
     store: &ParticleStore,
+    power: Option<Vec<PowerBin>>,
 ) -> (Vec<PowerBin>, usize, f64, Vec<XiBin>, u64, f64) {
     let cfg = run.cfg;
     let n = store.n_owned;
     let (pos, vel, mass) = (&store.pos[..n], &store.vel[..n], &store.mass[..n]);
-    // P(k) over all ranks through the PM deposit path (`density_k` reads
-    // only the solver's grid size and box).
-    let (delta_k, y0, ny) = run.pm.density_k(comm, pos, mass);
-    let power = measure_power(comm, &delta_k, cfg.ngrid, y0, ny, cfg.box_size);
+    let power = power.unwrap_or_else(|| {
+        let (rho_k, _) = run.pm.density_spectrum(comm, pos, mass);
+        spectrum_pk(run, comm, &rho_k, mass)
+    });
     // Local FOF (per-rank; the global count is the reduced sum).
     let b_link = 0.2 * cfg.particle_spacing();
     let halos = fof_halos(pos, vel, mass, b_link, 10);

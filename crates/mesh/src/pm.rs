@@ -22,6 +22,11 @@
 //! rounds between each rank and the owners of its footprint's planes (see
 //! [`crate::cic`]). A solve is 3 transposes, 1 all-gather and 4 sparse
 //! exchanges.
+//!
+//! A solve splits at its density spectrum `rho(k)`:
+//! [`PmSolver::density_spectrum`] then [`PmSolver::forces`]. The driver
+//! bins the final P(k) from the last closing solve's `rho(k)` in between,
+//! so the final analysis deposits and transforms nothing of its own.
 
 use crate::cic;
 use crate::poisson::{GreensOptions, HalfSpectrum};
@@ -58,8 +63,8 @@ impl PmConfig {
 }
 
 /// Per-rank PM solver handle. Construct once per run (plans are cached).
-/// The driver calls [`PmSolver::accelerations`] for every PM step's
-/// opening solve and once more for the last step's closing solve.
+/// The driver makes every solve as [`PmSolver::density_spectrum`] then
+/// [`PmSolver::forces`]; [`PmSolver::accelerations`] is the two in one.
 #[derive(Debug)]
 pub struct PmSolver {
     cfg: PmConfig,
@@ -90,46 +95,60 @@ impl PmSolver {
         cic::deposit(comm, self.cfg.n, self.cfg.box_size, positions, masses)
     }
 
-    /// Long-range accelerations at this rank's particle positions.
-    ///
-    /// The returned vector is `-∇φ` per particle, with
-    /// `∇²φ = prefactor · ρ` solved spectrally (ρ here is *mass per cell
-    /// volume*: the deposit is normalized by the cell volume internally so
-    /// the prefactor retains its physical meaning).
-    pub fn accelerations(
+    /// This rank's k-space slab, y-planes `[y0, y0 + ny)` of the half
+    /// spectra [`PmSolver::density_spectrum`] returns: `(y0, ny)`.
+    pub fn k_slab(&self) -> (usize, usize) {
+        (self.fft.y0, self.fft.ny)
+    }
+
+    /// The first half of a solve: this rank's half spectrum of the
+    /// density `rho(k)` (ρ is mass per cell volume; layout B of
+    /// [`DistFft3d::forward_real`], rows of the `n/2 + 1` bins
+    /// `z <= n/2`) and the footprint exchange its deposit made, which
+    /// [`PmSolver::forces`] reuses for its gathers.
+    pub fn density_spectrum(
         &self,
         comm: &mut Comm,
         positions: &[[f64; 3]],
         masses: &[f64],
-    ) -> Vec<[f64; 3]> {
+    ) -> (Vec<Complex64>, cic::PlaneRequests) {
         let n = self.cfg.n;
         let cell_vol = (self.cfg.box_size / n as f64).powi(3);
-
-        // 1. Share the footprints once for the deposit and all three
-        //    gathers; deposit, converting mass -> density.
+        // Share the footprints once for the deposit and all three
+        // gathers; deposit, converting mass -> density.
         let footprint = cic::needed_planes(n, self.cfg.box_size, positions);
         let requests = cic::PlaneRequests::exchange(comm, n, &footprint);
         let mut rho = requests.deposit(comm, self.cfg.box_size, positions, masses);
         for m in &mut rho {
             *m /= cell_vol;
         }
+        // Real forward FFT into the transposed half-spectrum layout.
+        (self.fft.forward_real(comm, rho), requests)
+    }
 
-        // 2. Real forward FFT into the transposed half-spectrum layout.
-        let mut psi = self.fft.forward_real(comm, rho);
-
-        // 3. Green's function: `psi` becomes `-i phi(k)` in place.
+    /// The second half of a solve: `-∇φ` at `positions` from the density
+    /// spectrum `psi` and the `requests` [`PmSolver::density_spectrum`]
+    /// returned for these positions.
+    pub fn forces(
+        &self,
+        comm: &mut Comm,
+        positions: &[[f64; 3]],
+        mut psi: Vec<Complex64>,
+        requests: &cic::PlaneRequests,
+    ) -> Vec<[f64; 3]> {
+        let (n, box_size) = (self.cfg.n, self.cfg.box_size);
+        // Green's function: `psi` becomes `-i phi(k)` in place.
         let opts = GreensOptions {
             prefactor: self.cfg.prefactor,
             split_scale: self.cfg.split_scale,
             deconvolve_cic: self.cfg.deconvolve_cic,
         };
-        let half = HalfSpectrum::new(n, self.fft.y0, self.fft.ny, self.cfg.box_size, &opts);
+        let half = HalfSpectrum::new(n, self.fft.y0, self.fft.ny, box_size, &opts);
         half.potential(&mut psi);
 
-        // 4. One gradient at a time, each inverted in place and its
-        //    patches gathered and interpolated: F_z, dropped before
-        //    [F_x | F_y] is built side by side in `psi`'s allocation.
-        let box_size = self.cfg.box_size;
+        // One gradient at a time, each inverted in place and its patches
+        // gathered and interpolated: F_z, dropped before [F_x | F_y] is
+        // built side by side in `psi`'s allocation.
         let fz = self.fft.inverse_real::<1>(comm, half.force_z(&psi));
         let az = cic::interpolate(n, box_size, positions, &requests.gather(comm, &fz.field(0)));
         drop(fz);
@@ -153,25 +172,45 @@ impl PmSolver {
             .collect()
     }
 
-    /// The local k-space density grid (used by the P(k) analysis). Returns
-    /// `(delta_k, y0, ny)` where `delta_k` is the half spectrum of the
-    /// *overdensity* `delta = rho/rho_mean - 1`: layout B of
-    /// [`DistFft3d::forward_real`], rows of the `n/2 + 1` bins `z <= n/2`.
+    /// Long-range accelerations at this rank's particle positions:
+    /// [`PmSolver::density_spectrum`], then [`PmSolver::forces`].
+    ///
+    /// The returned vector is `-∇φ` per particle, with
+    /// `∇²φ = prefactor · ρ` solved spectrally (ρ here is *mass per cell
+    /// volume*: the deposit is normalized by the cell volume internally so
+    /// the prefactor retains its physical meaning).
+    pub fn accelerations(
+        &self,
+        comm: &mut Comm,
+        positions: &[[f64; 3]],
+        masses: &[f64],
+    ) -> Vec<[f64; 3]> {
+        let (rho_k, requests) = self.density_spectrum(comm, positions, masses);
+        self.forces(comm, positions, rho_k, &requests)
+    }
+
+    /// The local k-space overdensity grid. Returns `(delta_k, y0, ny)`
+    /// where `delta_k` is the half spectrum of `delta = rho/rho_mean - 1`
+    /// in the layout of [`PmSolver::density_spectrum`]: that spectrum
+    /// scaled by `V / M_total` (one `all_reduce` of the mass), its zero
+    /// mode zeroed.
     pub fn density_k(
         &self,
         comm: &mut Comm,
         positions: &[[f64; 3]],
         masses: &[f64],
     ) -> (Vec<Complex64>, usize, usize) {
-        let n = self.cfg.n;
-        let mut delta = self.mass_slab(comm, positions, masses);
-        let local_mass: f64 = delta.iter().sum();
-        let total_mass = comm.all_reduce_f64(local_mass, |a, b| a + b);
-        let mean_per_cell = total_mass / (n * n * n) as f64;
-        for m in &mut delta {
-            *m = *m / mean_per_cell - 1.0;
+        let (mut delta_k, _) = self.density_spectrum(comm, positions, masses);
+        let total_mass = comm.all_reduce_f64(masses.iter().sum(), |a, b| a + b);
+        let scale = self.cfg.box_size.powi(3) / total_mass;
+        for c in &mut delta_k {
+            *c = c.scale(scale);
         }
-        (self.fft.forward_real(comm, delta), self.fft.y0, self.fft.ny)
+        let (y0, ny) = self.k_slab();
+        if y0 == 0 && ny > 0 {
+            delta_k[0] = Complex64::zero();
+        }
+        (delta_k, y0, ny)
     }
 }
 

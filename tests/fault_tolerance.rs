@@ -90,6 +90,29 @@ fn resumed_run_matches_uninterrupted() {
     }
 }
 
+/// A run resumed after its last checkpointed step takes no step, so makes
+/// no closing solve to bin P(k) from: its final analysis deposits and
+/// transforms the checkpointed positions instead, and must report the
+/// uninterrupted run's P(k) bit for bit. (The checkpoint wraps positions
+/// into the box; with one grid cell per lattice spacing and box unit, the
+/// deposit reads a wrapped and an unwrapped coordinate the same.)
+#[test]
+fn resume_after_the_last_step_reports_the_same_power() {
+    let ranks = 2;
+    let (c, _dir) = cfg("after-last", 2);
+    let reference = run_simulation(&c, ranks);
+    let resumed = resume_simulation(&c, ranks);
+    assert!(resumed.steps.is_empty(), "nothing is left to run");
+    assert_eq!(resumed.final_state_hash, reference.final_state_hash);
+    assert!(!reference.power.is_empty());
+    assert_eq!(reference.power.len(), resumed.power.len());
+    for (a, b) in reference.power.iter().zip(&resumed.power) {
+        assert_eq!(a.modes, b.modes);
+        assert_eq!(a.k.to_bits(), b.k.to_bits());
+        assert_eq!(a.power.to_bits(), b.power.to_bits(), "P(k={})", a.k);
+    }
+}
+
 #[test]
 fn resume_skips_torn_checkpoint() {
     use frontier_sim::iosim::TieredWriter;

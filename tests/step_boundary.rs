@@ -8,6 +8,7 @@ mod common;
 use common::TempRunDir;
 use frontier_sim::core::{resume_simulation, run_simulation, Physics, SimConfig, SimReport};
 use frontier_sim::iosim::TieredWriter;
+use frontier_sim::telem::CollectiveKind;
 
 /// `SimConfig::small(8)` at `z` 2 → 0.5: the gas asks for 2 substeps in
 /// step 0 and 4 in steps 1 and 2 (the hydro modes; gravity-only steps
@@ -65,6 +66,28 @@ fn hydro_run_makes_one_solve_per_step_boundary() {
     // and opening the next again would be Σ (substeps + 1) = 13.
     for kernel in ["grav_short_range", "sph_density", "crk_moments", "crk_force"] {
         assert_eq!(launches_per_rank(&r, kernel), 11, "{kernel}");
+    }
+}
+
+/// The final P(k) is binned from the last closing solve's density
+/// spectrum, so a fresh run deposits and forward-transforms exactly once
+/// per PM solve. Per rank, from the communication counters:
+/// `all_to_allv` = the ICs' two + one migrate per step + three transposes
+/// per solve (one forward, two inverse); `exchange` = one overload refresh
+/// per step + four rounds per solve (the deposit, three force gathers).
+/// A final analysis that deposited and transformed again would add one of
+/// each.
+#[test]
+fn gravity_run_deposits_and_transforms_once_per_solve() {
+    let c = cfg(Physics::GravityOnly);
+    let r = run_simulation(&c, 2);
+    let solves = c.pm_steps + 1;
+    assert_eq!(long_range_solves(&r), [solves; 2]);
+    for t in &r.telemetry.ranks {
+        let count = |kind| t.comm.collective(kind);
+        let (steps, solves) = (c.pm_steps as u64, solves as u64);
+        assert_eq!(count(CollectiveKind::AllToAllV), 2 + steps + 3 * solves);
+        assert_eq!(count(CollectiveKind::Exchange), steps + 4 * solves);
     }
 }
 
